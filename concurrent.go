@@ -38,7 +38,7 @@ func (f *F0) Merge(other *F0) error {
 // be called from any number of goroutines without ever serialising on a
 // shared lock — a writer claims whichever replica it can lock without
 // blocking. Estimate merges the replicas on demand and caches the answer
-// until the next write.
+// until the next write; a cached answer takes no replica lock.
 //
 // Because the underlying sketches are idempotent, order-insensitive
 // functions of the element set and all replicas share draws, the merged
@@ -78,9 +78,10 @@ func (c *ConcurrentF0) Replicas() int { return c.front.Replicas() }
 func (c *ConcurrentF0) Bits() int { return c.nBits }
 
 // Version returns the number of completed writes (Add or AddBatch calls)
-// absorbed so far. Estimate caches against this counter, so callers can
-// key their own caches (or staleness checks) the same way: an unchanged
-// Version between two reads means no write completed in between.
+// absorbed so far: an unchanged Version between two reads means no write
+// completed in between. Estimate caches against this counter; use
+// EstimateVersioned for the version an estimate covers and whether it
+// was a cache hit, rather than caching on top of the front.
 func (c *ConcurrentF0) Version() uint64 { return c.front.Version() }
 
 // Add absorbs one stream element; safe to call from any goroutine.
@@ -135,6 +136,13 @@ func (c *ConcurrentF0) AddBatch(xs []uint64) {
 // approximation; safe to interleave with concurrent Adds (their elements
 // land in a later estimate).
 func (c *ConcurrentF0) Estimate() float64 { return c.front.Estimate() }
+
+// EstimateVersioned is Estimate that also reports the write-version the
+// estimate covers and whether it was served from the front's cache (a
+// hit takes no replica lock, so it never waits on an in-flight write).
+func (c *ConcurrentF0) EstimateVersioned() (est float64, version uint64, cached bool) {
+	return c.front.EstimateVersioned()
+}
 
 // SketchWords returns the summed replica footprint in 64-bit words.
 func (c *ConcurrentF0) SketchWords() int { return c.front.SketchWords() }

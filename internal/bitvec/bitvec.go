@@ -37,6 +37,8 @@ import (
 	"math"
 	"math/bits"
 	"unsafe"
+
+	"mcf0/internal/stats"
 )
 
 // BitVec is a fixed-width vector of bits.
@@ -588,8 +590,8 @@ func (b BitVec) Fingerprint() Fingerprint {
 	default:
 		f.lo, f.hi = b.words[0], b.words[1]
 		for _, w := range b.words[2:] {
-			f.lo = mix64(f.lo ^ (w * 0x9e3779b97f4a7c15))
-			f.hi = mix64(f.hi + bits.RotateLeft64(w, 31) + 0xd1342543de82ef95)
+			f.lo = stats.Mix64(f.lo ^ (w * 0x9e3779b97f4a7c15))
+			f.hi = stats.Mix64(f.hi + bits.RotateLeft64(w, 31) + 0xd1342543de82ef95)
 		}
 	}
 	return f
@@ -605,13 +607,6 @@ func (f Fingerprint) Raw() (lo, hi uint64, n int) { return f.lo, f.hi, int(f.n) 
 // (the elements themselves are not retained by the sketches).
 func RawFingerprint(lo, hi uint64, n int) Fingerprint {
 	return Fingerprint{lo: lo, hi: hi, n: uint32(n)}
-}
-
-// mix64 is the splitmix64 finalizer, a bijection on uint64.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Random fills an n-bit vector using next as the entropy source; next is

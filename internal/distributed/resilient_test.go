@@ -10,31 +10,6 @@ import (
 	"mcf0/internal/stats"
 )
 
-// TestResilientShipMatchesLossless: over a lossless transport the
-// resilient path is SketchAndShip exactly — same estimate, same metered
-// bits.
-func TestResilientShipMatchesLossless(t *testing.T) {
-	const seed = 0x5ee0
-	d := formula.RandomDNF(12, 11, 4, stats.NewRNG(77))
-	for _, k := range []int{1, 3} {
-		parts := Split(d, k)
-		want, err := SketchAndShip(parts, seed, shipOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SketchAndShipResilient(parts, seed, shipOpts(), nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Estimate != want.Estimate {
-			t.Fatalf("k=%d: resilient estimate %v != SketchAndShip %v", k, got.Estimate, want.Estimate)
-		}
-		if got.Comm != want.Comm {
-			t.Fatalf("k=%d: lossless resilient comm %+v != SketchAndShip %+v", k, got.Comm, want.Comm)
-		}
-	}
-}
-
 // TestResilientShipUnderFlakyTransport: a seeded flaky transport drops
 // and mangles deliveries; retries must recover a bit-identical estimate
 // while the failed attempts show up in the communication meter.
@@ -42,7 +17,7 @@ func TestResilientShipUnderFlakyTransport(t *testing.T) {
 	const seed = 0x5ee0
 	d := formula.RandomDNF(12, 11, 4, stats.NewRNG(77))
 	parts := Split(d, 4)
-	want, err := SketchAndShip(parts, seed, shipOpts())
+	want, err := SketchAndShip(parts, seed, shipOpts(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +38,7 @@ func TestResilientShipUnderFlakyTransport(t *testing.T) {
 		}
 		return blob, nil
 	}
-	got, err := SketchAndShipResilient(parts, seed, shipOpts(), transport, 4)
+	got, err := SketchAndShip(parts, seed, shipOpts(), transport, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +72,26 @@ func TestResilientShipDuplicateDeliveryIdempotent(t *testing.T) {
 		}
 		blobs[j] = blob
 	}
-	once, err := CombineDNFSnapshots(blobs, 1)
-	if err != nil {
-		t.Fatal(err)
+	decode := func(blob []byte) *setstream.DNFStream {
+		s, err := setstream.DecodeDNFStream(blob, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	doubled := append(append([][]byte{}, blobs...), blobs...)
-	twice, err := CombineDNFSnapshots(doubled, 1)
-	if err != nil {
-		t.Fatal(err)
+	merge := func(blobs [][]byte) float64 {
+		merged := decode(blobs[0])
+		for _, blob := range blobs[1:] {
+			if err := merged.Merge(decode(blob)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return merged.Estimate()
 	}
-	if once.Estimate() != twice.Estimate() {
-		t.Fatalf("duplicate delivery moved the estimate: %v -> %v", once.Estimate(), twice.Estimate())
+	once := merge(blobs)
+	twice := merge(append(append([][]byte{}, blobs...), blobs...))
+	if once != twice {
+		t.Fatalf("duplicate delivery moved the estimate: %v -> %v", once, twice)
 	}
 }
 
@@ -123,7 +107,7 @@ func TestResilientShipUndeliverable(t *testing.T) {
 		}
 		return blob, nil
 	}
-	if _, err := SketchAndShipResilient(parts, 1, shipOpts(), transport, 2); err == nil {
+	if _, err := SketchAndShip(parts, 1, shipOpts(), transport, 2); err == nil {
 		t.Fatal("undeliverable site did not fail the protocol")
 	}
 }

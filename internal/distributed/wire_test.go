@@ -30,7 +30,7 @@ func TestSketchAndShipDifferential(t *testing.T) {
 			parts := Split(d, k)
 			opts := shipOpts()
 			opts.Parallelism = par
-			res, err := SketchAndShip(parts, seed, opts)
+			res, err := SketchAndShip(parts, seed, opts, nil, 0)
 			if err != nil {
 				t.Fatalf("k=%d par=%d: %v", k, par, err)
 			}
@@ -62,14 +62,31 @@ func TestSketchAndShipDifferential(t *testing.T) {
 			if res.Comm.SitesToCoord <= 0 {
 				t.Fatalf("k=%d: no snapshot bits metered", k)
 			}
+			var blobBits int64
+			for _, p := range parts {
+				site := setstream.NewDNFStream(d.N, shipStreamOpts(seed, par))
+				site.ProcessDNF(p)
+				blob, err := site.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blobBits += int64(len(blob)) * 8
+			}
+			if res.Comm.SitesToCoord != blobBits {
+				t.Fatalf("k=%d par=%d: metered %d bits up, want exactly 8·Σ len(blob) = %d",
+					k, par, res.Comm.SitesToCoord, blobBits)
+			}
 		}
 	}
 }
 
-// CombineDNFSnapshots must reject corrupt blobs, foreign-seed snapshots,
-// and empty input — with errors, never a panic or partial merge.
-func TestCombineDNFSnapshotsErrors(t *testing.T) {
+// SketchAndShip must reject no sites, a foreign-seed snapshot, and a
+// corrupt snapshot — with errors, never a panic or partial merge. A
+// foreign snapshot decodes fine, so it fails at the merge, which is not
+// retried.
+func TestSketchAndShipErrors(t *testing.T) {
 	d := formula.RandomDNF(10, 6, 3, stats.NewRNG(79))
+	parts := Split(d, 2)
 	mk := func(seed uint64) []byte {
 		s := setstream.NewDNFStream(d.N, shipStreamOpts(seed, 1))
 		s.ProcessDNF(d)
@@ -79,15 +96,33 @@ func TestCombineDNFSnapshotsErrors(t *testing.T) {
 		}
 		return blob
 	}
-	if _, err := CombineDNFSnapshots(nil, 1); err == nil {
-		t.Fatal("empty snapshot list combined")
+	// swapIn delivers bad in place of site 1's blob and counts the tries.
+	swapIn := func(bad []byte, tries *int) ShipTransport {
+		return func(site, _ int, blob []byte) ([]byte, error) {
+			if site != 1 {
+				return blob, nil
+			}
+			*tries++
+			return bad, nil
+		}
 	}
-	if _, err := CombineDNFSnapshots([][]byte{mk(1), mk(2)}, 1); err == nil {
-		t.Fatal("foreign-seed snapshots merged")
+	if _, err := SketchAndShip(nil, 1, shipOpts(), nil, 0); err == nil {
+		t.Fatal("no sites shipped")
+	}
+	tries := 0
+	if _, err := SketchAndShip(parts, 1, shipOpts(), swapIn(mk(2), &tries), 2); err == nil {
+		t.Fatal("foreign-seed snapshot merged")
+	}
+	if tries != 1 {
+		t.Fatalf("foreign-seed merge failure retried: %d deliveries, want 1", tries)
 	}
 	corrupt := bytes.Clone(mk(1))
 	corrupt = corrupt[:len(corrupt)-3]
-	if _, err := CombineDNFSnapshots([][]byte{mk(1), corrupt}, 1); err == nil {
+	tries = 0
+	if _, err := SketchAndShip(parts, 1, shipOpts(), swapIn(corrupt, &tries), 2); err == nil {
 		t.Fatal("truncated snapshot merged")
+	}
+	if tries != 3 {
+		t.Fatalf("corrupt delivery tried %d times, want 1 + 2 retries", tries)
 	}
 }

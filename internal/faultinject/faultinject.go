@@ -29,6 +29,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"mcf0/internal/stats"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -165,10 +167,7 @@ func MustNew(cfg Config) *Chaos {
 // loadgen retry jitter, the distributed flaky-transport tests) can share
 // the same reproducible stream without importing a second RNG.
 func U64At(seed, index uint64) uint64 {
-	x := seed + (index+1)*0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return stats.Mix64(seed + (index+1)*0x9e3779b97f4a7c15)
 }
 
 // FracAt maps U64At into [0, 1) with 53-bit precision.

@@ -31,6 +31,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"strconv"
+
+	"mcf0/internal/stats"
 )
 
 // OpKind enumerates the generated operation kinds.
@@ -157,22 +159,12 @@ func (s *Spec) keySpace() uint64 {
 	return uint64(1) << uint(b)
 }
 
-// splitmix64 is the finalizer the generator derives all per-op
-// randomness from; a bijection on uint64, so distinct inputs never
-// collide.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Kind returns op i's kind — a pure function of (Spec, i).
 func (s *Spec) Kind(i int) OpKind {
 	total := s.IngestWeight + s.EstimateWeight + s.SnapshotWeight
 	// One uniform draw in [0,1) keyed by (seed, index) picks the kind by
 	// cumulative weight.
-	u := float64(splitmix64(s.Seed^0xa5a5a5a5a5a5a5a5^uint64(i))>>11) / (1 << 53)
+	u := float64(stats.Mix64((s.Seed^0xa5a5a5a5a5a5a5a5^uint64(i))+0x9e3779b97f4a7c15)>>11) / (1 << 53)
 	x := u * total
 	if x < s.IngestWeight {
 		return OpIngest
@@ -215,7 +207,7 @@ func (s *Spec) Elements(i int, dst []uint64) []uint64 {
 		// function so hot keys are not clustered at small values; the
 		// mapping depends only on Seed, so replays and reference runs
 		// agree on it.
-		dst[j] = splitmix64(s.Seed+0x517cc1b727220a95+key) & mask
+		dst[j] = stats.Mix64(s.Seed+0x517cc1b727220a95+key+0x9e3779b97f4a7c15) & mask
 	}
 	return dst
 }

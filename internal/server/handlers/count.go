@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"mcf0"
+	"mcf0/internal/server/middleware"
 )
 
 // countReq is the body of POST /v1/count: a one-shot approximate model
@@ -36,17 +37,17 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 	}
 	kind := strings.ToLower(req.Kind)
 	if kind != "cnf" && kind != "dnf" {
-		writeErr(w, http.StatusBadRequest, "invalid_formula", `kind must be "cnf" or "dnf"`)
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_formula", `kind must be "cnf" or "dnf"`)
 		return
 	}
 	if req.N < 1 || req.N > api.maxCountVars() {
-		writeErr(w, http.StatusBadRequest, "invalid_formula",
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_formula",
 			fmt.Sprintf("n must be in [1, %d]", api.maxCountVars()))
 		return
 	}
 	if req.Epsilon < 0 || req.Delta < 0 || req.Delta >= 1 || req.Thresh < 0 || req.Thresh > 1<<20 ||
 		req.Iterations < 0 || req.Iterations > 1<<16 || req.Parallelism < 0 {
-		writeErr(w, http.StatusBadRequest, "invalid_config",
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config",
 			"need epsilon >= 0, 0 <= delta < 1, thresh in [0, 2^20], iterations in [0, 2^16], parallelism >= 0")
 		return
 	}
@@ -55,7 +56,7 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 		lists, field = req.Terms, "terms"
 	}
 	if len(lists) == 0 {
-		writeErr(w, http.StatusBadRequest, "invalid_formula", fmt.Sprintf("%s must be non-empty", field))
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_formula", fmt.Sprintf("%s must be non-empty", field))
 		return
 	}
 	lits := 0
@@ -63,7 +64,7 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 		lits += len(l)
 	}
 	if len(lists) > 1<<17 || lits > 1<<20 {
-		writeErr(w, http.StatusRequestEntityTooLarge, "formula_too_large",
+		middleware.WriteError(w, http.StatusRequestEntityTooLarge, "formula_too_large",
 			fmt.Sprintf("formula exceeds the %d-%s / %d-literal limit", 1<<17, field, 1<<20))
 		return
 	}
@@ -88,7 +89,7 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 		// Every error mcf0 returns here is an input problem: an unknown
 		// algorithm, a literal out of range, or an algorithm/formula
 		// mismatch (e.g. karpluby on CNF, estimation beyond 24 vars).
-		writeErr(w, http.StatusBadRequest, "invalid_formula", err.Error())
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_formula", err.Error())
 		return
 	}
 	t := tenant(r)

@@ -1,10 +1,11 @@
 // Package handlers implements f0d's HTTP/JSON endpoints: the sketch
 // lifecycle (create / list / inspect / delete), batched ingestion riding
-// ConcurrentF0.AddBatch, estimate queries with version-counter caching,
-// snapshot persistence, and one-shot model counting.
+// ConcurrentF0.AddBatch, estimate queries answered from the front's
+// version-keyed cache, snapshot persistence, and one-shot model counting.
 //
 // Conventions shared by every endpoint: requests and responses are JSON;
-// errors use the envelope {"error":{"code":...,"message":...}}; client
+// errors use the envelope {"error":{"code":...,"message":...}} written by
+// middleware.WriteError, the same writer the middleware uses; client
 // mistakes (malformed bodies, unknown fields, out-of-range values,
 // missing sketches) are always typed 4xx responses — a 5xx means a server
 // bug, never bad input. 64-bit integers (stream elements, seeds) are
@@ -92,13 +93,6 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// writeErr emits the canonical error envelope.
-func writeErr(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, map[string]any{
-		"error": map[string]string{"code": code, "message": msg},
-	})
-}
-
 // decodeBody parses the request body into dst: strict JSON (unknown
 // fields rejected, trailing garbage rejected), size-capped. On failure it
 // writes a typed 4xx and returns false — malformed input can never reach
@@ -110,15 +104,15 @@ func (api *API) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool
 	if err := dec.Decode(dst); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			middleware.WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		writeErr(w, http.StatusBadRequest, "bad_request", "malformed request body: "+err.Error())
+		middleware.WriteError(w, http.StatusBadRequest, "bad_request", "malformed request body: "+err.Error())
 		return false
 	}
 	if dec.More() {
-		writeErr(w, http.StatusBadRequest, "bad_request", "trailing data after JSON body")
+		middleware.WriteError(w, http.StatusBadRequest, "bad_request", "trailing data after JSON body")
 		return false
 	}
 	return true
@@ -139,7 +133,7 @@ func (api *API) sketchOr404(w http.ResponseWriter, r *http.Request) (*state.Sket
 	name := r.PathValue("name")
 	sk, err := api.Registry.Get(tenant(r).Name, name)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", fmt.Sprintf("sketch %q not found", name))
+		middleware.WriteError(w, http.StatusNotFound, "not_found", fmt.Sprintf("sketch %q not found", name))
 		return nil, false
 	}
 	return sk, true

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"mcf0/internal/server/middleware"
 	"mcf0/internal/server/state"
 )
 
@@ -78,33 +79,33 @@ func (api *API) Create(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !state.ValidName(req.Name) {
-		writeErr(w, http.StatusBadRequest, "invalid_name",
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_name",
 			"sketch name must be 1-64 characters from [A-Za-z0-9_.-], starting alphanumeric")
 		return
 	}
 	if req.Bits < 1 || req.Bits > 64 {
-		writeErr(w, http.StatusBadRequest, "invalid_config", "bits must be in [1,64]")
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "bits must be in [1,64]")
 		return
 	}
 	if !validAlgorithm(req.Algorithm) {
-		writeErr(w, http.StatusBadRequest, "invalid_config",
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config",
 			fmt.Sprintf("unknown algorithm %q (want one of: %s)", req.Algorithm, algNames))
 		return
 	}
 	if req.Epsilon < 0 || req.Delta < 0 || req.Delta >= 1 {
-		writeErr(w, http.StatusBadRequest, "invalid_config", "need epsilon >= 0 and 0 <= delta < 1")
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "need epsilon >= 0 and 0 <= delta < 1")
 		return
 	}
 	if req.Thresh < 0 || req.Thresh > 1<<20 {
-		writeErr(w, http.StatusBadRequest, "invalid_config", "thresh must be in [0, 2^20]")
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "thresh must be in [0, 2^20]")
 		return
 	}
 	if req.Iterations < 0 || req.Iterations > 1<<16 {
-		writeErr(w, http.StatusBadRequest, "invalid_config", "iterations must be in [0, 2^16]")
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "iterations must be in [0, 2^16]")
 		return
 	}
 	if req.Replicas < 0 || req.Replicas > 1024 {
-		writeErr(w, http.StatusBadRequest, "invalid_config", "replicas must be in [0, 1024]")
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "replicas must be in [0, 1024]")
 		return
 	}
 	t := tenant(r)
@@ -121,14 +122,14 @@ func (api *API) Create(w http.ResponseWriter, r *http.Request) {
 	sk, err := api.Registry.Create(t.Name, req.Name, cfg, t.MaxSketches)
 	switch {
 	case errors.Is(err, state.ErrExists):
-		writeErr(w, http.StatusConflict, "already_exists", fmt.Sprintf("sketch %q already exists", req.Name))
+		middleware.WriteError(w, http.StatusConflict, "already_exists", fmt.Sprintf("sketch %q already exists", req.Name))
 		return
 	case errors.Is(err, state.ErrQuota):
-		writeErr(w, http.StatusForbidden, "quota_exhausted",
+		middleware.WriteError(w, http.StatusForbidden, "quota_exhausted",
 			fmt.Sprintf("tenant %q is at its quota of %d sketches", t.Name, t.MaxSketches))
 		return
 	case err != nil:
-		writeErr(w, http.StatusBadRequest, "invalid_config", err.Error())
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", err.Error())
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"sketch": info(sk)})
@@ -161,7 +162,7 @@ func (api *API) Delete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := api.Registry.Delete(sk.Tenant, sk.Name); err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", fmt.Sprintf("sketch %q not found", sk.Name))
+		middleware.WriteError(w, http.StatusNotFound, "not_found", fmt.Sprintf("sketch %q not found", sk.Name))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -186,7 +187,7 @@ func (api *API) Add(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Elements) > api.maxBatch() {
-		writeErr(w, http.StatusRequestEntityTooLarge, "batch_too_large",
+		middleware.WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
 			fmt.Sprintf("batch of %d elements exceeds the %d-element limit; split it", len(req.Elements), api.maxBatch()))
 		return
 	}
@@ -195,7 +196,7 @@ func (api *API) Add(w http.ResponseWriter, r *http.Request) {
 		limit := uint64(1) << uint(bits)
 		for i, x := range req.Elements {
 			if uint64(x) >= limit {
-				writeErr(w, http.StatusBadRequest, "element_out_of_range",
+				middleware.WriteError(w, http.StatusBadRequest, "element_out_of_range",
 					fmt.Sprintf("elements[%d] = %d exceeds the %d-bit universe; batch rejected", i, x, bits))
 				return
 			}
@@ -218,9 +219,9 @@ func (api *API) Add(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Estimate handles GET /v1/sketches/{name}/estimate. The answer is
-// cached against the sketch's write-version counter: queries between
-// writes are served without locking the replicas, and the reported
+// Estimate handles GET /v1/sketches/{name}/estimate. The sketch's
+// concurrent front caches the answer against its write-version counter:
+// queries between writes are served without locking the replicas, and the reported
 // estimate is bit-identical to an in-process F0 over the same stream
 // (determinism invariant 7).
 func (api *API) Estimate(w http.ResponseWriter, r *http.Request) {
@@ -253,7 +254,7 @@ func (api *API) Snapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, err := api.Registry.Snapshot(sk)
 	if errors.Is(err, state.ErrNoDataDir) {
-		writeErr(w, http.StatusConflict, "snapshots_disabled",
+		middleware.WriteError(w, http.StatusConflict, "snapshots_disabled",
 			"snapshot persistence is disabled: start f0d with -data <dir>")
 		return
 	}
@@ -265,7 +266,7 @@ func (api *API) Snapshot(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeErr(w, http.StatusServiceUnavailable, "snapshot_unavailable",
+		middleware.WriteError(w, http.StatusServiceUnavailable, "snapshot_unavailable",
 			"snapshot circuit breaker open after repeated disk failures; serving degraded, retry later")
 		return
 	}
@@ -273,7 +274,7 @@ func (api *API) Snapshot(w http.ResponseWriter, r *http.Request) {
 		// A failing disk is an operational condition, not a handler bug:
 		// 503 + Retry-After, so well-behaved clients back off and retry.
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "snapshot_failed", err.Error())
+		middleware.WriteError(w, http.StatusServiceUnavailable, "snapshot_failed", err.Error())
 		return
 	}
 	t := tenant(r)

@@ -138,20 +138,20 @@ func (a *Auth) Wrap(next http.Handler) http.Handler {
 		if !ok {
 			a.met.Add("f0d_auth_failures_total", 1)
 			w.Header().Set("WWW-Authenticate", `Bearer realm="f0d"`)
-			writeErr(w, http.StatusUnauthorized, "unauthorized", "missing or malformed Authorization: Bearer header")
+			WriteError(w, http.StatusUnauthorized, "unauthorized", "missing or malformed Authorization: Bearer header")
 			return
 		}
 		tenant, ok := a.byToken[sha256.Sum256([]byte(token))]
 		if !ok {
 			a.met.Add("f0d_auth_failures_total", 1)
 			w.Header().Set("WWW-Authenticate", `Bearer realm="f0d"`)
-			writeErr(w, http.StatusUnauthorized, "unauthorized", "unknown bearer token")
+			WriteError(w, http.StatusUnauthorized, "unauthorized", "unknown bearer token")
 			return
 		}
 		if ok, retryAfter := tenant.allow(a.now()); !ok {
 			a.met.AddLabeled("f0d_rate_limited_total", metrics.Label("tenant", tenant.Name), 1)
 			w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-			writeErr(w, http.StatusTooManyRequests, "rate_limited", "tenant request rate exceeded; retry later")
+			WriteError(w, http.StatusTooManyRequests, "rate_limited", "tenant request rate exceeded; retry later")
 			return
 		}
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKey{}, tenant)))
@@ -195,7 +195,7 @@ func (s *Shed) Wrap(next http.Handler) http.Handler {
 			s.inflight.Add(-1)
 			s.met.Add("f0d_shed_total", 1)
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, "overloaded", "server at capacity; retry later")
+			WriteError(w, http.StatusServiceUnavailable, "overloaded", "server at capacity; retry later")
 			return
 		}
 		defer s.inflight.Add(-1)
@@ -243,7 +243,7 @@ func Observe(route string, met *metrics.Metrics, next http.Handler) http.Handler
 		defer func() {
 			if p := recover(); p != nil {
 				if !sw.wrote {
-					writeErr(sw, http.StatusInternalServerError, "internal", fmt.Sprintf("internal error: %v", p))
+					WriteError(sw, http.StatusInternalServerError, "internal", fmt.Sprintf("internal error: %v", p))
 				}
 			}
 			met.IncRequest(route, sw.status())
@@ -279,9 +279,10 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// writeErr emits the canonical error envelope (the handlers package
-// writes the same shape; keeping a local copy avoids an import cycle).
-func writeErr(w http.ResponseWriter, status int, code, msg string) {
+// WriteError emits the canonical error envelope
+// {"error":{"code":...,"message":...}} with the given status; the
+// middleware and every handler write their errors through it.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]any{

@@ -1,16 +1,15 @@
 // Package state is the f0d daemon's sketch registry: named, tenant-owned
-// ConcurrentF0 sketches with per-tenant quota accounting, an
-// estimate cache keyed on the front's write-version counter, and
-// snapshot persistence through the mcf0 wire codec (atomic
+// ConcurrentF0 sketches with per-tenant quota accounting and snapshot
+// persistence through the mcf0 wire codec (atomic
 // write-to-temp-then-rename of a .snap blob plus a .json metadata
 // sidecar) with restore-on-boot crash recovery.
 //
 // Concurrency contract: the Registry mutex guards only the name → sketch
 // map and the per-tenant counts. Ingestion and estimation never hold it —
-// they ride ConcurrentF0's own lock-free front — so a slow merge on one
-// sketch never stalls ingest on another, and handlers may call AddBatch,
-// Estimate, and Snapshot on the same sketch from any number of
-// goroutines.
+// they ride ConcurrentF0's own lock-free front, which also owns the
+// estimate cache — so a slow merge on one sketch never stalls ingest on
+// another, and handlers may call AddBatch, Estimate, and Snapshot on the
+// same sketch from any number of goroutines.
 package state
 
 import (
@@ -92,8 +91,8 @@ func (c SketchConfig) Resolved() (thresh, iterations int) {
 }
 
 // Sketch is one live named sketch: a ConcurrentF0 front plus the
-// bookkeeping the service layers on top (items accepted, estimate cache,
-// snapshot dirtiness).
+// bookkeeping the service layers on top (items accepted, snapshot
+// dirtiness).
 type Sketch struct {
 	Tenant string
 	Name   string
@@ -101,11 +100,6 @@ type Sketch struct {
 
 	front *mcf0.ConcurrentF0
 	items atomic.Uint64
-
-	estMu   sync.Mutex
-	cached  float64
-	cachedV uint64
-	hasEst  bool
 
 	snapMu      sync.Mutex
 	snapped     bool   // a snapshot (or the boot restore) exists on disk
@@ -121,21 +115,9 @@ func (s *Sketch) AddBatch(xs []uint64) {
 }
 
 // Estimate returns the current estimate, the write-version it covers,
-// and whether it was served from the cache. The cache is keyed on
-// ConcurrentF0.Version — the same counter the front's internal cache
-// uses — so repeated queries between writes cost no replica locking.
-// The cached value may cover writes that completed while the merge ran
-// (it is never staler than the returned version).
+// and whether the front served it from its cache.
 func (s *Sketch) Estimate() (est float64, version uint64, cached bool) {
-	v := s.front.Version()
-	s.estMu.Lock()
-	defer s.estMu.Unlock()
-	if s.hasEst && s.cachedV == v {
-		return s.cached, v, true
-	}
-	est = s.front.Estimate()
-	s.cached, s.cachedV, s.hasEst = est, v, true
-	return est, v, false
+	return s.front.EstimateVersioned()
 }
 
 // Items returns the number of elements accepted so far.

@@ -20,7 +20,14 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // Uint64 returns the next pseudo-random value.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return Mix64(r.state)
+}
+
+// Mix64 is the splitmix64 finalizer, a bijection on uint64. It is the
+// one mixing function behind every seeded stream in the repository (RNG,
+// fault decisions, load generation, vector fingerprints); changing it
+// changes every fixed-seed result.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -16,7 +16,8 @@ import (
 // called from any number of goroutines concurrently — a caller claims
 // whichever replica it can TryLock first, so ingestion never serialises
 // on a shared lock. Estimate locks all replicas, merges their states into
-// a scratch clone, and caches the answer until the next write.
+// a scratch clone, and caches the answer until the next write; a cached
+// answer is served without touching any replica lock.
 //
 // Because every sketch in this package is an idempotent, order-
 // insensitive function of the element set and the replicas share draws,
@@ -32,11 +33,13 @@ type Concurrent struct {
 	// TryLock rotation at a different replica.
 	rr atomic.Uint64
 	// version counts completed writes; it is bumped *before* the replica
-	// lock releases, so once Estimate holds every lock the version it
-	// reads covers exactly the writes its merge will see. In-flight
+	// lock releases, so once a merge holds every lock the version it
+	// reads covers exactly the writes the merge will see. In-flight
 	// writers are still blocked and bump it later, invalidating the cache.
 	version atomic.Uint64
 
+	// estMu guards the estimate cache: the last merged estimate and the
+	// version it covers.
 	estMu    sync.Mutex
 	cached   float64
 	cachedV  uint64
@@ -85,10 +88,10 @@ func NewConcurrent(seed Sketch, replicas int) *Concurrent {
 func (c *Concurrent) Replicas() int { return len(c.replicas) }
 
 // Version returns the number of completed writes (Process or ProcessBatch
-// calls) absorbed so far. Estimate's internal cache is keyed on this
-// counter, so two Version calls returning the same value bracket a window
-// in which estimates are served from cache; callers layering their own
-// caches (e.g. a network service) can key them the same way.
+// calls) absorbed so far. Estimate's cache is keyed on this counter, so
+// two Version calls returning the same value bracket a window in which
+// estimates are served from cache; EstimateVersioned reports the cache
+// outcome directly.
 func (c *Concurrent) Version() uint64 { return c.version.Load() }
 
 // acquire claims a replica without ever blocking on a contended lock
@@ -138,35 +141,34 @@ func (c *Concurrent) ProcessBatch(xs []bitvec.BitVec) {
 // bit-identical to a single sketch having ingested every element. The
 // merged answer is cached and reused until the next completed write.
 func (c *Concurrent) Estimate() float64 {
+	est, _, _ := c.EstimateVersioned()
+	return est
+}
+
+// EstimateVersioned is Estimate that also reports the write-version the
+// answer covers and whether it came from the cache. A cache hit compares
+// the version counter under the cache mutex and takes no replica lock, so
+// it never waits for a writer partway through a batch. On a miss the
+// version is read with every replica locked: it counts exactly the writes
+// the merge saw.
+func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bool) {
 	c.estMu.Lock()
 	defer c.estMu.Unlock()
-	for i := range c.replicas {
-		c.replicas[i].mu.Lock()
+	if v := c.version.Load(); c.hasCache && v == c.cachedV {
+		return c.cached, v, true
 	}
-	v := c.version.Load()
-	if c.hasCache && v == c.cachedV {
-		c.unlockAll()
-		return c.cached
-	}
-	var est float64
 	if len(c.replicas) == 1 {
-		est = c.replicas[0].sk.Estimate()
-		c.unlockAll()
+		r := &c.replicas[0]
+		r.mu.Lock()
+		version, est = c.version.Load(), r.sk.Estimate()
+		r.mu.Unlock()
 	} else {
-		merged := c.replicas[0].sk.Clone()
-		for i := 1; i < len(c.replicas); i++ {
-			if err := merged.Merge(c.replicas[i].sk); err != nil {
-				// Replicas are clones of one seed; a mismatch means the
-				// front's own invariant broke, not a caller error.
-				c.unlockAll()
-				panic("streaming: concurrent replicas diverged: " + err.Error())
-			}
-		}
-		c.unlockAll()
+		var merged Sketch
+		merged, version = c.merge()
 		est = merged.Estimate()
 	}
-	c.cached, c.cachedV, c.hasCache = est, v, true
-	return est
+	c.cached, c.cachedV, c.hasCache = est, version, true
+	return est, version, false
 }
 
 // MergedClone locks every replica and returns a deep copy of their merged
@@ -174,19 +176,30 @@ func (c *Concurrent) Estimate() float64 {
 // state with the front (only the immutable hash draws), so it can be
 // marshaled or inspected while ingestion continues.
 func (c *Concurrent) MergedClone() Sketch {
-	c.estMu.Lock()
-	defer c.estMu.Unlock()
+	merged, _ := c.merge()
+	return merged
+}
+
+// merge locks every replica, merges them into a clone of replica 0, and
+// returns it with the version read under the locks. The locks are
+// released before it returns, also when it panics on diverged replicas:
+// callers may recover, and a lock still held would block the front for
+// good.
+func (c *Concurrent) merge() (Sketch, uint64) {
 	for i := range c.replicas {
 		c.replicas[i].mu.Lock()
 	}
 	defer c.unlockAll()
+	v := c.version.Load()
 	merged := c.replicas[0].sk.Clone()
 	for i := 1; i < len(c.replicas); i++ {
 		if err := merged.Merge(c.replicas[i].sk); err != nil {
+			// Replicas are clones of one seed; a mismatch means the
+			// front's own invariant broke, not a caller error.
 			panic("streaming: concurrent replicas diverged: " + err.Error())
 		}
 	}
-	return merged
+	return merged, v
 }
 
 func (c *Concurrent) unlockAll() {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/stats"
@@ -213,6 +214,10 @@ func TestConcurrentDeterminism(t *testing.T) {
 		if got := front.Estimate(); got != want {
 			t.Fatalf("replicas=%d: cached estimate diverged", reps)
 		}
+		v := front.Version()
+		if got, gotV, cached := front.EstimateVersioned(); got != want || gotV != v || !cached {
+			t.Fatalf("replicas=%d: repeat read (%v, v%d, cached=%v), want hit (%v, v%d)", reps, got, gotV, cached, want, v)
+		}
 		front.Process(bitvec.FromUint64(1<<31-1, n))
 		serial2 := NewBucketing(n, mergeOpts(71, 1))
 		feedChunks(serial2, stream)
@@ -220,6 +225,86 @@ func TestConcurrentDeterminism(t *testing.T) {
 		if got, want2 := front.Estimate(), serial2.Estimate(); got != want2 {
 			t.Fatalf("replicas=%d: post-write estimate %v != serial %v", reps, got, want2)
 		}
+		front.Process(bitvec.FromUint64(7, n))
+		serial2.Process(bitvec.FromUint64(7, n))
+		if got, gotV, cached := front.EstimateVersioned(); got != serial2.Estimate() || gotV != v+2 || cached {
+			t.Fatalf("replicas=%d: post-write read (%v, v%d, cached=%v), want miss (%v, v%d)", reps, got, gotV, cached, serial2.Estimate(), v+2)
+		}
+		if _, gotV, cached := front.EstimateVersioned(); gotV != v+2 || !cached {
+			t.Fatalf("replicas=%d: second post-write read (v%d, cached=%v), want hit at v%d", reps, gotV, cached, v+2)
+		}
+	}
+}
+
+// gatedExact is an ExactDistinct whose ProcessBatch blocks until gate
+// closes, announcing on entered that it holds its replica's lock.
+type gatedExact struct {
+	*ExactDistinct
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedExact) ProcessBatch(xs []bitvec.BitVec) {
+	g.entered <- struct{}{}
+	<-g.gate
+	g.ExactDistinct.ProcessBatch(xs)
+}
+
+func (g *gatedExact) Clone() Sketch {
+	return &gatedExact{g.ExactDistinct.Clone().(*ExactDistinct), g.entered, g.gate}
+}
+
+func (g *gatedExact) Merge(other Sketch) error {
+	return g.ExactDistinct.Merge(other.(*gatedExact).ExactDistinct)
+}
+
+// A cache hit must not wait for a writer partway through a batch: with a
+// writer parked inside ProcessBatch (holding one replica lock), Estimate
+// still returns the cached answer, and once the writer completes the
+// next estimate is a miss covering its write.
+func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
+	const n = 16
+	seed := &gatedExact{NewExactDistinct(n), make(chan struct{}, 1), make(chan struct{})}
+	front := NewConcurrent(seed, 2)
+	for x := uint64(0); x < 10; x++ {
+		front.Process(bitvec.FromUint64(x, n))
+	}
+	est, v, cached := front.EstimateVersioned()
+	if est != 10 || v != 10 || cached {
+		t.Fatalf("warm-up read (%v, v%d, cached=%v), want miss (10, v10)", est, v, cached)
+	}
+
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		front.ProcessBatch([]bitvec.BitVec{bitvec.FromUint64(100, n)})
+	}()
+	<-seed.entered
+
+	type reading struct {
+		est    float64
+		v      uint64
+		cached bool
+	}
+	got := make(chan reading, 1)
+	go func() {
+		e, v, c := front.EstimateVersioned()
+		got <- reading{e, v, c}
+	}()
+	select {
+	case r := <-got:
+		if r != (reading{10, 10, true}) {
+			t.Fatalf("read during in-flight write %+v, want cached (10, v10)", r)
+		}
+	case <-time.After(10 * time.Second):
+		close(seed.gate)
+		t.Fatal("cache hit blocked on an in-flight write")
+	}
+
+	close(seed.gate)
+	<-wrote
+	if est, v, cached := front.EstimateVersioned(); est != 11 || v != 11 || cached {
+		t.Fatalf("read after the write (%v, v%d, cached=%v), want miss (11, v11)", est, v, cached)
 	}
 }
 

@@ -113,9 +113,11 @@ func (c Config) ResolvedThresh() int {
 	return int(96/(eps*eps)) + 1
 }
 
-// ResolvedIterations returns the trial/copy count actually used:
-// Iterations when set, otherwise the paper constant max(1, ⌊35·log₂(1/δ)⌋)
-// (with δ defaulting to 0.2).
+// ResolvedIterations returns the copy count the F0 sketches (NewF0,
+// NewConcurrentF0) actually use: Iterations when set, otherwise the paper
+// constant max(1, ⌊35·log₂(1/δ)⌋) (with δ defaulting to 0.2). The model
+// counters and the set-stream sketches round the same constant up, so
+// they may run one trial more (82 against 81 at the default δ).
 func (c Config) ResolvedIterations() int {
 	if c.Iterations > 0 {
 		return c.Iterations

@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	benchjson -out BENCH_1.json \
-//	    -baseline bench/baseline_hot.txt -baseline bench/baseline_bitvec.txt \
-//	    -current bench/current_hot.txt -current bench/current_bitvec.txt
+//	benchjson -out BENCH_7.json \
+//	    -baseline bench/baseline7_hot.txt -baseline bench/baseline7_sat.txt \
+//	    -current current_hot.txt -current current_sat.txt
 package main
 
 import (
