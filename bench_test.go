@@ -11,6 +11,7 @@ package mcf0
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"testing"
@@ -668,6 +669,48 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 		})
 		sinkFloat = f.Estimate()
 	})
+}
+
+// BenchmarkF0Ingest times F0.AddBatch at the f0d service's shape: 32-bit
+// universe, default ε/δ (81 copies, Thresh 151), serial absorb, and
+// 1024-element batches into a pre-filled sketch, reporting ns per
+// element. zipf batches (s = 1.1 over 2^20 keys) repeat their hot keys,
+// which the batch conversion drops before absorb; distinct batches have
+// no in-batch repeats, so they bypass de-duplication and keep its
+// overhead visible.
+func BenchmarkF0Ingest(b *testing.B) {
+	const bits, batch, ring = 32, 1024, 32
+	zipf := rand.NewZipf(rand.New(rand.NewPCG(1, 2)), 1.1, 1, 1<<20-1)
+	inputs := map[string][][]uint64{}
+	for k := 0; k < ring; k++ {
+		z, d := make([]uint64, batch), make([]uint64, batch)
+		for i := range z {
+			z[i] = stats.Mix64(zipf.Uint64()) >> (64 - bits)
+			d[i] = stats.Mix64(uint64(k*batch+i)) >> (64 - bits)
+		}
+		inputs["zipf"] = append(inputs["zipf"], z)
+		inputs["distinct"] = append(inputs["distinct"], d)
+	}
+	for _, alg := range []Algorithm{AlgorithmBucketing, AlgorithmMinimum} {
+		for _, input := range []string{"zipf", "distinct"} {
+			batches := inputs[input]
+			b.Run(string(alg)+"/"+input, func(b *testing.B) {
+				f, err := NewF0(bits, alg, Config{Seed: 41, Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, xs := range batches {
+					f.AddBatch(xs)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f.AddBatch(batches[i%ring])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/elem")
+				sinkFloat = f.Estimate()
+			})
+		}
+	}
 }
 
 // BenchmarkSketchMarshalRoundTrip times the PR-7 tentpole: one complete

@@ -48,9 +48,9 @@ func (f *F0) Merge(other *F0) error {
 type ConcurrentF0 struct {
 	nBits int
 	front *streaming.Concurrent
-	// batches recycles AddBatch's conversion scratch (slab-backed element
-	// vectors) across calls and goroutines; sketches copy what they keep,
-	// so a batch can be reused the moment ProcessBatch returns.
+	// batches recycles AddBatch's conversion scratch (*elemBatch) across
+	// calls and goroutines; sketches copy what they keep, so a batch can
+	// be reused the moment ProcessBatch returns.
 	batches sync.Pool
 }
 
@@ -86,49 +86,28 @@ func (c *ConcurrentF0) Version() uint64 { return c.front.Version() }
 
 // Add absorbs one stream element; safe to call from any goroutine.
 func (c *ConcurrentF0) Add(x uint64) {
-	if c.nBits < 64 && x >= 1<<uint(c.nBits) {
-		panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, c.nBits))
-	}
+	checkElement(x, c.nBits)
 	c.front.Process(bitvec.FromUint64(x, c.nBits))
-}
-
-// concBatch is one pooled conversion buffer: element vectors carved from
-// a single slab allocation.
-type concBatch struct {
-	vecs []bitvec.BitVec
 }
 
 // AddBatch absorbs a chunk of stream elements on one replica, amortising
 // acquisition over the chunk; safe to call from any goroutine. The whole
 // slice is validated before any conversion — an out-of-range element
-// panics with the batch rejected atomically (no elements ingested,
-// nothing allocated) — and conversion reuses pooled scratch instead of
-// allocating a fresh []bitvec.BitVec per call.
+// panics with the batch rejected atomically (no elements ingested) — and
+// repeats within the chunk are dropped before the replica sees them (an
+// exact no-op for a set function; callers counting accepted elements,
+// such as the service's items meter, still count the raw chunk).
+// Conversion reuses pooled scratch, so steady-state AddBatch allocates
+// nothing per element.
 func (c *ConcurrentF0) AddBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	if c.nBits < 64 {
-		for _, x := range xs {
-			if x >= 1<<uint(c.nBits) {
-				panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, c.nBits))
-			}
-		}
+	b, _ := c.batches.Get().(*elemBatch)
+	if b == nil {
+		b = new(elemBatch)
 	}
-	b, _ := c.batches.Get().(*concBatch)
-	if b == nil || cap(b.vecs) < len(xs) {
-		n := len(xs)
-		if n < 256 {
-			n = 256 // pool floor: small batches share one steady-state buffer
-		}
-		vecs := bitvec.NewSlab(c.nBits, n)
-		b = &concBatch{vecs: vecs}
-	}
-	batch := b.vecs[:len(xs)]
-	for i, x := range xs {
-		batch[i].SetUint64(x)
-	}
-	c.front.ProcessBatch(batch)
+	c.front.ProcessBatch(b.convert(xs, c.nBits))
 	c.batches.Put(b)
 }
 

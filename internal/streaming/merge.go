@@ -128,8 +128,10 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 	if o.level > c.level {
 		c.setLevel(o.level)
 	}
+	// Level test before the membership lookup, as in absorb: c's own
+	// slots all pass c.level, so a failing row cannot be a duplicate.
 	for s, on := range o.occ {
-		if !on {
+		if !on || !o.rows[s].HasZeroPrefix(c.level) {
 			continue
 		}
 		if _, dup := c.idx[o.keys[s]]; dup {

@@ -223,23 +223,30 @@ func newBucketCopy(h *hash.Linear, rows []bitvec.BitVec, n int) *bucketCopy {
 	return c
 }
 
-// absorb runs lines 3–11 of Algorithm 3 for one copy and one element.
+// absorb runs lines 3–11 of Algorithm 3 for one copy and one element in
+// the order hash → level test → membership. Filtering first is exact:
+// every occupied slot passes the current level's test (insert admits
+// only such values and setLevel evicts the rest), so an element that
+// fails it cannot be in the cell and is a no-op either way — and the
+// membership lookup, the dominant cost, runs only for the 2^-level
+// survivors.
 func (c *bucketCopy) absorb(x bitvec.BitVec, key bitvec.Fingerprint, thresh int) {
+	c.h.EvalInto(x, c.scratch)
+	if !c.scratch.HasZeroPrefix(c.level) {
+		return
+	}
 	if _, ok := c.idx[key]; ok {
 		return
 	}
-	c.h.EvalInto(x, c.scratch)
 	c.insert(key, c.scratch, thresh)
 }
 
-// insert places an already-evaluated hash value into the cell (lines 5–11
-// of Algorithm 3): filter at the current level, store into a free slot,
-// and raise the level until the cell fits again. Shared by ingestion
-// (absorb) and Merge; callers have already rejected duplicate keys.
+// insert places an already-evaluated hash value into the cell (the
+// storing half of lines 5–11 of Algorithm 3): take a free slot and raise
+// the level until the cell fits again. Shared by ingestion (absorb) and
+// Merge; callers have already passed the value through the current
+// level's test and rejected duplicate keys.
 func (c *bucketCopy) insert(key bitvec.Fingerprint, hy bitvec.BitVec, thresh int) {
-	if !hy.HasZeroPrefix(c.level) {
-		return
-	}
 	slot := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
 	c.rows[slot].CopyFrom(hy)
@@ -376,9 +383,15 @@ func NewMinimum(n int, opts Options) *Minimum {
 }
 
 // absorb runs lines 12–18 of Algorithm 3 for one copy and one element.
+// A full copy rejects y ≥ max with one comparison before the search: such
+// a value is either already present (y = max) or too large to enter,
+// a no-op in both cases — and the common one once the copy has filled.
 func (c *minCopy) absorb(x bitvec.BitVec, thresh int) {
 	c.h.EvalInto(x, c.scratch)
 	y := c.scratch
+	if len(c.vals) == thresh && !y.Less(c.vals[len(c.vals)-1]) {
+		return
+	}
 	idx := sort.Search(len(c.vals), func(i int) bool { return !c.vals[i].Less(y) })
 	if idx < len(c.vals) && c.vals[idx].Equal(y) {
 		return // already present
@@ -391,7 +404,7 @@ func (c *minCopy) absorb(x bitvec.BitVec, thresh int) {
 		copy(c.vals[idx+1:], c.vals[idx:])
 		row.CopyFrom(y)
 		c.vals[idx] = row
-	} else if idx < len(c.vals) {
+	} else {
 		// y is smaller than the current maximum: replace it. Recycle
 		// the evicted maximum's storage instead of allocating.
 		evicted := c.vals[len(c.vals)-1]

@@ -339,6 +339,7 @@ func dimacsLits(n int, raw []int) ([]formula.Lit, error) {
 type F0 struct {
 	nBits int
 	est   streaming.Estimator
+	batch elemBatch // AddBatch's conversion scratch (single writer)
 }
 
 // NewF0 builds an F0 sketch using the selected algorithm
@@ -371,28 +372,24 @@ func NewF0(nBits int, alg Algorithm, cfg Config) (*F0, error) {
 
 // Add absorbs one stream element.
 func (f *F0) Add(x uint64) {
-	if f.nBits < 64 && x >= 1<<uint(f.nBits) {
-		panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, f.nBits))
-	}
+	checkElement(x, f.nBits)
 	f.est.Process(bitvec.FromUint64(x, f.nBits))
 }
 
 // AddBatch absorbs a chunk of stream elements, fanning the sketch's
 // independent copies across Config.Parallelism workers with one dispatch
 // for the whole chunk. Equivalent to calling Add on each element in order;
-// chunks of a few hundred elements amortise the dispatch best.
+// chunks of a few hundred elements amortise the dispatch best. The whole
+// chunk is validated first (an out-of-range element panics with nothing
+// ingested), and repeats within the chunk are dropped before any sketch
+// copy sees them — an exact no-op, since every sketch is a function of
+// the element set. Conversion reuses the sketch's own scratch, so
+// steady-state AddBatch allocates nothing per element.
 func (f *F0) AddBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	batch := make([]bitvec.BitVec, len(xs))
-	for i, x := range xs {
-		if f.nBits < 64 && x >= 1<<uint(f.nBits) {
-			panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, f.nBits))
-		}
-		batch[i] = bitvec.FromUint64(x, f.nBits)
-	}
-	f.est.ProcessBatch(batch)
+	f.est.ProcessBatch(f.batch.convert(xs, f.nBits))
 }
 
 // Estimate returns the current distinct-count approximation.
