@@ -3,14 +3,19 @@
 // evaluation in package hash (h(x) = Ax+b for Toeplitz A is a GF(2)[x]
 // polynomial multiply; see hash.Toeplitz).
 //
-// Clmul64 is the dispatch point. On amd64 with PCLMULQDQ and on arm64 with
-// the PMULL crypto extension it routes to a one-instruction assembly
-// backend (clmul_amd64.s / clmul_arm64.s, gated by run-time CPU-feature
-// detection in the clmul_*.go siblings); everywhere else — and as the
-// differential anchor the assembly is tested against — it runs the pure-Go
-// kernel below, built on bits.Mul64 "holes" multiplies (integer products of
-// operands whose set bits are spaced four apart, so column sums fit in the
-// zero gaps and never carry into a kept position). The generic path
+// There are two dispatch points. Clmul64 is one product; ClmulWindowBatch
+// is one 64-bit window of a one- or two-word diagonal times a whole slice
+// of element words, the per-copy batch form of a Toeplitz hash prefix. On
+// amd64 with PCLMULQDQ both route to assembly (clmul_amd64.s: one
+// instruction for Clmul64, one fused multiply-shift-mask-XOR loop for
+// ClmulWindowBatch). On arm64 with the PMULL crypto extension Clmul64 is
+// one instruction (clmul_arm64.s) and ClmulWindowBatch a Go loop over it.
+// The backends are gated by run-time CPU-feature detection in the
+// clmul_*.go siblings. Everywhere else — and as the differential anchor
+// the assembly is tested against — they run the pure-Go kernel below,
+// built on bits.Mul64 "holes" multiplies (integer products of operands
+// whose set bits are spaced four apart, so column sums fit in the zero
+// gaps and never carry into a kept position). The generic path
 // deliberately avoids the classic bit-reversal trick for the high half —
 // the whole 128-bit product comes out of one pass.
 package gf2poly
@@ -102,6 +107,46 @@ func xorMul4(x0, y0, x1, y1, x2, y2, x3, y3 uint64) (hi, lo uint64) {
 	h2, l2 := bits.Mul64(x2, y2)
 	h3, l3 := bits.Mul64(x3, y3)
 	return h0 ^ h1 ^ h2 ^ h3, l0 ^ l1 ^ l2 ^ l3
+}
+
+// ClmulWindowBatch evaluates one 64-bit window of a carry-less product
+// for every word of xs:
+//
+//	dst[k] = ((d0·xs[k] ⊕ (d1·xs[k])<<64) >> off) & mask ^ b
+//
+// where · is the carry-less product, so D = d1<<64 | d0 is a polynomial of
+// up to 128 coefficients and the window takes coefficients off..off+63 of
+// D·xs[k]. The second multiply is skipped when d1 is zero. off must be
+// below 64 and dst at least as long as xs; dst may alias xs. This is the
+// batch form of a Toeplitz hash prefix (package hash): D is the truncated
+// reversed diagonal, off = n−1, mask keeps the prefix bits and b is the
+// prefix of the affine offset. The kernel never allocates.
+func ClmulWindowBatch(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64) {
+	if off > 63 {
+		panic("gf2poly: window offset beyond the first product word")
+	}
+	dst = dst[:len(xs)]
+	if len(xs) == 0 {
+		return
+	}
+	if hasCLMUL {
+		clmulWindowAsm(d0, d1, xs, off, mask, b, dst)
+		return
+	}
+	clmulWindowGeneric(d0, d1, xs, off, mask, b, dst)
+}
+
+// clmulWindowGeneric is ClmulWindowBatch's pure-Go loop and the
+// differential anchor of its assembly.
+func clmulWindowGeneric(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64) {
+	for k, x := range xs {
+		p1, p0 := clmul64Generic(d0, x)
+		if d1 != 0 {
+			_, l := clmul64Generic(d1, x)
+			p1 ^= l
+		}
+		dst[k] = (p0>>off|p1<<(64-off))&mask ^ b // off = 0 shifts p1 out: zero, by Go spec
+	}
 }
 
 // ClmulAccInto accumulates the carry-less product of two packed GF(2)

@@ -12,6 +12,19 @@ import (
 // PMULL instruction (clmul_arm64.s). Callable only when hasCLMUL.
 func clmulAsm(a, b uint64) (hi, lo uint64)
 
+// clmulWindowAsm is ClmulWindowBatch over one PMULL call per product. A
+// fused PMULL loop in assembly is not shipped: no arm64 host has run one.
+func clmulWindowAsm(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64) {
+	for k, x := range xs {
+		p1, p0 := clmulAsm(d0, x)
+		if d1 != 0 {
+			_, l := clmulAsm(d1, x)
+			p1 ^= l
+		}
+		dst[k] = (p0>>off|p1<<(64-off))&mask ^ b
+	}
+}
+
 // hasCLMUL gates the assembly backend on the PMULL (polynomial multiply
 // long) crypto extension, which is optional in ARMv8-A. The pure-Go kernel
 // remains the fallback where the extension is absent or undetectable.

@@ -101,6 +101,55 @@ func genericAccInto(dst, a, b []uint64) {
 	}
 }
 
+// windowLengths are the ClmulWindowBatch slice lengths the differentials
+// sweep: empty, every short tail, and one long run.
+var windowLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1024}
+
+// TestClmulWindowAsmVsGeneric pins the batched window kernel's assembly
+// against its pure-Go loop: adversarial diagonal words × every window
+// offset × short and long slices, with the second diagonal word both zero
+// (the one-multiply loop) and non-zero.
+func TestClmulWindowAsmVsGeneric(t *testing.T) {
+	if !HasAsm() {
+		t.Skip("no hardware carry-less multiply on this CPU")
+	}
+	rng := rand.New(rand.NewPCG(0x3d0, 0x5e_ed))
+	xs := make([]uint64, 1024)
+	for i := range xs {
+		if i < len(adversarialOperands) {
+			xs[i] = adversarialOperands[i]
+		} else {
+			xs[i] = rng.Uint64()
+		}
+	}
+	asm := make([]uint64, len(xs))
+	gen := make([]uint64, len(xs))
+	for i, d0 := range adversarialOperands {
+		for _, d1 := range []uint64{0, adversarialOperands[(i+5)%len(adversarialOperands)] | 1} {
+			for off := uint(0); off < 64; off++ {
+				mask := ^uint64(0) >> (off % 61)
+				b := rng.Uint64() & mask
+				for _, n := range windowLengths {
+					if n < len(asm) {
+						asm[n] = 0xdead // must survive: the loop writes exactly n words
+					}
+					ClmulWindowBatch(d0, d1, xs[:n], off, mask, b, asm) // dispatches to asm
+					clmulWindowGeneric(d0, d1, xs[:n], off, mask, b, gen)
+					for k := 0; k < n; k++ {
+						if asm[k] != gen[k] {
+							t.Fatalf("d0=%#x d1=%#x off=%d len=%d: word %d asm %#x != generic %#x",
+								d0, d1, off, n, k, asm[k], gen[k])
+						}
+					}
+					if n < len(asm) && asm[n] != 0xdead {
+						t.Fatalf("d0=%#x d1=%#x off=%d len=%d: asm wrote past the slice", d0, d1, off, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 var sinkClmul uint64
 
 // BenchmarkClmulKernel carries its own in-run baseline: the asm dispatch
@@ -123,4 +172,35 @@ func BenchmarkClmulKernel(b *testing.B) {
 		}
 		sinkClmul = acc
 	})
+	// The batched window kernel over one 1024-word slice per op, reported
+	// per element: d1 = 0 is the one-multiply loop (a Bucketing prefix at
+	// n = 32), d1 ≠ 0 the two-multiply loop (Minimum's 64-bit prefix at
+	// n > 32).
+	xs := make([]uint64, 1024)
+	for i := range xs {
+		xs[i] = 0x9e3779b97f4a7c15 * uint64(i+1)
+	}
+	dst := make([]uint64, len(xs))
+	kernels := []struct {
+		name string
+		fn   func(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64)
+	}{{"asm", ClmulWindowBatch}, {"generic", clmulWindowGeneric}}
+	for _, k := range kernels {
+		for _, d1 := range []uint64{0, 0x2545f4914f6cdd1d} {
+			name := "window/" + k.name + "/d1=0"
+			if d1 != 0 {
+				name = "window/" + k.name + "/d1≠0"
+			}
+			b.Run(name, func(b *testing.B) {
+				if k.name == "asm" && !HasAsm() {
+					b.Skip("no hardware carry-less multiply on this CPU")
+				}
+				for i := 0; i < b.N; i++ {
+					k.fn(0xd1342543de82ef95, d1, xs, 31, 0xFFFFFFFF, 0x5bd1e995, dst)
+				}
+				sinkClmul = dst[len(dst)-1]
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/elem")
+			})
+		}
+	}
 }

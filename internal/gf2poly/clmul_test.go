@@ -187,3 +187,59 @@ func BenchmarkClmulAccInto(b *testing.B) {
 		}
 	})
 }
+
+// refWindow is ClmulWindowBatch's definition spelt out with the
+// shift-and-xor reference product.
+func refWindow(d0, d1, x uint64, off uint, mask, b uint64) uint64 {
+	h0, l0 := refClmul64(d0, x)
+	_, l1 := refClmul64(d1, x)
+	p0, p1 := l0, h0^l1
+	w := p0 >> off
+	if off > 0 {
+		w |= p1 << (64 - off)
+	}
+	return w&mask ^ b
+}
+
+// TestClmulWindowBatchMatchesReference checks the dispatched batch kernel
+// and its pure-Go loop against the reference product, including the
+// full-hole-class operands that route the generic loop to its split form,
+// and the in-place (dst aliasing xs) call.
+func TestClmulWindowBatchMatchesReference(t *testing.T) {
+	s := xorshift(0x77d0)
+	ops := []uint64{0, 1, 1 << 63, ^uint64(0), hole0, hole1 | hole2, hole3, 0x0123456789ABCDEF}
+	xs := make([]uint64, 40)
+	for i := range xs {
+		if i < len(ops) {
+			xs[i] = ops[i]
+		} else {
+			xs[i] = s.next()
+		}
+	}
+	got := make([]uint64, len(xs))
+	gen := make([]uint64, len(xs))
+	for trial := 0; trial < 400; trial++ {
+		d0, d1 := s.next(), s.next()
+		if trial < len(ops)*len(ops) {
+			d0, d1 = ops[trial%len(ops)], ops[trial/len(ops)]
+		}
+		off := uint(trial % 64)
+		mask, b := s.next(), s.next()
+		ClmulWindowBatch(d0, d1, xs, off, mask, b, got)
+		clmulWindowGeneric(d0, d1, xs, off, mask, b, gen)
+		for k, x := range xs {
+			want := refWindow(d0, d1, x, off, mask, b)
+			if got[k] != want || gen[k] != want {
+				t.Fatalf("trial %d (d0=%#x d1=%#x off=%d x=%#x): dispatch %#x generic %#x want %#x",
+					trial, d0, d1, off, x, got[k], gen[k], want)
+			}
+		}
+	}
+	inPlace := append([]uint64(nil), xs...)
+	ClmulWindowBatch(ops[7], ops[5], inPlace, 17, ^uint64(0), 0, inPlace)
+	for k, x := range xs {
+		if want := refWindow(ops[7], ops[5], x, 17, ^uint64(0), 0); inPlace[k] != want {
+			t.Fatalf("in place: word %d = %#x, want %#x", k, inPlace[k], want)
+		}
+	}
+}

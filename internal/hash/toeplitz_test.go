@@ -190,3 +190,62 @@ func TestAsUint64Hash(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixWordsMatchesEvalPrefix pins the batched prefix kernel against
+// the per-element path: for every n in 1..64, at m = n (Bucketing's shape)
+// and m = 3n (Minimum's), and every prefix width mp in 1..min(m, 64),
+// PrefixWords must equal EvalInto followed by the first mp bits, over the
+// probe edge cases and random elements.
+func TestPrefixWordsMatchesEvalPrefix(t *testing.T) {
+	rng := stats.NewRNG(0x9f1)
+	for n := 1; n <= 64; n++ {
+		for _, m := range []int{n, 3 * n} {
+			f := NewToeplitz(n, m).Draw(rng.Uint64).(*Linear)
+			xs := probeInputs(n, rng)
+			xw := make([]uint64, len(xs))
+			full := make([]bitvec.BitVec, len(xs))
+			for k, x := range xs {
+				xw[k] = x.Words()[0]
+				full[k] = f.Eval(x)
+			}
+			dst := make([]uint64, len(xs))
+			for mp := 1; mp <= min(m, 64); mp++ {
+				if !f.PrefixWords(mp, xw, dst) {
+					t.Fatalf("n=%d m=%d mp=%d: PrefixWords declined a Toeplitz draw", n, m, mp)
+				}
+				for k := range xs {
+					if want := full[k].Prefix(mp).Words()[0]; dst[k] != want {
+						t.Fatalf("n=%d m=%d mp=%d x=%v: PrefixWords %#x, want %#x",
+							n, m, mp, xs[k], dst[k], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPrefixWordsDeclines lists the shapes PrefixWords leaves to the
+// per-element path, and checks it writes nothing when it declines.
+func TestPrefixWordsDeclines(t *testing.T) {
+	rng := stats.NewRNG(0x9f2)
+	toep := NewToeplitz(32, 96).Draw(rng.Uint64).(*Linear)
+	wide := NewToeplitz(65, 65).Draw(rng.Uint64).(*Linear)
+	xor := NewXor(32, 32).Draw(rng.Uint64).(*Linear)
+	xw := []uint64{1, 2, 3}
+	for _, c := range []struct {
+		name string
+		l    *Linear
+		mp   int
+	}{
+		{"mp=0", toep, 0}, {"mp=65", toep, 65}, {"mp>m", NewToeplitz(8, 8).Draw(rng.Uint64).(*Linear), 9},
+		{"n>64", wide, 1}, {"no kernel", xor, 8}, {"kernel stripped", slowCopy(toep), 8},
+	} {
+		dst := []uint64{7, 7, 7}
+		if c.l.PrefixWords(c.mp, xw, dst) {
+			t.Fatalf("%s: PrefixWords accepted", c.name)
+		}
+		if dst[0] != 7 || dst[1] != 7 || dst[2] != 7 {
+			t.Fatalf("%s: PrefixWords wrote into dst after declining", c.name)
+		}
+	}
+}

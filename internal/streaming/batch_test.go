@@ -211,3 +211,50 @@ func TestStreamingParallelDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// poolStream draws length elements with repeats from a pool of random
+// n-bit elements (any width, unlike dupStream's integer form).
+func poolStream(n, length int, rng *stats.RNG) []bitvec.BitVec {
+	pool := make([]bitvec.BitVec, 900)
+	for i := range pool {
+		pool[i] = bitvec.Random(n, rng.Uint64)
+	}
+	out := make([]bitvec.BitVec, length)
+	for i := range out {
+		out[i] = pool[rng.Uint64n(uint64(len(pool)))]
+	}
+	return out
+}
+
+// TestWordBatchVsSingleAbsorb pins the word-kernel absorb (one
+// PrefixWords call per copy and batch, level test or max reject on the
+// words) against the per-element BitVec absorb on the same draws, copy by
+// copy, across the widths where the prefix takes one multiply, two
+// multiplies, or covers Minimum's whole hash, at parallelism 1 and 2.
+func TestWordBatchVsSingleAbsorb(t *testing.T) {
+	for _, n := range []int{1, 5, 16, 17, 21, 31, 32, 33, 48, 63, 64} {
+		stream := poolStream(n, 2500, stats.NewRNG(uint64(0x30d+n)))
+		for _, par := range []int{1, 2} {
+			opts := func(seed uint64, p int) Options {
+				return Options{Thresh: 20, Iterations: 6, RNG: stats.NewRNG(seed), Parallelism: p}
+			}
+			word, elem := NewBucketing(n, opts(uint64(n), par)), NewBucketing(n, opts(uint64(n), 1))
+			mWord, mElem := NewMinimum(n, opts(uint64(n+1), par)), NewMinimum(n, opts(uint64(n+1), 1))
+			feedChunks(word, stream)
+			feedChunks(mWord, stream)
+			for _, x := range stream {
+				for _, c := range elem.copies {
+					c.absorb(x, elem.thresh)
+				}
+				for _, c := range mElem.copies {
+					c.absorb(x, mElem.thresh)
+				}
+			}
+			requireBucketingEqual(t, elem, word)
+			requireMinimumEqual(t, mElem, mWord)
+			if n >= 8 && (word.MaxLevel() == 0 || len(mWord.copies[0].vals) < mWord.thresh) {
+				t.Fatalf("n=%d: the stream must raise a level and fill a Minimum copy", n)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"mcf0/internal/bitvec"
 	"mcf0/internal/par"
 )
 
@@ -22,11 +23,12 @@ type engine struct {
 }
 
 // minBatchCheap gates the sketches whose per-copy per-element work is a
-// single linear-hash evaluation (Bucketing, Minimum, Flajolet–Martin):
-// once a copy has filled, most elements stop at the level test or the
-// max comparison, so a copy-element costs ~10–30 ns (32-bit universe,
-// BenchmarkF0Ingest on a Xeon vCPU) against ~1–2 µs of dispatch, and
-// only multi-element batches pay for fan-out.
+// single linear-hash evaluation (Bucketing, Minimum, Flajolet–Martin).
+// Once a copy has filled, most elements stop at the level test or the
+// max reject on a batched hash word, so a Bucketing or Minimum
+// copy-element costs ~2–5 ns (32-bit universe, BenchmarkF0Ingest on a
+// Xeon vCPU) against ~1–2 µs of dispatch, and only multi-element batches
+// pay for fan-out.
 const minBatchCheap = 8
 
 // minBatchEstimation lets Estimation fan out on single elements: each copy
@@ -47,4 +49,46 @@ func (e engine) serial(elems int) bool { return e.workers <= 1 || elems < e.minE
 // checked serial() and handled that case inline.
 func (e engine) run(copies int, fn func(i, shard int)) {
 	par.RunSharded(copies, e.workers, fn)
+}
+
+// wordScratch is the batch scratch of the word-kernel absorb (Bucketing
+// and Minimum at n ≤ 64): the batch's element words, written once before
+// fan-out and read-only inside it, and one hash-word buffer per pool
+// shard, grown and written only by its own shard. Both grow to the
+// largest batch seen and are reused, so steady-state batches allocate
+// nothing.
+type wordScratch struct {
+	xw []uint64
+	ws [][]uint64
+}
+
+// elems sizes the shard table for workers shards and returns the bitvec
+// word 0 of every element of xs, or nil when n > 64 (those universes
+// absorb element by element).
+func (s *wordScratch) elems(xs []bitvec.BitVec, n, workers int) []uint64 {
+	if len(s.ws) < workers {
+		s.ws = make([][]uint64, workers)
+	}
+	if n > 64 {
+		return nil
+	}
+	if cap(s.xw) < len(xs) {
+		s.xw = make([]uint64, len(xs))
+	}
+	xw := s.xw[:len(xs)]
+	for k, x := range xs {
+		if x.Len() != n {
+			panic("streaming: element width mismatch")
+		}
+		xw[k] = x.Words()[0]
+	}
+	return xw
+}
+
+// shard returns the hash-word buffer of one shard, size words long.
+func (s *wordScratch) shard(shard, size int) []uint64 {
+	if cap(s.ws[shard]) < size {
+		s.ws[shard] = make([]uint64, size)
+	}
+	return s.ws[shard][:size]
 }

@@ -31,13 +31,13 @@
 // where the copies fan out across the shard pool; a copy — and therefore
 // its hash function and its mutable cell/minima/counter state — is only
 // ever touched by the one worker its shard maps to. Per-shard scratch
-// (hash-output buffers) is allocated with par.ShardScratch and owned by
-// the shard for the duration of one dispatch; batch-conversion scratch
-// (fingerprints, integer forms) is written before fan-out and read-only
-// inside it. Hash functions themselves are immutable after Draw (the
-// Toeplitz carry-less kernel carries no evaluation scratch), so sharing
-// one across shards would also be safe — the per-copy ownership is what
-// makes the *mutable* sketch state race-free.
+// (hash-output buffers and hash-word batches) is indexed by shard and
+// owned by the shard for the duration of one dispatch; batch-conversion
+// scratch (element words, integer forms) is written before fan-out and
+// read-only inside it. Hash functions themselves are immutable after
+// Draw (the Toeplitz carry-less kernel carries no evaluation scratch), so
+// sharing one across shards would also be safe — the per-copy ownership
+// is what makes the *mutable* sketch state race-free.
 package streaming
 
 import (
@@ -169,7 +169,7 @@ type Bucketing struct {
 	n      int
 	copies []*bucketCopy
 	eng    engine
-	keys   []bitvec.Fingerprint // batch fingerprint scratch
+	words  wordScratch
 	one    [1]bitvec.BitVec
 }
 
@@ -223,18 +223,53 @@ func newBucketCopy(h *hash.Linear, rows []bitvec.BitVec, n int) *bucketCopy {
 	return c
 }
 
-// absorb runs lines 3–11 of Algorithm 3 for one copy and one element in
-// the order hash → level test → membership. Filtering first is exact:
+// absorbBatch runs lines 3–11 of Algorithm 3 for one copy over a batch,
+// in the order hash → level test → membership. Filtering first is exact:
 // every occupied slot passes the current level's test (insert admits
 // only such values and setLevel evicts the rest), so an element that
 // fails it cannot be in the cell and is a no-op either way — and the
-// membership lookup, the dominant cost, runs only for the 2^-level
-// survivors.
-func (c *bucketCopy) absorb(x bitvec.BitVec, key bitvec.Fingerprint, thresh int) {
+// membership lookup runs only for the 2^-level survivors.
+//
+// For n ≤ 64 the whole batch's hash values come from one PrefixWords
+// call into ws (xw holds the element words), and the level test is a
+// mask on each word, taken against the level current at that element
+// because inserts raise it mid-batch. Only survivors are fingerprinted,
+// looked up and copied into a BitVec. Wider universes (xw nil) take
+// absorb element by element.
+func (c *bucketCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, thresh int) {
+	if !c.h.PrefixWords(c.scratch.Len(), xw, ws) {
+		for _, x := range xs {
+			c.absorb(x, thresh)
+		}
+		return
+	}
+	low := lowBits(c.level)
+	for k, w := range ws {
+		if w&low != 0 {
+			continue
+		}
+		key := xs[k].Fingerprint()
+		if _, ok := c.idx[key]; ok {
+			continue
+		}
+		c.scratch.Words()[0] = w
+		c.insert(key, c.scratch, thresh)
+		low = lowBits(c.level)
+	}
+}
+
+// lowBits returns a word with bits 0..level−1 set: a packed hash value
+// has an all-zero level-bit prefix exactly when it shares no bit with it.
+func lowBits(level int) uint64 { return 1<<uint(level) - 1 }
+
+// absorb is absorbBatch for one element through the BitVec hash path,
+// serving n > 64 (and draws without a carry-less kernel).
+func (c *bucketCopy) absorb(x bitvec.BitVec, thresh int) {
 	c.h.EvalInto(x, c.scratch)
 	if !c.scratch.HasZeroPrefix(c.level) {
 		return
 	}
+	key := x.Fingerprint()
 	if _, ok := c.idx[key]; ok {
 		return
 	}
@@ -283,26 +318,16 @@ func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
 	if len(xs) == 0 {
 		return
 	}
-	if cap(b.keys) < len(xs) {
-		b.keys = make([]bitvec.Fingerprint, len(xs))
-	}
-	keys := b.keys[:len(xs)]
-	for k, x := range xs {
-		keys[k] = x.Fingerprint()
-	}
+	xw := b.words.elems(xs, b.n, b.eng.workers)
 	if b.eng.serial(len(xs)) {
+		ws := b.words.shard(0, len(xw))
 		for _, c := range b.copies {
-			for k, x := range xs {
-				c.absorb(x, keys[k], b.thresh)
-			}
+			c.absorbBatch(xs, xw, ws, b.thresh)
 		}
 		return
 	}
-	b.eng.run(len(b.copies), func(i, _ int) {
-		c := b.copies[i]
-		for k, x := range xs {
-			c.absorb(x, keys[k], b.thresh)
-		}
+	b.eng.run(len(b.copies), func(i, shard int) {
+		b.copies[i].absorbBatch(xs, xw, b.words.shard(shard, len(xw)), b.thresh)
 	})
 }
 
@@ -347,6 +372,7 @@ type Minimum struct {
 	// mergeTmp is Merge's rank-order staging area (thresh slab rows),
 	// allocated on first Merge and reused across copies.
 	mergeTmp []bitvec.BitVec
+	words    wordScratch
 	one      [1]bitvec.BitVec
 }
 
@@ -382,10 +408,57 @@ func NewMinimum(n int, opts Options) *Minimum {
 	return m
 }
 
-// absorb runs lines 12–18 of Algorithm 3 for one copy and one element.
-// A full copy rejects y ≥ max with one comparison before the search: such
-// a value is either already present (y = max) or too large to enter,
-// a no-op in both cases — and the common one once the copy has filled.
+// absorbBatch runs lines 12–18 of Algorithm 3 for one copy over a batch.
+// For n ≤ 64 one PrefixWords call writes each element's first
+// minPrefixBits(n) hash bits into ws (xw holds the element words), and a
+// full copy rejects every element whose prefix is lexicographically
+// greater than its maximum's. That is exact: a strictly greater prefix
+// means y > max, which cannot enter. The rest — the copy's fill phase,
+// equal prefixes and the rare smaller ones — take absorb, which
+// evaluates the full 3n-bit value. Wider universes (xw nil) take absorb
+// for every element.
+func (c *minCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, mp, thresh int) {
+	if !c.h.PrefixWords(mp, xw, ws) {
+		for _, x := range xs {
+			c.absorb(x, thresh)
+		}
+		return
+	}
+	pmask := ^uint64(0) >> (64 - uint(mp))
+	full := len(c.vals) == thresh
+	var mx uint64
+	if full {
+		mx = c.vals[thresh-1].Words()[0] & pmask
+	}
+	for k, w := range ws {
+		// The first differing prefix bit is the lowest set bit of w^mx;
+		// y's prefix is greater when that bit is y's.
+		if d := w ^ mx; full && d&-d&w != 0 {
+			continue
+		}
+		c.absorb(xs[k], thresh)
+		if full = len(c.vals) == thresh; full {
+			mx = c.vals[thresh-1].Words()[0] & pmask
+		}
+	}
+}
+
+// minPrefixBits is the hash prefix Minimum's word path compares: the
+// widest one multiply covers (mp+n−1 ≤ 64, so 65−n bits, capped at the
+// full 3n) for n ≤ 32, and 64 bits, over two multiplies, above that.
+func minPrefixBits(n int) int {
+	if n > 32 {
+		return 64
+	}
+	return min(3*n, 65-n)
+}
+
+// absorb runs lines 12–18 of Algorithm 3 for one copy and one element
+// through the BitVec hash path. It serves n > 64 (and draws without a
+// carry-less kernel), and the elements absorbBatch's prefix test lets
+// through. A full copy rejects y ≥ max with one comparison before the
+// search: such a value is either already present (y = max) or too large
+// to enter, a no-op in both cases.
 func (c *minCopy) absorb(x bitvec.BitVec, thresh int) {
 	c.h.EvalInto(x, c.scratch)
 	y := c.scratch
@@ -426,19 +499,17 @@ func (m *Minimum) ProcessBatch(xs []bitvec.BitVec) {
 	if len(xs) == 0 {
 		return
 	}
+	xw := m.words.elems(xs, m.n, m.eng.workers)
+	mp := minPrefixBits(m.n)
 	if m.eng.serial(len(xs)) {
+		ws := m.words.shard(0, len(xw))
 		for _, c := range m.copies {
-			for _, x := range xs {
-				c.absorb(x, m.thresh)
-			}
+			c.absorbBatch(xs, xw, ws, mp, m.thresh)
 		}
 		return
 	}
-	m.eng.run(len(m.copies), func(i, _ int) {
-		c := m.copies[i]
-		for _, x := range xs {
-			c.absorb(x, m.thresh)
-		}
+	m.eng.run(len(m.copies), func(i, shard int) {
+		m.copies[i].absorbBatch(xs, xw, m.words.shard(shard, len(xw)), mp, m.thresh)
 	})
 }
 
