@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -101,21 +102,26 @@ func (api *API) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool
 	r.Body = http.MaxBytesReader(w, r.Body, api.maxBody())
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			middleware.WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
+	err := dec.Decode(dst)
+	trailing := err == nil
+	if trailing {
+		// Only the end of the body may follow the value: More would let a
+		// stray '}' or ']' through.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		middleware.WriteError(w, http.StatusBadRequest, "bad_request", "malformed request body: "+err.Error())
-		return false
 	}
-	if dec.More() {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		middleware.WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	case trailing:
 		middleware.WriteError(w, http.StatusBadRequest, "bad_request", "trailing data after JSON body")
-		return false
+	default:
+		middleware.WriteError(w, http.StatusBadRequest, "bad_request", "malformed request body: "+err.Error())
 	}
-	return true
+	return false
 }
 
 // tenant returns the authenticated tenant (the Auth middleware runs on

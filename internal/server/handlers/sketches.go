@@ -168,11 +168,6 @@ func (api *API) Delete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// addReq is the body of POST /v1/sketches/{name}/add.
-type addReq struct {
-	Elements []U64 `json:"elements"`
-}
-
 // Add handles POST /v1/sketches/{name}/add: batched ingestion through
 // the sketch's lock-free concurrent front. The whole batch is validated
 // before any element is ingested — an out-of-range element rejects the
@@ -182,38 +177,31 @@ func (api *API) Add(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req addReq
-	if !api.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Elements) > api.maxBatch() {
-		middleware.WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			fmt.Sprintf("batch of %d elements exceeds the %d-element limit; split it", len(req.Elements), api.maxBatch()))
+	b := addBufs.Get().(*addBuf)
+	defer b.release()
+	xs, ok := api.decodeAdd(w, r, b)
+	if !ok {
 		return
 	}
 	bits := sk.Config.Bits
 	if bits < 64 {
 		limit := uint64(1) << uint(bits)
-		for i, x := range req.Elements {
-			if uint64(x) >= limit {
+		for i, x := range xs {
+			if x >= limit {
 				middleware.WriteError(w, http.StatusBadRequest, "element_out_of_range",
 					fmt.Sprintf("elements[%d] = %d exceeds the %d-bit universe; batch rejected", i, x, bits))
 				return
 			}
 		}
 	}
-	if len(req.Elements) > 0 {
-		xs := make([]uint64, len(req.Elements))
-		for i, x := range req.Elements {
-			xs[i] = uint64(x)
-		}
-		sk.AddBatch(xs)
-	}
+	// AddBatch absorbs xs before it returns and keeps no reference, so the
+	// pooled slice can go straight in.
+	sk.AddBatch(xs)
 	t := tenant(r)
 	api.Metrics.AddLabeled("f0d_ingest_requests_total", tenantLabel(t), 1)
-	api.Metrics.AddLabeled("f0d_ingest_elements_total", tenantLabel(t), float64(len(req.Elements)))
+	api.Metrics.AddLabeled("f0d_ingest_elements_total", tenantLabel(t), float64(len(xs)))
 	writeJSON(w, http.StatusOK, map[string]any{
-		"ingested": len(req.Elements),
+		"ingested": len(xs),
 		"items":    U64(sk.Items()),
 		"version":  U64(sk.Version()),
 	})

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -73,5 +75,37 @@ func TestServeHTTPContentType(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "f0d_uptime_seconds") {
 		t.Fatal("exposition missing the uptime gauge")
+	}
+}
+
+// TestMetricsDocumented cross-checks the series with HELP text against
+// the docs/OPERATIONS.md "Metrics reference" table in both directions:
+// every known series needs a row, and every row a known series.
+func TestMetricsDocumented(t *testing.T) {
+	raw, err := os.ReadFile("../../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatalf("docs/OPERATIONS.md must exist and document every metric: %v", err)
+	}
+	_, section, ok := strings.Cut(string(raw), "## Metrics reference")
+	if !ok {
+		t.Fatal(`docs/OPERATIONS.md has no "## Metrics reference" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^\\| `(f0d_[a-z0-9_]+)`").FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+	}
+	for name := range helpText {
+		if !documented[name] {
+			t.Errorf("series %q has HELP text but no row in the docs/OPERATIONS.md metrics reference", name)
+		}
+	}
+	for name := range documented {
+		if _, ok := helpText[name]; !ok {
+			t.Errorf("docs/OPERATIONS.md documents %q but metrics has no such series", name)
+		}
+	}
+	if len(documented) < 24 {
+		t.Errorf("metrics reference lists %d series; the daemon exports 24 — did a row get dropped?", len(documented))
 	}
 }
