@@ -24,6 +24,7 @@ import (
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/oracle"
 	"mcf0/internal/setstream"
 	"mcf0/internal/stats"
@@ -76,7 +77,7 @@ func BenchmarkE2FindMin(b *testing.B) {
 		h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64).(*hash.Linear)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				counting.FindMinDNF(d, h, 24)
+				counting.FindMinDNF(d, h, kmv.New(3*n, 24))
 			}
 		})
 	}
@@ -295,7 +296,7 @@ func BenchmarkE8Affine(b *testing.B) {
 		h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64).(*hash.Linear)
 		b.Run(fmt.Sprintf("findmin/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				setstream.AffineFindMin(a, bb, h, 24)
+				setstream.AffineFindMin(a, bb, h, kmv.New(3*n, 24))
 			}
 		})
 	}

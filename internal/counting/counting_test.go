@@ -135,7 +135,7 @@ func TestFindMinDNFMatchesBruteForce(t *testing.T) {
 		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64).(*hash.Linear)
 		p := 1 + rng.Intn(12)
 		want := bruteHashMins(n, d.Eval, h, p)
-		got := FindMinDNF(d, h, p)
+		got := findMinDNFValues(d, h, p)
 		compareMins(t, trial, got, want)
 	}
 }
@@ -148,7 +148,7 @@ func TestFindMinOracleMatchesBruteForce(t *testing.T) {
 		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64).(*hash.Linear)
 		p := 1 + rng.Intn(8)
 		want := bruteHashMins(n, cnf.Eval, h, p)
-		got := FindMinOracle(oracle.NewCNFSource(cnf), h, p)
+		got := findMinOracleValues(oracle.NewCNFSource(cnf), h, p)
 		compareMins(t, trial, got, want)
 	}
 }

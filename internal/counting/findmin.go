@@ -1,76 +1,51 @@
 package counting
 
 import (
-	"sort"
-
 	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/oracle"
 	"mcf0/internal/stats"
 )
 
-// FindMinDNF implements Proposition 2's polynomial-time case: the p
-// lexicographically smallest elements of h(Sol(φ)) for a DNF φ. Per term,
-// the image of h over the term's solution cube is an affine image searched
-// with Gaussian elimination.
+// FindMinDNF implements Proposition 2's polynomial-time case: it inserts
+// the smallest elements of h(Sol(φ)) for a DNF φ into set, which then
+// holds the set.K() smallest of those and whatever it held before. Per
+// term, the image of h over the term's solution cube is an affine image
+// searched with Gaussian elimination.
 //
-// The walk is pruned across terms: once p values are collected, a term's
-// successor chain is abandoned as soon as it exceeds the current p-th
-// smallest, so for large k most terms cost a single lex-min computation.
-// Each term keeps one ImageSearcher across its whole p-minima walk: the
-// searcher's rewindable system makes consecutive Successor probes cost one
-// row operation instead of a clone-and-replay of the prefix, and the
-// element buffer is reused across steps (values are cloned only when they
-// actually enter the accumulator).
-func FindMinDNF(d *formula.DNF, h *hash.Linear, p int) []bitvec.BitVec {
+// The walk is pruned across terms (and against the set's prior contents):
+// once the set is full, a term's successor chain is abandoned as soon as
+// it reaches the current maximum, so for large k most terms cost a single
+// lex-min computation. Each term keeps one ImageSearcher across its whole
+// walk: the searcher's rewindable system makes consecutive Successor
+// probes cost one row operation instead of a clone-and-replay of the
+// prefix, and the element buffer is reused across steps (Insert copies a
+// value only when it enters the set).
+func FindMinDNF(d *formula.DNF, h *hash.Linear, set *kmv.Set) {
 	if h.InBits() != d.N {
 		panic("counting: hash input width != variable count")
 	}
-	acc := newKMinAcc(p)
 	cur := bitvec.New(h.OutBits())
 	for _, t := range d.Terms {
-		s, ok := termImageSearcher(d.N, t, h)
-		if !ok {
-			continue
-		}
-		found := s.MinInto(cur)
-		for found && acc.candidate(cur) {
-			acc.insert(cur)
-			found = s.SuccessorInto(cur, cur)
+		if s, ok := termImageSearcher(d.N, t, h); ok {
+			FindMinImage(s, cur, set)
 		}
 	}
-	return acc.values
 }
 
-// kMinAcc accumulates the p smallest distinct bit vectors seen.
-type kMinAcc struct {
-	p      int
-	values []bitvec.BitVec // sorted ascending, ≤ p entries
-}
-
-func newKMinAcc(p int) *kMinAcc { return &kMinAcc{p: p} }
-
-// candidate reports whether v could still enter the accumulator.
-func (a *kMinAcc) candidate(v bitvec.BitVec) bool {
-	return len(a.values) < a.p || v.Less(a.values[len(a.values)-1])
-}
-
-// insert files v into the sorted accumulator, cloning it only when it is
-// actually retained — callers may pass a reused scratch vector.
-func (a *kMinAcc) insert(v bitvec.BitVec) {
-	idx := sort.Search(len(a.values), func(i int) bool { return !a.values[i].Less(v) })
-	if idx < len(a.values) && a.values[idx].Equal(v) {
-		return
+// FindMinImage inserts the smallest elements of an affine image into set,
+// walking the image in ascending order with cur as the element buffer. The
+// walk stops at the first value that cannot enter, and skips the successor
+// search once the value just inserted is the maximum of a full set.
+func FindMinImage(s *gf2.ImageSearcher, cur bitvec.BitVec, set *kmv.Set) {
+	found := s.MinInto(cur)
+	for found && set.Candidate(cur) {
+		set.Insert(cur)
+		found = set.Candidate(cur) && s.SuccessorInto(cur, cur)
 	}
-	if len(a.values) < a.p {
-		a.values = append(a.values, bitvec.BitVec{})
-	} else if idx >= len(a.values) {
-		return
-	}
-	copy(a.values[idx+1:], a.values[idx:len(a.values)-1])
-	a.values[idx] = v.Clone()
 }
 
 // termImageSearcher builds the affine image {h(x) : x ⊨ t}: fixing the
@@ -92,18 +67,16 @@ func termImageSearcher(n int, t formula.Term, h *hash.Linear) (*gf2.ImageSearche
 }
 
 // FindMinOracle implements Proposition 2's NP-oracle case: the same prefix
-// search, but each prefix-feasibility question "is there x ⊨ φ with
+// search into set, but each prefix-feasibility question "is there x ⊨ φ with
 // h(x) starting y₁…yₗ?" becomes one oracle query (the paper's O(p·m) NP
 // calls). It works for any Source backend, in particular CNF.
-func FindMinOracle(src oracle.Source, h *hash.Linear, p int) []bitvec.BitVec {
+func FindMinOracle(src oracle.Source, h *hash.Linear, set *kmv.Set) {
 	s := newOracleImageSearcher(src, h)
-	var out []bitvec.BitVec
 	cur, ok := s.lexMinWithPrefix(nil)
-	for ok && len(out) < p {
-		out = append(out, cur)
+	for ok && set.Candidate(cur) {
+		set.Insert(cur)
 		cur, ok = s.successor(cur)
 	}
-	return out
 }
 
 // oracleImageSearcher mirrors gf2.ImageSearcher with feasibility decided by
@@ -172,10 +145,10 @@ func (s *oracleImageSearcher) successor(y bitvec.BitVec) (bitvec.BitVec, bool) {
 	return next, found
 }
 
-// FindMinFunc produces the p smallest hashed solutions for a given hash;
-// ApproxModelCountMin is generic over it so the DNF fast path and the
-// CNF oracle path share the estimator.
-type FindMinFunc func(h *hash.Linear, p int) []bitvec.BitVec
+// FindMinFunc inserts the smallest hashed solutions under h into an
+// empty set of k = Thresh rows; ApproxModelCountMin is generic over it so
+// the DNF fast path and the CNF oracle path share the estimator.
+type FindMinFunc func(h *hash.Linear, set *kmv.Set)
 
 // ApproxModelCountMin implements Algorithm 6, the Minimum-based counter:
 // each trial draws h from H_Toeplitz(n, 3n), computes the Thresh smallest
@@ -212,19 +185,9 @@ func approxMinTrials(n int, findMinFor func(trial int) FindMinFunc, opts Options
 		hs[i] = fam.Draw(rng.Uint64).(*hash.Linear)
 	}
 	runTrials(t, workers, func(i int) {
-		mins := findMinFor(i)(hs[i], thresh)
-		var est float64
-		if len(mins) < thresh {
-			est = float64(len(mins))
-		} else {
-			maxFrac := mins[len(mins)-1].Fraction()
-			if maxFrac == 0 {
-				est = float64(len(mins))
-			} else {
-				est = float64(thresh) / maxFrac
-			}
-		}
-		res.PerIteration[i] = est
+		set := kmv.New(3*n, thresh)
+		findMinFor(i)(hs[i], set)
+		res.PerIteration[i] = set.Estimate()
 	})
 	res.Estimate = stats.Median(res.PerIteration)
 	return res
@@ -233,8 +196,8 @@ func approxMinTrials(n int, findMinFor func(trial int) FindMinFunc, opts Options
 // ApproxModelCountMinDNF runs Algorithm 6 with the polynomial-time FindMin,
 // i.e. the FPRAS for #DNF of Theorem 3.
 func ApproxModelCountMinDNF(d *formula.DNF, opts Options) Result {
-	return ApproxModelCountMin(d.N, func(h *hash.Linear, p int) []bitvec.BitVec {
-		return FindMinDNF(d, h, p)
+	return ApproxModelCountMin(d.N, func(h *hash.Linear, set *kmv.Set) {
+		FindMinDNF(d, h, set)
 	}, opts)
 }
 
@@ -247,8 +210,8 @@ func ApproxModelCountMinOracle(src oracle.Source, opts Options) Result {
 	before := src.Queries()
 	res := approxMinTrials(src.NVars(), func(i int) FindMinFunc {
 		s := ts.at(i)
-		return func(h *hash.Linear, p int) []bitvec.BitVec {
-			return FindMinOracle(s, h, p)
+		return func(h *hash.Linear, set *kmv.Set) {
+			FindMinOracle(s, h, set)
 		}
 	}, opts, workers)
 	res.OracleQueries = ts.queriesSince(before)

@@ -1,80 +1,29 @@
 package counting
 
 import (
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
+	"mcf0/internal/oracle"
 	"mcf0/internal/stats"
 )
 
-// TestKMinAccMatchesSort: feeding arbitrary values into the accumulator
-// must yield the p smallest distinct values in sorted order — checked with
-// testing/quick against a sort-and-dedup reference.
-func TestKMinAccMatchesSort(t *testing.T) {
-	f := func(raw []uint16, pRaw uint8) bool {
-		p := int(pRaw%20) + 1
-		acc := newKMinAcc(p)
-		for _, v := range raw {
-			x := bitvec.FromUint64(uint64(v), 16)
-			if acc.candidate(x) {
-				acc.insert(x)
-			}
-		}
-		// Reference: sorted distinct values, first p.
-		seen := map[uint16]bool{}
-		var distinct []uint16
-		for _, v := range raw {
-			if !seen[v] {
-				seen[v] = true
-				distinct = append(distinct, v)
-			}
-		}
-		sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-		if len(distinct) > p {
-			distinct = distinct[:p]
-		}
-		if len(acc.values) != len(distinct) {
-			return false
-		}
-		for i, v := range distinct {
-			if acc.values[i].Uint64() != uint64(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+// findMinDNFValues runs FindMinDNF into a fresh set of p rows and returns
+// its values in ascending order.
+func findMinDNFValues(d *formula.DNF, h *hash.Linear, p int) []bitvec.BitVec {
+	set := kmv.New(h.OutBits(), p)
+	FindMinDNF(d, h, set)
+	return set.Values()
 }
 
-// TestKMinAccSkipsOnlyIneligible: candidate must never reject a value that
-// the reference says belongs in the answer.
-func TestKMinAccCandidateSound(t *testing.T) {
-	acc := newKMinAcc(2)
-	a := bitvec.FromUint64(5, 8)
-	b := bitvec.FromUint64(3, 8)
-	c := bitvec.FromUint64(4, 8)
-	for _, v := range []bitvec.BitVec{a, b, c} {
-		if acc.candidate(v) {
-			acc.insert(v)
-		}
-	}
-	if len(acc.values) != 2 || acc.values[0].Uint64() != 3 || acc.values[1].Uint64() != 4 {
-		t.Fatalf("accumulator = %v", acc.values)
-	}
-	// 7 must be rejected as a candidate now.
-	if acc.candidate(bitvec.FromUint64(7, 8)) {
-		t.Fatal("candidate accepted value above the p-th minimum")
-	}
-	// 1 must still be accepted.
-	if !acc.candidate(bitvec.FromUint64(1, 8)) {
-		t.Fatal("candidate rejected a new minimum")
-	}
+// findMinOracleValues is findMinDNFValues for FindMinOracle.
+func findMinOracleValues(src oracle.Source, h *hash.Linear, p int) []bitvec.BitVec {
+	set := kmv.New(h.OutBits(), p)
+	FindMinOracle(src, h, set)
+	return set.Values()
 }
 
 // TestFindMinDNFManyOverlappingTerms stresses the cross-term pruning with
@@ -87,7 +36,7 @@ func TestFindMinDNFManyOverlappingTerms(t *testing.T) {
 		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64).(*hash.Linear)
 		for _, p := range []int{1, 3, 17} {
 			want := bruteHashMins(n, d.Eval, h, p)
-			got := FindMinDNF(d, h, p)
+			got := findMinDNFValues(d, h, p)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d p=%d: got %d mins, want %d", trial, p, len(got), len(want))
 			}
@@ -105,17 +54,17 @@ func TestFindMinDNFDegenerate(t *testing.T) {
 	n := 6
 	h := hash.NewToeplitz(n, 2*n).Draw(stats.NewRNG(3).Uint64).(*hash.Linear)
 	empty := formula.NewDNF(n)
-	if got := FindMinDNF(empty, h, 5); len(got) != 0 {
+	if got := findMinDNFValues(empty, h, 5); len(got) != 0 {
 		t.Fatalf("empty DNF produced %d mins", len(got))
 	}
 	contra := formula.NewDNF(n)
 	contra.AddTerm(formula.Term{formula.Pos(0), formula.Negl(0)})
-	if got := FindMinDNF(contra, h, 5); len(got) != 0 {
+	if got := findMinDNFValues(contra, h, 5); len(got) != 0 {
 		t.Fatalf("contradictory DNF produced %d mins", len(got))
 	}
 	taut := formula.NewDNF(n)
 	taut.AddTerm(formula.Term{})
-	got := FindMinDNF(taut, h, 5)
+	got := findMinDNFValues(taut, h, 5)
 	want := bruteHashMins(n, func(bitvec.BitVec) bool { return true }, h, 5)
 	if len(got) != len(want) {
 		t.Fatalf("tautology: got %d mins, want %d", len(got), len(want))
@@ -127,7 +76,7 @@ func TestFindMinDNFDegenerate(t *testing.T) {
 		tm = append(tm, formula.Pos(v))
 	}
 	point.AddTerm(tm)
-	got = FindMinDNF(point, h, 5)
+	got = findMinDNFValues(point, h, 5)
 	if len(got) != 1 {
 		t.Fatalf("single-point DNF produced %d mins", len(got))
 	}

@@ -8,6 +8,7 @@ import (
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
 )
 
@@ -16,7 +17,7 @@ import (
 // did before gf2.System gained Mark/Rewind). The production path must stay
 // bit-identical to it.
 func cloneFindMinDNF(d *formula.DNF, h *hash.Linear, p int) []bitvec.BitVec {
-	acc := newKMinAcc(p)
+	acc := kmv.New(h.OutBits(), p)
 	for _, t := range d.Terms {
 		norm, ok := t.Normalize()
 		if !ok {
@@ -56,8 +57,8 @@ func cloneFindMinDNF(d *formula.DNF, h *hash.Linear, p int) []bitvec.BitVec {
 			return y, true
 		}
 		cur, found := lexMin(nil)
-		for found && acc.candidate(cur) {
-			acc.insert(cur)
+		for found && acc.Candidate(cur) {
+			acc.Insert(cur)
 			m := aFree.Rows()
 			next := bitvec.BitVec{}
 			found = false
@@ -75,7 +76,7 @@ func cloneFindMinDNF(d *formula.DNF, h *hash.Linear, p int) []bitvec.BitVec {
 			cur = next
 		}
 	}
-	return acc.values
+	return acc.Values()
 }
 
 // TestFindMinDNFMatchesCloneReference is the fixed-seed rewind-vs-clone
@@ -91,7 +92,7 @@ func TestFindMinDNFMatchesCloneReference(t *testing.T) {
 				d := formula.RandomDNF(n, 2+rng.Intn(8), 1+rng.Intn(n/2), rng)
 				h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64).(*hash.Linear)
 				p := 1 + rng.Intn(24)
-				got := FindMinDNF(d, h, p)
+				got := findMinDNFValues(d, h, p)
 				want := cloneFindMinDNF(d, h, p)
 				if len(got) != len(want) {
 					t.Fatalf("seed %d p %d: %d values, want %d", seed, p, len(got), len(want))

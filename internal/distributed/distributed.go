@@ -26,6 +26,7 @@ import (
 	"mcf0/internal/counting"
 	"mcf0/internal/formula"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/oracle"
 	"mcf0/internal/par"
 	"mcf0/internal/stats"
@@ -286,23 +287,17 @@ func Minimum(parts []*formula.DNF, opts Options) Result {
 	ests := make([]float64, t)
 	sitesToCoord := make([]int64, t)
 	runTrials(t, opts.parallelism(), func(i int) {
-		var global []bitvec.BitVec
+		sets := kmv.Carve(3*n, thresh, 2)
+		global, site := &sets[0], &sets[1]
+		tmp := bitvec.NewSlab(3*n, thresh)
 		var bitsSent int64
 		for j := 0; j < k; j++ {
-			mins := counting.FindMinDNF(parts[j], hs[i], thresh)
-			bitsSent += int64(len(mins)) * int64(3*n)
-			global = mergeMins(global, mins, thresh)
+			site.Reset()
+			counting.FindMinDNF(parts[j], hs[i], site)
+			bitsSent += int64(site.Len()) * int64(3*n)
+			global.Merge(site, tmp)
 		}
-		if len(global) < thresh {
-			ests[i] = float64(len(global))
-		} else {
-			f := global[len(global)-1].Fraction()
-			if f == 0 {
-				ests[i] = float64(len(global))
-			} else {
-				ests[i] = float64(thresh) / f
-			}
-		}
+		ests[i] = global.Estimate()
 		sitesToCoord[i] = bitsSent
 	})
 	res.PerIteration = ests
@@ -311,32 +306,6 @@ func Minimum(parts []*formula.DNF, opts Options) Result {
 	}
 	res.Estimate = stats.Median(res.PerIteration)
 	return res
-}
-
-func mergeMins(a, b []bitvec.BitVec, limit int) []bitvec.BitVec {
-	out := make([]bitvec.BitVec, 0, limit)
-	i, j := 0, 0
-	for (i < len(a) || j < len(b)) && len(out) < limit {
-		var v bitvec.BitVec
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i].Less(b[j]):
-			v = a[i]
-			i++
-		default:
-			v = b[j]
-			j++
-		}
-		if len(out) == 0 || !out[len(out)-1].Equal(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Estimation runs the distributed Estimation protocol: for every hash

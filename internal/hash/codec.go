@@ -1,9 +1,9 @@
 // Wire codec for hash draws. A sketch snapshot must carry its hash
 // functions — not just seeds — so that a sketch decoded on another node is
 // Merge-compatible with one built locally: the structural-hash
-// precondition (sameLinear / sameFunc in the consuming packages) is
-// checked against the decoded Ax+b / coefficient vector, exactly as it is
-// for in-process clones.
+// precondition (Linear.Equal, and sameFunc in streaming) is checked
+// against the decoded Ax+b / coefficient vector, exactly as it is for
+// in-process clones.
 //
 // Three function layouts exist on the wire:
 //

@@ -111,6 +111,28 @@ func (l *Linear) EvalInto(x, dst bitvec.BitVec) {
 	dst.XorInPlace(l.B)
 }
 
+// Equal reports whether l and o are the same draw: the same pointer (the
+// Clone fast path), or structurally equal A and b. Sketch merges use it as
+// their shared-draw precondition, so it holds across the wire too. A nil
+// Linear equals only nil.
+func (l *Linear) Equal(o *Linear) bool {
+	if l == o {
+		return true
+	}
+	if l == nil || o == nil {
+		return false
+	}
+	if l.A.Rows() != o.A.Rows() || l.A.Cols() != o.A.Cols() || !l.B.Equal(o.B) {
+		return false
+	}
+	for i := 0; i < l.A.Rows(); i++ {
+		if !l.A.Row(i).Equal(o.A.Row(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 // InBits returns n.
 func (l *Linear) InBits() int { return l.A.Cols() }
 

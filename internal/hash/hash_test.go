@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/gf2"
 )
 
 // enumerateToeplitz visits every function of H_Toeplitz(n, m) exactly once.
@@ -199,6 +200,50 @@ func TestFamilyMetadata(t *testing.T) {
 		}
 		if c.fam.Name() != c.name {
 			t.Errorf("Name() = %q, want %q", c.fam.Name(), c.name)
+		}
+	}
+}
+
+// TestLinearEqual pins the shared-draw test sketch merges rely on:
+// pointer-equal and structurally equal draws match; a different offset,
+// one different A row, a different shape, or nil do not.
+func TestLinearEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	h := NewToeplitz(6, 18).Draw(rng.Uint64).(*Linear)
+	// clone rebuilds h's A and b in fresh storage, with row i's bit j and
+	// b's bit k flipped when asked (−1 leaves them alone).
+	clone := func(row, col, bBit int) *Linear {
+		rows := make([]bitvec.BitVec, h.A.Rows())
+		for i := range rows {
+			rows[i] = h.A.Row(i).Clone()
+		}
+		if row >= 0 {
+			rows[row].Flip(col)
+		}
+		b := h.B.Clone()
+		if bBit >= 0 {
+			b.Flip(bBit)
+		}
+		return NewLinear(gf2.FromRows(h.A.Cols(), rows), b)
+	}
+	other := NewXor(6, 12).Draw(rng.Uint64).(*Linear)
+	var none *Linear
+	for _, c := range []struct {
+		name string
+		a, b *Linear
+		want bool
+	}{
+		{"pointer-equal", h, h, true},
+		{"structurally equal", h, clone(-1, 0, -1), true},
+		{"b differs", h, clone(-1, 0, 17), false},
+		{"one A row differs", h, clone(9, 3, -1), false},
+		{"shape differs", h, other, false},
+		{"nil vs draw", h, none, false},
+		{"draw vs nil", none, h, false},
+		{"nil vs nil", none, none, true},
+	} {
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("%s: Equal = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // the Minimum-style sketch each stream carries (hash draws plus retained
 // minima), the stream's shape (universe width or per-dimension widths),
 // and the CNF oracle-query meter. A decoded stream is Merge-compatible
-// with a live same-seed stream: the shared-draw precondition (sameLinear)
-// is checked against the decoded Ax+b structure, exactly as for in-process
+// with a live same-seed stream: the shared-draw precondition
+// (hash.Linear.Equal) is checked against the decoded Ax+b structure, exactly as for in-process
 // sketches.
 //
 // Encoding is canonical — minima in rank order, dimensions in declaration
@@ -13,8 +13,8 @@
 package setstream
 
 import (
-	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/par"
 	"mcf0/internal/wire"
 )
@@ -38,24 +38,22 @@ const (
 )
 
 // appendMinSketch emits the nested sketch body: thresh, t, then per copy
-// the hash draw and the retained minima in rank order. It carries no
-// header of its own — the enclosing stream message's version governs it.
+// the hash draw and the k-min set body (count, minima in rank order). It
+// carries no header of its own — the enclosing stream message's version
+// governs it.
 func appendMinSketch(dst []byte, s *minSketch) []byte {
 	dst = wire.AppendInt(dst, s.thresh)
 	dst = wire.AppendInt(dst, len(s.copies))
 	for _, c := range s.copies {
 		dst, _ = hash.AppendFunc(dst, c.h)
-		dst = wire.AppendInt(dst, len(c.vals))
-		for _, v := range c.vals {
-			dst = wire.AppendBitVec(dst, v)
-		}
+		dst = c.set.AppendBinary(dst)
 	}
 	return dst
 }
 
 // decodeMinSketch reads a nested sketch body over an n-bit universe
-// (minima are 3n-bit Toeplitz outputs), validating hash dimensions and
-// strictly-ascending rank order.
+// (minima are 3n-bit Toeplitz outputs), validating hash dimensions, the
+// slab bound and strictly-ascending rank order.
 func decodeMinSketch(r *wire.Reader, n, parallelism int) *minSketch {
 	thresh := r.Int(maxThresh)
 	t := r.Int(maxCopies)
@@ -66,10 +64,13 @@ func decodeMinSketch(r *wire.Reader, n, parallelism int) *minSketch {
 		r.Corrupt("set-stream sketch shape thresh=%d t=%d", thresh, t)
 		return nil
 	}
+	if !kmv.CheckSlab(r, t*thresh, 3*n) {
+		return nil
+	}
 	s := &minSketch{thresh: thresh, workers: par.Workers(parallelism)}
+	sets := kmv.Carve(3*n, thresh, t)
 	for i := 0; i < t; i++ {
 		h := hash.DecodeLinear(r)
-		cnt := r.Int(thresh)
 		if r.Err() != nil {
 			return nil
 		}
@@ -78,18 +79,9 @@ func decodeMinSketch(r *wire.Reader, n, parallelism int) *minSketch {
 				i, h.InBits(), h.OutBits(), n, 3*n)
 			return nil
 		}
-		c := &sketchCopy{h: h}
-		for j := 0; j < cnt; j++ {
-			v := bitvec.New(3 * n)
-			r.BitVecInto(v)
-			if r.Err() != nil {
-				return nil
-			}
-			if j > 0 && !c.vals[j-1].Less(v) {
-				r.Corrupt("set-stream copy %d minima are not strictly ascending", i)
-				return nil
-			}
-			c.vals = append(c.vals, v)
+		c := &sketchCopy{h: h, set: sets[i]}
+		if !c.set.Decode(r) {
+			return nil
 		}
 		s.copies = append(s.copies, c)
 	}

@@ -3,7 +3,7 @@ package setstream
 import (
 	"errors"
 
-	"mcf0/internal/hash"
+	"mcf0/internal/bitvec"
 )
 
 // ErrIncompatibleSketch is returned by Merge when two streams cannot be
@@ -12,43 +12,25 @@ import (
 // two unrelated random projections.
 var ErrIncompatibleSketch = errors.New("setstream: sketches are not mergeable (mismatched shape or hash draws)")
 
-// sameLinear reports whether two linear hashes are the same draw, by
-// pointer or by structural equality of Ax+b.
-func sameLinear(a, b *hash.Linear) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	if a.A.Rows() != b.A.Rows() || a.A.Cols() != b.A.Cols() || !a.B.Equal(b.B) {
-		return false
-	}
-	for i := 0; i < a.A.Rows(); i++ {
-		if !a.A.Row(i).Equal(b.A.Row(i)) {
-			return false
-		}
-	}
-	return true
-}
-
 // merge folds other's minima into s. For sketches sharing hash draws
 // (same-seed construction) the result is bit-identical to one sketch
-// having processed both item streams: each copy's vals is the sorted
-// Thresh-smallest prefix of the union of distinct hash values, and
-// absorb's sorted-batch merge computes exactly that. other is not
-// mutated.
+// having processed both item streams: each copy's set is the sorted
+// Thresh-smallest prefix of the union of distinct hash values, which is
+// exactly what the k-min merge computes. other is not mutated.
 func (s *minSketch) merge(other *minSketch) error {
 	if other.thresh != s.thresh || len(other.copies) != len(s.copies) {
 		return ErrIncompatibleSketch
 	}
 	for i := range s.copies {
-		if !sameLinear(s.copies[i].h, other.copies[i].h) {
+		if !s.copies[i].h.Equal(other.copies[i].h) {
 			return ErrIncompatibleSketch
 		}
 	}
+	if s.mergeTmp == nil {
+		s.mergeTmp = bitvec.NewSlab(s.copies[0].set.Bits(), s.thresh)
+	}
 	for i := range s.copies {
-		s.absorb(s.copies[i], other.copies[i].vals)
+		s.copies[i].set.Merge(&other.copies[i].set, s.mergeTmp)
 	}
 	return nil
 }

@@ -54,11 +54,11 @@ func requireSketchEqual(t *testing.T, a, b *minSketch) {
 	}
 	for i := range a.copies {
 		ca, cb := a.copies[i], b.copies[i]
-		if len(ca.vals) != len(cb.vals) {
-			t.Fatalf("copy %d: %d vs %d minima", i, len(ca.vals), len(cb.vals))
+		if ca.set.Len() != cb.set.Len() {
+			t.Fatalf("copy %d: %d vs %d minima", i, ca.set.Len(), cb.set.Len())
 		}
-		for j := range ca.vals {
-			if !ca.vals[j].Equal(cb.vals[j]) {
+		for j := range ca.set.Values() {
+			if !ca.set.Values()[j].Equal(cb.set.Values()[j]) {
 				t.Fatalf("copy %d: minima diverge at rank %d", i, j)
 			}
 		}

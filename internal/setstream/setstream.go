@@ -47,6 +47,7 @@ import (
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/oracle"
 	"mcf0/internal/par"
 	"mcf0/internal/stats"
@@ -119,77 +120,41 @@ func (o Options) parallelism() int { return par.Workers(o.Parallelism) }
 func runCopies(count, workers int, fn func(i int)) { par.Run(count, workers, fn) }
 
 // minSketch is the shared Minimum-style sketch: per copy, a Toeplitz hash
-// n → 3n and the Thresh smallest distinct hash values seen so far. The
-// copies are updated independently, so per-item work fans out across
-// Options.Parallelism workers.
+// n → 3n and a k-min set of the Thresh smallest distinct hash values seen
+// so far, its rows carved from one slab. The copies are updated
+// independently, so per-item work fans out across Options.Parallelism
+// workers.
 type minSketch struct {
 	thresh  int
 	workers int
 	copies  []*sketchCopy
+	// mergeTmp is merge's rank-order staging area (thresh slab rows),
+	// allocated on first merge and reused across copies.
+	mergeTmp []bitvec.BitVec
 }
 
 type sketchCopy struct {
-	h    *hash.Linear
-	vals []bitvec.BitVec // sorted ascending
+	h   *hash.Linear
+	set kmv.Set
 }
 
 func newMinSketch(n int, opts Options) *minSketch {
 	rng := opts.rng()
 	fam := hash.NewToeplitz(n, 3*n)
 	s := &minSketch{thresh: opts.thresh(), workers: opts.parallelism()}
-	for i := 0; i < opts.iterations(); i++ {
-		s.copies = append(s.copies, &sketchCopy{h: fam.Draw(rng.Uint64).(*hash.Linear)})
+	t := opts.iterations()
+	sets := kmv.Carve(3*n, s.thresh, t)
+	for i := 0; i < t; i++ {
+		s.copies = append(s.copies, &sketchCopy{h: fam.Draw(rng.Uint64).(*hash.Linear), set: sets[i]})
 	}
 	return s
 }
 
-// absorb merges a sorted batch of candidate minima into copy c.
-func (s *minSketch) absorb(c *sketchCopy, batch []bitvec.BitVec) {
-	if len(batch) == 0 {
-		return
-	}
-	merged := make([]bitvec.BitVec, 0, len(c.vals)+len(batch))
-	i, j := 0, 0
-	for (i < len(c.vals) || j < len(batch)) && len(merged) < s.thresh {
-		switch {
-		case i >= len(c.vals):
-			merged = appendDistinct(merged, batch[j])
-			j++
-		case j >= len(batch):
-			merged = appendDistinct(merged, c.vals[i])
-			i++
-		case c.vals[i].Less(batch[j]):
-			merged = appendDistinct(merged, c.vals[i])
-			i++
-		default:
-			merged = appendDistinct(merged, batch[j])
-			j++
-		}
-	}
-	c.vals = merged
-}
-
-func appendDistinct(vs []bitvec.BitVec, v bitvec.BitVec) []bitvec.BitVec {
-	if len(vs) > 0 && vs[len(vs)-1].Equal(v) {
-		return vs
-	}
-	return append(vs, v)
-}
-
-// Estimate is the k-minimum-values estimator shared by all set streams.
+// Estimate is the median over copies of the k-minimum-values estimate.
 func (s *minSketch) Estimate() float64 {
 	ests := make([]float64, len(s.copies))
 	for i, c := range s.copies {
-		if len(c.vals) < s.thresh {
-			ests[i] = float64(len(c.vals))
-			continue
-		}
-		f := c.vals[len(c.vals)-1].Fraction()
-		if f == 0 {
-			ests[i] = float64(len(c.vals))
-			continue
-		}
-		ests[i] = float64(s.thresh) / f
+		ests[i] = c.set.Estimate()
 	}
 	return stats.Median(ests)
 }
@@ -199,17 +164,15 @@ func (s *minSketch) Estimate() float64 {
 func (s *minSketch) SketchWords() int {
 	total := 0
 	for _, c := range s.copies {
-		for _, v := range c.vals {
-			total += (v.Len() + 63) / 64
-		}
+		total += c.set.Words()
 	}
 	return total
 }
 
 // DNFStream estimates F0 of a stream of DNF sets (Theorem 5): per item,
-// the Thresh smallest hashed solutions of the arriving formula are
-// computed in time O(n⁴·k·Thresh) by FindMinDNF and merged into the
-// sketch.
+// FindMinDNF inserts the arriving formula's smallest hashed solutions
+// straight into each copy's set, in time O(n⁴·k·Thresh), pruned by the
+// set's current maximum.
 type DNFStream struct {
 	n   int
 	s   *minSketch
@@ -243,7 +206,7 @@ func (d *DNFStream) ProcessDNFBatch(fs []*formula.DNF) {
 	runCopies(len(d.s.copies), d.s.workers, func(i int) {
 		c := d.s.copies[i]
 		for _, f := range fs {
-			d.s.absorb(c, counting.FindMinDNF(f, c.h, d.s.thresh))
+			counting.FindMinDNF(f, c.h, &c.set)
 		}
 	})
 }
@@ -400,9 +363,9 @@ func (p *ProgressionStream) ProcessProgressionBatch(items [][]formula.Progressio
 func (p *ProgressionStream) Estimate() float64 { return p.inner.Estimate() }
 
 // AffineStream estimates F0 over affine-space items ⟨A, b⟩ representing
-// {x : Ax = b} (Theorem 7). Per item, AffineFindMin (Proposition 4) finds
-// the Thresh smallest values of h over the solution space by prefix search
-// through the stacked system [D | A].
+// {x : Ax = b} (Theorem 7). Per item, AffineFindMin (Proposition 4) inserts
+// the smallest values of h over the solution space into each copy's set by
+// prefix search through the stacked system [D | A].
 type AffineStream struct {
 	n int
 	s *minSketch
@@ -413,19 +376,19 @@ func NewAffineStream(n int, opts Options) *AffineStream {
 	return &AffineStream{n: n, s: newMinSketch(n, opts)}
 }
 
-// AffineFindMin implements Proposition 4: the t lexicographically smallest
-// elements of h(Sol(⟨A, b⟩)), via Gaussian elimination in O(n⁴·t). The
-// searcher takes ownership of the stacked constraint system and walks the
-// t minima over one rewindable elimination state (successor probes rewind
-// to their divergence point instead of cloning ⟨A, b⟩'s echelon form per
-// step).
-func AffineFindMin(a *gf2.Matrix, b bitvec.BitVec, h *hash.Linear, t int) []bitvec.BitVec {
+// AffineFindMin implements Proposition 4: it inserts the smallest
+// elements of h(Sol(⟨A, b⟩)) into set, via Gaussian elimination in
+// O(n⁴·t) for t = set.K(). The walk stops at the first value the set
+// cannot take. The searcher takes ownership of the stacked constraint
+// system and walks the minima over one rewindable elimination state
+// (successor probes rewind to their divergence point instead of cloning
+// ⟨A, b⟩'s echelon form per step).
+func AffineFindMin(a *gf2.Matrix, b bitvec.BitVec, h *hash.Linear, set *kmv.Set) {
 	cons := gf2.NewSystem(a.Cols())
 	for i := 0; i < a.Rows(); i++ {
 		cons.Add(a.Row(i), b.Get(i))
 	}
-	searcher := gf2.NewImageSearcher(h.A, h.B, cons)
-	return searcher.KMin(t)
+	counting.FindMinImage(gf2.NewImageSearcher(h.A, h.B, cons), bitvec.New(h.OutBits()), set)
 }
 
 // ProcessAffine absorbs one affine set {x : Ax = b}; the per-copy prefix
@@ -452,7 +415,7 @@ func (s *AffineStream) ProcessAffineBatch(as []*gf2.Matrix, bs []bitvec.BitVec) 
 	runCopies(len(s.s.copies), s.s.workers, func(i int) {
 		c := s.s.copies[i]
 		for k, a := range as {
-			s.s.absorb(c, AffineFindMin(a, bs[k], c.h, s.s.thresh))
+			AffineFindMin(a, bs[k], c.h, &c.set)
 		}
 	})
 }
@@ -490,7 +453,10 @@ func (c *CNFStream) ProcessCNF(f *formula.CNF) {
 // right before use (oracle construction is pure per item, so at most t
 // oracles are live at once regardless of batch size); query meters are
 // recorded per pair and summed in (item, copy) order, matching repeated
-// ProcessCNF calls exactly.
+// ProcessCNF calls exactly. FindMinOracle fills a fresh set per pair,
+// which is then inserted into the copy's: the oracle walk is not pruned by
+// the copy's maximum, so each item's query count depends on that item
+// alone.
 func (c *CNFStream) ProcessCNFBatch(fs []*formula.CNF) {
 	for _, f := range fs {
 		if f.N != c.n {
@@ -506,9 +472,14 @@ func (c *CNFStream) ProcessCNFBatch(fs []*formula.CNF) {
 	}
 	runCopies(len(c.s.copies), c.s.workers, func(i int) {
 		cp := c.s.copies[i]
+		item := kmv.New(cp.set.Bits(), c.s.thresh)
 		for k, f := range fs {
 			src := oracle.NewCNFSource(f)
-			c.s.absorb(cp, counting.FindMinOracle(src, cp.h, c.s.thresh))
+			item.Reset()
+			counting.FindMinOracle(src, cp.h, item)
+			for _, v := range item.Values() {
+				cp.set.Insert(v)
+			}
 			queries[k][i] = src.Queries()
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
 )
 
@@ -173,7 +174,9 @@ func TestAffineFindMinMatchesBruteForce(t *testing.T) {
 		if len(want) > tWant {
 			want = want[:tWant]
 		}
-		got := AffineFindMin(a, b, h, tWant)
+		set := kmv.New(3*n, tWant)
+		AffineFindMin(a, b, h, set)
+		got := set.Values()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d mins, want %d", trial, len(got), len(want))
 		}

@@ -64,11 +64,11 @@ func requireMinimumEqual(t *testing.T, a, b *Minimum) {
 	}
 	for i := range a.copies {
 		ca, cb := a.copies[i], b.copies[i]
-		if len(ca.vals) != len(cb.vals) {
-			t.Fatalf("copy %d: %d vs %d minima", i, len(ca.vals), len(cb.vals))
+		if ca.set.Len() != cb.set.Len() {
+			t.Fatalf("copy %d: %d vs %d minima", i, ca.set.Len(), cb.set.Len())
 		}
-		for j := range ca.vals {
-			if !ca.vals[j].Equal(cb.vals[j]) {
+		for j := range ca.set.Values() {
+			if !ca.set.Values()[j].Equal(cb.set.Values()[j]) {
 				t.Fatalf("copy %d: minima diverge at rank %d", i, j)
 			}
 		}
@@ -247,12 +247,12 @@ func TestWordBatchVsSingleAbsorb(t *testing.T) {
 					c.absorb(x, elem.thresh)
 				}
 				for _, c := range mElem.copies {
-					c.absorb(x, mElem.thresh)
+					c.absorb(x)
 				}
 			}
 			requireBucketingEqual(t, elem, word)
 			requireMinimumEqual(t, mElem, mWord)
-			if n >= 8 && (word.MaxLevel() == 0 || len(mWord.copies[0].vals) < mWord.thresh) {
+			if n >= 8 && (word.MaxLevel() == 0 || mWord.copies[0].set.Len() < mWord.thresh) {
 				t.Fatalf("n=%d: the stream must raise a level and fill a Minimum copy", n)
 			}
 		}

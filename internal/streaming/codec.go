@@ -23,6 +23,7 @@ import (
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/par"
 	"mcf0/internal/wire"
 )
@@ -42,9 +43,6 @@ const (
 	maxSketchBits = 1 << 16 // universe width
 	maxCopies     = 1 << 16 // t = 35·log2(1/δ)
 	maxThresh     = 1 << 24 // Thresh = 96/ε²
-	// maxSlabWords caps any single decoded slab (t·Thresh rows); legitimate
-	// sketches sit around 2^14 words.
-	maxSlabWords = 1 << 24
 )
 
 // SketchBits returns the universe width (element bits) of any sketch in
@@ -134,17 +132,6 @@ func DecodeSketchFrom(r *wire.Reader, parallelism int) Sketch {
 	return s
 }
 
-// slabRows validates a rows×wordsPerRow slab shape against maxSlabWords
-// before anything is allocated.
-func slabRows(r *wire.Reader, rows, bitsPerRow int) bool {
-	words := uint64(rows) * uint64((bitsPerRow+63)/64)
-	if words > maxSlabWords {
-		r.Corrupt("slab of %d %d-bit rows exceeds decode bound", rows, bitsPerRow)
-		return false
-	}
-	return true
-}
-
 // ---- Bucketing ----
 
 // appendBinary emits n, thresh, t, then per copy the hash draw, the
@@ -191,7 +178,7 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 		return nil
 	}
 	slots := thresh + 1
-	if !slabRows(r, t*slots, n) {
+	if !kmv.CheckSlab(r, t*slots, n) {
 		return nil
 	}
 	b := &Bucketing{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchCheap)}
@@ -251,10 +238,7 @@ func (m *Minimum) appendBinary(dst []byte) []byte {
 	dst = wire.AppendInt(dst, len(m.copies))
 	for _, c := range m.copies {
 		dst, _ = hash.AppendFunc(dst, c.h)
-		dst = wire.AppendInt(dst, len(c.vals))
-		for _, v := range c.vals {
-			dst = wire.AppendBitVec(dst, v)
-		}
+		dst = c.set.AppendBinary(dst)
 	}
 	return dst
 }
@@ -277,14 +261,13 @@ func decodeMinimum(r *wire.Reader, parallelism int) *Minimum {
 		r.Corrupt("minimum shape n=%d thresh=%d t=%d", n, thresh, t)
 		return nil
 	}
-	if !slabRows(r, t*thresh, 3*n) {
+	if !kmv.CheckSlab(r, t*thresh, 3*n) {
 		return nil
 	}
 	m := &Minimum{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchCheap)}
-	store := bitvec.NewSlab(3*n, t*thresh)
+	sets := kmv.Carve(3*n, thresh, t)
 	for i := 0; i < t; i++ {
 		h := hash.DecodeLinear(r)
-		cnt := r.Int(thresh)
 		if r.Err() != nil {
 			return nil
 		}
@@ -293,17 +276,9 @@ func decodeMinimum(r *wire.Reader, parallelism int) *Minimum {
 				i, h.InBits(), h.OutBits(), n, 3*n)
 			return nil
 		}
-		c := &minCopy{h: h, store: store[i*thresh : (i+1)*thresh], scratch: bitvec.New(3 * n)}
-		for j := 0; j < cnt; j++ {
-			r.BitVecInto(c.store[j])
-			if r.Err() != nil {
-				return nil
-			}
-			if j > 0 && !c.store[j-1].Less(c.store[j]) {
-				r.Corrupt("minimum copy %d minima are not strictly ascending", i)
-				return nil
-			}
-			c.vals = append(c.vals, c.store[j])
+		c := &minCopy{h: h, set: sets[i], scratch: bitvec.New(3 * n)}
+		if !c.set.Decode(r) {
+			return nil
 		}
 		m.copies = append(m.copies, c)
 	}
@@ -348,7 +323,7 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 		r.Corrupt("estimation shape n=%d thresh=%d t=%d", n, thresh, t)
 		return nil
 	}
-	if uint64(t)*uint64(thresh) > maxSlabWords {
+	if uint64(t)*uint64(thresh) > kmv.MaxSlabWords {
 		r.Corrupt("estimation grid %dx%d exceeds decode bound", t, thresh)
 		return nil
 	}

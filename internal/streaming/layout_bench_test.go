@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
 )
 
@@ -34,10 +35,12 @@ func scatterBucketing(s *Bucketing) {
 }
 
 func scatterMinimum(s *Minimum) {
-	// Scatter before any ingestion: vals is empty, so no header in the
-	// sorted prefix aliases a replaced store row.
+	// Scatter before any ingestion: the set is empty, so no value aliases
+	// a replaced row.
 	for _, c := range s.copies {
-		scatterRows(c.store, 3*s.n)
+		rows := bitvec.NewSlab(3*s.n, s.thresh)
+		scatterRows(rows, 3*s.n)
+		c.set = kmv.Make(rows)
 	}
 }
 

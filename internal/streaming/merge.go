@@ -7,6 +7,7 @@ import (
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/par"
 )
 
@@ -43,26 +44,6 @@ var (
 	_ Sketch = (*ExactDistinct)(nil)
 )
 
-// sameLinear reports whether two linear hashes are the same draw, by
-// pointer (the Clone fast path) or by structural equality of Ax+b.
-func sameLinear(a, b *hash.Linear) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	if a.A.Rows() != b.A.Rows() || a.A.Cols() != b.A.Cols() || !a.B.Equal(b.B) {
-		return false
-	}
-	for i := 0; i < a.A.Rows(); i++ {
-		if !a.A.Row(i).Equal(b.A.Row(i)) {
-			return false
-		}
-	}
-	return true
-}
-
 // sameFunc reports whether two hash draws are identical: pointer equality
 // (clones share draws), else structural comparison for the linear and
 // polynomial families.
@@ -72,7 +53,7 @@ func sameFunc(a, b hash.Func) bool {
 	}
 	if la, ok := a.(*hash.Linear); ok {
 		lb, ok := b.(*hash.Linear)
-		return ok && sameLinear(la, lb)
+		return ok && la.Equal(lb)
 	}
 	ca, oka := hash.PolyCoefficients(a)
 	cb, okb := hash.PolyCoefficients(b)
@@ -114,7 +95,7 @@ func (b *Bucketing) Merge(other Sketch) error {
 		return ErrIncompatibleSketch
 	}
 	for i := range b.copies {
-		if !sameLinear(b.copies[i].h, o.copies[i].h) {
+		if !b.copies[i].h.Equal(o.copies[i].h) {
 			return ErrIncompatibleSketch
 		}
 	}
@@ -144,19 +125,10 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 // Clone returns a deep copy sharing hash draws, with its own slab.
 func (m *Minimum) Clone() Sketch {
 	out := &Minimum{thresh: m.thresh, n: m.n, eng: m.eng}
-	store := bitvec.NewSlab(3*m.n, len(m.copies)*m.thresh)
+	sets := kmv.Carve(3*m.n, m.thresh, len(m.copies))
 	for i, c := range m.copies {
-		nc := &minCopy{
-			h:       c.h,
-			store:   store[i*m.thresh : (i+1)*m.thresh],
-			scratch: bitvec.New(3 * m.n),
-		}
-		// Copy minima in rank order: the clone's vals is the identity
-		// permutation of its first len(vals) store rows.
-		for j, v := range c.vals {
-			nc.store[j].CopyFrom(v)
-			nc.vals = append(nc.vals, nc.store[j])
-		}
+		nc := &minCopy{h: c.h, set: sets[i], scratch: bitvec.New(3 * m.n)}
+		nc.set.CopyFrom(&c.set)
 		out.copies = append(out.copies, nc)
 	}
 	return out
@@ -171,7 +143,7 @@ func (m *Minimum) Merge(other Sketch) error {
 		return ErrIncompatibleSketch
 	}
 	for i := range m.copies {
-		if !sameLinear(m.copies[i].h, o.copies[i].h) {
+		if !m.copies[i].h.Equal(o.copies[i].h) {
 			return ErrIncompatibleSketch
 		}
 	}
@@ -179,38 +151,9 @@ func (m *Minimum) Merge(other Sketch) error {
 		m.mergeTmp = bitvec.NewSlab(3*m.n, m.thresh)
 	}
 	for i := range m.copies {
-		m.copies[i].merge(o.copies[i], m.thresh, m.mergeTmp)
+		m.copies[i].set.Merge(&o.copies[i].set, m.mergeTmp)
 	}
 	return nil
-}
-
-// merge performs a two-pointer sorted merge with dedup of both vals lists
-// into tmp (rank order), truncated at thresh, then rewrites the copy's
-// store so vals is again the identity permutation of its prefix.
-func (c *minCopy) merge(o *minCopy, thresh int, tmp []bitvec.BitVec) {
-	k, i, j := 0, 0, 0
-	for k < thresh && (i < len(c.vals) || j < len(o.vals)) {
-		var src bitvec.BitVec
-		switch {
-		case i >= len(c.vals):
-			src, j = o.vals[j], j+1
-		case j >= len(o.vals):
-			src, i = c.vals[i], i+1
-		case c.vals[i].Less(o.vals[j]):
-			src, i = c.vals[i], i+1
-		case o.vals[j].Less(c.vals[i]):
-			src, j = o.vals[j], j+1
-		default: // equal hash value in both: keep one
-			src, i, j = c.vals[i], i+1, j+1
-		}
-		tmp[k].CopyFrom(src)
-		k++
-	}
-	c.vals = c.vals[:0]
-	for r := 0; r < k; r++ {
-		c.store[r].CopyFrom(tmp[r])
-		c.vals = append(c.vals, c.store[r])
-	}
 }
 
 // Clone returns a deep copy sharing the hash grid, with its own
@@ -279,7 +222,7 @@ func (f *FlajoletMartin) Merge(other Sketch) error {
 		return ErrIncompatibleSketch
 	}
 	for i := range f.hs {
-		if !sameLinear(f.hs[i], o.hs[i]) {
+		if !f.hs[i].Equal(o.hs[i]) {
 			return ErrIncompatibleSketch
 		}
 	}

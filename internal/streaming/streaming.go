@@ -43,10 +43,10 @@ package streaming
 import (
 	"math"
 	"math/bits"
-	"sort"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
+	"mcf0/internal/kmv"
 	"mcf0/internal/par"
 	"mcf0/internal/stats"
 )
@@ -376,16 +376,13 @@ type Minimum struct {
 	one      [1]bitvec.BitVec
 }
 
-// minCopy keeps its minima in rows carved from one contiguous slab shared
-// by every copy of the sketch: vals is a sorted permutation of the first
-// len(vals) store rows (headers move on insert, row data stays put), so
-// absorb's shift-and-insert streams over one allocation.
+// minCopy keeps its minima in a k-min set whose rows are carved from one
+// contiguous slab shared by every copy of the sketch.
 type minCopy struct {
-	h     *hash.Linear
-	vals  []bitvec.BitVec // sorted ascending, ≤ thresh distinct values
-	store []bitvec.BitVec // thresh slab rows backing vals
-	// scratch holds the current evaluation; it is copied into a store row
-	// only when the value actually enters the sketch, so elements hashing
+	h   *hash.Linear
+	set kmv.Set
+	// scratch holds the current evaluation; Insert copies it into a row
+	// only when the value actually enters the set, so elements hashing
 	// above the current maximum (the steady-state common case) cost no
 	// data movement.
 	scratch bitvec.BitVec
@@ -397,11 +394,11 @@ func NewMinimum(n int, opts Options) *Minimum {
 	fam := hash.NewToeplitz(n, 3*n)
 	m := &Minimum{thresh: opts.thresh(), n: n, eng: newEngine(opts.Parallelism, minBatchCheap)}
 	t := opts.iterations()
-	store := bitvec.NewSlab(3*n, t*m.thresh)
+	sets := kmv.Carve(3*n, m.thresh, t)
 	for i := 0; i < t; i++ {
 		m.copies = append(m.copies, &minCopy{
 			h:       fam.Draw(rng.Uint64).(*hash.Linear),
-			store:   store[i*m.thresh : (i+1)*m.thresh],
+			set:     sets[i],
 			scratch: bitvec.New(3 * n),
 		})
 	}
@@ -417,18 +414,18 @@ func NewMinimum(n int, opts Options) *Minimum {
 // equal prefixes and the rare smaller ones — take absorb, which
 // evaluates the full 3n-bit value. Wider universes (xw nil) take absorb
 // for every element.
-func (c *minCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, mp, thresh int) {
+func (c *minCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, mp int) {
 	if !c.h.PrefixWords(mp, xw, ws) {
 		for _, x := range xs {
-			c.absorb(x, thresh)
+			c.absorb(x)
 		}
 		return
 	}
 	pmask := ^uint64(0) >> (64 - uint(mp))
-	full := len(c.vals) == thresh
+	full := c.set.Full()
 	var mx uint64
 	if full {
-		mx = c.vals[thresh-1].Words()[0] & pmask
+		mx = c.set.Max().Words()[0] & pmask
 	}
 	for k, w := range ws {
 		// The first differing prefix bit is the lowest set bit of w^mx;
@@ -436,9 +433,9 @@ func (c *minCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, mp, thresh in
 		if d := w ^ mx; full && d&-d&w != 0 {
 			continue
 		}
-		c.absorb(xs[k], thresh)
-		if full = len(c.vals) == thresh; full {
-			mx = c.vals[thresh-1].Words()[0] & pmask
+		c.absorb(xs[k])
+		if full = c.set.Full(); full {
+			mx = c.set.Max().Words()[0] & pmask
 		}
 	}
 }
@@ -456,35 +453,10 @@ func minPrefixBits(n int) int {
 // absorb runs lines 12–18 of Algorithm 3 for one copy and one element
 // through the BitVec hash path. It serves n > 64 (and draws without a
 // carry-less kernel), and the elements absorbBatch's prefix test lets
-// through. A full copy rejects y ≥ max with one comparison before the
-// search: such a value is either already present (y = max) or too large
-// to enter, a no-op in both cases.
-func (c *minCopy) absorb(x bitvec.BitVec, thresh int) {
+// through.
+func (c *minCopy) absorb(x bitvec.BitVec) {
 	c.h.EvalInto(x, c.scratch)
-	y := c.scratch
-	if len(c.vals) == thresh && !y.Less(c.vals[len(c.vals)-1]) {
-		return
-	}
-	idx := sort.Search(len(c.vals), func(i int) bool { return !c.vals[i].Less(y) })
-	if idx < len(c.vals) && c.vals[idx].Equal(y) {
-		return // already present
-	}
-	if len(c.vals) < thresh {
-		// Rows enter vals only from store in order (and evictions recycle
-		// in place), so store[len(vals)] is always the next unused row.
-		row := c.store[len(c.vals)]
-		c.vals = append(c.vals, bitvec.BitVec{})
-		copy(c.vals[idx+1:], c.vals[idx:])
-		row.CopyFrom(y)
-		c.vals[idx] = row
-	} else {
-		// y is smaller than the current maximum: replace it. Recycle
-		// the evicted maximum's storage instead of allocating.
-		evicted := c.vals[len(c.vals)-1]
-		copy(c.vals[idx+1:], c.vals[idx:len(c.vals)-1])
-		evicted.CopyFrom(y)
-		c.vals[idx] = evicted
-	}
+	c.set.Insert(c.scratch)
 }
 
 // Process absorbs one element (lines 12–18 of Algorithm 3).
@@ -504,12 +476,12 @@ func (m *Minimum) ProcessBatch(xs []bitvec.BitVec) {
 	if m.eng.serial(len(xs)) {
 		ws := m.words.shard(0, len(xw))
 		for _, c := range m.copies {
-			c.absorbBatch(xs, xw, ws, mp, m.thresh)
+			c.absorbBatch(xs, xw, ws, mp)
 		}
 		return
 	}
 	m.eng.run(len(m.copies), func(i, shard int) {
-		m.copies[i].absorbBatch(xs, xw, m.words.shard(shard, len(xw)), mp, m.thresh)
+		m.copies[i].absorbBatch(xs, xw, m.words.shard(shard, len(xw)), mp)
 	})
 }
 
@@ -518,16 +490,7 @@ func (m *Minimum) ProcessBatch(xs []bitvec.BitVec) {
 func (m *Minimum) Estimate() float64 {
 	ests := make([]float64, len(m.copies))
 	for i, c := range m.copies {
-		if len(c.vals) < m.thresh {
-			ests[i] = float64(len(c.vals))
-			continue
-		}
-		f := c.vals[len(c.vals)-1].Fraction()
-		if f == 0 {
-			ests[i] = float64(len(c.vals))
-			continue
-		}
-		ests[i] = float64(m.thresh) / f
+		ests[i] = c.set.Estimate()
 	}
 	return stats.Median(ests)
 }
@@ -536,9 +499,7 @@ func (m *Minimum) Estimate() float64 {
 func (m *Minimum) SketchWords() int {
 	total := 0
 	for _, c := range m.copies {
-		for _, v := range c.vals {
-			total += (v.Len() + 63) / 64
-		}
+		total += c.set.Words()
 	}
 	return total
 }

@@ -61,11 +61,11 @@ func TestMinimumReplacementKeepsSorted(t *testing.T) {
 		m.Process(bitvec.Random(12, rng.Uint64))
 	}
 	c := m.copies[0]
-	if len(c.vals) != 4 {
-		t.Fatalf("copy holds %d values", len(c.vals))
+	if c.set.Len() != 4 {
+		t.Fatalf("copy holds %d values", c.set.Len())
 	}
-	for i := 1; i < len(c.vals); i++ {
-		if !c.vals[i-1].Less(c.vals[i]) {
+	for i := 1; i < c.set.Len(); i++ {
+		if !c.set.Values()[i-1].Less(c.set.Values()[i]) {
 			t.Fatal("minimum copy not strictly sorted")
 		}
 	}
