@@ -12,9 +12,9 @@ import (
 
 // FindMinDNF implements Proposition 2's polynomial-time case: it inserts
 // the smallest elements of h(Sol(φ)) for a DNF φ into set, which then
-// holds the set.K() smallest of those and whatever it held before. Per
-// term, the image of h over the term's solution cube is an affine image
-// searched with Gaussian elimination.
+// holds the k smallest (k its capacity) of those and of whatever it held
+// before. Per term, the image of h over the term's solution cube is an
+// affine image searched with Gaussian elimination.
 //
 // The walk is pruned across terms (and against the set's prior contents):
 // once the set is full, a term's successor chain is abandoned as soon as
@@ -69,7 +69,9 @@ func termImageSearcher(n int, t formula.Term, h *hash.Linear) (*gf2.ImageSearche
 // FindMinOracle implements Proposition 2's NP-oracle case: the same prefix
 // search into set, but each prefix-feasibility question "is there x ⊨ φ with
 // h(x) starting y₁…yₗ?" becomes one oracle query (the paper's O(p·m) NP
-// calls). It works for any Source backend, in particular CNF.
+// calls). It works for any Source backend, in particular CNF. Unlike
+// FindMinImage it also searches for the successor of the value that
+// fills the set; the metered query counts include that search.
 func FindMinOracle(src oracle.Source, h *hash.Linear, set *kmv.Set) {
 	s := newOracleImageSearcher(src, h)
 	cur, ok := s.lexMinWithPrefix(nil)

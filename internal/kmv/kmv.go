@@ -71,9 +71,6 @@ func CheckSlab(r *wire.Reader, rows, bits int) bool {
 	return true
 }
 
-// K returns the capacity.
-func (s *Set) K() int { return len(s.rows) }
-
 // Bits returns the value width.
 func (s *Set) Bits() int { return s.rows[0].Len() }
 

@@ -47,7 +47,7 @@ func fill(s *Set, vs []uint16, bits int) error {
 		x := vec(v, bits)
 		cand := s.Candidate(x)
 		if cand != (!s.Full() || x.Less(s.Max())) {
-			return fmt.Errorf("Candidate(%d) = %v on %d/%d values", v, cand, s.Len(), s.K())
+			return fmt.Errorf("Candidate(%d) = %v on %d values (full %v)", v, cand, s.Len(), s.Full())
 		}
 		present := slices.ContainsFunc(s.Values(), x.Equal)
 		if got := s.Insert(x); got != (cand && !present) {
@@ -192,8 +192,8 @@ func TestCarveCopyResetWords(t *testing.T) {
 	if err := sameValues(b, []uint16{1, 2, 4}, 70); err != nil {
 		t.Fatalf("copy: %v", err)
 	}
-	if a.K() != 3 || a.Bits() != 70 {
-		t.Fatalf("K, Bits = %d, %d", a.K(), a.Bits())
+	if a.Bits() != 70 {
+		t.Fatalf("Bits = %d, want 70", a.Bits())
 	}
 }
 

@@ -3,8 +3,8 @@
 // minima), the stream's shape (universe width or per-dimension widths),
 // and the CNF oracle-query meter. A decoded stream is Merge-compatible
 // with a live same-seed stream: the shared-draw precondition
-// (hash.Linear.Equal) is checked against the decoded Ax+b structure, exactly as for in-process
-// sketches.
+// (hash.Linear.Equal) is checked against the decoded Ax+b structure,
+// exactly as for in-process sketches.
 //
 // Encoding is canonical — minima in rank order, dimensions in declaration
 // order — so encode(decode(encode(s))) == encode(s) and a decoded stream's

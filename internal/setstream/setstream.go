@@ -378,8 +378,8 @@ func NewAffineStream(n int, opts Options) *AffineStream {
 
 // AffineFindMin implements Proposition 4: it inserts the smallest
 // elements of h(Sol(⟨A, b⟩)) into set, via Gaussian elimination in
-// O(n⁴·t) for t = set.K(). The walk stops at the first value the set
-// cannot take. The searcher takes ownership of the stacked constraint
+// O(n⁴·t) for a set of capacity t. The walk stops at the first value the
+// set cannot take. The searcher takes ownership of the stacked constraint
 // system and walks the minima over one rewindable elimination state
 // (successor probes rewind to their divergence point instead of cloning
 // ⟨A, b⟩'s echelon form per step).
