@@ -53,6 +53,18 @@ func BenchmarkE1ApproxMC(b *testing.B) {
 			counting.ApproxMC(src, benchOpts(uint64(i)))
 		}
 	})
+	// The perfbench count shape: a 20-variable, 62-clause 3-CNF with 255
+	// models at default options (Thresh 150, 82 trials), reporting the
+	// oracle and solver work per count beside the time.
+	b.Run("CNF/n=20/3cnf-defaults", func(b *testing.B) {
+		src := oracle.NewCNFSource(formula.RandomKCNF(20, 62, 3, stats.NewRNG(0xb0c2)))
+		var queries int64
+		for i := 0; i < b.N; i++ {
+			queries += counting.ApproxMC(src, counting.Options{RNG: stats.NewRNG(uint64(i))}).OracleQueries
+		}
+		b.ReportMetric(float64(queries)/float64(b.N), "oracle-calls/op")
+		b.ReportMetric(float64(src.SolverStats().Conflicts)/float64(b.N), "conflicts/op")
+	})
 }
 
 // BenchmarkE2MinDNF times Algorithm 6 (Minimum), the DNF FPRAS, across the
@@ -251,7 +263,7 @@ func BenchmarkE6DNFStream(b *testing.B) {
 			m := streaming.NewMinimum(n, mOpts)
 			for i := 0; i < b.N; i++ {
 				src := oracle.NewDNFSource(d)
-				src.Enumerate(nil, -1, func(x bitvec.BitVec) bool {
+				src.Enumerate(nil, nil, -1, func(x bitvec.BitVec) bool {
 					m.Process(x)
 					return true
 				})
@@ -522,7 +534,7 @@ func BenchmarkSATSolver(b *testing.B) {
 		b.Run(fmt.Sprintf("planted3sat/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				src := oracle.NewCNFSource(cnf)
-				src.Enumerate(nil, 1, func(bitvec.BitVec) bool { return true })
+				src.Enumerate(nil, nil, 1, func(bitvec.BitVec) bool { return true })
 			}
 		})
 		b.Run(fmt.Sprintf("cnfxor/n=%d", n), func(b *testing.B) {
@@ -533,7 +545,7 @@ func BenchmarkSATSolver(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				src := oracle.NewCNFSource(cnf)
-				src.Enumerate(cons, 1, func(bitvec.BitVec) bool { return true })
+				src.Enumerate(cons, nil, 1, func(bitvec.BitVec) bool { return true })
 			}
 		})
 	}

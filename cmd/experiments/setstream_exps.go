@@ -61,7 +61,7 @@ func runE6(c runConfig) {
 		naiveTime := timeIt(func() {
 			for _, d := range ds {
 				src := oracle.NewDNFSource(d)
-				src.Enumerate(nil, -1, func(x bitvec.BitVec) bool {
+				src.Enumerate(nil, nil, -1, func(x bitvec.BitVec) bool {
 					naive.Process(x)
 					return true
 				})

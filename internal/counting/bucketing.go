@@ -13,14 +13,27 @@ import (
 // min(thresh, |Sol(φ ∧ h_m(x) = 0^m)|) together with the enumerated
 // solutions. For the CNF oracle backend this costs O(thresh) NP calls; for
 // the DNF backend it is polynomial time.
-func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int) (int, []bitvec.BitVec) {
-	cons := h.ZeroPrefixSystem(m)
+//
+// coarser may hold solutions of a coarser cell of the same h (prefix
+// m' ≤ m). Since the cells are nested (Section 3.2), those with
+// h_m(x) = 0^m lie in this cell: they are kept without asking the oracle,
+// which then enumerates only the rest, up to thresh in all. When they
+// already reach thresh no oracle call is made. The returned count is
+// min(thresh, |cell|) either way.
+func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bitvec.BitVec) (int, []bitvec.BitVec) {
 	var sols []bitvec.BitVec
-	n := src.Enumerate(cons, thresh, func(x bitvec.BitVec) bool {
-		sols = append(sols, x)
-		return true
-	})
-	return n, sols
+	for _, x := range coarser {
+		if len(sols) < thresh && h.PrefixIsZero(x, m) {
+			sols = append(sols, x)
+		}
+	}
+	if len(sols) < thresh {
+		src.Enumerate(h.ZeroPrefixSystem(m), sols, thresh-len(sols), func(x bitvec.BitVec) bool {
+			sols = append(sols, x)
+			return true
+		})
+	}
+	return len(sols), sols
 }
 
 // ApproxMC implements Algorithm 5, the Bucketing-based model counter of
@@ -34,10 +47,19 @@ func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int) (int, []bitvec
 // binary search of ApproxMC2, reducing oracle calls from O(n) to O(log n)
 // per trial (ablation A2).
 //
+// Each distinct cell is asked once. The level-0 cell has no hash rows, so
+// it is the same for every trial: it is enumerated once, on its own
+// source, and when it is below Thresh every trial returns it with no
+// further oracle call. Deeper cells are seeded with the solutions of the
+// coarser cell the search holds (BoundedSAT's coarser argument), which
+// changes which solutions the oracle is asked for but never a cell's
+// count, so the located prefix and the estimate are unaffected.
+//
 // The t trials are independent and run across Options.Parallelism workers:
 // all hash functions are drawn serially up front (the only randomness in a
-// trial), and stateful oracle backends are forked per trial, so results
-// are identical to a serial run for a fixed seed.
+// trial), and stateful oracle backends are forked per trial at every
+// parallelism, so results and oracle-query totals are identical to a
+// serial run for a fixed seed.
 func ApproxMC(src oracle.Source, opts Options) Result {
 	n := src.NVars()
 	thresh := opts.thresh()
@@ -55,15 +77,20 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 	for i := range hs {
 		hs[i] = fam.Draw(rng.Uint64).(*hash.Linear)
 	}
-	ts, workers := newTrialSources(src, t, opts.parallelism())
+	// Sources 0…t−1 serve the trials; source t serves level 0, where any
+	// trial's h has no rows to add.
+	ts, workers := newTrialSources(src, t+1, opts.parallelism())
 	before := src.Queries()
+	c0, sols0 := BoundedSAT(ts.at(t), hs[0], 0, thresh)
+	ts.release(t)
 	runTrials(t, workers, func(i int) {
 		var m, c int
 		if opts.BinarySearch {
-			m, c = searchPrefixBinary(ts.at(i), hs[i], thresh)
+			m, c = searchPrefixBinary(ts.at(i), hs[i], thresh, c0, sols0)
 		} else {
-			m, c = searchPrefixLinear(ts.at(i), hs[i], thresh)
+			m, c = searchPrefixLinear(ts.at(i), hs[i], thresh, c0, sols0)
 		}
+		ts.release(i)
 		res.PerIteration[i] = float64(c) * math.Pow(2, float64(m))
 	})
 	res.OracleQueries = ts.queriesSince(before)
@@ -71,45 +98,43 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 	return res
 }
 
-// searchPrefixLinear scans m = 0, 1, 2, … until the cell is small,
-// mirroring lines 6–10 of Algorithm 5. It returns the final prefix length
-// and cell size.
-func searchPrefixLinear(src oracle.Source, h *hash.Linear, thresh int) (int, int) {
+// searchPrefixLinear scans m = 1, 2, … from the level-0 cell (count c0,
+// solutions sols0) until the cell is small, mirroring lines 6–10 of
+// Algorithm 5; each level is seeded with the level above. It returns the
+// final prefix length and cell size.
+func searchPrefixLinear(src oracle.Source, h *hash.Linear, thresh, c0 int, sols0 []bitvec.BitVec) (int, int) {
 	n := h.InBits()
-	m := 0
-	c, _ := BoundedSAT(src, h, m, thresh)
+	m, c, sols := 0, c0, sols0
 	for c >= thresh && m < n {
 		m++
-		c, _ = BoundedSAT(src, h, m, thresh)
+		c, sols = BoundedSAT(src, h, m, thresh, sols...)
 	}
 	return m, c
 }
 
 // searchPrefixBinary finds the smallest m with |cell_m| < thresh by binary
 // search, exploiting Sol(φ ∧ h_{m}=0) ⊇ Sol(φ ∧ h_{m+1}=0) — the
-// monotonicity observed in "Further Optimizations" of Section 3.2.
-func searchPrefixBinary(src oracle.Source, h *hash.Linear, thresh int) (int, int) {
+// monotonicity observed in "Further Optimizations" of Section 3.2. Every
+// probe is seeded with the solutions of the lo cell, which contains it.
+func searchPrefixBinary(src oracle.Source, h *hash.Linear, thresh, c0 int, sols0 []bitvec.BitVec) (int, int) {
 	n := h.InBits()
-	c0, _ := BoundedSAT(src, h, 0, thresh)
 	if c0 < thresh {
 		return 0, c0
 	}
 	// Invariant: count(lo) >= thresh, count(hi) < thresh (or hi = n).
-	lo, hi := 0, n
-	cHi, _ := BoundedSAT(src, h, n, thresh)
+	lo, hi, loSols := 0, n, sols0
+	cHi, _ := BoundedSAT(src, h, n, thresh, loSols...)
 	if cHi >= thresh {
 		return n, cHi
 	}
-	cAt := map[int]int{0: c0, n: cHi}
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		c, _ := BoundedSAT(src, h, mid, thresh)
-		cAt[mid] = c
+		c, sols := BoundedSAT(src, h, mid, thresh, loSols...)
 		if c >= thresh {
-			lo = mid
+			lo, loSols = mid, sols
 		} else {
-			hi = mid
+			hi, cHi = mid, c
 		}
 	}
-	return hi, cAt[hi]
+	return hi, cHi
 }

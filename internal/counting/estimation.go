@@ -51,7 +51,7 @@ func FindMaxRangeLinear(src oracle.Source, h *hash.Linear) int {
 		if !cons.Consistent() {
 			return false
 		}
-		return src.Enumerate(cons, 1, func(bitvec.BitVec) bool { return true }) > 0
+		return src.Enumerate(cons, nil, 1, func(bitvec.BitVec) bool { return true }) > 0
 	}
 	if !sat(0) {
 		return -1

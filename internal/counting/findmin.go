@@ -108,7 +108,7 @@ func (s *oracleImageSearcher) feasible(prefix []bool) bool {
 	if !s.ps.ExtendTo(prefix) {
 		return false
 	}
-	return s.src.Enumerate(s.ps.System(), 1, func(bitvec.BitVec) bool { return true }) > 0
+	return s.src.Enumerate(s.ps.System(), nil, 1, func(bitvec.BitVec) bool { return true }) > 0
 }
 
 func (s *oracleImageSearcher) lexMinWithPrefix(prefix []bool) (bitvec.BitVec, bool) {
@@ -205,15 +205,15 @@ func ApproxModelCountMinDNF(d *formula.DNF, opts Options) Result {
 
 // ApproxModelCountMinOracle runs Algorithm 6 against an NP-oracle backend
 // (Theorem 3's CNF case: O(p·n·log(1/δ)/ε²) oracle calls), metering
-// queries. Trials fork the source when running in parallel.
+// queries. Trials fork the source whenever it can fork.
 func ApproxModelCountMinOracle(src oracle.Source, opts Options) Result {
 	t := opts.iterations()
 	ts, workers := newTrialSources(src, t, opts.parallelism())
 	before := src.Queries()
 	res := approxMinTrials(src.NVars(), func(i int) FindMinFunc {
-		s := ts.at(i)
 		return func(h *hash.Linear, set *kmv.Set) {
-			FindMinOracle(s, h, set)
+			FindMinOracle(ts.at(i), h, set)
+			ts.release(i)
 		}
 	}, opts, workers)
 	res.OracleQueries = ts.queriesSince(before)

@@ -18,8 +18,9 @@ import (
 //     draws them, so a fixed seed yields bit-identical trials at any
 //     parallelism level;
 //   - oracle state: stateful backends are forked per trial via
-//     oracle.Forkable (each fork meters its own queries, summed back into
-//     the result); backends that cannot fork force serial execution.
+//     oracle.Forkable at every parallelism (each fork meters its own
+//     queries, summed back into the result, and is released when its
+//     trial ends); backends that cannot fork force serial execution.
 
 // runTrials executes fn(i) for i in [0, t) on up to workers goroutines.
 // fn must write results only to its own trial slot; when workers > 1 it is
@@ -33,13 +34,12 @@ type trialSources struct {
 	forks  []oracle.Source
 }
 
-// newTrialSources prepares per-trial sources for t trials. When workers > 1
-// and src can fork, every trial gets an independent fork; otherwise all
+// newTrialSources prepares per-trial sources for t trials. When src can
+// fork, every trial gets an independent fork at every worker count, so a
+// trial's oracle state (and with it the query meter, which depends on the
+// solver's history) is a function of that trial alone. Otherwise all
 // trials share src and the returned worker bound collapses to 1.
 func newTrialSources(src oracle.Source, t, workers int) (trialSources, int) {
-	if workers <= 1 || t <= 1 {
-		return trialSources{shared: src}, 1
-	}
 	f, ok := src.(oracle.Forkable)
 	if !ok {
 		return trialSources{shared: src}, 1
@@ -57,6 +57,18 @@ func (ts trialSources) at(i int) oracle.Source {
 		return ts.forks[i]
 	}
 	return ts.shared
+}
+
+// releaser is implemented by forks that hold state worth dropping once
+// their trial ends (oracle.CNFSource's solver); Release keeps the meter.
+type releaser interface{ Release() }
+
+// release drops trial i's fork state once the trial is done, so at most
+// one solver per worker is alive.
+func (ts trialSources) release(i int) {
+	if r, ok := ts.at(i).(releaser); ok && ts.forks != nil {
+		r.Release()
+	}
 }
 
 // queriesSince returns the oracle calls consumed by the trials: the shared

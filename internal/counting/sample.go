@@ -25,7 +25,7 @@ func Sample(src oracle.Source, count int, opts Options) []bitvec.BitVec {
 	fam := hash.NewToeplitz(n, n)
 
 	// Unsatisfiable formulas have nothing to sample.
-	if src.Enumerate(nil, 1, func(bitvec.BitVec) bool { return true }) == 0 {
+	if src.Enumerate(nil, nil, 1, func(bitvec.BitVec) bool { return true }) == 0 {
 		return nil
 	}
 
@@ -41,7 +41,7 @@ func Sample(src oracle.Source, count int, opts Options) []bitvec.BitVec {
 		if len(cell) == 0 {
 			// Degenerate randomness; fall back to the first solution so the
 			// call still terminates with valid samples.
-			src.Enumerate(nil, 1, func(x bitvec.BitVec) bool {
+			src.Enumerate(nil, nil, 1, func(x bitvec.BitVec) bool {
 				cell = append(cell, x)
 				return true
 			})
@@ -59,7 +59,7 @@ func sampleCell(src oracle.Source, h *hash.Linear, target bitvec.BitVec, thresh 
 	for m := 0; m <= n; m++ {
 		cons := h.PrefixEqualSystem(m, target.Prefix(m))
 		var cell []bitvec.BitVec
-		c := src.Enumerate(cons, thresh, func(x bitvec.BitVec) bool {
+		c := src.Enumerate(cons, nil, thresh, func(x bitvec.BitVec) bool {
 			cell = append(cell, x)
 			return true
 		})

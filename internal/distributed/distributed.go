@@ -256,7 +256,7 @@ func siteBucketCell(src oracle.Source, h *hash.Linear, thresh int) ([]bitvec.Bit
 	for m := 0; ; m++ {
 		cons := h.SuffixZeroSystem(m)
 		var cell []bitvec.BitVec
-		c := src.Enumerate(cons, thresh, func(x bitvec.BitVec) bool {
+		c := src.Enumerate(cons, nil, thresh, func(x bitvec.BitVec) bool {
 			cell = append(cell, x)
 			return true
 		})

@@ -21,8 +21,10 @@
 // handle with its own meter and solver state — immutable inputs (the
 // parsed formula, the materialised solution list of Exhaustive) are shared
 // structurally, mutable state is never. The counting layer forks once per
-// trial before fan-out and aggregates meters after the join, in trial
-// order, so query counts are deterministic at every parallelism level.
+// trial whenever the source can fork, at every parallelism, releases each
+// fork (CNFSource.Release) when its trial ends and aggregates meters
+// after the join, so each trial's queries depend on that trial alone and
+// query counts are deterministic at every parallelism level.
 // CNFSource keeps one incremental solver per handle across a trial's whole
 // hash-cell sweep (rows installed once behind activation selectors and
 // enabled by assumption), which is why sharing a handle across goroutines
@@ -51,7 +53,11 @@ type Source interface {
 	// Enumerate visits up to limit distinct solutions of φ ∧ cons
 	// (limit < 0 for all); visit returning false stops early. It returns
 	// the number of solutions visited. cons may be nil (no constraints).
-	Enumerate(cons *gf2.System, limit int, visit func(bitvec.BitVec) bool) int
+	// known lists distinct solutions of φ ∧ cons the caller already
+	// holds: they are neither visited, nor counted against limit, nor
+	// metered, and the exclusion ends with the call. Enumerate only reads
+	// known before its first visit, so visit may append to the slice.
+	Enumerate(cons *gf2.System, known []bitvec.BitVec, limit int, visit func(bitvec.BitVec) bool) int
 	// Queries returns the cumulative number of NP-oracle invocations
 	// (SAT calls for the CNF backend; per-term linear solves for DNF).
 	Queries() int64
@@ -65,10 +71,10 @@ type TrailingZeroTester interface {
 }
 
 // Forkable is implemented by sources that can hand out independent handles
-// over the same formula for concurrent trials. A fork shares the immutable
+// over the same formula, one per trial. A fork shares the immutable
 // formula (and any memoized solution list) but meters its own queries
-// starting from zero; the parallel counters sum fork meters back into the
-// result, so the reported totals match a serial run exactly.
+// starting from zero; the counters sum fork meters back into the result,
+// so the reported totals are the same at every parallelism.
 type Forkable interface {
 	Fork() Source
 }
@@ -100,7 +106,8 @@ func ForkTrailingZeroTester(tz TrailingZeroTester) (TrailingZeroTester, bool) {
 //     assumed false while the cell is enumerated and pinned true (a unit
 //     clause) when the query finishes, which permanently satisfies — and
 //     lets the solver's Simplify pass physically delete — every blocking
-//     clause of that query.
+//     clause of that query. The caller's known solutions are blocked up
+//     front under the same selector, so they retire with it.
 //
 // Under any Enumerate call's assumptions the auxiliary variables are all
 // functions of x (row selectors via their XOR rows, retired blocking
@@ -116,8 +123,8 @@ type CNFSource struct {
 	// (-1 absent); fingerprint keys keep the per-query lookups
 	// allocation-free (see the bitvec.Fingerprint collision contract).
 	rowSel  map[bitvec.Fingerprint][2]int
-	retired int       // blocking selectors pinned since last Simplify
-	worked  sat.Stats // counters of solvers retired by rebuilds
+	retired int           // blocking selectors pinned since last Simplify
+	block   []formula.Lit // scratch for the clause blocking a known solution
 	forks   *cnfForks
 }
 
@@ -135,29 +142,28 @@ func (s *CNFSource) auxBudget() int {
 	return b
 }
 
-// cnfForks tracks every fork of a source so solver work counters can be
-// aggregated for reporting.
+// cnfForks is shared by a source and all of its forks so solver work
+// counters can be aggregated for reporting. It holds the counters of every
+// solver dropped so far and the handles whose solver is still alive, so a
+// released fork keeps nothing reachable but its meter.
 type cnfForks struct {
-	mu      sync.Mutex
-	members []*CNFSource
+	mu     sync.Mutex
+	worked sat.Stats
+	live   map[*CNFSource]struct{}
 }
 
 // NewCNFSource wraps a CNF formula.
 func NewCNFSource(c *formula.CNF) *CNFSource {
-	s := &CNFSource{cnf: c, forks: &cnfForks{}}
-	s.forks.members = append(s.forks.members, s)
-	return s
+	return &CNFSource{cnf: c, forks: &cnfForks{live: map[*CNFSource]struct{}{}}}
 }
 
 // Fork returns an independent source over the same formula with its own
 // query meter and its own solver instance.
-func (s *CNFSource) Fork() Source {
-	f := &CNFSource{cnf: s.cnf, forks: s.forks}
-	s.forks.mu.Lock()
-	s.forks.members = append(s.forks.members, f)
-	s.forks.mu.Unlock()
-	return f
-}
+func (s *CNFSource) Fork() Source { return &CNFSource{cnf: s.cnf, forks: s.forks} }
+
+// Release drops the handle's solver, folding its work counters into
+// SolverStats. The meter is kept; a later query rebuilds from φ.
+func (s *CNFSource) Release() { s.retire() }
 
 // NVars returns the variable count.
 func (s *CNFSource) NVars() int { return s.cnf.N }
@@ -171,12 +177,9 @@ func (s *CNFSource) Queries() int64 { return s.queries }
 func (s *CNFSource) SolverStats() sat.Stats {
 	s.forks.mu.Lock()
 	defer s.forks.mu.Unlock()
-	var total sat.Stats
-	for _, m := range s.forks.members {
-		total.Add(m.worked)
-		if m.solver != nil {
-			total.Add(m.solver.Stats())
-		}
+	total := s.forks.worked
+	for m := range s.forks.live {
+		total.Add(m.solver.Stats())
 	}
 	return total
 }
@@ -186,6 +189,9 @@ func (s *CNFSource) SolverStats() sat.Stats {
 func (s *CNFSource) build() bool {
 	s.solver = sat.New(s.cnf.N)
 	s.rowSel = make(map[bitvec.Fingerprint][2]int)
+	s.forks.mu.Lock()
+	s.forks.live[s] = struct{}{}
+	s.forks.mu.Unlock()
 	for _, cl := range s.cnf.Clauses {
 		if !s.solver.AddClause([]formula.Lit(cl)) {
 			s.broken = true
@@ -200,7 +206,10 @@ func (s *CNFSource) retire() {
 	if s.solver == nil {
 		return
 	}
-	s.worked.Add(s.solver.Stats())
+	s.forks.mu.Lock()
+	s.forks.worked.Add(s.solver.Stats())
+	delete(s.forks.live, s)
+	s.forks.mu.Unlock()
 	s.solver = nil
 	s.rowSel = nil
 	s.retired = 0
@@ -241,8 +250,9 @@ func (s *CNFSource) selector(eq gf2.Equation) (int, bool) {
 // Enumerate solves φ ∧ cons on the shared incremental solver, enabling the
 // constraint rows by assumption and blocking each model before searching
 // for the next. Each model costs one SAT call, plus one final UNSAT call
-// (mirroring the paper's O(p) NP calls for BoundedSAT).
-func (s *CNFSource) Enumerate(cons *gf2.System, limit int, visit func(bitvec.BitVec) bool) int {
+// (mirroring the paper's O(p) NP calls for BoundedSAT); known solutions
+// are blocked before the first call and cost none.
+func (s *CNFSource) Enumerate(cons *gf2.System, known []bitvec.BitVec, limit int, visit func(bitvec.BitVec) bool) int {
 	if cons != nil && !cons.Consistent() {
 		return 0
 	}
@@ -292,14 +302,22 @@ func (s *CNFSource) Enumerate(cons *gf2.System, limit int, visit func(bitvec.Bit
 		assumps = append(assumps, formula.Lit{Var: sel, Neg: true})
 	}
 	// Blocking clauses are scoped to this query by a blocking selector,
-	// assumed false now and pinned true afterwards. limit == 1 never
-	// blocks, so feasibility probes stay selector-free.
+	// assumed false now and pinned true afterwards; the known solutions
+	// are blocked first, under the same selector. A feasibility probe
+	// (limit == 1, nothing known) never blocks, so it stays selector-free.
 	var extra []formula.Lit
 	blockSel := -1
-	if limit != 1 {
+	if limit != 1 || len(known) > 0 {
 		blockSel = s.solver.AddVar()
 		assumps = append(assumps, formula.Lit{Var: blockSel, Neg: true})
 		extra = []formula.Lit{{Var: blockSel}}
+		for _, x := range known {
+			s.block = append(s.block[:0], formula.Lit{Var: blockSel})
+			for v := 0; v < n; v++ {
+				s.block = append(s.block, formula.Lit{Var: v, Neg: x.Get(v)})
+			}
+			s.solver.AddClause(s.block)
+		}
 	}
 	count, exhausted := s.solver.EnumerateBlocking(limit, n, extra, visit, assumps...)
 	// Meter like a solve-block-resolve loop: one SAT call per model, plus
@@ -308,7 +326,7 @@ func (s *CNFSource) Enumerate(cons *gf2.System, limit int, visit func(bitvec.Bit
 	if exhausted {
 		s.queries++
 	}
-	if blockSel >= 0 && count > 0 {
+	if blockSel >= 0 && (count > 0 || len(known) > 0) {
 		// Retire this query's blocking clauses by pinning the selector;
 		// compact them away once enough queries have accumulated.
 		s.solver.AddClause([]formula.Lit{{Var: blockSel}})
@@ -354,7 +372,7 @@ func (s *DNFSource) Queries() int64 { return s.queries }
 // returns), replacing the former clone-per-term: the source is
 // single-threaded per the package contract, so the temporary extension is
 // invisible to the caller.
-func (s *DNFSource) Enumerate(cons *gf2.System, limit int, visit func(bitvec.BitVec) bool) int {
+func (s *DNFSource) Enumerate(cons *gf2.System, known []bitvec.BitVec, limit int, visit func(bitvec.BitVec) bool) int {
 	if cons != nil && !cons.Consistent() {
 		return 0
 	}
@@ -371,7 +389,10 @@ func (s *DNFSource) Enumerate(cons *gf2.System, limit int, visit func(bitvec.Bit
 	if s.unit.Len() == 0 {
 		s.unit = bitvec.New(s.dnf.N)
 	}
-	seen := map[bitvec.Fingerprint]bool{}
+	seen := make(map[bitvec.Fingerprint]bool, len(known))
+	for _, x := range known {
+		seen[x.Fingerprint()] = true
+	}
 	count := 0
 	stop := false
 	for _, t := range s.dnf.Terms {
@@ -454,12 +475,17 @@ func (e *Exhaustive) NVars() int { return e.n }
 // Queries returns the number of full sweeps performed.
 func (e *Exhaustive) Queries() int64 { return e.queries }
 
-// Enumerate visits solutions in increasing numeric order. The sweep reuses
-// one scratch vector; solutions are cloned only when visited.
-func (e *Exhaustive) Enumerate(cons *gf2.System, limit int, visit func(bitvec.BitVec) bool) int {
+// Enumerate visits solutions in increasing numeric order, skipping the
+// known ones. The sweep reuses one scratch vector; solutions are cloned
+// only when visited.
+func (e *Exhaustive) Enumerate(cons *gf2.System, known []bitvec.BitVec, limit int, visit func(bitvec.BitVec) bool) int {
 	e.queries++
 	if cons != nil && !cons.Consistent() {
 		return 0
+	}
+	skip := make(map[bitvec.Fingerprint]bool, len(known))
+	for _, x := range known {
+		skip[x.Fingerprint()] = true
 	}
 	count := 0
 	x := bitvec.New(e.n)
@@ -471,7 +497,7 @@ func (e *Exhaustive) Enumerate(cons *gf2.System, limit int, visit func(bitvec.Bi
 		if !e.eval(x) {
 			continue
 		}
-		if cons != nil && !satisfies(cons, x) {
+		if cons != nil && !satisfies(cons, x) || skip[x.Fingerprint()] {
 			continue
 		}
 		count++

@@ -21,7 +21,7 @@ func randomSystem(n, rows int, rng *stats.RNG) *gf2.System {
 
 func collect(s Source, cons *gf2.System, limit int) map[string]bool {
 	out := map[string]bool{}
-	s.Enumerate(cons, limit, func(x bitvec.BitVec) bool {
+	s.Enumerate(cons, nil, limit, func(x bitvec.BitVec) bool {
 		out[x.Key()] = true
 		return true
 	})
@@ -81,7 +81,7 @@ func TestEnumerateRespectsLimit(t *testing.T) {
 		NewCNFSource(cnf),
 		NewExhaustive(n, func(bitvec.BitVec) bool { return true }),
 	} {
-		total := src.Enumerate(nil, -1, func(bitvec.BitVec) bool { return true })
+		total := src.Enumerate(nil, nil, -1, func(bitvec.BitVec) bool { return true })
 		if total == 0 {
 			continue
 		}
@@ -89,7 +89,7 @@ func TestEnumerateRespectsLimit(t *testing.T) {
 		if lim == 0 {
 			lim = 1
 		}
-		got := src.Enumerate(nil, lim, func(bitvec.BitVec) bool { return true })
+		got := src.Enumerate(nil, nil, lim, func(bitvec.BitVec) bool { return true })
 		if got != lim {
 			t.Errorf("%T: limit %d returned %d", src, lim, got)
 		}
@@ -103,7 +103,7 @@ func TestEnumerateDistinct(t *testing.T) {
 	d.AddTerm(formula.Term{formula.Pos(0), formula.Pos(1)}) // subset of the first
 	src := NewDNFSource(d)
 	seen := map[string]int{}
-	src.Enumerate(nil, -1, func(x bitvec.BitVec) bool {
+	src.Enumerate(nil, nil, -1, func(x bitvec.BitVec) bool {
 		seen[x.Key()]++
 		return true
 	})
@@ -130,7 +130,7 @@ func TestInconsistentConstraints(t *testing.T) {
 		NewCNFSource(formula.NewCNF(n)),
 		NewExhaustive(n, func(bitvec.BitVec) bool { return true }),
 	} {
-		if got := src.Enumerate(cons, -1, func(bitvec.BitVec) bool { return true }); got != 0 {
+		if got := src.Enumerate(cons, nil, -1, func(bitvec.BitVec) bool { return true }); got != 0 {
 			t.Errorf("%T: inconsistent constraints yielded %d solutions", src, got)
 		}
 	}
@@ -167,7 +167,7 @@ func TestQueriesMetered(t *testing.T) {
 	if src.Queries() != 0 {
 		t.Fatal("fresh source has queries")
 	}
-	src.Enumerate(nil, 3, func(bitvec.BitVec) bool { return true })
+	src.Enumerate(nil, nil, 3, func(bitvec.BitVec) bool { return true })
 	if src.Queries() == 0 {
 		t.Fatal("queries not metered")
 	}
