@@ -1,0 +1,151 @@
+package streaming
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+
+	"mcf0/internal/bitvec"
+	"mcf0/internal/stats"
+)
+
+// concurrentGoldenDigests pins, per sketch kind and replica count, the
+// SHA-256 of every (estimate bits, version, cached) triple a seeded feed
+// of interleaved writes and EstimateVersioned calls reads through the
+// concurrent front, followed by the final MergedClone's wire bytes. The
+// values were captured while every estimate miss still merged a fresh
+// clone of replica 0, so a change to how the front merges that moves an
+// estimate, a cache outcome or a snapshot byte fails here.
+var concurrentGoldenDigests = map[string]string{
+	"bucketing/replicas=1":  "d9f5ded78ae6e9212a1ec82b76d415391e1f1dcfd37701f34c969ddd7f79d789",
+	"bucketing/replicas=2":  "aa999cd077fd03e3be66094fbc50a3b9a02913c6224c62516fc0af517f5a260a",
+	"bucketing/replicas=4":  "4f5f06d52117554f308875474e3f17645be0285369be79ad9d17581f3d6137e5",
+	"minimum/replicas=1":    "d6b4190a5010b55fe17ef7276d000227271757cb45372913a1d97ff0c7bc936d",
+	"minimum/replicas=2":    "d6b4190a5010b55fe17ef7276d000227271757cb45372913a1d97ff0c7bc936d",
+	"minimum/replicas=4":    "d6b4190a5010b55fe17ef7276d000227271757cb45372913a1d97ff0c7bc936d",
+	"estimation/replicas=1": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
+	"estimation/replicas=2": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
+	"estimation/replicas=4": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
+	"fm/replicas=1":         "de2cd4b4de37991ceb0cce8819c3482f5c4d360a198a78cb64891b4ce3581bc2",
+	"fm/replicas=2":         "de2cd4b4de37991ceb0cce8819c3482f5c4d360a198a78cb64891b4ce3581bc2",
+	"fm/replicas=4":         "de2cd4b4de37991ceb0cce8819c3482f5c4d360a198a78cb64891b4ce3581bc2",
+	"exact/replicas=1":      "eefede119f89f1ccd2d5b9d0035901edb255ad7c8603a7e291faf9510921c122",
+	"exact/replicas=2":      "eefede119f89f1ccd2d5b9d0035901edb255ad7c8603a7e291faf9510921c122",
+	"exact/replicas=4":      "eefede119f89f1ccd2d5b9d0035901edb255ad7c8603a7e291faf9510921c122",
+}
+
+const concurrentGoldenBits = 24
+
+// concurrentGoldenKinds lists the sketch constructors the front golden
+// and differential run, in a fixed order.
+var concurrentGoldenKinds = []struct {
+	name string
+	mk   func() Sketch
+}{
+	{"bucketing", func() Sketch { return NewBucketing(concurrentGoldenBits, concurrentGoldenOpts(0xb1)) }},
+	{"minimum", func() Sketch { return NewMinimum(concurrentGoldenBits, concurrentGoldenOpts(0x31)) }},
+	{"estimation", func() Sketch { return NewEstimation(concurrentGoldenBits, concurrentGoldenOpts(0xe1)) }},
+	{"fm", func() Sketch { return NewFlajoletMartin(concurrentGoldenBits, concurrentGoldenOpts(0xf1)) }},
+	{"exact", func() Sketch { return NewExactDistinct(concurrentGoldenBits) }},
+}
+
+func concurrentGoldenOpts(seed uint64) Options {
+	return Options{Thresh: 24, Iterations: 5, RNG: stats.NewRNG(seed), Parallelism: 1}
+}
+
+// concurrentGoldenFeed drives front through seeded rounds of writes
+// (single Process calls and ProcessBatch chunks drawn with replacement
+// from a pool whose live prefix grows, so batches repeat elements within
+// themselves and across rounds, and enough distinct elements arrive to
+// raise Bucketing's level), calling read zero to two times after each
+// write and wrote once per write with the elements it carried.
+func concurrentGoldenFeed(front *Concurrent, seed uint64, read func(), wrote func([]bitvec.BitVec)) {
+	rng := stats.NewRNG(seed)
+	pool := make([]bitvec.BitVec, 600)
+	for i := range pool {
+		pool[i] = bitvec.Random(concurrentGoldenBits, rng.Uint64)
+	}
+	sizes := []int{1, 7, 64, 3, 150, 1, 16}
+	for round := 0; round < 36; round++ {
+		live := min(len(pool), 40+20*round)
+		batch := make([]bitvec.BitVec, sizes[round%len(sizes)])
+		for k := range batch {
+			batch[k] = pool[rng.Uint64n(uint64(live))]
+		}
+		if len(batch) == 1 {
+			front.Process(batch[0])
+		} else {
+			front.ProcessBatch(batch)
+		}
+		wrote(batch)
+		for k := rng.Uint64n(3); k > 0; k-- {
+			read()
+		}
+	}
+}
+
+// TestConcurrentEstimateGoldenDeterminism checks the pinned digests for
+// every sketch kind at 1, 2 and 4 replicas.
+func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
+	for _, kind := range concurrentGoldenKinds {
+		for _, reps := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/replicas=%d", kind.name, reps)
+			front := NewConcurrent(kind.mk(), reps)
+			h := sha256.New()
+			var rec [17]byte
+			concurrentGoldenFeed(front, 0xc0ffee, func() {
+				est, v, cached := front.EstimateVersioned()
+				binary.LittleEndian.PutUint64(rec[:8], math.Float64bits(est))
+				binary.LittleEndian.PutUint64(rec[8:16], v)
+				rec[16] = 0
+				if cached {
+					rec[16] = 1
+				}
+				h.Write(rec[:])
+			}, func([]bitvec.BitVec) {})
+			merged := front.MergedClone()
+			if b, ok := merged.(*Bucketing); ok && b.MaxLevel() < 2 {
+				t.Fatalf("%s: feed left the sampling level at %d", name, b.MaxLevel())
+			}
+			raw, ok := EncodeSketch(merged)
+			if !ok {
+				t.Fatalf("%s: merged clone has no wire form", name)
+			}
+			h.Write(raw)
+			if got, want := hex.EncodeToString(h.Sum(nil)), concurrentGoldenDigests[name]; got != want {
+				t.Errorf("%s: digest %s, want %s", name, got, want)
+			}
+		}
+	}
+}
+
+// TestConcurrentEstimateVsMergedCloneDeterminism is the front's merge
+// differential: after every write, the estimate a miss computes must be
+// bit-identical to a fresh MergedClone's estimate and to a serial sketch
+// that ingested the same elements.
+func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
+	for _, kind := range concurrentGoldenKinds {
+		for _, reps := range []int{1, 2, 4} {
+			front := NewConcurrent(kind.mk(), reps)
+			serial := kind.mk()
+			writes := 0
+			concurrentGoldenFeed(front, 0xd1ff, func() { front.Estimate() }, func(xs []bitvec.BitVec) {
+				writes++
+				serial.ProcessBatch(xs)
+				est, _, cached := front.EstimateVersioned()
+				if cached {
+					t.Fatalf("%s replicas=%d write %d: estimate after a write was a cache hit", kind.name, reps, writes)
+				}
+				if want := front.MergedClone().Estimate(); est != want {
+					t.Fatalf("%s replicas=%d write %d: estimate %v != merged clone %v", kind.name, reps, writes, est, want)
+				}
+				if want := serial.Estimate(); est != want {
+					t.Fatalf("%s replicas=%d write %d: estimate %v != serial %v", kind.name, reps, writes, est, want)
+				}
+			})
+		}
+	}
+}
