@@ -726,6 +726,48 @@ func BenchmarkF0Ingest(b *testing.B) {
 	}
 }
 
+// BenchmarkConcurrentEstimateMiss times one estimate cache miss in the
+// perfbench query shape: a 32-bit Bucketing sketch at default parameters
+// filled with 2048 random elements and restored through
+// DecodeConcurrentF0 onto 2 replicas. Each op adds 16 Zipf elements, so
+// the Estimate that follows misses the cache and merges the replicas;
+// allocs/op counts the add's share too.
+func BenchmarkConcurrentEstimateMiss(b *testing.B) {
+	const bits, fill, add, ring = 32, 2048, 16, 64
+	r := rand.New(rand.NewPCG(3, 4))
+	f, err := NewF0(bits, AlgorithmBucketing, Config{Seed: 43})
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs := make([]uint64, fill)
+	for i := range xs {
+		xs[i] = uint64(r.Uint32())
+	}
+	f.AddBatch(xs)
+	blob, err := f.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := DecodeConcurrentF0(blob, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zipf := rand.NewZipf(r, 1.1, 1, 1<<20-1)
+	adds := make([][]uint64, ring)
+	for k := range adds {
+		adds[k] = make([]uint64, add)
+		for i := range adds[k] {
+			adds[k][i] = stats.Mix64(zipf.Uint64()) >> (64 - bits)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AddBatch(adds[i%ring])
+		sinkFloat = c.Estimate()
+	}
+}
+
 // BenchmarkSketchMarshalRoundTrip times the PR-7 tentpole: one complete
 // marshal → unmarshal cycle of a loaded F0 sketch per op — the snapshot
 // cost of the versioned wire codec, covering hash-draw serialization,
