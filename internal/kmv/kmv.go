@@ -18,10 +18,19 @@ import (
 	"mcf0/internal/wire"
 )
 
-// MaxSlabWords caps any single slab a decoder allocates (t sets of k rows,
-// or any other rows × width block); legitimate sketches sit around 2^14
-// words.
-const MaxSlabWords = 1 << 24
+// Decode bounds shared by the sketch codecs: far beyond any real
+// configuration, tight enough that a corrupt count can never size a
+// pathological allocation.
+const (
+	// MaxSlabWords caps any single slab a decoder allocates (t sets of k
+	// rows, or any other rows × width block); legitimate sketches sit
+	// around 2^14 words.
+	MaxSlabWords = 1 << 24
+	// MaxCopies caps a sketch's independent copies, t = 35·log₂(1/δ).
+	MaxCopies = 1 << 16
+	// MaxThresh caps a copy's threshold, Thresh = 96/ε².
+	MaxThresh = 1 << 24
+)
 
 // Set holds at most k distinct bit vectors of one width, sorted ascending.
 // Values live in k rows supplied by the owner, usually carved from one

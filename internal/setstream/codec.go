@@ -28,13 +28,13 @@ const (
 	cnfStreamVersion         byte = 1
 )
 
-// Decode bounds: far beyond any real configuration, tight enough that
-// corrupt counts can never size pathological allocations.
+// Decode bounds on stream shapes: far beyond any real configuration,
+// tight enough that corrupt counts can never size pathological
+// allocations. The copy and threshold bounds are kmv.MaxCopies and
+// kmv.MaxThresh.
 const (
 	maxStreamBits = 1 << 16
 	maxStreamDims = 1 << 10
-	maxCopies     = 1 << 16
-	maxThresh     = 1 << 24
 )
 
 // appendMinSketch emits the nested sketch body: thresh, t, then per copy
@@ -55,8 +55,8 @@ func appendMinSketch(dst []byte, s *minSketch) []byte {
 // (minima are 3n-bit Toeplitz outputs), validating hash dimensions, the
 // slab bound and strictly-ascending rank order.
 func decodeMinSketch(r *wire.Reader, n, parallelism int) *minSketch {
-	thresh := r.Int(maxThresh)
-	t := r.Int(maxCopies)
+	thresh := r.Int(kmv.MaxThresh)
+	t := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
 		return nil
 	}

@@ -43,15 +43,18 @@ func requireBucketingEqual(t *testing.T, a, b *Bucketing) {
 		if ca.level != cb.level {
 			t.Fatalf("copy %d: level %d != %d", i, ca.level, cb.level)
 		}
-		if len(ca.idx) != len(cb.idx) {
-			t.Fatalf("copy %d: cell sizes %d != %d", i, len(ca.idx), len(cb.idx))
+		if ca.size != cb.size {
+			t.Fatalf("copy %d: cell sizes %d != %d", i, ca.size, cb.size)
 		}
 		// Cells are sets keyed by fingerprint; slot assignment is layout,
-		// not state, so compare contents through the index.
-		for k, sa := range ca.idx {
-			sb, ok := cb.idx[k]
-			if !ok || !ca.rows[sa].Equal(cb.rows[sb]) {
-				t.Fatalf("copy %d: cell contents diverge at key %v", i, k)
+		// not state, so compare contents through the table lookup.
+		for sa, on := range ca.occ {
+			if !on {
+				continue
+			}
+			sb, _ := cb.find(ca.keys[sa])
+			if sb < 0 || !ca.rows[sa].Equal(cb.rows[sb]) {
+				t.Fatalf("copy %d: cell contents diverge at key %v", i, ca.keys[sa])
 			}
 		}
 	}

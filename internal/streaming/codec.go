@@ -37,13 +37,9 @@ const (
 	exactDistinctVersion  byte = 1
 )
 
-// Decode bounds: far beyond any real configuration, tight enough that a
-// corrupt count can never size a pathological allocation.
-const (
-	maxSketchBits = 1 << 16 // universe width
-	maxCopies     = 1 << 16 // t = 35·log2(1/δ)
-	maxThresh     = 1 << 24 // Thresh = 96/ε²
-)
+// maxSketchBits bounds a decoded universe width; the shared copy and
+// threshold bounds are kmv.MaxCopies and kmv.MaxThresh.
+const maxSketchBits = 1 << 16
 
 // SketchBits returns the universe width (element bits) of any sketch in
 // this package, or 0 for foreign Sketch implementations. Wrapper layers
@@ -145,7 +141,7 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 	for _, c := range b.copies {
 		dst, _ = hash.AppendFunc(dst, c.h)
 		dst = wire.AppendInt(dst, c.level)
-		dst = wire.AppendInt(dst, len(c.idx))
+		dst = wire.AppendInt(dst, c.size)
 		for s, on := range c.occ {
 			if !on {
 				continue
@@ -168,8 +164,8 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 		return nil
 	}
 	n := r.Int(maxSketchBits)
-	thresh := r.Int(maxThresh)
-	t := r.Int(maxCopies)
+	thresh := r.Int(kmv.MaxThresh)
+	t := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
 		return nil
 	}
@@ -178,25 +174,22 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 		return nil
 	}
 	slots := thresh + 1
-	if !kmv.CheckSlab(r, t*slots, n) {
+	if !kmv.CheckSlab(r, t*slots, n) || !kmv.CheckSlab(r, t, 32*tableSize(slots)) {
 		return nil
 	}
-	b := &Bucketing{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchCheap)}
-	rows := bitvec.NewSlab(n, t*slots)
-	for i := 0; i < t; i++ {
-		h := hash.DecodeLinear(r)
-		level := r.Int(n)
+	b := newBucketing(n, thresh, t, newEngine(parallelism, minBatchCheap))
+	for i, c := range b.copies {
+		c.h = hash.DecodeLinear(r)
+		c.level = r.Int(n)
 		cnt := r.Int(thresh)
 		if r.Err() != nil {
 			return nil
 		}
-		if h.InBits() != n || h.OutBits() != n {
+		if c.h.InBits() != n || c.h.OutBits() != n {
 			r.Corrupt("bucketing copy %d hash is %d->%d bits, want %d->%d",
-				i, h.InBits(), h.OutBits(), n, n)
+				i, c.h.InBits(), c.h.OutBits(), n, n)
 			return nil
 		}
-		c := newBucketCopy(h, rows[i*slots:(i+1)*slots], n)
-		c.level = level
 		// Re-pack the cells into slots 0..cnt−1 — the canonical layout a
 		// fresh copy ingesting the same set would hold; slot placement is
 		// invisible to estimates and merges.
@@ -206,23 +199,21 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 			if r.Err() != nil {
 				return nil
 			}
-			if _, dup := c.idx[key]; dup {
+			slot, pos := c.find(key)
+			if slot >= 0 {
 				r.Corrupt("bucketing copy %d has duplicate cell fingerprints", i)
 				return nil
 			}
-			if !c.rows[s].HasZeroPrefix(level) {
+			if !c.rows[s].HasZeroPrefix(c.level) {
 				r.Corrupt("bucketing copy %d cell escapes its sampling level", i)
 				return nil
 			}
 			c.keys[s] = key
 			c.occ[s] = true
-			c.idx[key] = int32(s)
+			c.table[pos] = int32(s) + 1
 		}
-		c.free = c.free[:0]
-		for s := slots - 1; s >= cnt; s-- {
-			c.free = append(c.free, int32(s))
-		}
-		b.copies = append(b.copies, c)
+		c.size = cnt
+		c.freeFrom(cnt)
 	}
 	return b
 }
@@ -252,8 +243,8 @@ func decodeMinimum(r *wire.Reader, parallelism int) *Minimum {
 		return nil
 	}
 	n := r.Int(maxSketchBits)
-	thresh := r.Int(maxThresh)
-	t := r.Int(maxCopies)
+	thresh := r.Int(kmv.MaxThresh)
+	t := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
 		return nil
 	}
@@ -314,8 +305,8 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 		return nil
 	}
 	n := r.Int(64)
-	thresh := r.Int(maxThresh)
-	t := r.Int(maxCopies)
+	thresh := r.Int(kmv.MaxThresh)
+	t := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
 		return nil
 	}
@@ -395,7 +386,7 @@ func (f *FlajoletMartin) appendBinary(dst []byte) []byte {
 func (f *FlajoletMartin) MarshalBinary() ([]byte, error) { return f.appendBinary(nil), nil }
 
 func decodeFMBody(r *wire.Reader, parallelism int) *FlajoletMartin {
-	t := r.Int(maxCopies)
+	t := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
 		return nil
 	}

@@ -16,17 +16,22 @@ import (
 // called from any number of goroutines concurrently — a caller claims
 // whichever replica it can TryLock first, so ingestion never serialises
 // on a shared lock. Estimate locks all replicas, merges their states into
-// a scratch clone, and caches the answer until the next write; a cached
-// answer is served without touching any replica lock.
+// a merge target the front keeps, and caches the answer until the next
+// write; a cached answer is served without touching any replica lock.
 //
 // Because every sketch in this package is an idempotent, order-
 // insensitive function of the element set and the replicas share draws,
 // the merged state — and therefore the estimate — does not depend on
 // which replica absorbed which element: fixed-seed estimates are
-// bit-identical to a single serial sketch at every replica count.
+// bit-identical to a single serial sketch at every replica count. The
+// same argument makes the kept target exact: it only ever holds elements
+// some replica holds, and replicas never forget, so merging every
+// replica into it yields the union of the replicas — the state a fresh
+// clone-and-merge would build.
 //
 // Estimate, Process, and ProcessBatch are all safe to interleave freely;
-// SketchWords reports the summed replica footprint.
+// SketchWords reports the summed footprint of the replicas and the kept
+// target.
 type Concurrent struct {
 	replicas []replica
 	// rr distributes writers across replicas: each acquisition starts its
@@ -44,6 +49,10 @@ type Concurrent struct {
 	cached   float64
 	cachedV  uint64
 	hasCache bool
+	// acc is the kept merge target of a multi-replica front, guarded by
+	// estMu: nil until the first estimate miss clones replica 0, then
+	// every miss merges each replica into it (under every replica lock).
+	acc Sketch
 }
 
 // replicaState is the payload of one replica slot: its lock and sketch.
@@ -163,9 +172,8 @@ func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bo
 		version, est = c.version.Load(), r.sk.Estimate()
 		r.mu.Unlock()
 	} else {
-		var merged Sketch
-		merged, version = c.merge()
-		est = merged.Estimate()
+		c.acc, version = c.mergeInto(c.acc)
+		est = c.acc.Estimate()
 	}
 	c.cached, c.cachedV, c.hasCache = est, version, true
 	return est, version, false
@@ -174,32 +182,37 @@ func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bo
 // MergedClone locks every replica and returns a deep copy of their merged
 // state — the snapshot primitive: the returned sketch shares no mutable
 // state with the front (only the immutable hash draws), so it can be
-// marshaled or inspected while ingestion continues.
+// marshaled or inspected while ingestion continues. It always merges a
+// fresh clone of replica 0, never the kept target, so a snapshot's slot
+// order (and therefore its bytes) depends only on the replicas.
 func (c *Concurrent) MergedClone() Sketch {
-	merged, _ := c.merge()
+	merged, _ := c.mergeInto(nil)
 	return merged
 }
 
-// merge locks every replica, merges them into a clone of replica 0, and
-// returns it with the version read under the locks. The locks are
-// released before it returns, also when it panics on diverged replicas:
-// callers may recover, and a lock still held would block the front for
-// good.
-func (c *Concurrent) merge() (Sketch, uint64) {
+// mergeInto locks every replica and merges them into dst — or, when dst
+// is nil, into a fresh clone of replica 0 — returning the merged sketch
+// with the version read under the locks. The locks are released before
+// it returns, also when it panics on diverged replicas: callers may
+// recover, and a lock still held would block the front for good.
+func (c *Concurrent) mergeInto(dst Sketch) (Sketch, uint64) {
 	for i := range c.replicas {
 		c.replicas[i].mu.Lock()
 	}
 	defer c.unlockAll()
 	v := c.version.Load()
-	merged := c.replicas[0].sk.Clone()
-	for i := 1; i < len(c.replicas); i++ {
-		if err := merged.Merge(c.replicas[i].sk); err != nil {
+	from := 0
+	if dst == nil {
+		dst, from = c.replicas[0].sk.Clone(), 1
+	}
+	for i := from; i < len(c.replicas); i++ {
+		if err := dst.Merge(c.replicas[i].sk); err != nil {
 			// Replicas are clones of one seed; a mismatch means the
 			// front's own invariant broke, not a caller error.
 			panic("streaming: concurrent replicas diverged: " + err.Error())
 		}
 	}
-	return merged, v
+	return dst, v
 }
 
 func (c *Concurrent) unlockAll() {
@@ -208,9 +221,15 @@ func (c *Concurrent) unlockAll() {
 	}
 }
 
-// SketchWords reports the summed footprint of all replicas.
+// SketchWords reports the summed footprint of all replicas and, once an
+// estimate has missed on a multi-replica front, of the kept merge target.
 func (c *Concurrent) SketchWords() int {
 	total := 0
+	c.estMu.Lock()
+	if c.acc != nil {
+		total = c.acc.SketchWords()
+	}
+	c.estMu.Unlock()
 	for i := range c.replicas {
 		r := &c.replicas[i]
 		r.mu.Lock()

@@ -60,28 +60,21 @@ func sameFunc(a, b hash.Func) bool {
 	return oka && okb && slices.Equal(ca, cb)
 }
 
-// Clone returns a deep copy sharing hash draws, with its own slab.
+// Clone returns a deep copy sharing hash draws, with its own slabs: each
+// slab is copied whole, table included, so slots and probe runs carry
+// over unchanged.
 func (b *Bucketing) Clone() Sketch {
-	out := &Bucketing{thresh: b.thresh, n: b.n, eng: b.eng}
-	slots := b.thresh + 1
-	rows := bitvec.NewSlab(b.n, len(b.copies)*slots)
+	out := newBucketing(b.n, b.thresh, len(b.copies), b.eng)
+	copy(out.rowWords, b.rowWords)
+	copy(out.keys, b.keys)
+	copy(out.occ, b.occ)
+	copy(out.free, b.free)
+	copy(out.table, b.table)
 	for i, c := range b.copies {
-		nc := &bucketCopy{
-			h:       c.h, // immutable: sharing it is the mergeability precondition
-			level:   c.level,
-			idx:     maps.Clone(c.idx),
-			rows:    rows[i*slots : (i+1)*slots],
-			keys:    slices.Clone(c.keys),
-			occ:     slices.Clone(c.occ),
-			free:    slices.Clone(c.free),
-			scratch: bitvec.New(b.n),
-		}
-		for s, on := range c.occ {
-			if on {
-				nc.rows[s].CopyFrom(c.rows[s])
-			}
-		}
-		out.copies = append(out.copies, nc)
+		nc := out.copies[i]
+		nc.h = c.h // immutable: sharing it is the mergeability precondition
+		nc.level, nc.size = c.level, c.size
+		nc.free = nc.free[:len(c.free)]
 	}
 	return out
 }
@@ -115,10 +108,7 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 		if !on || !o.rows[s].HasZeroPrefix(c.level) {
 			continue
 		}
-		if _, dup := c.idx[o.keys[s]]; dup {
-			continue
-		}
-		c.insert(o.keys[s], o.rows[s], thresh)
+		c.add(o.keys[s], o.rows[s], thresh)
 	}
 }
 

@@ -308,6 +308,47 @@ func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
 	}
 }
 
+// The kept merge target is memory the front holds: SketchWords counts it
+// from the first estimate miss on, as one more replica's footprint, and
+// later misses reuse it instead of adding another. A single-replica front
+// estimates its replica directly and keeps no target.
+func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
+	n := 32
+	stream := dupStream(n, 600, stats.NewRNG(0xf00))
+	seeds := map[string]func() Sketch{
+		"bucketing": func() Sketch { return NewBucketing(n, mergeOpts(91, 1)) },
+		"minimum":   func() Sketch { return NewMinimum(n, mergeOpts(92, 1)) },
+	}
+	for name, mk := range seeds {
+		for _, reps := range []int{1, 2, 3} {
+			seed := mk()
+			feedChunks(seed, stream)
+			one := seed.SketchWords()
+			// Every replica starts as a clone of the filled seed, so each
+			// holds one replica's words, and so does their merge.
+			front := NewConcurrent(seed, reps)
+			if got := front.SketchWords(); got != reps*one {
+				t.Fatalf("%s replicas=%d: fresh front holds %d words, want %d", name, reps, got, reps*one)
+			}
+			want := (reps + 1) * one
+			if reps == 1 {
+				want = one
+			}
+			for miss := 0; miss < 3; miss++ {
+				// A repeat changes no replica's state but still invalidates
+				// the cache, so the estimate below is a miss.
+				front.ProcessBatch(stream[miss*7 : miss*7+5])
+				if _, _, cached := front.EstimateVersioned(); cached {
+					t.Fatalf("%s replicas=%d: estimate after a write was a cache hit", name, reps)
+				}
+				if got := front.SketchWords(); got != want {
+					t.Fatalf("%s replicas=%d miss %d: front holds %d words, want %d", name, reps, miss, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Race hammer: concurrent producers with interleaved Estimate calls, for
 // every sketch type, checked against serial ingestion of the same
 // element set. Run under -race in CI.

@@ -43,6 +43,7 @@ package streaming
 import (
 	"math"
 	"math/bits"
+	"math/rand/v2"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
@@ -171,24 +172,83 @@ type Bucketing struct {
 	eng    engine
 	words  wordScratch
 	one    [1]bitvec.BitVec
+	// Cell storage of every copy, one slab per field: copy i owns entries
+	// [i·(thresh+1), (i+1)·(thresh+1)) of rowWords' rows, keys, occ and
+	// free, and [i·T, (i+1)·T) of table, T = tableSize(thresh+1).
+	rowWords []uint64
+	keys     []bitvec.Fingerprint
+	occ      []bool
+	free     []int32
+	table    []int32
 }
 
-// bucketCopy stores its cell as a slot table over rows carved from one
-// contiguous slab shared by every copy of the sketch (thresh+1 slots per
-// copy: the overflow loop runs after insertion, so occupancy transiently
-// reaches thresh+1). Raising the level re-filters with one linear walk
-// over the slab instead of iterating a map of scattered heap vectors.
+// bucketCopy stores its cell as a slot table over rows carved from the
+// sketch's slabs (thresh+1 slots per copy: the overflow loop runs after
+// insertion, so occupancy transiently reaches thresh+1). Raising the
+// level re-filters with one linear walk over the slots.
+//
+// Membership goes through table, an open-addressed index with linear
+// probing: each entry holds slot+1, or 0 for empty. Its length is a power
+// of two of at least 2·(thresh+1), so it is never more than half full.
+// Entries are never deleted one by one; setLevel rebuilds the table from
+// the surviving slots.
 type bucketCopy struct {
 	h     *hash.Linear
 	level int
-	idx   map[bitvec.Fingerprint]int32 // element fingerprint → occupied slot
-	rows  []bitvec.BitVec              // slab rows: hash values, addressed by slot
-	keys  []bitvec.Fingerprint         // keys[slot], valid while occ[slot]
+	size  int                  // occupied slots
+	rows  []bitvec.BitVec      // hash values, addressed by slot
+	keys  []bitvec.Fingerprint // keys[slot], valid while occ[slot]
 	occ   []bool
 	free  []int32 // stack of unoccupied slots
+	table []int32
 	// scratch holds one hash evaluation; it is copied into a slab row only
 	// when the element actually enters the cell.
 	scratch bitvec.BitVec
+}
+
+// probeSalt keys the cell tables' probe hash. For n ≤ 64 a fingerprint is
+// the raw element, and a caller who picks the elements could otherwise
+// pile them into one probe run. The salt only decides where a key sits in
+// the table, never which slot holds it, so it reaches no state, snapshot
+// byte or estimate.
+var probeSalt = rand.Uint64()
+
+// tableSize returns the cell table length for a copy of the given slot
+// count: the least power of two ≥ 2·slots.
+func tableSize(slots int) int { return 1 << bits.Len(uint(2*slots-1)) }
+
+// newBucketing returns a Bucketing of t copies with their cell storage
+// carved from fresh slabs. Hashes, levels and free stacks are left for
+// the caller to set.
+func newBucketing(n, thresh, t int, eng engine) *Bucketing {
+	slots := thresh + 1
+	tsize := tableSize(slots)
+	b := &Bucketing{
+		thresh: thresh,
+		n:      n,
+		eng:    eng,
+		copies: make([]*bucketCopy, t),
+		keys:   make([]bitvec.Fingerprint, t*slots),
+		occ:    make([]bool, t*slots),
+		free:   make([]int32, t*slots),
+		table:  make([]int32, t*tsize),
+	}
+	var rows []bitvec.BitVec
+	rows, b.rowWords = bitvec.NewSlabWords(n, t*slots)
+	cs := make([]bucketCopy, t)
+	for i := range cs {
+		lo, hi := i*slots, (i+1)*slots
+		cs[i] = bucketCopy{
+			rows:    rows[lo:hi:hi],
+			keys:    b.keys[lo:hi:hi],
+			occ:     b.occ[lo:hi:hi],
+			free:    b.free[lo:lo:hi],
+			table:   b.table[i*tsize : (i+1)*tsize : (i+1)*tsize],
+			scratch: bitvec.New(n),
+		}
+		b.copies[i] = &cs[i]
+	}
+	return b
 }
 
 // NewBucketing builds a Bucketing sketch over n-bit elements, drawing
@@ -196,31 +256,46 @@ type bucketCopy struct {
 func NewBucketing(n int, opts Options) *Bucketing {
 	rng := opts.rng()
 	fam := hash.NewToeplitz(n, n)
-	b := &Bucketing{thresh: opts.thresh(), n: n, eng: newEngine(opts.Parallelism, minBatchCheap)}
-	t := opts.iterations()
-	slots := b.thresh + 1
-	rows := bitvec.NewSlab(n, t*slots)
-	for i := 0; i < t; i++ {
-		b.copies = append(b.copies, newBucketCopy(
-			fam.Draw(rng.Uint64).(*hash.Linear), rows[i*slots:(i+1)*slots], n))
+	b := newBucketing(n, opts.thresh(), opts.iterations(), newEngine(opts.Parallelism, minBatchCheap))
+	for _, c := range b.copies {
+		c.h = fam.Draw(rng.Uint64).(*hash.Linear)
+		c.freeFrom(0)
 	}
 	return b
 }
 
-func newBucketCopy(h *hash.Linear, rows []bitvec.BitVec, n int) *bucketCopy {
-	c := &bucketCopy{
-		h:       h,
-		idx:     make(map[bitvec.Fingerprint]int32, len(rows)),
-		rows:    rows,
-		keys:    make([]bitvec.Fingerprint, len(rows)),
-		occ:     make([]bool, len(rows)),
-		free:    make([]int32, 0, len(rows)),
-		scratch: bitvec.New(n),
-	}
-	for s := len(rows) - 1; s >= 0; s-- {
+// freeFrom resets the free stack to slots len(rows)−1 down to first, so
+// the lowest of them is taken first.
+func (c *bucketCopy) freeFrom(first int) {
+	c.free = c.free[:0]
+	for s := len(c.rows) - 1; s >= first; s-- {
 		c.free = append(c.free, int32(s))
 	}
-	return c
+}
+
+// probeHome returns key's first probe position in a table of mask+1
+// entries. The high word is zero below 65 bits, and then costs no mix.
+func probeHome(key bitvec.Fingerprint, mask uint64) uint64 {
+	lo, hi, _ := key.Raw()
+	if hi != 0 {
+		lo ^= stats.Mix64(hi + probeSalt)
+	}
+	return stats.Mix64(lo^probeSalt) & mask
+}
+
+// find returns key's slot, or −1 together with the empty table position
+// where key's probe run ends (add's place for it).
+func (c *bucketCopy) find(key bitvec.Fingerprint) (slot int32, pos uint64) {
+	mask := uint64(len(c.table) - 1)
+	for pos = probeHome(key, mask); ; pos = (pos + 1) & mask {
+		e := c.table[pos]
+		if e == 0 {
+			return -1, pos
+		}
+		if c.keys[e-1] == key {
+			return e - 1, pos
+		}
+	}
 }
 
 // absorbBatch runs lines 3–11 of Algorithm 3 for one copy over a batch,
@@ -233,8 +308,8 @@ func newBucketCopy(h *hash.Linear, rows []bitvec.BitVec, n int) *bucketCopy {
 // For n ≤ 64 the whole batch's hash values come from one PrefixWords
 // call into ws (xw holds the element words), and the level test is a
 // mask on each word, taken against the level current at that element
-// because inserts raise it mid-batch. Only survivors are fingerprinted,
-// looked up and copied into a BitVec. Wider universes (xw nil) take
+// because inserts raise it mid-batch. Only survivors are fingerprinted
+// and looked up. Wider universes (xw nil) take
 // absorb element by element.
 func (c *bucketCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, thresh int) {
 	if !c.h.PrefixWords(c.scratch.Len(), xw, ws) {
@@ -248,12 +323,8 @@ func (c *bucketCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, thresh int
 		if w&low != 0 {
 			continue
 		}
-		key := xs[k].Fingerprint()
-		if _, ok := c.idx[key]; ok {
-			continue
-		}
 		c.scratch.Words()[0] = w
-		c.insert(key, c.scratch, thresh)
+		c.add(xs[k].Fingerprint(), c.scratch, thresh)
 		low = lowBits(c.level)
 	}
 }
@@ -269,40 +340,50 @@ func (c *bucketCopy) absorb(x bitvec.BitVec, thresh int) {
 	if !c.scratch.HasZeroPrefix(c.level) {
 		return
 	}
-	key := x.Fingerprint()
-	if _, ok := c.idx[key]; ok {
-		return
-	}
-	c.insert(key, c.scratch, thresh)
+	c.add(x.Fingerprint(), c.scratch, thresh)
 }
 
-// insert places an already-evaluated hash value into the cell (the
-// storing half of lines 5–11 of Algorithm 3): take a free slot and raise
-// the level until the cell fits again. Shared by ingestion (absorb) and
-// Merge; callers have already passed the value through the current
-// level's test and rejected duplicate keys.
-func (c *bucketCopy) insert(key bitvec.Fingerprint, hy bitvec.BitVec, thresh int) {
+// add places an already-evaluated hash value into the cell unless its
+// key is already there (the storing half of lines 5–11 of Algorithm 3):
+// take a free slot, index it where find's probe for the key ended, and
+// raise the level until the cell fits again. Shared by ingestion
+// (absorb) and Merge; callers have already passed the value through the
+// current level's test.
+func (c *bucketCopy) add(key bitvec.Fingerprint, hy bitvec.BitVec, thresh int) {
+	found, pos := c.find(key)
+	if found >= 0 {
+		return
+	}
 	slot := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
 	c.rows[slot].CopyFrom(hy)
 	c.keys[slot] = key
 	c.occ[slot] = true
-	c.idx[key] = slot
-	for len(c.idx) > thresh {
+	c.table[pos] = slot + 1
+	c.size++
+	for c.size > thresh {
 		c.setLevel(c.level + 1)
 	}
 }
 
 // setLevel raises the sampling level and evicts the hash values that lose
-// their all-zero prefix, scanning the slots in slab order.
+// their all-zero prefix, scanning the slots in slab order, then rebuilds
+// the table from the survivors.
 func (c *bucketCopy) setLevel(level int) {
 	c.level = level
+	clear(c.table)
 	for s := range c.rows {
-		if c.occ[s] && !c.rows[s].HasZeroPrefix(level) {
-			delete(c.idx, c.keys[s])
+		if !c.occ[s] {
+			continue
+		}
+		if !c.rows[s].HasZeroPrefix(level) {
 			c.occ[s] = false
 			c.free = append(c.free, int32(s))
+			c.size--
+			continue
 		}
+		_, pos := c.find(c.keys[s])
+		c.table[pos] = int32(s) + 1
 	}
 }
 
@@ -335,7 +416,7 @@ func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
 func (b *Bucketing) Estimate() float64 {
 	ests := make([]float64, len(b.copies))
 	for i, c := range b.copies {
-		ests[i] = float64(len(c.idx)) * pow2(c.level)
+		ests[i] = float64(c.size) * pow2(c.level)
 	}
 	return stats.Median(ests)
 }
@@ -345,7 +426,7 @@ func (b *Bucketing) SketchWords() int {
 	total := 0
 	wpr := (b.n + 63) / 64
 	for _, c := range b.copies {
-		total += len(c.idx) * wpr
+		total += c.size * wpr
 	}
 	return total
 }
