@@ -300,7 +300,7 @@ func (c *bucketCopy) find(key bitvec.Fingerprint) (slot int32, pos uint64) {
 
 // absorbBatch runs lines 3–11 of Algorithm 3 for one copy over a batch,
 // in the order hash → level test → membership. Filtering first is exact:
-// every occupied slot passes the current level's test (insert admits
+// every occupied slot passes the current level's test (add admits
 // only such values and setLevel evicts the rest), so an element that
 // fails it cannot be in the cell and is a no-op either way — and the
 // membership lookup runs only for the 2^-level survivors.
