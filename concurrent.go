@@ -123,7 +123,10 @@ func (c *ConcurrentF0) EstimateVersioned() (est float64, version uint64, cached 
 	return c.front.EstimateVersioned()
 }
 
-// SketchWords returns the summed replica footprint in 64-bit words.
+// SketchWords returns the summed replica footprint in 64-bit words. Once
+// an estimate has missed on a sketch of two or more replicas, it also
+// counts the merge target the front keeps, so P replicas report P+1
+// copies.
 func (c *ConcurrentF0) SketchWords() int { return c.front.SketchWords() }
 
 // Merge folds other's sketch state into d (same n, same seed and

@@ -43,8 +43,8 @@ func requireBucketingEqual(t *testing.T, a, b *Bucketing) {
 		if ca.level != cb.level {
 			t.Fatalf("copy %d: level %d != %d", i, ca.level, cb.level)
 		}
-		if ca.size != cb.size {
-			t.Fatalf("copy %d: cell sizes %d != %d", i, ca.size, cb.size)
+		if ca.size() != cb.size() {
+			t.Fatalf("copy %d: cell sizes %d != %d", i, ca.size(), cb.size())
 		}
 		// Cells are sets keyed by fingerprint; slot assignment is layout,
 		// not state, so compare contents through the table lookup.

@@ -81,9 +81,9 @@ func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel)
 	t.Helper()
 	for i, c := range b.copies {
 		m := ms[i]
-		if c.level != m.level || c.size != len(m.cells) {
+		if c.level != m.level || c.size() != len(m.cells) {
 			t.Fatalf("%s copy %d: level %d size %d, model level %d size %d",
-				what, i, c.level, c.size, m.level, len(m.cells))
+				what, i, c.level, c.size(), m.level, len(m.cells))
 		}
 		occupied := 0
 		for _, on := range c.occ {
@@ -91,9 +91,9 @@ func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel)
 				occupied++
 			}
 		}
-		if occupied != c.size || len(c.free) != len(c.rows)-c.size {
-			t.Fatalf("%s copy %d: %d occupied and %d free slots for size %d",
-				what, i, occupied, len(c.free), c.size)
+		if occupied != c.size() {
+			t.Fatalf("%s copy %d: %d occupied and %d free of %d slots",
+				what, i, occupied, len(c.free), len(c.rows))
 		}
 		entries := 0
 		for _, e := range c.table {
@@ -108,8 +108,8 @@ func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel)
 				t.Fatalf("%s copy %d: slot %d's key is found at slot %d", what, i, e-1, slot)
 			}
 		}
-		if entries != c.size {
-			t.Fatalf("%s copy %d: %d table entries for %d cells", what, i, entries, c.size)
+		if entries != c.size() {
+			t.Fatalf("%s copy %d: %d table entries for %d cells", what, i, entries, c.size())
 		}
 		for k, v := range m.cells {
 			slot, _ := c.find(k)

@@ -141,7 +141,7 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 	for _, c := range b.copies {
 		dst, _ = hash.AppendFunc(dst, c.h)
 		dst = wire.AppendInt(dst, c.level)
-		dst = wire.AppendInt(dst, c.size)
+		dst = wire.AppendInt(dst, c.size())
 		for s, on := range c.occ {
 			if !on {
 				continue
@@ -158,6 +158,15 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *Bucketing) MarshalBinary() ([]byte, error) { return b.appendBinary(nil), nil }
 
+// checkBucketingSlab bounds the cell rows, t·(thresh+1) n-bit rows, by
+// kmv.MaxSlabWords. That also bounds the cell tables: a table has fewer
+// than 4·(thresh+1) int32 entries, so the tables hold fewer than twice
+// the words of 64-bit rows, and no separate table bound can reject a
+// shape the rows bound admits.
+func checkBucketingSlab(r *wire.Reader, n, thresh, t int) bool {
+	return kmv.CheckSlab(r, t*(thresh+1), n)
+}
+
 func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 	v := r.Header(wire.KindBucketing)
 	if !r.CheckVersion(wire.KindBucketing, v, bucketingVersion) {
@@ -173,8 +182,7 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 		r.Corrupt("bucketing shape n=%d thresh=%d t=%d", n, thresh, t)
 		return nil
 	}
-	slots := thresh + 1
-	if !kmv.CheckSlab(r, t*slots, n) || !kmv.CheckSlab(r, t, 32*tableSize(slots)) {
+	if !checkBucketingSlab(r, n, thresh, t) {
 		return nil
 	}
 	b := newBucketing(n, thresh, t, newEngine(parallelism, minBatchCheap))
@@ -212,7 +220,6 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 			c.occ[s] = true
 			c.table[pos] = int32(s) + 1
 		}
-		c.size = cnt
 		c.freeFrom(cnt)
 	}
 	return b

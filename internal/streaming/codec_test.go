@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
 	"mcf0/internal/wire"
 )
@@ -154,6 +155,40 @@ func TestCodecDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeSketch(append(bytes.Clone(blob), 0), 1); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestBucketingSlabBound pins which Bucketing shapes decode admits: the
+// rows bound alone. At ε = 0.025 and the default δ a 32-bit sketch's 81
+// cell tables hold more than kmv.MaxSlabWords words while its rows fit,
+// and such a sketch must restore from its own snapshot. A table has fewer
+// than 4·(thresh+1) int32 entries, so for every threshold the tables stay
+// under twice the rows bound; a shape whose rows overflow is still refused.
+func TestBucketingSlabBound(t *testing.T) {
+	header := func(n, thresh, iters int) []byte {
+		blob := wire.AppendHeader(nil, wire.KindBucketing, bucketingVersion)
+		blob = wire.AppendInt(blob, n)
+		blob = wire.AppendInt(blob, thresh)
+		return wire.AppendInt(blob, iters)
+	}
+	opts := Options{Epsilon: 0.025}
+	n, thresh, iters := 32, opts.thresh(), opts.iterations()
+	if tableWords := iters * tableSize(thresh+1) / 2; tableWords <= kmv.MaxSlabWords {
+		t.Fatalf("ε=0.025 tables hold %d words, within the slab bound: case lost its point", tableWords)
+	}
+	r := wire.NewReader(header(n, thresh, iters))
+	if !checkBucketingSlab(r, n, thresh, iters) || r.Err() != nil {
+		t.Fatalf("thresh %d × %d copies refused: %v", thresh, iters, r.Err())
+	}
+
+	if _, err := DecodeSketch(header(n, 1<<20, 16), 1); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("rows past the slab bound: got %v, want ErrCorrupt", err)
+	}
+
+	for thresh := 1; thresh <= kmv.MaxThresh; thresh = thresh*3/2 + 1 {
+		if tableSize(thresh+1) >= 4*(thresh+1) {
+			t.Fatalf("thresh %d: table of %d entries", thresh, tableSize(thresh+1))
+		}
 	}
 }
 

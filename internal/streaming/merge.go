@@ -73,7 +73,7 @@ func (b *Bucketing) Clone() Sketch {
 	for i, c := range b.copies {
 		nc := out.copies[i]
 		nc.h = c.h // immutable: sharing it is the mergeability precondition
-		nc.level, nc.size = c.level, c.size
+		nc.level = c.level
 		nc.free = nc.free[:len(c.free)]
 	}
 	return out

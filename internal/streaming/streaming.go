@@ -195,7 +195,6 @@ type Bucketing struct {
 type bucketCopy struct {
 	h     *hash.Linear
 	level int
-	size  int                  // occupied slots
 	rows  []bitvec.BitVec      // hash values, addressed by slot
 	keys  []bitvec.Fingerprint // keys[slot], valid while occ[slot]
 	occ   []bool
@@ -205,6 +204,10 @@ type bucketCopy struct {
 	// when the element actually enters the cell.
 	scratch bitvec.BitVec
 }
+
+// size returns the number of occupied slots: the free stack always holds
+// exactly the others.
+func (c *bucketCopy) size() int { return len(c.rows) - len(c.free) }
 
 // probeSalt keys the cell tables' probe hash. For n ≤ 64 a fingerprint is
 // the raw element, and a caller who picks the elements could otherwise
@@ -360,8 +363,7 @@ func (c *bucketCopy) add(key bitvec.Fingerprint, hy bitvec.BitVec, thresh int) {
 	c.keys[slot] = key
 	c.occ[slot] = true
 	c.table[pos] = slot + 1
-	c.size++
-	for c.size > thresh {
+	for c.size() > thresh {
 		c.setLevel(c.level + 1)
 	}
 }
@@ -379,7 +381,6 @@ func (c *bucketCopy) setLevel(level int) {
 		if !c.rows[s].HasZeroPrefix(level) {
 			c.occ[s] = false
 			c.free = append(c.free, int32(s))
-			c.size--
 			continue
 		}
 		_, pos := c.find(c.keys[s])
@@ -416,7 +417,7 @@ func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
 func (b *Bucketing) Estimate() float64 {
 	ests := make([]float64, len(b.copies))
 	for i, c := range b.copies {
-		ests[i] = float64(c.size) * pow2(c.level)
+		ests[i] = float64(c.size()) * pow2(c.level)
 	}
 	return stats.Median(ests)
 }
@@ -426,7 +427,7 @@ func (b *Bucketing) SketchWords() int {
 	total := 0
 	wpr := (b.n + 63) / 64
 	for _, c := range b.copies {
-		total += c.size * wpr
+		total += c.size() * wpr
 	}
 	return total
 }
