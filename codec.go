@@ -1,11 +1,11 @@
 // Wire codec for the public estimator types: every sketch wrapper
-// implements encoding.BinaryMarshaler / encoding.BinaryUnmarshaler, and
-// package-level Decode functions restore snapshots with an explicit
-// parallelism. Snapshots round-trip *complete* state — hash draws,
-// per-copy slab state, thresholds, and query meters — so a sketch decoded
-// on another node (or after a restart, via cmd/f0 -snapshot/-restore) is
-// Merge-compatible with a live sketch built from the same Config: the
-// shared-draw precondition is enforced structurally across the wire.
+// implements encoding.BinaryMarshaler, and the package-level Decode
+// functions are the one way back, with an explicit parallelism. Snapshots
+// round-trip *complete* state — hash draws, per-copy slab state,
+// thresholds, and query meters — so a sketch decoded on another node (or
+// after a restart, via cmd/f0 -snapshot/-restore) is Merge-compatible with
+// a live sketch built from the same Config: the shared-draw precondition
+// is enforced structurally across the wire.
 //
 // Format: each snapshot is one framed message ("F0" magic, kind byte,
 // version byte — see internal/wire); unknown kinds and versions are
@@ -47,18 +47,6 @@ func (f *F0) MarshalBinary() ([]byte, error) {
 		return nil, fmt.Errorf("mcf0: F0 estimator %T is not snapshottable", f.est)
 	}
 	return out, nil
-}
-
-// UnmarshalBinary restores a snapshot produced by MarshalBinary,
-// replacing f's state. The restored sketch uses default parallelism
-// (GOMAXPROCS); use DecodeF0 to pick another level.
-func (f *F0) UnmarshalBinary(data []byte) error {
-	dec, err := DecodeF0(data, 0)
-	if err != nil {
-		return err
-	}
-	*f = *dec
-	return nil
 }
 
 // DecodeF0 restores an F0 snapshot. parallelism bounds the restored
@@ -138,17 +126,6 @@ func (d *DNFSetF0) MarshalBinary() ([]byte, error) {
 	return d.inner.AppendBinary(dst), nil
 }
 
-// UnmarshalBinary restores a snapshot produced by MarshalBinary,
-// replacing d's state (default parallelism; see DecodeDNFSetF0).
-func (d *DNFSetF0) UnmarshalBinary(data []byte) error {
-	dec, err := DecodeDNFSetF0(data, 0)
-	if err != nil {
-		return err
-	}
-	*d = *dec
-	return nil
-}
-
 // DecodeDNFSetF0 restores a DNFSetF0 snapshot with the given parallelism.
 func DecodeDNFSetF0(data []byte, parallelism int) (*DNFSetF0, error) {
 	r := wire.NewReader(data)
@@ -167,17 +144,6 @@ func DecodeDNFSetF0(data []byte, parallelism int) (*DNFSetF0, error) {
 func (r *RangeF0) MarshalBinary() ([]byte, error) {
 	dst := wire.AppendHeader(nil, wire.KindRangeF0, rangeF0Version)
 	return r.inner.AppendBinary(dst), nil
-}
-
-// UnmarshalBinary restores a snapshot produced by MarshalBinary,
-// replacing r's state (default parallelism; see DecodeRangeF0).
-func (r *RangeF0) UnmarshalBinary(data []byte) error {
-	dec, err := DecodeRangeF0(data, 0)
-	if err != nil {
-		return err
-	}
-	*r = *dec
-	return nil
 }
 
 // DecodeRangeF0 restores a RangeF0 snapshot with the given parallelism.
@@ -200,17 +166,6 @@ func (p *ProgressionF0) MarshalBinary() ([]byte, error) {
 	return p.inner.AppendBinary(dst), nil
 }
 
-// UnmarshalBinary restores a snapshot produced by MarshalBinary,
-// replacing p's state (default parallelism; see DecodeProgressionF0).
-func (p *ProgressionF0) UnmarshalBinary(data []byte) error {
-	dec, err := DecodeProgressionF0(data, 0)
-	if err != nil {
-		return err
-	}
-	*p = *dec
-	return nil
-}
-
 // DecodeProgressionF0 restores a ProgressionF0 snapshot with the given
 // parallelism.
 func DecodeProgressionF0(data []byte, parallelism int) (*ProgressionF0, error) {
@@ -230,17 +185,6 @@ func DecodeProgressionF0(data []byte, parallelism int) (*ProgressionF0, error) {
 func (a *AffineF0) MarshalBinary() ([]byte, error) {
 	dst := wire.AppendHeader(nil, wire.KindAffineF0, affineF0Version)
 	return a.inner.AppendBinary(dst), nil
-}
-
-// UnmarshalBinary restores a snapshot produced by MarshalBinary,
-// replacing a's state (default parallelism; see DecodeAffineF0).
-func (a *AffineF0) UnmarshalBinary(data []byte) error {
-	dec, err := DecodeAffineF0(data, 0)
-	if err != nil {
-		return err
-	}
-	*a = *dec
-	return nil
 }
 
 // DecodeAffineF0 restores an AffineF0 snapshot with the given parallelism.

@@ -65,14 +65,6 @@ func TestF0CodecRoundTrip(t *testing.T) {
 			}
 		}
 
-		// UnmarshalBinary replaces the receiver's state in place.
-		var f F0
-		if err := f.UnmarshalBinary(blob); err != nil {
-			t.Fatalf("alg=%s: unmarshal: %v", alg, err)
-		}
-		if f.Estimate() != right.Estimate() {
-			t.Fatalf("alg=%s: UnmarshalBinary estimate %v != %v", alg, f.Estimate(), right.Estimate())
-		}
 	}
 }
 

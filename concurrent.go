@@ -4,22 +4,14 @@ import (
 	"fmt"
 	"sync"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/streaming"
 )
-
-// Clone returns a deep copy of the sketch sharing the (immutable) hash
-// draws — exactly the precondition Merge requires. Feeding the clone
-// never disturbs the original.
-func (f *F0) Clone() *F0 {
-	return &F0{nBits: f.nBits, est: f.est.(streaming.Sketch).Clone()}
-}
 
 // Merge folds other's sketch state into f, so that f afterwards estimates
 // F0 of the union of both element streams — bit-identical to one sketch
 // having ingested both streams interleaved in any order. The two sketches
 // must share hash draws: built with the same algorithm, width, and seed
-// (or related via Clone). other is not mutated.
+// (or decoded from such a sketch's snapshot). other is not mutated.
 func (f *F0) Merge(other *F0) error {
 	if other.nBits != f.nBits {
 		return fmt.Errorf("mcf0: cannot merge %d-bit and %d-bit sketches", f.nBits, other.nBits)
@@ -34,8 +26,8 @@ func (f *F0) Merge(other *F0) error {
 
 // ConcurrentF0 is a lock-free concurrent-ingestion front over an F0
 // sketch: P per-core replicas cloned from one seed sketch (same hash
-// draws), each padded onto its own cache lines, so Add and AddBatch may
-// be called from any number of goroutines without ever serialising on a
+// draws), each padded onto its own cache lines, so AddBatch may be
+// called from any number of goroutines without ever serialising on a
 // shared lock — a writer claims whichever replica it can lock without
 // blocking. Estimate merges the replicas on demand and caches the answer
 // until the next write; a cached answer takes no replica lock.
@@ -77,18 +69,12 @@ func (c *ConcurrentF0) Replicas() int { return c.front.Replicas() }
 // Bits returns the universe width in bits.
 func (c *ConcurrentF0) Bits() int { return c.nBits }
 
-// Version returns the number of completed writes (Add or AddBatch calls)
+// Version returns the number of completed writes (AddBatch calls)
 // absorbed so far: an unchanged Version between two reads means no write
 // completed in between. Estimate caches against this counter; use
 // EstimateVersioned for the version an estimate covers and whether it
 // was a cache hit, rather than caching on top of the front.
 func (c *ConcurrentF0) Version() uint64 { return c.front.Version() }
-
-// Add absorbs one stream element; safe to call from any goroutine.
-func (c *ConcurrentF0) Add(x uint64) {
-	checkElement(x, c.nBits)
-	c.front.Process(bitvec.FromUint64(x, c.nBits))
-}
 
 // AddBatch absorbs a chunk of stream elements on one replica, amortising
 // acquisition over the chunk; safe to call from any goroutine. The whole

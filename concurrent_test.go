@@ -4,7 +4,16 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"mcf0/internal/streaming"
 )
+
+// Clone returns a deep copy of the sketch sharing the (immutable) hash
+// draws — exactly the precondition Merge requires. Feeding the clone
+// never disturbs the original.
+func (f *F0) Clone() *F0 {
+	return &F0{nBits: f.nBits, est: f.est.(streaming.Sketch).Clone()}
+}
 
 // Fixed-seed ConcurrentF0 estimates must be bit-identical to a serial F0
 // over the same element set, at every replica count and algorithm — the

@@ -14,9 +14,9 @@
 //
 // # Destination-passing variants and ownership
 //
-// The *Into methods (XorInto, PrefixInto, WindowInto, CopyFrom, plus
-// SetUint64 and FillRandom) write their result into a caller-owned vector
-// instead of allocating a fresh one. The contract is:
+// The *Into methods (PrefixInto, WindowInto, CopyFrom, plus SetUint64 and
+// FillRandom) write their result into a caller-owned vector instead of
+// allocating a fresh one. The contract is:
 //
 //   - the destination must have been allocated by the caller with the
 //     correct width (the methods panic on width mismatch, they never
@@ -201,41 +201,11 @@ func (b BitVec) XorInPlace(o BitVec) {
 	}
 }
 
-// XorInto writes b XOR o into dst without allocating. All three vectors
-// must share one width; dst may alias b or o.
-func (b BitVec) XorInto(o, dst BitVec) {
-	if b.n != o.n || b.n != dst.n {
-		panic("bitvec: width mismatch")
-	}
-	dw := dst.words
-	bw := b.words[:len(dw)]
-	ow := o.words[:len(dw)]
-	for i := range dw {
-		dw[i] = bw[i] ^ ow[i]
-	}
-}
-
 // Xor returns b XOR o as a fresh vector.
 func (b BitVec) Xor(o BitVec) BitVec {
 	r := b.Clone()
 	r.XorInPlace(o)
 	return r
-}
-
-// AndPopCount returns the number of positions where both b and o are 1,
-// i.e. popcount(b AND o). This is the inner product workhorse for GF(2)
-// matrix-vector products.
-func (b BitVec) AndPopCount(o BitVec) int {
-	if b.n != o.n {
-		panic("bitvec: width mismatch")
-	}
-	c := 0
-	bw := b.words
-	ow := o.words[:len(bw)]
-	for i := range bw {
-		c += bits.OnesCount64(bw[i] & ow[i])
-	}
-	return c
 }
 
 // Dot returns the GF(2) inner product of b and o. Parity is additive mod
@@ -283,28 +253,6 @@ func (b BitVec) Equal(o BitVec) bool {
 		}
 	}
 	return true
-}
-
-// Cmp compares b and o lexicographically as bit strings (position 0 first).
-// It returns -1, 0, or +1. Widths must match.
-//
-// The first differing string position is the lowest differing bit index, so
-// one XOR and a trailing-zeros count decide each word.
-func (b BitVec) Cmp(o BitVec) int {
-	if b.n != o.n {
-		panic("bitvec: width mismatch")
-	}
-	bw := b.words
-	ow := o.words[:len(bw)]
-	for i := range bw {
-		if d := bw[i] ^ ow[i]; d != 0 {
-			if ow[i]&(d&-d) != 0 {
-				return -1 // o has the 1 at the first differing position
-			}
-			return 1
-		}
-	}
-	return 0
 }
 
 // Less reports whether b precedes o lexicographically.
@@ -355,19 +303,9 @@ func (b BitVec) TrailingZeros() int {
 	return c
 }
 
-// LeadingZeros returns the number of consecutive zero bits at position 0
-// onward, i.e. the length of the all-zero prefix.
-func (b BitVec) LeadingZeros() int {
-	for i, w := range b.words {
-		if w != 0 {
-			return i*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return b.n
-}
-
-// FirstSet returns the index of the first set position (equivalently
-// LeadingZeros when a bit is set), or -1 for the zero vector.
+// FirstSet returns the index of the first set position (equivalently the
+// length of the all-zero prefix when a bit is set), or -1 for the zero
+// vector.
 func (b BitVec) FirstSet() int {
 	for i, w := range b.words {
 		if w != 0 {

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -191,4 +192,51 @@ func TestPanics(t *testing.T) {
 	mustPanic("FromUint64 too wide", func() { FromUint64(0, 65) })
 	mustPanic("bad string", func() { FromString("01x") })
 	mustPanic("prefix too long", func() { b.Prefix(5) })
+}
+
+// Cmp compares b and o lexicographically as bit strings (position 0 first).
+// It returns -1, 0, or +1. Widths must match.
+//
+// The first differing string position is the lowest differing bit index, so
+// one XOR and a trailing-zeros count decide each word.
+func (b BitVec) Cmp(o BitVec) int {
+	if b.n != o.n {
+		panic("bitvec: width mismatch")
+	}
+	bw := b.words
+	ow := o.words[:len(bw)]
+	for i := range bw {
+		if d := bw[i] ^ ow[i]; d != 0 {
+			if ow[i]&(d&-d) != 0 {
+				return -1 // o has the 1 at the first differing position
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// LeadingZeros returns the number of consecutive zero bits at position 0
+// onward, i.e. the length of the all-zero prefix.
+func (b BitVec) LeadingZeros() int {
+	for i, w := range b.words {
+		if w != 0 {
+			return i*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return b.n
+}
+
+// XorInto writes b XOR o into dst without allocating. All three vectors
+// must share one width; dst may alias b or o.
+func (b BitVec) XorInto(o, dst BitVec) {
+	if b.n != o.n || b.n != dst.n {
+		panic("bitvec: width mismatch")
+	}
+	dw := dst.words
+	bw := b.words[:len(dw)]
+	ow := o.words[:len(dw)]
+	for i := range dw {
+		dw[i] = bw[i] ^ ow[i]
+	}
 }

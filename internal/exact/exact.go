@@ -5,8 +5,6 @@
 package exact
 
 import (
-	"math"
-
 	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
 )
@@ -308,31 +306,3 @@ func termIntersectionWeight(d *formula.DNF, mask uint64, w WeightFunc) (float64,
 	}
 	return weight, true
 }
-
-// WeightedExhaustive computes W(φ) by full enumeration; ground truth for
-// WeightedCountDNF at small n.
-func WeightedExhaustive(n int, eval func(bitvec.BitVec) bool, w WeightFunc) float64 {
-	if n > 24 {
-		panic("exact: exhaustive enumeration beyond 2^24")
-	}
-	total := 0.0
-	for v := uint64(0); v < 1<<uint(n); v++ {
-		x := bitvec.FromUint64(v, n)
-		if !eval(x) {
-			continue
-		}
-		weight := 1.0
-		for i := 0; i < n; i++ {
-			if x.Get(i) {
-				weight *= w.Rho(i)
-			} else {
-				weight *= 1 - w.Rho(i)
-			}
-		}
-		total += weight
-	}
-	return total
-}
-
-// Log2 returns log₂(x); convenience for experiment reports.
-func Log2(x float64) float64 { return math.Log2(x) }

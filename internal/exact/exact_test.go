@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
 	"mcf0/internal/stats"
 )
@@ -132,4 +133,29 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// WeightedExhaustive computes W(φ) by full enumeration; ground truth for
+// WeightedCountDNF at small n.
+func WeightedExhaustive(n int, eval func(bitvec.BitVec) bool, w WeightFunc) float64 {
+	if n > 24 {
+		panic("exact: exhaustive enumeration beyond 2^24")
+	}
+	total := 0.0
+	for v := uint64(0); v < 1<<uint(n); v++ {
+		x := bitvec.FromUint64(v, n)
+		if !eval(x) {
+			continue
+		}
+		weight := 1.0
+		for i := 0; i < n; i++ {
+			if x.Get(i) {
+				weight *= w.Rho(i)
+			} else {
+				weight *= 1 - w.Rho(i)
+			}
+		}
+		total += weight
+	}
+	return total
 }

@@ -119,29 +119,3 @@ func parseClausal(r io.Reader) (clausal, string, error) {
 	}
 	return out, kind, nil
 }
-
-// WriteDIMACS serialises a CNF in DIMACS format.
-func WriteDIMACS(w io.Writer, c *CNF) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p cnf %d %d\n", c.N, len(c.Clauses))
-	for _, cl := range c.Clauses {
-		for _, l := range cl {
-			fmt.Fprintf(bw, "%s ", l)
-		}
-		fmt.Fprintln(bw, "0")
-	}
-	return bw.Flush()
-}
-
-// WriteDNF serialises a DNF in the "p dnf" convention.
-func WriteDNF(w io.Writer, d *DNF) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p dnf %d %d\n", d.N, len(d.Terms))
-	for _, t := range d.Terms {
-		for _, l := range t {
-			fmt.Fprintf(bw, "%s ", l)
-		}
-		fmt.Fprintln(bw, "0")
-	}
-	return bw.Flush()
-}

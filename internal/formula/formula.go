@@ -50,9 +50,6 @@ func (t Term) Eval(x bitvec.BitVec) bool {
 	return true
 }
 
-// Width returns the number of literals.
-func (t Term) Width() int { return len(t) }
-
 // Normalize sorts literals by variable and reports whether the term is
 // consistent (no variable appears both positively and negatively).
 // Duplicate literals are removed.
@@ -184,16 +181,6 @@ func (c *CNF) Eval(x bitvec.BitVec) bool {
 
 // Size returns the number of clauses.
 func (c *CNF) Size() int { return len(c.Clauses) }
-
-// And returns the conjunction of c and o.
-func (c *CNF) And(o *CNF) *CNF {
-	if c.N != o.N {
-		panic("formula: variable count mismatch")
-	}
-	r := NewCNF(c.N)
-	r.Clauses = append(append([]Clause(nil), c.Clauses...), o.Clauses...)
-	return r
-}
 
 // TermFixed returns, for a term, the per-variable fixed values it imposes:
 // fixed[i] true means variable i is constrained, val bit i gives its value.

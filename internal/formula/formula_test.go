@@ -1,6 +1,9 @@
 package formula
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -380,4 +383,48 @@ func TestOrAndCombinators(t *testing.T) {
 			t.Fatal("And semantics wrong")
 		}
 	}
+}
+
+// WriteDIMACS serialises a CNF in DIMACS format.
+func WriteDIMACS(w io.Writer, c *CNF) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "p cnf %d %d\n", c.N, len(c.Clauses))
+	for _, cl := range c.Clauses {
+		for _, l := range cl {
+			fmt.Fprintf(bw, "%s ", l)
+		}
+		fmt.Fprintln(bw, "0")
+	}
+	return bw.Flush()
+}
+
+// WriteDNF serialises a DNF in the "p dnf" convention.
+func WriteDNF(w io.Writer, d *DNF) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "p dnf %d %d\n", d.N, len(d.Terms))
+	for _, t := range d.Terms {
+		for _, l := range t {
+			fmt.Fprintf(bw, "%s ", l)
+		}
+		fmt.Fprintln(bw, "0")
+	}
+	return bw.Flush()
+}
+
+// And returns the conjunction of c and o.
+func (c *CNF) And(o *CNF) *CNF {
+	if c.N != o.N {
+		panic("formula: variable count mismatch")
+	}
+	r := NewCNF(c.N)
+	r.Clauses = append(append([]Clause(nil), c.Clauses...), o.Clauses...)
+	return r
+}
+
+// Count returns the number of elements.
+func (p Progression) Count() uint64 {
+	if p.A > p.B {
+		return 0
+	}
+	return (p.B-p.A)>>uint(p.LogStep) + 1
 }

@@ -238,14 +238,6 @@ type Progression struct {
 	Bits    int
 }
 
-// Count returns the number of elements.
-func (p Progression) Count() uint64 {
-	if p.A > p.B {
-		return 0
-	}
-	return (p.B-p.A)>>uint(p.LogStep) + 1
-}
-
 // ProgressionDNF builds the DNF for a power-of-two-step arithmetic
 // progression: the range DNF for [A, B] conjoined with the term fixing the
 // low LogStep bits to A's (elements ≡ A mod 2^LogStep). At most 2·Bits

@@ -171,13 +171,6 @@ func TestImageSearcherKMinAgainstBruteForce(t *testing.T) {
 		}
 		want := bruteImage(a, b, cons)
 		s := NewImageSearcher(a, b, cons)
-		if s.Empty() != (len(want) == 0 && cons != nil && !cons.Consistent()) {
-			// Empty() only reflects constraint inconsistency; image of a
-			// consistent system is never empty.
-			if s.Empty() && len(want) > 0 {
-				t.Fatal("searcher claims empty image but brute force found elements")
-			}
-		}
 		k := 1 + rng.Intn(10)
 		got := s.KMin(k)
 		wantK := want
@@ -288,4 +281,124 @@ func TestInconsistentSystem(t *testing.T) {
 	if called {
 		t.Fatal("enumeration visited solutions of inconsistent system")
 	}
+}
+
+// LexMinWithPrefix returns the lexicographically smallest element of the
+// image whose first len(prefix) bits equal prefix, and whether one exists.
+func (s *ImageSearcher) LexMinWithPrefix(prefix []bool) (bitvec.BitVec, bool) {
+	y := bitvec.New(s.a.Rows())
+	if !s.LexMinWithPrefixInto(prefix, y) {
+		return bitvec.BitVec{}, false
+	}
+	return y, true
+}
+
+// Min returns the lexicographically smallest image element.
+func (s *ImageSearcher) Min() (bitvec.BitVec, bool) {
+	return s.LexMinWithPrefix(nil)
+}
+
+// Successor returns the smallest image element strictly greater than y, and
+// whether one exists.
+func (s *ImageSearcher) Successor(y bitvec.BitVec) (bitvec.BitVec, bool) {
+	next := bitvec.New(s.a.Rows())
+	if !s.SuccessorInto(y, next) {
+		return bitvec.BitVec{}, false
+	}
+	return next, true
+}
+
+// EnumerateImage visits image elements in increasing lexicographic order,
+// up to limit of them (limit < 0 means all; beware 2^rank image sizes).
+// visit returning false stops the walk early; the walk's count is returned.
+// The vector passed to visit is reused between calls — Clone it to retain.
+func (s *ImageSearcher) EnumerateImage(limit int, visit func(bitvec.BitVec) bool) int {
+	if limit == 0 {
+		return 0
+	}
+	count := 0
+	cur := bitvec.New(s.a.Rows())
+	ok := s.MinInto(cur)
+	for ok {
+		count++
+		if !visit(cur) {
+			break
+		}
+		if limit >= 0 && count >= limit {
+			break
+		}
+		ok = s.SuccessorInto(cur, cur)
+	}
+	return count
+}
+
+// KMin returns the k lexicographically smallest elements of the image in
+// increasing order (fewer if the image is smaller); k ≤ 0 yields none. The
+// returned vectors are freshly allocated and independent of the searcher.
+func (s *ImageSearcher) KMin(k int) []bitvec.BitVec {
+	if k <= 0 {
+		return nil
+	}
+	var out []bitvec.BitVec
+	s.EnumerateImage(k, func(y bitvec.BitVec) bool {
+		out = append(out, y.Clone())
+		return true
+	})
+	return out
+}
+
+// Contains reports whether y is in the image. Membership is feasibility of
+// the full-length prefix y, so the check shares the rewind machinery (and
+// its cost profile) with LexMinWithPrefix.
+func (s *ImageSearcher) Contains(y bitvec.BitVec) bool {
+	m := s.a.Rows()
+	if y.Len() != m {
+		panic("gf2: width mismatch")
+	}
+	if cap(s.prefixBuf) < m {
+		s.prefixBuf = make([]bool, m)
+	}
+	buf := s.prefixBuf[:m]
+	for i := 0; i < m; i++ {
+		buf[i] = y.Get(i)
+	}
+	return s.ps.ExtendTo(buf)
+}
+
+// Rank computes the GF(2) rank.
+func (m *Matrix) Rank() int {
+	s := NewSystem(m.cols)
+	for _, r := range m.rows {
+		s.Add(r, false)
+	}
+	return s.Rank()
+}
+
+// SolutionCountCapped returns min(cap, number of solutions). cap must be
+// non-negative.
+func (s *System) SolutionCountCapped(cap int) int {
+	if s.inconsistent {
+		return 0
+	}
+	d := s.cols - len(s.pivots)
+	if d >= 63 {
+		return cap
+	}
+	n := uint64(1) << uint(d)
+	if uint64(cap) < n {
+		return cap
+	}
+	return int(n)
+}
+
+// Residual returns the reduced form of (a, rhs) against the current basis
+// without mutating the system. If the reduced row is zero, the equation is
+// implied (rhs false) or contradicted (rhs true).
+func (s *System) Residual(a bitvec.BitVec, rhs bool) (bitvec.BitVec, bool) {
+	if a.Len() != s.cols {
+		panic("gf2: row width mismatch")
+	}
+	r := a.Clone()
+	rr := s.reduceWords(r.Words(), rhs)
+	return r, rr
 }

@@ -17,20 +17,18 @@ import "mcf0/internal/bitvec"
 // checkpoints and a query rewinds only to the first position where its
 // prefix diverges from the previously committed one, instead of cloning
 // the base system and replaying the prefix from scratch. Successive
-// Successor steps share all but one prefix row, so a KMin walk costs O(1)
-// row operations per prefix position probed and allocates nothing in
-// steady state (the *Into variants also reuse the caller's result vector).
+// SuccessorInto steps share all but one prefix row, so an ascending walk
+// costs O(1) row operations per prefix position probed and allocates
+// nothing in steady state.
 // A searcher is single-goroutine, like the System underneath.
 type ImageSearcher struct {
 	a  *Matrix
 	b  bitvec.BitVec
 	ps *PrefixStack
 	// scratch holds one reduced row during prefix extension so the greedy
-	// walk performs no per-row allocation; prefixBuf and cur back the
-	// Successor/enumeration walks.
+	// walk performs no per-row allocation; prefixBuf backs SuccessorInto.
 	scratch   bitvec.BitVec
 	prefixBuf []bool
-	cur       bitvec.BitVec
 }
 
 // NewImageSearcher builds a searcher for the image of h(x) = Ax + b over
@@ -43,21 +41,13 @@ func NewImageSearcher(a *Matrix, b bitvec.BitVec, cons *System) *ImageSearcher {
 		b:       b,
 		ps:      NewPrefixStack(a, b, cons),
 		scratch: bitvec.New(a.Cols()),
-		cur:     bitvec.New(a.Rows()),
 	}
 }
 
-// OutBits returns the width of image elements.
-func (s *ImageSearcher) OutBits() int { return s.a.Rows() }
-
-// Empty reports whether the image is empty (constraints unsatisfiable).
-func (s *ImageSearcher) Empty() bool { return !s.ps.BaseConsistent() }
-
 // LexMinWithPrefixInto writes the lexicographically smallest image element
-// whose first len(prefix) bits equal prefix into dst (caller-owned, width
-// OutBits, fully overwritten) and reports whether one exists — the
-// allocation-free form of LexMinWithPrefix. On false, dst's contents are
-// unspecified.
+// whose first len(prefix) bits equal prefix into dst (caller-owned, one
+// bit per row of A, fully overwritten) and reports whether one exists. On
+// false, dst's contents are unspecified.
 func (s *ImageSearcher) LexMinWithPrefixInto(prefix []bool, dst bitvec.BitVec) bool {
 	m := s.a.Rows()
 	if len(prefix) > m {
@@ -104,21 +94,6 @@ func (s *ImageSearcher) LexMinWithPrefixInto(prefix []bool, dst bitvec.BitVec) b
 	return true
 }
 
-// LexMinWithPrefix returns the lexicographically smallest element of the
-// image whose first len(prefix) bits equal prefix, and whether one exists.
-func (s *ImageSearcher) LexMinWithPrefix(prefix []bool) (bitvec.BitVec, bool) {
-	y := bitvec.New(s.a.Rows())
-	if !s.LexMinWithPrefixInto(prefix, y) {
-		return bitvec.BitVec{}, false
-	}
-	return y, true
-}
-
-// Min returns the lexicographically smallest image element.
-func (s *ImageSearcher) Min() (bitvec.BitVec, bool) {
-	return s.LexMinWithPrefix(nil)
-}
-
 // MinInto writes the lexicographically smallest image element into dst and
 // reports whether the image is nonempty.
 func (s *ImageSearcher) MinInto(dst bitvec.BitVec) bool {
@@ -126,12 +101,13 @@ func (s *ImageSearcher) MinInto(dst bitvec.BitVec) bool {
 }
 
 // SuccessorInto writes the smallest image element strictly greater than y
-// into dst (caller-owned, width OutBits) and reports whether one exists.
+// into dst (caller-owned, one bit per row of A) and reports whether one
+// exists.
 // dst may alias y: y's bits are copied out before dst is written. It
 // follows the paper's strategy — walk the rightmost zeros of y, trying to
 // extend prefix y₁…y_{r-1}·1 for each zero position r from right to left.
-// When y is the element a preceding LexMin/Successor call produced, each
-// probe costs one row operation: the walk's bits are committed with
+// When y is the element a preceding MinInto/SuccessorInto call produced,
+// each probe costs one row operation: the walk's bits are committed with
 // per-position checkpoints, so the searcher rewinds exactly to the flip
 // position.
 func (s *ImageSearcher) SuccessorInto(y, dst bitvec.BitVec) bool {
@@ -148,71 +124,4 @@ func (s *ImageSearcher) SuccessorInto(y, dst bitvec.BitVec) bool {
 	return SuccessorPrefixes(y, s.prefixBuf[:m], func(prefix []bool) bool {
 		return s.LexMinWithPrefixInto(prefix, dst)
 	})
-}
-
-// Successor returns the smallest image element strictly greater than y, and
-// whether one exists.
-func (s *ImageSearcher) Successor(y bitvec.BitVec) (bitvec.BitVec, bool) {
-	next := bitvec.New(s.a.Rows())
-	if !s.SuccessorInto(y, next) {
-		return bitvec.BitVec{}, false
-	}
-	return next, true
-}
-
-// EnumerateImage visits image elements in increasing lexicographic order,
-// up to limit of them (limit < 0 means all; beware 2^rank image sizes).
-// visit returning false stops the walk early; the walk's count is returned.
-// The vector passed to visit is scratch owned by the searcher, valid only
-// for the duration of the callback — Clone it to retain.
-func (s *ImageSearcher) EnumerateImage(limit int, visit func(bitvec.BitVec) bool) int {
-	if limit == 0 {
-		return 0
-	}
-	count := 0
-	ok := s.MinInto(s.cur)
-	for ok {
-		count++
-		if !visit(s.cur) {
-			break
-		}
-		if limit >= 0 && count >= limit {
-			break
-		}
-		ok = s.SuccessorInto(s.cur, s.cur)
-	}
-	return count
-}
-
-// KMin returns the k lexicographically smallest elements of the image in
-// increasing order (fewer if the image is smaller); k ≤ 0 yields none. The
-// returned vectors are freshly allocated and independent of the searcher.
-func (s *ImageSearcher) KMin(k int) []bitvec.BitVec {
-	if k <= 0 {
-		return nil
-	}
-	var out []bitvec.BitVec
-	s.EnumerateImage(k, func(y bitvec.BitVec) bool {
-		out = append(out, y.Clone())
-		return true
-	})
-	return out
-}
-
-// Contains reports whether y is in the image. Membership is feasibility of
-// the full-length prefix y, so the check shares the rewind machinery (and
-// its cost profile) with LexMinWithPrefix.
-func (s *ImageSearcher) Contains(y bitvec.BitVec) bool {
-	m := s.a.Rows()
-	if y.Len() != m {
-		panic("gf2: width mismatch")
-	}
-	if cap(s.prefixBuf) < m {
-		s.prefixBuf = make([]bool, m)
-	}
-	buf := s.prefixBuf[:m]
-	for i := 0; i < m; i++ {
-		buf[i] = y.Get(i)
-	}
-	return s.ps.ExtendTo(buf)
 }

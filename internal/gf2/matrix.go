@@ -36,17 +36,6 @@ func NewMatrix(cols int) *Matrix {
 	return &Matrix{cols: cols}
 }
 
-// FromRows wraps prebuilt rows (not copied) as a matrix. Every row must
-// already have width cols.
-func FromRows(cols int, rows []bitvec.BitVec) *Matrix {
-	for _, r := range rows {
-		if r.Len() != cols {
-			panic("gf2: row width mismatch")
-		}
-	}
-	return &Matrix{cols: cols, rows: rows}
-}
-
 // NewSlabMatrix returns an all-zero rows×cols matrix with contiguous row
 // storage, along with its row vectors for initialization. The rows alias
 // the matrix storage; initialize them before use and do not resize.
@@ -176,21 +165,6 @@ func (m *Matrix) mulVecFlat(xw, dw []uint64) {
 	}
 }
 
-// SubMatrix returns a fresh matrix consisting of rows [0, k).
-func (m *Matrix) SubMatrix(k int) *Matrix {
-	if k > len(m.rows) {
-		panic("gf2: submatrix rows out of range")
-	}
-	s := NewMatrix(m.cols)
-	s.rows = append(s.rows, m.rows[:k]...)
-	if m.flat != nil {
-		// A row prefix stays contiguous in the backing array.
-		s.flat = m.flat[:k*m.stride]
-		s.stride = m.stride
-	}
-	return s
-}
-
 // SelectColumns returns a fresh matrix keeping only the columns for which
 // keep[j] is true, in order. Used to restrict a hash matrix to the free
 // variables of a DNF term. The compression runs per set bit of the keep
@@ -223,13 +197,4 @@ func (m *Matrix) SelectColumns(keep []bool) *Matrix {
 		}
 	}
 	return s
-}
-
-// Rank computes the GF(2) rank.
-func (m *Matrix) Rank() int {
-	s := NewSystem(m.cols)
-	for _, r := range m.rows {
-		s.Add(r, false)
-	}
-	return s.Rank()
 }

@@ -40,18 +40,6 @@ func NewPrefixStack(a *Matrix, b bitvec.BitVec, sys *System) *PrefixStack {
 // by the stack's next rewind.
 func (p *PrefixStack) System() *System { return p.sys }
 
-// BaseConsistent reports whether the base constraints (zero committed
-// rows) are consistent, regardless of the committed depth.
-func (p *PrefixStack) BaseConsistent() bool {
-	if len(p.committed) > 0 {
-		return !p.marks[0].inconsistent
-	}
-	return p.sys.Consistent()
-}
-
-// Depth returns the number of committed prefix bits.
-func (p *PrefixStack) Depth() int { return len(p.committed) }
-
 // ExtendTo rewinds to the longest common prefix of the committed bits and
 // prefix, then commits the remaining bits of prefix one row at a time. It
 // returns false as soon as the system goes inconsistent (the offending row

@@ -170,18 +170,6 @@ func (s *System) reduceWords(rw []uint64, rhs bool) bool {
 	return rhs
 }
 
-// Residual returns the reduced form of (a, rhs) against the current basis
-// without mutating the system. If the reduced row is zero, the equation is
-// implied (rhs false) or contradicted (rhs true).
-func (s *System) Residual(a bitvec.BitVec, rhs bool) (bitvec.BitVec, bool) {
-	if a.Len() != s.cols {
-		panic("gf2: row width mismatch")
-	}
-	r := a.Clone()
-	rr := s.reduceWords(r.Words(), rhs)
-	return r, rr
-}
-
 // ResidualInto reduces (a, rhs) against the basis into dst (caller-owned,
 // width cols, fully overwritten) and returns the reduced rhs — the
 // allocation-free form of Residual. dst must not alias a basis row.
@@ -292,10 +280,6 @@ func (s *System) Equations() []Equation {
 	return eqs
 }
 
-// FreeDim returns the dimension of the solution space (number of free
-// variables); meaningful only when consistent.
-func (s *System) FreeDim() int { return s.cols - len(s.pivots) }
-
 // NullBasis returns a basis of the homogeneous solution space {x : Ax = 0}.
 func (s *System) NullBasis() []bitvec.BitVec {
 	isPivot := make([]bool, s.cols)
@@ -358,21 +342,4 @@ func (s *System) EnumerateSolutions(limit int, visit func(bitvec.BitVec) bool) {
 		}
 		count++
 	}
-}
-
-// SolutionCountCapped returns min(cap, number of solutions). cap must be
-// non-negative.
-func (s *System) SolutionCountCapped(cap int) int {
-	if s.inconsistent {
-		return 0
-	}
-	d := s.FreeDim()
-	if d >= 63 {
-		return cap
-	}
-	n := uint64(1) << uint(d)
-	if uint64(cap) < n {
-		return cap
-	}
-	return int(n)
 }

@@ -22,12 +22,6 @@ package gf2poly
 
 import "math/bits"
 
-// HasAsm reports whether Clmul64 is dispatching to the hardware carry-less
-// multiply backend (PCLMULQDQ on amd64, PMULL on arm64) rather than the
-// pure-Go kernel. Exposed so benchmarks and logs can label which backend
-// produced their numbers.
-func HasAsm() bool { return hasCLMUL }
-
 // hole masks select every fourth bit. An operand masked by hole r has its
 // set bits ≥ 4 positions apart, which is what makes the integer-multiply
 // trick below exact: see clmulHoles.
@@ -40,10 +34,10 @@ const (
 
 // Clmul64 returns the carry-less product of the polynomials a and b over
 // GF(2): bit i of an operand is the coefficient of x^i, and the 127-bit
-// product is returned as hi<<64 | lo. With hardware support detected (see
-// HasAsm) the product is a single PCLMULQDQ/PMULL instruction; the generic
-// path costs 16 integer multiplies (see clmulHoles), independent of
-// operand values.
+// product is returned as hi<<64 | lo. With hardware support detected
+// (hasCLMUL) the product is a single PCLMULQDQ/PMULL instruction; the
+// generic path costs 16 integer multiplies (see clmulHoles), independent
+// of operand values.
 func Clmul64(a, b uint64) (hi, lo uint64) {
 	if hasCLMUL {
 		return clmulAsm(a, b)

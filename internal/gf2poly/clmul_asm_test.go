@@ -204,3 +204,8 @@ func BenchmarkClmulKernel(b *testing.B) {
 		}
 	}
 }
+
+// HasAsm reports whether Clmul64 is dispatching to the hardware carry-less
+// multiply backend (PCLMULQDQ on amd64, PMULL on arm64) rather than the
+// pure-Go kernel; the asm-only checks skip when it is false.
+func HasAsm() bool { return hasCLMUL }

@@ -204,14 +204,6 @@ func NewField(m int) *Field {
 	return f
 }
 
-// Degree returns m.
-func (fd *Field) Degree() int { return fd.m }
-
-// Modulus returns the low 64 bits of the irreducible modulus polynomial.
-// For m < 64 this includes the x^m term; for m = 64 the x^64 term is
-// implicit. Exposed for tests and documentation.
-func (fd *Field) Modulus() uint64 { return fd.f.lo }
-
 // mask returns the valid-bits mask for field elements.
 func (fd *Field) mask() uint64 {
 	if fd.m == 64 {

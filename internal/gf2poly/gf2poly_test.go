@@ -202,3 +202,8 @@ func TestAllDegreesConstructible(t *testing.T) {
 		}
 	}
 }
+
+// Modulus returns the low 64 bits of the irreducible modulus polynomial.
+// For m < 64 this includes the x^m term; for m = 64 the x^64 term is
+// implicit. Exposed for tests and documentation.
+func (fd *Field) Modulus() uint64 { return fd.f.lo }

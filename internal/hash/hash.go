@@ -61,9 +61,6 @@ type Family interface {
 	Draw(next func() uint64) Func
 	InBits() int
 	OutBits() int
-	// Independence returns the k for which the family is k-wise
-	// independent.
-	Independence() int
 	// Name identifies the family in benchmarks and logs.
 	Name() string
 }
@@ -138,21 +135,6 @@ func (l *Linear) InBits() int { return l.A.Cols() }
 
 // OutBits returns m.
 func (l *Linear) OutBits() int { return l.A.Rows() }
-
-// Prefix returns the m-th prefix slice h_m, consisting of the first m
-// output bits: h_m(x) = A_m·x + b_m where A_m keeps the first m rows. A
-// Toeplitz kernel survives the slice (the prefix reads a truncation of
-// the packed diagonal).
-func (l *Linear) Prefix(m int) *Linear {
-	if m > l.A.Rows() {
-		panic("hash: prefix longer than output")
-	}
-	p := &Linear{A: l.A.SubMatrix(m), B: l.B.Prefix(m)}
-	if l.toep != nil {
-		p.toep = l.toep.prefix(m, p.B)
-	}
-	return p
-}
 
 // PrefixIsZero reports whether the first m bits of h(x) are all zero,
 // without materialising the full output.
@@ -241,9 +223,6 @@ func (t Toeplitz) InBits() int { return t.n }
 // OutBits returns m.
 func (t Toeplitz) OutBits() int { return t.m }
 
-// Independence returns 2.
-func (t Toeplitz) Independence() int { return 2 }
-
 // Name returns "toeplitz".
 func (t Toeplitz) Name() string { return "toeplitz" }
 
@@ -266,9 +245,6 @@ func (x Xor) InBits() int { return x.n }
 
 // OutBits returns m.
 func (x Xor) OutBits() int { return x.m }
-
-// Independence returns 2.
-func (x Xor) Independence() int { return 2 }
 
 // Name returns "xor".
 func (x Xor) Name() string { return "xor" }
@@ -320,15 +296,8 @@ func (s Sparse) InBits() int { return s.n }
 // OutBits returns m.
 func (s Sparse) OutBits() int { return s.m }
 
-// Independence returns 1: sparse rows are not pairwise independent; the
-// family trades uniformity for solver-friendliness (§6).
-func (s Sparse) Independence() int { return 1 }
-
 // Name returns "sparse".
 func (s Sparse) Name() string { return "sparse" }
-
-// Density returns the row density.
-func (s Sparse) Density() float64 { return s.density }
 
 // Poly is the s-wise independent family H_{s-wise}(n, n): a uniformly
 // random polynomial of degree < s over GF(2^n), evaluated at the input
@@ -367,9 +336,6 @@ func (p Poly) InBits() int { return p.n }
 
 // OutBits returns n.
 func (p Poly) OutBits() int { return p.n }
-
-// Independence returns s.
-func (p Poly) Independence() int { return p.s }
 
 // Name returns "poly".
 func (p Poly) Name() string { return "poly" }

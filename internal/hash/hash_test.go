@@ -184,19 +184,15 @@ func TestFamilyMetadata(t *testing.T) {
 	cases := []struct {
 		fam  Family
 		n, m int
-		k    int
 		name string
 	}{
-		{NewToeplitz(7, 5), 7, 5, 2, "toeplitz"},
-		{NewXor(7, 5), 7, 5, 2, "xor"},
-		{NewPoly(8, 6), 8, 8, 6, "poly"},
+		{NewToeplitz(7, 5), 7, 5, "toeplitz"},
+		{NewXor(7, 5), 7, 5, "xor"},
+		{NewPoly(8, 6), 8, 8, "poly"},
 	}
 	for _, c := range cases {
 		if c.fam.InBits() != c.n || c.fam.OutBits() != c.m {
 			t.Errorf("%s: shape %d→%d, want %d→%d", c.name, c.fam.InBits(), c.fam.OutBits(), c.n, c.m)
-		}
-		if c.fam.Independence() != c.k {
-			t.Errorf("%s: independence %d, want %d", c.name, c.fam.Independence(), c.k)
 		}
 		if c.fam.Name() != c.name {
 			t.Errorf("Name() = %q, want %q", c.fam.Name(), c.name)
@@ -213,9 +209,9 @@ func TestLinearEqual(t *testing.T) {
 	// clone rebuilds h's A and b in fresh storage, with row i's bit j and
 	// b's bit k flipped when asked (−1 leaves them alone).
 	clone := func(row, col, bBit int) *Linear {
-		rows := make([]bitvec.BitVec, h.A.Rows())
+		a, rows := gf2.NewSlabMatrix(h.A.Rows(), h.A.Cols())
 		for i := range rows {
-			rows[i] = h.A.Row(i).Clone()
+			rows[i].CopyFrom(h.A.Row(i))
 		}
 		if row >= 0 {
 			rows[row].Flip(col)
@@ -224,7 +220,7 @@ func TestLinearEqual(t *testing.T) {
 		if bBit >= 0 {
 			b.Flip(bBit)
 		}
-		return NewLinear(gf2.FromRows(h.A.Cols(), rows), b)
+		return NewLinear(a, b)
 	}
 	other := NewXor(6, 12).Draw(rng.Uint64).(*Linear)
 	var none *Linear

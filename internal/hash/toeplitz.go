@@ -87,22 +87,6 @@ func (k *toepKernel) finish(b bitvec.BitVec) {
 	}
 }
 
-// prefix returns the kernel of the m′-row slice h_{m′}. Rows 0..m′−1 read
-// diagonal positions [m−m′, m+n−2], which are exactly the low m′+n−1 bits
-// of the reversed diagonal — a truncation, not a recomputation.
-func (k *toepKernel) prefix(mp int, b bitvec.BitVec) *toepKernel {
-	if mp < 1 {
-		return nil
-	}
-	nb := mp + k.n - 1
-	p := &toepKernel{n: k.n, m: mp, dr: append([]uint64(nil), k.dr[:(nb+63)/64]...)}
-	if tail := uint(nb) % 64; tail != 0 {
-		p.dr[len(p.dr)-1] &= 1<<tail - 1
-	}
-	p.finish(b)
-	return p
-}
-
 // PrefixWords writes the first mp output bits of h(x) for a batch of
 // elements of at most 64 bits, one call per batch: xw[k] is element k's
 // bitvec word 0 (no bits at or above InBits), and dst[k] receives

@@ -5,8 +5,45 @@ import (
 	"testing"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/gf2"
 	"mcf0/internal/stats"
 )
+
+// Prefix returns the m-th prefix slice h_m, consisting of the first m
+// output bits: h_m(x) = A_m·x + b_m where A_m keeps the first m rows. A
+// Toeplitz kernel survives the slice (the prefix reads a truncation of
+// the packed diagonal). It is the slice-by-construction reference that
+// PrefixIsZero and the word paths are checked against.
+func (l *Linear) Prefix(m int) *Linear {
+	if m > l.A.Rows() {
+		panic("hash: prefix longer than output")
+	}
+	a, rows := gf2.NewSlabMatrix(m, l.A.Cols())
+	for i := range rows {
+		rows[i].CopyFrom(l.A.Row(i))
+	}
+	p := &Linear{A: a, B: l.B.Prefix(m)}
+	if l.toep != nil {
+		p.toep = l.toep.prefix(m, p.B)
+	}
+	return p
+}
+
+// prefix returns the kernel of the m′-row slice h_{m′}. Rows 0..m′−1 read
+// diagonal positions [m−m′, m+n−2], which are exactly the low m′+n−1 bits
+// of the reversed diagonal — a truncation, not a recomputation.
+func (k *toepKernel) prefix(mp int, b bitvec.BitVec) *toepKernel {
+	if mp < 1 {
+		return nil
+	}
+	nb := mp + k.n - 1
+	p := &toepKernel{n: k.n, m: mp, dr: append([]uint64(nil), k.dr[:(nb+63)/64]...)}
+	if tail := uint(nb) % 64; tail != 0 {
+		p.dr[len(p.dr)-1] &= 1<<tail - 1
+	}
+	p.finish(b)
+	return p
+}
 
 // slowCopy strips the carry-less kernel off a Toeplitz draw, leaving the
 // per-row dot-product path over the same A and b — the reference the

@@ -75,10 +75,6 @@ func (h *Histogram) RecordDuration(d time.Duration) {
 // Count returns the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Min and Max return the exact extremes of the recorded values (0 when
-// empty); Mean their arithmetic mean.
-func (h *Histogram) Min() uint64 { return h.min }
-
 // Max returns the exact maximum recorded value.
 func (h *Histogram) Max() uint64 { return h.max }
 

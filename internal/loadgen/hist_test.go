@@ -129,3 +129,6 @@ func TestHistogramEmpty(t *testing.T) {
 		t.Fatal("negative duration not clamped to 0")
 	}
 }
+
+// Min returns the exact minimum recorded value (0 when empty).
+func (h *Histogram) Min() uint64 { return h.min }

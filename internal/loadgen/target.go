@@ -29,9 +29,6 @@ type InProc struct {
 // NewInProc wraps an existing concurrent front.
 func NewInProc(front *mcf0.ConcurrentF0) *InProc { return &InProc{front: front} }
 
-// Front returns the wrapped sketch (the CLI reads its final estimate).
-func (t *InProc) Front() *mcf0.ConcurrentF0 { return t.front }
-
 // Ingest absorbs one batch. ConcurrentF0.AddBatch panics on elements
 // outside the universe; the generator only emits in-range elements, so
 // a panic here is a harness bug and is allowed to propagate.

@@ -40,7 +40,6 @@ func (a *clauseArena) alloc(lits []uint32, learned bool, lbd uint32) cref {
 }
 
 func (a *clauseArena) size(c cref) int     { return int(a.data[c] >> 2) }
-func (a *clauseArena) learned(c cref) bool { return a.data[c]&hdrLearned != 0 }
 func (a *clauseArena) deleted(c cref) bool { return a.data[c]&hdrDeleted != 0 }
 func (a *clauseArena) markDeleted(c cref)  { a.data[c] |= hdrDeleted }
 func (a *clauseArena) lbd(c cref) uint32   { return a.data[c+1] }

@@ -910,21 +910,6 @@ func (s *Solver) blockCurrent(nBlock int, extra []uint32) bool {
 	return true
 }
 
-// BlockModel adds the clause forbidding the given assignment (over the
-// model's variables), enabling AllSAT-style enumeration. Returns false if
-// the formula becomes unsatisfiable.
-func (s *Solver) BlockModel(model bitvec.BitVec) bool {
-	n := model.Len()
-	if n > s.nVars {
-		n = s.nVars
-	}
-	lits := make([]formula.Lit, n)
-	for v := 0; v < n; v++ {
-		lits[v] = formula.Lit{Var: v, Neg: model.Get(v)}
-	}
-	return s.AddClause(lits)
-}
-
 // EnumerateBlocking visits up to limit models (limit < 0 for all)
 // consistent with the assumptions. Each visited model is blocked over
 // variables [0, nBlock) by a clause that additionally contains the extra
@@ -979,14 +964,4 @@ func (s *Solver) EnumerateBlocking(limit, nBlock int, extra []formula.Lit, visit
 		}
 	}
 	return count, false
-}
-
-// EnumerateModels visits up to limit models (limit < 0 for all) consistent
-// with the assumptions, blocking each before searching for the next. visit
-// returning false stops early. It returns the number of models visited.
-// Blocking clauses are permanent: they also exclude the visited models from
-// later Solve calls.
-func (s *Solver) EnumerateModels(limit int, visit func(bitvec.BitVec) bool, assumps ...formula.Lit) int {
-	count, _ := s.EnumerateBlocking(limit, s.nVars, nil, visit, assumps...)
-	return count
 }

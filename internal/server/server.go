@@ -229,12 +229,6 @@ func (s *Server) Routes() []Route {
 // servers and ListenAndServe serves.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Registry exposes the sketch registry (the f0d CLI logs against it).
-func (s *Server) Registry() *state.Registry { return s.registry }
-
-// Restored returns how many sketches restore-on-boot loaded.
-func (s *Server) Restored() int { return s.restored }
-
 // Shutdown snapshots every dirty sketch to the data directory; it is the
 // graceful-shutdown tail and safe to call on a server that never
 // listened. Without a data directory it is a no-op.

@@ -126,7 +126,10 @@ func (s *Sketch) Items() uint64 { return s.items.Load() }
 // Version returns the front's completed-write counter.
 func (s *Sketch) Version() uint64 { return s.front.Version() }
 
-// SketchWords returns the summed replica footprint in 64-bit words.
+// SketchWords returns the summed replica footprint in 64-bit words. Once
+// an estimate has missed on a sketch of two or more replicas, it also
+// counts the merge target the front keeps, so P replicas report P+1
+// copies.
 func (s *Sketch) SketchWords() int { return s.front.SketchWords() }
 
 // Replicas returns the front's replica count.

@@ -162,9 +162,6 @@ func (d *DNFStream) AppendBinary(dst []byte) []byte {
 	return appendMinSketch(dst, d.s)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (d *DNFStream) MarshalBinary() ([]byte, error) { return d.AppendBinary(nil), nil }
-
 // DecodeDNFStreamFrom decodes one framed DNF stream at the reader's
 // position; failures land in the reader.
 func DecodeDNFStreamFrom(r *wire.Reader, parallelism int) *DNFStream {
@@ -183,18 +180,6 @@ func DecodeDNFStreamFrom(r *wire.Reader, parallelism int) *DNFStream {
 	return &DNFStream{n: n, s: s}
 }
 
-// DecodeDNFStream decodes a snapshot produced by MarshalBinary, which must
-// span data exactly. parallelism configures the restored stream's worker
-// pool as Options.Parallelism would.
-func DecodeDNFStream(data []byte, parallelism int) (*DNFStream, error) {
-	r := wire.NewReader(data)
-	d := DecodeDNFStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // ---- RangeStream ----
 
 // AppendBinary appends the framed wire form: the per-dimension widths,
@@ -204,9 +189,6 @@ func (rs *RangeStream) AppendBinary(dst []byte) []byte {
 	dst = appendDims(dst, rs.bits)
 	return appendMinSketch(dst, rs.inner.s)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (rs *RangeStream) MarshalBinary() ([]byte, error) { return rs.AppendBinary(nil), nil }
 
 // DecodeRangeStreamFrom decodes one framed range stream at the reader's
 // position; failures land in the reader.
@@ -226,16 +208,6 @@ func DecodeRangeStreamFrom(r *wire.Reader, parallelism int) *RangeStream {
 	return &RangeStream{inner: &DNFStream{n: total, s: s}, bits: bits}
 }
 
-// DecodeRangeStream decodes a snapshot produced by MarshalBinary.
-func DecodeRangeStream(data []byte, parallelism int) (*RangeStream, error) {
-	r := wire.NewReader(data)
-	rs := DecodeRangeStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return rs, nil
-}
-
 // ---- ProgressionStream ----
 
 // AppendBinary appends the framed wire form: the per-dimension widths,
@@ -245,9 +217,6 @@ func (p *ProgressionStream) AppendBinary(dst []byte) []byte {
 	dst = appendDims(dst, p.bits)
 	return appendMinSketch(dst, p.inner.s)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p *ProgressionStream) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil), nil }
 
 // DecodeProgressionStreamFrom decodes one framed progression stream at the
 // reader's position; failures land in the reader.
@@ -267,16 +236,6 @@ func DecodeProgressionStreamFrom(r *wire.Reader, parallelism int) *ProgressionSt
 	return &ProgressionStream{inner: &DNFStream{n: total, s: s}, bits: bits}
 }
 
-// DecodeProgressionStream decodes a snapshot produced by MarshalBinary.
-func DecodeProgressionStream(data []byte, parallelism int) (*ProgressionStream, error) {
-	r := wire.NewReader(data)
-	p := DecodeProgressionStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // ---- AffineStream ----
 
 // AppendBinary appends the framed wire form: n, then the sketch body.
@@ -285,9 +244,6 @@ func (s *AffineStream) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendInt(dst, s.n)
 	return appendMinSketch(dst, s.s)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *AffineStream) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil), nil }
 
 // DecodeAffineStreamFrom decodes one framed affine stream at the reader's
 // position; failures land in the reader.
@@ -307,16 +263,6 @@ func DecodeAffineStreamFrom(r *wire.Reader, parallelism int) *AffineStream {
 	return &AffineStream{n: n, s: s}
 }
 
-// DecodeAffineStream decodes a snapshot produced by MarshalBinary.
-func DecodeAffineStream(data []byte, parallelism int) (*AffineStream, error) {
-	r := wire.NewReader(data)
-	s := DecodeAffineStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // ---- CNFStream ----
 
 // AppendBinary appends the framed wire form: n, the oracle-query meter,
@@ -327,9 +273,6 @@ func (c *CNFStream) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, uint64(c.Queries))
 	return appendMinSketch(dst, c.s)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c *CNFStream) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil), nil }
 
 // DecodeCNFStreamFrom decodes one framed CNF stream at the reader's
 // position; failures land in the reader.
@@ -355,14 +298,4 @@ func DecodeCNFStreamFrom(r *wire.Reader, parallelism int) *CNFStream {
 		return nil
 	}
 	return &CNFStream{n: n, s: s, Queries: int64(queries)}
-}
-
-// DecodeCNFStream decodes a snapshot produced by MarshalBinary.
-func DecodeCNFStream(data []byte, parallelism int) (*CNFStream, error) {
-	r := wire.NewReader(data)
-	c := DecodeCNFStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

@@ -187,3 +187,70 @@ func TestStreamCodecErrors(t *testing.T) {
 		}
 	}
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (d *DNFStream) MarshalBinary() ([]byte, error) { return d.AppendBinary(nil), nil }
+
+// DecodeDNFStream decodes a snapshot produced by MarshalBinary, which must
+// span data exactly. parallelism configures the restored stream's worker
+// pool as Options.Parallelism would.
+func DecodeDNFStream(data []byte, parallelism int) (*DNFStream, error) {
+	r := wire.NewReader(data)
+	d := DecodeDNFStreamFrom(r, parallelism)
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (rs *RangeStream) MarshalBinary() ([]byte, error) { return rs.AppendBinary(nil), nil }
+
+// DecodeRangeStream decodes a snapshot produced by MarshalBinary.
+func DecodeRangeStream(data []byte, parallelism int) (*RangeStream, error) {
+	r := wire.NewReader(data)
+	rs := DecodeRangeStreamFrom(r, parallelism)
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (p *ProgressionStream) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil), nil }
+
+// DecodeProgressionStream decodes a snapshot produced by MarshalBinary.
+func DecodeProgressionStream(data []byte, parallelism int) (*ProgressionStream, error) {
+	r := wire.NewReader(data)
+	p := DecodeProgressionStreamFrom(r, parallelism)
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s *AffineStream) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil), nil }
+
+// DecodeAffineStream decodes a snapshot produced by MarshalBinary.
+func DecodeAffineStream(data []byte, parallelism int) (*AffineStream, error) {
+	r := wire.NewReader(data)
+	s := DecodeAffineStreamFrom(r, parallelism)
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (c *CNFStream) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil), nil }
+
+// DecodeCNFStream decodes a snapshot produced by MarshalBinary.
+func DecodeCNFStream(data []byte, parallelism int) (*CNFStream, error) {
+	r := wire.NewReader(data)
+	c := DecodeCNFStreamFrom(r, parallelism)
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}

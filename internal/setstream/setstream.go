@@ -159,16 +159,6 @@ func (s *minSketch) Estimate() float64 {
 	return stats.Median(ests)
 }
 
-// SketchWords reports sketch memory in 64-bit words (hash functions
-// excluded), for the space experiments of Theorems 5–7.
-func (s *minSketch) SketchWords() int {
-	total := 0
-	for _, c := range s.copies {
-		total += c.set.Words()
-	}
-	return total
-}
-
 // DNFStream estimates F0 of a stream of DNF sets (Theorem 5): per item,
 // FindMinDNF inserts the arriving formula's smallest hashed solutions
 // straight into each copy's set, in time O(n⁴·k·Thresh), pruned by the
@@ -211,12 +201,6 @@ func (d *DNFStream) ProcessDNFBatch(fs []*formula.DNF) {
 	})
 }
 
-// ProcessElement absorbs a single universe element (the classic streaming
-// model embeds into DNF streams via singleton formulas).
-func (d *DNFStream) ProcessElement(x bitvec.BitVec) {
-	d.ProcessDNF(formula.SingletonDNF(x))
-}
-
 // ProcessElementBatch absorbs a chunk of universe elements as singleton
 // DNF sets with a single pool dispatch.
 func (d *DNFStream) ProcessElementBatch(xs []bitvec.BitVec) {
@@ -229,9 +213,6 @@ func (d *DNFStream) ProcessElementBatch(xs []bitvec.BitVec) {
 
 // Estimate returns the (ε, δ)-approximation of |∪ᵢ Sol(φᵢ)|.
 func (d *DNFStream) Estimate() float64 { return d.s.Estimate() }
-
-// SketchWords reports sketch memory in words.
-func (d *DNFStream) SketchWords() int { return d.s.SketchWords() }
 
 // RangeStream estimates F0 over d-dimensional range items (Theorem 6) by
 // converting each range to its Lemma 4 DNF (≤ (2n)^d terms) and feeding a
@@ -296,9 +277,6 @@ func (r *RangeStream) ProcessRangeBatch(mrs []formula.MultiRange) error {
 // Estimate returns the (ε, δ)-approximation of the union size.
 func (r *RangeStream) Estimate() float64 { return r.inner.Estimate() }
 
-// SketchWords reports sketch memory in words.
-func (r *RangeStream) SketchWords() int { return r.inner.SketchWords() }
-
 // ProgressionStream estimates F0 over d-dimensional arithmetic-progression
 // items with power-of-two steps (Corollary 1).
 type ProgressionStream struct {
@@ -332,30 +310,6 @@ func (p *ProgressionStream) ProcessProgression(ps []formula.Progression) error {
 		return err
 	}
 	p.inner.ProcessDNF(d)
-	return nil
-}
-
-// ProcessProgressionBatch absorbs a chunk of d-dimensional progressions
-// with a single pool dispatch; on any invalid item the whole batch is
-// rejected and the sketch is unchanged.
-func (p *ProgressionStream) ProcessProgressionBatch(items [][]formula.Progression) error {
-	ds := make([]*formula.DNF, len(items))
-	for k, ps := range items {
-		if len(ps) != len(p.bits) {
-			panic("setstream: dimension count mismatch")
-		}
-		for i, pr := range ps {
-			if pr.Bits != p.bits[i] {
-				panic("setstream: dimension width mismatch")
-			}
-		}
-		d, err := formula.MultiProgressionDNF(ps)
-		if err != nil {
-			return err
-		}
-		ds[k] = d
-	}
-	p.inner.ProcessDNFBatch(ds)
 	return nil
 }
 
@@ -422,9 +376,6 @@ func (s *AffineStream) ProcessAffineBatch(as []*gf2.Matrix, bs []bitvec.BitVec) 
 
 // Estimate returns the (ε, δ)-approximation of the union size.
 func (s *AffineStream) Estimate() float64 { return s.s.Estimate() }
-
-// SketchWords reports sketch memory in words.
-func (s *AffineStream) SketchWords() int { return s.s.SketchWords() }
 
 // CNFStream estimates F0 over CNF-formula items using the NP-oracle
 // FindMin (the Observation 2 discussion: with a SAT solver standing in for

@@ -324,3 +324,49 @@ func sortVecs(vs []bitvec.BitVec) {
 		}
 	}
 }
+
+// SketchWords reports sketch memory in 64-bit words (hash functions
+// excluded), for the space experiments of Theorems 5–7.
+func (s *minSketch) SketchWords() int {
+	total := 0
+	for _, c := range s.copies {
+		total += c.set.Words()
+	}
+	return total
+}
+
+// ProcessElement absorbs a single universe element (the classic streaming
+// model embeds into DNF streams via singleton formulas).
+func (d *DNFStream) ProcessElement(x bitvec.BitVec) {
+	d.ProcessDNF(formula.SingletonDNF(x))
+}
+
+// SketchWords reports sketch memory in words.
+func (d *DNFStream) SketchWords() int { return d.s.SketchWords() }
+
+// SketchWords reports sketch memory in words.
+func (r *RangeStream) SketchWords() int { return r.inner.SketchWords() }
+
+// ProcessProgressionBatch absorbs a chunk of d-dimensional progressions
+// with a single pool dispatch; on any invalid item the whole batch is
+// rejected and the sketch is unchanged.
+func (p *ProgressionStream) ProcessProgressionBatch(items [][]formula.Progression) error {
+	ds := make([]*formula.DNF, len(items))
+	for k, ps := range items {
+		if len(ps) != len(p.bits) {
+			panic("setstream: dimension count mismatch")
+		}
+		for i, pr := range ps {
+			if pr.Bits != p.bits[i] {
+				panic("setstream: dimension width mismatch")
+			}
+		}
+		d, err := formula.MultiProgressionDNF(ps)
+		if err != nil {
+			return err
+		}
+		ds[k] = d
+	}
+	p.inner.ProcessDNFBatch(ds)
+	return nil
+}

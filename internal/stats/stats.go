@@ -57,9 +57,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns a uniform bit.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 
-// Split derives an independent generator; the parent advances once.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
-
 // Median returns the median of xs (mean of the middle pair for even
 // lengths). It does not modify xs. Panics on empty input.
 func Median(xs []float64) float64 {
@@ -87,21 +84,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n−1 denominator); zero for
-// fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // WithinFactor reports whether est lies in [truth/(1+eps), truth*(1+eps)],
 // the paper's (ε, δ) accuracy band. A truth of zero requires est zero.
 func WithinFactor(est, truth, eps float64) bool {
@@ -109,20 +91,6 @@ func WithinFactor(est, truth, eps float64) bool {
 		return est == 0
 	}
 	return est >= truth/(1+eps) && est <= truth*(1+eps)
-}
-
-// SuccessRate returns the fraction of trials for which ok is true.
-func SuccessRate(oks []bool) float64 {
-	if len(oks) == 0 {
-		return 0
-	}
-	c := 0
-	for _, ok := range oks {
-		if ok {
-			c++
-		}
-	}
-	return float64(c) / float64(len(oks))
 }
 
 // CouponEstimate is the Lemma 3 estimator shared by the Estimation-based

@@ -81,23 +81,6 @@ func AppendSketch(dst []byte, s Sketch) ([]byte, bool) {
 	return dst, false
 }
 
-// EncodeSketch returns the framed wire form of a sketch.
-func EncodeSketch(s Sketch) ([]byte, bool) {
-	return AppendSketch(nil, s)
-}
-
-// DecodeSketch decodes one framed sketch message, which must span data
-// exactly. parallelism configures the restored sketch's worker pool as
-// Options.Parallelism would (estimates are bit-identical at every level).
-func DecodeSketch(data []byte, parallelism int) (Sketch, error) {
-	r := wire.NewReader(data)
-	s := DecodeSketchFrom(r, parallelism)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // DecodeSketchFrom decodes one framed sketch message at the reader's
 // position, dispatching on the kind byte; failures land in the reader.
 func DecodeSketchFrom(r *wire.Reader, parallelism int) Sketch {

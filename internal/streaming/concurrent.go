@@ -12,8 +12,8 @@ import (
 
 // Concurrent is a lock-free-ingestion front over any mergeable Sketch:
 // P replicas cloned from one seed (so all replicas share hash draws),
-// each padded onto its own cache lines. Process and ProcessBatch may be
-// called from any number of goroutines concurrently — a caller claims
+// each padded onto its own cache lines. ProcessBatch may be called from
+// any number of goroutines concurrently — a caller claims
 // whichever replica it can TryLock first, so ingestion never serialises
 // on a shared lock. Estimate locks all replicas, merges their states into
 // a merge target the front keeps, and caches the answer until the next
@@ -29,7 +29,7 @@ import (
 // replica into it yields the union of the replicas — the state a fresh
 // clone-and-merge would build.
 //
-// Estimate, Process, and ProcessBatch are all safe to interleave freely;
+// Estimate and ProcessBatch are safe to interleave freely;
 // SketchWords reports the summed footprint of the replicas and the kept
 // target.
 type Concurrent struct {
@@ -96,8 +96,8 @@ func NewConcurrent(seed Sketch, replicas int) *Concurrent {
 // Replicas returns the replica count.
 func (c *Concurrent) Replicas() int { return len(c.replicas) }
 
-// Version returns the number of completed writes (Process or ProcessBatch
-// calls) absorbed so far. Estimate's cache is keyed on this counter, so
+// Version returns the number of completed writes (ProcessBatch calls)
+// absorbed so far. Estimate's cache is keyed on this counter, so
 // two Version calls returning the same value bracket a window in which
 // estimates are served from cache; EstimateVersioned reports the cache
 // outcome directly.
@@ -126,13 +126,6 @@ func (c *Concurrent) acquire() *replica {
 func (c *Concurrent) release(r *replica) {
 	c.version.Add(1)
 	r.mu.Unlock()
-}
-
-// Process absorbs one element into whichever replica is free.
-func (c *Concurrent) Process(x bitvec.BitVec) {
-	r := c.acquire()
-	r.sk.Process(x)
-	c.release(r)
 }
 
 // ProcessBatch absorbs a chunk of elements into whichever replica is
@@ -238,5 +231,3 @@ func (c *Concurrent) SketchWords() int {
 	}
 	return total
 }
-
-var _ Estimator = (*Concurrent)(nil)

@@ -410,3 +410,10 @@ func TestConcurrentHammerRace(t *testing.T) {
 		})
 	}
 }
+
+// Process absorbs one element into whichever replica is free.
+func (c *Concurrent) Process(x bitvec.BitVec) {
+	r := c.acquire()
+	r.sk.Process(x)
+	c.release(r)
+}

@@ -160,9 +160,6 @@ func (e *ExactDistinct) Estimate() float64 { return float64(len(e.seen)) }
 // SketchWords reports the O(F0) exact-set footprint.
 func (e *ExactDistinct) SketchWords() int { return len(e.seen) * ((e.n + 63) / 64) }
 
-// Count returns the distinct count as an integer.
-func (e *ExactDistinct) Count() int { return len(e.seen) }
-
 // Bucketing is Algorithm 3's Bucketing case: t independent copies of the
 // Gibbons–Tirthapura adaptive-sampling bucket.
 type Bucketing struct {
@@ -430,17 +427,6 @@ func (b *Bucketing) SketchWords() int {
 		total += c.size() * wpr
 	}
 	return total
-}
-
-// MaxLevel returns the largest sampling level across copies (diagnostics).
-func (b *Bucketing) MaxLevel() int {
-	m := 0
-	for _, c := range b.copies {
-		if c.level > m {
-			m = c.level
-		}
-	}
-	return m
 }
 
 // Minimum is Algorithm 3's Minimum case: t copies each retaining the

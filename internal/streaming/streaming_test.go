@@ -279,3 +279,17 @@ func TestPaperDefaultOptions(t *testing.T) {
 		t.Errorf("default iterations %d below 35·log2(5)", o.iterations())
 	}
 }
+
+// Count returns the distinct count as an integer.
+func (e *ExactDistinct) Count() int { return len(e.seen) }
+
+// MaxLevel returns the largest sampling level across copies (diagnostics).
+func (b *Bucketing) MaxLevel() int {
+	m := 0
+	for _, c := range b.copies {
+		if c.level > m {
+			m = c.level
+		}
+	}
+	return m
+}

@@ -341,17 +341,6 @@ func (r *Reader) Words() []uint64 {
 	return ws
 }
 
-// BitVec consumes a bit vector bounded by maxBits, allocating its storage.
-func (r *Reader) BitVec(maxBits int) bitvec.BitVec {
-	nbits := r.Int(maxBits)
-	if r.err != nil {
-		return bitvec.BitVec{}
-	}
-	v := bitvec.New(nbits)
-	r.bitVecWords(v)
-	return v
-}
-
 // BitVecInto consumes a bit vector of exactly dst.Len() bits into dst —
 // the slab-row decode path: the words land directly in the caller's flat
 // storage with no intermediate allocation.

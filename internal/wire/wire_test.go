@@ -350,3 +350,14 @@ func TestKindName(t *testing.T) {
 		t.Errorf("unknown kind name %q", got)
 	}
 }
+
+// BitVec consumes a bit vector bounded by maxBits, allocating its storage.
+func (r *Reader) BitVec(maxBits int) bitvec.BitVec {
+	nbits := r.Int(maxBits)
+	if r.err != nil {
+		return bitvec.BitVec{}
+	}
+	v := bitvec.New(nbits)
+	r.bitVecWords(v)
+	return v
+}

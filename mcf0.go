@@ -395,9 +395,6 @@ func (f *F0) AddBatch(xs []uint64) {
 // Estimate returns the current distinct-count approximation.
 func (f *F0) Estimate() float64 { return f.est.Estimate() }
 
-// Bits returns the universe width in bits.
-func (f *F0) Bits() int { return f.nBits }
-
 // SketchWords returns the sketch footprint in 64-bit words.
 func (f *F0) SketchWords() int { return f.est.SketchWords() }
 
@@ -540,11 +537,6 @@ func (d *DNFSetF0) AddDNFBatch(termss [][][]int) error {
 	}
 	d.inner.ProcessDNFBatch(fs)
 	return nil
-}
-
-// AddElement absorbs one plain element (a singleton set).
-func (d *DNFSetF0) AddElement(x uint64) {
-	d.inner.ProcessElement(bitvec.FromUint64(x, d.n))
 }
 
 // AddElementBatch absorbs a chunk of plain elements (singleton sets) with

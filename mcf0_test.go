@@ -133,7 +133,7 @@ func TestDNFSetF0(t *testing.T) {
 	if err := d.AddDNF([][]int{{1, 2, 3, 4, 5, 6, 7}}); err != nil { // 8 solutions
 		t.Fatal(err)
 	}
-	d.AddElement(0) // all-false assignment, not in the term above
+	d.AddElementBatch([]uint64{0}) // all-false assignment, not in the term above
 	if got := d.Estimate(); got != 9 {
 		t.Errorf("DNF set union = %g, want 9", got)
 	}
