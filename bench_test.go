@@ -685,7 +685,7 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 }
 
 // BenchmarkF0Ingest times F0.AddBatch at the f0d service's shape: 32-bit
-// universe, default ε/δ (81 copies, Thresh 151), serial absorb, and
+// universe, default ε/δ (82 copies, Thresh 150), serial absorb, and
 // 1024-element batches into a pre-filled sketch, reporting ns per
 // element. zipf batches (s = 1.1 over 2^20 keys) repeat their hot keys,
 // which the batch conversion drops before absorb; distinct batches have

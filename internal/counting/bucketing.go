@@ -62,9 +62,8 @@ func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bit
 // serial run for a fixed seed.
 func ApproxMC(src oracle.Source, opts Options) Result {
 	n := src.NVars()
-	thresh := opts.thresh()
-	t := opts.iterations()
-	rng := opts.rng()
+	p := opts.resolve()
+	thresh, t := p.Thresh, p.Iterations
 	var fam hash.Family = hash.NewToeplitz(n, n)
 	if opts.Family != nil {
 		if opts.Family.InBits() != n || opts.Family.OutBits() != n {
@@ -75,11 +74,11 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	hs := make([]*hash.Linear, t)
 	for i := range hs {
-		hs[i] = fam.Draw(rng.Uint64).(*hash.Linear)
+		hs[i] = fam.Draw(p.RNG.Uint64).(*hash.Linear)
 	}
 	// Sources 0…t−1 serve the trials; source t serves level 0, where any
 	// trial's h has no rows to add.
-	ts, workers := newTrialSources(src, t+1, opts.parallelism())
+	ts, workers := newTrialSources(src, t+1, p.Parallelism)
 	before := src.Queries()
 	c0, sols0 := BoundedSAT(ts.at(t), hs[0], 0, thresh)
 	ts.release(t)

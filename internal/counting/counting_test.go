@@ -331,6 +331,9 @@ func TestKarpLubyDegenerate(t *testing.T) {
 	}
 }
 
+// thresh is the Thresh a run with o uses.
+func (o Options) thresh() int { return o.resolve().Thresh }
+
 func TestPaperConstants(t *testing.T) {
 	var o Options
 	if got := o.thresh(); got != 150 { // 96/0.64 = 150
@@ -341,8 +344,25 @@ func TestPaperConstants(t *testing.T) {
 		t.Errorf("ε=1 thresh = %d, want 96", got)
 	}
 	o3 := Options{Delta: 0.5}
-	if got := o3.iterations(); got != 35 {
+	if got := o3.resolve().Iterations; got != 35 {
 		t.Errorf("δ=0.5 iterations = %d, want 35", got)
+	}
+}
+
+// TestZeroOptionsShape checks that every counter run at zero options
+// runs exactly the trial count params resolves.
+func TestZeroOptionsShape(t *testing.T) {
+	want := Options{}.resolve().Iterations
+	d := formula.RandomDNF(6, 4, 3, stats.NewRNG(3))
+	for name, res := range map[string]Result{
+		"bucketing":  ApproxMC(oracle.NewDNFSource(d), Options{}),
+		"minimum":    ApproxModelCountMinDNF(d, Options{}),
+		"estimation": ApproxModelCountEst(oracle.NewExhaustive(d.N, d.Eval), d.N, 3, Options{}),
+		"karpluby":   KarpLuby(d, Options{}),
+	} {
+		if res.Iterations != want || len(res.PerIteration) != want {
+			t.Errorf("%s: %d trials (%d estimates), want %d", name, res.Iterations, len(res.PerIteration), want)
+		}
 	}
 }
 

@@ -80,16 +80,14 @@ func FindMaxRangeLinear(src oracle.Source, h *hash.Linear) int {
 // serial run), and the tester is forked per trial when it supports
 // oracle.Forkable; otherwise execution falls back to serial.
 func ApproxModelCountEst(tz oracle.TrailingZeroTester, n, r int, opts Options) Result {
-	thresh := opts.thresh()
-	t := opts.iterations()
-	rng := opts.rng()
-	s := swiseIndependence(opts.epsilon())
-	fam := hash.NewPoly(n, s)
+	p := opts.resolve()
+	thresh, t := p.Thresh, p.Iterations
+	fam := hash.NewPoly(n, swiseIndependence(p.Epsilon))
 	hs := make([]hash.Func, t*thresh)
 	for i := range hs {
-		hs[i] = fam.Draw(rng.Uint64)
+		hs[i] = fam.Draw(p.RNG.Uint64)
 	}
-	tt, workers := newTrialTesters(tz, t, opts.parallelism())
+	tt, workers := newTrialTesters(tz, t, p.Parallelism)
 	before := tz.Queries()
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	runTrials(t, workers, func(i int) {

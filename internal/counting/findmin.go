@@ -164,16 +164,15 @@ type FindMinFunc func(h *hash.Linear, set *kmv.Set)
 // concurrent calls unless Parallelism is 1 (FindMinDNF is: it only reads
 // the formula and hash).
 func ApproxModelCountMin(n int, findMin FindMinFunc, opts Options) Result {
-	return approxMinTrials(n, func(int) FindMinFunc { return findMin }, opts, opts.parallelism())
+	return approxMinTrials(n, func(int) FindMinFunc { return findMin }, opts, opts.resolve().Parallelism)
 }
 
 // approxMinTrials is the shared Algorithm 6 engine: findMinFor(i) supplies
 // trial i's FindMin (letting oracle backends hand every trial its own
 // fork); workers bounds the pool.
 func approxMinTrials(n int, findMinFor func(trial int) FindMinFunc, opts Options, workers int) Result {
-	thresh := opts.thresh()
-	t := opts.iterations()
-	rng := opts.rng()
+	p := opts.resolve()
+	thresh, t := p.Thresh, p.Iterations
 	var fam hash.Family = hash.NewToeplitz(n, 3*n)
 	if opts.Family != nil {
 		if opts.Family.InBits() != n || opts.Family.OutBits() != 3*n {
@@ -184,7 +183,7 @@ func approxMinTrials(n int, findMinFor func(trial int) FindMinFunc, opts Options
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	hs := make([]*hash.Linear, t)
 	for i := range hs {
-		hs[i] = fam.Draw(rng.Uint64).(*hash.Linear)
+		hs[i] = fam.Draw(p.RNG.Uint64).(*hash.Linear)
 	}
 	runTrials(t, workers, func(i int) {
 		set := kmv.New(3*n, thresh)
@@ -207,8 +206,8 @@ func ApproxModelCountMinDNF(d *formula.DNF, opts Options) Result {
 // (Theorem 3's CNF case: O(p·n·log(1/δ)/ε²) oracle calls), metering
 // queries. Trials fork the source whenever it can fork.
 func ApproxModelCountMinOracle(src oracle.Source, opts Options) Result {
-	t := opts.iterations()
-	ts, workers := newTrialSources(src, t, opts.parallelism())
+	p := opts.resolve()
+	ts, workers := newTrialSources(src, p.Iterations, p.Parallelism)
 	before := src.Queries()
 	res := approxMinTrials(src.NVars(), func(i int) FindMinFunc {
 		return func(h *hash.Linear, set *kmv.Set) {

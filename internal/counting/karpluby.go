@@ -18,9 +18,9 @@ import (
 // satisfied by x; the union size is M·E[score]. A median of means gives
 // the (ε, δ) guarantee with O(k/ε² · log(1/δ)) samples.
 func KarpLuby(d *formula.DNF, opts Options) Result {
-	t := opts.iterations()
+	p := opts.resolve()
+	t := p.Iterations
 	res := Result{Iterations: t}
-	rng := opts.rng()
 	k := len(d.Terms)
 	if k == 0 {
 		res.Estimate = 0
@@ -47,16 +47,16 @@ func KarpLuby(d *formula.DNF, opts Options) Result {
 		res.PerIteration = make([]float64, t)
 		return res
 	}
-	samplesPerGroup := int(math.Ceil(8 * float64(k) / (opts.epsilon() * opts.epsilon())))
+	samplesPerGroup := int(math.Ceil(8 * float64(k) / (p.Epsilon * p.Epsilon)))
 	// Each median group gets its own RNG stream seeded serially, so groups
 	// are independent of the worker count and a fixed seed reproduces the
 	// same estimate at any parallelism level.
 	seeds := make([]uint64, t)
 	for g := range seeds {
-		seeds[g] = rng.Uint64()
+		seeds[g] = p.RNG.Uint64()
 	}
 	res.PerIteration = make([]float64, t)
-	runTrials(t, opts.parallelism(), func(g int) {
+	runTrials(t, p.Parallelism, func(g int) {
 		grng := stats.NewRNG(seeds[g])
 		x := bitvec.New(d.N)
 		hits := 0

@@ -22,26 +22,21 @@
 package counting
 
 import (
-	"math"
-
 	"mcf0/internal/hash"
-	"mcf0/internal/par"
+	"mcf0/internal/params"
 	"mcf0/internal/stats"
 )
 
-// Options parameterises the (ε, δ) algorithms. The zero value selects the
-// paper's constants: Thresh = 96/ε² and t = 35·log₂(1/δ) iterations with
-// ε = 0.8 and δ = 0.2. Tests dial Thresh and Iterations down explicitly.
+// Options parameterises the (ε, δ) algorithms: the shared parameter set
+// of params.Options plus the two fields only the counters have. The zero
+// value selects the paper's constants (see params.Resolve). Tests dial
+// Thresh and Iterations down explicitly.
 type Options struct {
-	// Epsilon is the multiplicative tolerance; estimates land within
-	// [c/(1+ε), c(1+ε)] with probability ≥ 1−δ. Defaults to 0.8.
-	Epsilon float64
-	// Delta is the failure probability. Defaults to 0.2.
-	Delta float64
-	// Thresh overrides the bucket/minimum size 96/ε² when positive.
-	Thresh int
-	// Iterations overrides the median-trial count 35·log₂(1/δ) when
-	// positive.
+	// Epsilon, Delta, Thresh and Iterations are params.Options' (ε, δ)
+	// parameters.
+	Epsilon    float64
+	Delta      float64
+	Thresh     int
 	Iterations int
 	// BinarySearch selects the ApproxMC2-style galloping/binary search
 	// over prefix lengths instead of Algorithm 5's linear scan.
@@ -63,49 +58,18 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) epsilon() float64 {
-	if o.Epsilon > 0 {
-		return o.Epsilon
-	}
-	return 0.8
+// resolve returns o's shared parameters with every unset one filled; a
+// nil RNG draws from the package's fixed seed.
+func (o Options) resolve() params.Options {
+	return params.Options{
+		Epsilon:     o.Epsilon,
+		Delta:       o.Delta,
+		Thresh:      o.Thresh,
+		Iterations:  o.Iterations,
+		RNG:         o.RNG,
+		Parallelism: o.Parallelism,
+	}.Resolve(0x6d63663073656564) // "mcf0seed"
 }
-
-func (o Options) delta() float64 {
-	if o.Delta > 0 && o.Delta < 1 {
-		return o.Delta
-	}
-	return 0.2
-}
-
-// thresh returns the paper's Thresh = ⌈96/ε²⌉ unless overridden.
-func (o Options) thresh() int {
-	if o.Thresh > 0 {
-		return o.Thresh
-	}
-	return int(math.Ceil(96 / (o.epsilon() * o.epsilon())))
-}
-
-// iterations returns the paper's t = ⌈35·log₂(1/δ)⌉ unless overridden.
-func (o Options) iterations() int {
-	if o.Iterations > 0 {
-		return o.Iterations
-	}
-	t := int(math.Ceil(35 * math.Log2(1/o.delta())))
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-func (o Options) rng() *stats.RNG {
-	if o.RNG != nil {
-		return o.RNG
-	}
-	return stats.NewRNG(0x6d63663073656564) // "mcf0seed"
-}
-
-// parallelism returns the effective worker bound (≥ 1).
-func (o Options) parallelism() int { return par.Workers(o.Parallelism) }
 
 // Result reports an estimate together with the work that produced it.
 type Result struct {

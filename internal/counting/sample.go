@@ -20,8 +20,8 @@ import (
 // if φ is unsatisfiable.
 func Sample(src oracle.Source, count int, opts Options) []bitvec.BitVec {
 	n := src.NVars()
-	thresh := opts.thresh()
-	rng := opts.rng()
+	p := opts.resolve()
+	thresh, rng := p.Thresh, p.RNG
 	fam := hash.NewToeplitz(n, n)
 
 	// Unsatisfiable formulas have nothing to sample.

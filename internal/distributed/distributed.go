@@ -29,63 +29,16 @@ import (
 	"mcf0/internal/kmv"
 	"mcf0/internal/oracle"
 	"mcf0/internal/par"
+	"mcf0/internal/params"
 	"mcf0/internal/stats"
 )
 
-// Options parameterises the protocols (paper constants when zero).
-type Options struct {
-	Epsilon    float64
-	Delta      float64
-	Thresh     int
-	Iterations int
-	RNG        *stats.RNG
-	// Parallelism bounds the worker pool simulating the independent median
-	// trials. 0 selects GOMAXPROCS; 1 forces serial. Hash functions are
-	// drawn serially up front and communication is tallied in trial order,
-	// so estimates and metered bits are identical at every level.
-	Parallelism int
-}
+// Options parameterises the protocols; the zero value selects the paper's
+// constants (see params.Resolve).
+type Options = params.Options
 
-func (o Options) epsilon() float64 {
-	if o.Epsilon > 0 {
-		return o.Epsilon
-	}
-	return 0.8
-}
-
-func (o Options) delta() float64 {
-	if o.Delta > 0 && o.Delta < 1 {
-		return o.Delta
-	}
-	return 0.2
-}
-
-func (o Options) thresh() int {
-	if o.Thresh > 0 {
-		return o.Thresh
-	}
-	return int(96/(o.epsilon()*o.epsilon())) + 1
-}
-
-func (o Options) iterations() int {
-	if o.Iterations > 0 {
-		return o.Iterations
-	}
-	t := int(math.Ceil(35 * math.Log2(1/o.delta())))
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-func (o Options) rng() *stats.RNG {
-	if o.RNG != nil {
-		return o.RNG
-	}
-	return stats.NewRNG(0xd15721b07ed)
-}
-
-func (o Options) parallelism() int { return par.Workers(o.Parallelism) }
+// defaultSeed seeds the hash draws of a protocol run with a nil RNG.
+const defaultSeed = 0xd15721b07ed
 
 // runTrials executes fn(i) for i in [0, t) on up to workers goroutines;
 // fn must write only to its own trial slot. The dynamic pool (par.Run) is
@@ -153,14 +106,13 @@ func levelBits(n int) int64 {
 func Bucketing(parts []*formula.DNF, opts Options) Result {
 	k := len(parts)
 	n := parts[0].N
-	thresh := opts.thresh()
-	t := opts.iterations()
-	rng := opts.rng()
+	o := opts.Resolve(defaultSeed)
+	thresh, t, rng := o.Thresh, o.Iterations, o.RNG
 
 	// Fingerprint width: collisions among ≤ k·Thresh distinct elements per
 	// iteration must be unlikely across t iterations.
 	pairs := float64(k*thresh) * float64(k*thresh) * float64(t)
-	gBits := int(math.Ceil(math.Log2(pairs / opts.delta())))
+	gBits := int(math.Ceil(math.Log2(pairs / o.Delta)))
 	if gBits < 1 {
 		gBits = 1
 	}
@@ -192,7 +144,7 @@ func Bucketing(parts []*formula.DNF, opts Options) Result {
 
 	ests := make([]float64, t)
 	sitesToCoord := make([]int64, t)
-	runTrials(t, opts.parallelism(), func(i int) {
+	runTrials(t, o.Parallelism, func(i int) {
 		h := hs[i]
 		hScratch := bitvec.New(n)
 		gScratch := bitvec.New(gBits)
@@ -272,9 +224,8 @@ func siteBucketCell(src oracle.Source, h *hash.Linear, thresh int) ([]bitvec.Bit
 func Minimum(parts []*formula.DNF, opts Options) Result {
 	k := len(parts)
 	n := parts[0].N
-	thresh := opts.thresh()
-	t := opts.iterations()
-	rng := opts.rng()
+	o := opts.Resolve(defaultSeed)
+	thresh, t, rng := o.Thresh, o.Iterations, o.RNG
 	fam := hash.NewToeplitz(n, 3*n)
 
 	var res Result
@@ -286,7 +237,7 @@ func Minimum(parts []*formula.DNF, opts Options) Result {
 
 	ests := make([]float64, t)
 	sitesToCoord := make([]int64, t)
-	runTrials(t, opts.parallelism(), func(i int) {
+	runTrials(t, o.Parallelism, func(i int) {
 		sets := kmv.Carve(3*n, thresh, 2)
 		global, site := &sets[0], &sets[1]
 		tmp := bitvec.NewSlab(3*n, thresh)
@@ -318,10 +269,9 @@ func Minimum(parts []*formula.DNF, opts Options) Result {
 func Estimation(parts []*formula.DNF, r int, opts Options) Result {
 	k := len(parts)
 	n := parts[0].N
-	thresh := opts.thresh()
-	t := opts.iterations()
-	rng := opts.rng()
-	s := int(math.Ceil(10 * math.Log2(1/opts.epsilon())))
+	o := opts.Resolve(defaultSeed)
+	thresh, t, rng := o.Thresh, o.Iterations, o.RNG
+	s := int(math.Ceil(10 * math.Log2(1/o.Epsilon)))
 	if s < 2 {
 		s = 2
 	}
@@ -331,7 +281,7 @@ func Estimation(parts []*formula.DNF, r int, opts Options) Result {
 	// solution list, so concurrent trials scan it read-only. If a tester
 	// ever stops being forkable, collapse to serial — sharing it across
 	// workers would race on its query meter.
-	workers := opts.parallelism()
+	workers := o.Parallelism
 	base := make([]*oracle.Exhaustive, k)
 	for j := range parts {
 		base[j] = oracle.NewExhaustive(n, parts[j].Eval)
@@ -390,7 +340,7 @@ func Estimation(parts []*formula.DNF, r int, opts Options) Result {
 func RoughR(parts []*formula.DNF, trials int, opts Options) (int, Comm) {
 	k := len(parts)
 	n := parts[0].N
-	rng := opts.rng()
+	rng := opts.Resolve(defaultSeed).RNG
 	fam := hash.NewXor(n, n)
 	srcs := make([]*oracle.DNFSource, k)
 	for j := range parts {

@@ -186,3 +186,19 @@ func TestRoughRUnsat(t *testing.T) {
 		t.Errorf("unsat RoughR = %d, want -1", r)
 	}
 }
+
+// TestZeroOptionsShape checks that every protocol run at zero options
+// runs exactly the trial count params resolves.
+func TestZeroOptionsShape(t *testing.T) {
+	want := Options{}.Resolve(0).Iterations
+	parts := Split(formula.RandomDNF(6, 4, 3, stats.NewRNG(3)), 2)
+	for name, res := range map[string]Result{
+		"bucketing":  Bucketing(parts, Options{}),
+		"minimum":    Minimum(parts, Options{}),
+		"estimation": Estimation(parts, 3, Options{}),
+	} {
+		if len(res.PerIteration) != want {
+			t.Errorf("%s: %d trials, want %d", name, len(res.PerIteration), want)
+		}
+	}
+}

@@ -45,10 +45,15 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("n must be in [1, %d]", api.maxCountVars()))
 		return
 	}
-	if req.Epsilon < 0 || req.Delta < 0 || req.Delta >= 1 || req.Thresh < 0 || req.Thresh > 1<<20 ||
-		req.Iterations < 0 || req.Iterations > 1<<16 || req.Parallelism < 0 {
-		middleware.WriteError(w, http.StatusBadRequest, "invalid_config",
-			"need epsilon >= 0, 0 <= delta < 1, thresh in [0, 2^20], iterations in [0, 2^16], parallelism >= 0")
+	cfg := mcf0.Config{
+		Epsilon:     req.Epsilon,
+		Delta:       req.Delta,
+		Thresh:      req.Thresh,
+		Iterations:  req.Iterations,
+		Seed:        uint64(req.Seed),
+		Parallelism: req.Parallelism,
+	}
+	if !validConfig(w, cfg) {
 		return
 	}
 	lists, field := req.Clauses, "clauses"
@@ -67,14 +72,6 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 		middleware.WriteError(w, http.StatusRequestEntityTooLarge, "formula_too_large",
 			fmt.Sprintf("formula exceeds the %d-%s / %d-literal limit", 1<<17, field, 1<<20))
 		return
-	}
-	cfg := mcf0.Config{
-		Epsilon:     req.Epsilon,
-		Delta:       req.Delta,
-		Thresh:      req.Thresh,
-		Iterations:  req.Iterations,
-		Seed:        uint64(req.Seed),
-		Parallelism: req.Parallelism,
 	}
 	var (
 		res mcf0.CountResult

@@ -113,12 +113,13 @@ func FuzzCountBody(f *testing.F) {
 		var req countReq
 		if json.Unmarshal(body, &req) == nil {
 			// n out of range and negative values are rejected before any
-			// work; zero resolves to the paper's constants.
-			cfg := mcf0.Config{Epsilon: req.Epsilon, Delta: req.Delta}
+			// work; zero resolves to the paper's constants, as the route
+			// resolves it.
+			cfg := mcf0.Config{Epsilon: req.Epsilon, Delta: req.Delta, Thresh: req.Thresh,
+				Iterations: req.Iterations}.Resolved()
 			if req.N >= 1 && req.N <= (&API{}).maxCountVars() && (req.N > fuzzCountMaxVars ||
-				req.Thresh > fuzzCountMaxThresh || req.Iterations > fuzzCountMaxIterations ||
-				req.Thresh == 0 && cfg.ResolvedThresh() > fuzzCountMaxThresh ||
-				req.Iterations == 0 && cfg.ResolvedIterations() > fuzzCountMaxIterations) {
+				req.Thresh >= 0 && cfg.Thresh > fuzzCountMaxThresh ||
+				req.Iterations >= 0 && cfg.Iterations > fuzzCountMaxIterations) {
 				t.Skip("asks for more work than the fuzz caps allow")
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mcf0"
 	"mcf0/internal/server/metrics"
 	"mcf0/internal/server/middleware"
 	"mcf0/internal/server/state"
@@ -58,6 +59,28 @@ func (api *API) maxCountVars() int {
 		return api.MaxCountVars
 	}
 	return 4096
+}
+
+// validConfig reports whether cfg is within the bounds both the create
+// and the count route accept: epsilon ≥ 0, 0 ≤ delta < 1, thresh in
+// [0, 2^20], iterations in [0, 2^16] and parallelism ≥ 0. Otherwise it
+// writes a 400 invalid_config naming the first bad field.
+func validConfig(w http.ResponseWriter, cfg mcf0.Config) bool {
+	var msg string
+	switch {
+	case cfg.Epsilon < 0 || cfg.Delta < 0 || cfg.Delta >= 1:
+		msg = "need epsilon >= 0 and 0 <= delta < 1"
+	case cfg.Thresh < 0 || cfg.Thresh > 1<<20:
+		msg = "thresh must be in [0, 2^20]"
+	case cfg.Iterations < 0 || cfg.Iterations > 1<<16:
+		msg = "iterations must be in [0, 2^16]"
+	case cfg.Parallelism < 0:
+		msg = "parallelism must be >= 0"
+	default:
+		return true
+	}
+	middleware.WriteError(w, http.StatusBadRequest, "invalid_config", msg)
+	return false
 }
 
 // U64 is a uint64 that unmarshals from a JSON number or a decimal

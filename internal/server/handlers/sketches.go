@@ -43,26 +43,19 @@ type sketchInfo struct {
 }
 
 func info(sk *state.Sketch) sketchInfo {
-	thresh, iters := sk.Config.Resolved()
+	cfg := sk.Config.MCF0Config().Resolved()
 	alg := sk.Config.Algorithm
 	if alg == "" {
 		alg = "bucketing"
-	}
-	eps, delta := sk.Config.Epsilon, sk.Config.Delta
-	if eps == 0 {
-		eps = 0.8
-	}
-	if delta == 0 {
-		delta = 0.2
 	}
 	return sketchInfo{
 		Name:        sk.Name,
 		Algorithm:   alg,
 		Bits:        sk.Config.Bits,
-		Epsilon:     eps,
-		Delta:       delta,
-		Thresh:      thresh,
-		Iterations:  iters,
+		Epsilon:     cfg.Epsilon,
+		Delta:       cfg.Delta,
+		Thresh:      cfg.Thresh,
+		Iterations:  cfg.Iterations,
 		Seed:        U64(sk.Config.Seed),
 		Replicas:    sk.Replicas(),
 		Items:       U64(sk.Items()),
@@ -92,23 +85,6 @@ func (api *API) Create(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown algorithm %q (want one of: %s)", req.Algorithm, algNames))
 		return
 	}
-	if req.Epsilon < 0 || req.Delta < 0 || req.Delta >= 1 {
-		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "need epsilon >= 0 and 0 <= delta < 1")
-		return
-	}
-	if req.Thresh < 0 || req.Thresh > 1<<20 {
-		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "thresh must be in [0, 2^20]")
-		return
-	}
-	if req.Iterations < 0 || req.Iterations > 1<<16 {
-		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "iterations must be in [0, 2^16]")
-		return
-	}
-	if req.Replicas < 0 || req.Replicas > 1024 {
-		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "replicas must be in [0, 1024]")
-		return
-	}
-	t := tenant(r)
 	cfg := state.SketchConfig{
 		Bits:       req.Bits,
 		Algorithm:  strings.ToLower(req.Algorithm),
@@ -119,6 +95,14 @@ func (api *API) Create(w http.ResponseWriter, r *http.Request) {
 		Seed:       uint64(req.Seed),
 		Replicas:   req.Replicas,
 	}
+	if !validConfig(w, cfg.MCF0Config()) {
+		return
+	}
+	if req.Replicas < 0 || req.Replicas > 1024 {
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "replicas must be in [0, 1024]")
+		return
+	}
+	t := tenant(r)
 	sk, err := api.Registry.Create(t.Name, req.Name, cfg, t.MaxSketches)
 	switch {
 	case errors.Is(err, state.ErrExists):

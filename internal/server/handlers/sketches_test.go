@@ -1,0 +1,111 @@
+package handlers
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+
+	"mcf0"
+	"mcf0/internal/params"
+)
+
+// serve runs one authenticated request through handler h on route.
+func (route *addRoute) serve(h http.HandlerFunc, method, path, name string, body []byte) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(method, path, bytes.NewReader(body))
+	r.Header.Set("Authorization", "Bearer tok")
+	if name != "" {
+		r.SetPathValue("name", name)
+	}
+	rec := httptest.NewRecorder()
+	route.auth.Wrap(h).ServeHTTP(rec, r)
+	return rec
+}
+
+// TestCreateDocumented runs the docs/API.md create example through the
+// authenticated Create route and checks that the response, resolved
+// thresh and iterations included, is the one the document shows.
+func TestCreateDocumented(t *testing.T) {
+	raw, err := os.ReadFile("../../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "### `POST /v1/sketches`")
+	if !ok {
+		t.Fatal("docs/API.md has no POST /v1/sketches section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	req := regexp.MustCompile(`-d '([^']*)'`).FindStringSubmatch(section)
+	resp := regexp.MustCompile("(?s)```json\n(.*?)```").FindStringSubmatch(section)
+	if req == nil || resp == nil {
+		t.Fatal("the create section needs a curl -d '…' request and a json response block")
+	}
+	var want map[string]any
+	if err := json.Unmarshal([]byte(resp[1]), &want); err != nil {
+		t.Fatalf("documented response: %v", err)
+	}
+
+	route := newAddRoute(t)
+	api := &API{Registry: route.reg, Metrics: route.met}
+	rec := route.serve(api.Create, "POST", "/v1/sketches", "", []byte(req[1]))
+	var got map[string]any
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
+		t.Fatalf("documented request answered %d: %s", rec.Code, rec.Body)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("documented request returns\n%s\nbut docs/API.md shows\n%s", rec.Body, resp[1])
+	}
+}
+
+// TestInfoZeroConfig checks that GET /v1/sketches/{name} reports, for a
+// sketch created with every parameter zero, the values params resolves.
+func TestInfoZeroConfig(t *testing.T) {
+	route := newAddRoute(t)
+	api := &API{Registry: route.reg, Metrics: route.met}
+	rec := route.serve(api.Get, "GET", "/v1/sketches/m", "m", nil)
+	var got struct{ Sketch sketchInfo }
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
+		t.Fatalf("inspect answered %d: %s", rec.Code, rec.Body)
+	}
+	want := params.Options{}.Resolve(0)
+	if s := got.Sketch; s.Epsilon != want.Epsilon || s.Delta != want.Delta ||
+		s.Thresh != want.Thresh || s.Iterations != want.Iterations {
+		t.Errorf("inspect reports ε=%g δ=%g thresh %d iterations %d, want %g %g %d %d",
+			s.Epsilon, s.Delta, s.Thresh, s.Iterations, want.Epsilon, want.Delta, want.Thresh, want.Iterations)
+	}
+}
+
+// TestConfigBoundsBothRoutes sends each out-of-range parameter to the
+// create and the count route: both must refuse it with the same 400
+// invalid_config.
+func TestConfigBoundsBothRoutes(t *testing.T) {
+	route := newAddRoute(t)
+	api := &API{Registry: route.reg, Metrics: route.met}
+	for _, field := range []string{
+		`"epsilon":-0.5`, `"delta":-0.1`, `"delta":1`, `"delta":1.5`,
+		`"thresh":-1`, `"thresh":1048577`, `"iterations":-1`, `"iterations":65537`,
+	} {
+		create := route.serve(api.Create, "POST", "/v1/sketches", "",
+			[]byte(`{"name":"x","bits":8,`+field+`}`))
+		count := route.serve(api.Count, "POST", "/v1/count", "",
+			[]byte(`{"kind":"cnf","n":4,"clauses":[[1]],`+field+`}`))
+		for name, rec := range map[string]*httptest.ResponseRecorder{"create": create, "count": count} {
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"invalid_config"`) {
+				t.Errorf("%s with %s: %d %s, want 400 invalid_config", name, field, rec.Code, rec.Body)
+			}
+		}
+		if create.Body.String() != count.Body.String() {
+			t.Errorf("%s: create answers %s but count %s", field, create.Body, count.Body)
+		}
+	}
+	// The bounds themselves are accepted.
+	edge := mcf0.Config{Delta: 0.999, Thresh: 1 << 20, Iterations: 1 << 16}
+	if !validConfig(httptest.NewRecorder(), edge) {
+		t.Errorf("%+v refused, want accepted", edge)
+	}
+}

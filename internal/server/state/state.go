@@ -64,7 +64,7 @@ type SketchConfig struct {
 	// Algorithm is the sketch family: bucketing, minimum, or estimation.
 	Algorithm string `json:"algorithm"`
 	// Epsilon, Delta, Thresh, Iterations, Seed parameterise mcf0.Config;
-	// zero values select the paper constants (see Config.ResolvedThresh).
+	// zero values select the paper constants (see mcf0.Config.Resolved).
 	Epsilon    float64 `json:"epsilon,omitempty"`
 	Delta      float64 `json:"delta,omitempty"`
 	Thresh     int     `json:"thresh,omitempty"`
@@ -74,7 +74,8 @@ type SketchConfig struct {
 	Replicas int `json:"replicas,omitempty"`
 }
 
-func (c SketchConfig) mcf0Config() mcf0.Config {
+// MCF0Config returns the library configuration the sketch is built with.
+func (c SketchConfig) MCF0Config() mcf0.Config {
 	return mcf0.Config{
 		Epsilon:    c.Epsilon,
 		Delta:      c.Delta,
@@ -82,12 +83,6 @@ func (c SketchConfig) mcf0Config() mcf0.Config {
 		Iterations: c.Iterations,
 		Seed:       c.Seed,
 	}
-}
-
-// Resolved returns the thresh and iterations actually in effect.
-func (c SketchConfig) Resolved() (thresh, iterations int) {
-	cfg := c.mcf0Config()
-	return cfg.ResolvedThresh(), cfg.ResolvedIterations()
 }
 
 // Sketch is one live named sketch: a ConcurrentF0 front plus the
@@ -214,7 +209,7 @@ func (r *Registry) Create(tenant, name string, cfg SketchConfig, maxSketches int
 	if !ValidName(name) {
 		return nil, fmt.Errorf("state: invalid sketch name %q (want %s)", name, nameRE)
 	}
-	front, err := mcf0.NewConcurrentF0(cfg.Bits, mcf0.Algorithm(cfg.Algorithm), cfg.mcf0Config(), cfg.Replicas)
+	front, err := mcf0.NewConcurrentF0(cfg.Bits, mcf0.Algorithm(cfg.Algorithm), cfg.MCF0Config(), cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}

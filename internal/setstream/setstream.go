@@ -50,64 +50,13 @@ import (
 	"mcf0/internal/kmv"
 	"mcf0/internal/oracle"
 	"mcf0/internal/par"
+	"mcf0/internal/params"
 	"mcf0/internal/stats"
 )
 
 // Options parameterises the set-stream estimators; the zero value selects
-// the paper's constants (Thresh = 96/ε², t = 35·log₂(1/δ), ε=0.8, δ=0.2).
-type Options struct {
-	Epsilon    float64
-	Delta      float64
-	Thresh     int
-	Iterations int
-	RNG        *stats.RNG
-	// Parallelism bounds the worker pool that runs the t independent
-	// sketch copies' per-item FindMin computations. 0 selects GOMAXPROCS;
-	// 1 forces serial. Copies are independent (own hash, own minima), so
-	// estimates for a fixed seed are identical at every level.
-	Parallelism int
-}
-
-func (o Options) epsilon() float64 {
-	if o.Epsilon > 0 {
-		return o.Epsilon
-	}
-	return 0.8
-}
-
-func (o Options) delta() float64 {
-	if o.Delta > 0 && o.Delta < 1 {
-		return o.Delta
-	}
-	return 0.2
-}
-
-func (o Options) thresh() int {
-	if o.Thresh > 0 {
-		return o.Thresh
-	}
-	return int(96/(o.epsilon()*o.epsilon())) + 1
-}
-
-func (o Options) iterations() int {
-	if o.Iterations > 0 {
-		return o.Iterations
-	}
-	t := int(math.Ceil(35 * math.Log2(1/o.delta())))
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-func (o Options) rng() *stats.RNG {
-	if o.RNG != nil {
-		return o.RNG
-	}
-	return stats.NewRNG(0x5e75747265616d)
-}
-
-func (o Options) parallelism() int { return par.Workers(o.Parallelism) }
+// the paper's constants (see params.Resolve).
+type Options = params.Options
 
 // runCopies executes fn(i) for each sketch copy on up to workers
 // goroutines; fn must touch only copy i's state. The dynamic pool
@@ -139,13 +88,12 @@ type sketchCopy struct {
 }
 
 func newMinSketch(n int, opts Options) *minSketch {
-	rng := opts.rng()
+	o := opts.Resolve(0x5e75747265616d) // the package's nil-RNG seed
 	fam := hash.NewToeplitz(n, 3*n)
-	s := &minSketch{thresh: opts.thresh(), workers: opts.parallelism()}
-	t := opts.iterations()
-	sets := kmv.Carve(3*n, s.thresh, t)
-	for i := 0; i < t; i++ {
-		s.copies = append(s.copies, &sketchCopy{h: fam.Draw(rng.Uint64).(*hash.Linear), set: sets[i]})
+	s := &minSketch{thresh: o.Thresh, workers: o.Parallelism}
+	sets := kmv.Carve(3*n, s.thresh, o.Iterations)
+	for i := 0; i < o.Iterations; i++ {
+		s.copies = append(s.copies, &sketchCopy{h: fam.Draw(o.RNG.Uint64).(*hash.Linear), set: sets[i]})
 	}
 	return s
 }

@@ -370,3 +370,14 @@ func (p *ProgressionStream) ProcessProgressionBatch(items [][]formula.Progressio
 	p.inner.ProcessDNFBatch(ds)
 	return nil
 }
+
+// TestZeroOptionsShape checks that a set stream built at zero options has
+// exactly the shape params resolves.
+func TestZeroOptionsShape(t *testing.T) {
+	want := Options{}.Resolve(0)
+	s := NewDNFStream(8, Options{}).s
+	if s.thresh != want.Thresh || len(s.copies) != want.Iterations {
+		t.Errorf("DNF stream: %d copies of Thresh %d, want %d of %d",
+			len(s.copies), s.thresh, want.Iterations, want.Thresh)
+	}
+}

@@ -159,7 +159,7 @@ func TestCodecDecodeErrors(t *testing.T) {
 }
 
 // TestBucketingSlabBound pins which Bucketing shapes decode admits: the
-// rows bound alone. At ε = 0.025 and the default δ a 32-bit sketch's 81
+// rows bound alone. At ε = 0.025 and the default δ a 32-bit sketch's 82
 // cell tables hold more than kmv.MaxSlabWords words while its rows fit,
 // and such a sketch must restore from its own snapshot. A table has fewer
 // than 4·(thresh+1) int32 entries, so for every threshold the tables stay
@@ -171,8 +171,8 @@ func TestBucketingSlabBound(t *testing.T) {
 		blob = wire.AppendInt(blob, thresh)
 		return wire.AppendInt(blob, iters)
 	}
-	opts := Options{Epsilon: 0.025}
-	n, thresh, iters := 32, opts.thresh(), opts.iterations()
+	opts := Options{Epsilon: 0.025}.Resolve(0)
+	n, thresh, iters := 32, opts.Thresh, opts.Iterations
 	if tableWords := iters * tableSize(thresh+1) / 2; tableWords <= kmv.MaxSlabWords {
 		t.Fatalf("ε=0.025 tables hold %d words, within the slab bound: case lost its point", tableWords)
 	}

@@ -49,67 +49,16 @@ import (
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/par"
+	"mcf0/internal/params"
 	"mcf0/internal/stats"
 )
 
 // Options parameterises the sketches; the zero value selects the paper's
-// constants (Thresh = 96/ε² with ε = 0.8, t = 35·log₂(1/δ) with δ = 0.2).
-type Options struct {
-	Epsilon    float64
-	Delta      float64
-	Thresh     int
-	Iterations int
-	RNG        *stats.RNG
-	// Parallelism bounds the worker pool that fans the t independent
-	// sketch copies out across CPUs. 0 selects GOMAXPROCS; 1 forces
-	// serial. Copies own all their mutable state and their hashes are
-	// drawn serially at construction, so fixed-seed estimates are
-	// bit-identical at every level.
-	Parallelism int
-}
+// constants (see params.Resolve).
+type Options = params.Options
 
-func (o Options) epsilon() float64 {
-	if o.Epsilon > 0 {
-		return o.Epsilon
-	}
-	return 0.8
-}
-
-func (o Options) delta() float64 {
-	if o.Delta > 0 && o.Delta < 1 {
-		return o.Delta
-	}
-	return 0.2
-}
-
-func (o Options) thresh() int {
-	if o.Thresh > 0 {
-		return o.Thresh
-	}
-	return int(96/(o.epsilon()*o.epsilon())) + 1
-}
-
-func (o Options) iterations() int {
-	if o.Iterations > 0 {
-		return o.Iterations
-	}
-	t := int(35 * log2(1/o.delta()))
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-func (o Options) rng() *stats.RNG {
-	if o.RNG != nil {
-		return o.RNG
-	}
-	return stats.NewRNG(0xf0f0f0)
-}
-
-func (o Options) parallelism() int { return par.Workers(o.Parallelism) }
-
-func log2(x float64) float64 { return math.Log2(x) }
+// defaultSeed seeds the hash draws of a sketch built with a nil RNG.
+const defaultSeed = 0xf0f0f0
 
 func pow2(k int) float64 { return math.Pow(2, float64(k)) }
 
@@ -254,11 +203,11 @@ func newBucketing(n, thresh, t int, eng engine) *Bucketing {
 // NewBucketing builds a Bucketing sketch over n-bit elements, drawing
 // hashes from H_Toeplitz(n, n).
 func NewBucketing(n int, opts Options) *Bucketing {
-	rng := opts.rng()
+	o := opts.Resolve(defaultSeed)
 	fam := hash.NewToeplitz(n, n)
-	b := newBucketing(n, opts.thresh(), opts.iterations(), newEngine(opts.Parallelism, minBatchCheap))
+	b := newBucketing(n, o.Thresh, o.Iterations, newEngine(o.Parallelism, minBatchCheap))
 	for _, c := range b.copies {
-		c.h = fam.Draw(rng.Uint64).(*hash.Linear)
+		c.h = fam.Draw(o.RNG.Uint64).(*hash.Linear)
 		c.freeFrom(0)
 	}
 	return b
@@ -458,14 +407,13 @@ type minCopy struct {
 
 // NewMinimum builds a Minimum sketch over n-bit elements.
 func NewMinimum(n int, opts Options) *Minimum {
-	rng := opts.rng()
+	o := opts.Resolve(defaultSeed)
 	fam := hash.NewToeplitz(n, 3*n)
-	m := &Minimum{thresh: opts.thresh(), n: n, eng: newEngine(opts.Parallelism, minBatchCheap)}
-	t := opts.iterations()
-	sets := kmv.Carve(3*n, m.thresh, t)
-	for i := 0; i < t; i++ {
+	m := &Minimum{thresh: o.Thresh, n: n, eng: newEngine(o.Parallelism, minBatchCheap)}
+	sets := kmv.Carve(3*n, m.thresh, o.Iterations)
+	for i := 0; i < o.Iterations; i++ {
 		m.copies = append(m.copies, &minCopy{
-			h:       fam.Draw(rng.Uint64).(*hash.Linear),
+			h:       fam.Draw(o.RNG.Uint64).(*hash.Linear),
 			set:     sets[i],
 			scratch: bitvec.New(3 * n),
 		})
@@ -599,20 +547,23 @@ type Estimation struct {
 // NewEstimation builds an Estimation sketch over n-bit elements, drawing
 // from the s-wise polynomial family with s = 10·log₂(1/ε).
 func NewEstimation(n int, opts Options) *Estimation {
-	rng := opts.rng()
-	s := int(10 * log2(1/opts.epsilon()))
+	o := opts.Resolve(defaultSeed)
+	rng := o.RNG
+	s := int(10 * math.Log2(1/o.Epsilon))
 	if s < 2 {
 		s = 2
 	}
 	fam := hash.NewPoly(n, s)
-	t := opts.iterations()
-	thresh := opts.thresh()
+	t := o.Iterations
+	thresh := o.Thresh
 	e := &Estimation{
-		thresh:  thresh,
-		n:       n,
+		thresh: thresh,
+		n:      n,
+		// The rough estimator resolves opts itself: under a nil RNG it
+		// draws from its own default-seeded generator, not from rng.
 		fm:      NewFlajoletMartin(n, opts),
-		eng:     newEngine(opts.Parallelism, minBatchEstimation),
-		scratch: par.ShardScratch(opts.parallelism(), func() bitvec.BitVec { return bitvec.New(n) }),
+		eng:     newEngine(o.Parallelism, minBatchEstimation),
+		scratch: par.ShardScratch(o.Parallelism, func() bitvec.BitVec { return bitvec.New(n) }),
 	}
 	e.s = make([]int, t*thresh)
 	for i := range e.s {
@@ -768,15 +719,15 @@ type FlajoletMartin struct {
 
 // NewFlajoletMartin builds the rough estimator with hashes from H_xor(n,n).
 func NewFlajoletMartin(n int, opts Options) *FlajoletMartin {
-	rng := opts.rng()
+	o := opts.Resolve(defaultSeed)
 	fam := hash.NewXor(n, n)
 	f := &FlajoletMartin{
-		eng:     newEngine(opts.Parallelism, minBatchCheap),
-		scratch: par.ShardScratch(opts.parallelism(), func() bitvec.BitVec { return bitvec.New(n) }),
+		eng:     newEngine(o.Parallelism, minBatchCheap),
+		scratch: par.ShardScratch(o.Parallelism, func() bitvec.BitVec { return bitvec.New(n) }),
 	}
 	allU64 := true
-	for i := 0; i < opts.iterations(); i++ {
-		h := fam.Draw(rng.Uint64).(*hash.Linear)
+	for i := 0; i < o.Iterations; i++ {
+		h := fam.Draw(o.RNG.Uint64).(*hash.Linear)
 		f.hs = append(f.hs, h)
 		if u, ok := hash.AsUint64Hash(h); ok {
 			f.u64 = append(f.u64, u)

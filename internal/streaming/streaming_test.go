@@ -270,13 +270,27 @@ func TestBucketingLevelGrowth(t *testing.T) {
 	}
 }
 
+// TestPaperDefaultOptions checks that every sketch built at zero options
+// has exactly the shape params resolves (Thresh 150, 82 copies; pinned in
+// params.TestResolve).
 func TestPaperDefaultOptions(t *testing.T) {
-	var o Options
-	if o.thresh() < 150 {
-		t.Errorf("default thresh %d below 96/ε²", o.thresh())
-	}
-	if o.iterations() < 81 {
-		t.Errorf("default iterations %d below 35·log2(5)", o.iterations())
+	want := Options{}.Resolve(0)
+	b := NewBucketing(16, Options{})
+	m := NewMinimum(16, Options{})
+	e := NewEstimation(16, Options{})
+	for _, got := range []struct {
+		name           string
+		thresh, copies int
+	}{
+		{"bucketing", b.thresh, len(b.copies)},
+		{"minimum", m.thresh, len(m.copies)},
+		{"estimation", e.thresh, len(e.hs)},
+		{"estimation's rough estimator", want.Thresh, len(e.fm.hs)},
+	} {
+		if got.thresh != want.Thresh || got.copies != want.Iterations {
+			t.Errorf("%s: %d copies of Thresh %d, want %d of %d",
+				got.name, got.copies, got.thresh, want.Iterations, want.Thresh)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2"
 	"mcf0/internal/oracle"
+	"mcf0/internal/params"
 	"mcf0/internal/setstream"
 	"mcf0/internal/stats"
 	"mcf0/internal/streaming"
@@ -60,16 +61,16 @@ const (
 )
 
 // Config carries the (ε, δ) parameters shared by every algorithm. The zero
-// value uses the paper's constants: ε = 0.8, δ = 0.2, Thresh = 96/ε²,
-// Iterations = 35·log₂(1/δ).
+// value uses the paper's constants: ε = 0.8, δ = 0.2, Thresh = ⌈96/ε²⌉,
+// Iterations = ⌈35·log₂(1/δ)⌉ (see Resolved).
 type Config struct {
 	// Epsilon is the multiplicative error tolerance.
 	Epsilon float64
 	// Delta is the failure probability.
 	Delta float64
-	// Thresh overrides the sketch width 96/ε² (mainly for tests).
+	// Thresh overrides the sketch width ⌈96/ε²⌉ (mainly for tests).
 	Thresh int
-	// Iterations overrides the median-trial count 35·log₂(1/δ).
+	// Iterations overrides the copy or median-trial count ⌈35·log₂(1/δ)⌉.
 	Iterations int
 	// Seed fixes the random source; runs with equal seeds are identical.
 	// The zero seed selects a library default (still deterministic).
@@ -100,37 +101,27 @@ func (c Config) countingOptions() counting.Options {
 	}
 }
 
-// ResolvedThresh returns the sketch width actually used: Thresh when set,
-// otherwise the paper constant ⌊96/ε²⌋+1 (with ε defaulting to 0.8).
-func (c Config) ResolvedThresh() int {
-	if c.Thresh > 0 {
-		return c.Thresh
-	}
-	eps := c.Epsilon
-	if eps <= 0 {
-		eps = 0.8
-	}
-	return int(96/(eps*eps)) + 1
+// Resolved returns c with Epsilon, Delta, Thresh and Iterations set to
+// the values every algorithm actually runs with (see params.Resolve):
+// ε defaults to 0.8, δ to 0.2, Thresh to ⌈96/ε²⌉ and Iterations to
+// max(1, ⌈35·log₂(1/δ)⌉).
+func (c Config) Resolved() Config {
+	p := c.options().Resolve(0) // options always sets the RNG
+	c.Epsilon, c.Delta, c.Thresh, c.Iterations = p.Epsilon, p.Delta, p.Thresh, p.Iterations
+	return c
 }
 
-// ResolvedIterations returns the copy count the F0 sketches (NewF0,
-// NewConcurrentF0) actually use: Iterations when set, otherwise the paper
-// constant max(1, ⌊35·log₂(1/δ)⌋) (with δ defaulting to 0.2). The model
-// counters and the set-stream sketches round the same constant up, so
-// they may run one trial more (82 against 81 at the default δ).
-func (c Config) ResolvedIterations() int {
-	if c.Iterations > 0 {
-		return c.Iterations
+// options converts c to the parameter set the sketch, set-stream and
+// protocol packages take.
+func (c Config) options() params.Options {
+	return params.Options{
+		Epsilon:     c.Epsilon,
+		Delta:       c.Delta,
+		Thresh:      c.Thresh,
+		Iterations:  c.Iterations,
+		RNG:         c.rng(),
+		Parallelism: c.Parallelism,
 	}
-	delta := c.Delta
-	if delta <= 0 || delta >= 1 {
-		delta = 0.2
-	}
-	t := int(35 * math.Log2(1/delta))
-	if t < 1 {
-		t = 1
-	}
-	return t
 }
 
 func (c Config) rng() *stats.RNG {
@@ -348,14 +339,7 @@ func NewF0(nBits int, alg Algorithm, cfg Config) (*F0, error) {
 	if nBits < 1 || nBits > 64 {
 		return nil, fmt.Errorf("mcf0: universe width %d out of [1,64]", nBits)
 	}
-	opts := streaming.Options{
-		Epsilon:     cfg.Epsilon,
-		Delta:       cfg.Delta,
-		Thresh:      cfg.Thresh,
-		Iterations:  cfg.Iterations,
-		RNG:         cfg.rng(),
-		Parallelism: cfg.Parallelism,
-	}
+	opts := cfg.options()
 	var est streaming.Estimator
 	switch alg {
 	case AlgorithmBucketing, "":
@@ -414,20 +398,9 @@ func NewRangeF0(bitsPerDim []int, cfg Config) (*RangeF0, error) {
 		}
 	}
 	return &RangeF0{
-		inner: setstream.NewRangeStream(bitsPerDim, cfg.setstreamOptions()),
+		inner: setstream.NewRangeStream(bitsPerDim, cfg.options()),
 		bits:  append([]int(nil), bitsPerDim...),
 	}, nil
-}
-
-func (c Config) setstreamOptions() setstream.Options {
-	return setstream.Options{
-		Epsilon:     c.Epsilon,
-		Delta:       c.Delta,
-		Thresh:      c.Thresh,
-		Iterations:  c.Iterations,
-		RNG:         c.rng(),
-		Parallelism: c.Parallelism,
-	}
 }
 
 // AddRange absorbs the box ∏ᵢ [lo[i], hi[i]].
@@ -481,7 +454,7 @@ func NewProgressionF0(bitsPerDim []int, cfg Config) (*ProgressionF0, error) {
 		}
 	}
 	return &ProgressionF0{
-		inner: setstream.NewProgressionStream(bitsPerDim, cfg.setstreamOptions()),
+		inner: setstream.NewProgressionStream(bitsPerDim, cfg.options()),
 		bits:  append([]int(nil), bitsPerDim...),
 	}, nil
 }
@@ -510,7 +483,7 @@ type DNFSetF0 struct {
 
 // NewDNFSetF0 builds a DNF-set-stream sketch over n variables.
 func NewDNFSetF0(n int, cfg Config) *DNFSetF0 {
-	return &DNFSetF0{n: n, inner: setstream.NewDNFStream(n, cfg.setstreamOptions())}
+	return &DNFSetF0{n: n, inner: setstream.NewDNFStream(n, cfg.options())}
 }
 
 // AddDNF absorbs one DNF set.
@@ -565,7 +538,7 @@ func NewAffineF0(n int, cfg Config) (*AffineF0, error) {
 	if n < 1 || n > 64 {
 		return nil, fmt.Errorf("mcf0: universe width %d out of [1,64]", n)
 	}
-	return &AffineF0{n: n, inner: setstream.NewAffineStream(n, cfg.setstreamOptions())}, nil
+	return &AffineF0{n: n, inner: setstream.NewAffineStream(n, cfg.options())}, nil
 }
 
 // AddAffine absorbs {x : Ax = b}: row j's coefficients are the bits of
@@ -605,7 +578,7 @@ func CountWeightedDNF(n int, terms [][]int, num []uint64, bits []int, cfg Config
 	if !w.Validate(n) {
 		return 0, fmt.Errorf("mcf0: invalid weight function (need 0 < num < 2^bits per variable)")
 	}
-	return setstream.WeightedCount(setstream.WeightedDNF{D: d, W: w}, cfg.setstreamOptions()), nil
+	return setstream.WeightedCount(setstream.WeightedDNF{D: d, W: w}, cfg.options()), nil
 }
 
 // DistResult reports a distributed protocol's estimate and exact
@@ -630,14 +603,7 @@ func DistributedCountDNF(n int, terms [][]int, sites int, alg Algorithm, cfg Con
 		return DistResult{}, fmt.Errorf("mcf0: need at least one site")
 	}
 	parts := distributed.Split(d, sites)
-	opts := distributed.Options{
-		Epsilon:     cfg.Epsilon,
-		Delta:       cfg.Delta,
-		Thresh:      cfg.Thresh,
-		Iterations:  cfg.Iterations,
-		RNG:         cfg.rng(),
-		Parallelism: cfg.Parallelism,
-	}
+	opts := cfg.options()
 	var res distributed.Result
 	switch alg {
 	case AlgorithmBucketing, "":
@@ -648,7 +614,7 @@ func DistributedCountDNF(n int, terms [][]int, sites int, alg Algorithm, cfg Con
 		if n > 24 {
 			return DistResult{}, fmt.Errorf("mcf0: estimation protocol limited to 24 variables")
 		}
-		r, comm := distributed.RoughR(parts, opts.Iterations, opts)
+		r, comm := distributed.RoughR(parts, cfg.Resolved().Iterations, opts)
 		if r < 0 {
 			return DistResult{Estimate: 0, CommBits: comm.Total()}, nil
 		}

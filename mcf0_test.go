@@ -187,6 +187,11 @@ func TestDistributedCountDNF(t *testing.T) {
 	if _, err := DistributedCountDNF(12, terms, 0, AlgorithmMinimum, fastCfg(1)); err == nil {
 		t.Error("zero sites accepted")
 	}
+	// Zero Iterations resolves the rough round's trial count too.
+	if res, err := DistributedCountDNF(12, terms, 3, AlgorithmEstimation, Config{Thresh: 24, Seed: 17}); err != nil ||
+		!WithinFactor(res.Estimate, float64(truth), 1.5) {
+		t.Errorf("estimation at zero iterations: %+v, %v", res, err)
+	}
 }
 
 func TestSampling(t *testing.T) {
