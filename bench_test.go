@@ -117,21 +117,21 @@ func BenchmarkE3FindMaxRange(b *testing.B) {
 func BenchmarkE4F0Sketches(b *testing.B) {
 	n := 32
 	rng := stats.NewRNG(5)
-	elems := make([]bitvec.BitVec, 4096)
+	elems := make([]uint64, 4096)
 	for i := range elems {
-		elems[i] = bitvec.Random(n, rng.Uint64)
+		elems[i] = bitvec.Random(n, rng.Uint64).Uint64()
 	}
 	sOpts := streaming.Options{Epsilon: 0.8, Delta: 0.2, Thresh: 24, Iterations: 7, RNG: stats.NewRNG(9)}
 	b.Run("bucketing", func(b *testing.B) {
 		e := streaming.NewBucketing(n, sOpts)
 		for i := 0; i < b.N; i++ {
-			e.Process(elems[i%len(elems)])
+			e.ProcessBatch(elems[i%len(elems) : i%len(elems)+1])
 		}
 	})
 	b.Run("minimum", func(b *testing.B) {
 		e := streaming.NewMinimum(n, sOpts)
 		for i := 0; i < b.N; i++ {
-			e.Process(elems[i%len(elems)])
+			e.ProcessBatch(elems[i%len(elems) : i%len(elems)+1])
 		}
 	})
 	b.Run("estimation", func(b *testing.B) {
@@ -140,13 +140,13 @@ func BenchmarkE4F0Sketches(b *testing.B) {
 		eOpts.Thresh = 8
 		e := streaming.NewEstimation(n, eOpts)
 		for i := 0; i < b.N; i++ {
-			e.Process(elems[i%len(elems)])
+			e.ProcessBatch(elems[i%len(elems) : i%len(elems)+1])
 		}
 	})
 	b.Run("exact-baseline", func(b *testing.B) {
 		e := streaming.NewExactDistinct(n)
 		for i := 0; i < b.N; i++ {
-			e.Process(elems[i%len(elems)])
+			e.ProcessBatch(elems[i%len(elems) : i%len(elems)+1])
 		}
 	})
 }
@@ -159,9 +159,9 @@ func BenchmarkE4F0Sketches(b *testing.B) {
 func BenchmarkE4SketchBatch(b *testing.B) {
 	n := 32
 	rng := stats.NewRNG(25)
-	elems := make([]bitvec.BitVec, 4096)
+	elems := make([]uint64, 4096)
 	for i := range elems {
-		elems[i] = bitvec.Random(n, rng.Uint64)
+		elems[i] = bitvec.Random(n, rng.Uint64).Uint64()
 	}
 	const chunk = 256
 	for _, tc := range []struct {
@@ -264,7 +264,7 @@ func BenchmarkE6DNFStream(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				src := oracle.NewDNFSource(d)
 				src.Enumerate(nil, nil, -1, func(x bitvec.BitVec) bool {
-					m.Process(x)
+					m.ProcessBatch([]uint64{x.Uint64()})
 					return true
 				})
 			}

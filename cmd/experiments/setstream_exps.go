@@ -62,7 +62,7 @@ func runE6(c runConfig) {
 			for _, d := range ds {
 				src := oracle.NewDNFSource(d)
 				src.Enumerate(nil, nil, -1, func(x bitvec.BitVec) bool {
-					naive.Process(x)
+					naive.ProcessBatch([]uint64{x.Uint64()})
 					return true
 				})
 			}

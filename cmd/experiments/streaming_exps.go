@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/distributed"
 	"mcf0/internal/exact"
 	"mcf0/internal/formula"
@@ -27,7 +26,7 @@ func streamOpts(seed uint64, c runConfig) streaming.Options {
 	return o
 }
 
-func uniformStream(n, distinct, length int, rng *stats.RNG) []bitvec.BitVec {
+func uniformStream(n, distinct, length int, rng *stats.RNG) []uint64 {
 	vals := make([]uint64, distinct)
 	seen := map[uint64]bool{}
 	for i := range vals {
@@ -40,21 +39,18 @@ func uniformStream(n, distinct, length int, rng *stats.RNG) []bitvec.BitVec {
 			}
 		}
 	}
-	out := make([]bitvec.BitVec, 0, length)
-	for _, v := range vals {
-		out = append(out, bitvec.FromUint64(v, n))
-	}
+	out := append(make([]uint64, 0, length), vals...)
 	for len(out) < length {
-		out = append(out, bitvec.FromUint64(vals[rng.Intn(distinct)], n))
+		out = append(out, vals[rng.Intn(distinct)])
 	}
 	return out
 }
 
 // zipfStream draws elements with a heavy-tailed repeat distribution while
 // still guaranteeing every distinct value appears.
-func zipfStream(n, distinct, length int, rng *stats.RNG) []bitvec.BitVec {
+func zipfStream(n, distinct, length int, rng *stats.RNG) []uint64 {
 	base := uniformStream(n, distinct, distinct, rng)
-	out := append([]bitvec.BitVec(nil), base...)
+	out := append([]uint64(nil), base...)
 	for len(out) < length {
 		// Index ∝ 1/(i+1): inverse-CDF-ish via rejection.
 		i := rng.Intn(distinct)
@@ -93,7 +89,7 @@ func runE4(c runConfig) {
 				var perItem time.Duration
 				re, rate := accuracy(float64(f0), 0.8, trials, func(seed uint64) float64 {
 					rng := stats.NewRNG(seed)
-					var stream []bitvec.BitVec
+					var stream []uint64
 					if workload == "uniform" {
 						stream = uniformStream(n, f0, 2*f0, rng)
 					} else {
@@ -123,9 +119,7 @@ func runE4(c runConfig) {
 		o := streamOpts(seed, c)
 		o.Iterations = 7
 		e := streaming.NewEstimation(24, o)
-		for _, x := range stream {
-			e.Process(x)
-		}
+		e.ProcessBatch(stream)
 		words = e.SketchWords()
 		return e.Estimate()
 	})

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"mcf0/internal/hash"
+	"mcf0/internal/stats"
 	"mcf0/internal/streaming"
 	"mcf0/internal/wire"
 )
@@ -378,6 +380,38 @@ func TestSnapshotKindAndConfusion(t *testing.T) {
 	for cut := 0; cut < len(fBlob); cut += 7 {
 		if _, err := DecodeF0(fBlob[:cut], 1); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
+		}
+	}
+}
+
+// TestDecodeF0RefusesMixedWidthEstimation: an 8-bit Estimation snapshot
+// whose nested rough estimator is another width is refused at decode,
+// where before it decoded and its first add panicked (a 500 through the
+// daemon's boot restore). The same blob with an 8-bit tracker decodes
+// and ingests.
+func TestDecodeF0RefusesMixedWidthEstimation(t *testing.T) {
+	rng := stats.NewRNG(0x8b17)
+	blob := func(trackerBits int) []byte {
+		b := wire.AppendHeader(nil, wire.KindF0, f0Version)
+		b = wire.AppendInt(b, 8)
+		b = wire.AppendHeader(b, wire.KindEstimation, 1)
+		for _, v := range []int{8, 1, 1} { // n, thresh, t
+			b = wire.AppendInt(b, v)
+		}
+		b, _ = hash.AppendFunc(b, hash.NewPoly(8, 2).Draw(rng.Uint64))
+		b = wire.AppendInt(b, 0) // the grid cell's max, −1 + 1
+		b = wire.AppendInt(b, 1) // tracker copies
+		b, _ = hash.AppendFunc(b, hash.NewXor(trackerBits, trackerBits).Draw(rng.Uint64))
+		return wire.AppendInt(b, 0)
+	}
+	f, err := DecodeF0(blob(8), 1)
+	if err != nil {
+		t.Fatalf("same-width blob: %v", err)
+	}
+	f.AddBatch([]uint64{1, 2, 255})
+	for _, bits := range []int{16, 80} {
+		if _, err := DecodeF0(blob(bits), 1); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%d-bit tracker: got %v, want ErrCorrupt", bits, err)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (f *F0) Merge(other *F0) error {
 type ConcurrentF0 struct {
 	nBits int
 	front *streaming.Concurrent
-	// batches recycles AddBatch's conversion scratch (*elemBatch) across
+	// batches recycles AddBatch's batch scratch (*elemBatch) across
 	// calls and goroutines; sketches copy what they keep, so a batch can
 	// be reused the moment ProcessBatch returns.
 	batches sync.Pool
@@ -78,13 +78,13 @@ func (c *ConcurrentF0) Version() uint64 { return c.front.Version() }
 
 // AddBatch absorbs a chunk of stream elements on one replica, amortising
 // acquisition over the chunk; safe to call from any goroutine. The whole
-// slice is validated before any conversion — an out-of-range element
-// panics with the batch rejected atomically (no elements ingested) — and
+// slice is validated first — an out-of-range element panics with the
+// batch rejected atomically (no elements ingested) — and
 // repeats within the chunk are dropped before the replica sees them (an
 // exact no-op for a set function; callers counting accepted elements,
 // such as the service's items meter, still count the raw chunk).
-// Conversion reuses pooled scratch, so steady-state AddBatch allocates
-// nothing per element.
+// The batch buffers are pooled scratch, so steady-state AddBatch
+// allocates nothing per element.
 func (c *ConcurrentF0) AddBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
@@ -93,7 +93,7 @@ func (c *ConcurrentF0) AddBatch(xs []uint64) {
 	if b == nil {
 		b = new(elemBatch)
 	}
-	c.front.ProcessBatch(b.convert(xs, c.nBits))
+	c.front.ProcessBatch(b.dedup(xs, c.nBits))
 	c.batches.Put(b)
 }
 

@@ -535,18 +535,6 @@ func (b BitVec) Fingerprint() Fingerprint {
 	return f
 }
 
-// Raw exposes the fingerprint's digest words and the width of the vector
-// it was taken over, for serialization; RawFingerprint reverses it.
-func (f Fingerprint) Raw() (lo, hi uint64, n int) { return f.lo, f.hi, int(f.n) }
-
-// RawFingerprint rebuilds a fingerprint from its Raw parts. It is only
-// meaningful for values previously produced by BitVec.Fingerprint — the
-// codec round-trips stored digests without re-deriving them from elements
-// (the elements themselves are not retained by the sketches).
-func RawFingerprint(lo, hi uint64, n int) Fingerprint {
-	return Fingerprint{lo: lo, hi: hi, n: uint32(n)}
-}
-
 // Random fills an n-bit vector using next as the entropy source; next is
 // called once per 64-bit word. Excess high bits of the last word are masked
 // so that Equal and Key behave correctly.

@@ -1,11 +1,10 @@
 // Package faultinject is the repo's seeded, fully deterministic
 // fault-injection framework: a Chaos policy whose every decision is a
-// pure function of (seed, event index), rendered at three seams of the
+// pure function of (seed, event index), rendered at two seams of the
 // f0d serve path — an http.RoundTripper that injects latency spikes,
 // connection resets, and truncated or corrupted response bodies on the
-// client side; a net.Listener wrapper that aborts accepted connections;
-// and a disk-write hook (state.DiskHook-compatible) that fails snapshot
-// writes transiently by rate or permanently on demand.
+// client side, and a disk-write hook (state.DiskHook-compatible) that
+// fails snapshot writes transiently by rate or permanently on demand.
 //
 // Determinism contract: the fault *sequence* is a pure function of the
 // policy seed — replaying a workload with the same seed draws the same
@@ -79,8 +78,8 @@ func (k Kind) String() string {
 }
 
 // Config parameterises a Chaos policy. Rates are per-event probabilities
-// in [0, 1]; an event is one HTTP round trip, one accepted connection,
-// or one disk-write phase, each drawing from its own decision stream.
+// in [0, 1]; an event is one HTTP round trip or one disk-write phase,
+// each drawing from its own decision stream.
 type Config struct {
 	// Seed fixes every decision; equal seeds replay equal fault
 	// sequences.
@@ -99,10 +98,6 @@ type Config struct {
 	// Disk is the rate of transient disk-write failures injected by the
 	// DiskHook (independent of BreakDisk's permanent mode).
 	Disk float64
-	// ConnReset is the rate of aborted connections injected by the
-	// Listener wrapper (0 disables; separate from Reset so HTTP-level
-	// and listener-level chaos compose independently).
-	ConnReset float64
 }
 
 func (c Config) maxLatency() time.Duration {
@@ -117,7 +112,7 @@ func (c Config) validate() error {
 		name string
 		v    float64
 	}{{"latency", c.Latency}, {"reset", c.Reset}, {"truncate", c.Truncate},
-		{"corrupt", c.Corrupt}, {"disk", c.Disk}, {"conn-reset", c.ConnReset}} {
+		{"corrupt", c.Corrupt}, {"disk", c.Disk}} {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("faultinject: %s rate %v outside [0,1]", r.name, r.v)
 		}
@@ -129,15 +124,14 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Chaos renders a Config into the three injection seams. One instance
-// may back any number of RoundTrippers, Listeners, and DiskHooks; each
-// seam consumes its own decision stream (salted off the shared seed) so
-// adding chaos on one seam never perturbs another's sequence.
+// Chaos renders a Config into the two injection seams. One instance may
+// back any number of RoundTrippers and DiskHooks; each seam consumes its
+// own decision stream (salted off the shared seed) so adding chaos on
+// one seam never perturbs another's sequence.
 type Chaos struct {
 	cfg Config
 
 	httpIdx atomic.Uint64
-	connIdx atomic.Uint64
 	diskIdx atomic.Uint64
 
 	diskBroken atomic.Bool
@@ -175,10 +169,9 @@ func FracAt(seed, index uint64) float64 {
 	return float64(U64At(seed, index)>>11) / float64(1<<53)
 }
 
-// Stream salts keep the three decision streams independent.
+// Stream salts keep the two decision streams independent.
 const (
 	saltHTTP = 0x68747470 // "http"
-	saltConn = 0x636f6e6e // "conn"
 	saltDisk = 0x6469736b // "disk"
 )
 
@@ -206,17 +199,6 @@ func (c *Chaos) httpDecision() decision {
 	}
 	if cum += c.cfg.Corrupt; p < cum {
 		return decision{KindCorrupt, frac}
-	}
-	return decision{KindNone, frac}
-}
-
-// connDecision draws the next listener-path decision.
-func (c *Chaos) connDecision() decision {
-	i := c.connIdx.Add(1) - 1
-	p := FracAt(c.cfg.Seed^saltConn, 2*i)
-	frac := FracAt(c.cfg.Seed^saltConn, 2*i+1)
-	if p < c.cfg.ConnReset {
-		return decision{KindReset, frac}
 	}
 	return decision{KindNone, frac}
 }
@@ -286,9 +268,9 @@ func (c *Chaos) DiskHook() func(path, phase string) error {
 }
 
 // ParseSpec parses the CLI chaos spec: comma-separated key=value pairs
-// with keys seed, latency, max-latency, reset, truncate, corrupt, disk,
-// conn-reset. Rates are probabilities in [0,1]; max-latency is a Go
-// duration. Example:
+// with keys seed, latency, max-latency, reset, truncate, corrupt, disk.
+// Rates are probabilities in [0,1]; max-latency is a Go duration.
+// Example:
 //
 //	seed=7,latency=0.05,max-latency=2ms,reset=0.06,truncate=0.04,corrupt=0.04
 func ParseSpec(s string) (Config, error) {
@@ -315,7 +297,7 @@ func ParseSpec(s string) (Config, error) {
 				return cfg, fmt.Errorf("faultinject: max-latency %q is not a non-negative duration", val)
 			}
 			cfg.MaxLatency = d
-		case "latency", "reset", "truncate", "corrupt", "disk", "conn-reset":
+		case "latency", "reset", "truncate", "corrupt", "disk":
 			v, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				return cfg, fmt.Errorf("faultinject: rate %s=%q is not a number", key, val)
@@ -331,8 +313,6 @@ func ParseSpec(s string) (Config, error) {
 				cfg.Corrupt = v
 			case "disk":
 				cfg.Disk = v
-			case "conn-reset":
-				cfg.ConnReset = v
 			}
 		default:
 			return cfg, fmt.Errorf("faultinject: unknown spec key %q", key)

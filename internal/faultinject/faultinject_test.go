@@ -39,15 +39,12 @@ func TestDecisionKernelPure(t *testing.T) {
 // TestFaultSequenceDeterministic: two same-seed policies draw identical
 // decision sequences on every stream.
 func TestFaultSequenceDeterministic(t *testing.T) {
-	cfg := Config{Seed: 99, Latency: 0.2, Reset: 0.2, Truncate: 0.2, Corrupt: 0.2, Disk: 0.3, ConnReset: 0.3}
+	cfg := Config{Seed: 99, Latency: 0.2, Reset: 0.2, Truncate: 0.2, Corrupt: 0.2, Disk: 0.3}
 	a, b := MustNew(cfg), MustNew(cfg)
 	for i := 0; i < 500; i++ {
 		da, db := a.httpDecision(), b.httpDecision()
 		if da != db {
 			t.Fatalf("http decision %d: %v != %v", i, da, db)
-		}
-		if ca, cb := a.connDecision(), b.connDecision(); ca != cb {
-			t.Fatalf("conn decision %d: %v != %v", i, ca, cb)
 		}
 		if ka, kb := a.diskDecision(), b.diskDecision(); ka != kb {
 			t.Fatalf("disk decision %d: %v != %v", i, ka, kb)
@@ -146,36 +143,6 @@ func TestRoundTripperLatency(t *testing.T) {
 	}
 }
 
-func TestListenerAbort(t *testing.T) {
-	inner := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, strings.Repeat("x", 4096))
-	}))
-	c := MustNew(Config{Seed: 3, ConnReset: 1})
-	inner.Listener = c.Listener(inner.Listener)
-	inner.Start()
-	defer inner.Close()
-
-	client := &http.Client{Timeout: 2 * time.Second}
-	failed := 0
-	for i := 0; i < 4; i++ {
-		resp, err := client.Get(inner.URL)
-		if err != nil {
-			failed++
-			continue
-		}
-		if _, err := io.ReadAll(resp.Body); err != nil {
-			failed++
-		}
-		resp.Body.Close()
-	}
-	if failed == 0 {
-		t.Fatal("conn-reset=1 listener never disturbed a request")
-	}
-	if c.Injected()["reset"] == 0 {
-		t.Fatal("listener aborts not counted")
-	}
-}
-
 func TestDiskHookTransientAndPermanent(t *testing.T) {
 	c := MustNew(Config{Seed: 5, Disk: 1})
 	hook := c.DiskHook()
@@ -204,16 +171,16 @@ func TestDiskHookTransientAndPermanent(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("seed=7,latency=0.05,max-latency=2ms,reset=0.06,truncate=0.04,corrupt=0.04,disk=0.1,conn-reset=0.2")
+	cfg, err := ParseSpec("seed=7,latency=0.05,max-latency=2ms,reset=0.06,truncate=0.04,corrupt=0.04,disk=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Config{Seed: 7, Latency: 0.05, MaxLatency: 2 * time.Millisecond,
-		Reset: 0.06, Truncate: 0.04, Corrupt: 0.04, Disk: 0.1, ConnReset: 0.2}
+		Reset: 0.06, Truncate: 0.04, Corrupt: 0.04, Disk: 0.1}
 	if cfg != want {
 		t.Fatalf("ParseSpec = %+v, want %+v", cfg, want)
 	}
-	for _, bad := range []string{"", "latency", "latency=x", "latency=2", "bogus=1", "seed=-1", "max-latency=5"} {
+	for _, bad := range []string{"", "latency", "latency=x", "latency=2", "bogus=1", "seed=-1", "max-latency=5", "conn-reset=0.2"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
@@ -98,77 +97,4 @@ func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, nil
 	}
 	return rt.inner.RoundTrip(req)
-}
-
-// Listener wraps inner with the policy's connection-level faults: at the
-// Config.ConnReset rate an accepted connection is aborted after a
-// deterministic byte budget — the peer sees a mid-stream close, the
-// slow-loris / flaky-network shape the server's Read/Write timeouts and
-// the client's retries must both survive.
-func (c *Chaos) Listener(inner net.Listener) net.Listener {
-	return &listener{c: c, Listener: inner}
-}
-
-type listener struct {
-	net.Listener
-	c *Chaos
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return conn, err
-	}
-	if d := l.c.connDecision(); d.kind == KindReset {
-		l.c.count(KindReset)
-		ac := &abortConn{Conn: conn}
-		// Budget: 1–512 bytes of traffic before the abort.
-		ac.budget.Store(1 + int64(d.frac*511))
-		return ac, nil
-	}
-	return conn, nil
-}
-
-// abortConn serves reads and writes until its byte budget is exhausted,
-// then closes the underlying connection and fails every subsequent
-// operation — a mid-stream abort from the peer's point of view. The
-// budget is atomic because net/http reads and writes one connection from
-// different goroutines.
-type abortConn struct {
-	net.Conn
-	budget atomic.Int64
-}
-
-func (c *abortConn) Read(b []byte) (int, error) {
-	budget := c.budget.Load()
-	if budget <= 0 {
-		c.Conn.Close()
-		return 0, &resetError{phase: "conn read"}
-	}
-	if int64(len(b)) > budget {
-		b = b[:budget]
-	}
-	n, err := c.Conn.Read(b)
-	c.budget.Add(-int64(n))
-	return n, err
-}
-
-func (c *abortConn) Write(b []byte) (int, error) {
-	budget := c.budget.Load()
-	if budget <= 0 {
-		c.Conn.Close()
-		return 0, &resetError{phase: "conn write"}
-	}
-	if int64(len(b)) > budget {
-		n, err := c.Conn.Write(b[:budget])
-		c.budget.Add(-int64(n))
-		if err != nil {
-			return n, err
-		}
-		c.Conn.Close()
-		return n, &resetError{phase: "conn write"}
-	}
-	n, err := c.Conn.Write(b)
-	c.budget.Add(-int64(n))
-	return n, err
 }

@@ -97,7 +97,8 @@ func (k *toepKernel) finish(b bitvec.BitVec) {
 // carry-less multiply when mp+n−1 ≤ 64 and two otherwise, all in one
 // gf2poly.ClmulWindowBatch loop. It reports false, writing nothing, when
 // h has no carry-less kernel (non-Toeplitz draws), n > 64, or mp is
-// outside 1..min(m, 64); callers then evaluate element by element.
+// outside 1..min(m, 64); an empty batch therefore tests whether the
+// kernel serves mp-bit prefixes.
 func (l *Linear) PrefixWords(mp int, xw, dst []uint64) bool {
 	k := l.toep
 	if k == nil || k.n > 64 || mp < 1 || mp > 64 || mp > k.m {

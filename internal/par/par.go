@@ -21,14 +21,15 @@
 //
 // Scratch ownership follows the shard, not the goroutine: RunSharded
 // guarantees that shard s is driven by exactly one worker for the duration
-// of the call, so scratch obtained from ShardScratch(workers, mk)[s] is
-// touched by one goroutine at a time and can be reused across calls
-// without synchronisation. The shard→index assignment is a pure function
-// of (count, workers) — never of scheduling — which is one half of the
-// repository's determinism invariant; the other half is that callers
-// pre-draw any randomness serially, keyed by index. Under that discipline
-// results are bit-identical for every workers value, including 1 (callers
-// may special-case workers == 1 to skip dispatch entirely; the assignment
+// of the call, so scratch a caller keeps per shard (one slot for each of
+// Workers(workers) shards) is touched by one goroutine at a time and can
+// be reused across calls without synchronisation. The shard→index
+// assignment is a pure function of (count, workers) — never of
+// scheduling — which is one half of the repository's determinism
+// invariant; the other half is that callers pre-draw any randomness
+// serially, keyed by index. Under that discipline results are
+// bit-identical for every workers value, including 1 (callers may
+// special-case workers == 1 to skip dispatch entirely; the assignment
 // makes the two paths indistinguishable).
 package par
 
@@ -131,16 +132,4 @@ func RunSharded(count, workers int, fn func(i, shard int)) {
 		}(s, lo, hi)
 	}
 	wg.Wait()
-}
-
-// ShardScratch builds one scratch value per potential shard for RunSharded
-// loops with worker bound `workers` (shard indices never reach past
-// Workers-many shards regardless of count). Intended to be called once at
-// sketch construction and reused across calls.
-func ShardScratch[T any](workers int, mk func() T) []T {
-	out := make([]T, workers)
-	for i := range out {
-		out[i] = mk()
-	}
-	return out
 }

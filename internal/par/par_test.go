@@ -80,7 +80,10 @@ func TestRunShardedAssignment(t *testing.T) {
 func TestRunShardedScratchIsolation(t *testing.T) {
 	workers := 4
 	count := 64
-	scratch := ShardScratch(Workers(workers), func() *int32 { return new(int32) })
+	scratch := make([]*int32, Workers(workers))
+	for i := range scratch {
+		scratch[i] = new(int32)
+	}
 	if len(scratch) != workers {
 		t.Fatalf("scratch len %d, want %d", len(scratch), workers)
 	}

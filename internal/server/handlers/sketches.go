@@ -98,10 +98,6 @@ func (api *API) Create(w http.ResponseWriter, r *http.Request) {
 	if !validConfig(w, cfg.MCF0Config()) {
 		return
 	}
-	if req.Replicas < 0 || req.Replicas > 1024 {
-		middleware.WriteError(w, http.StatusBadRequest, "invalid_config", "replicas must be in [0, 1024]")
-		return
-	}
 	t := tenant(r)
 	sk, err := api.Registry.Create(t.Name, req.Name, cfg, t.MaxSketches)
 	switch {

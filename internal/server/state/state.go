@@ -70,8 +70,21 @@ type SketchConfig struct {
 	Thresh     int     `json:"thresh,omitempty"`
 	Iterations int     `json:"iterations,omitempty"`
 	Seed       uint64  `json:"seed,omitempty"`
-	// Replicas sizes the lock-free concurrent front (≤ 0 = GOMAXPROCS).
+	// Replicas sizes the lock-free concurrent front (0 = GOMAXPROCS, at
+	// most MaxReplicas).
 	Replicas int `json:"replicas,omitempty"`
+}
+
+// MaxReplicas bounds SketchConfig.Replicas at create and at restore: a
+// front clones its sketch once per replica.
+const MaxReplicas = 1024
+
+// checkReplicas refuses a replica count outside [0, MaxReplicas].
+func (c SketchConfig) checkReplicas() error {
+	if c.Replicas < 0 || c.Replicas > MaxReplicas {
+		return fmt.Errorf("replicas must be in [0, %d]", MaxReplicas)
+	}
+	return nil
 }
 
 // MCF0Config returns the library configuration the sketch is built with.
@@ -204,10 +217,14 @@ func key(tenant, name string) string { return tenant + "/" + name }
 
 // Create registers a new sketch. maxSketches > 0 bounds the tenant's
 // live-sketch count (ErrQuota beyond it); invalid configurations are
-// rejected by mcf0.NewConcurrentF0's own validation.
+// rejected by the replica bound and mcf0.NewConcurrentF0's own
+// validation.
 func (r *Registry) Create(tenant, name string, cfg SketchConfig, maxSketches int) (*Sketch, error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("state: invalid sketch name %q (want %s)", name, nameRE)
+	}
+	if err := cfg.checkReplicas(); err != nil {
+		return nil, err
 	}
 	front, err := mcf0.NewConcurrentF0(cfg.Bits, mcf0.Algorithm(cfg.Algorithm), cfg.MCF0Config(), cfg.Replicas)
 	if err != nil {
@@ -446,6 +463,9 @@ func (r *Registry) Load() (int, error) {
 		}
 		if !ValidName(meta.Tenant) || !ValidName(meta.Name) {
 			return loaded, fmt.Errorf("state: snapshot metadata %s names invalid sketch %q/%q", metaPath, meta.Tenant, meta.Name)
+		}
+		if err := meta.Config.checkReplicas(); err != nil {
+			return loaded, fmt.Errorf("state: snapshot metadata %s: %w", metaPath, err)
 		}
 		snapPath := strings.TrimSuffix(metaPath, ".json") + ".snap"
 		blob, err := os.ReadFile(snapPath)

@@ -1,8 +1,10 @@
 package state
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -169,6 +171,52 @@ func TestLoadRefusesCorruptSnapshots(t *testing.T) {
 	}
 	if _, err := NewRegistry(dir).Load(); err == nil {
 		t.Fatal("Load accepted corrupt snapshot metadata")
+	}
+}
+
+// TestReplicaBound checks that create and boot restore share one replica
+// bound: a sidecar asking for more replicas than create admits fails the
+// boot, naming the file, instead of cloning the sketch that many times.
+func TestReplicaBound(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRegistry(dir)
+	for _, reps := range []int{-1, MaxReplicas + 1} {
+		if _, err := r.Create("t", "s", SketchConfig{Bits: 8, Replicas: reps}, 0); err == nil {
+			t.Fatalf("Create accepted %d replicas", reps)
+		}
+	}
+	cfg := SketchConfig{Bits: 8, Thresh: 2, Iterations: 1, Replicas: MaxReplicas}
+	sk, err := r.Create("t", "s", cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk.AddBatch([]uint64{1, 2, 3})
+	if _, err := r.Snapshot(sk); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := NewRegistry(dir).Load(); n != 1 || err != nil {
+		t.Fatalf("Load at the bound = (%d, %v), want (1, nil)", n, err)
+	}
+
+	metaPath := filepath.Join(dir, "t", "s.json")
+	raw, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta snapshotMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta.Config.Replicas = MaxReplicas + 1
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewRegistry(dir).Load()
+	if n != 0 || err == nil || !strings.Contains(err.Error(), metaPath) {
+		t.Fatalf("Load of an oversized sidecar = (%d, %v), want an error naming %s", n, err, metaPath)
 	}
 }
 

@@ -8,12 +8,13 @@ import (
 	"mcf0/internal/stats"
 )
 
-// dupStream builds a stream over an n-bit universe with heavy duplication
-// (so the batch paths exercise the already-present/eviction branches).
-func dupStream(n, length int, rng *stats.RNG) []bitvec.BitVec {
-	out := make([]bitvec.BitVec, length)
+// dupStream builds a stream over an n-bit universe (n ≥ 14) with heavy
+// duplication (so the batch paths exercise the already-present/eviction
+// branches).
+func dupStream(n, length int, rng *stats.RNG) []uint64 {
+	out := make([]uint64, length)
 	for i := range out {
-		out[i] = bitvec.FromUint64(rng.Uint64n(1<<14), n)
+		out[i] = rng.Uint64n(1 << 14)
 	}
 	return out
 }
@@ -21,7 +22,7 @@ func dupStream(n, length int, rng *stats.RNG) []bitvec.BitVec {
 // feedChunks splits the stream into uneven chunks straddling the engine's
 // serial/parallel gate (sizes below and above minBatchCheap) and feeds
 // them through ProcessBatch.
-func feedChunks(e Estimator, xs []bitvec.BitVec) {
+func feedChunks(e Estimator, xs []uint64) {
 	sizes := []int{1, 3, 8, 2, 64, 5, 256}
 	for i, lo := 0, 0; lo < len(xs); i++ {
 		hi := lo + sizes[i%len(sizes)]
@@ -105,8 +106,8 @@ func requireFMEqual(t *testing.T, a, b *FlajoletMartin) {
 }
 
 // Batch-vs-single differential: ProcessBatch over a random stream must
-// leave every sketch copy in exactly the state element-at-a-time Process
-// produces, at every parallelism level.
+// leave every sketch copy in exactly the state one-element ProcessBatch
+// calls produce, at every parallelism level.
 func TestBatchVsSingleDifferential(t *testing.T) {
 	n := 32
 	stream := dupStream(n, 1500, stats.NewRNG(0xba7c4))
@@ -121,9 +122,7 @@ func TestBatchVsSingleDifferential(t *testing.T) {
 		single := NewBucketing(n, Options{Epsilon: 0.8, Delta: 0.2, Thresh: 12, Iterations: 7,
 			RNG: stats.NewRNG(77), Parallelism: 1})
 		batch := NewBucketing(n, opts)
-		for _, x := range stream {
-			single.Process(x)
-		}
+		feed(single, stream)
 		feedChunks(batch, stream)
 		requireBucketingEqual(t, single, batch)
 		if single.Estimate() != batch.Estimate() {
@@ -135,9 +134,7 @@ func TestBatchVsSingleDifferential(t *testing.T) {
 		mOpts := opts
 		mOpts.RNG = stats.NewRNG(78)
 		mBatch := NewMinimum(n, mOpts)
-		for _, x := range stream {
-			mSingle.Process(x)
-		}
+		feed(mSingle, stream)
 		feedChunks(mBatch, stream)
 		requireMinimumEqual(t, mSingle, mBatch)
 		if mSingle.Estimate() != mBatch.Estimate() {
@@ -147,9 +144,7 @@ func TestBatchVsSingleDifferential(t *testing.T) {
 		eSingle := NewEstimation(n, Options{Epsilon: 0.8, Delta: 0.2, Thresh: 8, Iterations: 3,
 			RNG: stats.NewRNG(77), Parallelism: 1})
 		eBatch := NewEstimation(n, estOpts)
-		for _, x := range stream {
-			eSingle.Process(x)
-		}
+		feed(eSingle, stream)
 		feedChunks(eBatch, stream)
 		requireEstimationEqual(t, eSingle, eBatch)
 		if eSingle.Estimate() != eBatch.Estimate() {
@@ -160,17 +155,13 @@ func TestBatchVsSingleDifferential(t *testing.T) {
 		fOpts := opts
 		fOpts.RNG = stats.NewRNG(79)
 		fBatch := NewFlajoletMartin(n, fOpts)
-		for _, x := range stream {
-			fSingle.Process(x)
-		}
+		feed(fSingle, stream)
 		feedChunks(fBatch, stream)
 		requireFMEqual(t, fSingle, fBatch)
 
 		xSingle := NewExactDistinct(n)
 		xBatch := NewExactDistinct(n)
-		for _, x := range stream {
-			xSingle.Process(x)
-		}
+		feed(xSingle, stream)
 		feedChunks(xBatch, stream)
 		if xSingle.Count() != xBatch.Count() {
 			t.Fatalf("par=%d: exact counts diverge", par)
@@ -216,24 +207,42 @@ func TestStreamingParallelDeterminism(t *testing.T) {
 }
 
 // poolStream draws length elements with repeats from a pool of random
-// n-bit elements (any width, unlike dupStream's integer form).
-func poolStream(n, length int, rng *stats.RNG) []bitvec.BitVec {
-	pool := make([]bitvec.BitVec, 900)
+// n-bit elements (any width, unlike dupStream's).
+func poolStream(n, length int, rng *stats.RNG) []uint64 {
+	pool := make([]uint64, 900)
 	for i := range pool {
-		pool[i] = bitvec.Random(n, rng.Uint64)
+		pool[i] = bitvec.Random(n, rng.Uint64).Uint64()
 	}
-	out := make([]bitvec.BitVec, length)
+	out := make([]uint64, length)
 	for i := range out {
 		out[i] = pool[rng.Uint64n(uint64(len(pool)))]
 	}
 	return out
 }
 
+// absorbRef is the per-element reference of bucketCopy.absorbBatch: the
+// full hash value through EvalInto, the level test on the vector, then
+// add keyed by the element's bitvec word.
+func (c *bucketCopy) absorbRef(x uint64, n, thresh int) {
+	xv := bitvec.FromUint64(x, n)
+	c.h.EvalInto(xv, c.scratch)
+	if c.scratch.HasZeroPrefix(c.level) {
+		c.add(xv.Words()[0], c.scratch, thresh)
+	}
+}
+
+// absorbRef is the per-element reference of minCopy.absorbBatch: the full
+// 3n-bit hash value through EvalInto, offered to the set.
+func (c *minCopy) absorbRef(x uint64, n int) {
+	c.h.EvalInto(bitvec.FromUint64(x, n), c.scratch)
+	c.set.Insert(c.scratch)
+}
+
 // TestWordBatchVsSingleAbsorb pins the word-kernel absorb (one
 // PrefixWords call per copy and batch, level test or max reject on the
-// words) against the per-element BitVec absorb on the same draws, copy by
-// copy, across the widths where the prefix takes one multiply, two
-// multiplies, or covers Minimum's whole hash, at parallelism 1 and 2.
+// words) against the per-element EvalInto reference on the same draws,
+// copy by copy, across the widths where the prefix takes one multiply,
+// two multiplies, or covers Minimum's whole hash, at parallelism 1 and 2.
 func TestWordBatchVsSingleAbsorb(t *testing.T) {
 	for _, n := range []int{1, 5, 16, 17, 21, 31, 32, 33, 48, 63, 64} {
 		stream := poolStream(n, 2500, stats.NewRNG(uint64(0x30d+n)))
@@ -247,10 +256,10 @@ func TestWordBatchVsSingleAbsorb(t *testing.T) {
 			feedChunks(mWord, stream)
 			for _, x := range stream {
 				for _, c := range elem.copies {
-					c.absorb(x, elem.thresh)
+					c.absorbRef(x, n, elem.thresh)
 				}
 				for _, c := range mElem.copies {
-					c.absorb(x)
+					c.absorbRef(x, n)
 				}
 			}
 			requireBucketingEqual(t, elem, word)

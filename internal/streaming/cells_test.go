@@ -9,16 +9,17 @@ import (
 )
 
 // cellModel is the reference a Bucketing copy's cell table is checked
-// against: the same Algorithm 3 cell kept in a Go map.
+// against: the same Algorithm 3 cell kept in a Go map, keyed by the
+// element's bitvec word.
 type cellModel struct {
 	level int
-	cells map[bitvec.Fingerprint]bitvec.BitVec
+	cells map[uint64]bitvec.BitVec
 }
 
 func newCellModels(b *Bucketing) []*cellModel {
 	ms := make([]*cellModel, len(b.copies))
 	for i := range ms {
-		ms[i] = &cellModel{cells: map[bitvec.Fingerprint]bitvec.BitVec{}}
+		ms[i] = &cellModel{cells: map[uint64]bitvec.BitVec{}}
 	}
 	return ms
 }
@@ -26,7 +27,7 @@ func newCellModels(b *Bucketing) []*cellModel {
 func cloneCellModels(ms []*cellModel) []*cellModel {
 	out := make([]*cellModel, len(ms))
 	for i, m := range ms {
-		out[i] = &cellModel{level: m.level, cells: map[bitvec.Fingerprint]bitvec.BitVec{}}
+		out[i] = &cellModel{level: m.level, cells: map[uint64]bitvec.BitVec{}}
 		for k, v := range m.cells {
 			out[i].cells[k] = v
 		}
@@ -34,7 +35,7 @@ func cloneCellModels(ms []*cellModel) []*cellModel {
 	return out
 }
 
-func (m *cellModel) add(key bitvec.Fingerprint, y bitvec.BitVec, thresh int) {
+func (m *cellModel) add(key uint64, y bitvec.BitVec, thresh int) {
 	if _, dup := m.cells[key]; dup || !y.HasZeroPrefix(m.level) {
 		return
 	}
@@ -54,10 +55,11 @@ func (m *cellModel) raise(level int) {
 }
 
 // modelFeed applies xs to the models through each copy's own hash.
-func modelFeed(b *Bucketing, ms []*cellModel, xs []bitvec.BitVec) {
+func modelFeed(b *Bucketing, ms []*cellModel, xs []uint64) {
 	for i, c := range b.copies {
 		for _, x := range xs {
-			ms[i].add(x.Fingerprint(), c.h.Eval(x), b.thresh)
+			xv := bitvec.FromUint64(x, b.n)
+			ms[i].add(xv.Words()[0], c.h.Eval(xv), b.thresh)
 		}
 	}
 }
@@ -136,22 +138,21 @@ func maxProbe(c *bucketCopy) int {
 // TestCellTableVsMap is a seeded property test of the Bucketing cell
 // table against the map model: random batches with repeats (insert,
 // duplicate and level raise), a clone fed a different stream (clone then
-// diverge), a merge of the two, and a decode of the result. n = 80
-// exercises fingerprints whose high word is set.
+// diverge), a merge of the two, and a decode of the result.
 func TestCellTableVsMap(t *testing.T) {
-	for _, n := range []int{12, 32, 64, 80} {
+	for _, n := range []int{12, 32, 64} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			rng := stats.NewRNG(seed*977 + uint64(n))
 			opts := Options{Thresh: 5 + int(seed)*3, Iterations: 3, RNG: rng, Parallelism: 1}
 			b := NewBucketing(n, opts)
 			ms := newCellModels(b)
-			pool := make([]bitvec.BitVec, 300)
+			pool := make([]uint64, 300)
 			for i := range pool {
-				pool[i] = bitvec.Random(n, rng.Uint64)
+				pool[i] = bitvec.Random(n, rng.Uint64).Uint64()
 			}
 			feed := func(b *Bucketing, ms []*cellModel, rounds int) {
 				for r := 0; r < rounds; r++ {
-					xs := make([]bitvec.BitVec, 1+rng.Intn(40))
+					xs := make([]uint64, 1+rng.Intn(40))
 					for k := range xs {
 						xs[k] = pool[rng.Intn(len(pool))]
 					}
@@ -193,17 +194,17 @@ func TestCellTableSharedProbeRun(t *testing.T) {
 	const n = 32
 	b := NewBucketing(n, Options{Thresh: 10, Iterations: 2, RNG: stats.NewRNG(5), Parallelism: 1})
 	mask := uint64(len(b.copies[0].table) - 1)
-	var xs []bitvec.BitVec
+	var xs []uint64
 	for v := uint64(0); len(xs) < 3*b.thresh; v++ {
-		if x := bitvec.FromUint64(v, n); probeHome(x.Fingerprint(), mask) == mask {
-			xs = append(xs, x)
+		if probeHome(packWord(v, n), mask) == mask {
+			xs = append(xs, v)
 		}
 	}
 	ms := newCellModels(b)
 	longest := 0
-	for _, x := range xs {
-		b.Process(x)
-		modelFeed(b, ms, []bitvec.BitVec{x})
+	for i := range xs {
+		b.ProcessBatch(xs[i : i+1])
+		modelFeed(b, ms, xs[i:i+1])
 		requireCellsMatch(t, "shared run", b, ms)
 		longest = max(longest, maxProbe(b.copies[0]))
 	}
@@ -230,11 +231,9 @@ func TestCellTableCraftedProbeBound(t *testing.T) {
 	const n = 32
 	opts := func() Options { return Options{Iterations: 3, RNG: stats.NewRNG(9), Parallelism: 1} }
 	mask := uint64(len(NewBucketing(n, opts()).copies[0].table) - 1)
-	// Below 65 bits a fingerprint's low word is the element's word.
-	fromWord := func(w uint64) bitvec.BitVec {
-		return bitvec.FromUint64(bits.Reverse64(w)>>(64-n), n)
-	}
-	var lowShared, homeShared []bitvec.BitVec
+	// A key is the element's packed word.
+	fromWord := func(w uint64) uint64 { return bits.Reverse64(w) >> (64 - n) }
+	var lowShared, homeShared []uint64
 	for k := uint64(0); k < 1<<12; k++ {
 		lowShared = append(lowShared, fromWord(k<<20|0x5a5a5))
 	}
@@ -243,7 +242,7 @@ func TestCellTableCraftedProbeBound(t *testing.T) {
 			homeShared = append(homeShared, fromWord(w))
 		}
 	}
-	run := func(xs []bitvec.BitVec) int {
+	run := func(xs []uint64) int {
 		b := NewBucketing(n, opts())
 		longest := 0
 		for lo := 0; lo < len(xs); lo += 64 {

@@ -19,12 +19,11 @@
 package streaming
 
 import (
+	"maps"
 	"slices"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
-	"mcf0/internal/par"
 	"mcf0/internal/wire"
 )
 
@@ -37,9 +36,10 @@ const (
 	exactDistinctVersion  byte = 1
 )
 
-// maxSketchBits bounds a decoded universe width; the shared copy and
-// threshold bounds are kmv.MaxCopies and kmv.MaxThresh.
-const maxSketchBits = 1 << 16
+// maxSketchBits bounds a decoded universe width, as the constructors do;
+// the shared copy and threshold bounds are kmv.MaxCopies and
+// kmv.MaxThresh.
+const maxSketchBits = 64
 
 // SketchBits returns the universe width (element bits) of any sketch in
 // this package, or 0 for foreign Sketch implementations. Wrapper layers
@@ -113,9 +113,25 @@ func DecodeSketchFrom(r *wire.Reader, parallelism int) Sketch {
 
 // ---- Bucketing ----
 
+// appendKey emits a stored key as two words: the packed element, then
+// the key's high word, which is zero in a universe of at most 64 bits.
+func appendKey(dst []byte, key uint64) []byte {
+	return wire.AppendUint64(wire.AppendUint64(dst, key), 0)
+}
+
+// readKey consumes a key appendKey wrote, refusing one that is not a
+// packed n-bit element.
+func readKey(r *wire.Reader, n int) uint64 {
+	key, hi := r.Uint64(), r.Uint64()
+	if r.Err() == nil && (hi != 0 || key>>uint(n) != 0) {
+		r.Corrupt("key %#x:%#x is not a packed %d-bit element", hi, key, n)
+	}
+	return key
+}
+
 // appendBinary emits n, thresh, t, then per copy the hash draw, the
 // sampling level, and the occupied cells in slab-slot order as
-// (fingerprint, hash-value-row) pairs.
+// (key, hash-value-row) pairs.
 func (b *Bucketing) appendBinary(dst []byte) []byte {
 	dst = wire.AppendHeader(dst, wire.KindBucketing, bucketingVersion)
 	dst = wire.AppendInt(dst, b.n)
@@ -129,9 +145,7 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 			if !on {
 				continue
 			}
-			lo, hi, _ := c.keys[s].Raw()
-			dst = wire.AppendUint64(dst, lo)
-			dst = wire.AppendUint64(dst, hi)
+			dst = appendKey(dst, c.keys[s])
 			dst = wire.AppendBitVec(dst, c.rows[s])
 		}
 	}
@@ -181,18 +195,22 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 				i, c.h.InBits(), c.h.OutBits(), n, n)
 			return nil
 		}
+		if !hasKernel(c.h, n) {
+			r.Corrupt("bucketing copy %d hash is not a Toeplitz draw with a kernel", i)
+			return nil
+		}
 		// Re-pack the cells into slots 0..cnt−1 — the canonical layout a
 		// fresh copy ingesting the same set would hold; slot placement is
 		// invisible to estimates and merges.
 		for s := 0; s < cnt; s++ {
-			key := bitvec.RawFingerprint(r.Uint64(), r.Uint64(), n)
+			key := readKey(r, n)
 			r.BitVecInto(c.rows[s])
 			if r.Err() != nil {
 				return nil
 			}
 			slot, pos := c.find(key)
 			if slot >= 0 {
-				r.Corrupt("bucketing copy %d has duplicate cell fingerprints", i)
+				r.Corrupt("bucketing copy %d has duplicate cell keys", i)
 				return nil
 			}
 			if !c.rows[s].HasZeroPrefix(c.level) {
@@ -257,7 +275,11 @@ func decodeMinimum(r *wire.Reader, parallelism int) *Minimum {
 				i, h.InBits(), h.OutBits(), n, 3*n)
 			return nil
 		}
-		c := &minCopy{h: h, set: sets[i], scratch: bitvec.New(3 * n)}
+		if !hasKernel(h, minPrefixBits(n)) {
+			r.Corrupt("minimum copy %d hash is not a Toeplitz draw with a kernel", i)
+			return nil
+		}
+		c := newMinCopy(h, sets[i], n)
 		if !c.set.Decode(r) {
 			return nil
 		}
@@ -294,7 +316,7 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 	if !r.CheckVersion(wire.KindEstimation, v, estimationVersion) {
 		return nil
 	}
-	n := r.Int(64)
+	n := r.Int(maxSketchBits)
 	thresh := r.Int(kmv.MaxThresh)
 	t := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
@@ -308,20 +330,18 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 		r.Corrupt("estimation grid %dx%d exceeds decode bound", t, thresh)
 		return nil
 	}
-	workers := par.Workers(parallelism)
-	e := &Estimation{
-		thresh:  thresh,
-		n:       n,
-		eng:     newEngine(parallelism, minBatchEstimation),
-		scratch: par.ShardScratch(workers, func() bitvec.BitVec { return bitvec.New(n) }),
-	}
-	allU64 := true
-	for i := 0; i < t; i++ {
-		var row []hash.Func
-		var urow []hash.Uint64Hash
-		for j := 0; j < thresh; j++ {
+	e := &Estimation{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchEstimation)}
+	e.hs = make([][]polyDraw, t)
+	for i := range e.hs {
+		e.hs[i] = make([]polyDraw, thresh)
+		for j := range e.hs[i] {
 			h := hash.DecodeFunc(r)
 			if r.Err() != nil {
+				return nil
+			}
+			p, ok := h.(polyDraw)
+			if !ok {
+				r.Corrupt("estimation grid hash (%d,%d) is not polynomial", i, j)
 				return nil
 			}
 			if h.InBits() != n || h.OutBits() != n {
@@ -329,18 +349,8 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 					i, j, h.InBits(), h.OutBits(), n, n)
 				return nil
 			}
-			row = append(row, h)
-			if u, ok := hash.AsUint64Hash(h); ok {
-				urow = append(urow, u)
-			} else {
-				allU64 = false
-			}
+			e.hs[i][j] = p
 		}
-		e.hs = append(e.hs, row)
-		e.u64 = append(e.u64, urow)
-	}
-	if !allU64 {
-		e.u64 = nil
 	}
 	e.s = make([]int, t*thresh)
 	for i := range e.s {
@@ -348,6 +358,10 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 	}
 	e.fm = decodeFMBody(r, parallelism)
 	if r.Err() != nil {
+		return nil
+	}
+	if got := SketchBits(e.fm); got != n {
+		r.Corrupt("estimation over %d bits carries a %d-bit flajolet-martin tracker", n, got)
 		return nil
 	}
 	return e
@@ -385,35 +399,25 @@ func decodeFMBody(r *wire.Reader, parallelism int) *FlajoletMartin {
 		return nil
 	}
 	f := &FlajoletMartin{eng: newEngine(parallelism, minBatchCheap)}
-	n := 0
-	allU64 := true
 	for i := 0; i < t; i++ {
 		h := hash.DecodeLinear(r)
 		if r.Err() != nil {
 			return nil
 		}
-		if i == 0 {
-			n = h.OutBits()
-		} else if h.InBits() != f.hs[0].InBits() || h.OutBits() != n {
+		if i == 0 && (h.InBits() > maxSketchBits || h.OutBits() > maxSketchBits) {
+			r.Corrupt("flajolet-martin hash is %d->%d bits, wider than %d", h.InBits(), h.OutBits(), maxSketchBits)
+			return nil
+		}
+		if i > 0 && (h.InBits() != f.hs[0].InBits() || h.OutBits() != f.hs[0].OutBits()) {
 			r.Corrupt("flajolet-martin copy %d dimensions disagree with copy 0", i)
 			return nil
 		}
-		maxTZ := r.Int(n+1) - 1
+		maxTZ := r.Int(h.OutBits()+1) - 1
 		if r.Err() != nil {
 			return nil
 		}
-		f.hs = append(f.hs, h)
-		f.max = append(f.max, maxTZ)
-		if u, ok := hash.AsUint64Hash(h); ok {
-			f.u64 = append(f.u64, u)
-		} else {
-			allU64 = false
-		}
+		f.addCopy(h, maxTZ)
 	}
-	if !allU64 {
-		f.u64 = nil
-	}
-	f.scratch = par.ShardScratch(par.Workers(parallelism), func() bitvec.BitVec { return bitvec.New(n) })
 	return f
 }
 
@@ -427,37 +431,15 @@ func decodeFlajoletMartin(r *wire.Reader, parallelism int) *FlajoletMartin {
 
 // ---- ExactDistinct ----
 
-// appendBinary emits n, then the element fingerprints sorted by digest —
-// the canonical order (map iteration is randomized; the wire form must
-// not be).
+// appendBinary emits n, then the element keys in ascending order — the
+// canonical order (map iteration is randomized; the wire form must not
+// be).
 func (e *ExactDistinct) appendBinary(dst []byte) []byte {
 	dst = wire.AppendHeader(dst, wire.KindExactDistinct, exactDistinctVersion)
 	dst = wire.AppendInt(dst, e.n)
 	dst = wire.AppendInt(dst, len(e.seen))
-	type fp struct{ lo, hi uint64 }
-	fps := make([]fp, 0, len(e.seen))
-	for k := range e.seen {
-		lo, hi, _ := k.Raw()
-		fps = append(fps, fp{lo, hi})
-	}
-	slices.SortFunc(fps, func(a, b fp) int {
-		if a.lo != b.lo {
-			if a.lo < b.lo {
-				return -1
-			}
-			return 1
-		}
-		if a.hi != b.hi {
-			if a.hi < b.hi {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	for _, k := range fps {
-		dst = wire.AppendUint64(dst, k.lo)
-		dst = wire.AppendUint64(dst, k.hi)
+	for _, k := range slices.Sorted(maps.Keys(e.seen)) {
+		dst = appendKey(dst, k)
 	}
 	return dst
 }
@@ -479,15 +461,15 @@ func decodeExactDistinct(r *wire.Reader) *ExactDistinct {
 		r.Corrupt("exact-distinct sketch over empty universe")
 		return nil
 	}
-	e := &ExactDistinct{seen: make(map[bitvec.Fingerprint]struct{}, cnt), n: n}
+	e := &ExactDistinct{seen: make(map[uint64]struct{}, cnt), n: n}
 	for i := 0; i < cnt; i++ {
-		e.seen[bitvec.RawFingerprint(r.Uint64(), r.Uint64(), n)] = struct{}{}
+		e.seen[readKey(r, n)] = struct{}{}
 	}
 	if r.Err() != nil {
 		return nil
 	}
 	if len(e.seen) != cnt {
-		r.Corrupt("exact-distinct set has duplicate fingerprints")
+		r.Corrupt("exact-distinct set has duplicate keys")
 		return nil
 	}
 	return e

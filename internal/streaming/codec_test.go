@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
 	"mcf0/internal/wire"
@@ -192,9 +193,114 @@ func TestBucketingSlabBound(t *testing.T) {
 	}
 }
 
+// handEstimation hand-builds an n-bit Estimation snapshot of one grid
+// cell drawn as grid and one Flajolet–Martin copy drawn as tracker, both
+// still empty. No encoder writes one whose draws disagree with n.
+func handEstimation(n int, grid, tracker hash.Func) []byte {
+	blob := wire.AppendHeader(nil, wire.KindEstimation, estimationVersion)
+	for _, v := range []int{n, 1, 1} { // n, thresh, t
+		blob = wire.AppendInt(blob, v)
+	}
+	blob, _ = hash.AppendFunc(blob, grid)
+	blob = wire.AppendInt(blob, 0) // the cell's max, −1 + 1
+	blob = wire.AppendInt(blob, 1) // tracker copies
+	blob, _ = hash.AppendFunc(blob, tracker)
+	return wire.AppendInt(blob, 0)
+}
+
+// handKeys hand-builds an n-bit ExactDistinct snapshot of one stored key
+// given as its two wire words.
+func handKeys(n int, lo, hi uint64) []byte {
+	blob := wire.AppendHeader(nil, wire.KindExactDistinct, exactDistinctVersion)
+	blob = wire.AppendInt(wire.AppendInt(blob, n), 1)
+	return wire.AppendUint64(wire.AppendUint64(blob, lo), hi)
+}
+
+// TestWordBound pins the one element form: every constructor panics on
+// a universe wider than 64 bits, and the decoder refuses every form no
+// encoder writes — a width above 64, a Toeplitz slot without a
+// carry-less kernel, an Estimation draw that is not polynomial or a
+// tracker of another width, and a key with a nonzero high word or at or
+// above 2^n.
+func TestWordBound(t *testing.T) {
+	for name, mk := range map[string]func(n int){
+		"bucketing":       func(n int) { NewBucketing(n, Options{Iterations: 1}) },
+		"minimum":         func(n int) { NewMinimum(n, Options{Iterations: 1}) },
+		"estimation":      func(n int) { NewEstimation(n, Options{Iterations: 1, Thresh: 1}) },
+		"flajolet-martin": func(n int) { NewFlajoletMartin(n, Options{Iterations: 1}) },
+		"exact":           func(n int) { NewExactDistinct(n) },
+	} {
+		mk(64)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: constructor accepted a 65-bit universe", name)
+				}
+			}()
+			mk(65)
+		}()
+	}
+
+	refused := func(what string, blob []byte) {
+		t.Helper()
+		if _, err := DecodeSketch(blob, 1); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", what, err)
+		}
+	}
+	for kind, version := range map[byte]byte{wire.KindBucketing: bucketingVersion,
+		wire.KindMinimum: minimumVersion, wire.KindEstimation: estimationVersion,
+		wire.KindExactDistinct: exactDistinctVersion} {
+		refused("65-bit universe", wire.AppendInt(wire.AppendHeader(nil, kind, version), 65))
+	}
+	rng := stats.NewRNG(0x64)
+	fm := wire.AppendHeader(nil, wire.KindFlajoletMartin, flajoletMartinVersion)
+	fm = wire.AppendInt(fm, 1)
+	fm, _ = hash.AppendFunc(fm, hash.NewXor(65, 65).Draw(rng.Uint64))
+	refused("65-bit flajolet-martin", wire.AppendInt(fm, 0))
+
+	b, m := NewBucketing(16, mergeOpts(1, 1)), NewMinimum(16, mergeOpts(2, 1))
+	feedChunks(b, dupStream(16, 300, stats.NewRNG(3)))
+	feedChunks(m, dupStream(16, 300, stats.NewRNG(4)))
+	for name, s := range map[string]Sketch{"bucketing": b, "minimum": m} {
+		if _, err := DecodeSketch(mustEncode(t, s), 1); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	// The same functions in the general linear form, which carries no
+	// kernel.
+	b.copies[1].h = hash.NewLinear(b.copies[1].h.A, b.copies[1].h.B)
+	m.copies[1].h = hash.NewLinear(m.copies[1].h.A, m.copies[1].h.B)
+	refused("kernel-less bucketing draw", mustEncode(t, b))
+	refused("kernel-less minimum draw", mustEncode(t, m))
+
+	poly, xor := hash.NewPoly(8, 2).Draw(rng.Uint64), hash.NewXor(8, 8).Draw(rng.Uint64)
+	if _, err := DecodeSketch(handEstimation(8, poly, xor), 1); err != nil {
+		t.Fatalf("hand-built estimation: %v", err)
+	}
+	refused("linear estimation grid draw", handEstimation(8, xor, xor))
+	refused("16-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(16, 16).Draw(rng.Uint64)))
+	refused("80-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(80, 80).Draw(rng.Uint64)))
+
+	if _, err := DecodeSketch(handKeys(16, 1<<15, 0), 1); err != nil {
+		t.Fatalf("hand-built exact set: %v", err)
+	}
+	refused("key with a high word", handKeys(16, 1, 1))
+	refused("key at 2^n", handKeys(16, 1<<16, 0))
+}
+
+func mustEncode(t *testing.T, s Sketch) []byte {
+	t.Helper()
+	blob, ok := EncodeSketch(s)
+	if !ok {
+		t.Fatalf("%T has no wire form", s)
+	}
+	return blob
+}
+
 // FuzzUnmarshalSketch drives DecodeSketch with corrupt, truncated, and
 // bit-flipped snapshots: it must return typed errors, never panic, and any
-// accepted input must re-encode canonically and answer Estimate.
+// accepted input must re-encode canonically, answer Estimate, ingest
+// elements of its width and merge a clone of itself.
 func FuzzUnmarshalSketch(f *testing.F) {
 	n := 16
 	stream := dupStream(n, 120, stats.NewRNG(0xf022))
@@ -207,6 +313,8 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{'F', '0', wire.KindBucketing, 1})
+	rng := stats.NewRNG(0xf023)
+	f.Add(handEstimation(8, hash.NewPoly(8, 2).Draw(rng.Uint64), hash.NewXor(80, 80).Draw(rng.Uint64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSketch(data, 1)
 		if err != nil {
@@ -228,6 +336,13 @@ func FuzzUnmarshalSketch(f *testing.F) {
 		}
 		if dec2.Estimate() != s.Estimate() {
 			t.Fatal("re-decoded estimate diverges")
+		}
+		mask := ^uint64(0) >> (64 - SketchBits(s))
+		s.ProcessBatch([]uint64{0, 1, 0x9e3779b97f4a7c15 & mask, mask, 1})
+		s.ProcessBatch([]uint64{0x5bd1e995 & mask})
+		_ = s.Estimate()
+		if err := s.Merge(s.Clone()); err != nil {
+			t.Fatalf("merging a clone: %v", err)
 		}
 	})
 }

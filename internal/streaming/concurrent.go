@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/par"
 )
 
@@ -130,7 +129,7 @@ func (c *Concurrent) release(r *replica) {
 
 // ProcessBatch absorbs a chunk of elements into whichever replica is
 // free; the whole chunk lands on one replica, amortising acquisition.
-func (c *Concurrent) ProcessBatch(xs []bitvec.BitVec) {
+func (c *Concurrent) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}

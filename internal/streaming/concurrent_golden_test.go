@@ -57,29 +57,25 @@ func concurrentGoldenOpts(seed uint64) Options {
 }
 
 // concurrentGoldenFeed drives front through seeded rounds of writes
-// (single Process calls and ProcessBatch chunks drawn with replacement
+// (one-element and larger ProcessBatch chunks drawn with replacement
 // from a pool whose live prefix grows, so batches repeat elements within
 // themselves and across rounds, and enough distinct elements arrive to
 // raise Bucketing's level), calling read zero to two times after each
 // write and wrote once per write with the elements it carried.
-func concurrentGoldenFeed(front *Concurrent, seed uint64, read func(), wrote func([]bitvec.BitVec)) {
+func concurrentGoldenFeed(front *Concurrent, seed uint64, read func(), wrote func([]uint64)) {
 	rng := stats.NewRNG(seed)
-	pool := make([]bitvec.BitVec, 600)
+	pool := make([]uint64, 600)
 	for i := range pool {
-		pool[i] = bitvec.Random(concurrentGoldenBits, rng.Uint64)
+		pool[i] = bitvec.Random(concurrentGoldenBits, rng.Uint64).Uint64()
 	}
 	sizes := []int{1, 7, 64, 3, 150, 1, 16}
 	for round := 0; round < 36; round++ {
 		live := min(len(pool), 40+20*round)
-		batch := make([]bitvec.BitVec, sizes[round%len(sizes)])
+		batch := make([]uint64, sizes[round%len(sizes)])
 		for k := range batch {
 			batch[k] = pool[rng.Uint64n(uint64(live))]
 		}
-		if len(batch) == 1 {
-			front.Process(batch[0])
-		} else {
-			front.ProcessBatch(batch)
-		}
+		front.ProcessBatch(batch)
 		wrote(batch)
 		for k := rng.Uint64n(3); k > 0; k-- {
 			read()
@@ -105,7 +101,7 @@ func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
 					rec[16] = 1
 				}
 				h.Write(rec[:])
-			}, func([]bitvec.BitVec) {})
+			}, func([]uint64) {})
 			merged := front.MergedClone()
 			if b, ok := merged.(*Bucketing); ok && b.MaxLevel() < 2 {
 				t.Fatalf("%s: feed left the sampling level at %d", name, b.MaxLevel())
@@ -132,7 +128,7 @@ func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 			front := NewConcurrent(kind.mk(), reps)
 			serial := kind.mk()
 			writes := 0
-			concurrentGoldenFeed(front, 0xd1ff, func() { front.Estimate() }, func(xs []bitvec.BitVec) {
+			concurrentGoldenFeed(front, 0xd1ff, func() { front.Estimate() }, func(xs []uint64) {
 				writes++
 				serial.ProcessBatch(xs)
 				est, _, cached := front.EstimateVersioned()

@@ -1,7 +1,8 @@
 package streaming
 
 import (
-	"mcf0/internal/bitvec"
+	"math/bits"
+
 	"mcf0/internal/par"
 )
 
@@ -52,37 +53,39 @@ func (e engine) run(copies int, fn func(i, shard int)) {
 }
 
 // wordScratch is the batch scratch of the word-kernel absorb (Bucketing
-// and Minimum at n ≤ 64): the batch's element words, written once before
-// fan-out and read-only inside it, and one hash-word buffer per pool
-// shard, grown and written only by its own shard. Both grow to the
-// largest batch seen and are reused, so steady-state batches allocate
-// nothing.
+// and Minimum): the batch's packed elements, written once before fan-out
+// and read-only inside it, and one hash-word buffer per pool shard, grown
+// and written only by its own shard. Both grow to the largest batch seen
+// and are reused, so steady-state batches allocate nothing.
 type wordScratch struct {
 	xw []uint64
 	ws [][]uint64
 }
 
-// elems sizes the shard table for workers shards and returns the bitvec
-// word 0 of every element of xs, or nil when n > 64 (those universes
-// absorb element by element).
-func (s *wordScratch) elems(xs []bitvec.BitVec, n, workers int) []uint64 {
+// elems sizes the shard table for workers shards and returns the packed
+// form of every element of xs.
+func (s *wordScratch) elems(xs []uint64, n, workers int) []uint64 {
 	if len(s.ws) < workers {
 		s.ws = make([][]uint64, workers)
-	}
-	if n > 64 {
-		return nil
 	}
 	if cap(s.xw) < len(xs) {
 		s.xw = make([]uint64, len(xs))
 	}
 	xw := s.xw[:len(xs)]
 	for k, x := range xs {
-		if x.Len() != n {
-			panic("streaming: element width mismatch")
-		}
-		xw[k] = x.Words()[0]
+		xw[k] = packWord(x, n)
 	}
 	return xw
+}
+
+// packWord returns the packed form of the n-bit element x: word 0 of its
+// bitvec, where bit i is bit n−1−i of x (what bitvec.SetUint64 stores).
+// It panics when x is not below 2^n.
+func packWord(x uint64, n int) uint64 {
+	if x>>uint(n) != 0 {
+		panic("streaming: element exceeds the universe width")
+	}
+	return bits.Reverse64(x << (64 - uint(n)))
 }
 
 // shard returns the hash-word buffer of one shard, size words long.

@@ -8,7 +8,6 @@ import (
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
-	"mcf0/internal/par"
 )
 
 // ErrIncompatibleSketch is returned by Merge when the two sketches cannot
@@ -44,20 +43,15 @@ var (
 	_ Sketch = (*ExactDistinct)(nil)
 )
 
-// sameFunc reports whether two hash draws are identical: pointer equality
-// (clones share draws), else structural comparison for the linear and
-// polynomial families.
-func sameFunc(a, b hash.Func) bool {
+// samePoly reports whether two grid draws are identical: pointer equality
+// (clones share draws), else equal coefficient vectors.
+func samePoly(a, b polyDraw) bool {
 	if a == b {
 		return true
 	}
-	if la, ok := a.(*hash.Linear); ok {
-		lb, ok := b.(*hash.Linear)
-		return ok && la.Equal(lb)
-	}
-	ca, oka := hash.PolyCoefficients(a)
-	cb, okb := hash.PolyCoefficients(b)
-	return oka && okb && slices.Equal(ca, cb)
+	ca, _ := hash.PolyCoefficients(a)
+	cb, _ := hash.PolyCoefficients(b)
+	return slices.Equal(ca, cb)
 }
 
 // Clone returns a deep copy sharing hash draws, with its own slabs: each
@@ -117,7 +111,7 @@ func (m *Minimum) Clone() Sketch {
 	out := &Minimum{thresh: m.thresh, n: m.n, eng: m.eng}
 	sets := kmv.Carve(3*m.n, m.thresh, len(m.copies))
 	for i, c := range m.copies {
-		nc := &minCopy{h: c.h, set: sets[i], scratch: bitvec.New(3 * m.n)}
+		nc := newMinCopy(c.h, sets[i], m.n)
 		nc.set.CopyFrom(&c.set)
 		out.copies = append(out.copies, nc)
 	}
@@ -150,14 +144,12 @@ func (m *Minimum) Merge(other Sketch) error {
 // trailing-zero slab and FM tracker.
 func (e *Estimation) Clone() Sketch {
 	return &Estimation{
-		thresh:  e.thresh,
-		n:       e.n,
-		hs:      e.hs,  // immutable grid of draws, shared
-		u64:     e.u64, // ditto (integer mirror)
-		s:       slices.Clone(e.s),
-		fm:      e.fm.Clone().(*FlajoletMartin),
-		eng:     e.eng,
-		scratch: par.ShardScratch(e.eng.workers, func() bitvec.BitVec { return bitvec.New(e.n) }),
+		thresh: e.thresh,
+		n:      e.n,
+		hs:     e.hs, // immutable grid of draws, shared
+		s:      slices.Clone(e.s),
+		fm:     e.fm.Clone().(*FlajoletMartin),
+		eng:    e.eng,
 	}
 }
 
@@ -174,7 +166,7 @@ func (e *Estimation) Merge(other Sketch) error {
 			return ErrIncompatibleSketch
 		}
 		for j := range e.hs[i] {
-			if !sameFunc(e.hs[i][j], o.hs[i][j]) {
+			if !samePoly(e.hs[i][j], o.hs[i][j]) {
 				return ErrIncompatibleSketch
 			}
 		}
@@ -192,17 +184,7 @@ func (e *Estimation) Merge(other Sketch) error {
 
 // Clone returns a deep copy sharing hash draws.
 func (f *FlajoletMartin) Clone() Sketch {
-	n := 0
-	if len(f.hs) > 0 {
-		n = f.hs[0].OutBits()
-	}
-	return &FlajoletMartin{
-		hs:      f.hs,
-		u64:     f.u64,
-		max:     slices.Clone(f.max),
-		eng:     f.eng,
-		scratch: par.ShardScratch(f.eng.workers, func() bitvec.BitVec { return bitvec.New(n) }),
-	}
+	return &FlajoletMartin{hs: f.hs, u64: f.u64, max: slices.Clone(f.max), eng: f.eng}
 }
 
 // Merge takes the pointwise maximum of the per-copy counters.

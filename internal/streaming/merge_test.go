@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/stats"
 )
 
@@ -218,15 +217,15 @@ func TestConcurrentDeterminism(t *testing.T) {
 		if got, gotV, cached := front.EstimateVersioned(); got != want || gotV != v || !cached {
 			t.Fatalf("replicas=%d: repeat read (%v, v%d, cached=%v), want hit (%v, v%d)", reps, got, gotV, cached, want, v)
 		}
-		front.Process(bitvec.FromUint64(1<<31-1, n))
+		front.ProcessBatch([]uint64{1<<31 - 1})
 		serial2 := NewBucketing(n, mergeOpts(71, 1))
 		feedChunks(serial2, stream)
-		serial2.Process(bitvec.FromUint64(1<<31-1, n))
+		serial2.ProcessBatch([]uint64{1<<31 - 1})
 		if got, want2 := front.Estimate(), serial2.Estimate(); got != want2 {
 			t.Fatalf("replicas=%d: post-write estimate %v != serial %v", reps, got, want2)
 		}
-		front.Process(bitvec.FromUint64(7, n))
-		serial2.Process(bitvec.FromUint64(7, n))
+		front.ProcessBatch([]uint64{7})
+		serial2.ProcessBatch([]uint64{7})
 		if got, gotV, cached := front.EstimateVersioned(); got != serial2.Estimate() || gotV != v+2 || cached {
 			t.Fatalf("replicas=%d: post-write read (%v, v%d, cached=%v), want miss (%v, v%d)", reps, got, gotV, cached, serial2.Estimate(), v+2)
 		}
@@ -244,7 +243,7 @@ type gatedExact struct {
 	gate    chan struct{}
 }
 
-func (g *gatedExact) ProcessBatch(xs []bitvec.BitVec) {
+func (g *gatedExact) ProcessBatch(xs []uint64) {
 	g.entered <- struct{}{}
 	<-g.gate
 	g.ExactDistinct.ProcessBatch(xs)
@@ -267,7 +266,11 @@ func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
 	seed := &gatedExact{NewExactDistinct(n), make(chan struct{}, 1), make(chan struct{})}
 	front := NewConcurrent(seed, 2)
 	for x := uint64(0); x < 10; x++ {
-		front.Process(bitvec.FromUint64(x, n))
+		// Warm-up writes take the front's write protocol but skip the
+		// gate, absorbing into the embedded set.
+		r := front.acquire()
+		r.sk.(*gatedExact).ExactDistinct.ProcessBatch([]uint64{x})
+		front.release(r)
 	}
 	est, v, cached := front.EstimateVersioned()
 	if est != 10 || v != 10 || cached {
@@ -277,7 +280,7 @@ func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
 	wrote := make(chan struct{})
 	go func() {
 		defer close(wrote)
-		front.ProcessBatch([]bitvec.BitVec{bitvec.FromUint64(100, n)})
+		front.ProcessBatch([]uint64{100})
 	}()
 	<-seed.entered
 
@@ -357,8 +360,8 @@ func TestConcurrentHammerRace(t *testing.T) {
 	producers := 8
 	perProducer := 400
 	reps := runtime.GOMAXPROCS(0)
-	streams := make([][]bitvec.BitVec, producers)
-	var all []bitvec.BitVec
+	streams := make([][]uint64, producers)
+	var all []uint64
 	for p := range streams {
 		streams[p] = dupStream(n, perProducer, stats.NewRNG(uint64(0xa0+p)))
 		all = append(all, streams[p]...)
@@ -373,22 +376,20 @@ func TestConcurrentHammerRace(t *testing.T) {
 	for name, mk := range seeds {
 		t.Run(name, func(t *testing.T) {
 			serial := mk()
-			for _, x := range all {
-				serial.Process(x)
-			}
+			feed(serial, all)
 			want := serial.Estimate()
 
 			front := NewConcurrent(mk(), reps)
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				wg.Add(1)
-				go func(xs []bitvec.BitVec) {
+				go func(xs []uint64) {
 					defer wg.Done()
 					for i := 0; i < len(xs); i += 16 {
 						hi := min(i+16, len(xs))
 						front.ProcessBatch(xs[i:hi])
 						if i%128 == 0 {
-							front.Process(xs[i])
+							front.ProcessBatch(xs[i : i+1])
 						}
 					}
 				}(streams[p])
@@ -409,11 +410,4 @@ func TestConcurrentHammerRace(t *testing.T) {
 			}
 		})
 	}
-}
-
-// Process absorbs one element into whichever replica is free.
-func (c *Concurrent) Process(x bitvec.BitVec) {
-	r := c.acquire()
-	r.sk.Process(x)
-	c.release(r)
 }

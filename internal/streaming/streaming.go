@@ -1,6 +1,6 @@
 // Package streaming implements the ComputeF0 architecture of Section 3
 // (Algorithms 1–4): three sketch-based (ε, δ) estimators for the number of
-// distinct elements in a stream over {0,1}^n —
+// distinct elements in a stream over {0,1}^n, n ≤ 64 —
 //
 //   - Bucketing (Gibbons–Tirthapura): keep the elements whose hash has an
 //     all-zero m-bit prefix, doubling the cell count on overflow;
@@ -10,30 +10,38 @@
 //     count of Thresh independent s-wise hashes;
 //
 // plus the Flajolet–Martin rough estimator and an exact-distinct baseline.
-// Every sketch processes items one at a time (Process) or in chunks
-// (ProcessBatch) and is order-insensitive.
+// Every sketch absorbs elements in chunks (ProcessBatch), each element an
+// integer below 2^n, and is order-insensitive; a one-element chunk is the
+// element-at-a-time reference.
+//
+// Two word forms carry an element. The integer form x is what callers
+// pass and what the polynomial and Flajolet–Martin hashes evaluate
+// (hash.Uint64Hash). The packed form is bitvec word 0 of x's n-bit
+// vector — bit i is bit n−1−i of x — and is what the Toeplitz kernel
+// (hash.Linear.PrefixWords) multiplies and what Bucketing and
+// ExactDistinct store as keys. Bucketing and Minimum pack each chunk
+// once (wordScratch); ExactDistinct packs element by element.
 //
 // The t ≈ 35·log₂(1/δ) copies of each sketch are independent — own hash
 // function, own mutable state — and run on a sharded worker pool
 // (Options.Parallelism) when the work amortises dispatch: ProcessBatch
-// fans the copies out one dispatch per chunk, and Estimation.Process fans
-// out even on single elements (its per-copy work is Thresh evaluations).
+// fans the copies out one dispatch per chunk, and Estimation fans out
+// even on single elements (its per-copy work is Thresh evaluations).
 // Hash functions are drawn serially at construction keyed by copy index,
 // never by worker, so fixed-seed estimates are bit-identical at every
 // parallelism level and ProcessBatch leaves every copy in exactly the
-// state element-at-a-time Process would.
+// state one-element calls would.
 //
 // # Concurrency contract
 //
-// Sketches are single-writer: Process, ProcessBatch, and Estimate must be
-// driven by one goroutine at a time (callers batching from many producers
+// Sketches are single-writer: ProcessBatch and Estimate must be driven
+// by one goroutine at a time (callers batching from many producers
 // serialise upstream). Parallelism happens inside a ProcessBatch call,
 // where the copies fan out across the shard pool; a copy — and therefore
 // its hash function and its mutable cell/minima/counter state — is only
-// ever touched by the one worker its shard maps to. Per-shard scratch
-// (hash-output buffers and hash-word batches) is indexed by shard and
-// owned by the shard for the duration of one dispatch; batch-conversion
-// scratch (element words, integer forms) is written before fan-out and
+// ever touched by the one worker its shard maps to. Per-shard hash-word
+// buffers are indexed by shard and owned by the shard for the duration
+// of one dispatch; the packed chunk is written before fan-out and
 // read-only inside it. Hash functions themselves are immutable after
 // Draw (the Toeplitz carry-less kernel carries no evaluation scratch), so
 // sharing one across shards would also be safe — the per-copy ownership
@@ -41,6 +49,7 @@
 package streaming
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -48,7 +57,6 @@ import (
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
-	"mcf0/internal/par"
 	"mcf0/internal/params"
 	"mcf0/internal/stats"
 )
@@ -63,15 +71,14 @@ const defaultSeed = 0xf0f0f0
 func pow2(k int) float64 { return math.Pow(2, float64(k)) }
 
 // Estimator is the common face of the F0 sketches (Algorithm 1's
-// architecture): feed elements with Process or ProcessBatch, read the
-// answer with Estimate.
+// architecture): feed elements with ProcessBatch, read the answer with
+// Estimate.
 type Estimator interface {
-	// Process absorbs one stream element.
-	Process(x bitvec.BitVec)
-	// ProcessBatch absorbs a chunk of stream elements, leaving the sketch
-	// in exactly the state len(xs) Process calls in order would; chunks
+	// ProcessBatch absorbs a chunk of stream elements, each an integer
+	// below 2^n in the sketch's n-bit universe. A chunk leaves the sketch
+	// in exactly the state one-element chunks in order would; chunks
 	// amortise the worker-pool dispatch over many elements.
-	ProcessBatch(xs []bitvec.BitVec)
+	ProcessBatch(xs []uint64)
 	// Estimate returns the current F0 approximation.
 	Estimate() float64
 	// SketchWords returns the current sketch size in 64-bit words,
@@ -80,34 +87,39 @@ type Estimator interface {
 	SketchWords() int
 }
 
-// ExactDistinct is the ground-truth baseline: a hash set of all elements,
-// keyed by fixed-size fingerprints (exact for widths ≤ 128 bits; see
-// bitvec.Fingerprint for the collision contract beyond that).
+// checkBits panics unless 1 ≤ n ≤ 64: every sketch carries an element
+// as one word.
+func checkBits(n int) {
+	if n < 1 || n > 64 {
+		panic(fmt.Sprintf("streaming: universe width %d out of [1,64]", n))
+	}
+}
+
+// ExactDistinct is the ground-truth baseline: the set of every element,
+// keyed by its packed form.
 type ExactDistinct struct {
-	seen map[bitvec.Fingerprint]struct{}
+	seen map[uint64]struct{}
 	n    int
 }
 
 // NewExactDistinct returns an exact distinct counter over n-bit elements.
 func NewExactDistinct(n int) *ExactDistinct {
-	return &ExactDistinct{seen: map[bitvec.Fingerprint]struct{}{}, n: n}
+	checkBits(n)
+	return &ExactDistinct{seen: map[uint64]struct{}{}, n: n}
 }
 
-// Process absorbs one element.
-func (e *ExactDistinct) Process(x bitvec.BitVec) { e.seen[x.Fingerprint()] = struct{}{} }
-
 // ProcessBatch absorbs a chunk of elements (the set is inherently serial).
-func (e *ExactDistinct) ProcessBatch(xs []bitvec.BitVec) {
+func (e *ExactDistinct) ProcessBatch(xs []uint64) {
 	for _, x := range xs {
-		e.Process(x)
+		e.seen[packWord(x, e.n)] = struct{}{}
 	}
 }
 
 // Estimate returns the exact distinct count.
 func (e *ExactDistinct) Estimate() float64 { return float64(len(e.seen)) }
 
-// SketchWords reports the O(F0) exact-set footprint.
-func (e *ExactDistinct) SketchWords() int { return len(e.seen) * ((e.n + 63) / 64) }
+// SketchWords reports the O(F0) exact-set footprint, one word per element.
+func (e *ExactDistinct) SketchWords() int { return len(e.seen) }
 
 // Bucketing is Algorithm 3's Bucketing case: t independent copies of the
 // Gibbons–Tirthapura adaptive-sampling bucket.
@@ -117,12 +129,11 @@ type Bucketing struct {
 	copies []*bucketCopy
 	eng    engine
 	words  wordScratch
-	one    [1]bitvec.BitVec
 	// Cell storage of every copy, one slab per field: copy i owns entries
 	// [i·(thresh+1), (i+1)·(thresh+1)) of rowWords' rows, keys, occ and
 	// free, and [i·T, (i+1)·T) of table, T = tableSize(thresh+1).
 	rowWords []uint64
-	keys     []bitvec.Fingerprint
+	keys     []uint64
 	occ      []bool
 	free     []int32
 	table    []int32
@@ -141,8 +152,8 @@ type Bucketing struct {
 type bucketCopy struct {
 	h     *hash.Linear
 	level int
-	rows  []bitvec.BitVec      // hash values, addressed by slot
-	keys  []bitvec.Fingerprint // keys[slot], valid while occ[slot]
+	rows  []bitvec.BitVec // hash values, addressed by slot
+	keys  []uint64        // packed elements; keys[slot] is valid while occ[slot]
 	occ   []bool
 	free  []int32 // stack of unoccupied slots
 	table []int32
@@ -155,11 +166,11 @@ type bucketCopy struct {
 // exactly the others.
 func (c *bucketCopy) size() int { return len(c.rows) - len(c.free) }
 
-// probeSalt keys the cell tables' probe hash. For n ≤ 64 a fingerprint is
-// the raw element, and a caller who picks the elements could otherwise
-// pile them into one probe run. The salt only decides where a key sits in
-// the table, never which slot holds it, so it reaches no state, snapshot
-// byte or estimate.
+// probeSalt keys the cell tables' probe hash. A key is the packed
+// element, and a caller who picks the elements could otherwise pile them
+// into one probe run. The salt only decides where a key sits in the
+// table, never which slot holds it, so it reaches no state, snapshot byte
+// or estimate.
 var probeSalt = rand.Uint64()
 
 // tableSize returns the cell table length for a copy of the given slot
@@ -177,7 +188,7 @@ func newBucketing(n, thresh, t int, eng engine) *Bucketing {
 		n:      n,
 		eng:    eng,
 		copies: make([]*bucketCopy, t),
-		keys:   make([]bitvec.Fingerprint, t*slots),
+		keys:   make([]uint64, t*slots),
 		occ:    make([]bool, t*slots),
 		free:   make([]int32, t*slots),
 		table:  make([]int32, t*tsize),
@@ -203,6 +214,7 @@ func newBucketing(n, thresh, t int, eng engine) *Bucketing {
 // NewBucketing builds a Bucketing sketch over n-bit elements, drawing
 // hashes from H_Toeplitz(n, n).
 func NewBucketing(n int, opts Options) *Bucketing {
+	checkBits(n)
 	o := opts.Resolve(defaultSeed)
 	fam := hash.NewToeplitz(n, n)
 	b := newBucketing(n, o.Thresh, o.Iterations, newEngine(o.Parallelism, minBatchCheap))
@@ -223,18 +235,12 @@ func (c *bucketCopy) freeFrom(first int) {
 }
 
 // probeHome returns key's first probe position in a table of mask+1
-// entries. The high word is zero below 65 bits, and then costs no mix.
-func probeHome(key bitvec.Fingerprint, mask uint64) uint64 {
-	lo, hi, _ := key.Raw()
-	if hi != 0 {
-		lo ^= stats.Mix64(hi + probeSalt)
-	}
-	return stats.Mix64(lo^probeSalt) & mask
-}
+// entries.
+func probeHome(key, mask uint64) uint64 { return stats.Mix64(key^probeSalt) & mask }
 
 // find returns key's slot, or −1 together with the empty table position
 // where key's probe run ends (add's place for it).
-func (c *bucketCopy) find(key bitvec.Fingerprint) (slot int32, pos uint64) {
+func (c *bucketCopy) find(key uint64) (slot int32, pos uint64) {
 	mask := uint64(len(c.table) - 1)
 	for pos = probeHome(key, mask); ; pos = (pos + 1) & mask {
 		e := c.table[pos]
@@ -247,6 +253,22 @@ func (c *bucketCopy) find(key bitvec.Fingerprint) (slot int32, pos uint64) {
 	}
 }
 
+// prefixWords writes the first mp hash bits of every packed element of
+// xw into ws through h's carry-less kernel. Constructors draw Toeplitz
+// hashes, which carry one at every width up to 64, and the decoder
+// refuses draws without one (hasKernel), so a refusal here is a broken
+// invariant.
+func prefixWords(h *hash.Linear, mp int, xw, ws []uint64) {
+	if !h.PrefixWords(mp, xw, ws) {
+		panic("streaming: hash draw has no carry-less kernel")
+	}
+}
+
+// hasKernel reports whether h's carry-less kernel serves mp-bit
+// prefixes: PrefixWords over an empty batch writes nothing and reports
+// exactly that.
+func hasKernel(h *hash.Linear, mp int) bool { return h.PrefixWords(mp, nil, nil) }
+
 // absorbBatch runs lines 3–11 of Algorithm 3 for one copy over a batch,
 // in the order hash → level test → membership. Filtering first is exact:
 // every occupied slot passes the current level's test (add admits
@@ -254,26 +276,20 @@ func (c *bucketCopy) find(key bitvec.Fingerprint) (slot int32, pos uint64) {
 // fails it cannot be in the cell and is a no-op either way — and the
 // membership lookup runs only for the 2^-level survivors.
 //
-// For n ≤ 64 the whole batch's hash values come from one PrefixWords
-// call into ws (xw holds the element words), and the level test is a
-// mask on each word, taken against the level current at that element
-// because inserts raise it mid-batch. Only survivors are fingerprinted
-// and looked up. Wider universes (xw nil) take
-// absorb element by element.
-func (c *bucketCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, thresh int) {
-	if !c.h.PrefixWords(c.scratch.Len(), xw, ws) {
-		for _, x := range xs {
-			c.absorb(x, thresh)
-		}
-		return
-	}
+// One PrefixWords call writes the whole batch's hash values into ws (xw
+// holds the packed elements), and the level test is a mask on each word,
+// taken against the level current at that element because inserts raise
+// it mid-batch. Only survivors are looked up, keyed by their packed
+// element.
+func (c *bucketCopy) absorbBatch(xw, ws []uint64, thresh int) {
+	prefixWords(c.h, c.scratch.Len(), xw, ws)
 	low := lowBits(c.level)
 	for k, w := range ws {
 		if w&low != 0 {
 			continue
 		}
 		c.scratch.Words()[0] = w
-		c.add(xs[k].Fingerprint(), c.scratch, thresh)
+		c.add(xw[k], c.scratch, thresh)
 		low = lowBits(c.level)
 	}
 }
@@ -282,23 +298,13 @@ func (c *bucketCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, thresh int
 // has an all-zero level-bit prefix exactly when it shares no bit with it.
 func lowBits(level int) uint64 { return 1<<uint(level) - 1 }
 
-// absorb is absorbBatch for one element through the BitVec hash path,
-// serving n > 64 (and draws without a carry-less kernel).
-func (c *bucketCopy) absorb(x bitvec.BitVec, thresh int) {
-	c.h.EvalInto(x, c.scratch)
-	if !c.scratch.HasZeroPrefix(c.level) {
-		return
-	}
-	c.add(x.Fingerprint(), c.scratch, thresh)
-}
-
 // add places an already-evaluated hash value into the cell unless its
 // key is already there (the storing half of lines 5–11 of Algorithm 3):
 // take a free slot, index it where find's probe for the key ended, and
 // raise the level until the cell fits again. Shared by ingestion
-// (absorb) and Merge; callers have already passed the value through the
-// current level's test.
-func (c *bucketCopy) add(key bitvec.Fingerprint, hy bitvec.BitVec, thresh int) {
+// (absorbBatch) and Merge; callers have already passed the value through
+// the current level's test.
+func (c *bucketCopy) add(key uint64, hy bitvec.BitVec, thresh int) {
 	found, pos := c.find(key)
 	if found >= 0 {
 		return
@@ -334,15 +340,10 @@ func (c *bucketCopy) setLevel(level int) {
 	}
 }
 
-// Process absorbs one element (lines 3–11 of Algorithm 3).
-func (b *Bucketing) Process(x bitvec.BitVec) {
-	b.one[0] = x
-	b.ProcessBatch(b.one[:])
-}
-
-// ProcessBatch absorbs a chunk of elements, fanning the copies across the
-// worker pool with one dispatch for the whole chunk.
-func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
+// ProcessBatch absorbs a chunk of elements (lines 3–11 of Algorithm 3),
+// fanning the copies across the worker pool with one dispatch for the
+// whole chunk.
+func (b *Bucketing) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
@@ -350,12 +351,12 @@ func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
 	if b.eng.serial(len(xs)) {
 		ws := b.words.shard(0, len(xw))
 		for _, c := range b.copies {
-			c.absorbBatch(xs, xw, ws, b.thresh)
+			c.absorbBatch(xw, ws, b.thresh)
 		}
 		return
 	}
 	b.eng.run(len(b.copies), func(i, shard int) {
-		b.copies[i].absorbBatch(xs, xw, b.words.shard(shard, len(xw)), b.thresh)
+		b.copies[i].absorbBatch(xw, b.words.shard(shard, len(xw)), b.thresh)
 	})
 }
 
@@ -368,12 +369,12 @@ func (b *Bucketing) Estimate() float64 {
 	return stats.Median(ests)
 }
 
-// SketchWords reports the live bucket contents' footprint.
+// SketchWords reports the live bucket contents' footprint, one word per
+// cell.
 func (b *Bucketing) SketchWords() int {
 	total := 0
-	wpr := (b.n + 63) / 64
 	for _, c := range b.copies {
-		total += c.size() * wpr
+		total += c.size()
 	}
 	return total
 }
@@ -390,7 +391,6 @@ type Minimum struct {
 	// allocated on first Merge and reused across copies.
 	mergeTmp []bitvec.BitVec
 	words    wordScratch
-	one      [1]bitvec.BitVec
 }
 
 // minCopy keeps its minima in a k-min set whose rows are carved from one
@@ -398,45 +398,41 @@ type Minimum struct {
 type minCopy struct {
 	h   *hash.Linear
 	set kmv.Set
-	// scratch holds the current evaluation; Insert copies it into a row
-	// only when the value actually enters the set, so elements hashing
-	// above the current maximum (the steady-state common case) cost no
-	// data movement.
-	scratch bitvec.BitVec
+	// elem holds the packed element absorb evaluates, and scratch its
+	// 3n-bit hash value; Insert copies scratch into a row only when the
+	// value actually enters the set, so elements hashing above the
+	// current maximum (the steady-state common case) cost no data
+	// movement.
+	elem, scratch bitvec.BitVec
+}
+
+func newMinCopy(h *hash.Linear, set kmv.Set, n int) *minCopy {
+	return &minCopy{h: h, set: set, elem: bitvec.New(n), scratch: bitvec.New(3 * n)}
 }
 
 // NewMinimum builds a Minimum sketch over n-bit elements.
 func NewMinimum(n int, opts Options) *Minimum {
+	checkBits(n)
 	o := opts.Resolve(defaultSeed)
 	fam := hash.NewToeplitz(n, 3*n)
 	m := &Minimum{thresh: o.Thresh, n: n, eng: newEngine(o.Parallelism, minBatchCheap)}
 	sets := kmv.Carve(3*n, m.thresh, o.Iterations)
 	for i := 0; i < o.Iterations; i++ {
-		m.copies = append(m.copies, &minCopy{
-			h:       fam.Draw(o.RNG.Uint64).(*hash.Linear),
-			set:     sets[i],
-			scratch: bitvec.New(3 * n),
-		})
+		m.copies = append(m.copies, newMinCopy(fam.Draw(o.RNG.Uint64).(*hash.Linear), sets[i], n))
 	}
 	return m
 }
 
 // absorbBatch runs lines 12–18 of Algorithm 3 for one copy over a batch.
-// For n ≤ 64 one PrefixWords call writes each element's first
-// minPrefixBits(n) hash bits into ws (xw holds the element words), and a
-// full copy rejects every element whose prefix is lexicographically
-// greater than its maximum's. That is exact: a strictly greater prefix
-// means y > max, which cannot enter. The rest — the copy's fill phase,
-// equal prefixes and the rare smaller ones — take absorb, which
-// evaluates the full 3n-bit value. Wider universes (xw nil) take absorb
-// for every element.
-func (c *minCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, mp int) {
-	if !c.h.PrefixWords(mp, xw, ws) {
-		for _, x := range xs {
-			c.absorb(x)
-		}
-		return
-	}
+// One PrefixWords call writes each element's first minPrefixBits(n) hash
+// bits into ws (xw holds the packed elements), and a full copy rejects
+// every element whose prefix is lexicographically greater than its
+// maximum's. That is exact: a strictly greater prefix means y > max,
+// which cannot enter. The rest — the copy's fill phase, equal prefixes
+// and the rare smaller ones — take absorb, which evaluates the full
+// 3n-bit value.
+func (c *minCopy) absorbBatch(xw, ws []uint64, mp int) {
+	prefixWords(c.h, mp, xw, ws)
 	pmask := ^uint64(0) >> (64 - uint(mp))
 	full := c.set.Full()
 	var mx uint64
@@ -449,7 +445,7 @@ func (c *minCopy) absorbBatch(xs []bitvec.BitVec, xw, ws []uint64, mp int) {
 		if d := w ^ mx; full && d&-d&w != 0 {
 			continue
 		}
-		c.absorb(xs[k])
+		c.absorb(xw[k])
 		if full = c.set.Full(); full {
 			mx = c.set.Max().Words()[0] & pmask
 		}
@@ -466,24 +462,19 @@ func minPrefixBits(n int) int {
 	return min(3*n, 65-n)
 }
 
-// absorb runs lines 12–18 of Algorithm 3 for one copy and one element
-// through the BitVec hash path. It serves n > 64 (and draws without a
-// carry-less kernel), and the elements absorbBatch's prefix test lets
-// through.
-func (c *minCopy) absorb(x bitvec.BitVec) {
-	c.h.EvalInto(x, c.scratch)
+// absorb runs lines 12–18 of Algorithm 3 for one copy and one packed
+// element that absorbBatch's prefix test let through: it evaluates the
+// full 3n-bit hash value and offers it to the set.
+func (c *minCopy) absorb(w uint64) {
+	c.elem.Words()[0] = w
+	c.h.EvalInto(c.elem, c.scratch)
 	c.set.Insert(c.scratch)
 }
 
-// Process absorbs one element (lines 12–18 of Algorithm 3).
-func (m *Minimum) Process(x bitvec.BitVec) {
-	m.one[0] = x
-	m.ProcessBatch(m.one[:])
-}
-
-// ProcessBatch absorbs a chunk of elements, fanning the copies across the
-// worker pool with one dispatch for the whole chunk.
-func (m *Minimum) ProcessBatch(xs []bitvec.BitVec) {
+// ProcessBatch absorbs a chunk of elements (lines 12–18 of Algorithm 3),
+// fanning the copies across the worker pool with one dispatch for the
+// whole chunk.
+func (m *Minimum) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
@@ -492,12 +483,12 @@ func (m *Minimum) ProcessBatch(xs []bitvec.BitVec) {
 	if m.eng.serial(len(xs)) {
 		ws := m.words.shard(0, len(xw))
 		for _, c := range m.copies {
-			c.absorbBatch(xs, xw, ws, mp)
+			c.absorbBatch(xw, ws, mp)
 		}
 		return
 	}
 	m.eng.run(len(m.copies), func(i, shard int) {
-		m.copies[i].absorbBatch(xs, xw, m.words.shard(shard, len(xw)), mp)
+		m.copies[i].absorbBatch(xw, m.words.shard(shard, len(xw)), mp)
 	})
 }
 
@@ -520,33 +511,35 @@ func (m *Minimum) SketchWords() int {
 	return total
 }
 
+// polyDraw is an Estimation grid hash: an s-wise polynomial over GF(2^n)
+// that evaluates integer-form elements (hash.Uint64Hash) and goes on the
+// wire as a hash.Func.
+type polyDraw interface {
+	hash.Func
+	hash.Uint64Hash
+}
+
 // Estimation is Algorithm 3's Estimation case: a t × Thresh grid of s-wise
 // independent hashes, tracking each one's maximum trailing-zero count.
-// Requires n ≤ 64. Estimate needs the range parameter r of Lemma 3
-// (2F0 ≤ 2^r ≤ 50F0); EstimateAuto derives one from a built-in
-// Flajolet–Martin tracker, "run in parallel" as the paper prescribes.
+// Estimate needs the range parameter r of Lemma 3 (2F0 ≤ 2^r ≤ 50F0);
+// EstimateAuto derives one from a built-in Flajolet–Martin tracker, "run
+// in parallel" as the paper prescribes.
 type Estimation struct {
 	thresh int
 	n      int
-	hs     [][]hash.Func
-	// u64 mirrors hs via the integer fast path when every hash supports it
-	// (the polynomial family always does); nil otherwise.
-	u64 [][]hash.Uint64Hash
+	hs     [][]polyDraw
 	// s is the t × Thresh grid of max trailing-zero counts, flattened to
 	// one contiguous slab: cell (i, j) lives at s[i*thresh+j], so a row
 	// absorb streams linearly and Merge is one pointwise-max sweep.
 	s   []int
 	fm  *FlajoletMartin
 	eng engine
-	// scratch holds one hash-output buffer per pool shard (generic path).
-	scratch []bitvec.BitVec
-	xvs     []uint64 // batch integer-conversion scratch
-	one     [1]bitvec.BitVec
 }
 
 // NewEstimation builds an Estimation sketch over n-bit elements, drawing
 // from the s-wise polynomial family with s = 10·log₂(1/ε).
 func NewEstimation(n int, opts Options) *Estimation {
+	checkBits(n)
 	o := opts.Resolve(defaultSeed)
 	rng := o.RNG
 	s := int(10 * math.Log2(1/o.Epsilon))
@@ -561,75 +554,36 @@ func NewEstimation(n int, opts Options) *Estimation {
 		n:      n,
 		// The rough estimator resolves opts itself: under a nil RNG it
 		// draws from its own default-seeded generator, not from rng.
-		fm:      NewFlajoletMartin(n, opts),
-		eng:     newEngine(o.Parallelism, minBatchEstimation),
-		scratch: par.ShardScratch(o.Parallelism, func() bitvec.BitVec { return bitvec.New(n) }),
+		fm:  NewFlajoletMartin(n, opts),
+		eng: newEngine(o.Parallelism, minBatchEstimation),
 	}
 	e.s = make([]int, t*thresh)
 	for i := range e.s {
 		e.s[i] = -1
 	}
-	allU64 := true
-	for i := 0; i < t; i++ {
-		var row []hash.Func
-		var urow []hash.Uint64Hash
-		for j := 0; j < thresh; j++ {
-			h := fam.Draw(rng.Uint64)
-			row = append(row, h)
-			if u, ok := hash.AsUint64Hash(h); ok {
-				urow = append(urow, u)
-			} else {
-				allU64 = false
-			}
+	e.hs = make([][]polyDraw, t)
+	for i := range e.hs {
+		e.hs[i] = make([]polyDraw, thresh)
+		for j := range e.hs[i] {
+			e.hs[i][j] = fam.Draw(rng.Uint64).(polyDraw)
 		}
-		e.hs = append(e.hs, row)
-		e.u64 = append(e.u64, urow)
-	}
-	if !allU64 {
-		e.u64 = nil
 	}
 	return e
 }
 
-// Process absorbs one element (lines 19–21 of Algorithm 3). Each copy does
-// Thresh hash evaluations, so even a single element fans out across the
-// pool.
-func (e *Estimation) Process(x bitvec.BitVec) {
-	e.one[0] = x
-	e.ProcessBatch(e.one[:])
-}
-
-// ProcessBatch absorbs a chunk of elements, fanning the t grid rows across
-// the worker pool.
-func (e *Estimation) ProcessBatch(xs []bitvec.BitVec) {
+// ProcessBatch absorbs a chunk of elements (lines 19–21 of Algorithm 3),
+// fanning the t grid rows across the worker pool. Each row does Thresh
+// hash evaluations per element, so even a single element fans out.
+func (e *Estimation) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	if e.u64 != nil {
-		// Integer fast path: convert each x once, then every grid cell is
-		// one field evaluation plus a trailing-zeros instruction.
-		if cap(e.xvs) < len(xs) {
-			e.xvs = make([]uint64, len(xs))
-		}
-		xvs := e.xvs[:len(xs)]
-		for k, x := range xs {
-			xvs[k] = x.Uint64()
-		}
-		if e.eng.serial(len(xs)) {
-			for i := range e.u64 {
-				e.absorbRowU64(i, xvs)
-			}
-		} else {
-			e.eng.run(len(e.u64), func(i, _ int) { e.absorbRowU64(i, xvs) })
+	if e.eng.serial(len(xs)) {
+		for i := range e.hs {
+			e.absorbRow(i, xs)
 		}
 	} else {
-		if e.eng.serial(len(xs)) {
-			for i := range e.hs {
-				e.absorbRow(i, xs, e.scratch[0])
-			}
-		} else {
-			e.eng.run(len(e.hs), func(i, shard int) { e.absorbRow(i, xs, e.scratch[shard]) })
-		}
+		e.eng.run(len(e.hs), func(i, _ int) { e.absorbRow(i, xs) })
 	}
 	e.fm.ProcessBatch(xs)
 }
@@ -637,29 +591,18 @@ func (e *Estimation) ProcessBatch(xs []bitvec.BitVec) {
 // row returns grid row i of the flat trailing-zero slab.
 func (e *Estimation) row(i int) []int { return e.s[i*e.thresh : (i+1)*e.thresh] }
 
-// absorbRowU64 folds a converted batch into grid row i (integer path).
-func (e *Estimation) absorbRowU64(i int, xvs []uint64) {
+// absorbRow folds a batch into grid row i: every cell is one field
+// evaluation plus a trailing-zeros instruction per element.
+func (e *Estimation) absorbRow(i int, xs []uint64) {
 	srow := e.row(i)
-	for _, xv := range xvs {
-		for j, u := range e.u64[i] {
-			y := u.EvalUint64(xv)
+	for _, x := range xs {
+		for j, h := range e.hs[i] {
+			y := h.EvalUint64(x)
 			tz := e.n
 			if y != 0 {
 				tz = bits.TrailingZeros64(y)
 			}
 			if tz > srow[j] {
-				srow[j] = tz
-			}
-		}
-	}
-}
-
-// absorbRow folds a batch into grid row i via the generic hash interface.
-func (e *Estimation) absorbRow(i int, xs []bitvec.BitVec, scratch bitvec.BitVec) {
-	srow := e.row(i)
-	for _, x := range xs {
-		for j, h := range e.hs[i] {
-			if tz := hash.EvalTrailingZeros(h, x, scratch); tz > srow[j] {
 				srow[j] = tz
 			}
 		}
@@ -706,107 +649,60 @@ func (e *Estimation) SketchWords() int { return len(e.s) }
 // Szegedy). The median over Iterations copies is reported.
 type FlajoletMartin struct {
 	hs []*hash.Linear
-	// u64 mirrors hs via the integer fast path (hash.AsUint64Hash) when
-	// every copy supports it — always the case for n ≤ 64; nil otherwise.
+	// u64 evaluates hs on integer-form elements (hash.AsUint64Hash).
 	u64 []hash.Uint64Hash
 	max []int
 	eng engine
-	// scratch holds one hash-output buffer per pool shard (generic path).
-	scratch []bitvec.BitVec
-	xvs     []uint64 // batch integer-conversion scratch
-	one     [1]bitvec.BitVec
 }
 
 // NewFlajoletMartin builds the rough estimator with hashes from H_xor(n,n).
 func NewFlajoletMartin(n int, opts Options) *FlajoletMartin {
+	checkBits(n)
 	o := opts.Resolve(defaultSeed)
 	fam := hash.NewXor(n, n)
-	f := &FlajoletMartin{
-		eng:     newEngine(o.Parallelism, minBatchCheap),
-		scratch: par.ShardScratch(o.Parallelism, func() bitvec.BitVec { return bitvec.New(n) }),
-	}
-	allU64 := true
+	f := &FlajoletMartin{eng: newEngine(o.Parallelism, minBatchCheap)}
 	for i := 0; i < o.Iterations; i++ {
-		h := fam.Draw(o.RNG.Uint64).(*hash.Linear)
-		f.hs = append(f.hs, h)
-		if u, ok := hash.AsUint64Hash(h); ok {
-			f.u64 = append(f.u64, u)
-		} else {
-			allU64 = false
-		}
-		f.max = append(f.max, -1)
-	}
-	if !allU64 {
-		f.u64 = nil
+		f.addCopy(fam.Draw(o.RNG.Uint64).(*hash.Linear), -1)
 	}
 	return f
 }
 
-// Process absorbs one element.
-func (f *FlajoletMartin) Process(x bitvec.BitVec) {
-	f.one[0] = x
-	f.ProcessBatch(f.one[:])
+// addCopy appends a copy with draw h and counter maxTZ. Every linear draw
+// of at most 64 input and output bits has an integer-form evaluator.
+func (f *FlajoletMartin) addCopy(h *hash.Linear, maxTZ int) {
+	u, _ := hash.AsUint64Hash(h)
+	f.hs = append(f.hs, h)
+	f.u64 = append(f.u64, u)
+	f.max = append(f.max, maxTZ)
 }
 
 // ProcessBatch absorbs a chunk of elements, fanning the copies across the
-// worker pool.
-func (f *FlajoletMartin) ProcessBatch(xs []bitvec.BitVec) {
+// worker pool: every copy is one EvalUint64 (a carry-less multiply or
+// single-word row sweep) plus a trailing-zeros instruction per element.
+func (f *FlajoletMartin) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	if f.u64 != nil {
-		// Integer fast path: convert each x once, then every copy is one
-		// EvalUint64 (a carry-less multiply or single-word row sweep) plus
-		// a trailing-zeros instruction.
-		if cap(f.xvs) < len(xs) {
-			f.xvs = make([]uint64, len(xs))
-		}
-		xvs := f.xvs[:len(xs)]
-		for k, x := range xs {
-			xvs[k] = x.Uint64()
-		}
-		if f.eng.serial(len(xs)) {
-			for i := range f.u64 {
-				f.absorbCopyU64(i, xvs)
-			}
-			return
-		}
-		f.eng.run(len(f.hs), func(i, _ int) { f.absorbCopyU64(i, xvs) })
-		return
-	}
 	if f.eng.serial(len(xs)) {
-		for i := range f.hs {
-			f.absorbCopy(i, xs, f.scratch[0])
+		for i := range f.u64 {
+			f.absorbCopy(i, xs)
 		}
 		return
 	}
-	f.eng.run(len(f.hs), func(i, shard int) { f.absorbCopy(i, xs, f.scratch[shard]) })
+	f.eng.run(len(f.u64), func(i, _ int) { f.absorbCopy(i, xs) })
 }
 
-// absorbCopyU64 folds a converted batch into copy i's counter.
-func (f *FlajoletMartin) absorbCopyU64(i int, xvs []uint64) {
+// absorbCopy folds a batch into copy i's max-trailing-zeros counter.
+func (f *FlajoletMartin) absorbCopy(i int, xs []uint64) {
 	u := f.u64[i]
 	n := f.hs[i].OutBits()
 	best := f.max[i]
-	for _, v := range xvs {
+	for _, v := range xs {
 		tz := n
 		if y := u.EvalUint64(v); y != 0 {
 			tz = bits.TrailingZeros64(y)
 		}
 		if tz > best {
-			best = tz
-		}
-	}
-	f.max[i] = best
-}
-
-// absorbCopy folds a batch into copy i's max-trailing-zeros counter.
-func (f *FlajoletMartin) absorbCopy(i int, xs []bitvec.BitVec, scratch bitvec.BitVec) {
-	h := f.hs[i]
-	best := f.max[i]
-	for _, x := range xs {
-		h.EvalInto(x, scratch)
-		if tz := scratch.TrailingZeros(); tz > best {
 			best = tz
 		}
 	}

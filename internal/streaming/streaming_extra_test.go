@@ -15,7 +15,7 @@ func TestEstimationAllHitsGivesInf(t *testing.T) {
 	o.Iterations = 3
 	o.Thresh = 4
 	e := NewEstimation(8, o)
-	e.Process(bitvec.FromUint64(5, 8))
+	e.ProcessBatch([]uint64{5})
 	if got := e.EstimateWithR(0); !math.IsInf(got, 1) {
 		t.Fatalf("EstimateWithR(0) = %v, want +Inf", got)
 	}
@@ -44,7 +44,7 @@ func TestBucketingSaturatedUniverse(t *testing.T) {
 	o := testOpts(3)
 	b := NewBucketing(8, o)
 	for v := uint64(0); v < 256; v++ {
-		b.Process(bitvec.FromUint64(v, 8))
+		b.ProcessBatch([]uint64{v})
 	}
 	if !stats.WithinFactor(b.Estimate(), 256, 1.0) {
 		t.Errorf("full-universe estimate %g", b.Estimate())
@@ -58,7 +58,7 @@ func TestMinimumReplacementKeepsSorted(t *testing.T) {
 	m := NewMinimum(12, o)
 	rng := stats.NewRNG(99)
 	for i := 0; i < 500; i++ {
-		m.Process(bitvec.Random(12, rng.Uint64))
+		m.ProcessBatch([]uint64{bitvec.Random(12, rng.Uint64).Uint64()})
 	}
 	c := m.copies[0]
 	if c.set.Len() != 4 {
@@ -78,7 +78,7 @@ func TestSuggestRClamped(t *testing.T) {
 	o.Thresh = 4
 	e := NewEstimation(6, o)
 	for v := uint64(0); v < 64; v++ {
-		e.Process(bitvec.FromUint64(v, 6))
+		e.ProcessBatch([]uint64{v})
 	}
 	if r := e.SuggestR(); r > 6 {
 		t.Fatalf("SuggestR = %d exceeds universe bits", r)

@@ -3,7 +3,6 @@ package streaming
 import (
 	"testing"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/stats"
 )
 
@@ -14,7 +13,7 @@ func testOpts(seed uint64) Options {
 // makeStream draws length elements uniformly from a universe of `distinct`
 // values embedded in {0,1}^n, guaranteeing every value appears at least
 // once (so F0 is exactly `distinct`).
-func makeStream(n, distinct, length int, rng *stats.RNG) []bitvec.BitVec {
+func makeStream(n, distinct, length int, rng *stats.RNG) []uint64 {
 	if length < distinct {
 		length = distinct
 	}
@@ -30,19 +29,18 @@ func makeStream(n, distinct, length int, rng *stats.RNG) []bitvec.BitVec {
 			}
 		}
 	}
-	stream := make([]bitvec.BitVec, 0, length)
-	for _, v := range vals {
-		stream = append(stream, bitvec.FromUint64(v, n))
-	}
+	stream := append(make([]uint64, 0, length), vals...)
 	for len(stream) < length {
-		stream = append(stream, bitvec.FromUint64(vals[rng.Intn(distinct)], n))
+		stream = append(stream, vals[rng.Intn(distinct)])
 	}
 	return stream
 }
 
-func feed(e Estimator, stream []bitvec.BitVec) {
-	for _, x := range stream {
-		e.Process(x)
+// feed absorbs stream one element at a time: one-element ProcessBatch
+// calls are the element-at-a-time reference.
+func feed(e Estimator, stream []uint64) {
+	for i := range stream {
+		e.ProcessBatch(stream[i : i+1])
 	}
 }
 
@@ -159,11 +157,11 @@ func TestOrderInsensitive(t *testing.T) {
 	rng := stats.NewRNG(46)
 	n := 16
 	stream := makeStream(n, 150, 600, rng)
-	reversed := make([]bitvec.BitVec, len(stream))
+	reversed := make([]uint64, len(stream))
 	for i, x := range stream {
 		reversed[len(stream)-1-i] = x
 	}
-	shuffled := append([]bitvec.BitVec(nil), stream...)
+	shuffled := append([]uint64(nil), stream...)
 	for i := len(shuffled) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -180,7 +178,7 @@ func TestOrderInsensitive(t *testing.T) {
 	}
 	for name, mk := range mks {
 		var ests []float64
-		for _, s := range [][]bitvec.BitVec{stream, reversed, shuffled} {
+		for _, s := range [][]uint64{stream, reversed, shuffled} {
 			e := mk(7)
 			feed(e, s)
 			ests = append(ests, e.Estimate())
@@ -196,7 +194,7 @@ func TestOrderInsensitive(t *testing.T) {
 func TestDuplicatesIgnored(t *testing.T) {
 	n := 16
 	base := makeStream(n, 50, 50, stats.NewRNG(47))
-	flood := append([]bitvec.BitVec(nil), base...)
+	flood := append([]uint64(nil), base...)
 	for i := 0; i < 1000; i++ {
 		flood = append(flood, base[0])
 	}

@@ -330,7 +330,7 @@ func dimacsLits(n int, raw []int) ([]formula.Lit, error) {
 type F0 struct {
 	nBits int
 	est   streaming.Estimator
-	batch elemBatch // AddBatch's conversion scratch (single writer)
+	batch elemBatch // AddBatch's batch scratch (single writer)
 }
 
 // NewF0 builds an F0 sketch using the selected algorithm
@@ -354,11 +354,8 @@ func NewF0(nBits int, alg Algorithm, cfg Config) (*F0, error) {
 	return &F0{nBits: nBits, est: est}, nil
 }
 
-// Add absorbs one stream element.
-func (f *F0) Add(x uint64) {
-	checkElement(x, f.nBits)
-	f.est.Process(bitvec.FromUint64(x, f.nBits))
-}
+// Add absorbs one stream element: a one-element AddBatch.
+func (f *F0) Add(x uint64) { f.AddBatch([]uint64{x}) }
 
 // AddBatch absorbs a chunk of stream elements, fanning the sketch's
 // independent copies across Config.Parallelism workers with one dispatch
@@ -367,13 +364,13 @@ func (f *F0) Add(x uint64) {
 // chunk is validated first (an out-of-range element panics with nothing
 // ingested), and repeats within the chunk are dropped before any sketch
 // copy sees them — an exact no-op, since every sketch is a function of
-// the element set. Conversion reuses the sketch's own scratch, so
+// the element set. The batch buffers are the sketch's own scratch, so
 // steady-state AddBatch allocates nothing per element.
 func (f *F0) AddBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	f.est.ProcessBatch(f.batch.convert(xs, f.nBits))
+	f.est.ProcessBatch(f.batch.dedup(xs, f.nBits))
 }
 
 // Estimate returns the current distinct-count approximation.
