@@ -730,10 +730,18 @@ func BenchmarkF0Ingest(b *testing.B) {
 // perfbench query shape: a 32-bit Bucketing sketch at default parameters
 // filled with 2048 random elements and restored through
 // DecodeConcurrentF0 onto 2 replicas. Each op adds 16 Zipf elements, so
-// the Estimate that follows misses the cache and merges the replicas;
-// allocs/op counts the add's share too.
-func BenchmarkConcurrentEstimateMiss(b *testing.B) {
-	const bits, fill, add, ring = 32, 2048, 16, 64
+// the Estimate that follows misses the cache and replays those 16
+// elements into the kept merge target; allocs/op counts the add's share
+// too.
+func BenchmarkConcurrentEstimateMiss(b *testing.B) { benchEstimateMiss(b, 16) }
+
+// BenchmarkConcurrentEstimateMissOverflow is BenchmarkConcurrentEstimateMiss
+// with 1024 elements per add, past the replay cap (thresh), so every miss
+// merges the written replica into the kept target in full.
+func BenchmarkConcurrentEstimateMissOverflow(b *testing.B) { benchEstimateMiss(b, 1024) }
+
+func benchEstimateMiss(b *testing.B, add int) {
+	const bits, fill, ring = 32, 2048, 64
 	r := rand.New(rand.NewPCG(3, 4))
 	f, err := NewF0(bits, AlgorithmBucketing, Config{Seed: 43})
 	if err != nil {

@@ -40,8 +40,9 @@ type Options struct {
 // Resolve returns o with every unset field filled:
 //
 //   - ε ≤ 0 → 0.8, δ ∉ (0, 1) → 0.2;
-//   - Thresh = ⌈96/ε²⌉ and Iterations = max(1, ⌈35·log₂(1/δ)⌉), the
-//     smallest integers that meet the paper's bounds;
+//   - Thresh = ⌈96/ε²⌉ (clamped to [1, 2^31−1]) and Iterations =
+//     max(1, ⌈35·log₂(1/δ)⌉), the smallest integers that meet the
+//     paper's bounds;
 //   - Parallelism = par.Workers(Parallelism);
 //   - a nil RNG becomes a generator seeded with seed, the calling
 //     package's own default.
@@ -53,7 +54,8 @@ func (o Options) Resolve(seed uint64) Options {
 		o.Delta = 0.2
 	}
 	if o.Thresh <= 0 {
-		o.Thresh = int(math.Ceil(96 / (o.Epsilon * o.Epsilon)))
+		// Clamped: a tiny ε would overflow int, a huge one round to 0.
+		o.Thresh = int(min(max(math.Ceil(96/(o.Epsilon*o.Epsilon)), 1), math.MaxInt32))
 	}
 	if o.Iterations <= 0 {
 		o.Iterations = max(1, int(math.Ceil(35*math.Log2(1/o.Delta))))

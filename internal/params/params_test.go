@@ -1,6 +1,7 @@
 package params
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -17,6 +18,7 @@ func TestResolve(t *testing.T) {
 	}{
 		{1, 96}, {0.8, 150}, {0.5, 384}, {0.25, 1536}, {0.1, 9600},
 		{0, 150}, {-1, 150}, // ε ≤ 0 → 0.8
+		{1e-12, math.MaxInt32}, {1e300, 1}, // 96/ε² past int, and rounding to 0
 	} {
 		if got := (Options{Epsilon: tc.eps}).Resolve(0).Thresh; got != tc.thresh {
 			t.Errorf("ε=%g: Thresh %d, want %d", tc.eps, got, tc.thresh)

@@ -63,8 +63,9 @@ func (api *API) maxCountVars() int {
 
 // validConfig reports whether cfg is within the bounds both the create
 // and the count route accept: epsilon ≥ 0, 0 ≤ delta < 1, thresh in
-// [0, 2^20], iterations in [0, 2^16] and parallelism ≥ 0. Otherwise it
-// writes a 400 invalid_config naming the first bad field.
+// [0, 2^20] — also the thresh an epsilon resolves to —, iterations in
+// [0, 2^16] and parallelism ≥ 0. Otherwise it writes a 400
+// invalid_config naming the first bad field.
 func validConfig(w http.ResponseWriter, cfg mcf0.Config) bool {
 	var msg string
 	switch {
@@ -72,6 +73,8 @@ func validConfig(w http.ResponseWriter, cfg mcf0.Config) bool {
 		msg = "need epsilon >= 0 and 0 <= delta < 1"
 	case cfg.Thresh < 0 || cfg.Thresh > 1<<20:
 		msg = "thresh must be in [0, 2^20]"
+	case cfg.Resolved().Thresh > 1<<20:
+		msg = "epsilon resolves thresh = ⌈96/ε²⌉ past 2^20"
 	case cfg.Iterations < 0 || cfg.Iterations > 1<<16:
 		msg = "iterations must be in [0, 2^16]"
 	case cfg.Parallelism < 0:

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,6 +90,7 @@ func TestConfigBoundsBothRoutes(t *testing.T) {
 	for _, field := range []string{
 		`"epsilon":-0.5`, `"delta":-0.1`, `"delta":1`, `"delta":1.5`,
 		`"thresh":-1`, `"thresh":1048577`, `"iterations":-1`, `"iterations":65537`,
+		`"epsilon":1e-12`,
 	} {
 		create := route.serve(api.Create, "POST", "/v1/sketches", "",
 			[]byte(`{"name":"x","bits":8,`+field+`}`))
@@ -108,4 +110,101 @@ func TestConfigBoundsBothRoutes(t *testing.T) {
 	if !validConfig(httptest.NewRecorder(), edge) {
 		t.Errorf("%+v refused, want accepted", edge)
 	}
+}
+
+// createBodyCases seed FuzzCreateBody beside the docs/API.md example:
+// each edge of bits, thresh, iterations, replicas and epsilon, unknown
+// algorithms and names, and malformed bodies.
+var createBodyCases = []string{
+	`{"name":"x","bits":1}`,
+	`{"name":"x","bits":64,"algorithm":"ESTIMATION","thresh":2,"iterations":1}`,
+	`{"name":"x","bits":0}`,
+	`{"name":"x","bits":65}`,
+	`{"name":"x","bits":8,"thresh":-1}`,
+	`{"name":"x","bits":8,"thresh":1,"iterations":1}`,
+	`{"name":"x","bits":8,"thresh":1048576,"iterations":1,"replicas":1}`,
+	`{"name":"x","bits":8,"thresh":1048577}`,
+	`{"name":"x","bits":8,"iterations":-1}`,
+	`{"name":"x","bits":8,"thresh":1,"iterations":65536,"replicas":1}`,
+	`{"name":"x","bits":8,"iterations":65537}`,
+	`{"name":"x","bits":8,"thresh":2,"iterations":1,"replicas":-1}`,
+	`{"name":"x","bits":8,"thresh":2,"iterations":1,"replicas":1024}`,
+	`{"name":"x","bits":8,"thresh":2,"iterations":1,"replicas":1025}`,
+	`{"name":"x","bits":8,"epsilon":-0.5}`,
+	`{"name":"x","bits":8,"epsilon":9.79,"iterations":1}`,
+	`{"name":"x","bits":8,"epsilon":1e300,"iterations":1}`,
+	`{"name":"x","bits":8,"epsilon":0.00957,"iterations":1}`,
+	`{"name":"x","bits":8,"epsilon":1e-12,"iterations":1}`,
+	`{"name":"x","bits":8,"epsilon":5e-324,"iterations":1}`,
+	`{"name":"x","bits":8,"delta":5e-324,"thresh":1}`,
+	`{"name":"x","bits":8,"delta":1}`,
+	`{"name":"x","bits":8,"algorithm":"nope"}`,
+	`{"name":"m","bits":8,"thresh":2,"iterations":1}`,
+	`{"name":"bad name","bits":8}`,
+	`{"name":"x","bits":8,"seed":"18446744073709551615","thresh":2,"iterations":1}`,
+	`{"name":"x","bits":"8"}`,
+	`{"name":"x","bits":8,"extra":1}`,
+	`{"name":"x","bits":8}{}`,
+	`[]`, `null`, `{`, ``,
+}
+
+// fuzzCreateMaxCells caps the thresh × iterations × replicas an accepted
+// fuzz body may build; bodies asking for more are skipped.
+const fuzzCreateMaxCells = 1 << 18
+
+// FuzzCreateBody drives POST /v1/sketches through the authenticated
+// route: no body may panic or answer 5xx, and an accepted body answers
+// 201 with a registered sketch at the resolved thresh and iterations.
+func FuzzCreateBody(f *testing.F) {
+	raw, err := os.ReadFile("../../../docs/API.md")
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(raw), "### `POST /v1/sketches`")
+	if doc := regexp.MustCompile(`-d '([^']*)'`).FindStringSubmatch(section); doc != nil {
+		f.Add([]byte(doc[1]))
+	} else {
+		f.Fatal("docs/API.md has no create example")
+	}
+	for _, body := range createBodyCases {
+		f.Add([]byte(body))
+	}
+	route := newAddRoute(f)
+	api := &API{Registry: route.reg, Metrics: route.met}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req createReq
+		if json.Unmarshal(body, &req) == nil {
+			cfg := mcf0.Config{Epsilon: req.Epsilon, Delta: req.Delta, Thresh: req.Thresh,
+				Iterations: req.Iterations}
+			reps := req.Replicas
+			if reps == 0 {
+				reps = runtime.GOMAXPROCS(0)
+			}
+			if r := cfg.Resolved(); validConfig(httptest.NewRecorder(), cfg) && reps > 0 &&
+				float64(r.Thresh)*float64(r.Iterations)*float64(reps) > fuzzCreateMaxCells {
+				t.Skip("asks for more memory than the fuzz cap allows")
+			}
+		}
+		rec := route.serve(api.Create, "POST", "/v1/sketches", "", body)
+		if rec.Code >= 500 {
+			t.Fatalf("body %q: Create answered %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusCreated {
+			return
+		}
+		defer route.reg.Delete("t", req.Name)
+		var got struct{ Sketch sketchInfo }
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("body %q: response %s: %v", body, rec.Body, err)
+		}
+		want := mcf0.Config{Epsilon: req.Epsilon, Delta: req.Delta, Thresh: req.Thresh,
+			Iterations: req.Iterations}.Resolved()
+		if s := got.Sketch; s.Name != req.Name || s.Thresh != want.Thresh || s.Iterations != want.Iterations {
+			t.Fatalf("body %q: created %+v, want name %q thresh %d iterations %d",
+				body, s, req.Name, want.Thresh, want.Iterations)
+		}
+		if _, err := route.reg.Get("t", req.Name); err != nil {
+			t.Fatalf("body %q: answered 201 but the registry has no sketch: %v", body, err)
+		}
+	})
 }

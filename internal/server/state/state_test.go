@@ -241,3 +241,91 @@ func TestEstimateCache(t *testing.T) {
 		t.Fatalf("estimate after a write must recompute (cached=%v, version %d→%d)", cached, v1, v3)
 	}
 }
+
+// FuzzSnapshotSidecar writes a fuzzed JSON sidecar next to a valid
+// snapshot blob and runs the boot restore over it: Load must never
+// panic. It either restores the one sketch the sidecar names, which then
+// answers the blob's estimate, or refuses the boot with an error naming
+// the sidecar or the blob.
+func FuzzSnapshotSidecar(f *testing.F) {
+	src := persistedSketch(f)
+	for _, meta := range []string{
+		string(src.meta),
+		`{"tenant":"t","name":"s","items":3,"config":{"bits":8,"replicas":1024}}`,
+		`{"tenant":"t","name":"s","items":3,"config":{"bits":8,"replicas":1025}}`,
+		`{"tenant":"t","name":"s","items":3,"config":{"bits":8,"replicas":-1}}`,
+		`{"tenant":"t","name":"s","items":3,"config":{"bits":8}}`,
+		`{"tenant":"t","name":"s","config":{"bits":9}}`,
+		`{"tenant":"t","name":"s","config":{"bits":0}}`,
+		`{"tenant":"u","name":"other.1","items":18446744073709551615,"config":{"bits":8,"algorithm":"minimum","thresh":-5}}`,
+		`{"tenant":"","name":"s","config":{"bits":8}}`,
+		`{"tenant":"t","name":"../s","config":{"bits":8}}`,
+		`{"tenant":"t","name":"s","items":-1,"config":{"bits":8}}`,
+		`{"tenant":"t","name":"s","config":{"bits":8,"replicas":"2"}}`,
+		`{"tenant":"t","name":"s","config":null}`,
+		`{not json`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(meta))
+	}
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		dir := t.TempDir()
+		metaPath, snapPath := filepath.Join(dir, "t", "s.json"), filepath.Join(dir, "t", "s.snap")
+		if err := os.MkdirAll(filepath.Dir(metaPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapPath, src.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := NewRegistry(dir)
+		n, err := r.Load()
+		if err != nil {
+			if n != 0 || !strings.Contains(err.Error(), metaPath) && !strings.Contains(err.Error(), snapPath) {
+				t.Fatalf("sidecar %q: Load = (%d, %v), want an error naming %s or %s", meta, n, err, metaPath, snapPath)
+			}
+			return
+		}
+		var sm snapshotMeta
+		if n != 1 || json.Unmarshal(meta, &sm) != nil {
+			t.Fatalf("sidecar %q: Load = (%d, nil), want 1 sketch from a decodable sidecar", meta, n)
+		}
+		sk, err := r.Get(sm.Tenant, sm.Name)
+		if err != nil {
+			t.Fatalf("sidecar %q: restored sketch %s/%s not found: %v", meta, sm.Tenant, sm.Name, err)
+		}
+		if est, _, _ := sk.Estimate(); est != src.est || sk.Items() != sm.Items {
+			t.Fatalf("sidecar %q: restored estimate %v items %d, want %v and %d", meta, est, sk.Items(), src.est, sm.Items)
+		}
+	})
+}
+
+// sidecarSource is a persisted 8-bit sketch: its blob, its sidecar and
+// its estimate.
+type sidecarSource struct {
+	blob, meta []byte
+	est        float64
+}
+
+func persistedSketch(tb testing.TB) sidecarSource {
+	dir := tb.TempDir()
+	r := NewRegistry(dir)
+	sk, err := r.Create("t", "s", SketchConfig{Bits: 8, Thresh: 4, Iterations: 3, Seed: 5, Replicas: 1}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sk.AddBatch([]uint64{1, 2, 3, 200, 201})
+	if _, err := r.Snapshot(sk); err != nil {
+		tb.Fatal(err)
+	}
+	var src sidecarSource
+	if src.blob, err = os.ReadFile(filepath.Join(dir, "t", "s.snap")); err != nil {
+		tb.Fatal(err)
+	}
+	if src.meta, err = os.ReadFile(filepath.Join(dir, "t", "s.json")); err != nil {
+		tb.Fatal(err)
+	}
+	src.est, _, _ = sk.Estimate()
+	return src
+}

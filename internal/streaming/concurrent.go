@@ -14,23 +14,30 @@ import (
 // each padded onto its own cache lines. ProcessBatch may be called from
 // any number of goroutines concurrently — a caller claims
 // whichever replica it can TryLock first, so ingestion never serialises
-// on a shared lock. Estimate locks all replicas, merges their states into
-// a merge target the front keeps, and caches the answer until the next
-// write; a cached answer is served without touching any replica lock.
+// on a shared lock. Estimate locks all replicas, brings a merge target
+// the front keeps up to date with them, and caches the answer until the
+// next write; a cached answer is served without touching any replica
+// lock.
 //
 // Because every sketch in this package is an idempotent, order-
 // insensitive function of the element set and the replicas share draws,
 // the merged state — and therefore the estimate — does not depend on
 // which replica absorbed which element: fixed-seed estimates are
-// bit-identical to a single serial sketch at every replica count. The
-// same argument makes the kept target exact: it only ever holds elements
-// some replica holds, and replicas never forget, so merging every
-// replica into it yields the union of the replicas — the state a fresh
-// clone-and-merge would build.
+// bit-identical to a single serial sketch at every replica count.
+//
+// The same argument lets a miss work in proportion to what changed.
+// Once the target has absorbed a replica, the replica logs by value the
+// elements it takes in, and the next miss replays the log into the
+// target, skipping replicas with an empty log: the target holds the
+// state of its element set and each replica's set grew by its log, so
+// the target ends as the state of the union — what a fresh clone-and-
+// merge builds. A log is capped at the sketch's replayCap; a write past
+// the cap drops the log and marks the replica stale, and a miss merges
+// stale replicas in full, as the first miss does every replica.
 //
 // Estimate and ProcessBatch are safe to interleave freely;
-// SketchWords reports the summed footprint of the replicas and the kept
-// target.
+// SketchWords reports the summed footprint of the replicas, the kept
+// target and the replicas' logs.
 type Concurrent struct {
 	replicas []replica
 	// rr distributes writers across replicas: each acquisition starts its
@@ -50,14 +57,17 @@ type Concurrent struct {
 	hasCache bool
 	// acc is the kept merge target of a multi-replica front, guarded by
 	// estMu: nil until the first estimate miss clones replica 0, then
-	// every miss merges each replica into it (under every replica lock).
+	// every miss drains each replica into it (under every replica lock).
 	acc Sketch
 }
 
-// replicaState is the payload of one replica slot: its lock and sketch.
+// replicaState is the payload of one replica slot: its lock and sketch,
+// and the log or stale mark of what the kept target has not absorbed.
 type replicaState struct {
-	mu sync.Mutex
-	sk Sketch
+	mu    sync.Mutex
+	sk    Sketch
+	log   []uint64
+	stale bool
 }
 
 // replicaSpan is the stride replicas are padded to: two cache lines, so
@@ -85,9 +95,9 @@ func NewConcurrent(seed Sketch, replicas int) *Concurrent {
 		replicas = par.Workers(0)
 	}
 	c := &Concurrent{replicas: make([]replica, replicas)}
-	c.replicas[0].sk = seed
+	c.replicas[0].sk, c.replicas[0].stale = seed, true
 	for i := 1; i < replicas; i++ {
-		c.replicas[i].sk = seed.Clone()
+		c.replicas[i].sk, c.replicas[i].stale = seed.Clone(), true
 	}
 	return c
 }
@@ -135,6 +145,13 @@ func (c *Concurrent) ProcessBatch(xs []uint64) {
 	}
 	r := c.acquire()
 	r.sk.ProcessBatch(xs)
+	if !r.stale {
+		if len(r.log)+len(xs) <= cap(r.log) {
+			r.log = append(r.log, xs...)
+		} else {
+			r.log, r.stale = r.log[:0], true
+		}
+	}
 	c.release(r)
 }
 
@@ -164,7 +181,7 @@ func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bo
 		version, est = c.version.Load(), r.sk.Estimate()
 		r.mu.Unlock()
 	} else {
-		c.acc, version = c.mergeInto(c.acc)
+		version = c.drain()
 		est = c.acc.Estimate()
 	}
 	c.cached, c.cachedV, c.hasCache = est, version, true
@@ -178,33 +195,55 @@ func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bo
 // fresh clone of replica 0, never the kept target, so a snapshot's slot
 // order (and therefore its bytes) depends only on the replicas.
 func (c *Concurrent) MergedClone() Sketch {
-	merged, _ := c.mergeInto(nil)
+	c.lockAll()
+	defer c.unlockAll()
+	merged := c.replicas[0].sk.Clone()
+	for i := 1; i < len(c.replicas); i++ {
+		merge(merged, c.replicas[i].sk)
+	}
 	return merged
 }
 
-// mergeInto locks every replica and merges them into dst — or, when dst
-// is nil, into a fresh clone of replica 0 — returning the merged sketch
-// with the version read under the locks. The locks are released before
-// it returns, also when it panics on diverged replicas: callers may
-// recover, and a lock still held would block the front for good.
-func (c *Concurrent) mergeInto(dst Sketch) (Sketch, uint64) {
+// drain locks every replica and brings the kept target, cloned from
+// replica 0 on the first call, up to date: it merges each stale replica,
+// replays each non-empty log and then empties it, allocating it at
+// replayCap on the first call. It returns the version read under the
+// locks.
+func (c *Concurrent) drain() uint64 {
+	c.lockAll()
+	defer c.unlockAll()
+	if c.acc == nil {
+		c.acc, c.replicas[0].stale = c.replicas[0].sk.Clone(), false
+	}
+	for i := range c.replicas {
+		r := &c.replicas[i]
+		if r.stale {
+			merge(c.acc, r.sk)
+		} else if len(r.log) > 0 {
+			c.acc.ProcessBatch(r.log)
+		}
+		if r.log == nil {
+			r.log = make([]uint64, 0, c.acc.replayCap())
+		}
+		r.log, r.stale = r.log[:0], false
+	}
+	return c.version.Load()
+}
+
+// merge folds replica src into dst. Replicas are clones of one seed, so
+// a mismatch means the front's own invariant broke, not a caller error.
+func merge(dst, src Sketch) {
+	if err := dst.Merge(src); err != nil {
+		panic("streaming: concurrent replicas diverged: " + err.Error())
+	}
+}
+
+// lockAll takes every replica lock. Callers defer unlockAll, so a merge
+// that panics on diverged replicas leaves no lock held.
+func (c *Concurrent) lockAll() {
 	for i := range c.replicas {
 		c.replicas[i].mu.Lock()
 	}
-	defer c.unlockAll()
-	v := c.version.Load()
-	from := 0
-	if dst == nil {
-		dst, from = c.replicas[0].sk.Clone(), 1
-	}
-	for i := from; i < len(c.replicas); i++ {
-		if err := dst.Merge(c.replicas[i].sk); err != nil {
-			// Replicas are clones of one seed; a mismatch means the
-			// front's own invariant broke, not a caller error.
-			panic("streaming: concurrent replicas diverged: " + err.Error())
-		}
-	}
-	return dst, v
 }
 
 func (c *Concurrent) unlockAll() {
@@ -214,7 +253,8 @@ func (c *Concurrent) unlockAll() {
 }
 
 // SketchWords reports the summed footprint of all replicas and, once an
-// estimate has missed on a multi-replica front, of the kept merge target.
+// estimate has missed on a multi-replica front, of the kept merge target
+// and of each replica's log, charged at its full capacity.
 func (c *Concurrent) SketchWords() int {
 	total := 0
 	c.estMu.Lock()
@@ -225,7 +265,7 @@ func (c *Concurrent) SketchWords() int {
 	for i := range c.replicas {
 		r := &c.replicas[i]
 		r.mu.Lock()
-		total += r.sk.SketchWords()
+		total += r.sk.SketchWords() + cap(r.log)
 		r.mu.Unlock()
 	}
 	return total

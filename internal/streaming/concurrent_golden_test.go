@@ -145,3 +145,145 @@ func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// replayProbe records, around one drain, what the test needs to see that
+// the replay path did real work: whether the drain only replayed logs
+// (no replica stale, target already kept) and the target's Bucketing
+// level or Minimum minima before it.
+type replayProbe struct {
+	replayOnly bool
+	level      int
+	fullEst    float64 // Minimum's estimate while every copy is full, else NaN
+}
+
+func probeTarget(front *Concurrent) replayProbe {
+	p := replayProbe{replayOnly: front.acc != nil, fullEst: math.NaN()}
+	for i := range front.replicas {
+		p.replayOnly = p.replayOnly && !front.replicas[i].stale
+	}
+	switch acc := front.acc.(type) {
+	case *Bucketing:
+		p.level = acc.MaxLevel()
+	case *Minimum:
+		full := true
+		for _, c := range acc.copies {
+			full = full && c.set.Full()
+		}
+		if full {
+			p.fullEst = acc.Estimate()
+		}
+	}
+	return p
+}
+
+// TestConcurrentReplayDifferential drives the kept target through every
+// drain path at 2 and 4 replicas: single writes below the replay cap,
+// exactly at it and past it (the stale fallback), and rounds that fill
+// every replica's log over two writes to exactly the cap or one element
+// past it. The feed's distinct elements grow well past thresh, so
+// Bucketing raises levels and Minimum evicts minima in drains that only
+// replay. After every write a fresh MergedClone must match a serial
+// sketch; after every round the miss must too, bit for bit, and
+// Bucketing's target must hold the MergedClone's level and cell count
+// in every copy.
+func TestConcurrentReplayDifferential(t *testing.T) {
+	for _, kind := range concurrentGoldenKinds {
+		for _, reps := range []int{2, 4} {
+			name := fmt.Sprintf("%s/replicas=%d", kind.name, reps)
+			front := NewConcurrent(kind.mk(), reps)
+			serial := kind.mk()
+			logCap := serial.(Sketch).replayCap()
+			unit := max(logCap, 1) // a batch size that is ≥ 1 for the kinds that never log
+			rng := stats.NewRNG(0x7e91a4)
+			pool := make([]uint64, 3000)
+			for i := range pool {
+				pool[i] = rng.Uint64() >> (64 - concurrentGoldenBits)
+			}
+			live, writes := 0, 0
+			write := func(size int) {
+				xs := make([]uint64, size)
+				for k := range xs {
+					xs[k] = pool[rng.Uint64n(uint64(live))]
+				}
+				front.ProcessBatch(xs)
+				serial.ProcessBatch(xs)
+				writes++
+				if got, want := front.MergedClone().Estimate(), serial.Estimate(); got != want {
+					t.Fatalf("%s write %d: merged clone %v != serial %v", name, writes, got, want)
+				}
+			}
+			var raises, evictions, staleDrains int
+			check := func() {
+				before := probeTarget(front)
+				if front.acc != nil && !before.replayOnly {
+					staleDrains++
+				}
+				est, _, cached := front.EstimateVersioned()
+				if cached {
+					t.Fatalf("%s write %d: estimate after a write was a cache hit", name, writes)
+				}
+				merged := front.MergedClone()
+				if want := merged.Estimate(); est != want {
+					t.Fatalf("%s write %d: estimate %v != merged clone %v", name, writes, est, want)
+				}
+				if want := serial.Estimate(); est != want {
+					t.Fatalf("%s write %d: estimate %v != serial %v", name, writes, est, want)
+				}
+				after := probeTarget(front)
+				if before.replayOnly && after.level > before.level {
+					raises++
+				}
+				if before.replayOnly && !math.IsNaN(before.fullEst) && after.fullEst != before.fullEst {
+					evictions++
+				}
+				if b, ok := merged.(*Bucketing); ok {
+					acc := front.acc.(*Bucketing)
+					for i, c := range b.copies {
+						if a := acc.copies[i]; a.level != c.level || a.size() != c.size() {
+							t.Fatalf("%s write %d copy %d: target at level %d with %d cells, merged clone at %d with %d",
+								name, writes, i, a.level, a.size(), c.level, c.size())
+						}
+					}
+				}
+			}
+			for round := 0; round < 60; round++ {
+				live = min(len(pool), 20+40*round)
+				switch round % 5 {
+				case 0:
+					write(max(unit/3, 1))
+				case 1, 2:
+					// A log holds exactly replayCap elements; one more
+					// leaves the replica to a full merge.
+					size := unit + round%5 - 1
+					write(size)
+					if stale := !probeTarget(front).replayOnly; logCap > 0 && stale != (size > logCap) {
+						t.Fatalf("%s write %d of %d elements: stale=%v, replay cap %d", name, writes, size, stale, logCap)
+					}
+				case 3, 4:
+					// Sequential writes rotate over the replicas, so each
+					// replica takes one write of each size before the miss,
+					// filling its log to the cap or one element past it.
+					head := max(unit/2, 1)
+					for _, size := range []int{head, unit - head + round%5 - 3} {
+						for r := 0; r < reps && size > 0; r++ {
+							write(size)
+						}
+					}
+				}
+				check()
+			}
+			if b, ok := front.MergedClone().(*Bucketing); ok && b.MaxLevel() < 2 {
+				t.Fatalf("%s: feed left the sampling level at %d", name, b.MaxLevel())
+			}
+			if staleDrains == 0 {
+				t.Errorf("%s: no miss merged a stale replica", name)
+			}
+			if kind.name == "bucketing" && raises == 0 {
+				t.Errorf("%s: no replay-only miss raised the target's level", name)
+			}
+			if kind.name == "minimum" && evictions == 0 {
+				t.Errorf("%s: no replay-only miss evicted a minimum from a full target", name)
+			}
+		}
+	}
+}

@@ -28,11 +28,27 @@ var ErrIncompatibleSketch = errors.New("streaming: sketches are not mergeable (m
 // Clone returns a deep copy sharing the (immutable) hash functions, which
 // is exactly the shared-draw precondition Merge requires; ingestion into
 // the clone never disturbs the original.
+//
+// replayCap bounds the elements a Concurrent replica logs to replay into
+// the front's kept target instead of being merged (0: always merge).
 type Sketch interface {
 	Estimator
 	Clone() Sketch
 	Merge(other Sketch) error
+	replayCap() int
 }
+
+// replayCap is thresh for Bucketing and Minimum: a replay hashes each
+// element once per copy, a merge touches up to thresh cells per copy, so
+// replaying never costs more than merging. Estimation and FlajoletMartin
+// merge by a pointwise max, cheaper than replaying one element through
+// every draw; ExactDistinct's state is its element set, so a log would
+// only copy what the union reads anyway.
+func (b *Bucketing) replayCap() int      { return b.thresh }
+func (m *Minimum) replayCap() int        { return m.thresh }
+func (e *Estimation) replayCap() int     { return 0 }
+func (f *FlajoletMartin) replayCap() int { return 0 }
+func (e *ExactDistinct) replayCap() int  { return 0 }
 
 // Static interface-compliance checks for every sketch in the package.
 var (

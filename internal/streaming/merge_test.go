@@ -311,10 +311,12 @@ func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
 	}
 }
 
-// The kept merge target is memory the front holds: SketchWords counts it
-// from the first estimate miss on, as one more replica's footprint, and
-// later misses reuse it instead of adding another. A single-replica front
-// estimates its replica directly and keeps no target.
+// The kept merge target and the replicas' logs are memory the front
+// holds: SketchWords counts them from the first estimate miss on, the
+// target as one more replica's footprint and each log at its full
+// capacity, replayCap, and later misses reuse both instead of adding
+// more. A single-replica front estimates its replica directly and keeps
+// no target and no log.
 func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 	n := 32
 	stream := dupStream(n, 600, stats.NewRNG(0xf00))
@@ -326,14 +328,14 @@ func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 		for _, reps := range []int{1, 2, 3} {
 			seed := mk()
 			feedChunks(seed, stream)
-			one := seed.SketchWords()
+			one, logCap := seed.SketchWords(), seed.replayCap()
 			// Every replica starts as a clone of the filled seed, so each
 			// holds one replica's words, and so does their merge.
 			front := NewConcurrent(seed, reps)
 			if got := front.SketchWords(); got != reps*one {
 				t.Fatalf("%s replicas=%d: fresh front holds %d words, want %d", name, reps, got, reps*one)
 			}
-			want := (reps + 1) * one
+			want := (reps+1)*one + reps*logCap
 			if reps == 1 {
 				want = one
 			}
