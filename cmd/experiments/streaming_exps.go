@@ -76,11 +76,11 @@ func runE4(c runConfig) {
 	}
 	type mk struct {
 		name  string
-		build func(seed uint64) streaming.Estimator
+		build func(seed uint64) streaming.Sketch
 	}
 	mks := []mk{
-		{"bucketing", func(s uint64) streaming.Estimator { return streaming.NewBucketing(n, streamOpts(s, c)) }},
-		{"minimum", func(s uint64) streaming.Estimator { return streaming.NewMinimum(n, streamOpts(s, c)) }},
+		{"bucketing", func(s uint64) streaming.Sketch { return streaming.NewBucketing(n, streamOpts(s, c)) }},
+		{"minimum", func(s uint64) streaming.Sketch { return streaming.NewMinimum(n, streamOpts(s, c)) }},
 	}
 	for _, workload := range []string{"uniform", "zipf"} {
 		for _, f0 := range f0s {

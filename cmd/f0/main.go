@@ -264,7 +264,11 @@ func main() {
 		case "d":
 			if dnfSketch == nil {
 				guardRestore("DNF")
-				dnfSketch = mcf0.NewDNFSetF0(*nvars, cfg)
+				var err error
+				dnfSketch, err = mcf0.NewDNFSetF0(*nvars, cfg)
+				if err != nil {
+					fatal(err)
+				}
 			}
 			terms, err := parseTerms(args)
 			if err != nil {

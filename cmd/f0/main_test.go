@@ -78,7 +78,10 @@ func TestSnapshotHelpers(t *testing.T) {
 		t.Fatalf("concurrent restore estimate %v != %v", conc.Estimate(), f.Estimate())
 	}
 
-	d := mcf0.NewDNFSetF0(10, cfg)
+	d, err := mcf0.NewDNFSetF0(10, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := d.AddDNF([][]int{{1, 2}, {-3, 4}}); err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,17 @@
 package mcf0
 
 import (
-	"fmt"
-
 	"mcf0/internal/setstream"
 	"mcf0/internal/streaming"
 	"mcf0/internal/wire"
 )
 
-// Public-wrapper codec versions; bump when a payload layout changes.
+// Public-wrapper codec versions; bump when a payload layout changes. The
+// four set-stream wrappers share one layout: their kind's header, then
+// the inner stream's framed message.
 const (
-	f0Version            byte = 1
-	dnfSetF0Version      byte = 1
-	rangeF0Version       byte = 1
-	progressionF0Version byte = 1
-	affineF0Version      byte = 1
+	f0Version          byte = 1
+	setStreamF0Version byte = 1
 )
 
 // ---- F0 ----
@@ -36,17 +33,8 @@ const (
 // MarshalBinary snapshots the sketch: universe width plus the complete
 // framed state of the underlying streaming sketch.
 func (f *F0) MarshalBinary() ([]byte, error) {
-	s, ok := f.est.(streaming.Sketch)
-	if !ok {
-		return nil, fmt.Errorf("mcf0: F0 estimator %T is not snapshottable", f.est)
-	}
 	dst := wire.AppendHeader(nil, wire.KindF0, f0Version)
-	dst = wire.AppendInt(dst, f.nBits)
-	out, ok := streaming.AppendSketch(dst, s)
-	if !ok {
-		return nil, fmt.Errorf("mcf0: F0 estimator %T is not snapshottable", f.est)
-	}
-	return out, nil
+	return streaming.AppendSketch(wire.AppendInt(dst, f.nBits), f.sk), nil
 }
 
 // DecodeF0 restores an F0 snapshot. parallelism bounds the restored
@@ -82,7 +70,7 @@ func decodeF0From(r *wire.Reader, parallelism int) *F0 {
 		r.Corrupt("F0 snapshot is %d bits wide but carries a %d-bit sketch", nBits, got)
 		return nil
 	}
-	return &F0{nBits: nBits, est: s}
+	return &F0{nBits: nBits, sk: s}
 }
 
 // ---- ConcurrentF0 ----
@@ -91,7 +79,7 @@ func decodeF0From(r *wire.Reader, parallelism int) *F0 {
 // replica; it shares no mutable state with c, so it can be marshaled,
 // merged, or queried while concurrent ingestion continues.
 func (c *ConcurrentF0) Snapshot() *F0 {
-	return &F0{nBits: c.nBits, est: c.front.MergedClone()}
+	return &F0{nBits: c.nBits, sk: c.front.MergedClone()}
 }
 
 // MarshalBinary snapshots the merged replica state as an F0 message —
@@ -112,91 +100,86 @@ func DecodeConcurrentF0(data []byte, replicas int) (*ConcurrentF0, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ConcurrentF0{
-		nBits: f.nBits,
-		front: streaming.NewConcurrent(f.est.(streaming.Sketch), replicas),
-	}, nil
+	return &ConcurrentF0{nBits: f.nBits, front: streaming.NewConcurrent(f.sk, replicas)}, nil
 }
 
-// ---- DNFSetF0 ----
+// ---- set streams ----
+
+// marshalSetStream frames a set stream's own message in its wrapper's
+// header.
+func marshalSetStream(kind byte, s interface{ AppendBinary([]byte) []byte }) ([]byte, error) {
+	return s.AppendBinary(wire.AppendHeader(nil, kind, setStreamF0Version)), nil
+}
+
+// decodeSetStream reads a marshalSetStream snapshot of the given wrapper
+// kind, which must span data exactly, decoding the inner stream with
+// from.
+func decodeSetStream[S any](data []byte, kind byte, parallelism int, from func(*wire.Reader, int) *S) (*S, error) {
+	r := wire.NewReader(data)
+	v := r.Header(kind)
+	r.CheckVersion(kind, v, setStreamF0Version)
+	inner := from(r, parallelism)
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return inner, nil
+}
 
 // MarshalBinary snapshots the DNF-set-stream sketch.
 func (d *DNFSetF0) MarshalBinary() ([]byte, error) {
-	dst := wire.AppendHeader(nil, wire.KindDNFSetF0, dnfSetF0Version)
-	return d.inner.AppendBinary(dst), nil
+	return marshalSetStream(wire.KindDNFSetF0, d.inner)
 }
 
 // DecodeDNFSetF0 restores a DNFSetF0 snapshot with the given parallelism.
 func DecodeDNFSetF0(data []byte, parallelism int) (*DNFSetF0, error) {
-	r := wire.NewReader(data)
-	v := r.Header(wire.KindDNFSetF0)
-	r.CheckVersion(wire.KindDNFSetF0, v, dnfSetF0Version)
-	inner := setstream.DecodeDNFStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
+	inner, err := decodeSetStream(data, wire.KindDNFSetF0, parallelism, setstream.DecodeDNFStreamFrom)
+	if err != nil {
 		return nil, err
 	}
-	return &DNFSetF0{n: inner.N(), inner: inner}, nil
+	return &DNFSetF0{inner}, nil
 }
-
-// ---- RangeF0 ----
 
 // MarshalBinary snapshots the range-stream sketch.
 func (r *RangeF0) MarshalBinary() ([]byte, error) {
-	dst := wire.AppendHeader(nil, wire.KindRangeF0, rangeF0Version)
-	return r.inner.AppendBinary(dst), nil
+	return marshalSetStream(wire.KindRangeF0, r.inner)
 }
 
 // DecodeRangeF0 restores a RangeF0 snapshot with the given parallelism.
 func DecodeRangeF0(data []byte, parallelism int) (*RangeF0, error) {
-	r := wire.NewReader(data)
-	v := r.Header(wire.KindRangeF0)
-	r.CheckVersion(wire.KindRangeF0, v, rangeF0Version)
-	inner := setstream.DecodeRangeStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
+	inner, err := decodeSetStream(data, wire.KindRangeF0, parallelism, setstream.DecodeRangeStreamFrom)
+	if err != nil {
 		return nil, err
 	}
-	return &RangeF0{inner: inner, bits: inner.Dims()}, nil
+	return &RangeF0{inner}, nil
 }
-
-// ---- ProgressionF0 ----
 
 // MarshalBinary snapshots the progression-stream sketch.
 func (p *ProgressionF0) MarshalBinary() ([]byte, error) {
-	dst := wire.AppendHeader(nil, wire.KindProgressionF0, progressionF0Version)
-	return p.inner.AppendBinary(dst), nil
+	return marshalSetStream(wire.KindProgressionF0, p.inner)
 }
 
 // DecodeProgressionF0 restores a ProgressionF0 snapshot with the given
 // parallelism.
 func DecodeProgressionF0(data []byte, parallelism int) (*ProgressionF0, error) {
-	r := wire.NewReader(data)
-	v := r.Header(wire.KindProgressionF0)
-	r.CheckVersion(wire.KindProgressionF0, v, progressionF0Version)
-	inner := setstream.DecodeProgressionStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
+	inner, err := decodeSetStream(data, wire.KindProgressionF0, parallelism, setstream.DecodeProgressionStreamFrom)
+	if err != nil {
 		return nil, err
 	}
-	return &ProgressionF0{inner: inner, bits: inner.Dims()}, nil
+	return &ProgressionF0{inner}, nil
 }
-
-// ---- AffineF0 ----
 
 // MarshalBinary snapshots the affine-stream sketch.
 func (a *AffineF0) MarshalBinary() ([]byte, error) {
-	dst := wire.AppendHeader(nil, wire.KindAffineF0, affineF0Version)
-	return a.inner.AppendBinary(dst), nil
+	return marshalSetStream(wire.KindAffineF0, a.inner)
 }
 
 // DecodeAffineF0 restores an AffineF0 snapshot with the given parallelism.
 func DecodeAffineF0(data []byte, parallelism int) (*AffineF0, error) {
-	r := wire.NewReader(data)
-	v := r.Header(wire.KindAffineF0)
-	r.CheckVersion(wire.KindAffineF0, v, affineF0Version)
-	inner := setstream.DecodeAffineStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
+	inner, err := decodeSetStream(data, wire.KindAffineF0, parallelism, setstream.DecodeAffineStreamFrom)
+	if err != nil {
 		return nil, err
 	}
-	return &AffineF0{n: inner.N(), inner: inner}, nil
+	return &AffineF0{inner}, nil
 }
 
 // SnapshotKind reports the human-readable kind of a snapshot's first

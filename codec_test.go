@@ -129,9 +129,9 @@ func TestSetStreamCodecRoundTrip(t *testing.T) {
 	cfg := Config{Thresh: 24, Iterations: 5, Seed: 25, Parallelism: 1}
 
 	t.Run("dnf", func(t *testing.T) {
-		whole := NewDNFSetF0(12, cfg)
-		left := NewDNFSetF0(12, cfg)
-		right := NewDNFSetF0(12, cfg)
+		whole, _ := NewDNFSetF0(12, cfg)
+		left, _ := NewDNFSetF0(12, cfg)
+		right, _ := NewDNFSetF0(12, cfg)
 		sets := [][][]int{
 			{{1, 2}, {-3}}, {{4, -5}}, {{6, 7, 8}}, {{-1, -2}}, {{9}, {10, -11}}, {{12, 1}},
 		}
@@ -276,11 +276,13 @@ func TestMergeErrorPaths(t *testing.T) {
 	})
 
 	t.Run("dnf", func(t *testing.T) {
-		a := NewDNFSetF0(12, cfg)
-		if err := a.Merge(NewDNFSetF0(10, cfg)); err == nil {
+		a, _ := NewDNFSetF0(12, cfg)
+		b, _ := NewDNFSetF0(10, cfg)
+		if err := a.Merge(b); err == nil {
 			t.Fatal("variable-count mismatch merged")
 		}
-		if err := a.Merge(NewDNFSetF0(12, foreign)); err == nil {
+		c, _ := NewDNFSetF0(12, foreign)
+		if err := a.Merge(c); err == nil {
 			t.Fatal("foreign draws merged")
 		}
 	})
@@ -338,7 +340,7 @@ func TestSnapshotKindAndConfusion(t *testing.T) {
 	f, _ := NewF0(20, AlgorithmBucketing, cfg)
 	f.Add(3)
 	r, _ := NewRangeF0([]int{8, 8}, cfg)
-	d := NewDNFSetF0(12, cfg)
+	d, _ := NewDNFSetF0(12, cfg)
 	p, _ := NewProgressionF0([]int{8}, cfg)
 	a, _ := NewAffineF0(10, cfg)
 

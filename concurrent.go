@@ -16,12 +16,7 @@ func (f *F0) Merge(other *F0) error {
 	if other.nBits != f.nBits {
 		return fmt.Errorf("mcf0: cannot merge %d-bit and %d-bit sketches", f.nBits, other.nBits)
 	}
-	a, ok := f.est.(streaming.Sketch)
-	b, ok2 := other.est.(streaming.Sketch)
-	if !ok || !ok2 {
-		return streaming.ErrIncompatibleSketch
-	}
-	return a.Merge(b)
+	return f.sk.Merge(other.sk)
 }
 
 // ConcurrentF0 is a lock-free concurrent-ingestion front over an F0
@@ -57,10 +52,7 @@ func NewConcurrentF0(nBits int, alg Algorithm, cfg Config, replicas int) (*Concu
 	if err != nil {
 		return nil, err
 	}
-	return &ConcurrentF0{
-		nBits: nBits,
-		front: streaming.NewConcurrent(seed.est.(streaming.Sketch), replicas),
-	}, nil
+	return &ConcurrentF0{nBits: nBits, front: streaming.NewConcurrent(seed.sk, replicas)}, nil
 }
 
 // Replicas returns the replica count.
@@ -118,48 +110,16 @@ func (c *ConcurrentF0) SketchWords() int { return c.front.SketchWords() }
 // Merge folds other's sketch state into d (same n, same seed and
 // parameters required); d afterwards estimates the union of both DNF-set
 // streams.
-func (d *DNFSetF0) Merge(other *DNFSetF0) error {
-	if other.n != d.n {
-		return fmt.Errorf("mcf0: cannot merge %d-var and %d-var DNF streams", d.n, other.n)
-	}
-	return d.inner.Merge(other.inner)
-}
+func (d *DNFSetF0) Merge(other *DNFSetF0) error { return d.inner.Merge(other.inner) }
 
 // Merge folds other's sketch state into r (same dimensions, same seed and
 // parameters required).
-func (r *RangeF0) Merge(other *RangeF0) error {
-	if len(other.bits) != len(r.bits) {
-		return fmt.Errorf("mcf0: cannot merge %d-dim and %d-dim range streams", len(r.bits), len(other.bits))
-	}
-	for i := range r.bits {
-		if other.bits[i] != r.bits[i] {
-			return fmt.Errorf("mcf0: cannot merge range streams: dimension %d is %d bits vs %d bits",
-				i, r.bits[i], other.bits[i])
-		}
-	}
-	return r.inner.Merge(other.inner)
-}
+func (r *RangeF0) Merge(other *RangeF0) error { return r.inner.Merge(other.inner) }
 
 // Merge folds other's sketch state into p (same dimensions, same seed and
 // parameters required).
-func (p *ProgressionF0) Merge(other *ProgressionF0) error {
-	if len(other.bits) != len(p.bits) {
-		return fmt.Errorf("mcf0: cannot merge %d-dim and %d-dim progression streams", len(p.bits), len(other.bits))
-	}
-	for i := range p.bits {
-		if other.bits[i] != p.bits[i] {
-			return fmt.Errorf("mcf0: cannot merge progression streams: dimension %d is %d bits vs %d bits",
-				i, p.bits[i], other.bits[i])
-		}
-	}
-	return p.inner.Merge(other.inner)
-}
+func (p *ProgressionF0) Merge(other *ProgressionF0) error { return p.inner.Merge(other.inner) }
 
 // Merge folds other's sketch state into a (same width, same seed and
 // parameters required).
-func (a *AffineF0) Merge(other *AffineF0) error {
-	if other.n != a.n {
-		return fmt.Errorf("mcf0: cannot merge %d-bit and %d-bit affine streams", a.n, other.n)
-	}
-	return a.inner.Merge(other.inner)
-}
+func (a *AffineF0) Merge(other *AffineF0) error { return a.inner.Merge(other.inner) }

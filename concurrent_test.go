@@ -4,15 +4,13 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"mcf0/internal/streaming"
 )
 
 // Clone returns a deep copy of the sketch sharing the (immutable) hash
 // draws — exactly the precondition Merge requires. Feeding the clone
 // never disturbs the original.
 func (f *F0) Clone() *F0 {
-	return &F0{nBits: f.nBits, est: f.est.(streaming.Sketch).Clone()}
+	return &F0{nBits: f.nBits, sk: f.sk.Clone()}
 }
 
 // Fixed-seed ConcurrentF0 estimates must be bit-identical to a serial F0
@@ -146,9 +144,9 @@ func TestF0MergeAndClone(t *testing.T) {
 func TestSetStreamMerge(t *testing.T) {
 	cfg := Config{Thresh: 24, Iterations: 5, Seed: 13, Parallelism: 1}
 
-	whole := NewDNFSetF0(12, cfg)
-	left := NewDNFSetF0(12, cfg)
-	right := NewDNFSetF0(12, cfg)
+	whole, _ := NewDNFSetF0(12, cfg)
+	left, _ := NewDNFSetF0(12, cfg)
+	right, _ := NewDNFSetF0(12, cfg)
 	sets := [][][]int{
 		{{1, 2}, {-3}}, {{4, -5}}, {{6, 7, 8}}, {{-1, -2}}, {{9}, {10, -11}}, {{12, 1}},
 	}

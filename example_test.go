@@ -83,8 +83,11 @@ func ExampleF0_AddBatch() {
 // a single pool dispatch.
 func ExampleDNFSetF0_AddDNFBatch() {
 	cfg := mcf0.Config{Epsilon: 0.8, Delta: 0.2, Thresh: 24, Iterations: 9, Seed: 5}
-	ds := mcf0.NewDNFSetF0(20, cfg)
-	err := ds.AddDNFBatch([][][]int{
+	ds, err := mcf0.NewDNFSetF0(20, cfg)
+	if err != nil {
+		panic(err)
+	}
+	err = ds.AddDNFBatch([][][]int{
 		{{1, 2}},       // x1 ∧ x2: 2^18 assignments
 		{{1, 2}, {3}},  // overlaps the first set
 		{{-1, -2, -3}}, // disjoint cube

@@ -80,7 +80,10 @@ func main() {
 	blobs := make([][]byte, sites)
 	shipped := 0
 	for j := range parts {
-		site := mcf0.NewDNFSetF0(n, cfg)
+		site, err := mcf0.NewDNFSetF0(n, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for _, set := range parts[j] {
 			if err := site.AddDNF(set); err != nil {
 				log.Fatal(err)
@@ -104,7 +107,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	single := mcf0.NewDNFSetF0(n, cfg)
+	single, err := mcf0.NewDNFSetF0(n, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, t := range terms {
 		if err := single.AddDNF([][]int{t}); err != nil {
 			log.Fatal(err)

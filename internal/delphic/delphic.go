@@ -8,7 +8,9 @@
 // cubes, multidimensional ranges, and affine spaces are all Delphic (their
 // elements are in bijection with free coordinates), which is what lets the
 // APS-Estimator achieve per-item time poly(n, d, 1/ε) on d-dimensional
-// ranges where the Lemma 4 DNF route pays (2n)^d.
+// ranges where the Lemma 4 DNF route pays (2n)^d. The package ships the
+// range form (MultiRangeSet) the experiments run; its tests add the cube
+// and affine forms.
 //
 // The estimator maintains a uniform p-sample X of the union: on arrival of
 // S, elements of S are first evicted from X (they will be re-sampled),
@@ -23,7 +25,6 @@ import (
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
-	"mcf0/internal/gf2"
 	"mcf0/internal/stats"
 )
 
@@ -37,94 +38,6 @@ type Set interface {
 	// Contains reports membership.
 	Contains(x bitvec.BitVec) bool
 }
-
-// Cube is the Delphic set of assignments satisfying a term.
-type Cube struct {
-	n     int
-	fixed []bool
-	val   bitvec.BitVec
-	free  []int // indices of free variables, ascending
-}
-
-// NewCube builds a Delphic cube from a consistent term; ok is false for
-// contradictory terms.
-func NewCube(n int, t formula.Term) (*Cube, bool) {
-	norm, ok := t.Normalize()
-	if !ok {
-		return nil, false
-	}
-	fixed, val := formula.TermFixed(n, norm)
-	c := &Cube{n: n, fixed: fixed, val: val}
-	for i := 0; i < n; i++ {
-		if !fixed[i] {
-			c.free = append(c.free, i)
-		}
-	}
-	return c, true
-}
-
-// Size returns 2^{#free}.
-func (c *Cube) Size() float64 { return math.Pow(2, float64(len(c.free))) }
-
-// Element maps index bits onto the free variables.
-func (c *Cube) Element(i uint64) bitvec.BitVec {
-	x := c.val.Clone()
-	for bit, v := range c.free {
-		if i&(1<<uint(bit)) != 0 {
-			x.Set(v, true)
-		}
-	}
-	return x
-}
-
-// Contains checks the fixed positions.
-func (c *Cube) Contains(x bitvec.BitVec) bool {
-	for i := 0; i < c.n; i++ {
-		if c.fixed[i] && x.Get(i) != c.val.Get(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// Affine is the Delphic set {x : Ax = b}.
-type Affine struct {
-	a     *gf2.Matrix
-	b     bitvec.BitVec
-	x0    bitvec.BitVec
-	basis []bitvec.BitVec
-	ok    bool
-}
-
-// NewAffine builds a Delphic affine set; ok is false when inconsistent.
-func NewAffine(a *gf2.Matrix, b bitvec.BitVec) (*Affine, bool) {
-	sys := gf2.NewSystem(a.Cols())
-	for i := 0; i < a.Rows(); i++ {
-		sys.Add(a.Row(i), b.Get(i))
-	}
-	x0, ok := sys.Solve()
-	if !ok {
-		return nil, false
-	}
-	return &Affine{a: a, b: b, x0: x0, basis: sys.NullBasis(), ok: true}, true
-}
-
-// Size returns 2^{null dimension}.
-func (s *Affine) Size() float64 { return math.Pow(2, float64(len(s.basis))) }
-
-// Element maps index bits onto null-space coordinates.
-func (s *Affine) Element(i uint64) bitvec.BitVec {
-	x := s.x0.Clone()
-	for bit, nb := range s.basis {
-		if i&(1<<uint(bit)) != 0 {
-			x.XorInPlace(nb)
-		}
-	}
-	return x
-}
-
-// Contains verifies Ax = b.
-func (s *Affine) Contains(x bitvec.BitVec) bool { return s.a.MulVec(x).Equal(s.b) }
 
 // MultiRangeSet is the Delphic set of tuples in a d-dimensional range, laid
 // out over the formula.MultiRange variable blocks.
@@ -218,9 +131,6 @@ func NewEstimator(n int, epsilon, delta float64, streamLen int, rng *stats.RNG) 
 	}
 }
 
-// Capacity returns the sample-buffer bound (the space knob).
-func (e *Estimator) Capacity() int { return e.cap }
-
 // Process absorbs one Delphic item.
 func (e *Estimator) Process(s Set) {
 	if e.failed {
@@ -308,6 +218,3 @@ func (e *Estimator) Estimate() float64 {
 	}
 	return float64(len(e.sample)) / e.p
 }
-
-// SampleSize returns the current buffer occupancy (for space accounting).
-func (e *Estimator) SampleSize() int { return len(e.sample) }

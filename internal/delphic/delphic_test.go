@@ -1,6 +1,7 @@
 package delphic
 
 import (
+	"math"
 	"testing"
 
 	"mcf0/internal/bitvec"
@@ -229,3 +230,96 @@ func TestEstimatorDeduplicatesAcrossItems(t *testing.T) {
 		t.Fatalf("repeated-set estimate %g, want exactly 16", est.Estimate())
 	}
 }
+
+// Cube is the Delphic set of assignments satisfying a term.
+type Cube struct {
+	n     int
+	fixed []bool
+	val   bitvec.BitVec
+	free  []int // indices of free variables, ascending
+}
+
+// NewCube builds a Delphic cube from a consistent term; ok is false for
+// contradictory terms.
+func NewCube(n int, t formula.Term) (*Cube, bool) {
+	norm, ok := t.Normalize()
+	if !ok {
+		return nil, false
+	}
+	fixed, val := formula.TermFixed(n, norm)
+	c := &Cube{n: n, fixed: fixed, val: val}
+	for i := 0; i < n; i++ {
+		if !fixed[i] {
+			c.free = append(c.free, i)
+		}
+	}
+	return c, true
+}
+
+// Size returns 2^{#free}.
+func (c *Cube) Size() float64 { return math.Pow(2, float64(len(c.free))) }
+
+// Element maps index bits onto the free variables.
+func (c *Cube) Element(i uint64) bitvec.BitVec {
+	x := c.val.Clone()
+	for bit, v := range c.free {
+		if i&(1<<uint(bit)) != 0 {
+			x.Set(v, true)
+		}
+	}
+	return x
+}
+
+// Contains checks the fixed positions.
+func (c *Cube) Contains(x bitvec.BitVec) bool {
+	for i := 0; i < c.n; i++ {
+		if c.fixed[i] && x.Get(i) != c.val.Get(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// Affine is the Delphic set {x : Ax = b}.
+type Affine struct {
+	a     *gf2.Matrix
+	b     bitvec.BitVec
+	x0    bitvec.BitVec
+	basis []bitvec.BitVec
+}
+
+// NewAffine builds a Delphic affine set; ok is false when inconsistent.
+func NewAffine(a *gf2.Matrix, b bitvec.BitVec) (*Affine, bool) {
+	sys := gf2.NewSystem(a.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		sys.Add(a.Row(i), b.Get(i))
+	}
+	x0, ok := sys.Solve()
+	if !ok {
+		return nil, false
+	}
+	return &Affine{a: a, b: b, x0: x0, basis: sys.NullBasis()}, true
+}
+
+// Size returns 2^{null dimension}.
+func (s *Affine) Size() float64 { return math.Pow(2, float64(len(s.basis))) }
+
+// Element maps index bits onto null-space coordinates.
+func (s *Affine) Element(i uint64) bitvec.BitVec {
+	x := s.x0.Clone()
+	for bit, nb := range s.basis {
+		if i&(1<<uint(bit)) != 0 {
+			x.XorInPlace(nb)
+		}
+	}
+	return x
+}
+
+// Contains verifies Ax = b.
+func (s *Affine) Contains(x bitvec.BitVec) bool { return s.a.MulVec(x).Equal(s.b) }
+
+// Capacity returns the sample-buffer bound (the space knob).
+func (e *Estimator) Capacity() int { return e.cap }
+
+// SampleSize returns the current buffer occupancy (for space accounting).
+func (e *Estimator) SampleSize() int { return len(e.sample) }

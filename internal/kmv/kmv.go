@@ -9,6 +9,12 @@
 // A Set does six things: the candidate test, insertion, sorted merge with
 // dedup, the per-set estimate, its footprint in words, and its wire body
 // (count, then the values in rank order) with the decode-side checks.
+//
+// Sketch is the Minimum F0 sketch built on it: t (Toeplitz draw, Set)
+// copies with the median estimate, Clone, the same-draws merge and the
+// codec body. streaming.Minimum and the set streams run one Sketch each;
+// FindMin counting and distributed Minimum allocate each trial's Set
+// inside their worker pool instead, so they use Set directly.
 package kmv
 
 import (

@@ -12,7 +12,8 @@
 // and to 0 otherwise; an affine space sums to ±|S| when a is orthogonal to
 // its null space and to 0 otherwise — so items are absorbed in poly(n)
 // time regardless of their cardinality, exactly the structured-stream
-// economics of Section 5.
+// economics of Section 5. The package ships the cube form the experiments
+// run (ProcessTerm); its tests carry the affine form.
 //
 // Honesty note (why the paper calls this future work): linear sign hashes
 // are pairwise independent, which makes the estimator unbiased, but the
@@ -25,7 +26,6 @@ package moments
 import (
 	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
-	"mcf0/internal/gf2"
 	"mcf0/internal/stats"
 )
 
@@ -38,14 +38,6 @@ type SignHash struct {
 // NewSignHash draws a sign hash over n-bit inputs.
 func NewSignHash(n int, rng *stats.RNG) SignHash {
 	return SignHash{a: bitvec.Random(n, rng.Uint64), b: rng.Bool()}
-}
-
-// Eval returns s(x) ∈ {+1, −1}.
-func (s SignHash) Eval(x bitvec.BitVec) int {
-	if s.a.Dot(x) != s.b {
-		return 1
-	}
-	return -1
 }
 
 // CubeSum returns Σ_{x ⊨ t} s(x) for a term cube over n variables, in
@@ -77,31 +69,6 @@ func (s SignHash) CubeSum(n int, t formula.Term) float64 {
 		size *= 2
 	}
 	return sign * size
-}
-
-// AffineSum returns Σ_{x : Ax=b} s(x) in closed form: zero when a has a
-// component along the null space, ±|Sol| otherwise (and 0 for an
-// inconsistent system).
-func (s SignHash) AffineSum(a *gf2.Matrix, b bitvec.BitVec) float64 {
-	sys := gf2.NewSystem(a.Cols())
-	for i := 0; i < a.Rows(); i++ {
-		sys.Add(a.Row(i), b.Get(i))
-	}
-	x0, ok := sys.Solve()
-	if !ok {
-		return 0
-	}
-	size := 1.0
-	for _, nb := range sys.NullBasis() {
-		if s.a.Dot(nb) {
-			return 0 // a not orthogonal to the solution space's directions
-		}
-		size *= 2
-	}
-	if s.a.Dot(x0) != s.b {
-		return size
-	}
-	return -size
 }
 
 // F2Sketch is an AMS-style second-moment sketch over structured items:
@@ -146,27 +113,6 @@ func (sk *F2Sketch) ProcessTerm(t formula.Term) {
 	for i := range sk.hs {
 		for j, h := range sk.hs[i] {
 			sk.z[i][j] += h.CubeSum(sk.n, norm)
-		}
-	}
-}
-
-// ProcessAffine absorbs one affine item {x : Ax = b}.
-func (sk *F2Sketch) ProcessAffine(a *gf2.Matrix, b bitvec.BitVec) {
-	sys := gf2.NewSystem(a.Cols())
-	for i := 0; i < a.Rows(); i++ {
-		sys.Add(a.Row(i), b.Get(i))
-	}
-	if _, ok := sys.Solve(); !ok {
-		return
-	}
-	size := 1.0
-	for range sys.NullBasis() {
-		size *= 2
-	}
-	sk.f1 += size
-	for i := range sk.hs {
-		for j, h := range sk.hs[i] {
-			sk.z[i][j] += h.AffineSum(a, b)
 		}
 	}
 }

@@ -208,3 +208,57 @@ func TestF2AffineItems(t *testing.T) {
 		t.Fatalf("F2 estimate %g outside factor-4 band of %g", est, wantF2)
 	}
 }
+
+// Eval returns s(x) ∈ {+1, −1}.
+func (s SignHash) Eval(x bitvec.BitVec) int {
+	if s.a.Dot(x) != s.b {
+		return 1
+	}
+	return -1
+}
+
+// AffineSum returns Σ_{x : Ax=b} s(x) in closed form: zero when a has a
+// component along the null space, ±|Sol| otherwise (and 0 for an
+// inconsistent system).
+func (s SignHash) AffineSum(a *gf2.Matrix, b bitvec.BitVec) float64 {
+	sys := gf2.NewSystem(a.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		sys.Add(a.Row(i), b.Get(i))
+	}
+	x0, ok := sys.Solve()
+	if !ok {
+		return 0
+	}
+	size := 1.0
+	for _, nb := range sys.NullBasis() {
+		if s.a.Dot(nb) {
+			return 0 // a not orthogonal to the solution space's directions
+		}
+		size *= 2
+	}
+	if s.a.Dot(x0) != s.b {
+		return size
+	}
+	return -size
+}
+
+// ProcessAffine absorbs one affine item {x : Ax = b}.
+func (sk *F2Sketch) ProcessAffine(a *gf2.Matrix, b bitvec.BitVec) {
+	sys := gf2.NewSystem(a.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		sys.Add(a.Row(i), b.Get(i))
+	}
+	if _, ok := sys.Solve(); !ok {
+		return
+	}
+	size := 1.0
+	for range sys.NullBasis() {
+		size *= 2
+	}
+	sk.f1 += size
+	for i := range sk.hs {
+		for j, h := range sk.hs[i] {
+			sk.z[i][j] += h.AffineSum(a, b)
+		}
+	}
+}

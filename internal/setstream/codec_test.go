@@ -93,21 +93,6 @@ func TestStreamCodecRoundTrip(t *testing.T) {
 	}
 	check("affine", as,
 		func(b []byte) (stream, error) { return DecodeAffineStream(b, 1) }, nil)
-
-	cs := NewCNFStream(n, testOpts(8005))
-	crng := stats.NewRNG(0xcf1)
-	for i := 0; i < 3; i++ {
-		cs.ProcessCNF(formula.RandomKCNF(n, 4, 3, crng))
-	}
-	check("cnf", cs,
-		func(b []byte) (stream, error) { return DecodeCNFStream(b, 1) }, nil)
-	dec, err := DecodeCNFStream(mustMarshal(t, cs), 1)
-	if err != nil {
-		t.Fatalf("cnf re-decode: %v", err)
-	}
-	if dec.Queries != cs.Queries {
-		t.Fatalf("query meter %d != %d across the wire", dec.Queries, cs.Queries)
-	}
 }
 
 func mustMarshal(t *testing.T, m interface{ MarshalBinary() ([]byte, error) }) []byte {
@@ -138,7 +123,7 @@ func TestStreamCodecMergeVsSingle(t *testing.T) {
 	if err := left.Merge(dec); err != nil {
 		t.Fatalf("merge of decoded stream: %v", err)
 	}
-	requireSketchEqual(t, whole.s, left.s)
+	requireSketchEqual(t, whole.sk, left.sk)
 	if whole.Estimate() != left.Estimate() {
 		t.Fatal("wire-merged estimate diverges from single-stream estimate")
 	}
@@ -172,7 +157,7 @@ func TestStreamCodecErrors(t *testing.T) {
 		t.Fatalf("trailing byte: %v", err)
 	}
 	bad := bytes.Clone(blob)
-	bad[3] = dnfStreamVersion + 9
+	bad[3] = streamVersion + 9
 	var verr *wire.VersionError
 	if _, err := DecodeDNFStream(bad, 1); !errors.As(err, &verr) {
 		t.Fatalf("future version: %v", err)
@@ -240,17 +225,4 @@ func DecodeAffineStream(data []byte, parallelism int) (*AffineStream, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c *CNFStream) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil), nil }
-
-// DecodeCNFStream decodes a snapshot produced by MarshalBinary.
-func DecodeCNFStream(data []byte, parallelism int) (*CNFStream, error) {
-	r := wire.NewReader(data)
-	c := DecodeCNFStreamFrom(r, parallelism)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

@@ -39,7 +39,7 @@ func TestDNFStreamMergeVsSingle(t *testing.T) {
 	if err := left.Merge(right); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	requireSketchEqual(t, whole.s, left.s)
+	requireSketchEqual(t, whole.sk, left.sk)
 	if whole.Estimate() != left.Estimate() {
 		t.Fatal("merged estimate diverges from single-stream estimate")
 	}
@@ -64,7 +64,7 @@ func TestAffineStreamMergeVsSingle(t *testing.T) {
 	if err := right.Merge(left); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	requireSketchEqual(t, whole.s, right.s)
+	requireSketchEqual(t, whole.sk, right.sk)
 	if whole.Estimate() != right.Estimate() {
 		t.Fatal("merged estimate diverges from single-stream estimate")
 	}

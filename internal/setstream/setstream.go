@@ -2,13 +2,13 @@
 // structured set streams, where each stream item is a succinct description
 // of a subset of {0,1}^n — a DNF formula (Theorem 5), a d-dimensional range
 // (Lemma 4 + Theorem 6), a d-dimensional arithmetic progression
-// (Corollary 1), an affine space Ax = b (Proposition 4 + Theorem 7), or a
-// CNF formula (the Observation 2 discussion, answered with the CNF oracle).
+// (Corollary 1), or an affine space Ax = b (Proposition 4 + Theorem 7).
 //
 // All estimators are instances of one pattern: keep the Thresh
 // lexicographically smallest values of h(∪ᵢ Sol(φᵢ)) for h drawn from
 // H_Toeplitz(n, 3n), updating per item with the appropriate FindMin — the
-// Minimum-based counter run "inside out".
+// Minimum-based counter run "inside out". Every kind is one kmv.Sketch
+// plus its shape; the kinds share one merge and one codec.
 //
 // The t sketch copies are independent (own hash, own minima) and their
 // per-item FindMin computations fan out across a worker pool
@@ -28,18 +28,17 @@
 // …/Estimate; the batch entry points reject or absorb a whole chunk
 // atomically (validation happens before any copy mutates). Inside a call
 // the per-copy FindMin work runs on the dynamic pool (per-copy cost is
-// heterogeneous — SAT calls, image searches — so copies are not block-
-// sharded), but each copy's minima and hash belong to exactly one task, so
-// no copy state is shared between workers. CNF items build their per-
-// (item, copy) oracles lazily inside the worker, bounding live solvers by
-// the pool width; their query meters are summed in deterministic
-// (item, copy) order after the join. Randomness is pre-drawn serially at
-// construction, keyed by copy index — fixed-seed estimates are
-// bit-identical at every Parallelism value and under any batching.
+// heterogeneous — DNF walks and image searches pruned at each copy's
+// own maximum — so copies are not block-sharded), but each copy's minima and hash belong to exactly one task, so
+// no copy state is shared between workers. Randomness is pre-drawn
+// serially at construction, keyed by copy index — fixed-seed estimates
+// are bit-identical at every Parallelism value and under any batching.
 package setstream
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/counting"
@@ -48,10 +47,9 @@ import (
 	"mcf0/internal/gf2"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
-	"mcf0/internal/oracle"
 	"mcf0/internal/par"
 	"mcf0/internal/params"
-	"mcf0/internal/stats"
+	"mcf0/internal/wire"
 )
 
 // Options parameterises the set-stream estimators; the zero value selects
@@ -62,71 +60,123 @@ type Options = params.Options
 // goroutines; fn must touch only copy i's state. The dynamic pool
 // (par.Run) fits here: per-copy FindMin cost is heavy (≫ dispatch cost,
 // so the pool engages even for single items, unlike the streaming
-// sketches) and varies with the copy's hash — for CNF items by orders of
-// magnitude (SAT) — so dynamic hand-out balances load where a static
-// block partition would strand slow copies. No per-shard scratch is used,
-// and results are keyed by copy index, so determinism needs nothing more.
+// sketches) and varies with the copy's hash, so dynamic hand-out
+// balances load where a static block partition would strand slow copies.
+// No per-shard scratch is used, and results are keyed by copy index, so
+// determinism needs nothing more.
 func runCopies(count, workers int, fn func(i int)) { par.Run(count, workers, fn) }
 
-// minSketch is the shared Minimum-style sketch: per copy, a Toeplitz hash
-// n → 3n and a k-min set of the Thresh smallest distinct hash values seen
-// so far, its rows carved from one slab. The copies are updated
-// independently, so per-item work fans out across Options.Parallelism
-// workers.
-type minSketch struct {
-	thresh  int
+// stream is the state every set-stream kind shares: the Minimum sketch
+// (a Toeplitz hash n → 3n and a k-min set per copy), the per-dimension
+// widths of the range and progression kinds (nil for the DNF and affine
+// kinds, whose shape is the universe width alone), the kind byte that
+// frames its snapshot, and the worker count its copies fan out across.
+type stream struct {
+	kind    byte
+	dims    []int
+	sk      *kmv.Sketch
 	workers int
-	copies  []*sketchCopy
-	// mergeTmp is merge's rank-order staging area (thresh slab rows),
-	// allocated on first merge and reused across copies.
-	mergeTmp []bitvec.BitVec
 }
 
-type sketchCopy struct {
-	h   *hash.Linear
-	set kmv.Set
-}
-
-func newMinSketch(n int, opts Options) *minSketch {
+func newStream(kind byte, n int, dims []int, opts Options) stream {
 	o := opts.Resolve(0x5e75747265616d) // the package's nil-RNG seed
-	fam := hash.NewToeplitz(n, 3*n)
-	s := &minSketch{thresh: o.Thresh, workers: o.Parallelism}
-	sets := kmv.Carve(3*n, s.thresh, o.Iterations)
-	for i := 0; i < o.Iterations; i++ {
-		s.copies = append(s.copies, &sketchCopy{h: fam.Draw(o.RNG.Uint64).(*hash.Linear), set: sets[i]})
-	}
-	return s
+	sk := kmv.NewSketch(n, o.Thresh, o.Iterations, o.RNG.Uint64)
+	return stream{kind: kind, dims: dims, sk: sk, workers: o.Parallelism}
 }
 
-// Estimate is the median over copies of the k-minimum-values estimate.
-func (s *minSketch) Estimate() float64 {
-	ests := make([]float64, len(s.copies))
-	for i, c := range s.copies {
-		ests[i] = c.set.Estimate()
+// dimsStream builds a range or progression stream's state over the total
+// of bitsPerDim.
+func dimsStream(kind byte, bitsPerDim []int, opts Options) stream {
+	total := 0
+	for _, b := range bitsPerDim {
+		total += b
 	}
-	return stats.Median(ests)
+	return newStream(kind, total, slices.Clone(bitsPerDim), opts)
+}
+
+// CheckShape reports an error unless a stream over the given
+// per-dimension widths (one width for the DNF and affine kinds) has a
+// shape its snapshot decoder accepts: 1 to maxStreamDims dimensions,
+// each and their total 1 to maxStreamBits wide, and the sketch at opts'
+// resolved Thresh and Iterations inside kmv's decode bounds. It
+// allocates nothing, so callers check before building.
+func CheckShape(dims []int, opts Options) error {
+	if len(dims) < 1 || len(dims) > maxStreamDims {
+		return fmt.Errorf("setstream: %d dimensions out of [1,%d]", len(dims), maxStreamDims)
+	}
+	total := 0
+	for _, b := range dims {
+		if b < 1 || b > maxStreamBits {
+			return fmt.Errorf("setstream: width %d out of [1,%d]", b, maxStreamBits)
+		}
+		total += b
+	}
+	if total > maxStreamBits {
+		return fmt.Errorf("setstream: total width %d exceeds %d", total, maxStreamBits)
+	}
+	if o := opts.Resolve(0); !kmv.Fits(total, o.Thresh, o.Iterations) {
+		return fmt.Errorf("setstream: %d copies of %d %d-bit minima exceed the decode bound",
+			o.Iterations, o.Thresh, 3*total)
+	}
+	return nil
+}
+
+// Estimate returns the (ε, δ)-approximation of the union size: the median
+// over copies of the k-minimum-values estimate.
+func (s *stream) Estimate() float64 { return s.sk.Estimate() }
+
+// N returns the universe width (variable count) the stream was built
+// over; for the range and progression kinds, the total of Dims.
+func (s *stream) N() int { return s.sk.N() }
+
+// Dims returns the per-dimension widths of a range or progression stream
+// (nil for the other kinds). The slice is the stream's own: read it, do
+// not modify it.
+func (s *stream) Dims() []int { return s.dims }
+
+// processDNFBatch runs FindMinDNF for every item over every copy with a
+// single pool dispatch: each copy walks the items in arrival order, so
+// the sketch ends in exactly the state one call per item would produce.
+func (s *stream) processDNFBatch(fs []*formula.DNF) {
+	if len(fs) == 0 {
+		return
+	}
+	runCopies(s.sk.Copies(), s.workers, func(i int) {
+		h, set := s.sk.Copy(i)
+		for _, f := range fs {
+			counting.FindMinDNF(f, h, set)
+		}
+	})
+}
+
+// checkDims panics unless an item's per-dimension widths match the
+// stream's.
+func (s *stream) checkDims(widths func(i int) int, d int) {
+	if d != len(s.dims) {
+		panic("setstream: dimension count mismatch")
+	}
+	for i, b := range s.dims {
+		if widths(i) != b {
+			panic("setstream: dimension width mismatch")
+		}
+	}
 }
 
 // DNFStream estimates F0 of a stream of DNF sets (Theorem 5): per item,
 // FindMinDNF inserts the arriving formula's smallest hashed solutions
 // straight into each copy's set, in time O(n⁴·k·Thresh), pruned by the
 // set's current maximum.
-type DNFStream struct {
-	n   int
-	s   *minSketch
-	one [1]*formula.DNF
-}
+type DNFStream struct{ stream }
 
 // NewDNFStream builds the estimator over n-variable DNF items.
 func NewDNFStream(n int, opts Options) *DNFStream {
-	return &DNFStream{n: n, s: newMinSketch(n, opts)}
+	return &DNFStream{newStream(wire.KindDNFStream, n, nil, opts)}
 }
 
 // ProcessDNF absorbs one DNF set; the per-copy FindMin computations run
 // across the sketch's worker pool (FindMinDNF only reads f and the hash).
 func (d *DNFStream) ProcessDNF(f *formula.DNF) {
-	d.one[0] = f
-	d.ProcessDNFBatch(d.one[:])
+	d.ProcessDNFBatch([]*formula.DNF{f})
 }
 
 // ProcessDNFBatch absorbs a chunk of DNF sets with a single pool dispatch:
@@ -134,68 +184,27 @@ func (d *DNFStream) ProcessDNF(f *formula.DNF) {
 // exactly the state len(fs) ProcessDNF calls would produce.
 func (d *DNFStream) ProcessDNFBatch(fs []*formula.DNF) {
 	for _, f := range fs {
-		if f.N != d.n {
+		if f.N != d.N() {
 			panic("setstream: DNF variable count mismatch")
 		}
 	}
-	if len(fs) == 0 {
-		return
-	}
-	runCopies(len(d.s.copies), d.s.workers, func(i int) {
-		c := d.s.copies[i]
-		for _, f := range fs {
-			counting.FindMinDNF(f, c.h, &c.set)
-		}
-	})
+	d.processDNFBatch(fs)
 }
-
-// ProcessElementBatch absorbs a chunk of universe elements as singleton
-// DNF sets with a single pool dispatch.
-func (d *DNFStream) ProcessElementBatch(xs []bitvec.BitVec) {
-	fs := make([]*formula.DNF, len(xs))
-	for i, x := range xs {
-		fs[i] = formula.SingletonDNF(x)
-	}
-	d.ProcessDNFBatch(fs)
-}
-
-// Estimate returns the (ε, δ)-approximation of |∪ᵢ Sol(φᵢ)|.
-func (d *DNFStream) Estimate() float64 { return d.s.Estimate() }
 
 // RangeStream estimates F0 over d-dimensional range items (Theorem 6) by
-// converting each range to its Lemma 4 DNF (≤ (2n)^d terms) and feeding a
-// DNFStream.
-type RangeStream struct {
-	inner *DNFStream
-	bits  []int
-}
+// converting each range to its Lemma 4 DNF (≤ (2n)^d terms) and running
+// the DNF stream's FindMin.
+type RangeStream struct{ stream }
 
 // NewRangeStream builds the estimator; bitsPerDim fixes each dimension's
 // width (total variables Σ bitsPerDim).
 func NewRangeStream(bitsPerDim []int, opts Options) *RangeStream {
-	total := 0
-	for _, b := range bitsPerDim {
-		total += b
-	}
-	return &RangeStream{inner: NewDNFStream(total, opts), bits: append([]int(nil), bitsPerDim...)}
+	return &RangeStream{dimsStream(wire.KindRangeStream, bitsPerDim, opts)}
 }
 
 // ProcessRange absorbs one d-dimensional range.
 func (r *RangeStream) ProcessRange(mr formula.MultiRange) error {
-	if len(mr.Dims) != len(r.bits) {
-		panic("setstream: dimension count mismatch")
-	}
-	for i, dim := range mr.Dims {
-		if dim.Bits != r.bits[i] {
-			panic("setstream: dimension width mismatch")
-		}
-	}
-	d, err := formula.MultiRangeDNF(mr)
-	if err != nil {
-		return err
-	}
-	r.inner.ProcessDNF(d)
-	return nil
+	return r.ProcessRangeBatch([]formula.MultiRange{mr})
 }
 
 // ProcessRangeBatch absorbs a chunk of d-dimensional ranges with a single
@@ -204,78 +213,48 @@ func (r *RangeStream) ProcessRange(mr formula.MultiRange) error {
 func (r *RangeStream) ProcessRangeBatch(mrs []formula.MultiRange) error {
 	ds := make([]*formula.DNF, len(mrs))
 	for k, mr := range mrs {
-		if len(mr.Dims) != len(r.bits) {
-			panic("setstream: dimension count mismatch")
-		}
-		for i, dim := range mr.Dims {
-			if dim.Bits != r.bits[i] {
-				panic("setstream: dimension width mismatch")
-			}
-		}
+		r.checkDims(func(i int) int { return mr.Dims[i].Bits }, len(mr.Dims))
 		d, err := formula.MultiRangeDNF(mr)
 		if err != nil {
 			return err
 		}
 		ds[k] = d
 	}
-	r.inner.ProcessDNFBatch(ds)
+	r.processDNFBatch(ds)
 	return nil
 }
 
-// Estimate returns the (ε, δ)-approximation of the union size.
-func (r *RangeStream) Estimate() float64 { return r.inner.Estimate() }
-
 // ProgressionStream estimates F0 over d-dimensional arithmetic-progression
 // items with power-of-two steps (Corollary 1).
-type ProgressionStream struct {
-	inner *DNFStream
-	bits  []int
-}
+type ProgressionStream struct{ stream }
 
 // NewProgressionStream builds the estimator with the given per-dimension
 // widths.
 func NewProgressionStream(bitsPerDim []int, opts Options) *ProgressionStream {
-	total := 0
-	for _, b := range bitsPerDim {
-		total += b
-	}
-	return &ProgressionStream{inner: NewDNFStream(total, opts), bits: append([]int(nil), bitsPerDim...)}
+	return &ProgressionStream{dimsStream(wire.KindProgressionStream, bitsPerDim, opts)}
 }
 
 // ProcessProgression absorbs one d-dimensional progression (one Progression
 // per dimension).
 func (p *ProgressionStream) ProcessProgression(ps []formula.Progression) error {
-	if len(ps) != len(p.bits) {
-		panic("setstream: dimension count mismatch")
-	}
-	for i, pr := range ps {
-		if pr.Bits != p.bits[i] {
-			panic("setstream: dimension width mismatch")
-		}
-	}
+	p.checkDims(func(i int) int { return ps[i].Bits }, len(ps))
 	d, err := formula.MultiProgressionDNF(ps)
 	if err != nil {
 		return err
 	}
-	p.inner.ProcessDNF(d)
+	p.processDNFBatch([]*formula.DNF{d})
 	return nil
 }
-
-// Estimate returns the (ε, δ)-approximation of the union size.
-func (p *ProgressionStream) Estimate() float64 { return p.inner.Estimate() }
 
 // AffineStream estimates F0 over affine-space items ⟨A, b⟩ representing
 // {x : Ax = b} (Theorem 7). Per item, AffineFindMin (Proposition 4) inserts
 // the smallest values of h over the solution space into each copy's set by
 // prefix search through the stacked system [D | A].
-type AffineStream struct {
-	n int
-	s *minSketch
-}
+type AffineStream struct{ stream }
 
 // NewAffineStream builds the estimator over n-bit universes.
 func NewAffineStream(n int, opts Options) *AffineStream {
-	return &AffineStream{n: n, s: newMinSketch(n, opts)}
+	return &AffineStream{newStream(wire.KindAffineStream, n, nil, opts)}
 }
 
 // AffineFindMin implements Proposition 4: it inserts the smallest
@@ -307,90 +286,20 @@ func (s *AffineStream) ProcessAffineBatch(as []*gf2.Matrix, bs []bitvec.BitVec) 
 		panic("setstream: affine batch arity mismatch")
 	}
 	for _, a := range as {
-		if a.Cols() != s.n {
+		if a.Cols() != s.N() {
 			panic("setstream: affine item width mismatch")
 		}
 	}
 	if len(as) == 0 {
 		return
 	}
-	runCopies(len(s.s.copies), s.s.workers, func(i int) {
-		c := s.s.copies[i]
+	runCopies(s.sk.Copies(), s.workers, func(i int) {
+		h, set := s.sk.Copy(i)
 		for k, a := range as {
-			AffineFindMin(a, bs[k], c.h, &c.set)
+			AffineFindMin(a, bs[k], h, set)
 		}
 	})
 }
-
-// Estimate returns the (ε, δ)-approximation of the union size.
-func (s *AffineStream) Estimate() float64 { return s.s.Estimate() }
-
-// CNFStream estimates F0 over CNF-formula items using the NP-oracle
-// FindMin (the Observation 2 discussion: with a SAT solver standing in for
-// the oracle, d-dimensional ranges in CNF form take polynomially many
-// oracle calls per item).
-type CNFStream struct {
-	n int
-	s *minSketch
-	// Queries accumulates oracle calls across items.
-	Queries int64
-}
-
-// NewCNFStream builds the estimator over n-variable CNF items.
-func NewCNFStream(n int, opts Options) *CNFStream {
-	return &CNFStream{n: n, s: newMinSketch(n, opts)}
-}
-
-// ProcessCNF absorbs one CNF set; each copy solves against its own SAT
-// oracle and the query meters are summed in copy order.
-func (c *CNFStream) ProcessCNF(f *formula.CNF) {
-	c.ProcessCNFBatch([]*formula.CNF{f})
-}
-
-// ProcessCNFBatch absorbs a chunk of CNF sets with a single pool dispatch.
-// Every (item, copy) pair gets its own SAT oracle, built inside the worker
-// right before use (oracle construction is pure per item, so at most t
-// oracles are live at once regardless of batch size); query meters are
-// recorded per pair and summed in (item, copy) order, matching repeated
-// ProcessCNF calls exactly. FindMinOracle fills a fresh set per pair,
-// which is then inserted into the copy's: the oracle walk is not pruned by
-// the copy's maximum, so each item's query count depends on that item
-// alone.
-func (c *CNFStream) ProcessCNFBatch(fs []*formula.CNF) {
-	for _, f := range fs {
-		if f.N != c.n {
-			panic("setstream: CNF variable count mismatch")
-		}
-	}
-	if len(fs) == 0 {
-		return
-	}
-	queries := make([][]int64, len(fs))
-	for k := range queries {
-		queries[k] = make([]int64, len(c.s.copies))
-	}
-	runCopies(len(c.s.copies), c.s.workers, func(i int) {
-		cp := c.s.copies[i]
-		item := kmv.New(cp.set.Bits(), c.s.thresh)
-		for k, f := range fs {
-			src := oracle.NewCNFSource(f)
-			item.Reset()
-			counting.FindMinOracle(src, cp.h, item)
-			for _, v := range item.Values() {
-				cp.set.Insert(v)
-			}
-			queries[k][i] = src.Queries()
-		}
-	})
-	for k := range fs {
-		for _, q := range queries[k] {
-			c.Queries += q
-		}
-	}
-}
-
-// Estimate returns the (ε, δ)-approximation of the union size.
-func (c *CNFStream) Estimate() float64 { return c.s.Estimate() }
 
 // WeightedDNF pairs a DNF with the dyadic weight function of Section 5:
 // ρ(xᵢ) = Num[i] / 2^Bits[i].
@@ -442,9 +351,5 @@ func WeightedCount(wd WeightedDNF, opts Options) float64 {
 			panic(err) // boxes are valid by construction
 		}
 	}
-	totalBits := 0
-	for _, b := range wd.W.Bits {
-		totalBits += b
-	}
-	return rs.Estimate() / math.Pow(2, float64(totalBits))
+	return rs.Estimate() / math.Pow(2, float64(rs.N()))
 }

@@ -225,30 +225,6 @@ func TestAffineStreamAccuracy(t *testing.T) {
 	}
 }
 
-func TestCNFStreamExactSmall(t *testing.T) {
-	// Two CNF items over 8 vars with small solution sets.
-	n := 8
-	cs := NewCNFStream(n, testOpts(11))
-	// x0..x4 fixed true → 8 solutions.
-	c1 := formula.NewCNF(n)
-	for v := 0; v < 5; v++ {
-		c1.AddClause(formula.Clause{formula.Pos(v)})
-	}
-	// x0..x4 fixed false → 8 solutions, disjoint from c1.
-	c2 := formula.NewCNF(n)
-	for v := 0; v < 5; v++ {
-		c2.AddClause(formula.Clause{formula.Negl(v)})
-	}
-	cs.ProcessCNF(c1)
-	cs.ProcessCNF(c2)
-	if got := cs.Estimate(); got != 16 {
-		t.Errorf("CNF stream union = %g, want exactly 16", got)
-	}
-	if cs.Queries == 0 {
-		t.Error("CNF stream did not meter oracle queries")
-	}
-}
-
 func TestWeightedCountMatchesExact(t *testing.T) {
 	rng := stats.NewRNG(66)
 	okAll := true
@@ -327,13 +303,7 @@ func sortVecs(vs []bitvec.BitVec) {
 
 // SketchWords reports sketch memory in 64-bit words (hash functions
 // excluded), for the space experiments of Theorems 5–7.
-func (s *minSketch) SketchWords() int {
-	total := 0
-	for _, c := range s.copies {
-		total += c.set.Words()
-	}
-	return total
-}
+func (s *stream) SketchWords() int { return s.sk.Words() }
 
 // ProcessElement absorbs a single universe element (the classic streaming
 // model embeds into DNF streams via singleton formulas).
@@ -341,33 +311,20 @@ func (d *DNFStream) ProcessElement(x bitvec.BitVec) {
 	d.ProcessDNF(formula.SingletonDNF(x))
 }
 
-// SketchWords reports sketch memory in words.
-func (d *DNFStream) SketchWords() int { return d.s.SketchWords() }
-
-// SketchWords reports sketch memory in words.
-func (r *RangeStream) SketchWords() int { return r.inner.SketchWords() }
-
 // ProcessProgressionBatch absorbs a chunk of d-dimensional progressions
 // with a single pool dispatch; on any invalid item the whole batch is
 // rejected and the sketch is unchanged.
 func (p *ProgressionStream) ProcessProgressionBatch(items [][]formula.Progression) error {
 	ds := make([]*formula.DNF, len(items))
 	for k, ps := range items {
-		if len(ps) != len(p.bits) {
-			panic("setstream: dimension count mismatch")
-		}
-		for i, pr := range ps {
-			if pr.Bits != p.bits[i] {
-				panic("setstream: dimension width mismatch")
-			}
-		}
+		p.checkDims(func(i int) int { return ps[i].Bits }, len(ps))
 		d, err := formula.MultiProgressionDNF(ps)
 		if err != nil {
 			return err
 		}
 		ds[k] = d
 	}
-	p.inner.ProcessDNFBatch(ds)
+	p.processDNFBatch(ds)
 	return nil
 }
 
@@ -375,9 +332,9 @@ func (p *ProgressionStream) ProcessProgressionBatch(items [][]formula.Progressio
 // exactly the shape params resolves.
 func TestZeroOptionsShape(t *testing.T) {
 	want := Options{}.Resolve(0)
-	s := NewDNFStream(8, Options{}).s
-	if s.thresh != want.Thresh || len(s.copies) != want.Iterations {
+	s := NewDNFStream(8, Options{}).sk
+	if s.Thresh() != want.Thresh || s.Copies() != want.Iterations {
 		t.Errorf("DNF stream: %d copies of Thresh %d, want %d of %d",
-			len(s.copies), s.thresh, want.Iterations, want.Thresh)
+			s.Copies(), s.Thresh(), want.Iterations, want.Thresh)
 	}
 }

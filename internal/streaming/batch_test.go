@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
 )
 
@@ -22,7 +23,7 @@ func dupStream(n, length int, rng *stats.RNG) []uint64 {
 // feedChunks splits the stream into uneven chunks straddling the engine's
 // serial/parallel gate (sizes below and above minBatchCheap) and feeds
 // them through ProcessBatch.
-func feedChunks(e Estimator, xs []uint64) {
+func feedChunks(e interface{ ProcessBatch([]uint64) }, xs []uint64) {
 	sizes := []int{1, 3, 8, 2, 64, 5, 256}
 	for i, lo := 0, 0; lo < len(xs); i++ {
 		hi := lo + sizes[i%len(sizes)]
@@ -61,18 +62,25 @@ func requireBucketingEqual(t *testing.T, a, b *Bucketing) {
 	}
 }
 
+// firstSet returns copy 0's set.
+func firstSet(m *Minimum) *kmv.Set {
+	_, set := m.sk.Copy(0)
+	return set
+}
+
 func requireMinimumEqual(t *testing.T, a, b *Minimum) {
 	t.Helper()
-	if len(a.copies) != len(b.copies) {
-		t.Fatalf("copy counts %d != %d", len(a.copies), len(b.copies))
+	if a.sk.Copies() != b.sk.Copies() {
+		t.Fatalf("copy counts %d != %d", a.sk.Copies(), b.sk.Copies())
 	}
-	for i := range a.copies {
-		ca, cb := a.copies[i], b.copies[i]
-		if ca.set.Len() != cb.set.Len() {
-			t.Fatalf("copy %d: %d vs %d minima", i, ca.set.Len(), cb.set.Len())
+	for i := 0; i < a.sk.Copies(); i++ {
+		_, sa := a.sk.Copy(i)
+		_, sb := b.sk.Copy(i)
+		if sa.Len() != sb.Len() {
+			t.Fatalf("copy %d: %d vs %d minima", i, sa.Len(), sb.Len())
 		}
-		for j := range ca.set.Values() {
-			if !ca.set.Values()[j].Equal(cb.set.Values()[j]) {
+		for j := range sa.Values() {
+			if !sa.Values()[j].Equal(sb.Values()[j]) {
 				t.Fatalf("copy %d: minima diverge at rank %d", i, j)
 			}
 		}
@@ -231,11 +239,12 @@ func (c *bucketCopy) absorbRef(x uint64, n, thresh int) {
 	}
 }
 
-// absorbRef is the per-element reference of minCopy.absorbBatch: the full
-// 3n-bit hash value through EvalInto, offered to the set.
-func (c *minCopy) absorbRef(x uint64, n int) {
-	c.h.EvalInto(bitvec.FromUint64(x, n), c.scratch)
-	c.set.Insert(c.scratch)
+// absorbRef is the per-element reference of Minimum.absorbBatch for copy
+// i: the full 3n-bit hash value through EvalInto, offered to the set.
+func (m *Minimum) absorbRef(i int, x uint64) {
+	h, set := m.sk.Copy(i)
+	h.EvalInto(bitvec.FromUint64(x, m.sk.N()), m.hvals[i])
+	set.Insert(m.hvals[i])
 }
 
 // TestWordBatchVsSingleAbsorb pins the word-kernel absorb (one
@@ -258,13 +267,13 @@ func TestWordBatchVsSingleAbsorb(t *testing.T) {
 				for _, c := range elem.copies {
 					c.absorbRef(x, n, elem.thresh)
 				}
-				for _, c := range mElem.copies {
-					c.absorbRef(x, n)
+				for i := 0; i < mElem.sk.Copies(); i++ {
+					mElem.absorbRef(i, x)
 				}
 			}
 			requireBucketingEqual(t, elem, word)
 			requireMinimumEqual(t, mElem, mWord)
-			if n >= 8 && (word.MaxLevel() == 0 || mWord.copies[0].set.Len() < mWord.thresh) {
+			if n >= 8 && (word.MaxLevel() == 0 || firstSet(mWord).Len() < mWord.sk.Thresh()) {
 				t.Fatalf("n=%d: the stream must raise a level and fill a Minimum copy", n)
 			}
 		}

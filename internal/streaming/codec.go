@@ -41,45 +41,25 @@ const (
 // kmv.MaxThresh.
 const maxSketchBits = 64
 
-// SketchBits returns the universe width (element bits) of any sketch in
-// this package, or 0 for foreign Sketch implementations. Wrapper layers
-// use it to cross-check their own recorded width against a decoded
-// sketch's.
+// SketchBits returns the universe width (element bits) of s. Wrapper
+// layers use it to cross-check their own recorded width against a
+// decoded sketch's.
 func SketchBits(s Sketch) int {
 	switch sk := s.(type) {
 	case *Bucketing:
 		return sk.n
 	case *Minimum:
-		return sk.n
+		return sk.sk.N()
 	case *Estimation:
 		return sk.n
 	case *FlajoletMartin:
-		if len(sk.hs) > 0 {
-			return sk.hs[0].InBits()
-		}
-	case *ExactDistinct:
-		return sk.n
+		return sk.hs[0].InBits()
 	}
-	return 0
+	return s.(*ExactDistinct).n
 }
 
-// AppendSketch appends the framed wire form of any sketch in this package;
-// ok is false for Sketch implementations outside it.
-func AppendSketch(dst []byte, s Sketch) ([]byte, bool) {
-	switch sk := s.(type) {
-	case *Bucketing:
-		return sk.appendBinary(dst), true
-	case *Minimum:
-		return sk.appendBinary(dst), true
-	case *Estimation:
-		return sk.appendBinary(dst), true
-	case *FlajoletMartin:
-		return sk.appendBinary(dst), true
-	case *ExactDistinct:
-		return sk.appendBinary(dst), true
-	}
-	return dst, false
-}
+// AppendSketch appends the framed wire form of s.
+func AppendSketch(dst []byte, s Sketch) []byte { return s.appendBinary(dst) }
 
 // DecodeSketchFrom decodes one framed sketch message at the reader's
 // position, dispatching on the kind byte; failures land in the reader.
@@ -228,18 +208,12 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 
 // ---- Minimum ----
 
-// appendBinary emits n, thresh, t, then per copy the hash draw and the
-// retained minima in rank order.
+// appendBinary emits n, then the kmv.Sketch body: thresh, t, and per copy
+// the hash draw and the retained minima in rank order.
 func (m *Minimum) appendBinary(dst []byte) []byte {
 	dst = wire.AppendHeader(dst, wire.KindMinimum, minimumVersion)
-	dst = wire.AppendInt(dst, m.n)
-	dst = wire.AppendInt(dst, m.thresh)
-	dst = wire.AppendInt(dst, len(m.copies))
-	for _, c := range m.copies {
-		dst, _ = hash.AppendFunc(dst, c.h)
-		dst = c.set.AppendBinary(dst)
-	}
-	return dst
+	dst = wire.AppendInt(dst, m.sk.N())
+	return m.sk.AppendBinary(dst)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -251,41 +225,24 @@ func decodeMinimum(r *wire.Reader, parallelism int) *Minimum {
 		return nil
 	}
 	n := r.Int(maxSketchBits)
-	thresh := r.Int(kmv.MaxThresh)
-	t := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
 		return nil
 	}
-	if n < 1 || thresh < 1 || t < 1 {
-		r.Corrupt("minimum shape n=%d thresh=%d t=%d", n, thresh, t)
+	if n < 1 {
+		r.Corrupt("minimum sketch over empty universe")
 		return nil
 	}
-	if !kmv.CheckSlab(r, t*thresh, 3*n) {
+	sk := kmv.DecodeSketch(r, n)
+	if sk == nil {
 		return nil
 	}
-	m := &Minimum{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchCheap)}
-	sets := kmv.Carve(3*n, thresh, t)
-	for i := 0; i < t; i++ {
-		h := hash.DecodeLinear(r)
-		if r.Err() != nil {
-			return nil
-		}
-		if h.InBits() != n || h.OutBits() != 3*n {
-			r.Corrupt("minimum copy %d hash is %d->%d bits, want %d->%d",
-				i, h.InBits(), h.OutBits(), n, 3*n)
-			return nil
-		}
-		if !hasKernel(h, minPrefixBits(n)) {
+	for i := 0; i < sk.Copies(); i++ {
+		if h, _ := sk.Copy(i); !hasKernel(h, minPrefixBits(n)) {
 			r.Corrupt("minimum copy %d hash is not a Toeplitz draw with a kernel", i)
 			return nil
 		}
-		c := newMinCopy(h, sets[i], n)
-		if !c.set.Decode(r) {
-			return nil
-		}
-		m.copies = append(m.copies, c)
 	}
-	return m
+	return newMinimum(sk, newEngine(parallelism, minBatchCheap))
 }
 
 // ---- Estimation ----

@@ -38,10 +38,7 @@ func TestCodecRoundTripDeterminism(t *testing.T) {
 		sketches, _ := codecSketches(n, par)
 		for name, s := range sketches {
 			feedChunks(s, stream)
-			blob, ok := EncodeSketch(s)
-			if !ok {
-				t.Fatalf("par=%d %s: EncodeSketch refused", par, name)
-			}
+			blob := AppendSketch(nil, s)
 			dec, err := DecodeSketch(blob, par)
 			if err != nil {
 				t.Fatalf("par=%d %s: decode: %v", par, name, err)
@@ -52,7 +49,7 @@ func TestCodecRoundTripDeterminism(t *testing.T) {
 			if got, want := dec.SketchWords(), s.SketchWords(); got != want {
 				t.Fatalf("par=%d %s: decoded sketch words %d != %d", par, name, got, want)
 			}
-			reblob, _ := EncodeSketch(dec)
+			reblob := AppendSketch(nil, dec)
 			if !bytes.Equal(blob, reblob) {
 				t.Fatalf("par=%d %s: encode(decode(encode)) is not canonical", par, name)
 			}
@@ -80,7 +77,7 @@ func TestCodecMergeVsSingleDifferential(t *testing.T) {
 		feedChunks(live[name], stream[:half])
 		feedChunks(remote[name], stream[half:])
 
-		blob, _ := EncodeSketch(remote[name])
+		blob := AppendSketch(nil, remote[name])
 		dec, err := DecodeSketch(blob, 2)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
@@ -110,7 +107,7 @@ func TestCodecMergeRejectsForeignDraws(t *testing.T) {
 	n := 32
 	a := NewBucketing(n, mergeOpts(81, 1))
 	b := NewBucketing(n, mergeOpts(82, 1))
-	blob, _ := EncodeSketch(b)
+	blob := AppendSketch(nil, b)
 	dec, err := DecodeSketch(blob, 1)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -126,7 +123,7 @@ func TestCodecDecodeErrors(t *testing.T) {
 	n := 16
 	s := NewMinimum(n, mergeOpts(91, 1))
 	feedChunks(s, dupStream(n, 200, stats.NewRNG(0x91)))
-	blob, _ := EncodeSketch(s)
+	blob := AppendSketch(nil, s)
 
 	if _, err := DecodeSketch(nil, 1); err == nil {
 		t.Fatal("empty input decoded")
@@ -262,16 +259,17 @@ func TestWordBound(t *testing.T) {
 	feedChunks(b, dupStream(16, 300, stats.NewRNG(3)))
 	feedChunks(m, dupStream(16, 300, stats.NewRNG(4)))
 	for name, s := range map[string]Sketch{"bucketing": b, "minimum": m} {
-		if _, err := DecodeSketch(mustEncode(t, s), 1); err != nil {
+		if _, err := DecodeSketch(AppendSketch(nil, s), 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	// The same functions in the general linear form, which carries no
 	// kernel.
 	b.copies[1].h = hash.NewLinear(b.copies[1].h.A, b.copies[1].h.B)
-	m.copies[1].h = hash.NewLinear(m.copies[1].h.A, m.copies[1].h.B)
-	refused("kernel-less bucketing draw", mustEncode(t, b))
-	refused("kernel-less minimum draw", mustEncode(t, m))
+	h, _ := m.sk.Copy(1)
+	*h = *hash.NewLinear(h.A, h.B)
+	refused("kernel-less bucketing draw", AppendSketch(nil, b))
+	refused("kernel-less minimum draw", AppendSketch(nil, m))
 
 	poly, xor := hash.NewPoly(8, 2).Draw(rng.Uint64), hash.NewXor(8, 8).Draw(rng.Uint64)
 	if _, err := DecodeSketch(handEstimation(8, poly, xor), 1); err != nil {
@@ -288,15 +286,6 @@ func TestWordBound(t *testing.T) {
 	refused("key at 2^n", handKeys(16, 1<<16, 0))
 }
 
-func mustEncode(t *testing.T, s Sketch) []byte {
-	t.Helper()
-	blob, ok := EncodeSketch(s)
-	if !ok {
-		t.Fatalf("%T has no wire form", s)
-	}
-	return blob
-}
-
 // FuzzUnmarshalSketch drives DecodeSketch with corrupt, truncated, and
 // bit-flipped snapshots: it must return typed errors, never panic, and any
 // accepted input must re-encode canonically, answer Estimate, ingest
@@ -307,7 +296,7 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	sketches, _ := codecSketches(n, 1)
 	for _, s := range sketches {
 		feedChunks(s, stream)
-		blob, _ := EncodeSketch(s)
+		blob := AppendSketch(nil, s)
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 	}
@@ -326,10 +315,7 @@ func FuzzUnmarshalSketch(f *testing.F) {
 		// Accepted input: the sketch must be fully functional and its wire
 		// form canonical.
 		_ = s.Estimate()
-		reblob, ok := EncodeSketch(s)
-		if !ok {
-			t.Fatal("decoded sketch refuses to re-encode")
-		}
+		reblob := AppendSketch(nil, s)
 		dec2, err := DecodeSketch(reblob, 1)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
@@ -345,11 +331,6 @@ func FuzzUnmarshalSketch(f *testing.F) {
 			t.Fatalf("merging a clone: %v", err)
 		}
 	})
-}
-
-// EncodeSketch returns the framed wire form of a sketch.
-func EncodeSketch(s Sketch) ([]byte, bool) {
-	return AppendSketch(nil, s)
 }
 
 // DecodeSketch decodes one framed sketch message, which must span data

@@ -106,11 +106,7 @@ func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
 			if b, ok := merged.(*Bucketing); ok && b.MaxLevel() < 2 {
 				t.Fatalf("%s: feed left the sampling level at %d", name, b.MaxLevel())
 			}
-			raw, ok := EncodeSketch(merged)
-			if !ok {
-				t.Fatalf("%s: merged clone has no wire form", name)
-			}
-			h.Write(raw)
+			h.Write(AppendSketch(nil, merged))
 			if got, want := hex.EncodeToString(h.Sum(nil)), concurrentGoldenDigests[name]; got != want {
 				t.Errorf("%s: digest %s, want %s", name, got, want)
 			}
@@ -166,8 +162,9 @@ func probeTarget(front *Concurrent) replayProbe {
 		p.level = acc.MaxLevel()
 	case *Minimum:
 		full := true
-		for _, c := range acc.copies {
-			full = full && c.set.Full()
+		for i := 0; i < acc.sk.Copies(); i++ {
+			_, set := acc.sk.Copy(i)
+			full = full && set.Full()
 		}
 		if full {
 			p.fullEst = acc.Estimate()

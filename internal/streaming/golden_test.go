@@ -45,7 +45,7 @@ var goldenDigests = map[string]string{
 // ProcessBatch chunks (sizes straddling the engine's fan-out gate) over a
 // pool of distinct elements drawn with repeats, so copies fill, levels
 // rise mid-batch and in-batch duplicates occur.
-func goldenFeed(s Estimator, n int, seed uint64) {
+func goldenFeed(s Sketch, n int, seed uint64) {
 	rng := stats.NewRNG(seed)
 	pool := make([]uint64, 700)
 	for i := range pool {
@@ -62,7 +62,7 @@ func goldenFeed(s Estimator, n int, seed uint64) {
 }
 
 func goldenDigest(t *testing.T, s interface {
-	Estimator
+	Sketch
 	MarshalBinary() ([]byte, error)
 }) string {
 	t.Helper()

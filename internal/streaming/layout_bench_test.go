@@ -37,10 +37,12 @@ func scatterBucketing(s *Bucketing) {
 func scatterMinimum(s *Minimum) {
 	// Scatter before any ingestion: the set is empty, so no value aliases
 	// a replaced row.
-	for _, c := range s.copies {
-		rows := bitvec.NewSlab(3*s.n, s.thresh)
-		scatterRows(rows, 3*s.n)
-		c.set = kmv.Make(rows)
+	n := s.sk.N()
+	for i := 0; i < s.sk.Copies(); i++ {
+		rows := bitvec.NewSlab(3*n, s.sk.Thresh())
+		scatterRows(rows, 3*n)
+		_, set := s.sk.Copy(i)
+		*set = kmv.Make(rows)
 	}
 }
 
@@ -56,7 +58,7 @@ func BenchmarkAbsorbLayout(b *testing.B) {
 		return Options{Epsilon: 0.8, Delta: 0.2, Thresh: 64, Iterations: 33,
 			RNG: stats.NewRNG(seed), Parallelism: 1}
 	}
-	run := func(b *testing.B, e Estimator) {
+	run := func(b *testing.B, e Sketch) {
 		feedChunks(e, stream) // reach steady state before timing
 		b.ReportAllocs()      // steady-state absorb must stay allocation-free
 		b.ResetTimer()

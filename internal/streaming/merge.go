@@ -5,9 +5,7 @@ import (
 	"maps"
 	"slices"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
-	"mcf0/internal/kmv"
 )
 
 // ErrIncompatibleSketch is returned by Merge when the two sketches cannot
@@ -16,26 +14,41 @@ import (
 // would be answering about different random projections of the stream).
 var ErrIncompatibleSketch = errors.New("streaming: sketches are not mergeable (mismatched type, shape, or hash draws)")
 
-// Sketch is an Estimator that also supports in-memory combination. For
-// two sketches built from the same hash draws (same-seed construction or
-// Clone), Merge folds other's state into the receiver so that the result
-// is bit-identical to one sketch having ingested both element streams
-// interleaved in any order: every sketch here is an idempotent,
-// order-insensitive function of the element *set*, so merged(A) ∪
-// merged(B) determines the state regardless of how the elements were
-// partitioned. Merge never mutates other.
+// Sketch is the common face of the F0 sketches (Algorithm 1's
+// architecture): feed elements with ProcessBatch, read the answer with
+// Estimate, and combine sketches in memory. For two sketches built from
+// the same hash draws (same-seed construction or Clone), Merge folds
+// other's state into the receiver so that the result is bit-identical to
+// one sketch having ingested both element streams interleaved in any
+// order: every sketch here is an idempotent, order-insensitive function
+// of the element *set*, so merged(A) ∪ merged(B) determines the state
+// regardless of how the elements were partitioned. Merge never mutates
+// other.
 //
 // Clone returns a deep copy sharing the (immutable) hash functions, which
 // is exactly the shared-draw precondition Merge requires; ingestion into
 // the clone never disturbs the original.
 //
-// replayCap bounds the elements a Concurrent replica logs to replay into
-// the front's kept target instead of being merged (0: always merge).
+// The unexported methods keep the interface to this package's five
+// sketches: replayCap bounds the elements a Concurrent replica logs to
+// replay into the front's kept target instead of being merged (0: always
+// merge), and appendBinary writes the framed snapshot.
 type Sketch interface {
-	Estimator
+	// ProcessBatch absorbs a chunk of stream elements, each an integer
+	// below 2^n in the sketch's n-bit universe. A chunk leaves the sketch
+	// in exactly the state one-element chunks in order would; chunks
+	// amortise the worker-pool dispatch over many elements.
+	ProcessBatch(xs []uint64)
+	// Estimate returns the current F0 approximation.
+	Estimate() float64
+	// SketchWords returns the current sketch size in 64-bit words,
+	// excluding the stored hash functions (reported for the space
+	// experiments).
+	SketchWords() int
 	Clone() Sketch
 	Merge(other Sketch) error
 	replayCap() int
+	appendBinary(dst []byte) []byte
 }
 
 // replayCap is thresh for Bucketing and Minimum: a replay hashes each
@@ -45,7 +58,7 @@ type Sketch interface {
 // every draw; ExactDistinct's state is its element set, so a log would
 // only copy what the union reads anyway.
 func (b *Bucketing) replayCap() int      { return b.thresh }
-func (m *Minimum) replayCap() int        { return m.thresh }
+func (m *Minimum) replayCap() int        { return m.sk.Thresh() }
 func (e *Estimation) replayCap() int     { return 0 }
 func (f *FlajoletMartin) replayCap() int { return 0 }
 func (e *ExactDistinct) replayCap() int  { return 0 }
@@ -123,35 +136,14 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 }
 
 // Clone returns a deep copy sharing hash draws, with its own slab.
-func (m *Minimum) Clone() Sketch {
-	out := &Minimum{thresh: m.thresh, n: m.n, eng: m.eng}
-	sets := kmv.Carve(3*m.n, m.thresh, len(m.copies))
-	for i, c := range m.copies {
-		nc := newMinCopy(c.h, sets[i], m.n)
-		nc.set.CopyFrom(&c.set)
-		out.copies = append(out.copies, nc)
-	}
-	return out
-}
+func (m *Minimum) Clone() Sketch { return newMinimum(m.sk.Clone(), m.eng) }
 
 // Merge folds other's minima into m: per copy, the sorted streams of
 // distinct hash values merge and the smallest Thresh survive — exactly
 // the state one sketch ingesting both streams would hold.
 func (m *Minimum) Merge(other Sketch) error {
-	o, ok := other.(*Minimum)
-	if !ok || o.thresh != m.thresh || o.n != m.n || len(o.copies) != len(m.copies) {
+	if o, ok := other.(*Minimum); !ok || !m.sk.Merge(o.sk) {
 		return ErrIncompatibleSketch
-	}
-	for i := range m.copies {
-		if !m.copies[i].h.Equal(o.copies[i].h) {
-			return ErrIncompatibleSketch
-		}
-	}
-	if m.mergeTmp == nil {
-		m.mergeTmp = bitvec.NewSlab(3*m.n, m.thresh)
-	}
-	for i := range m.copies {
-		m.copies[i].set.Merge(&o.copies[i].set, m.mergeTmp)
 	}
 	return nil
 }

@@ -70,23 +70,6 @@ const defaultSeed = 0xf0f0f0
 
 func pow2(k int) float64 { return math.Pow(2, float64(k)) }
 
-// Estimator is the common face of the F0 sketches (Algorithm 1's
-// architecture): feed elements with ProcessBatch, read the answer with
-// Estimate.
-type Estimator interface {
-	// ProcessBatch absorbs a chunk of stream elements, each an integer
-	// below 2^n in the sketch's n-bit universe. A chunk leaves the sketch
-	// in exactly the state one-element chunks in order would; chunks
-	// amortise the worker-pool dispatch over many elements.
-	ProcessBatch(xs []uint64)
-	// Estimate returns the current F0 approximation.
-	Estimate() float64
-	// SketchWords returns the current sketch size in 64-bit words,
-	// excluding the stored hash functions (reported for the space
-	// experiments).
-	SketchWords() int
-}
-
 // checkBits panics unless 1 ≤ n ≤ 64: every sketch carries an element
 // as one word.
 func checkBits(n int) {
@@ -379,65 +362,51 @@ func (b *Bucketing) SketchWords() int {
 	return total
 }
 
-// Minimum is Algorithm 3's Minimum case: t copies each retaining the
-// Thresh lexicographically smallest distinct hash values, with hashes from
-// H_Toeplitz(n, 3n).
+// Minimum is Algorithm 3's Minimum case: a kmv.Sketch of t copies, each
+// retaining the Thresh lexicographically smallest distinct hash values
+// under a draw from H_Toeplitz(n, 3n), fed by the word-path absorb.
 type Minimum struct {
-	thresh int
-	n      int
-	copies []*minCopy
-	eng    engine
-	// mergeTmp is Merge's rank-order staging area (thresh slab rows),
-	// allocated on first Merge and reused across copies.
-	mergeTmp []bitvec.BitVec
-	words    wordScratch
+	sk    *kmv.Sketch
+	eng   engine
+	words wordScratch
+	// elems and hvals are each copy's absorb scratch: the packed element
+	// absorb evaluates and its 3n-bit hash value. Insert copies a value
+	// into a row only when it actually enters the set, so elements
+	// hashing above the current maximum (the steady-state common case)
+	// cost no data movement.
+	elems, hvals []bitvec.BitVec
 }
 
-// minCopy keeps its minima in a k-min set whose rows are carved from one
-// contiguous slab shared by every copy of the sketch.
-type minCopy struct {
-	h   *hash.Linear
-	set kmv.Set
-	// elem holds the packed element absorb evaluates, and scratch its
-	// 3n-bit hash value; Insert copies scratch into a row only when the
-	// value actually enters the set, so elements hashing above the
-	// current maximum (the steady-state common case) cost no data
-	// movement.
-	elem, scratch bitvec.BitVec
-}
-
-func newMinCopy(h *hash.Linear, set kmv.Set, n int) *minCopy {
-	return &minCopy{h: h, set: set, elem: bitvec.New(n), scratch: bitvec.New(3 * n)}
+func newMinimum(sk *kmv.Sketch, eng engine) *Minimum {
+	n, t := sk.N(), sk.Copies()
+	return &Minimum{sk: sk, eng: eng, elems: bitvec.NewSlab(n, t), hvals: bitvec.NewSlab(3*n, t)}
 }
 
 // NewMinimum builds a Minimum sketch over n-bit elements.
 func NewMinimum(n int, opts Options) *Minimum {
 	checkBits(n)
 	o := opts.Resolve(defaultSeed)
-	fam := hash.NewToeplitz(n, 3*n)
-	m := &Minimum{thresh: o.Thresh, n: n, eng: newEngine(o.Parallelism, minBatchCheap)}
-	sets := kmv.Carve(3*n, m.thresh, o.Iterations)
-	for i := 0; i < o.Iterations; i++ {
-		m.copies = append(m.copies, newMinCopy(fam.Draw(o.RNG.Uint64).(*hash.Linear), sets[i], n))
-	}
-	return m
+	sk := kmv.NewSketch(n, o.Thresh, o.Iterations, o.RNG.Uint64)
+	return newMinimum(sk, newEngine(o.Parallelism, minBatchCheap))
 }
 
-// absorbBatch runs lines 12–18 of Algorithm 3 for one copy over a batch.
+// absorbBatch runs lines 12–18 of Algorithm 3 for copy i over a batch.
 // One PrefixWords call writes each element's first minPrefixBits(n) hash
 // bits into ws (xw holds the packed elements), and a full copy rejects
 // every element whose prefix is lexicographically greater than its
 // maximum's. That is exact: a strictly greater prefix means y > max,
 // which cannot enter. The rest — the copy's fill phase, equal prefixes
-// and the rare smaller ones — take absorb, which evaluates the full
-// 3n-bit value.
-func (c *minCopy) absorbBatch(xw, ws []uint64, mp int) {
-	prefixWords(c.h, mp, xw, ws)
+// and the rare smaller ones — evaluate the full 3n-bit value and offer
+// it to the set.
+func (m *Minimum) absorbBatch(i int, xw, ws []uint64, mp int) {
+	h, set := m.sk.Copy(i)
+	elem, hv := m.elems[i], m.hvals[i]
+	prefixWords(h, mp, xw, ws)
 	pmask := ^uint64(0) >> (64 - uint(mp))
-	full := c.set.Full()
+	full := set.Full()
 	var mx uint64
 	if full {
-		mx = c.set.Max().Words()[0] & pmask
+		mx = set.Max().Words()[0] & pmask
 	}
 	for k, w := range ws {
 		// The first differing prefix bit is the lowest set bit of w^mx;
@@ -445,9 +414,11 @@ func (c *minCopy) absorbBatch(xw, ws []uint64, mp int) {
 		if d := w ^ mx; full && d&-d&w != 0 {
 			continue
 		}
-		c.absorb(xw[k])
-		if full = c.set.Full(); full {
-			mx = c.set.Max().Words()[0] & pmask
+		elem.Words()[0] = xw[k]
+		h.EvalInto(elem, hv)
+		set.Insert(hv)
+		if full = set.Full(); full {
+			mx = set.Max().Words()[0] & pmask
 		}
 	}
 }
@@ -462,15 +433,6 @@ func minPrefixBits(n int) int {
 	return min(3*n, 65-n)
 }
 
-// absorb runs lines 12–18 of Algorithm 3 for one copy and one packed
-// element that absorbBatch's prefix test let through: it evaluates the
-// full 3n-bit hash value and offers it to the set.
-func (c *minCopy) absorb(w uint64) {
-	c.elem.Words()[0] = w
-	c.h.EvalInto(c.elem, c.scratch)
-	c.set.Insert(c.scratch)
-}
-
 // ProcessBatch absorbs a chunk of elements (lines 12–18 of Algorithm 3),
 // fanning the copies across the worker pool with one dispatch for the
 // whole chunk.
@@ -478,38 +440,27 @@ func (m *Minimum) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	xw := m.words.elems(xs, m.n, m.eng.workers)
-	mp := minPrefixBits(m.n)
+	n := m.sk.N()
+	xw := m.words.elems(xs, n, m.eng.workers)
+	mp := minPrefixBits(n)
 	if m.eng.serial(len(xs)) {
 		ws := m.words.shard(0, len(xw))
-		for _, c := range m.copies {
-			c.absorbBatch(xw, ws, mp)
+		for i := 0; i < m.sk.Copies(); i++ {
+			m.absorbBatch(i, xw, ws, mp)
 		}
 		return
 	}
-	m.eng.run(len(m.copies), func(i, shard int) {
-		m.copies[i].absorbBatch(xw, m.words.shard(shard, len(xw)), mp)
+	m.eng.run(m.sk.Copies(), func(i, shard int) {
+		m.absorbBatch(i, xw, m.words.shard(shard, len(xw)), mp)
 	})
 }
 
 // Estimate returns Median_i(Thresh / frac(max S[i])), or the exact distinct
 // hash count when a copy holds fewer than Thresh values.
-func (m *Minimum) Estimate() float64 {
-	ests := make([]float64, len(m.copies))
-	for i, c := range m.copies {
-		ests[i] = c.set.Estimate()
-	}
-	return stats.Median(ests)
-}
+func (m *Minimum) Estimate() float64 { return m.sk.Estimate() }
 
 // SketchWords reports the stored minima footprint.
-func (m *Minimum) SketchWords() int {
-	total := 0
-	for _, c := range m.copies {
-		total += c.set.Words()
-	}
-	return total
-}
+func (m *Minimum) SketchWords() int { return m.sk.Words() }
 
 // polyDraw is an Estimation grid hash: an s-wise polynomial over GF(2^n)
 // that evaluates integer-form elements (hash.Uint64Hash) and goes on the

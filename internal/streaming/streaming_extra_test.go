@@ -23,7 +23,7 @@ func TestEstimationAllHitsGivesInf(t *testing.T) {
 
 func TestEmptyStreamEstimates(t *testing.T) {
 	o := testOpts(2)
-	for name, e := range map[string]Estimator{
+	for name, e := range map[string]Sketch{
 		"bucketing": NewBucketing(8, o),
 		"minimum":   NewMinimum(8, o),
 		"exact":     NewExactDistinct(8),
@@ -60,12 +60,12 @@ func TestMinimumReplacementKeepsSorted(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m.ProcessBatch([]uint64{bitvec.Random(12, rng.Uint64).Uint64()})
 	}
-	c := m.copies[0]
-	if c.set.Len() != 4 {
-		t.Fatalf("copy holds %d values", c.set.Len())
+	set := firstSet(m)
+	if set.Len() != 4 {
+		t.Fatalf("copy holds %d values", set.Len())
 	}
-	for i := 1; i < c.set.Len(); i++ {
-		if !c.set.Values()[i-1].Less(c.set.Values()[i]) {
+	for i := 1; i < set.Len(); i++ {
+		if !set.Values()[i-1].Less(set.Values()[i]) {
 			t.Fatal("minimum copy not strictly sorted")
 		}
 	}

@@ -38,7 +38,7 @@ func makeStream(n, distinct, length int, rng *stats.RNG) []uint64 {
 
 // feed absorbs stream one element at a time: one-element ProcessBatch
 // calls are the element-at-a-time reference.
-func feed(e Estimator, stream []uint64) {
+func feed(e Sketch, stream []uint64) {
 	for i := range stream {
 		e.ProcessBatch(stream[i : i+1])
 	}
@@ -55,7 +55,7 @@ func TestExactDistinct(t *testing.T) {
 }
 
 // sketchAccuracy checks an estimator family's empirical (ε, δ) behaviour.
-func sketchAccuracy(t *testing.T, name string, mk func(n int, opts Options) Estimator, eps float64) {
+func sketchAccuracy(t *testing.T, name string, mk func(n int, opts Options) Sketch, eps float64) {
 	t.Helper()
 	rng := stats.NewRNG(42)
 	for _, f0 := range []int{10, 200, 2000} {
@@ -77,11 +77,11 @@ func sketchAccuracy(t *testing.T, name string, mk func(n int, opts Options) Esti
 }
 
 func TestBucketingAccuracy(t *testing.T) {
-	sketchAccuracy(t, "Bucketing", func(n int, o Options) Estimator { return NewBucketing(n, o) }, 0.8)
+	sketchAccuracy(t, "Bucketing", func(n int, o Options) Sketch { return NewBucketing(n, o) }, 0.8)
 }
 
 func TestMinimumAccuracy(t *testing.T) {
-	sketchAccuracy(t, "Minimum", func(n int, o Options) Estimator { return NewMinimum(n, o) }, 0.8)
+	sketchAccuracy(t, "Minimum", func(n int, o Options) Sketch { return NewMinimum(n, o) }, 0.8)
 }
 
 func TestEstimationAccuracy(t *testing.T) {
@@ -166,10 +166,10 @@ func TestOrderInsensitive(t *testing.T) {
 		j := rng.Intn(i + 1)
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	}
-	mks := map[string]func(uint64) Estimator{
-		"bucketing": func(seed uint64) Estimator { return NewBucketing(n, testOpts(seed)) },
-		"minimum":   func(seed uint64) Estimator { return NewMinimum(n, testOpts(seed)) },
-		"estimation": func(seed uint64) Estimator {
+	mks := map[string]func(uint64) Sketch{
+		"bucketing": func(seed uint64) Sketch { return NewBucketing(n, testOpts(seed)) },
+		"minimum":   func(seed uint64) Sketch { return NewMinimum(n, testOpts(seed)) },
+		"estimation": func(seed uint64) Sketch {
 			o := testOpts(seed)
 			o.Iterations = 3
 			o.Thresh = 8
@@ -198,9 +198,9 @@ func TestDuplicatesIgnored(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		flood = append(flood, base[0])
 	}
-	for name, mk := range map[string]func() Estimator{
-		"bucketing": func() Estimator { return NewBucketing(n, testOpts(9)) },
-		"minimum":   func() Estimator { return NewMinimum(n, testOpts(9)) },
+	for name, mk := range map[string]func() Sketch{
+		"bucketing": func() Sketch { return NewBucketing(n, testOpts(9)) },
+		"minimum":   func() Sketch { return NewMinimum(n, testOpts(9)) },
 	} {
 		a, b := mk(), mk()
 		feed(a, base)
@@ -281,7 +281,7 @@ func TestPaperDefaultOptions(t *testing.T) {
 		thresh, copies int
 	}{
 		{"bucketing", b.thresh, len(b.copies)},
-		{"minimum", m.thresh, len(m.copies)},
+		{"minimum", m.sk.Thresh(), m.sk.Copies()},
 		{"estimation", e.thresh, len(e.hs)},
 		{"estimation's rough estimator", want.Thresh, len(e.fm.hs)},
 	} {

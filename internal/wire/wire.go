@@ -50,7 +50,8 @@ const (
 	KindRangeStream       byte = 0x11
 	KindProgressionStream byte = 0x12
 	KindAffineStream      byte = 0x13
-	KindCNFStream         byte = 0x14
+	// 0x14 was setstream.CNFStream, deleted with that stream; it is
+	// retired and never reused.
 
 	// Public mcf0 wrappers.
 	KindF0            byte = 0x20
@@ -81,8 +82,6 @@ func KindName(kind byte) string {
 		return "setstream.ProgressionStream"
 	case KindAffineStream:
 		return "setstream.AffineStream"
-	case KindCNFStream:
-		return "setstream.CNFStream"
 	case KindF0:
 		return "mcf0.F0"
 	case KindDNFSetF0:
@@ -140,11 +139,6 @@ func (e *VersionError) Error() string {
 // AppendHeader opens a top-level message: magic, kind, version.
 func AppendHeader(dst []byte, kind, version byte) []byte {
 	return append(dst, Magic0, Magic1, kind, version)
-}
-
-// AppendUvarint appends v as an unsigned varint.
-func AppendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
 }
 
 // AppendInt appends a non-negative int as a uvarint.

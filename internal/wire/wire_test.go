@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -100,8 +101,8 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 	v.Set(69, true)
 
 	var buf []byte
-	buf = AppendUvarint(buf, 0)
-	buf = AppendUvarint(buf, 1<<63)
+	buf = binary.AppendUvarint(buf, 0)
+	buf = binary.AppendUvarint(buf, 1<<63)
 	buf = AppendInt(buf, 12345)
 	buf = AppendUint64(buf, 0xdeadbeefcafef00d)
 	buf = AppendWords(buf, []uint64{7, 8, 9})
@@ -170,8 +171,8 @@ func TestBitVecInto(t *testing.T) {
 // the allocating and the in-place decode paths.
 func TestExcessBitsRejected(t *testing.T) {
 	var buf []byte
-	buf = AppendUvarint(buf, 3)   // 3-bit vector
-	buf = AppendUint64(buf, 0xff) // bits 3..7 are excess
+	buf = binary.AppendUvarint(buf, 3) // 3-bit vector
+	buf = AppendUint64(buf, 0xff)      // bits 3..7 are excess
 	r := NewReader(buf)
 	r.BitVec(64)
 	if !errors.Is(r.Err(), ErrCorrupt) {
@@ -189,36 +190,36 @@ func TestExcessBitsRejected(t *testing.T) {
 // maxBits — and truncated fixed-width reads fail cleanly.
 func TestBoundedReads(t *testing.T) {
 	// Int: value exceeds the structural bound.
-	r := NewReader(AppendUvarint(nil, 1000))
+	r := NewReader(binary.AppendUvarint(nil, 1000))
 	r.Int(999)
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("Int bound: %v", r.Err())
 	}
 	// Int: bound is inclusive.
-	r = NewReader(AppendUvarint(nil, 999))
+	r = NewReader(binary.AppendUvarint(nil, 999))
 	if got := r.Int(999); got != 999 || r.Err() != nil {
 		t.Fatalf("Int inclusive bound: %d %v", got, r.Err())
 	}
 
 	// Words: count claims far more than the input holds; must not allocate.
-	r = NewReader(AppendUvarint(nil, 1<<40))
+	r = NewReader(binary.AppendUvarint(nil, 1<<40))
 	if ws := r.Words(); ws != nil || !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("Words overclaim: %v %v", ws, r.Err())
 	}
 	// Words: count * 8 overflow guard — n so large n*8 wraps.
-	r = NewReader(AppendUvarint(nil, 1<<61))
+	r = NewReader(binary.AppendUvarint(nil, 1<<61))
 	if ws := r.Words(); ws != nil || r.Err() == nil {
 		t.Fatalf("Words overflow count: %v %v", ws, r.Err())
 	}
 
 	// BitVec: bit length beyond maxBits.
-	r = NewReader(AppendUvarint(nil, 4096))
+	r = NewReader(binary.AppendUvarint(nil, 4096))
 	r.BitVec(1024)
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("BitVec maxBits: %v", r.Err())
 	}
 	// BitVec: valid length but missing words.
-	r = NewReader(AppendUvarint(nil, 128))
+	r = NewReader(binary.AppendUvarint(nil, 128))
 	r.BitVec(1024)
 	if !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("BitVec truncated words: %v", r.Err())
@@ -302,7 +303,7 @@ func TestStickyError(t *testing.T) {
 // TestCloseTrailingBytes: a structurally valid message with unread bytes
 // is rejected at Close, naming the count.
 func TestCloseTrailingBytes(t *testing.T) {
-	buf := AppendUvarint(AppendHeader(nil, KindF0, 1), 5)
+	buf := binary.AppendUvarint(AppendHeader(nil, KindF0, 1), 5)
 	buf = append(buf, 0xde, 0xad)
 	r := NewReader(buf)
 	r.Header(KindF0)
@@ -333,7 +334,7 @@ func TestCorrupt(t *testing.T) {
 func TestKindName(t *testing.T) {
 	kinds := []byte{KindBucketing, KindMinimum, KindEstimation, KindFlajoletMartin,
 		KindExactDistinct, KindDNFStream, KindRangeStream, KindProgressionStream,
-		KindAffineStream, KindCNFStream, KindF0, KindDNFSetF0, KindRangeF0,
+		KindAffineStream, KindF0, KindDNFSetF0, KindRangeF0,
 		KindProgressionF0, KindAffineF0}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -348,6 +349,9 @@ func TestKindName(t *testing.T) {
 	}
 	if got := KindName(0xEE); got != "unknown(0xee)" {
 		t.Errorf("unknown kind name %q", got)
+	}
+	if got := KindName(0x14); got != "unknown(0x14)" {
+		t.Errorf("retired kind 0x14 named %q", got)
 	}
 }
 

@@ -329,7 +329,7 @@ func dimacsLits(n int, raw []int) ([]formula.Lit, error) {
 // integers (nBits ≤ 64).
 type F0 struct {
 	nBits int
-	est   streaming.Estimator
+	sk    streaming.Sketch
 	batch elemBatch // AddBatch's batch scratch (single writer)
 }
 
@@ -340,18 +340,18 @@ func NewF0(nBits int, alg Algorithm, cfg Config) (*F0, error) {
 		return nil, fmt.Errorf("mcf0: universe width %d out of [1,64]", nBits)
 	}
 	opts := cfg.options()
-	var est streaming.Estimator
+	var sk streaming.Sketch
 	switch alg {
 	case AlgorithmBucketing, "":
-		est = streaming.NewBucketing(nBits, opts)
+		sk = streaming.NewBucketing(nBits, opts)
 	case AlgorithmMinimum:
-		est = streaming.NewMinimum(nBits, opts)
+		sk = streaming.NewMinimum(nBits, opts)
 	case AlgorithmEstimation:
-		est = streaming.NewEstimation(nBits, opts)
+		sk = streaming.NewEstimation(nBits, opts)
 	default:
 		return nil, fmt.Errorf("mcf0: unknown F0 algorithm %q", alg)
 	}
-	return &F0{nBits: nBits, est: est}, nil
+	return &F0{nBits: nBits, sk: sk}, nil
 }
 
 // Add absorbs one stream element: a one-element AddBatch.
@@ -370,46 +370,45 @@ func (f *F0) AddBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	f.est.ProcessBatch(f.batch.dedup(xs, f.nBits))
+	f.sk.ProcessBatch(f.batch.dedup(xs, f.nBits))
 }
 
 // Estimate returns the current distinct-count approximation.
-func (f *F0) Estimate() float64 { return f.est.Estimate() }
+func (f *F0) Estimate() float64 { return f.sk.Estimate() }
 
 // SketchWords returns the sketch footprint in 64-bit words.
-func (f *F0) SketchWords() int { return f.est.SketchWords() }
+func (f *F0) SketchWords() int { return f.sk.SketchWords() }
 
 // RangeF0 estimates the number of distinct tuples covered by a stream of
 // d-dimensional ranges (Theorem 6), in poly(n·d) time per range.
-type RangeF0 struct {
-	inner *setstream.RangeStream
-	bits  []int
-}
+type RangeF0 struct{ inner *setstream.RangeStream }
 
 // NewRangeF0 builds a range-stream sketch; bitsPerDim fixes each
-// dimension's width (each ≤ 63).
+// dimension's width (each ≤ 63, at most 1024 dimensions).
 func NewRangeF0(bitsPerDim []int, cfg Config) (*RangeF0, error) {
+	opts, err := setStreamOptions(bitsPerDim, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &RangeF0{setstream.NewRangeStream(bitsPerDim, opts)}, nil
+}
+
+// setStreamOptions checks a range or progression shape — each width in
+// [1,63], and the whole inside the snapshot decoder's bounds — and
+// returns cfg's options.
+func setStreamOptions(bitsPerDim []int, cfg Config) (params.Options, error) {
 	for _, b := range bitsPerDim {
 		if b < 1 || b > 63 {
-			return nil, fmt.Errorf("mcf0: dimension width %d out of [1,63]", b)
+			return params.Options{}, fmt.Errorf("mcf0: dimension width %d out of [1,63]", b)
 		}
 	}
-	return &RangeF0{
-		inner: setstream.NewRangeStream(bitsPerDim, cfg.options()),
-		bits:  append([]int(nil), bitsPerDim...),
-	}, nil
+	opts := cfg.options()
+	return opts, setstream.CheckShape(bitsPerDim, opts)
 }
 
 // AddRange absorbs the box ∏ᵢ [lo[i], hi[i]].
 func (r *RangeF0) AddRange(lo, hi []uint64) error {
-	if len(lo) != len(r.bits) || len(hi) != len(r.bits) {
-		return fmt.Errorf("mcf0: range has %d dims, sketch has %d", len(lo), len(r.bits))
-	}
-	dims := make([]formula.Range, len(lo))
-	for i := range lo {
-		dims[i] = formula.Range{Lo: lo[i], Hi: hi[i], Bits: r.bits[i]}
-	}
-	return r.inner.ProcessRange(formula.MultiRange{Dims: dims})
+	return r.AddRangeBatch([][]uint64{lo}, [][]uint64{hi})
 }
 
 // AddRangeBatch absorbs a chunk of boxes (los[k], his[k] bound box k) with
@@ -419,14 +418,15 @@ func (r *RangeF0) AddRangeBatch(los, his [][]uint64) error {
 	if len(los) != len(his) {
 		return fmt.Errorf("mcf0: batch has %d lower and %d upper bounds", len(los), len(his))
 	}
+	bits := r.inner.Dims()
 	mrs := make([]formula.MultiRange, len(los))
 	for k := range los {
-		if len(los[k]) != len(r.bits) || len(his[k]) != len(r.bits) {
-			return fmt.Errorf("mcf0: range %d has %d dims, sketch has %d", k, len(los[k]), len(r.bits))
+		if len(los[k]) != len(bits) || len(his[k]) != len(bits) {
+			return fmt.Errorf("mcf0: range %d has %d dims, sketch has %d", k, len(los[k]), len(bits))
 		}
 		dims := make([]formula.Range, len(los[k]))
 		for i := range los[k] {
-			dims[i] = formula.Range{Lo: los[k][i], Hi: his[k][i], Bits: r.bits[i]}
+			dims[i] = formula.Range{Lo: los[k][i], Hi: his[k][i], Bits: bits[i]}
 		}
 		mrs[k] = formula.MultiRange{Dims: dims}
 	}
@@ -438,32 +438,27 @@ func (r *RangeF0) Estimate() float64 { return r.inner.Estimate() }
 
 // ProgressionF0 estimates distinct tuples covered by d-dimensional
 // arithmetic progressions with power-of-two steps (Corollary 1).
-type ProgressionF0 struct {
-	inner *setstream.ProgressionStream
-	bits  []int
-}
+type ProgressionF0 struct{ inner *setstream.ProgressionStream }
 
-// NewProgressionF0 builds a progression-stream sketch.
+// NewProgressionF0 builds a progression-stream sketch; bitsPerDim fixes
+// each dimension's width (each ≤ 63, at most 1024 dimensions).
 func NewProgressionF0(bitsPerDim []int, cfg Config) (*ProgressionF0, error) {
-	for _, b := range bitsPerDim {
-		if b < 1 || b > 63 {
-			return nil, fmt.Errorf("mcf0: dimension width %d out of [1,63]", b)
-		}
+	opts, err := setStreamOptions(bitsPerDim, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return &ProgressionF0{
-		inner: setstream.NewProgressionStream(bitsPerDim, cfg.options()),
-		bits:  append([]int(nil), bitsPerDim...),
-	}, nil
+	return &ProgressionF0{setstream.NewProgressionStream(bitsPerDim, opts)}, nil
 }
 
 // AddProgression absorbs ∏ᵢ {a[i], a[i]+2^logStep[i], …} ∩ [a[i], b[i]].
 func (p *ProgressionF0) AddProgression(a, b []uint64, logStep []int) error {
-	if len(a) != len(p.bits) || len(b) != len(p.bits) || len(logStep) != len(p.bits) {
+	bits := p.inner.Dims()
+	if len(a) != len(bits) || len(b) != len(bits) || len(logStep) != len(bits) {
 		return fmt.Errorf("mcf0: progression arity mismatch")
 	}
 	ps := make([]formula.Progression, len(a))
 	for i := range a {
-		ps[i] = formula.Progression{A: a[i], B: b[i], LogStep: logStep[i], Bits: p.bits[i]}
+		ps[i] = formula.Progression{A: a[i], B: b[i], LogStep: logStep[i], Bits: bits[i]}
 	}
 	return p.inner.ProcessProgression(ps)
 }
@@ -473,19 +468,21 @@ func (p *ProgressionF0) Estimate() float64 { return p.inner.Estimate() }
 
 // DNFSetF0 estimates F0 over a stream of DNF sets (Theorem 5), each given
 // as DIMACS-style term lists over a fixed n.
-type DNFSetF0 struct {
-	n     int
-	inner *setstream.DNFStream
-}
+type DNFSetF0 struct{ inner *setstream.DNFStream }
 
-// NewDNFSetF0 builds a DNF-set-stream sketch over n variables.
-func NewDNFSetF0(n int, cfg Config) *DNFSetF0 {
-	return &DNFSetF0{n: n, inner: setstream.NewDNFStream(n, cfg.options())}
+// NewDNFSetF0 builds a DNF-set-stream sketch over n variables,
+// 1 ≤ n ≤ 65536; it refuses a shape whose snapshot could not be restored.
+func NewDNFSetF0(n int, cfg Config) (*DNFSetF0, error) {
+	opts := cfg.options()
+	if err := setstream.CheckShape([]int{n}, opts); err != nil {
+		return nil, err
+	}
+	return &DNFSetF0{setstream.NewDNFStream(n, opts)}, nil
 }
 
 // AddDNF absorbs one DNF set.
 func (d *DNFSetF0) AddDNF(terms [][]int) error {
-	f, err := dnfFromTerms(d.n, terms)
+	f, err := dnfFromTerms(d.inner.N(), terms)
 	if err != nil {
 		return err
 	}
@@ -499,7 +496,7 @@ func (d *DNFSetF0) AddDNF(terms [][]int) error {
 func (d *DNFSetF0) AddDNFBatch(termss [][][]int) error {
 	fs := make([]*formula.DNF, len(termss))
 	for k, terms := range termss {
-		f, err := dnfFromTerms(d.n, terms)
+		f, err := dnfFromTerms(d.inner.N(), terms)
 		if err != nil {
 			return err
 		}
@@ -510,13 +507,24 @@ func (d *DNFSetF0) AddDNFBatch(termss [][][]int) error {
 }
 
 // AddElementBatch absorbs a chunk of plain elements (singleton sets) with
-// a single worker-pool dispatch.
+// a single worker-pool dispatch. Element x is the assignment whose
+// variables, read from variable 1, spell x in n binary digits. As with
+// F0.AddBatch, the whole chunk is validated first: an element that does
+// not fit the n-bit universe panics with nothing ingested.
 func (d *DNFSetF0) AddElementBatch(xs []uint64) {
-	batch := make([]bitvec.BitVec, len(xs))
-	for i, x := range xs {
-		batch[i] = bitvec.FromUint64(x, d.n)
+	n := d.inner.N()
+	for _, x := range xs {
+		checkElement(x, n)
 	}
-	d.inner.ProcessElementBatch(batch)
+	fs := make([]*formula.DNF, len(xs))
+	for k, x := range xs {
+		v := bitvec.New(n)
+		for i := 0; i < min(n, 64); i++ {
+			v.Set(n-1-i, x>>uint(i)&1 != 0)
+		}
+		fs[k] = formula.SingletonDNF(v)
+	}
+	d.inner.ProcessDNFBatch(fs)
 }
 
 // Estimate returns the approximate union size.
@@ -525,26 +533,28 @@ func (d *DNFSetF0) Estimate() float64 { return d.inner.Estimate() }
 // AffineF0 estimates F0 over a stream of affine spaces {x : Ax = b}
 // (Theorem 7), with n ≤ 64 and rows given as coefficient bitmasks (bit i of
 // rows[j] is the coefficient of variable i in row j).
-type AffineF0 struct {
-	n     int
-	inner *setstream.AffineStream
-}
+type AffineF0 struct{ inner *setstream.AffineStream }
 
 // NewAffineF0 builds an affine-stream sketch over an n-bit universe.
 func NewAffineF0(n int, cfg Config) (*AffineF0, error) {
 	if n < 1 || n > 64 {
 		return nil, fmt.Errorf("mcf0: universe width %d out of [1,64]", n)
 	}
-	return &AffineF0{n: n, inner: setstream.NewAffineStream(n, cfg.options())}, nil
+	opts := cfg.options()
+	if err := setstream.CheckShape([]int{n}, opts); err != nil {
+		return nil, err
+	}
+	return &AffineF0{setstream.NewAffineStream(n, opts)}, nil
 }
 
 // AddAffine absorbs {x : Ax = b}: row j's coefficients are the bits of
 // rows[j] (bit i ↔ variable i) and b's bit j is (rhs>>j)&1.
 func (a *AffineF0) AddAffine(rows []uint64, rhs uint64) {
-	m := gf2.NewMatrix(a.n)
+	n := a.inner.N()
+	m := gf2.NewMatrix(n)
 	for _, mask := range rows {
-		row := bitvec.New(a.n)
-		for i := 0; i < a.n; i++ {
+		row := bitvec.New(n)
+		for i := 0; i < n; i++ {
 			if mask&(1<<uint(i)) != 0 {
 				row.Set(i, true)
 			}

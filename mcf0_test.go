@@ -129,13 +129,108 @@ func TestProgressionF0(t *testing.T) {
 }
 
 func TestDNFSetF0(t *testing.T) {
-	d := NewDNFSetF0(10, fastCfg(11))
+	d, _ := NewDNFSetF0(10, fastCfg(11))
 	if err := d.AddDNF([][]int{{1, 2, 3, 4, 5, 6, 7}}); err != nil { // 8 solutions
 		t.Fatal(err)
 	}
 	d.AddElementBatch([]uint64{0}) // all-false assignment, not in the term above
 	if got := d.Estimate(); got != 9 {
 		t.Errorf("DNF set union = %g, want 9", got)
+	}
+}
+
+// TestDNFSetF0ElementBatch checks AddElementBatch against F0.AddBatch's
+// contract: an element outside the n-bit universe rejects the whole
+// batch with a panic, and elements of a universe wider than 64 bits are
+// the assignments AddDNF spells with the same literals.
+func TestDNFSetF0ElementBatch(t *testing.T) {
+	d, _ := NewDNFSetF0(4, fastCfg(15))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("element 1024 accepted by a 4-bit sketch")
+			}
+		}()
+		d.AddElementBatch([]uint64{3, 1024})
+	}()
+	if got := d.Estimate(); got != 0 {
+		t.Errorf("rejected batch left estimate %g, want 0", got)
+	}
+	d.AddElementBatch([]uint64{5})
+	e, _ := NewDNFSetF0(4, fastCfg(15))
+	if err := e.AddDNF([][]int{{-1, 2, -3, 4}}); err != nil { // 0101 = 5
+		t.Fatal(err)
+	}
+	if a, b := mustMarshal(t, d), mustMarshal(t, e); string(a) != string(b) {
+		t.Error("element 5 and the term -1 2 -3 4 leave different sketches")
+	}
+
+	const n = 70
+	wide, _ := NewDNFSetF0(n, fastCfg(16))
+	wide.AddElementBatch([]uint64{0, 1, 1 << 63, 1})
+	if got := wide.Estimate(); got != 3 {
+		t.Errorf("70-bit element union = %g, want 3", got)
+	}
+	lits := func(x uint64) []int { // x as a full 70-variable cube
+		term := make([]int, n)
+		for i := range term {
+			term[i] = -(i + 1)
+			if j := n - 1 - i; j < 64 && x>>uint(j)&1 != 0 {
+				term[i] = i + 1
+			}
+		}
+		return term
+	}
+	ref, _ := NewDNFSetF0(n, fastCfg(16))
+	for _, x := range []uint64{0, 1, 1 << 63} {
+		if err := ref.AddDNF([][]int{lits(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := mustMarshal(t, wide), mustMarshal(t, ref); string(a) != string(b) {
+		t.Error("70-bit elements and their cubes leave different sketches")
+	}
+}
+
+// TestSetStreamConstructorBounds checks that the set-stream constructors
+// refuse, without building anything, every shape whose snapshot the
+// decoder would refuse, and accept the widest dimension count it takes.
+func TestSetStreamConstructorBounds(t *testing.T) {
+	cfg := Config{Thresh: 2, Iterations: 1, Seed: 17}
+	ones := func(d int) []int {
+		w := make([]int, d)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	for name, build := range map[string]func() error{
+		"range/no dims":          func() error { _, err := NewRangeF0(nil, cfg); return err },
+		"range/1025 dims":        func() error { _, err := NewRangeF0(ones(1025), cfg); return err },
+		"range/1100 dims":        func() error { _, err := NewRangeF0(ones(1100), cfg); return err },
+		"range/64-bit dim":       func() error { _, err := NewRangeF0([]int{64}, cfg); return err },
+		"progression/no dims":    func() error { _, err := NewProgressionF0(nil, cfg); return err },
+		"progression/1025 dims":  func() error { _, err := NewProgressionF0(ones(1025), cfg); return err },
+		"dnf/n=0":                func() error { _, err := NewDNFSetF0(0, cfg); return err },
+		"dnf/n=65537":            func() error { _, err := NewDNFSetF0(1<<16+1, cfg); return err },
+		"dnf/n=70000":            func() error { _, err := NewDNFSetF0(70000, cfg); return err },
+		"dnf/slab over bound":    func() error { _, err := NewDNFSetF0(22, Config{Thresh: 1 << 12, Iterations: 1 << 12}); return err },
+		"affine/n=65":            func() error { _, err := NewAffineF0(65, cfg); return err },
+		"affine/copies 2^16+1":   func() error { _, err := NewAffineF0(8, Config{Iterations: 1<<16 + 1}); return err },
+		"affine/thresh 2^24+1":   func() error { _, err := NewAffineF0(8, Config{Thresh: 1<<24 + 1}); return err },
+		"progression/64-bit dim": func() error { _, err := NewProgressionF0([]int{64}, cfg); return err },
+	} {
+		if build() == nil {
+			t.Errorf("%s: constructor accepted a shape the decoder refuses", name)
+		}
+	}
+
+	r, err := NewRangeF0(ones(1024), cfg)
+	if err != nil {
+		t.Fatalf("1024 one-bit dimensions: %v", err)
+	}
+	if _, err := DecodeRangeF0(mustMarshal(t, r), 1); err != nil {
+		t.Fatalf("1024-dimension snapshot refused: %v", err)
 	}
 }
 

@@ -25,7 +25,6 @@
 //	          written to the tree, links every api entry, so what they call
 //	          counts as reached.
 //	test-ref  a reference or fixture that tests in two or more packages use
-//	deferred  code the ROADMAP accuracy item keeps or deletes
 //
 // Usage, from anywhere inside the module:
 //
@@ -51,7 +50,7 @@ import (
 
 var arches = []string{"amd64", "arm64"}
 
-var reasons = map[string]bool{"api": true, "test-ref": true, "deferred": true}
+var reasons = map[string]bool{"api": true, "test-ref": true}
 
 // apiDir is where the generated api main appears to live. It exists only
 // in the build's overlay.
@@ -353,7 +352,7 @@ func readAllowlist(r io.Reader) (map[string]string, error) {
 			continue
 		}
 		if len(f) != 2 || !reasons[f[1]] {
-			return nil, fmt.Errorf("allowlist line %d: want \"symbol api|test-ref|deferred\", got %q", n, sc.Text())
+			return nil, fmt.Errorf("allowlist line %d: want \"symbol api|test-ref\", got %q", n, sc.Text())
 		}
 		if _, dup := allow[f[0]]; dup {
 			return nil, fmt.Errorf("allowlist line %d: %s listed twice", n, f[0])

@@ -10,7 +10,7 @@ import (
 // fixtureAllow lists exactly the fixture's declarations that no fixture
 // binary links once both arches are read.
 const fixtureAllow = `
-fixture/lib.Dead deferred       # named only by a deduplicated data symbol
+fixture/lib.Dead test-ref       # named only by a deduplicated data symbol
 fixture/cmd/other.helper test-ref
 fixture/lib.Root api
 `
@@ -46,7 +46,7 @@ func TestCheckFixture(t *testing.T) {
 		{
 			name:      "main.helper of cmd/f0 does not mark cmd/other's helper",
 			arches:    arches,
-			allow:     "fixture/lib.Dead deferred\nfixture/lib.Root api\n",
+			allow:     "fixture/lib.Dead test-ref\nfixture/lib.Root api\n",
 			unreached: []string{"fixture/cmd/other.helper", "fixture/lib.Dead", "fixture/lib.Root"},
 			problems:  []string{"cmd/other/main.go:6 fixture/cmd/other.helper: unreached and not allowlisted"},
 		},
@@ -63,7 +63,7 @@ func TestCheckFixture(t *testing.T) {
 		{
 			name:      "an undeclared entry is stale",
 			arches:    arches,
-			allow:     fixtureAllow + "fixture/lib.Gone deferred\n",
+			allow:     fixtureAllow + "fixture/lib.Gone test-ref\n",
 			unreached: []string{"fixture/cmd/other.helper", "fixture/lib.Dead", "fixture/lib.Root"},
 			problems:  []string{"fixture/lib.Gone: stale allowlist entry, no longer declared"},
 		},
@@ -109,9 +109,10 @@ func TestCheckFixture(t *testing.T) {
 func TestReadAllowlistRejects(t *testing.T) {
 	for _, text := range []string{
 		"fixture/lib.Dead\n",                    // no reason
-		"fixture/lib.Dead unused\n",             // not one of the three reasons
+		"fixture/lib.Dead unused\n",             // not one of the two reasons
+		"fixture/lib.Dead deferred\n",           // a retired reason
 		"fixture/lib.Dead api extra\n",          // trailing field
-		"a.F api\nb.G deferred\na.F test-ref\n", // listed twice
+		"a.F api\nb.G test-ref\na.F test-ref\n", // listed twice
 	} {
 		if _, err := readAllowlist(strings.NewReader(text)); err == nil {
 			t.Errorf("readAllowlist(%q) accepted it", text)
