@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mcf0/internal/faultinject"
 	"mcf0/internal/server"
 )
 
@@ -37,14 +36,14 @@ func (c *testClock) advance(d time.Duration) {
 func TestDegradedModeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	clk := &testClock{t: time.Unix(1000, 0)}
-	chaos := faultinject.MustNew(faultinject.Config{Seed: 42})
+	chaos := newChaos(chaosConfig{Seed: 42})
 
 	s, ts := newServer(t, server.Config{
 		DataDir:         dir,
 		Now:             clk.now,
 		BreakerFailures: 2,
 		BreakerCooldown: time.Hour,
-		DiskHook:        chaos.DiskHook(),
+		DiskHook:        chaos.diskHook(),
 	})
 	base := ts.URL
 
@@ -62,7 +61,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	}
 
 	// The disk dies. Acked ingests continue; snapshots start failing.
-	chaos.BreakDisk()
+	chaos.breakDisk()
 	if status, _ := do(t, "POST", base+"/v1/sketches/s/add", testToken,
 		map[string]any{"elements": []uint64{4, 5}}); status != http.StatusOK {
 		t.Fatalf("add on dead disk: status %d (ingest must not depend on the disk)", status)
@@ -132,7 +131,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 
 	// The disk heals; a clean shutdown persists the dirty sketch even
 	// though the breaker never saw the recovery (shutdown bypasses it).
-	chaos.HealDisk()
+	chaos.healDisk()
 	if err := s.Shutdown(); err != nil {
 		t.Fatalf("shutdown snapshot after heal: %v", err)
 	}

@@ -112,6 +112,23 @@ func TestConfigBoundsBothRoutes(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesUndecodableShape sends a shape every field of which is
+// in bounds but whose sketch the snapshot decoder refuses: 16 Bucketing
+// copies of 2^20 + 1 32-bit cell rows are one row past kmv.MaxSlabWords.
+// The route must answer 400 invalid_config without building it (2 GB).
+func TestCreateRefusesUndecodableShape(t *testing.T) {
+	route := newAddRoute(t)
+	api := &API{Registry: route.reg, Metrics: route.met}
+	rec := route.serve(api.Create, "POST", "/v1/sketches", "",
+		[]byte(`{"name":"big","bits":32,"algorithm":"bucketing","thresh":1048576,"iterations":16,"replicas":1}`))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"invalid_config"`) {
+		t.Fatalf("undecodable shape: %d %s, want 400 invalid_config", rec.Code, rec.Body)
+	}
+	if _, err := route.reg.Get("t", "big"); err == nil {
+		t.Fatal("refused sketch was registered")
+	}
+}
+
 // createBodyCases seed FuzzCreateBody beside the docs/API.md example:
 // each edge of bits, thresh, iterations, replicas and epsilon, unknown
 // algorithms and names, and malformed bodies.
@@ -154,7 +171,8 @@ const fuzzCreateMaxCells = 1 << 18
 
 // FuzzCreateBody drives POST /v1/sketches through the authenticated
 // route: no body may panic or answer 5xx, and an accepted body answers
-// 201 with a registered sketch at the resolved thresh and iterations.
+// 201 with a registered sketch at the resolved thresh and iterations
+// whose snapshot decodes through DecodeConcurrentF0.
 func FuzzCreateBody(f *testing.F) {
 	raw, err := os.ReadFile("../../../docs/API.md")
 	if err != nil {
@@ -203,8 +221,23 @@ func FuzzCreateBody(f *testing.F) {
 			t.Fatalf("body %q: created %+v, want name %q thresh %d iterations %d",
 				body, s, req.Name, want.Thresh, want.Iterations)
 		}
-		if _, err := route.reg.Get("t", req.Name); err != nil {
+		sk, err := route.reg.Get("t", req.Name)
+		if err != nil {
 			t.Fatalf("body %q: answered 201 but the registry has no sketch: %v", body, err)
+		}
+		// The registry keeps its front private; one built from the
+		// registered config has the same shape.
+		front, err := mcf0.NewConcurrentF0(sk.Config.Bits, mcf0.Algorithm(sk.Config.Algorithm),
+			sk.Config.MCF0Config(), 1)
+		if err != nil {
+			t.Fatalf("body %q: registered config %+v does not build: %v", body, sk.Config, err)
+		}
+		blob, err := front.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mcf0.DecodeConcurrentF0(blob, 1); err != nil {
+			t.Fatalf("body %q: answered 201 but its snapshot does not decode: %v", body, err)
 		}
 	})
 }

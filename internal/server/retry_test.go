@@ -1,4 +1,4 @@
-package loadgen
+package server_test
 
 import (
 	"fmt"
@@ -10,8 +10,8 @@ import (
 )
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{Max: 8, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Seed: 7}
-	q := RetryPolicy{Max: 8, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Seed: 7}
+	p := retryPolicy{Max: 8, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Seed: 7}
+	q := retryPolicy{Max: 8, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Seed: 7}
 	for attempt := 0; attempt < 8; attempt++ {
 		for idx := uint64(0); idx < 50; idx++ {
 			d1 := p.backoff(attempt, idx, 0)
@@ -29,7 +29,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		}
 	}
 	// A different seed draws a different schedule.
-	r := RetryPolicy{Max: 8, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Seed: 8}
+	r := retryPolicy{Max: 8, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Seed: 8}
 	same := 0
 	for idx := uint64(0); idx < 50; idx++ {
 		if p.backoff(3, idx, 0) == r.backoff(3, idx, 0) {
@@ -42,7 +42,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 }
 
 func TestBackoffHonorsRetryAfter(t *testing.T) {
-	p := RetryPolicy{Base: time.Millisecond, Cap: 2 * time.Second, Seed: 1}
+	p := retryPolicy{Base: time.Millisecond, Cap: 2 * time.Second, Seed: 1}
 	if d := p.backoff(0, 0, time.Second); d != time.Second {
 		t.Fatalf("backoff with Retry-After 1s = %v, want the 1s floor", d)
 	}
@@ -67,18 +67,12 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// newRetryTarget points an HTTPTarget with an instant-sleep retry policy
+// newRetryTarget points an httpTarget with an instant-sleep retry policy
 // at a test server.
-func newRetryTarget(t *testing.T, ts *httptest.Server, max int) (*HTTPTarget, *atomic.Int64) {
-	t.Helper()
+func newRetryTarget(ts *httptest.Server, max int) (*httpTarget, *atomic.Int64) {
 	var slept atomic.Int64
-	target, err := NewHTTPTarget(HTTPConfig{
-		BaseURL: ts.URL, Sketch: "s", Client: ts.Client(),
-		Retry: RetryPolicy{Max: max, Seed: 3, Sleep: func(time.Duration) { slept.Add(1) }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := newHTTPTarget(ts.URL, "", "s", ts.Client(),
+		retryPolicy{Max: max, Seed: 3, Sleep: func(time.Duration) { slept.Add(1) }})
 	return target, &slept
 }
 
@@ -94,7 +88,7 @@ func TestDoRetriesTransientStatus(t *testing.T) {
 		fmt.Fprint(w, `{"estimate": 12.5}`)
 	}))
 	defer ts.Close()
-	target, slept := newRetryTarget(t, ts, 5)
+	target, slept := newRetryTarget(ts, 5)
 	est, err := target.Estimate()
 	if err != nil || est != 12.5 {
 		t.Fatalf("Estimate = (%v, %v), want (12.5, nil)", est, err)
@@ -117,7 +111,7 @@ func TestDoRetriesDecodeError(t *testing.T) {
 		fmt.Fprint(w, `{"estimate": 12.5}`)
 	}))
 	defer ts.Close()
-	target, _ := newRetryTarget(t, ts, 5)
+	target, _ := newRetryTarget(ts, 5)
 	est, err := target.Estimate()
 	if err != nil || est != 12.5 {
 		t.Fatalf("Estimate = (%v, %v), want (12.5, nil)", est, err)
@@ -135,7 +129,7 @@ func TestDoNeverRetriesClientErrors(t *testing.T) {
 		fmt.Fprint(w, `{"error":{"code":"not_found","message":"no such sketch"}}`)
 	}))
 	defer ts.Close()
-	target, _ := newRetryTarget(t, ts, 5)
+	target, _ := newRetryTarget(ts, 5)
 	if _, err := target.Estimate(); err == nil {
 		t.Fatal("404 did not surface as an error")
 	}
@@ -151,7 +145,7 @@ func TestDoExhaustsBudget(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	target, _ := newRetryTarget(t, ts, 3)
+	target, _ := newRetryTarget(ts, 3)
 	if _, err := target.Estimate(); err == nil {
 		t.Fatal("persistent 500 did not surface after the budget")
 	}
@@ -167,10 +161,7 @@ func TestZeroPolicyIsSingleShot(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	target, err := NewHTTPTarget(HTTPConfig{BaseURL: ts.URL, Sketch: "s", Client: ts.Client()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := newHTTPTarget(ts.URL, "", "s", ts.Client(), retryPolicy{})
 	if _, err := target.Estimate(); err == nil {
 		t.Fatal("503 did not surface")
 	}

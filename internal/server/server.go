@@ -72,7 +72,7 @@ type Config struct {
 	BreakerFailures int
 	BreakerCooldown time.Duration
 	// DiskHook, when non-nil, intercepts every snapshot disk operation —
-	// the fault-injection seam (see internal/faultinject).
+	// the fault-injection seam the chaos tests drive.
 	DiskHook state.DiskHook
 }
 

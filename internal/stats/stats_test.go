@@ -26,8 +26,8 @@ func TestRNGDeterministic(t *testing.T) {
 }
 
 // TestMix64Pinned pins the splitmix64 finalizer to reference outputs:
-// RNG.Uint64, faultinject.U64At, the loadgen op mixer and the bitvec
-// fingerprint all derive from it, so every fixed-seed stream in the
+// RNG.Uint64, the server load and chaos test fixtures' op mixer and
+// fault draws, and the bitvec fingerprint all derive from it, so every fixed-seed stream in the
 // repository depends on these values.
 func TestMix64Pinned(t *testing.T) {
 	for _, c := range []struct{ in, want uint64 }{

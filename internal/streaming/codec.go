@@ -19,6 +19,7 @@
 package streaming
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 
@@ -40,6 +41,62 @@ const (
 // the shared copy and threshold bounds are kmv.MaxCopies and
 // kmv.MaxThresh.
 const maxSketchBits = 64
+
+// fits reports whether a sketch of the given wire kind over n-bit
+// elements, t copies of thresh each, is inside the decode bounds: 1 ≤ n ≤
+// 64, 1 ≤ thresh ≤ kmv.MaxThresh, 1 ≤ t ≤ kmv.MaxCopies, and the kind's
+// largest block within kmv.MaxSlabWords — Bucketing's t·(thresh+1) n-bit
+// cell rows, Minimum's kmv.Sketch (kmv.Fits) and Estimation's t×thresh
+// hash grid. The Bucketing rows bound also bounds its cell tables: a
+// table has fewer than 4·(thresh+1) int32 entries, so the tables hold
+// fewer than twice the words of 64-bit rows, and no separate table bound
+// can reject a shape the rows bound admits.
+func fits(kind byte, n, thresh, t int) bool {
+	if n < 1 || n > maxSketchBits || thresh < 1 || thresh > kmv.MaxThresh ||
+		t < 1 || t > kmv.MaxCopies {
+		return false
+	}
+	switch kind {
+	case wire.KindBucketing:
+		return uint64(t)*uint64(thresh+1)*uint64((n+63)/64) <= kmv.MaxSlabWords
+	case wire.KindMinimum:
+		return kmv.Fits(n, thresh, t)
+	case wire.KindEstimation:
+		return uint64(t)*uint64(thresh) <= kmv.MaxSlabWords
+	}
+	return true
+}
+
+// New builds a sketch of the given wire kind (wire.KindBucketing,
+// KindMinimum or KindEstimation) over n-bit elements. It refuses, before
+// allocating, every shape at opts' resolved Thresh and Iterations that
+// the kind's snapshot decoder would refuse.
+func New(kind byte, n int, opts Options) (Sketch, error) {
+	if o := opts.Resolve(0); !fits(kind, n, o.Thresh, o.Iterations) {
+		return nil, fmt.Errorf("streaming: %d copies of thresh %d over %d bits exceed the decode bound",
+			o.Iterations, o.Thresh, n)
+	}
+	switch kind {
+	case wire.KindBucketing:
+		return NewBucketing(n, opts), nil
+	case wire.KindMinimum:
+		return NewMinimum(n, opts), nil
+	case wire.KindEstimation:
+		return NewEstimation(n, opts), nil
+	}
+	return nil, fmt.Errorf("streaming: no constructor for sketch kind %#02x", kind)
+}
+
+// checkShape is fits for decoders: it fails r on a shape outside the
+// bounds.
+func checkShape(r *wire.Reader, kind byte, n, thresh, t int) bool {
+	if !fits(kind, n, thresh, t) {
+		r.Corrupt("sketch kind %#02x shape n=%d thresh=%d t=%d outside the decode bound",
+			kind, n, thresh, t)
+		return false
+	}
+	return true
+}
 
 // SketchBits returns the universe width (element bits) of s. Wrapper
 // layers use it to cross-check their own recorded width against a
@@ -135,15 +192,6 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *Bucketing) MarshalBinary() ([]byte, error) { return b.appendBinary(nil), nil }
 
-// checkBucketingSlab bounds the cell rows, t·(thresh+1) n-bit rows, by
-// kmv.MaxSlabWords. That also bounds the cell tables: a table has fewer
-// than 4·(thresh+1) int32 entries, so the tables hold fewer than twice
-// the words of 64-bit rows, and no separate table bound can reject a
-// shape the rows bound admits.
-func checkBucketingSlab(r *wire.Reader, n, thresh, t int) bool {
-	return kmv.CheckSlab(r, t*(thresh+1), n)
-}
-
 func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 	v := r.Header(wire.KindBucketing)
 	if !r.CheckVersion(wire.KindBucketing, v, bucketingVersion) {
@@ -155,11 +203,7 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 	if r.Err() != nil {
 		return nil
 	}
-	if n < 1 || thresh < 1 || t < 1 {
-		r.Corrupt("bucketing shape n=%d thresh=%d t=%d", n, thresh, t)
-		return nil
-	}
-	if !checkBucketingSlab(r, n, thresh, t) {
+	if !checkShape(r, wire.KindBucketing, n, thresh, t) {
 		return nil
 	}
 	b := newBucketing(n, thresh, t, newEngine(parallelism, minBatchCheap))
@@ -279,12 +323,7 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 	if r.Err() != nil {
 		return nil
 	}
-	if n < 1 || thresh < 1 || t < 1 {
-		r.Corrupt("estimation shape n=%d thresh=%d t=%d", n, thresh, t)
-		return nil
-	}
-	if uint64(t)*uint64(thresh) > kmv.MaxSlabWords {
-		r.Corrupt("estimation grid %dx%d exceeds decode bound", t, thresh)
+	if !checkShape(r, wire.KindEstimation, n, thresh, t) {
 		return nil
 	}
 	e := &Estimation{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchEstimation)}

@@ -174,9 +174,8 @@ func TestBucketingSlabBound(t *testing.T) {
 	if tableWords := iters * tableSize(thresh+1) / 2; tableWords <= kmv.MaxSlabWords {
 		t.Fatalf("ε=0.025 tables hold %d words, within the slab bound: case lost its point", tableWords)
 	}
-	r := wire.NewReader(header(n, thresh, iters))
-	if !checkBucketingSlab(r, n, thresh, iters) || r.Err() != nil {
-		t.Fatalf("thresh %d × %d copies refused: %v", thresh, iters, r.Err())
+	if !fits(wire.KindBucketing, n, thresh, iters) {
+		t.Fatalf("thresh %d × %d copies refused", thresh, iters)
 	}
 
 	if _, err := DecodeSketch(header(n, 1<<20, 16), 1); !errors.Is(err, wire.ErrCorrupt) {

@@ -47,6 +47,7 @@ import (
 	"mcf0/internal/setstream"
 	"mcf0/internal/stats"
 	"mcf0/internal/streaming"
+	"mcf0/internal/wire"
 )
 
 // Algorithm selects a counting or sketching strategy.
@@ -333,23 +334,28 @@ type F0 struct {
 	batch elemBatch // AddBatch's batch scratch (single writer)
 }
 
+// f0Kinds maps each F0 algorithm to its sketch's wire kind.
+var f0Kinds = map[Algorithm]byte{
+	"":                  wire.KindBucketing,
+	AlgorithmBucketing:  wire.KindBucketing,
+	AlgorithmMinimum:    wire.KindMinimum,
+	AlgorithmEstimation: wire.KindEstimation,
+}
+
 // NewF0 builds an F0 sketch using the selected algorithm
-// (AlgorithmBucketing, AlgorithmMinimum, or AlgorithmEstimation).
+// (AlgorithmBucketing, AlgorithmMinimum, or AlgorithmEstimation). It
+// refuses, before allocating, every shape DecodeF0 would refuse.
 func NewF0(nBits int, alg Algorithm, cfg Config) (*F0, error) {
 	if nBits < 1 || nBits > 64 {
 		return nil, fmt.Errorf("mcf0: universe width %d out of [1,64]", nBits)
 	}
-	opts := cfg.options()
-	var sk streaming.Sketch
-	switch alg {
-	case AlgorithmBucketing, "":
-		sk = streaming.NewBucketing(nBits, opts)
-	case AlgorithmMinimum:
-		sk = streaming.NewMinimum(nBits, opts)
-	case AlgorithmEstimation:
-		sk = streaming.NewEstimation(nBits, opts)
-	default:
+	kind, ok := f0Kinds[alg]
+	if !ok {
 		return nil, fmt.Errorf("mcf0: unknown F0 algorithm %q", alg)
+	}
+	sk, err := streaming.New(kind, nBits, cfg.options())
+	if err != nil {
+		return nil, err
 	}
 	return &F0{nBits: nBits, sk: sk}, nil
 }

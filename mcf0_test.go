@@ -234,6 +234,30 @@ func TestSetStreamConstructorBounds(t *testing.T) {
 	}
 }
 
+// TestF0ConstructorBounds checks that NewF0 refuses, before allocating,
+// every shape DecodeF0 refuses, per kind at its own largest block.
+func TestF0ConstructorBounds(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+		alg  Algorithm
+		cfg  Config
+	}{
+		// 16·(2^20+1) 32-bit cell rows: one row past kmv.MaxSlabWords.
+		{"bucketing/rows over bound", 32, AlgorithmBucketing, Config{Thresh: 1 << 20, Iterations: 16}},
+		// 16·2^20 192-bit minima: three words a row.
+		{"minimum/slab over bound", 64, AlgorithmMinimum, Config{Thresh: 1 << 20, Iterations: 16}},
+		// A 17×2^20 hash grid.
+		{"estimation/grid over bound", 8, AlgorithmEstimation, Config{Thresh: 1 << 20, Iterations: 17}},
+		{"bucketing/thresh 2^24+1", 8, AlgorithmBucketing, Config{Thresh: 1<<24 + 1, Iterations: 1}},
+		{"minimum/copies 2^16+1", 8, AlgorithmMinimum, Config{Thresh: 1, Iterations: 1<<16 + 1}},
+	} {
+		if _, err := NewF0(c.n, c.alg, c.cfg); err == nil {
+			t.Errorf("%s: NewF0 accepted a shape the decoder refuses", c.name)
+		}
+	}
+}
+
 func TestAffineF0(t *testing.T) {
 	a, err := NewAffineF0(10, fastCfg(13))
 	if err != nil {

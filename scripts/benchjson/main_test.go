@@ -115,7 +115,7 @@ func TestBuildReportRatios(t *testing.T) {
 }
 
 // TestNoteAppend: -note appends the environment caveat to the standard
-// document note (the nproc=1 path bench.sh and load.sh use).
+// document note (the nproc=1 path bench.sh uses).
 func TestNoteAppend(t *testing.T) {
 	plain := build(t, []string{"testdata/baseline.txt"}, []string{"testdata/current.txt"}, "")
 	if !strings.Contains(plain.Note, "go test -bench") || strings.Contains(plain.Note, "nproc") {
