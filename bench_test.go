@@ -65,6 +65,33 @@ func BenchmarkE1ApproxMC(b *testing.B) {
 		b.ReportMetric(float64(queries)/float64(b.N), "oracle-calls/op")
 		b.ReportMetric(float64(src.SolverStats().Conflicts)/float64(b.N), "conflicts/op")
 	})
+	// Two 20-variable 3-CNF bands whose models overflow the 2·Thresh
+	// solution pool, so every trial asks the oracle and the pool's extra
+	// level-0 queries are pure overhead. Op i counts formula i mod 10.
+	for _, band := range []struct {
+		name    string
+		clauses int
+		lo, hi  uint64
+	}{
+		{"CNF/n=20/3cnf-1000-1400-models", 51, 1000, 1400},
+		{"CNF/n=20/3cnf-2^14-2^16-models", 28, 1 << 14, 1 << 16},
+	} {
+		var srcs []*oracle.CNFSource
+		for seed := uint64(0); len(srcs) < 10; seed++ {
+			c := formula.RandomKCNF(20, band.clauses, 3, stats.NewRNG(seed))
+			if models := exact.CountCNF(c); band.lo <= models && models < band.hi {
+				srcs = append(srcs, oracle.NewCNFSource(c))
+			}
+		}
+		b.Run(band.name, func(b *testing.B) {
+			var queries int64
+			for i := 0; i < b.N; i++ {
+				opts := counting.Options{RNG: stats.NewRNG(uint64(i)), Parallelism: 1}
+				queries += counting.ApproxMC(srcs[i%len(srcs)], opts).OracleQueries
+			}
+			b.ReportMetric(float64(queries)/float64(b.N), "oracle-calls/op")
+		})
+	}
 }
 
 // BenchmarkE2MinDNF times Algorithm 6 (Minimum), the DNF FPRAS, across the

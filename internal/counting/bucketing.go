@@ -6,6 +6,7 @@ import (
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/oracle"
+	"mcf0/internal/par"
 	"mcf0/internal/stats"
 )
 
@@ -47,13 +48,24 @@ func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bit
 // binary search of ApproxMC2, reducing oracle calls from O(n) to O(log n)
 // per trial (ablation A2).
 //
-// Each distinct cell is asked once. The level-0 cell has no hash rows, so
-// it is the same for every trial: it is enumerated once, on its own
-// source, and when it is below Thresh every trial returns it with no
-// further oracle call. Deeper cells are seeded with the solutions of the
-// coarser cell the search holds (BoundedSAT's coarser argument), which
-// changes which solutions the oracle is asked for but never a cell's
-// count, so the located prefix and the estimate are unaffected.
+// One solution pool serves every trial. The level-0 cell has no hash
+// rows, so it is Sol(φ) for every trial: it is enumerated once, on its
+// own source, up to the pool bound 2·Thresh. Every cell of every trial is
+// a subset of it (Section 3.2), so:
+//   - when Sol(φ) runs out below the bound, the pool is all of Sol(φ) and
+//     each trial is answered from it with no oracle call: hᵢ is evaluated
+//     once per pool member, and the smallest m whose cell holds fewer than
+//     Thresh members (capped at n) is read off a histogram of zero-prefix
+//     lengths (prefixFromPool) — the m the linear scan and the binary
+//     search both locate, since cells shrink as m grows;
+//   - otherwise each trial searches with the oracle, its cells seeded
+//     with the pool members they contain (BoundedSAT's coarser argument),
+//     and deeper cells with the coarser cell the search holds.
+//
+// A cell's count min(Thresh, |cell|) does not depend on which solutions
+// the oracle returns, so the located prefix and the estimate are those of
+// asking every cell afresh; only OracleQueries, the SAT calls actually
+// made, is lower.
 //
 // The t trials are independent and run across Options.Parallelism workers:
 // all hash functions are drawn serially up front (the only randomness in a
@@ -76,25 +88,59 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 	for i := range hs {
 		hs[i] = fam.Draw(p.RNG.Uint64).(*hash.Linear)
 	}
-	// Sources 0…t−1 serve the trials; source t serves level 0, where any
-	// trial's h has no rows to add.
-	ts, workers := newTrialSources(src, t+1, p.Parallelism)
 	before := src.Queries()
-	c0, sols0 := BoundedSAT(ts.at(t), hs[0], 0, thresh)
-	ts.release(t)
-	runTrials(t, workers, func(i int) {
-		var m, c int
-		if opts.BinarySearch {
-			m, c = searchPrefixBinary(ts.at(i), hs[i], thresh, c0, sols0)
-		} else {
-			m, c = searchPrefixLinear(ts.at(i), hs[i], thresh, c0, sols0)
-		}
-		ts.release(i)
-		res.PerIteration[i] = float64(c) * math.Pow(2, float64(m))
-	})
-	res.OracleQueries = ts.queriesSince(before)
+	lvl0, _ := newTrialSources(src, 1, 1)
+	limit := thresh + min(thresh, math.MaxInt-thresh) // 2·Thresh, saturating
+	_, pool := BoundedSAT(lvl0.at(0), hs[0], 0, limit)
+	lvl0.release(0)
+	res.OracleQueries = lvl0.queriesSince(before)
+	estimate := func(i, m, c int) { res.PerIteration[i] = float64(c) * math.Pow(2, float64(m)) }
+	if len(pool) < limit {
+		workers := par.Workers(p.Parallelism)
+		shards := par.ShardCount(t, workers)
+		hists := make([]int, shards*(n+1))
+		scratch := bitvec.NewSlab(n, shards)
+		par.RunSharded(t, workers, func(i, shard int) {
+			m, c := prefixFromPool(hs[i], pool, thresh, hists[shard*(n+1):(shard+1)*(n+1)], scratch[shard])
+			estimate(i, m, c)
+		})
+	} else {
+		before = src.Queries()
+		ts, workers := newTrialSources(src, t, p.Parallelism)
+		runTrials(t, workers, func(i int) {
+			var m, c int
+			if opts.BinarySearch {
+				m, c = searchPrefixBinary(ts.at(i), hs[i], thresh, thresh, pool)
+			} else {
+				m, c = searchPrefixLinear(ts.at(i), hs[i], thresh, thresh, pool)
+			}
+			ts.release(i)
+			estimate(i, m, c)
+		})
+		res.OracleQueries += ts.queriesSince(before)
+	}
 	res.Estimate = stats.Median(res.PerIteration)
 	return res
+}
+
+// prefixFromPool locates h's prefix length from a pool holding all of
+// Sol(φ), with no oracle call: hist (n+1 counters, overwritten) counts the
+// members by the length of the all-zero prefix of h(x), so |cell_m| is
+// the sum of hist[m…n]. It returns the smallest m with |cell_m| < thresh,
+// or n when there is none, and min(thresh, |cell_m|) — what
+// searchPrefixLinear and searchPrefixBinary return on the oracle.
+func prefixFromPool(h *hash.Linear, pool []bitvec.BitVec, thresh int, hist []int, scratch bitvec.BitVec) (int, int) {
+	clear(hist)
+	for _, x := range pool {
+		hist[h.ZeroPrefixLen(x, scratch)]++
+	}
+	n := h.InBits()
+	m, c := 0, len(pool)
+	for c >= thresh && m < n {
+		c -= hist[m]
+		m++
+	}
+	return m, min(c, thresh)
 }
 
 // searchPrefixLinear scans m = 1, 2, … from the level-0 cell (count c0,

@@ -9,9 +9,11 @@ import (
 // Trials use the dynamic pool (par.Run): per-trial cost is dominated by
 // SAT-oracle calls whose cost varies by orders of magnitude, so dynamic
 // index hand-out balances load where the static block partition the sketch
-// layers use (par.RunSharded) would idle workers. The median-trial loops
-// of Algorithms 5–7 (and the Karp–Luby baseline) are embarrassingly
-// parallel once two sequential dependencies are removed:
+// layers use (par.RunSharded) would idle workers. ApproxMC's trials over a
+// complete solution pool make no oracle call and all cost the same, so
+// they take the static partition, with one scratch per shard. The
+// median-trial loops of Algorithms 5–7 (and the Karp–Luby baseline) are
+// embarrassingly parallel once two sequential dependencies are removed:
 //
 //   - randomness: all hash functions and per-trial RNG seeds are drawn
 //     serially before the pool starts, in the same order a serial run

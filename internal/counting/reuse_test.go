@@ -2,8 +2,10 @@ package counting
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"mcf0/internal/exact"
 	"mcf0/internal/formula"
 	"mcf0/internal/oracle"
 	"mcf0/internal/stats"
@@ -20,27 +22,37 @@ func e1Options(seed uint64, binary bool, par int) Options {
 		RNG: stats.NewRNG(seed), BinarySearch: binary, Parallelism: par}
 }
 
+// TestApproxMCReusedSolverMatchesFresh runs ApproxMC on a CNF whose
+// models fit the 2·Thresh solution pool (42 at Thresh 24: every trial is
+// answered from the pool) and on one whose models do not (1,172: every
+// trial asks the oracle), at parallelism 1, 2 and GOMAXPROCS, on a source
+// reused across runs and on a fresh one. Estimate, PerIteration and
+// OracleQueries must equal the serial fresh run's in every case.
 func TestApproxMCReusedSolverMatchesFresh(t *testing.T) {
-	rng := stats.NewRNG(811)
-	cnf, _ := formula.PlantedKCNF(14, 21, 3, rng)
-	for _, binary := range []bool{false, true} {
-		for _, par := range []int{1, 4} {
-			reused := oracle.NewCNFSource(cnf)
-			for seed := uint64(0); seed < 3; seed++ {
-				fresh := oracle.NewCNFSource(cnf)
-				want := ApproxMC(fresh, e1Options(seed, binary, par))
-				got := ApproxMC(reused, e1Options(seed, binary, par))
-				if got.Estimate != want.Estimate {
-					t.Fatalf("bin=%v par=%d seed=%d: reused estimate %g, fresh %g",
-						binary, par, seed, got.Estimate, want.Estimate)
-				}
-				if !reflect.DeepEqual(got.PerIteration, want.PerIteration) {
-					t.Fatalf("bin=%v par=%d seed=%d: per-iteration %v vs %v",
-						binary, par, seed, got.PerIteration, want.PerIteration)
-				}
-				if got.OracleQueries != want.OracleQueries {
-					t.Fatalf("bin=%v par=%d seed=%d: reused queries %d, fresh %d",
-						binary, par, seed, got.OracleQueries, want.OracleQueries)
+	complete, _ := formula.PlantedKCNF(12, 40, 3, stats.NewRNG(3))
+	incomplete, _ := formula.PlantedKCNF(14, 21, 3, stats.NewRNG(811))
+	pool := 2 * e1Options(0, false, 1).thresh()
+	for _, c := range []struct {
+		name     string
+		cnf      *formula.CNF
+		complete bool
+	}{{"complete", complete, true}, {"incomplete", incomplete, false}} {
+		if models := exact.CountCNF(c.cnf); (models < uint64(pool)) != c.complete {
+			t.Fatalf("%s: %d models against a pool bound of %d", c.name, models, pool)
+		}
+		for _, binary := range []bool{false, true} {
+			for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+				reused := oracle.NewCNFSource(c.cnf)
+				for seed := uint64(0); seed < 3; seed++ {
+					want := ApproxMC(oracle.NewCNFSource(c.cnf), e1Options(seed, binary, 1))
+					fresh := ApproxMC(oracle.NewCNFSource(c.cnf), e1Options(seed, binary, par))
+					got := ApproxMC(reused, e1Options(seed, binary, par))
+					for side, r := range map[string]Result{"fresh": fresh, "reused": got} {
+						if !reflect.DeepEqual(r, want) {
+							t.Fatalf("%s bin=%v par=%d seed=%d: %s source %+v, serial fresh %+v",
+								c.name, binary, par, seed, side, r, want)
+						}
+					}
 				}
 			}
 		}

@@ -147,6 +147,28 @@ func (l *Linear) PrefixIsZero(x bitvec.BitVec, m int) bool {
 	return true
 }
 
+// ZeroPrefixLen returns the length of the all-zero prefix of h(x): the
+// largest m with PrefixIsZero(x, m). Toeplitz draws with a carry-less
+// kernel evaluate h(x) into scratch (caller-owned, width OutBits) with
+// EvalInto; other draws test rows in order and stop at the first nonzero
+// output bit, about two row products for an x that h maps uniformly.
+func (l *Linear) ZeroPrefixLen(x, scratch bitvec.BitVec) int {
+	m := l.A.Rows()
+	if l.toep != nil {
+		l.toep.evalInto(x, scratch, l.B)
+		if i := scratch.FirstSet(); i >= 0 {
+			return i
+		}
+		return m
+	}
+	for i := 0; i < m; i++ {
+		if l.A.Row(i).Dot(x) != l.B.Get(i) {
+			return i
+		}
+	}
+	return m
+}
+
 // ZeroPrefixSystem returns the linear system over x expressing
 // h_m(x) = 0^m, i.e. A_m·x = b_m. Model counters conjoin this with φ.
 func (l *Linear) ZeroPrefixSystem(m int) *gf2.System {

@@ -136,6 +136,33 @@ func TestPrefixSliceConsistency(t *testing.T) {
 	}
 }
 
+// TestZeroPrefixLen checks ZeroPrefixLen against PrefixIsZero on draws
+// with the carry-less kernel (Toeplitz, narrow) and without it (Toeplitz
+// past the kernel's width, H_xor), including outputs that are all zero.
+func TestZeroPrefixLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	zero := 0
+	for _, fam := range []Family{NewToeplitz(1, 1), NewToeplitz(3, 3), NewToeplitz(65, 65),
+		NewToeplitz(300, 300), NewXor(3, 3), NewXor(70, 70)} {
+		n := fam.InBits()
+		scratch := bitvec.New(fam.OutBits())
+		for k := 0; k < 50; k++ {
+			f := fam.Draw(rng.Uint64).(*Linear)
+			x := bitvec.Random(n, rng.Uint64)
+			got := f.ZeroPrefixLen(x, scratch)
+			if !f.PrefixIsZero(x, got) || got < f.OutBits() && f.PrefixIsZero(x, got+1) {
+				t.Fatalf("%s(%d): ZeroPrefixLen %d disagrees with PrefixIsZero", fam.Name(), n, got)
+			}
+			if got == f.OutBits() {
+				zero++
+			}
+		}
+	}
+	if zero == 0 {
+		t.Error("no draw mapped x to zero")
+	}
+}
+
 func TestZeroPrefixSystemMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 6
