@@ -50,8 +50,8 @@ func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bit
 //
 // One solution pool serves every trial. The level-0 cell has no hash
 // rows, so it is Sol(φ) for every trial: it is enumerated once, on its
-// own source, up to the pool bound 2·Thresh. Every cell of every trial is
-// a subset of it (Section 3.2), so:
+// own fork of src, up to the pool bound 2·Thresh. Every cell of every
+// trial is a subset of it (Section 3.2), so:
 //   - when Sol(φ) runs out below the bound, the pool is all of Sol(φ) and
 //     each trial is answered from it with no oracle call: hᵢ is evaluated
 //     once per pool member, and the smallest m whose cell holds fewer than
@@ -69,9 +69,9 @@ func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bit
 //
 // The t trials are independent and run across Options.Parallelism workers:
 // all hash functions are drawn serially up front (the only randomness in a
-// trial), and stateful oracle backends are forked per trial at every
-// parallelism, so results and oracle-query totals are identical to a
-// serial run for a fixed seed.
+// trial), and level 0 and every searching trial run on their own fork of
+// src at every parallelism, so results and oracle-query totals are
+// identical to a serial run for a fixed seed.
 func ApproxMC(src oracle.Source, opts Options) Result {
 	n := src.NVars()
 	p := opts.resolve()
@@ -88,12 +88,11 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 	for i := range hs {
 		hs[i] = fam.Draw(p.RNG.Uint64).(*hash.Linear)
 	}
-	before := src.Queries()
-	lvl0, _ := newTrialSources(src, 1, 1)
+	lvl0 := src.Fork()
 	limit := thresh + min(thresh, math.MaxInt-thresh) // 2·Thresh, saturating
-	_, pool := BoundedSAT(lvl0.at(0), hs[0], 0, limit)
-	lvl0.release(0)
-	res.OracleQueries = lvl0.queriesSince(before)
+	_, pool := BoundedSAT(lvl0, hs[0], 0, limit)
+	release(lvl0)
+	res.OracleQueries = lvl0.Queries()
 	estimate := func(i, m, c int) { res.PerIteration[i] = float64(c) * math.Pow(2, float64(m)) }
 	if len(pool) < limit {
 		workers := par.Workers(p.Parallelism)
@@ -105,19 +104,18 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 			estimate(i, m, c)
 		})
 	} else {
-		before = src.Queries()
-		ts, workers := newTrialSources(src, t, p.Parallelism)
-		runTrials(t, workers, func(i int) {
+		srcs := trialForks(t, src.Fork)
+		par.Run(t, p.Parallelism, func(i int) {
 			var m, c int
 			if opts.BinarySearch {
-				m, c = searchPrefixBinary(ts.at(i), hs[i], thresh, thresh, pool)
+				m, c = searchPrefixBinary(srcs[i], hs[i], thresh, thresh, pool)
 			} else {
-				m, c = searchPrefixLinear(ts.at(i), hs[i], thresh, thresh, pool)
+				m, c = searchPrefixLinear(srcs[i], hs[i], thresh, thresh, pool)
 			}
-			ts.release(i)
+			release(srcs[i])
 			estimate(i, m, c)
 		})
-		res.OracleQueries += ts.queriesSince(before)
+		res.OracleQueries += queries(srcs)
 	}
 	res.Estimate = stats.Median(res.PerIteration)
 	return res

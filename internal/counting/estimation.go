@@ -6,6 +6,7 @@ import (
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/oracle"
+	"mcf0/internal/par"
 	"mcf0/internal/stats"
 )
 
@@ -70,47 +71,43 @@ func FindMaxRangeLinear(src oracle.Source, h *hash.Linear) int {
 
 // ApproxModelCountEst implements Algorithm 7, the Estimation-based counter.
 // It draws t × Thresh hash functions from the s-wise independent polynomial
-// family (s = O(log 1/ε)), computes each one's maximum trailing-zero count
-// over Sol(φ) via FindMaxRange, and combines them with the coupon-collector
-// estimator of Lemma 3, which requires a range parameter r with
-// 2·F0 ≤ 2^r ≤ 50·F0 (obtain one with RoughCount). n must be ≤ 64 (the
-// polynomial family's field size).
+// family (s = SWiseIndependence(ε)), computes each one's maximum
+// trailing-zero count over Sol(φ) via FindMaxRange, and combines them with
+// the coupon-collector estimator of Lemma 3, which requires a range
+// parameter r with 2·F0 ≤ 2^r ≤ 50·F0 (obtain one with RoughCount). n must
+// be ≤ 64 (the polynomial family's field size).
 // Trials run across Options.Parallelism workers: the t·Thresh hash
 // functions are drawn serially up front (in trial-major order, matching a
-// serial run), and the tester is forked per trial when it supports
-// oracle.Forkable; otherwise execution falls back to serial.
+// serial run), and every trial asks its own fork of tz at every
+// parallelism, so OracleQueries sums the forks' meters.
 func ApproxModelCountEst(tz oracle.TrailingZeroTester, n, r int, opts Options) Result {
 	p := opts.resolve()
 	thresh, t := p.Thresh, p.Iterations
-	fam := hash.NewPoly(n, swiseIndependence(p.Epsilon))
+	fam := hash.NewPoly(n, SWiseIndependence(p.Epsilon))
 	hs := make([]hash.Func, t*thresh)
 	for i := range hs {
 		hs[i] = fam.Draw(p.RNG.Uint64)
 	}
-	tt, workers := newTrialTesters(tz, t, p.Parallelism)
-	before := tz.Queries()
+	tzs := trialForks(t, tz.ForkTester)
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
-	runTrials(t, workers, func(i int) {
+	par.Run(t, p.Parallelism, func(i int) {
 		hits := 0
 		for j := 0; j < thresh; j++ {
-			if FindMaxRange(tt.at(i), hs[i*thresh+j], n) >= r {
+			if FindMaxRange(tzs[i], hs[i*thresh+j], n) >= r {
 				hits++
 			}
 		}
 		res.PerIteration[i] = stats.CouponEstimate(hits, thresh, r)
 	})
-	res.OracleQueries = tt.queriesSince(before)
+	res.OracleQueries = queries(tzs)
 	res.Estimate = stats.Median(res.PerIteration)
 	return res
 }
 
-// swiseIndependence returns the paper's s = 10·log₂(1/ε), at least 2.
-func swiseIndependence(eps float64) int {
-	s := int(math.Ceil(10 * math.Log2(1/eps)))
-	if s < 2 {
-		s = 2
-	}
-	return s
+// SWiseIndependence returns Algorithm 7's independence s = ⌈10·log₂(1/ε)⌉
+// of the polynomial hash family, at least 2.
+func SWiseIndependence(eps float64) int {
+	return max(2, int(math.Ceil(10*math.Log2(1/eps))))
 }
 
 // RoughCount is the Flajolet–Martin-style rough counter of Section 3.4: it
@@ -133,14 +130,14 @@ func RoughCount(src oracle.Source, trials int, rng *stats.RNG) (rParam int, esti
 		rs = append(rs, float64(r))
 	}
 	med := stats.Median(rs)
-	// 2^(med+3) lands in the [2·F0, 50·F0] window when the FM estimate is
-	// within its factor-5 band (up to the window's proof slack). The offset
-	// is clamped to the hash width: for solution sets denser than 2^(n-1)
-	// the window is infeasible, and r = n is the best (slightly biased but
-	// still concentrated) choice.
-	r := int(med) + 3
-	if r > n {
-		r = n
-	}
-	return r, math.Pow(2, med)
+	return RangeParam(med, n), math.Pow(2, med)
 }
+
+// RangeParam turns the median maximum trailing-zero count med of a rough
+// count into Algorithm 7's range parameter r = min(n, ⌊med⌋ + 3): 2^r
+// lands in the [2·F0, 50·F0] window when the FM estimate is within its
+// factor-5 band (up to the window's proof slack). The offset is clamped to
+// the hash width: for solution sets denser than 2^(n-1) the window is
+// infeasible, and r = n is the best (slightly biased but still
+// concentrated) choice.
+func RangeParam(med float64, n int) int { return min(n, int(med)+3) }

@@ -7,6 +7,7 @@ import (
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/oracle"
+	"mcf0/internal/par"
 	"mcf0/internal/stats"
 )
 
@@ -147,10 +148,11 @@ func (s *oracleImageSearcher) successor(y bitvec.BitVec) (bitvec.BitVec, bool) {
 	return next, found
 }
 
-// FindMinFunc inserts the smallest hashed solutions under h into an
+// FindMinFunc inserts trial i's smallest hashed solutions under h into an
 // empty set of k = Thresh rows; ApproxModelCountMin is generic over it so
-// the DNF fast path and the CNF oracle path share the estimator.
-type FindMinFunc func(h *hash.Linear, set *kmv.Set)
+// the DNF fast path, the CNF oracle path and the distributed protocol
+// share the estimator.
+type FindMinFunc func(i int, h *hash.Linear, set *kmv.Set)
 
 // ApproxModelCountMin implements Algorithm 6, the Minimum-based counter:
 // each trial draws h from H_Toeplitz(n, 3n), computes the Thresh smallest
@@ -160,17 +162,9 @@ type FindMinFunc func(h *hash.Linear, set *kmv.Set)
 // is exhausted and its size is the (then exact, since h is injective on
 // Sol(φ) w.h.p. at range 3n) estimate.
 //
-// Trials run across Options.Parallelism workers; findMin must be safe for
-// concurrent calls unless Parallelism is 1 (FindMinDNF is: it only reads
-// the formula and hash).
+// Trials run across Options.Parallelism workers, so findMin must be safe
+// for concurrent calls with different trial indices.
 func ApproxModelCountMin(n int, findMin FindMinFunc, opts Options) Result {
-	return approxMinTrials(n, func(int) FindMinFunc { return findMin }, opts, opts.resolve().Parallelism)
-}
-
-// approxMinTrials is the shared Algorithm 6 engine: findMinFor(i) supplies
-// trial i's FindMin (letting oracle backends hand every trial its own
-// fork); workers bounds the pool.
-func approxMinTrials(n int, findMinFor func(trial int) FindMinFunc, opts Options, workers int) Result {
 	p := opts.resolve()
 	thresh, t := p.Thresh, p.Iterations
 	var fam hash.Family = hash.NewToeplitz(n, 3*n)
@@ -185,9 +179,9 @@ func approxMinTrials(n int, findMinFor func(trial int) FindMinFunc, opts Options
 	for i := range hs {
 		hs[i] = fam.Draw(p.RNG.Uint64).(*hash.Linear)
 	}
-	runTrials(t, workers, func(i int) {
+	par.Run(t, p.Parallelism, func(i int) {
 		set := kmv.New(3*n, thresh)
-		findMinFor(i)(hs[i], set)
+		findMin(i, hs[i], set)
 		res.PerIteration[i] = set.Estimate()
 	})
 	res.Estimate = stats.Median(res.PerIteration)
@@ -197,24 +191,20 @@ func approxMinTrials(n int, findMinFor func(trial int) FindMinFunc, opts Options
 // ApproxModelCountMinDNF runs Algorithm 6 with the polynomial-time FindMin,
 // i.e. the FPRAS for #DNF of Theorem 3.
 func ApproxModelCountMinDNF(d *formula.DNF, opts Options) Result {
-	return ApproxModelCountMin(d.N, func(h *hash.Linear, set *kmv.Set) {
+	return ApproxModelCountMin(d.N, func(_ int, h *hash.Linear, set *kmv.Set) {
 		FindMinDNF(d, h, set)
 	}, opts)
 }
 
 // ApproxModelCountMinOracle runs Algorithm 6 against an NP-oracle backend
 // (Theorem 3's CNF case: O(p·n·log(1/δ)/ε²) oracle calls), metering
-// queries. Trials fork the source whenever it can fork.
+// queries. Every trial runs on its own fork of src.
 func ApproxModelCountMinOracle(src oracle.Source, opts Options) Result {
-	p := opts.resolve()
-	ts, workers := newTrialSources(src, p.Iterations, p.Parallelism)
-	before := src.Queries()
-	res := approxMinTrials(src.NVars(), func(i int) FindMinFunc {
-		return func(h *hash.Linear, set *kmv.Set) {
-			FindMinOracle(ts.at(i), h, set)
-			ts.release(i)
-		}
-	}, opts, workers)
-	res.OracleQueries = ts.queriesSince(before)
+	srcs := trialForks(opts.resolve().Iterations, src.Fork)
+	res := ApproxModelCountMin(src.NVars(), func(i int, h *hash.Linear, set *kmv.Set) {
+		FindMinOracle(srcs[i], h, set)
+		release(srcs[i])
+	}, opts)
+	res.OracleQueries = queries(srcs)
 	return res
 }

@@ -5,6 +5,7 @@ import (
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
+	"mcf0/internal/par"
 	"mcf0/internal/stats"
 )
 
@@ -56,7 +57,7 @@ func KarpLuby(d *formula.DNF, opts Options) Result {
 		seeds[g] = p.RNG.Uint64()
 	}
 	res.PerIteration = make([]float64, t)
-	runTrials(t, p.Parallelism, func(g int) {
+	par.Run(t, p.Parallelism, func(g int) {
 		grng := stats.NewRNG(seeds[g])
 		x := bitvec.New(d.N)
 		hits := 0

@@ -15,10 +15,10 @@
 //
 // The 35·log₂(1/δ) independent median trials of every counter run across a
 // bounded worker pool (Options.Parallelism, default GOMAXPROCS). All
-// randomness is drawn serially before the pool starts and stateful oracle
-// backends are forked per trial (oracle.Forkable), so estimates,
-// PerIteration values, and oracle-query totals for a fixed seed are
-// identical at every parallelism level.
+// randomness is drawn serially before the pool starts and every trial
+// runs on its own fork of the oracle handle (every handle forks, see
+// internal/oracle), so estimates, PerIteration values, and oracle-query
+// totals for a fixed seed are identical at every parallelism level.
 package counting
 
 import (

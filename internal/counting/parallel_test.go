@@ -98,19 +98,3 @@ func TestKarpLubyParallelDeterminism(t *testing.T) {
 		return KarpLuby(d, parOpts(par))
 	})
 }
-
-// A non-forkable source must still work at Parallelism > 1 by falling back
-// to serial execution.
-type noForkSource struct{ *oracle.DNFSource }
-
-func (s noForkSource) Fork() {} // shadows Forkable with a non-interface method
-
-func TestParallelFallbackForNonForkableSource(t *testing.T) {
-	rng := stats.NewRNG(35)
-	d := formula.RandomDNF(10, 4, 3, rng)
-	serial := ApproxMC(oracle.NewDNFSource(d), parOpts(1))
-	got := ApproxMC(noForkSource{oracle.NewDNFSource(d)}, parOpts(4))
-	if got.Estimate != serial.Estimate {
-		t.Fatalf("fallback estimate %v, want %v", got.Estimate, serial.Estimate)
-	}
-}

@@ -12,15 +12,20 @@
 //   - Estimation: Õ(k·(n + 1/ε²)·log(1/δ)) bits — sites send one
 //     trailing-zero count per hash function.
 //
-// The sites and coordinator are simulated in-process and deterministically;
-// the independent median trials run across Options.Parallelism workers
-// (hashes drawn serially up front, per-trial message tallies summed in
-// trial order), which changes nothing about the communication cost the
+// Minimum and Estimation are the Section 3 counters (Algorithms 6 and 7
+// of internal/counting) with every FindMin or FindMaxRange question put
+// to all sites — the paper's transformation of distributed streaming into
+// distributed counting — so they share those counters' hash draws and
+// median-trial engine. The sites and coordinator are simulated in-process
+// and deterministically; the independent median trials run across
+// Options.Parallelism workers (hashes drawn serially up front, message
+// tallies summed), which changes nothing about the communication cost the
 // experiments measure.
 package distributed
 
 import (
 	"math"
+	"sync/atomic"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/counting"
@@ -39,12 +44,6 @@ type Options = params.Options
 
 // defaultSeed seeds the hash draws of a protocol run with a nil RNG.
 const defaultSeed = 0xd15721b07ed
-
-// runTrials executes fn(i) for i in [0, t) on up to workers goroutines;
-// fn must write only to its own trial slot. The dynamic pool (par.Run) is
-// deliberate: per-trial cost varies with the planted formula, unlike the
-// homogeneous per-copy sketch work that par.RunSharded serves.
-func runTrials(t, workers int, fn func(i int)) { par.Run(t, workers, fn) }
 
 // Comm tallies the exact number of bits exchanged.
 type Comm struct {
@@ -144,7 +143,8 @@ func Bucketing(parts []*formula.DNF, opts Options) Result {
 
 	ests := make([]float64, t)
 	sitesToCoord := make([]int64, t)
-	runTrials(t, o.Parallelism, func(i int) {
+	// The dynamic pool: per-trial cost varies with the planted formula.
+	par.Run(t, o.Parallelism, func(i int) {
 		h := hs[i]
 		hScratch := bitvec.New(n)
 		gScratch := bitvec.New(gBits)
@@ -218,119 +218,115 @@ func siteBucketCell(src oracle.Source, h *hash.Linear, thresh int) ([]bitvec.Bit
 	}
 }
 
-// Minimum runs the distributed Minimum protocol: each site sends the
-// Thresh lexicographically smallest 3n-bit hash values of its solutions;
-// the coordinator keeps the global Thresh smallest.
+// Minimum runs the distributed Minimum protocol on Algorithm 6
+// (counting.ApproxModelCountMin): each site sends the Thresh
+// lexicographically smallest 3n-bit hash values of its solutions, and the
+// coordinator merges them into the trial's global Thresh smallest.
 func Minimum(parts []*formula.DNF, opts Options) Result {
 	k := len(parts)
 	n := parts[0].N
 	o := opts.Resolve(defaultSeed)
-	thresh, t, rng := o.Thresh, o.Iterations, o.RNG
-	fam := hash.NewToeplitz(n, 3*n)
-
-	var res Result
-	hs := make([]*hash.Linear, t)
-	for i := range hs {
-		hs[i] = fam.Draw(rng.Uint64).(*hash.Linear)
-	}
-	res.Comm.CoordToSites += int64(t) * int64(k) * toeplitzBits(n, 3*n)
-
-	ests := make([]float64, t)
-	sitesToCoord := make([]int64, t)
-	runTrials(t, o.Parallelism, func(i int) {
-		sets := kmv.Carve(3*n, thresh, 2)
-		global, site := &sets[0], &sets[1]
-		tmp := bitvec.NewSlab(3*n, thresh)
-		var bitsSent int64
-		for j := 0; j < k; j++ {
+	var sent atomic.Int64
+	res := counting.ApproxModelCountMin(n, func(_ int, h *hash.Linear, global *kmv.Set) {
+		site := kmv.New(3*n, o.Thresh)
+		tmp := bitvec.NewSlab(3*n, o.Thresh)
+		for _, part := range parts {
 			site.Reset()
-			counting.FindMinDNF(parts[j], hs[i], site)
-			bitsSent += int64(site.Len()) * int64(3*n)
+			counting.FindMinDNF(part, h, site)
+			sent.Add(int64(site.Len()) * int64(3*n))
 			global.Merge(site, tmp)
 		}
-		ests[i] = global.Estimate()
-		sitesToCoord[i] = bitsSent
-	})
-	res.PerIteration = ests
-	for _, b := range sitesToCoord {
-		res.Comm.SitesToCoord += b
+	}, countingOptions(o))
+	return Result{
+		Estimate:     res.Estimate,
+		PerIteration: res.PerIteration,
+		Comm: Comm{
+			CoordToSites: int64(o.Iterations) * int64(k) * toeplitzBits(n, 3*n),
+			SitesToCoord: sent.Load(),
+		},
 	}
-	res.Estimate = stats.Median(res.PerIteration)
-	return res
 }
 
-// Estimation runs the distributed Estimation protocol: for every hash
-// function the sites send their local maximum trailing-zero count (one
-// level value each) and the coordinator takes the maximum — trailing-zero
-// maxima compose under union. The range parameter r must satisfy
-// 2F0 ≤ 2^r ≤ 50F0 (see RoughR). Sites answer FindMaxRange with the
-// exhaustive tester, as no polynomial algorithm is known for DNF
-// (Section 3.4); n is therefore capped at 24 here.
+// countingOptions hands a protocol's resolved parameters to the Section 3
+// counters.
+func countingOptions(o Options) counting.Options {
+	return counting.Options{Epsilon: o.Epsilon, Delta: o.Delta, Thresh: o.Thresh,
+		Iterations: o.Iterations, RNG: o.RNG, Parallelism: o.Parallelism}
+}
+
+// Estimation runs the distributed Estimation protocol on Algorithm 7
+// (counting.ApproxModelCountEst): for every hash function the sites send
+// their local maximum trailing-zero count (one level value each) and the
+// coordinator takes the maximum — trailing-zero maxima compose under
+// union. The range parameter r must satisfy 2F0 ≤ 2^r ≤ 50F0 (see
+// RoughR). Sites answer FindMaxRange with the exhaustive tester, as no
+// polynomial algorithm is known for DNF (Section 3.4); n is therefore
+// capped at 24 here.
 func Estimation(parts []*formula.DNF, r int, opts Options) Result {
 	k := len(parts)
 	n := parts[0].N
 	o := opts.Resolve(defaultSeed)
-	thresh, t, rng := o.Thresh, o.Iterations, o.RNG
-	s := int(math.Ceil(10 * math.Log2(1/o.Epsilon)))
-	if s < 2 {
-		s = 2
+	sites := make(siteTesters, k)
+	for j, part := range parts {
+		sites[j] = oracle.NewExhaustive(n, part.Eval)
 	}
-	fam := hash.NewPoly(n, s)
-
-	// One tester per (trial, site): forks share each site's materialised
-	// solution list, so concurrent trials scan it read-only. If a tester
-	// ever stops being forkable, collapse to serial — sharing it across
-	// workers would race on its query meter.
-	workers := o.Parallelism
-	base := make([]*oracle.Exhaustive, k)
-	for j := range parts {
-		base[j] = oracle.NewExhaustive(n, parts[j].Eval)
-	}
-	testers := make([][]oracle.TrailingZeroTester, t)
-	for i := range testers {
-		testers[i] = make([]oracle.TrailingZeroTester, k)
-		for j := range base {
-			fork, ok := oracle.ForkTrailingZeroTester(base[j])
-			if !ok {
-				fork = base[j]
-				workers = 1
-			}
-			testers[i][j] = fork
-		}
-	}
-
-	// Hashes drawn serially in trial-major order, exactly as the serial
-	// nested loop would.
-	hs := make([]hash.Func, t*thresh)
-	for i := range hs {
-		hs[i] = fam.Draw(rng.Uint64)
-	}
-
-	var res Result
+	res := counting.ApproxModelCountEst(sites, n, r, countingOptions(o))
 	// Per-(hash, site) message costs are data-independent: s coefficients
 	// of n bits down, one level value back.
-	res.Comm.CoordToSites += int64(t) * int64(thresh) * int64(k) * int64(s*n)
-	res.Comm.SitesToCoord += int64(t) * int64(thresh) * int64(k) * levelBits(n)
+	msgs := int64(o.Iterations) * int64(o.Thresh) * int64(k)
+	return Result{
+		Estimate:     res.Estimate,
+		PerIteration: res.PerIteration,
+		Comm: Comm{
+			CoordToSites: msgs * int64(counting.SWiseIndependence(o.Epsilon)*n),
+			SitesToCoord: msgs * levelBits(n),
+		},
+	}
+}
 
-	ests := make([]float64, t)
-	runTrials(t, workers, func(i int) {
-		hits := 0
-		for jj := 0; jj < thresh; jj++ {
-			best := -1
-			for j := 0; j < k; j++ {
-				if local := counting.FindMaxRange(testers[i][j], hs[i*thresh+jj], n); local > best {
-					best = local
-				}
-			}
-			if best >= r {
-				hits++
-			}
+// siteTesters is the coordinator's view of the sites as one
+// TrailingZeroTester: every question goes to every site.
+type siteTesters []oracle.TrailingZeroTester
+
+// MaxTrailingZeros is the maximum of the sites' FindMaxRange replies (−1
+// when every site is unsatisfiable); counting.FindMaxRange takes it as
+// its one-sweep fast path.
+func (s siteTesters) MaxTrailingZeros(h hash.Func) int {
+	best := -1
+	for _, site := range s {
+		best = max(best, counting.FindMaxRange(site, h, h.OutBits()))
+	}
+	return best
+}
+
+// ExistsTrailingZeros is true if any site says yes.
+func (s siteTesters) ExistsTrailingZeros(h hash.Func, t int) bool {
+	for _, site := range s {
+		if site.ExistsTrailingZeros(h, t) {
+			return true
 		}
-		ests[i] = stats.CouponEstimate(hits, thresh, r)
-	})
-	res.PerIteration = ests
-	res.Estimate = stats.Median(res.PerIteration)
-	return res
+	}
+	return false
+}
+
+// Queries sums the sites' meters.
+func (s siteTesters) Queries() int64 {
+	var total int64
+	for _, site := range s {
+		total += site.Queries()
+	}
+	return total
+}
+
+// ForkTester forks every site; the exhaustive sites' forks share each
+// site's materialised solution list, so concurrent trials scan it
+// read-only.
+func (s siteTesters) ForkTester() oracle.TrailingZeroTester {
+	forks := make(siteTesters, len(s))
+	for j, site := range s {
+		forks[j] = site.ForkTester()
+	}
+	return forks
 }
 
 // RoughR runs a distributed Flajolet–Martin round to pick the Estimation
@@ -364,9 +360,5 @@ func RoughR(parts []*formula.DNF, trials int, opts Options) (int, Comm) {
 		}
 		rs = append(rs, float64(best))
 	}
-	r := int(stats.Median(rs)) + 3
-	if r > n {
-		r = n // the Lemma 3 window is infeasible for very dense sets
-	}
-	return r, comm
+	return counting.RangeParam(stats.Median(rs), n), comm
 }

@@ -23,6 +23,7 @@ import (
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2poly"
 	"mcf0/internal/hash"
+	"mcf0/internal/oracle"
 	"mcf0/internal/sat"
 )
 
@@ -38,6 +39,11 @@ func NewPolyTester(c *formula.CNF) *PolyTester { return &PolyTester{cnf: c} }
 
 // Queries returns the number of SAT calls made.
 func (p *PolyTester) Queries() int64 { return p.queries }
+
+// ForkTester returns an independent tester over the same formula with its
+// own SAT-call meter; every query builds its own solver, so forks share
+// nothing mutable.
+func (p *PolyTester) ForkTester() oracle.TrailingZeroTester { return NewPolyTester(p.cnf) }
 
 // ExistsTrailingZeros reports whether some model of φ hashes, under the
 // polynomial hash h, to a value with at least t trailing zero bits. h must

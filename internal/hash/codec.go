@@ -24,8 +24,6 @@
 package hash
 
 import (
-	"sync"
-
 	"mcf0/internal/bitvec"
 	"mcf0/internal/gf2"
 	"mcf0/internal/gf2poly"
@@ -78,22 +76,6 @@ func appendLinear(dst []byte, l *Linear) []byte {
 		dst = wire.AppendBitVec(dst, l.A.Row(i))
 	}
 	return wire.AppendBitVec(dst, l.B)
-}
-
-// fieldCache shares one GF(2^n) field per width across decoded polynomial
-// functions (a snapshot holds t·Thresh of them, all over the same field).
-var fieldCache struct {
-	sync.Mutex
-	fields [65]*gf2poly.Field
-}
-
-func cachedField(n int) *gf2poly.Field {
-	fieldCache.Lock()
-	defer fieldCache.Unlock()
-	if fieldCache.fields[n] == nil {
-		fieldCache.fields[n] = gf2poly.NewField(n)
-	}
-	return fieldCache.fields[n]
 }
 
 // DecodeFunc consumes one function blob. On corrupt or truncated input it
@@ -164,7 +146,7 @@ func DecodeFunc(r *wire.Reader) Func {
 				return nil
 			}
 		}
-		return &polyFunc{n: n, field: cachedField(n), coeffs: coeffs}
+		return &polyFunc{n: n, field: gf2poly.NewField(n), coeffs: coeffs}
 	default:
 		if r.Err() == nil {
 			r.Corrupt("unknown hash function kind %#02x", kind)

@@ -15,16 +15,16 @@
 //
 // # Concurrency contract
 //
-// A Source is single-threaded: it carries a query meter and (for CNF) an
-// incremental SAT solver, both mutated by every call. Parallel trial loops
-// must not share one handle; they call Fork, which returns an independent
+// A handle is single-threaded: it carries a query meter and (for CNF) an
+// incremental SAT solver, both mutated by every call. Every handle forks:
+// Source.Fork and TrailingZeroTester.ForkTester return an independent
 // handle with its own meter and solver state — immutable inputs (the
 // parsed formula, the materialised solution list of Exhaustive) are shared
 // structurally, mutable state is never. The counting layer forks once per
-// trial whenever the source can fork, at every parallelism, releases each
-// fork (CNFSource.Release) when its trial ends and aggregates meters
-// after the join, so each trial's queries depend on that trial alone and
-// query counts are deterministic at every parallelism level.
+// trial at every parallelism, releases each fork (CNFSource.Release) when
+// its trial ends and sums the fork meters after the join, so each trial's
+// queries depend on that trial alone and query counts are deterministic
+// at every parallelism level.
 // CNFSource keeps one incremental solver per handle across a trial's whole
 // hash-cell sweep (rows installed once behind activation selectors and
 // enabled by assumption), which is why sharing a handle across goroutines
@@ -61,6 +61,10 @@ type Source interface {
 	// Queries returns the cumulative number of NP-oracle invocations
 	// (SAT calls for the CNF backend; per-term linear solves for DNF).
 	Queries() int64
+	// Fork returns an independent handle over the same formula, one per
+	// trial: it shares the immutable formula (and any memoized solution
+	// list) but meters its own queries starting from zero.
+	Fork() Source
 }
 
 // TrailingZeroTester answers Proposition 3's oracle query: is there an
@@ -68,26 +72,8 @@ type Source interface {
 type TrailingZeroTester interface {
 	ExistsTrailingZeros(h hash.Func, t int) bool
 	Queries() int64
-}
-
-// Forkable is implemented by sources that can hand out independent handles
-// over the same formula, one per trial. A fork shares the immutable
-// formula (and any memoized solution list) but meters its own queries
-// starting from zero; the counters sum fork meters back into the result,
-// so the reported totals are the same at every parallelism.
-type Forkable interface {
-	Fork() Source
-}
-
-// ForkTrailingZeroTester returns an independent tester over the same
-// formula when tz supports forking, for concurrent median trials.
-func ForkTrailingZeroTester(tz TrailingZeroTester) (TrailingZeroTester, bool) {
-	f, ok := tz.(Forkable)
-	if !ok {
-		return nil, false
-	}
-	t, ok := f.Fork().(TrailingZeroTester)
-	return t, ok
+	// ForkTester is Source.Fork for testers.
+	ForkTester() TrailingZeroTester
 }
 
 // CNFSource is the SAT-backed oracle for CNF formulas. One CDCL solver
@@ -464,7 +450,12 @@ func NewExhaustive(n int, eval func(bitvec.BitVec) bool) *Exhaustive {
 // Fork returns an independent handle with its own query meter. The
 // (immutable once built) solution list is materialised first so that all
 // forks share it instead of re-enumerating the universe.
-func (e *Exhaustive) Fork() Source {
+func (e *Exhaustive) Fork() Source { return e.fork() }
+
+// ForkTester is Fork as a TrailingZeroTester.
+func (e *Exhaustive) ForkTester() TrailingZeroTester { return e.fork() }
+
+func (e *Exhaustive) fork() *Exhaustive {
 	e.solutions()
 	return &Exhaustive{n: e.n, eval: e.eval, sols: e.sols, solsVal: e.solsVal, solsSet: true}
 }

@@ -56,16 +56,6 @@ import (
 // the paper's constants (see params.Resolve).
 type Options = params.Options
 
-// runCopies executes fn(i) for each sketch copy on up to workers
-// goroutines; fn must touch only copy i's state. The dynamic pool
-// (par.Run) fits here: per-copy FindMin cost is heavy (≫ dispatch cost,
-// so the pool engages even for single items, unlike the streaming
-// sketches) and varies with the copy's hash, so dynamic hand-out
-// balances load where a static block partition would strand slow copies.
-// No per-shard scratch is used, and results are keyed by copy index, so
-// determinism needs nothing more.
-func runCopies(count, workers int, fn func(i int)) { par.Run(count, workers, fn) }
-
 // stream is the state every set-stream kind shares: the Minimum sketch
 // (a Toeplitz hash n → 3n and a k-min set per copy), the per-dimension
 // widths of the range and progression kinds (nil for the DNF and affine
@@ -141,7 +131,9 @@ func (s *stream) processDNFBatch(fs []*formula.DNF) {
 	if len(fs) == 0 {
 		return
 	}
-	runCopies(s.sk.Copies(), s.workers, func(i int) {
+	// The dynamic pool: per-copy FindMin cost is heavy and varies with the
+	// copy's hash, so a static block partition would strand slow copies.
+	par.Run(s.sk.Copies(), s.workers, func(i int) {
 		h, set := s.sk.Copy(i)
 		for _, f := range fs {
 			counting.FindMinDNF(f, h, set)
@@ -293,7 +285,7 @@ func (s *AffineStream) ProcessAffineBatch(as []*gf2.Matrix, bs []bitvec.BitVec) 
 	if len(as) == 0 {
 		return
 	}
-	runCopies(s.sk.Copies(), s.workers, func(i int) {
+	par.Run(s.sk.Copies(), s.workers, func(i int) {
 		h, set := s.sk.Copy(i)
 		for k, a := range as {
 			AffineFindMin(a, bs[k], h, set)

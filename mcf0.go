@@ -217,16 +217,11 @@ func countCNF(c *formula.CNF, alg Algorithm, cfg Config) (CountResult, error) {
 		res := counting.ApproxModelCountMinOracle(src, opts)
 		return CountResult{Estimate: res.Estimate, OracleQueries: res.OracleQueries, Solver: solverStats(src)}, nil
 	case AlgorithmEstimation:
-		if c.N > 24 {
-			return CountResult{}, fmt.Errorf("mcf0: estimation algorithm limited to 24 variables (enumeration oracle)")
+		res, err := countEstimation(src, c.Eval, cfg)
+		if err == nil {
+			res.Solver = solverStats(src)
 		}
-		tz := oracle.NewExhaustive(c.N, c.Eval)
-		rParam, _ := counting.RoughCount(src, roughTrials(cfg), cfg.rng())
-		if rParam < 0 {
-			return CountResult{Estimate: 0}, nil
-		}
-		res := counting.ApproxModelCountEst(tz, c.N, rParam, opts)
-		return CountResult{Estimate: res.Estimate, OracleQueries: res.OracleQueries, Solver: solverStats(src)}, nil
+		return res, err
 	default:
 		return CountResult{}, fmt.Errorf("mcf0: algorithm %q not applicable to CNF", alg)
 	}
@@ -262,16 +257,7 @@ func countDNF(d *formula.DNF, alg Algorithm, cfg Config) (CountResult, error) {
 		res := counting.ApproxModelCountMinDNF(d, opts)
 		return CountResult{Estimate: res.Estimate}, nil
 	case AlgorithmEstimation:
-		if d.N > 24 {
-			return CountResult{}, fmt.Errorf("mcf0: estimation algorithm limited to 24 variables (enumeration oracle)")
-		}
-		tz := oracle.NewExhaustive(d.N, d.Eval)
-		rParam, _ := counting.RoughCount(oracle.NewDNFSource(d), roughTrials(cfg), cfg.rng())
-		if rParam < 0 {
-			return CountResult{Estimate: 0}, nil
-		}
-		res := counting.ApproxModelCountEst(tz, d.N, rParam, opts)
-		return CountResult{Estimate: res.Estimate, OracleQueries: res.OracleQueries}, nil
+		return countEstimation(oracle.NewDNFSource(d), d.Eval, cfg)
 	case AlgorithmKarpLuby:
 		res := counting.KarpLuby(d, opts)
 		return CountResult{Estimate: res.Estimate}, nil
@@ -300,6 +286,23 @@ func dnfFromTerms(n int, terms [][]int) (*formula.DNF, error) {
 		d.AddTerm(formula.Term(lits))
 	}
 	return d, nil
+}
+
+// countEstimation runs Algorithm 7 on the formula eval over src's
+// variables: RoughCount on src picks the range parameter, and the
+// exhaustive tester answers the trailing-zero queries, so n is capped at
+// 24. An unsatisfiable formula counts 0.
+func countEstimation(src oracle.Source, eval func(bitvec.BitVec) bool, cfg Config) (CountResult, error) {
+	n := src.NVars()
+	if n > 24 {
+		return CountResult{}, fmt.Errorf("mcf0: estimation algorithm limited to 24 variables (enumeration oracle)")
+	}
+	rParam, _ := counting.RoughCount(src, roughTrials(cfg), cfg.rng())
+	if rParam < 0 {
+		return CountResult{}, nil
+	}
+	res := counting.ApproxModelCountEst(oracle.NewExhaustive(n, eval), n, rParam, cfg.countingOptions())
+	return CountResult{Estimate: res.Estimate, OracleQueries: res.OracleQueries}, nil
 }
 
 // roughTrials sizes the Flajolet–Martin median used to pick the Estimation
