@@ -2,6 +2,7 @@ package counting
 
 import (
 	"math"
+	"math/bits"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
@@ -54,10 +55,12 @@ func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bit
 // trial is a subset of it (Section 3.2), so:
 //   - when Sol(φ) runs out below the bound, the pool is all of Sol(φ) and
 //     each trial is answered from it with no oracle call: hᵢ is evaluated
-//     once per pool member, and the smallest m whose cell holds fewer than
-//     Thresh members (capped at n) is read off a histogram of zero-prefix
-//     lengths (prefixFromPool) — the m the linear scan and the binary
-//     search both locate, since cells shrink as m grows;
+//     once per pool member (for n ≤ 64 and Toeplitz draws, in one batch
+//     over the pool packed once per count), and the smallest m whose cell
+//     holds fewer than Thresh members (capped at n) is read off a
+//     histogram of zero-prefix lengths (prefixFromPool) — the m the linear
+//     scan and the binary search both locate, since cells shrink as m
+//     grows;
 //   - otherwise each trial searches with the oracle, its cells seeded
 //     with the pool members they contain (BoundedSAT's coarser argument),
 //     and deeper cells with the coarser cell the search holds.
@@ -99,8 +102,11 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 		shards := par.ShardCount(t, workers)
 		hists := make([]int, shards*(n+1))
 		scratch := bitvec.NewSlab(n, shards)
+		xw := poolWords(pool, n)
+		ys := make([]uint64, shards*len(xw))
 		par.RunSharded(t, workers, func(i, shard int) {
-			m, c := prefixFromPool(hs[i], pool, thresh, hists[shard*(n+1):(shard+1)*(n+1)], scratch[shard])
+			m, c := prefixFromPool(hs[i], pool, xw, thresh, hists[shard*(n+1):(shard+1)*(n+1)],
+				scratch[shard], ys[shard*len(xw):(shard+1)*len(xw)])
 			estimate(i, m, c)
 		})
 	} else {
@@ -121,18 +127,43 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 	return res
 }
 
+// poolWords packs a pool over n ≤ 64 variables one word per member, the
+// batch form hash.Linear.PrefixWords reads; it is nil for wider pools.
+func poolWords(pool []bitvec.BitVec, n int) []uint64 {
+	if n > 64 {
+		return nil
+	}
+	xw := make([]uint64, len(pool))
+	for k, x := range pool {
+		xw[k] = x.Words()[0]
+	}
+	return xw
+}
+
 // prefixFromPool locates h's prefix length from a pool holding all of
 // Sol(φ), with no oracle call: hist (n+1 counters, overwritten) counts the
 // members by the length of the all-zero prefix of h(x), so |cell_m| is
 // the sum of hist[m…n]. It returns the smallest m with |cell_m| < thresh,
 // or n when there is none, and min(thresh, |cell_m|) — what
 // searchPrefixLinear and searchPrefixBinary return on the oracle.
-func prefixFromPool(h *hash.Linear, pool []bitvec.BitVec, thresh int, hist []int, scratch bitvec.BitVec) (int, int) {
+//
+// With the pool packed as xw (poolWords) and a draw that has a
+// carry-less kernel, one PrefixWords call hashes every member into ys
+// (scratch, one word per member) and the zero-prefix length is the
+// trailing-zero count of its word; otherwise each member takes
+// ZeroPrefixLen with scratch.
+func prefixFromPool(h *hash.Linear, pool []bitvec.BitVec, xw []uint64, thresh int, hist []int, scratch bitvec.BitVec, ys []uint64) (int, int) {
 	clear(hist)
-	for _, x := range pool {
-		hist[h.ZeroPrefixLen(x, scratch)]++
-	}
 	n := h.InBits()
+	if xw != nil && h.PrefixWords(n, xw, ys) {
+		for _, y := range ys[:len(xw)] {
+			hist[min(bits.TrailingZeros64(y), n)]++
+		}
+	} else {
+		for _, x := range pool {
+			hist[h.ZeroPrefixLen(x, scratch)]++
+		}
+	}
 	m, c := 0, len(pool)
 	for c >= thresh && m < n {
 		c -= hist[m]

@@ -57,7 +57,7 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 		hist := make([]int, n+1)
 		for i := range res.PerIteration {
 			h := hash.NewToeplitz(n, n).Draw(draw.Uint64).(*hash.Linear)
-			m, c := prefixFromPool(h, pool, thresh, hist, bitvec.New(n))
+			m, c := prefixFromPoolUnbatched(h, pool, thresh)
 			mL, cL := searchPrefixLinear(src(), h, thresh, c0, sols0)
 			mB, cB := searchPrefixBinary(src(), h, thresh, c0, sols0)
 			if m != mL || c != cL || m != mB || c != cB {
@@ -67,6 +67,9 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 			if want := float64(c) * math.Pow(2, float64(m)); res.PerIteration[i] != want {
 				t.Fatalf("case %d (%s) trial %d: ApproxMC estimate %g, pool %g", k, kind, i, res.PerIteration[i], want)
 			}
+			if mW, cW := prefixFromPool(h, pool, poolWords(pool, n), thresh, hist, bitvec.New(n), make([]uint64, len(pool))); mW != m || cW != c {
+				t.Fatalf("case %d (%s) trial %d: batched pool hash (m=%d, c=%d), ZeroPrefixLen (%d, %d)", k, kind, i, mW, cW, m, c)
+			}
 			if m == n && c == thresh {
 				capped[kind]++
 			}
@@ -75,4 +78,60 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 	if capped["cnf"] == 0 || capped["dnf"] == 0 {
 		t.Errorf("trials ending at m = n with Thresh models left: %v; want some for CNF and DNF", capped)
 	}
+
+	// The batched pool hash at the word's edges and its fallbacks: every
+	// trial's (m, c) from one PrefixWords call per trial must equal the
+	// ZeroPrefixLen form's, and ApproxMC's estimates must follow it at
+	// every parallelism. Toeplitz draws at n ≤ 64 take the batch; H_xor
+	// draws and n = 65 have no batch kernel and take ZeroPrefixLen.
+	for _, tc := range []struct {
+		n       int
+		xor     bool
+		batched bool
+	}{{1, false, true}, {20, false, true}, {63, false, true}, {64, false, true}, {20, true, false}, {65, false, false}} {
+		for k := 0; k < 4; k++ {
+			n := tc.n
+			d := formula.RandomDNF(n, 1+rng.Intn(3), max(1, n-3), rng)
+			models := int(exact.CountDNF(d))
+			thresh := models/2 + 1 + rng.Intn(models/2+1)
+			fam := hash.Family(hash.NewToeplitz(n, n))
+			if tc.xor {
+				fam = hash.NewXor(n, n)
+			}
+			var pool []bitvec.BitVec
+			oracle.NewDNFSource(d).Enumerate(nil, nil, 2*thresh, func(x bitvec.BitVec) bool {
+				pool = append(pool, x)
+				return true
+			})
+			if len(pool) != models {
+				t.Fatalf("n=%d %s: pool of %d, want all %d models", n, fam.Name(), len(pool), models)
+			}
+			xw, hist, ys := poolWords(pool, n), make([]int, n+1), make([]uint64, len(pool))
+			for _, par := range []int{1, 2, 4} {
+				seed := uint64(1000*n + k)
+				res := ApproxMC(oracle.NewDNFSource(d), Options{Thresh: thresh, Iterations: 9, RNG: stats.NewRNG(seed), Parallelism: par, Family: fam})
+				draw := stats.NewRNG(seed)
+				for i := range res.PerIteration {
+					h := fam.Draw(draw.Uint64).(*hash.Linear)
+					if h.PrefixWords(n, nil, nil) != tc.batched {
+						t.Fatalf("n=%d %s: batch kernel %v, want %v", n, fam.Name(), !tc.batched, tc.batched)
+					}
+					m, c := prefixFromPoolUnbatched(h, pool, thresh)
+					if mW, cW := prefixFromPool(h, pool, xw, thresh, hist, bitvec.New(n), ys); mW != m || cW != c {
+						t.Fatalf("n=%d %s trial %d: batched pool hash (m=%d, c=%d), ZeroPrefixLen (%d, %d)", n, fam.Name(), i, mW, cW, m, c)
+					}
+					if want := float64(c) * math.Pow(2, float64(m)); res.PerIteration[i] != want {
+						t.Fatalf("n=%d %s trial %d parallelism %d: ApproxMC estimate %g, pool %g", n, fam.Name(), i, par, res.PerIteration[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// prefixFromPoolUnbatched is prefixFromPool with every member hashed by
+// ZeroPrefixLen, the reference for the batched pool hash.
+func prefixFromPoolUnbatched(h *hash.Linear, pool []bitvec.BitVec, thresh int) (int, int) {
+	n := h.InBits()
+	return prefixFromPool(h, pool, nil, thresh, make([]int, n+1), bitvec.New(n), nil)
 }

@@ -20,6 +20,8 @@
 package encode
 
 import (
+	"slices"
+
 	"mcf0/internal/formula"
 	"mcf0/internal/gf2poly"
 	"mcf0/internal/hash"
@@ -29,9 +31,24 @@ import (
 
 // PolyTester answers trailing-zero queries about polynomial hashes over a
 // CNF formula via the SAT solver. It implements oracle.TrailingZeroTester.
+//
+// One solver serves every query about the same h, the incremental
+// protocol of oracle.CNFSource: the circuit of h is built once, keyed by
+// h's coefficients, and each hash output bit is installed once, on first
+// use, as the XOR row bit ⊕ sel = 0 with its own activation selector sel.
+// A query for t trailing zeros assumes the selectors of the t low bits
+// false; a free selector merely equals its bit, so rows installed for a
+// larger t constrain nothing. counting.FindMaxRange's binary search over
+// t thus builds each h once instead of once per probe.
 type PolyTester struct {
 	cnf     *formula.CNF
 	queries int64
+
+	coeffs   []uint64 // the hash the solver encodes; nil before the first query
+	solver   *sat.Solver
+	hashBits []xorExpr
+	rows     int // hash bits installed: the rows of bits 0..rows−1
+	assumps  []formula.Lit
 }
 
 // NewPolyTester wraps a CNF formula.
@@ -41,8 +58,7 @@ func NewPolyTester(c *formula.CNF) *PolyTester { return &PolyTester{cnf: c} }
 func (p *PolyTester) Queries() int64 { return p.queries }
 
 // ForkTester returns an independent tester over the same formula with its
-// own SAT-call meter; every query builds its own solver, so forks share
-// nothing mutable.
+// own SAT-call meter and its own solver.
 func (p *PolyTester) ForkTester() oracle.TrailingZeroTester { return NewPolyTester(p.cnf) }
 
 // ExistsTrailingZeros reports whether some model of φ hashes, under the
@@ -58,23 +74,33 @@ func (p *PolyTester) ExistsTrailingZeros(h hash.Func, t int) bool {
 		panic("encode: hash width mismatch")
 	}
 	p.queries++
-	solver, hashBits := buildHashCircuit(p.cnf, coeffs)
-	if solver == nil {
+	if p.coeffs == nil || !slices.Equal(p.coeffs, coeffs) {
+		p.coeffs = slices.Clone(coeffs)
+		p.solver, p.hashBits = buildHashCircuit(p.cnf, coeffs)
+		p.rows = 0
+	}
+	if p.solver == nil {
 		return false // base formula already unsatisfiable
 	}
-	// Pin the t low field bits of h(x) to zero. hashBits[k] describes bit
-	// k of h(x) as an XOR of circuit variables plus a constant.
-	for k := 0; k < t; k++ {
-		if !solver.AddXOR(hashBits[k].vars, hashBits[k].rhs) {
+	// Install the rows the t low bits still lack, then enable them.
+	for ; p.rows < t; p.rows++ {
+		b := p.hashBits[p.rows]
+		if !p.solver.AddXOR(append(slices.Clip(b.vars), b.sel), b.rhs) {
 			return false
 		}
 	}
-	_, sat := solver.Solve()
+	p.assumps = p.assumps[:0]
+	for _, b := range p.hashBits[:t] {
+		p.assumps = append(p.assumps, formula.Lit{Var: b.sel, Neg: true})
+	}
+	_, sat := p.solver.Solve(p.assumps...)
 	return sat
 }
 
-// xorExpr is an XOR-of-variables-equals-constant description of one bit.
+// xorExpr is an XOR-of-variables-equals-constant description of one bit,
+// with the activation selector that pins it to zero.
 type xorExpr struct {
+	sel  int
 	vars []int
 	rhs  bool // the constant term: XOR(vars) = rhs makes the bit zero
 }
@@ -95,8 +121,11 @@ func buildHashCircuit(cnf *formula.CNF, coeffs []uint64) (*sat.Solver, []xorExpr
 	if s > 2 {
 		powerRegs = s - 2
 	}
+	// Then one activation selector per hash bit. Selectors allocated here,
+	// not by AddVar, are base variables, so each hash-bit row is reduced
+	// against the circuit's XOR basis when it is installed.
 	total := n + powerRegs*(n+n*n)
-	solver := sat.New(total)
+	solver := sat.New(total + n)
 	for _, cl := range cnf.Clauses {
 		if !solver.AddClause([]formula.Lit(cl)) {
 			return nil, nil
@@ -166,7 +195,7 @@ func buildHashCircuit(cnf *formula.CNF, coeffs []uint64) (*sat.Solver, []xorExpr
 				}
 			}
 		}
-		hashBits[k] = xorExpr{vars: vars, rhs: rhs}
+		hashBits[k] = xorExpr{sel: total + k, vars: vars, rhs: rhs}
 	}
 	return solver, hashBits
 }

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"mcf0/internal/bitvec"
@@ -101,12 +102,95 @@ func checkInstance(t testing.TB, in *instance) {
 	if got != want {
 		t.Fatalf("enumerated %d models, exact %d (n=%d)", got, want, in.n)
 	}
+	checkScopedEnumeration(t, in)
 	// CNF-only instances additionally cross-check the counting DPLL.
 	if len(in.xorVars) == 0 && in.cnf != nil {
 		if dp := int(exact.CountCNF(in.cnf)); dp != want {
 			t.Fatalf("exact.CountCNF=%d, exact.Exhaustive=%d", dp, want)
 		}
 	}
+}
+
+// checkScopedEnumeration runs several selector-scoped EnumerateBlocking
+// queries on one solver, the oracle's incremental protocol: each query
+// assumes random literals and its own blocking selector false, projects
+// onto the first nBlock < NVars variables, and retires its blocks by
+// pinning the selector afterwards. The solver also carries one free
+// auxiliary variable past the instance's, which half the queries
+// assume: a model that decides it, or any variable at or past nBlock,
+// must be blocked over the whole projection, so both the decision blocks
+// and the full-clause fallback run. Each query must visit every
+// projection of a model consistent with its assumptions exactly once.
+func checkScopedEnumeration(t testing.TB, in *instance) {
+	t.Helper()
+	s, ok := in.build()
+	if !ok {
+		return
+	}
+	aux := s.AddVar()
+	rng := stats.NewRNG(instanceSeed(in))
+	for q := 0; q < 4; q++ {
+		nBlock := 1 + rng.Intn(in.n)
+		var assumps []formula.Lit
+		for i, na := 0, rng.Intn(3); i < na; i++ {
+			assumps = append(assumps, formula.Lit{Var: rng.Intn(in.n), Neg: rng.Bool()})
+		}
+		if rng.Bool() {
+			assumps = append(assumps, formula.Lit{Var: aux, Neg: rng.Bool()})
+		}
+		want := map[uint64]bool{}
+		x := bitvec.New(in.n)
+		for v := uint64(0); v < 1<<uint(in.n); v++ {
+			x.SetUint64(v)
+			if in.eval(x) && holds(assumps, x) {
+				want[x.Prefix(nBlock).Uint64()] = true
+			}
+		}
+		sel := s.AddVar()
+		got := map[uint64]bool{}
+		count, exhausted := s.EnumerateBlocking(-1, nBlock, []formula.Lit{{Var: sel}}, func(m bitvec.BitVec) bool {
+			key := m.Uint64()
+			if got[key] {
+				t.Fatalf("query %d: projection %v visited twice (n=%d, nBlock=%d)", q, m, in.n, nBlock)
+			}
+			got[key] = true
+			return true
+		}, append(assumps, formula.Lit{Var: sel, Neg: true})...)
+		if !exhausted || count != len(want) {
+			t.Fatalf("query %d: %d projections (exhausted=%v), want %d (n=%d, nBlock=%d, assumptions %v)",
+				q, count, exhausted, len(want), in.n, nBlock, assumps)
+		}
+		for key := range got {
+			if !want[key] {
+				t.Fatalf("query %d: visited a projection no model has (n=%d, nBlock=%d)", q, in.n, nBlock)
+			}
+		}
+		if !s.AddClause([]formula.Lit{{Var: sel}}) {
+			return // unsatisfiable at level 0: no later query has models
+		}
+		if q == 1 {
+			s.Simplify()
+		}
+	}
+}
+
+// holds reports whether x satisfies the assumption literals on its
+// variables; a literal on the free auxiliary variable always holds.
+func holds(assumps []formula.Lit, x bitvec.BitVec) bool {
+	for _, l := range assumps {
+		if l.Var < x.Len() && x.Get(l.Var) == l.Neg {
+			return false
+		}
+	}
+	return true
+}
+
+// instanceSeed derives the query RNG's seed from the instance, so the
+// fuzz target stays a function of its input.
+func instanceSeed(in *instance) uint64 {
+	h := fnv.New64a()
+	fmt.Fprint(h, in.n, in.cnf, in.xorVars, in.xorRHS)
+	return h.Sum64()
 }
 
 // randomInstance draws a small CNF-XOR instance.

@@ -910,15 +910,66 @@ func (s *Solver) blockCurrent(nBlock int, extra []uint32) bool {
 	return true
 }
 
+// blockModel blocks the current model before enumeration continues and
+// reports whether models may remain. With extra selector literals the
+// block is the negation of the decisions above the nAssump assumption
+// levels: the assumptions, the live clauses (this query's earlier blocks
+// included) and those decisions propagate to exactly this model, so the
+// clause excludes it and nothing else. When every decision is on a
+// variable below nBlock, the projection onto [0, nBlock) fixes the
+// decisions and hence the whole model, so the projection is blocked too.
+// The clause asserts the flipped last decision one level down, so the
+// solver backjumps one level and enqueues it with the clause as reason
+// instead of rediscovering the block through a conflict. Blocks without
+// a selector would stay in force for later queries, and a decision on a
+// variable at or past nBlock would leave other models with the same
+// projection unblocked; both fall back to blockCurrent's full clause.
+func (s *Solver) blockModel(nBlock int, extra []uint32, nAssump int) bool {
+	if len(extra) == 0 {
+		return s.blockCurrent(nBlock, extra)
+	}
+	top := s.decisionLevel()
+	if top <= nAssump {
+		return false // the assumptions alone force this model
+	}
+	lits := append(s.blockBuf[:0], extra...)
+	for lvl := top; lvl > nAssump; lvl-- {
+		d := s.trail[s.trailLim[lvl-1]]
+		if int(d>>1) >= nBlock {
+			s.blockBuf = lits[:0]
+			return s.blockCurrent(nBlock, extra)
+		}
+		lits = append(lits, d^1)
+	}
+	s.blockBuf = lits[:0]
+	// Watch the asserted literal and the deepest of the rest, the
+	// invariant of a reason clause.
+	ne := len(extra)
+	lits[0], lits[ne] = lits[ne], lits[0]
+	for i := 2; i < len(lits); i++ {
+		if s.level[lits[i]>>1] > s.level[lits[1]>>1] {
+			lits[1], lits[i] = lits[i], lits[1]
+		}
+	}
+	c := s.ca.alloc(lits, false, 0)
+	s.clauses = append(s.clauses, c)
+	s.attach(c, lits[0], lits[1])
+	s.cancelUntil(top - 1)
+	s.enqueue(lits[0], c)
+	return true
+}
+
 // EnumerateBlocking visits up to limit models (limit < 0 for all)
 // consistent with the assumptions. Each visited model is blocked over
 // variables [0, nBlock) by a clause that additionally contains the extra
 // literals, which must be false under the assumptions (activation
 // selectors): assuming them false in a later call re-engages the blocks,
-// pinning them true retires the blocks. Enumeration proceeds by
-// continuation — after each model the solver backjumps only far enough to
-// unassign the blocking clause instead of restarting the search — so the
-// per-model cost is local. visit returning false stops early.
+// pinning them true retires the blocks. With selectors the clause is the
+// negation of the model's decisions, usually far shorter than nBlock
+// literals (see blockModel). Enumeration proceeds by continuation — after
+// each model the solver backjumps only far enough to unassign the
+// blocking clause instead of restarting the search — so the per-model
+// cost is local. visit returning false stops early.
 //
 // It returns the number of models visited and whether the search space was
 // exhausted (as opposed to stopping at limit or at visit's request): an
@@ -959,7 +1010,7 @@ func (s *Solver) EnumerateBlocking(limit, nBlock int, extra []formula.Lit, visit
 		if limit >= 0 && count >= limit {
 			return count, false
 		}
-		if !s.blockCurrent(nBlock, ex) {
+		if !s.blockModel(nBlock, ex, len(as)) {
 			return count, true
 		}
 	}
