@@ -132,8 +132,7 @@ func BenchmarkE3FindMaxRange(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			src := oracle.NewCNFSource(cnf)
 			for i := 0; i < b.N; i++ {
-				h := fam.Draw(rng.Uint64).(*hash.Linear)
-				counting.FindMaxRangeLinear(src, h)
+				oracle.LinearTester{Source: src}.MaxTrailingZeros(fam.Draw(rng.Uint64), n)
 			}
 		})
 	}

@@ -119,14 +119,15 @@ func runE3(c runConfig) {
 		tab.add(fmt.Sprintf("DNF n=%d", n), truth, r, re, rate)
 	}
 	tab.print()
-	// Oracle-call scaling: FindMaxRangeLinear uses O(log n) SAT calls.
+	// Oracle-call scaling: FindMaxRange over linear hashes uses O(log n)
+	// SAT calls.
 	scale := newTable("n", "SAT calls per FindMaxRange", "log2(n)")
 	for _, n := range []int{8, 16, 32, 64} {
 		cnf, _ := formula.PlantedKCNF(n, n, 3, rng)
 		src := oracle.NewCNFSource(cnf)
 		h := hash.NewXor(n, n).Draw(stats.NewRNG(c.seed).Uint64).(*hash.Linear)
 		before := src.Queries()
-		counting.FindMaxRangeLinear(src, h)
+		oracle.LinearTester{Source: src}.MaxTrailingZeros(h, n)
 		scale.add(n, src.Queries()-before, math.Log2(float64(n)))
 	}
 	fmt.Println("  oracle-call scaling (Proposition 3: O(log n) per hash):")

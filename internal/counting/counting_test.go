@@ -2,6 +2,8 @@ package counting
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 
@@ -216,24 +218,38 @@ func TestApproxModelCountMinSmallExact(t *testing.T) {
 	}
 }
 
+// TestFindMaxRangeBinarySearch drives Proposition 3's search,
+// oracle.SearchTrailingZeros, with a brute-force exists over random DNFs
+// (some unsatisfiable) at every maxT ∈ [0, n]: the answer is the clamped
+// maximum and the search makes at most ⌈log₂(maxT+1)⌉ + 1 probes.
 func TestFindMaxRangeBinarySearch(t *testing.T) {
 	rng := stats.NewRNG(109)
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(5)
-		d := formula.RandomDNF(n, 2, 2, rng)
-		ex := oracle.NewExhaustive(n, d.Eval)
+		d := formula.RandomDNF(n, rng.Intn(3), 2, rng)
 		h := hash.NewPoly(n, 3).Draw(rng.Uint64)
-		want := -1
+		var tzs []int
+		maxTZ := -1
 		for v := uint64(0); v < 1<<uint(n); v++ {
-			x := bitvec.FromUint64(v, n)
-			if d.Eval(x) {
-				if tz := h.Eval(x).TrailingZeros(); tz > want {
-					want = tz
-				}
+			if x := bitvec.FromUint64(v, n); d.Eval(x) {
+				tz := h.Eval(x).TrailingZeros()
+				tzs = append(tzs, tz)
+				maxTZ = max(maxTZ, tz)
 			}
 		}
-		if got := FindMaxRange(ex, h, n); got != want {
-			t.Fatalf("trial %d: FindMaxRange=%d want=%d", trial, got, want)
+		for maxT := 0; maxT <= n; maxT++ {
+			probes := 0
+			got := oracle.SearchTrailingZeros(maxT, func(t int) bool {
+				probes++
+				return slices.ContainsFunc(tzs, func(tz int) bool { return tz >= t })
+			})
+			if want := min(maxTZ, maxT); got != want {
+				t.Fatalf("trial %d maxT=%d: SearchTrailingZeros=%d want=%d", trial, maxT, got, want)
+			}
+			// bits.Len(maxT) = ⌈log₂(maxT+1)⌉.
+			if bound := bits.Len(uint(maxT)) + 1; probes > bound {
+				t.Fatalf("trial %d maxT=%d: %d probes, bound %d", trial, maxT, probes, bound)
+			}
 		}
 	}
 }
@@ -253,9 +269,9 @@ func TestFindMaxRangeLinearMatchesExhaustive(t *testing.T) {
 				}
 			}
 		}
-		got := FindMaxRangeLinear(oracle.NewCNFSource(cnf), h)
+		got := oracle.LinearTester{Source: oracle.NewCNFSource(cnf)}.MaxTrailingZeros(h, n)
 		if got != want {
-			t.Fatalf("trial %d: FindMaxRangeLinear=%d want=%d", trial, got, want)
+			t.Fatalf("trial %d: LinearTester=%d want=%d", trial, got, want)
 		}
 	}
 }
@@ -284,7 +300,7 @@ func TestRoughCountWithinFactorFive(t *testing.T) {
 	okCount := 0
 	const trials = 10
 	for s := 0; s < trials; s++ {
-		_, est := RoughCount(src, 9, stats.NewRNG(uint64(s)))
+		_, est := RoughCount(oracle.LinearTester{Source: src}, 14, 9, stats.NewRNG(uint64(s)))
 		if est >= truth/8 && est <= 8*truth {
 			okCount++
 		}
@@ -298,7 +314,7 @@ func TestRoughCountUnsat(t *testing.T) {
 	cnf := formula.NewCNF(4)
 	cnf.AddClause(formula.Clause{formula.Pos(0)})
 	cnf.AddClause(formula.Clause{formula.Negl(0)})
-	r, est := RoughCount(oracle.NewCNFSource(cnf), 3, stats.NewRNG(1))
+	r, est := RoughCount(oracle.LinearTester{Source: oracle.NewCNFSource(cnf)}, 4, 3, stats.NewRNG(1))
 	if r != -1 || est != 0 {
 		t.Errorf("unsat RoughCount = (%d, %g)", r, est)
 	}

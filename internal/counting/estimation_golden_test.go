@@ -40,11 +40,11 @@ func TestEstimationCountGoldenDeterminism(t *testing.T) {
 		cnf := formula.RandomKCNF(c.n, c.clauses, 3, rng)
 		name := fmt.Sprintf("cnf/n=%d", c.n)
 		cases[name] = oracle.NewExhaustive(c.n, cnf.Eval)
-		rs[name], _ = RoughCount(oracle.NewCNFSource(cnf), 5, stats.NewRNG(uint64(0x70+c.n)))
+		rs[name], _ = RoughCount(oracle.LinearTester{Source: oracle.NewCNFSource(cnf)}, c.n, 5, stats.NewRNG(uint64(0x70+c.n)))
 	}
 	d := formula.RandomDNF(11, 5, 4, rng)
 	cases["dnf/n=11"] = oracle.NewExhaustive(11, d.Eval)
-	rs["dnf/n=11"], _ = RoughCount(oracle.NewDNFSource(d), 5, stats.NewRNG(0x7b))
+	rs["dnf/n=11"], _ = RoughCount(oracle.LinearTester{Source: oracle.NewDNFSource(d)}, 11, 5, stats.NewRNG(0x7b))
 	unsat := formula.NewDNF(9)
 	cases["unsat/n=9"] = oracle.NewExhaustive(9, unsat.Eval)
 	rs["unsat/n=9"] = 4

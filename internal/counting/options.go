@@ -5,9 +5,10 @@
 //     ApproxMC2 binary search over prefix lengths;
 //   - FindMin (Proposition 2) and ApproxModelCountMin (Algorithm 6), the
 //     Minimum-based counter — an FPRAS for DNF;
-//   - FindMaxRange (Proposition 3) and ApproxModelCountEst (Algorithm 7),
-//     the Estimation-based counter, plus the Flajolet–Martin rough counter
-//     used to supply its range parameter r;
+//   - ApproxModelCountEst (Algorithm 7), the Estimation-based counter,
+//     plus the Flajolet–Martin rough counter RoughCount that supplies its
+//     range parameter r; both ask Proposition 3's FindMaxRange of an
+//     oracle.TrailingZeroTester (its MaxTrailingZeros method);
 //   - a Karp–Luby Monte-Carlo FPRAS for #DNF as the classical baseline.
 //
 // All algorithms run against the oracle abstractions of internal/oracle, so

@@ -79,7 +79,7 @@ func TestApproxModelCountEstParallelDeterminism(t *testing.T) {
 	d := formula.RandomDNF(10, 4, 3, rng)
 	tzFor := func() *oracle.Exhaustive { return oracle.NewExhaustive(10, d.Eval) }
 	src := oracle.NewDNFSource(d)
-	r, _ := RoughCount(src, 5, stats.NewRNG(7))
+	r, _ := RoughCount(oracle.LinearTester{Source: src}, 10, 5, stats.NewRNG(7))
 	if r < 0 {
 		t.Fatal("formula unexpectedly unsatisfiable")
 	}

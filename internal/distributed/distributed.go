@@ -12,9 +12,10 @@
 //   - Estimation: Õ(k·(n + 1/ε²)·log(1/δ)) bits — sites send one
 //     trailing-zero count per hash function.
 //
-// Minimum and Estimation are the Section 3 counters (Algorithms 6 and 7
-// of internal/counting) with every FindMin or FindMaxRange question put
-// to all sites — the paper's transformation of distributed streaming into
+// Minimum and Estimation, and Estimation's rough round RoughR, are the
+// Section 3 counters (Algorithms 6 and 7 and RoughCount of
+// internal/counting) with every FindMin or FindMaxRange question put to
+// all sites — the paper's transformation of distributed streaming into
 // distributed counting — so they share those counters' hash draws and
 // median-trial engine. The sites and coordinator are simulated in-process
 // and deterministically; the independent median trials run across
@@ -260,8 +261,8 @@ func countingOptions(o Options) counting.Options {
 // coordinator takes the maximum — trailing-zero maxima compose under
 // union. The range parameter r must satisfy 2F0 ≤ 2^r ≤ 50F0 (see
 // RoughR). Sites answer FindMaxRange with the exhaustive tester, as no
-// polynomial algorithm is known for DNF (Section 3.4); n is therefore
-// capped at 24 here.
+// polynomial algorithm is known for DNF (Section 3.4); callers therefore
+// cap n at oracle.ExhaustiveMaxVars.
 func Estimation(parts []*formula.DNF, r int, opts Options) Result {
 	k := len(parts)
 	n := parts[0].N
@@ -289,24 +290,14 @@ func Estimation(parts []*formula.DNF, r int, opts Options) Result {
 type siteTesters []oracle.TrailingZeroTester
 
 // MaxTrailingZeros is the maximum of the sites' FindMaxRange replies (−1
-// when every site is unsatisfiable); counting.FindMaxRange takes it as
-// its one-sweep fast path.
-func (s siteTesters) MaxTrailingZeros(h hash.Func) int {
+// when every site is unsatisfiable): trailing-zero maxima compose under
+// union.
+func (s siteTesters) MaxTrailingZeros(h hash.Func, maxT int) int {
 	best := -1
 	for _, site := range s {
-		best = max(best, counting.FindMaxRange(site, h, h.OutBits()))
+		best = max(best, site.MaxTrailingZeros(h, maxT))
 	}
 	return best
-}
-
-// ExistsTrailingZeros is true if any site says yes.
-func (s siteTesters) ExistsTrailingZeros(h hash.Func, t int) bool {
-	for _, site := range s {
-		if site.ExistsTrailingZeros(h, t) {
-			return true
-		}
-	}
-	return false
 }
 
 // Queries sums the sites' meters.
@@ -330,35 +321,24 @@ func (s siteTesters) ForkTester() oracle.TrailingZeroTester {
 }
 
 // RoughR runs a distributed Flajolet–Martin round to pick the Estimation
-// protocol's range parameter: sites send the maximum trailing-zero count of
-// a shared pairwise-independent linear hash over their local solutions; the
-// coordinator medians over trials and offsets into the Lemma 3 window.
+// protocol's range parameter: counting.RoughCount over the sites, which
+// send the maximum trailing-zero count of a shared pairwise-independent
+// linear hash over their local solutions (oracle.LinearTester over
+// DNFSource); the coordinator medians over trials and offsets into the
+// Lemma 3 window. Per (trial, site) the costs are data-independent: one
+// H_xor description down, one level value back. An unsatisfiable φ fails
+// the first trial whatever the hash, so it costs one trial.
 func RoughR(parts []*formula.DNF, trials int, opts Options) (int, Comm) {
 	k := len(parts)
 	n := parts[0].N
-	rng := opts.Resolve(defaultSeed).RNG
-	fam := hash.NewXor(n, n)
-	srcs := make([]*oracle.DNFSource, k)
-	for j := range parts {
-		srcs[j] = oracle.NewDNFSource(parts[j])
+	sites := make(siteTesters, k)
+	for j, part := range parts {
+		sites[j] = oracle.LinearTester{Source: oracle.NewDNFSource(part)}
 	}
-	var comm Comm
-	var rs []float64
-	for i := 0; i < trials; i++ {
-		h := fam.Draw(rng.Uint64).(*hash.Linear)
-		comm.CoordToSites += int64(k) * xorBits(n, n)
-		best := -1
-		for j := 0; j < k; j++ {
-			local := counting.FindMaxRangeLinear(srcs[j], h)
-			comm.SitesToCoord += levelBits(n)
-			if local > best {
-				best = local
-			}
-		}
-		if best < 0 {
-			return -1, comm // unsatisfiable everywhere
-		}
-		rs = append(rs, float64(best))
+	r, _ := counting.RoughCount(sites, n, trials, opts.Resolve(defaultSeed).RNG)
+	if r < 0 {
+		trials = 1
 	}
-	return counting.RangeParam(stats.Median(rs), n), comm
+	msgs := int64(trials) * int64(k)
+	return r, Comm{CoordToSites: msgs * xorBits(n, n), SitesToCoord: msgs * levelBits(n)}
 }

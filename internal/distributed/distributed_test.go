@@ -6,6 +6,8 @@ import (
 
 	"mcf0/internal/exact"
 	"mcf0/internal/formula"
+	"mcf0/internal/hash"
+	"mcf0/internal/oracle"
 	"mcf0/internal/stats"
 )
 
@@ -128,6 +130,36 @@ func TestEstimationMaxComposes(t *testing.T) {
 		_ = opts
 		if a != b {
 			t.Fatalf("k=%d: estimation depends on partition: %g vs %g", k, a, b)
+		}
+	}
+	// The sites as one tester answer FindMaxRange as one tester over the
+	// whole formula, at every maxT; k = 8 leaves two sites without terms.
+	n := d.N
+	hs := []hash.Func{
+		hash.NewPoly(n, 3).Draw(rng.Uint64),
+		hash.NewXor(n, n).Draw(rng.Uint64),
+		hash.NewToeplitz(n, n).Draw(rng.Uint64),
+	}
+	whole := oracle.NewExhaustive(n, d.Eval)
+	for _, k := range []int{1, 2, 5, 8} {
+		exhaustive, linear := make(siteTesters, k), make(siteTesters, k)
+		for j, part := range Split(d, k) {
+			exhaustive[j] = oracle.NewExhaustive(n, part.Eval)
+			linear[j] = oracle.LinearTester{Source: oracle.NewDNFSource(part)}
+		}
+		for i, h := range hs {
+			for maxT := 0; maxT <= n; maxT++ {
+				want := whole.MaxTrailingZeros(h, maxT)
+				if got := exhaustive.MaxTrailingZeros(h, maxT); got != want {
+					t.Fatalf("k=%d hash %d maxT=%d: exhaustive sites %d, whole %d", k, i, maxT, got, want)
+				}
+				if i == 0 {
+					continue // LinearTester takes linear hashes only
+				}
+				if got := linear.MaxTrailingZeros(h, maxT); got != want {
+					t.Fatalf("k=%d hash %d maxT=%d: linear sites %d, whole %d", k, i, maxT, got, want)
+				}
+			}
 		}
 	}
 }

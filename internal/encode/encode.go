@@ -38,8 +38,8 @@ import (
 // use, as the XOR row bit ⊕ sel = 0 with its own activation selector sel.
 // A query for t trailing zeros assumes the selectors of the t low bits
 // false; a free selector merely equals its bit, so rows installed for a
-// larger t constrain nothing. counting.FindMaxRange's binary search over
-// t thus builds each h once instead of once per probe.
+// larger t constrain nothing. MaxTrailingZeros's binary search over t
+// thus builds each h once instead of once per probe.
 type PolyTester struct {
 	cnf     *formula.CNF
 	queries int64
@@ -61,10 +61,16 @@ func (p *PolyTester) Queries() int64 { return p.queries }
 // own SAT-call meter and its own solver.
 func (p *PolyTester) ForkTester() oracle.TrailingZeroTester { return NewPolyTester(p.cnf) }
 
-// ExistsTrailingZeros reports whether some model of φ hashes, under the
-// polynomial hash h, to a value with at least t trailing zero bits. h must
-// come from hash.NewPoly (its coefficients are needed for the encoding).
-func (p *PolyTester) ExistsTrailingZeros(h hash.Func, t int) bool {
+// MaxTrailingZeros answers FindMaxRange by oracle.SearchTrailingZeros
+// over exists. h must come from hash.NewPoly (its coefficients are needed
+// for the encoding).
+func (p *PolyTester) MaxTrailingZeros(h hash.Func, maxT int) int {
+	return oracle.SearchTrailingZeros(maxT, func(t int) bool { return p.exists(h, t) })
+}
+
+// exists reports whether some model of φ hashes, under the polynomial
+// hash h, to a value with at least t trailing zero bits: one SAT call.
+func (p *PolyTester) exists(h hash.Func, t int) bool {
 	coeffs, ok := hash.PolyCoefficients(h)
 	if !ok {
 		panic("encode: hash is not a polynomial-family function")

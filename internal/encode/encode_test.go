@@ -26,8 +26,8 @@ func TestPolyTesterAgreesWithExhaustive(t *testing.T) {
 		ground := oracle.NewExhaustive(n, cnf.Eval)
 		tester := NewPolyTester(cnf)
 		for tt := 0; tt <= n; tt++ {
-			want := ground.ExistsTrailingZeros(h, tt)
-			got := tester.ExistsTrailingZeros(h, tt)
+			want := ground.MaxTrailingZeros(h, tt) == tt
+			got := tester.exists(h, tt)
 			if got != want {
 				t.Fatalf("trial %d (n=%d s=%d t=%d): encoded=%v brute=%v", trial, n, s, tt, got, want)
 			}
@@ -42,10 +42,12 @@ func TestPolyTesterFindMaxRange(t *testing.T) {
 		cnf, _ := formula.PlantedKCNF(n, n, 2, rng)
 		h := hash.NewPoly(n, 3).Draw(rng.Uint64)
 		ground := oracle.NewExhaustive(n, cnf.Eval)
-		want := counting.FindMaxRange(ground, h, n)
-		got := counting.FindMaxRange(NewPolyTester(cnf), h, n)
-		if got != want {
-			t.Fatalf("trial %d: FindMaxRange encoded=%d brute=%d", trial, got, want)
+		for maxT := 0; maxT <= n; maxT++ {
+			want := ground.MaxTrailingZeros(h, maxT)
+			got := NewPolyTester(cnf).MaxTrailingZeros(h, maxT)
+			if got != want {
+				t.Fatalf("trial %d maxT=%d: FindMaxRange encoded=%d brute=%d", trial, maxT, got, want)
+			}
 		}
 	}
 }
@@ -56,8 +58,8 @@ func TestPolyTesterUnsat(t *testing.T) {
 	cnf.AddClause(formula.Clause{formula.Negl(0)})
 	h := hash.NewPoly(4, 2).Draw(stats.NewRNG(1).Uint64)
 	tester := NewPolyTester(cnf)
-	if tester.ExistsTrailingZeros(h, 0) {
-		t.Fatal("unsat formula reported a witness")
+	if r := tester.MaxTrailingZeros(h, 4); r != -1 {
+		t.Fatalf("unsat formula: MaxTrailingZeros = %d, want -1", r)
 	}
 	if tester.Queries() == 0 {
 		t.Fatal("queries not metered")
@@ -72,7 +74,7 @@ func TestPolyTesterRejectsLinearHash(t *testing.T) {
 			t.Fatal("linear hash accepted")
 		}
 	}()
-	NewPolyTester(cnf).ExistsTrailingZeros(lin, 1)
+	NewPolyTester(cnf).MaxTrailingZeros(lin, 4)
 }
 
 // TestApproxModelCountEstWithSATOracle runs the full Algorithm 7 pipeline

@@ -13,6 +13,11 @@
 //     trailing-zero oracle over DNF inputs) with no known efficient
 //     implementation.
 //
+// Proposition 3's FindMaxRange is a TrailingZeroTester method. Exhaustive
+// answers it in one sweep; LinearTester answers it for linear hashes over
+// any Source, and encode.PolyTester for polynomial hashes over CNF, both
+// by the one binary search SearchTrailingZeros.
+//
 // # Concurrency contract
 //
 // A handle is single-threaded: it carries a query meter and (for CNF) an
@@ -67,14 +72,56 @@ type Source interface {
 	Fork() Source
 }
 
-// TrailingZeroTester answers Proposition 3's oracle query: is there an
-// x ⊨ φ such that h(x) ends in at least t zero bits?
+// TrailingZeroTester answers Proposition 3's FindMaxRange: the largest
+// t ≤ maxT such that some x ⊨ φ has h(x) ending in at least t zero bits,
+// or −1 when φ is unsatisfiable.
 type TrailingZeroTester interface {
-	ExistsTrailingZeros(h hash.Func, t int) bool
+	MaxTrailingZeros(h hash.Func, maxT int) int
 	Queries() int64
 	// ForkTester is Source.Fork for testers.
 	ForkTester() TrailingZeroTester
 }
+
+// SearchTrailingZeros is Proposition 3's binary search: given the oracle
+// query exists(t) — is there an x ⊨ φ whose hash ends in ≥ t zeros? — it
+// returns the largest such t ≤ maxT, or −1 when exists(0) fails, in at
+// most ⌈log₂(maxT+1)⌉ + 1 queries.
+func SearchTrailingZeros(maxT int, exists func(t int) bool) int {
+	if !exists(0) {
+		return -1
+	}
+	lo, hi := 0, maxT // invariant: exists(lo) true; answer in [lo, hi]
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if exists(mid) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// LinearTester answers FindMaxRange for linear hashes over any Source:
+// "h(x) ends in ≥ t zeros" is the XOR system h.SuffixZeroSystem(t), so
+// each probe of the search is one Enumerate call (a single SAT call for
+// CNFSource). Its hashes must be *hash.Linear.
+type LinearTester struct{ Source }
+
+// MaxTrailingZeros runs SearchTrailingZeros over the Source.
+func (l LinearTester) MaxTrailingZeros(h hash.Func, maxT int) int {
+	lin := h.(*hash.Linear)
+	return SearchTrailingZeros(maxT, func(t int) bool {
+		cons := lin.SuffixZeroSystem(t)
+		if !cons.Consistent() {
+			return false
+		}
+		return l.Enumerate(cons, nil, 1, func(bitvec.BitVec) bool { return true }) > 0
+	})
+}
+
+// ForkTester forks the Source.
+func (l LinearTester) ForkTester() TrailingZeroTester { return LinearTester{l.Fork()} }
 
 // CNFSource is the SAT-backed oracle for CNF formulas. One CDCL solver
 // instance is built lazily per source (φ's clauses are loaded exactly once)
@@ -428,7 +475,8 @@ func (s *DNFSource) stackTerm(sys *gf2.System, t formula.Term) bool {
 }
 
 // Exhaustive is the ground-truth backend: full enumeration over {0,1}^n.
-// It implements both Source and TrailingZeroTester. Practical for n ≤ 24.
+// It implements both Source and TrailingZeroTester. Practical for
+// n ≤ ExhaustiveMaxVars.
 type Exhaustive struct {
 	n       int
 	eval    func(bitvec.BitVec) bool
@@ -437,6 +485,11 @@ type Exhaustive struct {
 	solsVal []uint64        // integer forms of sols, for Uint64Hash fast paths
 	solsSet bool
 }
+
+// ExhaustiveMaxVars caps n where the public count paths answer
+// trailing-zero queries with the exhaustive tester, which lists Sol(φ)
+// by sweeping all 2^n assignments.
+const ExhaustiveMaxVars = 24
 
 // NewExhaustive wraps a predicate over n-bit assignments. The predicate
 // must be a pure function of its argument (it is shared across forks).
@@ -515,51 +568,24 @@ func (e *Exhaustive) solutions() []bitvec.BitVec {
 	return e.sols
 }
 
-// ExistsTrailingZeros scans the solutions for one whose hash ends in ≥ t
-// zeros.
-func (e *Exhaustive) ExistsTrailingZeros(h hash.Func, t int) bool {
-	e.queries++
-	e.solutions()
-	if u, ok := hash.AsUint64Hash(h); ok {
-		for _, v := range e.solsVal {
-			if trailingZerosValue(u.EvalUint64(v), h.OutBits()) >= t {
-				return true
-			}
-		}
-		return false
-	}
-	scratch := bitvec.New(h.OutBits())
-	for _, x := range e.sols {
-		if hash.EvalTrailingZeros(h, x, scratch) >= t {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxTrailingZeros answers the whole FindMaxRange question in one sweep —
-// the fast path counting.FindMaxRange uses when available (ground-truth
-// backends need not pay the binary search's repeated scans). Returns −1
-// when φ is unsatisfiable.
-func (e *Exhaustive) MaxTrailingZeros(h hash.Func) int {
+// MaxTrailingZeros answers FindMaxRange in one sweep over the solution
+// list, with the maximum clamped to maxT: a ground-truth backend need not
+// pay the binary search's repeated scans. One sweep is one query.
+func (e *Exhaustive) MaxTrailingZeros(h hash.Func, maxT int) int {
 	e.queries++
 	e.solutions()
 	best := -1
 	if u, ok := hash.AsUint64Hash(h); ok {
 		for _, v := range e.solsVal {
-			if tz := trailingZerosValue(u.EvalUint64(v), h.OutBits()); tz > best {
-				best = tz
-			}
+			best = max(best, trailingZerosValue(u.EvalUint64(v), h.OutBits()))
 		}
-		return best
-	}
-	scratch := bitvec.New(h.OutBits())
-	for _, x := range e.sols {
-		if tz := hash.EvalTrailingZeros(h, x, scratch); tz > best {
-			best = tz
+	} else {
+		scratch := bitvec.New(h.OutBits())
+		for _, x := range e.sols {
+			best = max(best, hash.EvalTrailingZeros(h, x, scratch))
 		}
 	}
-	return best
+	return min(best, maxT)
 }
 
 // trailingZerosValue is the string trailing-zero count of the n-bit output

@@ -136,27 +136,66 @@ func TestInconsistentConstraints(t *testing.T) {
 	}
 }
 
+// TestExistsTrailingZeros checks every tester's FindMaxRange against brute
+// force at every maxT ∈ [0, n], which covers Exhaustive's clamp:
+// Exhaustive under a polynomial, an H_xor and a Toeplitz draw, and
+// LinearTester over CNFSource, DNFSource and Exhaustive under the two
+// linear draws, on satisfiable and unsatisfiable formulas.
 func TestExistsTrailingZeros(t *testing.T) {
 	rng := stats.NewRNG(59)
 	n := 6
 	d := formula.RandomDNF(n, 3, 2, rng)
-	ex := NewExhaustive(n, d.Eval)
-	h := hash.NewPoly(n, 3).Draw(rng.Uint64)
-	// Compare against direct max computation.
-	maxTZ := -1
-	for v := uint64(0); v < 1<<uint(n); v++ {
-		x := bitvec.FromUint64(v, n)
-		if d.Eval(x) {
-			if tz := h.Eval(x).TrailingZeros(); tz > maxTZ {
-				maxTZ = tz
+	cnf := formula.RandomKCNF(n, 6, 2, rng)
+	unsatCNF := formula.NewCNF(n)
+	unsatCNF.AddClause(formula.Clause{formula.Pos(0)})
+	unsatCNF.AddClause(formula.Clause{formula.Negl(0)})
+	unsatDNF := formula.NewDNF(n)
+	cases := []struct {
+		name string
+		eval func(bitvec.BitVec) bool
+		src  Source
+	}{
+		{"dnf", d.Eval, NewDNFSource(d)},
+		{"cnf", cnf.Eval, NewCNFSource(cnf)},
+		{"unsat-dnf", unsatDNF.Eval, NewDNFSource(unsatDNF)},
+		{"unsat-cnf", unsatCNF.Eval, NewCNFSource(unsatCNF)},
+	}
+	hs := []struct {
+		name string
+		h    hash.Func
+	}{
+		{"poly", hash.NewPoly(n, 3).Draw(rng.Uint64)},
+		{"xor", hash.NewXor(n, n).Draw(rng.Uint64)},
+		{"toeplitz", hash.NewToeplitz(n, n).Draw(rng.Uint64)},
+	}
+	clamped := 0
+	for _, c := range cases {
+		for _, hc := range hs {
+			maxTZ := -1
+			for v := uint64(0); v < 1<<uint(n); v++ {
+				if x := bitvec.FromUint64(v, n); c.eval(x) {
+					maxTZ = max(maxTZ, hc.h.Eval(x).TrailingZeros())
+				}
+			}
+			testers := []TrailingZeroTester{NewExhaustive(n, c.eval)}
+			if hc.name != "poly" {
+				testers = append(testers, LinearTester{c.src}, LinearTester{NewExhaustive(n, c.eval)})
+			}
+			for maxT := 0; maxT <= n; maxT++ {
+				want := min(maxTZ, maxT)
+				if want < maxTZ {
+					clamped++
+				}
+				for i, tz := range testers {
+					if got := tz.MaxTrailingZeros(hc.h, maxT); got != want {
+						t.Fatalf("%s/%s tester %d (%T): MaxTrailingZeros(maxT=%d) = %d, want %d", c.name, hc.name, i, tz, maxT, got, want)
+					}
+				}
 			}
 		}
 	}
-	for tTest := 0; tTest <= n; tTest++ {
-		want := maxTZ >= tTest
-		if got := ex.ExistsTrailingZeros(h, tTest); got != want {
-			t.Fatalf("ExistsTrailingZeros(%d) = %v, want %v", tTest, got, want)
-		}
+	if clamped == 0 {
+		t.Fatal("no case exercised the maxT clamp")
 	}
 }
 

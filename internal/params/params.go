@@ -66,3 +66,12 @@ func (o Options) Resolve(seed uint64) Options {
 	o.Parallelism = par.Workers(o.Parallelism)
 	return o
 }
+
+// RangeParam turns the median maximum trailing-zero count med of a
+// Flajolet–Martin rough count into Algorithm 7's range parameter
+// r = min(n, ⌊med⌋ + 3): 2^r lands in the [2·F0, 50·F0] window when the
+// FM estimate is within its factor-5 band (up to the window's proof
+// slack). The offset is clamped to the hash width: for solution sets
+// denser than 2^(n-1) the window is infeasible, and r = n is the best
+// (slightly biased but still concentrated) choice.
+func RangeParam(med float64, n int) int { return min(n, int(med)+3) }

@@ -580,15 +580,9 @@ func (e *Estimation) EstimateWithR(r int) float64 {
 // factor-5 band).
 func (e *Estimation) Estimate() float64 { return e.EstimateWithR(e.SuggestR()) }
 
-// SuggestR returns the FM-derived range parameter, clamped to the hash
-// width (for streams denser than half the universe the Lemma 3 window is
-// infeasible and r = n is the best available choice).
+// SuggestR returns the FM-derived range parameter params.RangeParam.
 func (e *Estimation) SuggestR() int {
-	r := e.fm.MaxTrailingZeros() + 3
-	if r > e.n {
-		r = e.n
-	}
-	return r
+	return params.RangeParam(float64(e.fm.MaxTrailingZeros()), e.n)
 }
 
 // SketchWords reports the trailing-zero grid footprint.

@@ -182,8 +182,9 @@ func solverStats(src *oracle.CNFSource) SolverStats {
 }
 
 // CountCNF approximately counts the models of a DIMACS CNF formula.
-// AlgorithmEstimation requires n ≤ 24 (its trailing-zero oracle falls back
-// to enumeration); AlgorithmKarpLuby applies only to DNF.
+// AlgorithmEstimation requires n ≤ 24 (oracle.ExhaustiveMaxVars: its
+// trailing-zero oracle falls back to enumeration); AlgorithmKarpLuby
+// applies only to DNF.
 func CountCNF(r io.Reader, alg Algorithm, cfg Config) (CountResult, error) {
 	c, err := formula.ParseDIMACS(r)
 	if err != nil {
@@ -289,21 +290,26 @@ func dnfFromTerms(n int, terms [][]int) (*formula.DNF, error) {
 }
 
 // countEstimation runs Algorithm 7 on the formula eval over src's
-// variables: RoughCount on src picks the range parameter, and the
-// exhaustive tester answers the trailing-zero queries, so n is capped at
-// 24. An unsatisfiable formula counts 0.
+// variables: RoughCount over src's linear tester picks the range
+// parameter, and the exhaustive tester answers the trailing-zero queries,
+// so n is capped (errEstimationCap). An unsatisfiable formula counts 0.
 func countEstimation(src oracle.Source, eval func(bitvec.BitVec) bool, cfg Config) (CountResult, error) {
 	n := src.NVars()
-	if n > 24 {
-		return CountResult{}, fmt.Errorf("mcf0: estimation algorithm limited to 24 variables (enumeration oracle)")
+	if n > oracle.ExhaustiveMaxVars {
+		return CountResult{}, errEstimationCap
 	}
-	rParam, _ := counting.RoughCount(src, roughTrials(cfg), cfg.rng())
+	rParam, _ := counting.RoughCount(oracle.LinearTester{Source: src}, n, roughTrials(cfg), cfg.rng())
 	if rParam < 0 {
 		return CountResult{}, nil
 	}
 	res := counting.ApproxModelCountEst(oracle.NewExhaustive(n, eval), n, rParam, cfg.countingOptions())
 	return CountResult{Estimate: res.Estimate, OracleQueries: res.OracleQueries}, nil
 }
+
+// errEstimationCap refuses the Estimation algorithm and protocol above
+// oracle.ExhaustiveMaxVars variables: their trailing-zero queries go to
+// the exhaustive tester.
+var errEstimationCap = fmt.Errorf("mcf0: estimation limited to %d variables (exhaustive trailing-zero oracle)", oracle.ExhaustiveMaxVars)
 
 // roughTrials sizes the Flajolet–Martin median used to pick the Estimation
 // algorithm's range parameter.
@@ -609,7 +615,7 @@ type DistResult struct {
 // DistributedCountDNF partitions the DNF's terms round-robin over `sites`
 // sites and runs the selected distributed protocol (Section 4), returning
 // the coordinator's estimate and metered communication.
-// AlgorithmEstimation requires n ≤ 24.
+// AlgorithmEstimation requires n ≤ oracle.ExhaustiveMaxVars (24).
 func DistributedCountDNF(n int, terms [][]int, sites int, alg Algorithm, cfg Config) (DistResult, error) {
 	d, err := dnfFromTerms(n, terms)
 	if err != nil {
@@ -627,14 +633,13 @@ func DistributedCountDNF(n int, terms [][]int, sites int, alg Algorithm, cfg Con
 	case AlgorithmMinimum:
 		res = distributed.Minimum(parts, opts)
 	case AlgorithmEstimation:
-		if n > 24 {
-			return DistResult{}, fmt.Errorf("mcf0: estimation protocol limited to 24 variables")
+		if n > oracle.ExhaustiveMaxVars {
+			return DistResult{}, errEstimationCap
 		}
 		r, comm := distributed.RoughR(parts, cfg.Resolved().Iterations, opts)
-		if r < 0 {
-			return DistResult{Estimate: 0, CommBits: comm.Total()}, nil
+		if r >= 0 { // an unsatisfiable φ estimates 0 and pays RoughR alone
+			res = distributed.Estimation(parts, r, opts)
 		}
-		res = distributed.Estimation(parts, r, opts)
 		res.Comm.CoordToSites += comm.CoordToSites
 		res.Comm.SitesToCoord += comm.SitesToCoord
 	default:

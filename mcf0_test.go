@@ -303,6 +303,18 @@ func TestDistributedCountDNF(t *testing.T) {
 			t.Errorf("%s: distributed estimate %g far from %d", alg, res.Estimate, truth)
 		}
 	}
+	// An unsatisfiable formula estimates 0, and its bits still split into
+	// the two directions (Estimation pays the rough round alone).
+	unsat := [][]int{{1, -1}, {2, -2}}
+	for _, alg := range []Algorithm{AlgorithmBucketing, AlgorithmMinimum, AlgorithmEstimation} {
+		res, err := DistributedCountDNF(6, unsat, 2, alg, Config{Thresh: 24, Seed: 3})
+		if err != nil || res.Estimate != 0 || res.CommBits != res.CoordToSites+res.SitesToCoord {
+			t.Errorf("%s unsat: %+v, %v", alg, res, err)
+		}
+		if alg == AlgorithmEstimation && (res.CoordToSites == 0 || res.SitesToCoord == 0) {
+			t.Errorf("estimation unsat: unsplit communication %+v", res)
+		}
+	}
 	if _, err := DistributedCountDNF(12, terms, 0, AlgorithmMinimum, fastCfg(1)); err == nil {
 		t.Error("zero sites accepted")
 	}
