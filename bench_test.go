@@ -169,12 +169,6 @@ func BenchmarkE4F0Sketches(b *testing.B) {
 			e.ProcessBatch(elems[i%len(elems) : i%len(elems)+1])
 		}
 	})
-	b.Run("exact-baseline", func(b *testing.B) {
-		e := streaming.NewExactDistinct(n)
-		for i := 0; i < b.N; i++ {
-			e.ProcessBatch(elems[i%len(elems) : i%len(elems)+1])
-		}
-	})
 }
 
 // BenchmarkE4SketchBatch times the sharded batch-ingestion path: one

@@ -417,3 +417,27 @@ func TestDecodeF0RefusesMixedWidthEstimation(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeF0RefusesRetiredKinds: an F0 snapshot wrapping a retired
+// sketch kind — 0x04, a Flajolet–Martin estimator (copies, then per copy
+// an H_xor draw and its max + 1), or 0x05, an exact-distinct set (n, then
+// a count of two-word keys), each in the layout its encoder wrote — is
+// corrupt to both decoders.
+func TestDecodeF0RefusesRetiredKinds(t *testing.T) {
+	frame := func(kind byte) []byte {
+		b := wire.AppendHeader(nil, wire.KindF0, f0Version)
+		return wire.AppendHeader(wire.AppendInt(b, 16), kind, 1)
+	}
+	fm := wire.AppendInt(frame(0x04), 1)
+	fm, _ = hash.AppendFunc(fm, hash.NewXor(16, 16).Draw(stats.NewRNG(0x04).Uint64))
+	exact := wire.AppendInt(wire.AppendInt(frame(0x05), 16), 1)
+	exact = wire.AppendUint64(wire.AppendUint64(exact, 3), 0)
+	for kind, blob := range map[byte][]byte{0x04: wire.AppendInt(fm, 0), 0x05: exact} {
+		if _, err := DecodeF0(blob, 1); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("kind %#02x: DecodeF0 got %v, want ErrCorrupt", kind, err)
+		}
+		if _, err := DecodeConcurrentF0(blob, 2); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("kind %#02x: DecodeConcurrentF0 got %v, want ErrCorrupt", kind, err)
+		}
+	}
+}

@@ -121,13 +121,9 @@ func TestEstimationMaxComposes(t *testing.T) {
 	d := formula.RandomDNF(10, 6, 3, rng)
 	truth := float64(exact.CountDNF(d))
 	r := int(math.Ceil(math.Log2(2*truth + 1)))
-	opts := testOpts(7)
-	opts.Iterations = 3
-	opts.Thresh = 16
 	for _, k := range []int{2, 5} {
 		a := Estimation(Split(d, 1), r, testOpts(7)).Estimate
 		b := Estimation(Split(d, k), r, testOpts(7)).Estimate
-		_ = opts
 		if a != b {
 			t.Fatalf("k=%d: estimation depends on partition: %g vs %g", k, a, b)
 		}

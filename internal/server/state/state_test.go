@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mcf0/internal/hash"
+	"mcf0/internal/stats"
+	"mcf0/internal/wire"
 )
 
 func TestValidName(t *testing.T) {
@@ -159,6 +163,27 @@ func TestLoadRefusesCorruptSnapshots(t *testing.T) {
 	}
 	if _, err := NewRegistry(dir).Load(); err == nil {
 		t.Fatal("Load accepted a truncated snapshot blob")
+	}
+
+	// An F0 frame around a retired sketch kind → Load refuses to boot,
+	// naming the file: 0x04, a Flajolet–Martin estimator, and 0x05, an
+	// exact-distinct set, each in the layout its encoder wrote.
+	frame := func(kind byte) []byte {
+		b := wire.AppendHeader(nil, wire.KindF0, 1)
+		return wire.AppendHeader(wire.AppendInt(b, 16), kind, 1)
+	}
+	fm := wire.AppendInt(frame(0x04), 1)
+	fm, _ = hash.AppendFunc(fm, hash.NewXor(16, 16).Draw(stats.NewRNG(0x04).Uint64))
+	exact := wire.AppendInt(wire.AppendInt(frame(0x05), 16), 1)
+	exact = wire.AppendUint64(wire.AppendUint64(exact, 3), 0)
+	for kind, retired := range map[byte][]byte{0x04: wire.AppendInt(fm, 0), 0x05: exact} {
+		if err := os.WriteFile(blobPath, retired, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewRegistry(dir).Load()
+		if n != 0 || err == nil || !strings.Contains(err.Error(), blobPath) {
+			t.Errorf("kind %#02x: Load = (%d, %v), want an error naming %s", kind, n, err, blobPath)
+		}
 	}
 	if err := os.WriteFile(blobPath, blob, 0o644); err != nil {
 		t.Fatal(err)

@@ -98,17 +98,12 @@ func requireEstimationEqual(t *testing.T, a, b *Estimation) {
 				i/a.thresh, i%a.thresh, a.s[i], b.s[i])
 		}
 	}
-	requireFMEqual(t, a.fm, b.fm)
-}
-
-func requireFMEqual(t *testing.T, a, b *FlajoletMartin) {
-	t.Helper()
-	if len(a.max) != len(b.max) {
-		t.Fatalf("copy counts %d != %d", len(a.max), len(b.max))
+	if len(a.fm.max) != len(b.fm.max) {
+		t.Fatalf("tracker copy counts %d != %d", len(a.fm.max), len(b.fm.max))
 	}
-	for i := range a.max {
-		if a.max[i] != b.max[i] {
-			t.Fatalf("copy %d: max trailing zeros %d != %d", i, a.max[i], b.max[i])
+	for i := range a.fm.max {
+		if a.fm.max[i] != b.fm.max[i] {
+			t.Fatalf("tracker copy %d: max trailing zeros %d != %d", i, a.fm.max[i], b.fm.max[i])
 		}
 	}
 }
@@ -157,22 +152,6 @@ func TestBatchVsSingleDifferential(t *testing.T) {
 		requireEstimationEqual(t, eSingle, eBatch)
 		if eSingle.Estimate() != eBatch.Estimate() {
 			t.Fatalf("par=%d: estimation estimates diverge", par)
-		}
-
-		fSingle := NewFlajoletMartin(n, Options{Iterations: 7, RNG: stats.NewRNG(79), Parallelism: 1})
-		fOpts := opts
-		fOpts.RNG = stats.NewRNG(79)
-		fBatch := NewFlajoletMartin(n, fOpts)
-		feed(fSingle, stream)
-		feedChunks(fBatch, stream)
-		requireFMEqual(t, fSingle, fBatch)
-
-		xSingle := NewExactDistinct(n)
-		xBatch := NewExactDistinct(n)
-		feed(xSingle, stream)
-		feedChunks(xBatch, stream)
-		if xSingle.Count() != xBatch.Count() {
-			t.Fatalf("par=%d: exact counts diverge", par)
 		}
 	}
 }

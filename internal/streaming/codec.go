@@ -12,16 +12,14 @@
 // same handful of allocations as Clone.
 //
 // Canonical form: encoding is deterministic (slab-order cells, rank-order
-// minima, sorted exact sets), and decode re-packs state into the same
-// canonical layout Clone produces — so encode(decode(encode(s))) ==
-// encode(s), and a decoded sketch's estimates, merges, and subsequent
-// ingestion are bit-identical to the original's (determinism invariant 6).
+// minima), and decode re-packs state into the same canonical layout Clone
+// produces — so encode(decode(encode(s))) == encode(s), and a decoded
+// sketch's estimates, merges, and subsequent ingestion are bit-identical
+// to the original's (determinism invariant 6).
 package streaming
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
@@ -30,11 +28,9 @@ import (
 
 // Codec versions, one per sketch kind; bump when a payload layout changes.
 const (
-	bucketingVersion      byte = 1
-	minimumVersion        byte = 1
-	estimationVersion     byte = 1
-	flajoletMartinVersion byte = 1
-	exactDistinctVersion  byte = 1
+	bucketingVersion  byte = 1
+	minimumVersion    byte = 1
+	estimationVersion byte = 1
 )
 
 // maxSketchBits bounds a decoded universe width, as the constructors do;
@@ -107,12 +103,8 @@ func SketchBits(s Sketch) int {
 		return sk.n
 	case *Minimum:
 		return sk.sk.N()
-	case *Estimation:
-		return sk.n
-	case *FlajoletMartin:
-		return sk.hs[0].InBits()
 	}
-	return s.(*ExactDistinct).n
+	return s.(*Estimation).n
 }
 
 // AppendSketch appends the framed wire form of s.
@@ -134,10 +126,6 @@ func DecodeSketchFrom(r *wire.Reader, parallelism int) Sketch {
 		s = decodeMinimum(r, parallelism)
 	case wire.KindEstimation:
 		s = decodeEstimation(r, parallelism)
-	case wire.KindFlajoletMartin:
-		s = decodeFlajoletMartin(r, parallelism)
-	case wire.KindExactDistinct:
-		s = decodeExactDistinct(r)
 	default:
 		r.Corrupt("unknown sketch kind %#02x", kind)
 		return nil
@@ -352,23 +340,18 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 	for i := range e.s {
 		e.s[i] = r.Int(n+1) - 1
 	}
-	e.fm = decodeFMBody(r, parallelism)
+	e.fm = decodeFMBody(r, n, t)
 	if r.Err() != nil {
-		return nil
-	}
-	if got := SketchBits(e.fm); got != n {
-		r.Corrupt("estimation over %d bits carries a %d-bit flajolet-martin tracker", n, got)
 		return nil
 	}
 	return e
 }
 
-// ---- FlajoletMartin ----
+// ---- Estimation's Flajolet–Martin tracker ----
 
-// appendBody emits the unframed tracker: t, then per copy the hash draw
-// and the max-trailing-zero counter. The framed form (appendBinary) wraps
-// it; Estimation nests the body under its own version.
-func (f *FlajoletMartin) appendBody(dst []byte) []byte {
+// appendBody emits the tracker, nested under Estimation's version: t,
+// then per copy the hash draw and the max-trailing-zero counter.
+func (f *fmTracker) appendBody(dst []byte) []byte {
 	dst = wire.AppendInt(dst, len(f.hs))
 	for i, h := range f.hs {
 		dst, _ = hash.AppendFunc(dst, h)
@@ -377,96 +360,34 @@ func (f *FlajoletMartin) appendBody(dst []byte) []byte {
 	return dst
 }
 
-func (f *FlajoletMartin) appendBinary(dst []byte) []byte {
-	dst = wire.AppendHeader(dst, wire.KindFlajoletMartin, flajoletMartinVersion)
-	return f.appendBody(dst)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (f *FlajoletMartin) MarshalBinary() ([]byte, error) { return f.appendBinary(nil), nil }
-
-func decodeFMBody(r *wire.Reader, parallelism int) *FlajoletMartin {
-	t := r.Int(kmv.MaxCopies)
+// decodeFMBody consumes an appendBody tracker, refusing one whose copy
+// count is not the grid's t or whose draws are not n→n bits, as
+// newFMTracker draws them.
+func decodeFMBody(r *wire.Reader, n, t int) *fmTracker {
+	copies := r.Int(kmv.MaxCopies)
 	if r.Err() != nil {
 		return nil
 	}
-	if t < 1 {
-		r.Corrupt("flajolet-martin tracker with no copies")
+	if copies != t {
+		r.Corrupt("flajolet-martin tracker has %d copies, the grid %d", copies, t)
 		return nil
 	}
-	f := &FlajoletMartin{eng: newEngine(parallelism, minBatchCheap)}
+	f := &fmTracker{}
 	for i := 0; i < t; i++ {
 		h := hash.DecodeLinear(r)
 		if r.Err() != nil {
 			return nil
 		}
-		if i == 0 && (h.InBits() > maxSketchBits || h.OutBits() > maxSketchBits) {
-			r.Corrupt("flajolet-martin hash is %d->%d bits, wider than %d", h.InBits(), h.OutBits(), maxSketchBits)
+		if h.InBits() != n || h.OutBits() != n {
+			r.Corrupt("flajolet-martin copy %d hash is %d->%d bits, want %d->%d",
+				i, h.InBits(), h.OutBits(), n, n)
 			return nil
 		}
-		if i > 0 && (h.InBits() != f.hs[0].InBits() || h.OutBits() != f.hs[0].OutBits()) {
-			r.Corrupt("flajolet-martin copy %d dimensions disagree with copy 0", i)
-			return nil
-		}
-		maxTZ := r.Int(h.OutBits()+1) - 1
+		maxTZ := r.Int(n+1) - 1
 		if r.Err() != nil {
 			return nil
 		}
 		f.addCopy(h, maxTZ)
 	}
 	return f
-}
-
-func decodeFlajoletMartin(r *wire.Reader, parallelism int) *FlajoletMartin {
-	v := r.Header(wire.KindFlajoletMartin)
-	if !r.CheckVersion(wire.KindFlajoletMartin, v, flajoletMartinVersion) {
-		return nil
-	}
-	return decodeFMBody(r, parallelism)
-}
-
-// ---- ExactDistinct ----
-
-// appendBinary emits n, then the element keys in ascending order — the
-// canonical order (map iteration is randomized; the wire form must not
-// be).
-func (e *ExactDistinct) appendBinary(dst []byte) []byte {
-	dst = wire.AppendHeader(dst, wire.KindExactDistinct, exactDistinctVersion)
-	dst = wire.AppendInt(dst, e.n)
-	dst = wire.AppendInt(dst, len(e.seen))
-	for _, k := range slices.Sorted(maps.Keys(e.seen)) {
-		dst = appendKey(dst, k)
-	}
-	return dst
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (e *ExactDistinct) MarshalBinary() ([]byte, error) { return e.appendBinary(nil), nil }
-
-func decodeExactDistinct(r *wire.Reader) *ExactDistinct {
-	v := r.Header(wire.KindExactDistinct)
-	if !r.CheckVersion(wire.KindExactDistinct, v, exactDistinctVersion) {
-		return nil
-	}
-	n := r.Int(maxSketchBits)
-	cnt := r.Int(r.Remaining() / 16)
-	if r.Err() != nil {
-		return nil
-	}
-	if n < 1 {
-		r.Corrupt("exact-distinct sketch over empty universe")
-		return nil
-	}
-	e := &ExactDistinct{seen: make(map[uint64]struct{}, cnt), n: n}
-	for i := 0; i < cnt; i++ {
-		e.seen[readKey(r, n)] = struct{}{}
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	if len(e.seen) != cnt {
-		r.Corrupt("exact-distinct set has duplicate keys")
-		return nil
-	}
-	return e
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
@@ -20,8 +21,6 @@ func codecSketches(n, par int) (map[string]Sketch, func() map[string]Sketch) {
 			"minimum":   NewMinimum(n, mergeOpts(72, par)),
 			"estimation": NewEstimation(n, Options{Epsilon: 0.8, Delta: 0.2,
 				Thresh: 8, Iterations: 3, RNG: stats.NewRNG(73), Parallelism: par}),
-			"flajolet-martin": NewFlajoletMartin(n, mergeOpts(74, par)),
-			"exact":           NewExactDistinct(n),
 		}
 	}
 	return build(), build
@@ -98,7 +97,6 @@ func TestCodecMergeVsSingleDifferential(t *testing.T) {
 	requireBucketingEqual(t, whole["bucketing"].(*Bucketing), live["bucketing"].(*Bucketing))
 	requireMinimumEqual(t, whole["minimum"].(*Minimum), live["minimum"].(*Minimum))
 	requireEstimationEqual(t, whole["estimation"].(*Estimation), live["estimation"].(*Estimation))
-	requireFMEqual(t, whole["flajolet-martin"].(*FlajoletMartin), live["flajolet-martin"].(*FlajoletMartin))
 }
 
 // Decoded sketches must still reject foreign draws: two sketches from
@@ -190,41 +188,49 @@ func TestBucketingSlabBound(t *testing.T) {
 }
 
 // handEstimation hand-builds an n-bit Estimation snapshot of one grid
-// cell drawn as grid and one Flajolet–Martin copy drawn as tracker, both
-// still empty. No encoder writes one whose draws disagree with n.
-func handEstimation(n int, grid, tracker hash.Func) []byte {
+// cell drawn as grid and one Flajolet–Martin copy per tracker draw, all
+// still empty. No encoder writes one whose draws disagree with n, or
+// whose tracker has other than one copy per grid row.
+func handEstimation(n int, grid hash.Func, tracker ...hash.Func) []byte {
 	blob := wire.AppendHeader(nil, wire.KindEstimation, estimationVersion)
 	for _, v := range []int{n, 1, 1} { // n, thresh, t
 		blob = wire.AppendInt(blob, v)
 	}
 	blob, _ = hash.AppendFunc(blob, grid)
 	blob = wire.AppendInt(blob, 0) // the cell's max, −1 + 1
-	blob = wire.AppendInt(blob, 1) // tracker copies
-	blob, _ = hash.AppendFunc(blob, tracker)
-	return wire.AppendInt(blob, 0)
+	blob = wire.AppendInt(blob, len(tracker))
+	for _, h := range tracker {
+		blob, _ = hash.AppendFunc(blob, h)
+		blob = wire.AppendInt(blob, 0)
+	}
+	return blob
 }
 
-// handKeys hand-builds an n-bit ExactDistinct snapshot of one stored key
-// given as its two wire words.
+// handKeys hand-builds an n-bit Bucketing snapshot of one copy at level 0
+// whose one cell holds a key given as its two wire words, with an
+// all-zero hash value.
 func handKeys(n int, lo, hi uint64) []byte {
-	blob := wire.AppendHeader(nil, wire.KindExactDistinct, exactDistinctVersion)
-	blob = wire.AppendInt(wire.AppendInt(blob, n), 1)
-	return wire.AppendUint64(wire.AppendUint64(blob, lo), hi)
+	blob := wire.AppendHeader(nil, wire.KindBucketing, bucketingVersion)
+	for _, v := range []int{n, 1, 1} { // n, thresh, t
+		blob = wire.AppendInt(blob, v)
+	}
+	blob, _ = hash.AppendFunc(blob, hash.NewToeplitz(n, n).Draw(stats.NewRNG(0x6b).Uint64))
+	blob = wire.AppendInt(wire.AppendInt(blob, 0), 1) // level, cells
+	blob = wire.AppendUint64(wire.AppendUint64(blob, lo), hi)
+	return wire.AppendBitVec(blob, bitvec.New(n))
 }
 
 // TestWordBound pins the one element form: every constructor panics on
 // a universe wider than 64 bits, and the decoder refuses every form no
 // encoder writes — a width above 64, a Toeplitz slot without a
-// carry-less kernel, an Estimation draw that is not polynomial or a
-// tracker of another width, and a key with a nonzero high word or at or
-// above 2^n.
+// carry-less kernel, an Estimation draw that is not polynomial, a tracker
+// of another width or copy count, and a key with a nonzero high word or
+// at or above 2^n.
 func TestWordBound(t *testing.T) {
 	for name, mk := range map[string]func(n int){
-		"bucketing":       func(n int) { NewBucketing(n, Options{Iterations: 1}) },
-		"minimum":         func(n int) { NewMinimum(n, Options{Iterations: 1}) },
-		"estimation":      func(n int) { NewEstimation(n, Options{Iterations: 1, Thresh: 1}) },
-		"flajolet-martin": func(n int) { NewFlajoletMartin(n, Options{Iterations: 1}) },
-		"exact":           func(n int) { NewExactDistinct(n) },
+		"bucketing":  func(n int) { NewBucketing(n, Options{Iterations: 1}) },
+		"minimum":    func(n int) { NewMinimum(n, Options{Iterations: 1}) },
+		"estimation": func(n int) { NewEstimation(n, Options{Iterations: 1, Thresh: 1}) },
 	} {
 		mk(64)
 		func() {
@@ -244,15 +250,10 @@ func TestWordBound(t *testing.T) {
 		}
 	}
 	for kind, version := range map[byte]byte{wire.KindBucketing: bucketingVersion,
-		wire.KindMinimum: minimumVersion, wire.KindEstimation: estimationVersion,
-		wire.KindExactDistinct: exactDistinctVersion} {
+		wire.KindMinimum: minimumVersion, wire.KindEstimation: estimationVersion} {
 		refused("65-bit universe", wire.AppendInt(wire.AppendHeader(nil, kind, version), 65))
 	}
 	rng := stats.NewRNG(0x64)
-	fm := wire.AppendHeader(nil, wire.KindFlajoletMartin, flajoletMartinVersion)
-	fm = wire.AppendInt(fm, 1)
-	fm, _ = hash.AppendFunc(fm, hash.NewXor(65, 65).Draw(rng.Uint64))
-	refused("65-bit flajolet-martin", wire.AppendInt(fm, 0))
 
 	b, m := NewBucketing(16, mergeOpts(1, 1)), NewMinimum(16, mergeOpts(2, 1))
 	feedChunks(b, dupStream(16, 300, stats.NewRNG(3)))
@@ -277,9 +278,12 @@ func TestWordBound(t *testing.T) {
 	refused("linear estimation grid draw", handEstimation(8, xor, xor))
 	refused("16-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(16, 16).Draw(rng.Uint64)))
 	refused("80-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(80, 80).Draw(rng.Uint64)))
+	refused("8->16-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(8, 16).Draw(rng.Uint64)))
+	refused("two tracker copies under one grid row", handEstimation(8, poly, xor, xor))
+	refused("tracker with no copies", handEstimation(8, poly))
 
 	if _, err := DecodeSketch(handKeys(16, 1<<15, 0), 1); err != nil {
-		t.Fatalf("hand-built exact set: %v", err)
+		t.Fatalf("hand-built bucketing cell: %v", err)
 	}
 	refused("key with a high word", handKeys(16, 1, 1))
 	refused("key at 2^n", handKeys(16, 1<<16, 0))
@@ -303,6 +307,11 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	f.Add([]byte{'F', '0', wire.KindBucketing, 1})
 	rng := stats.NewRNG(0xf023)
 	f.Add(handEstimation(8, hash.NewPoly(8, 2).Draw(rng.Uint64), hash.NewXor(80, 80).Draw(rng.Uint64)))
+	f.Add(handKeys(16, 1<<15, 0))
+	f.Add(handKeys(16, 1<<16, 0))
+	// The retired Flajolet–Martin and exact-distinct kinds.
+	f.Add([]byte{'F', '0', 0x04, 1})
+	f.Add([]byte{'F', '0', 0x05, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSketch(data, 1)
 		if err != nil {

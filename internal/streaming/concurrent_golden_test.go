@@ -29,12 +29,6 @@ var concurrentGoldenDigests = map[string]string{
 	"estimation/replicas=1": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
 	"estimation/replicas=2": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
 	"estimation/replicas=4": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
-	"fm/replicas=1":         "de2cd4b4de37991ceb0cce8819c3482f5c4d360a198a78cb64891b4ce3581bc2",
-	"fm/replicas=2":         "de2cd4b4de37991ceb0cce8819c3482f5c4d360a198a78cb64891b4ce3581bc2",
-	"fm/replicas=4":         "de2cd4b4de37991ceb0cce8819c3482f5c4d360a198a78cb64891b4ce3581bc2",
-	"exact/replicas=1":      "eefede119f89f1ccd2d5b9d0035901edb255ad7c8603a7e291faf9510921c122",
-	"exact/replicas=2":      "eefede119f89f1ccd2d5b9d0035901edb255ad7c8603a7e291faf9510921c122",
-	"exact/replicas=4":      "eefede119f89f1ccd2d5b9d0035901edb255ad7c8603a7e291faf9510921c122",
 }
 
 const concurrentGoldenBits = 24
@@ -48,8 +42,6 @@ var concurrentGoldenKinds = []struct {
 	{"bucketing", func() Sketch { return NewBucketing(concurrentGoldenBits, concurrentGoldenOpts(0xb1)) }},
 	{"minimum", func() Sketch { return NewMinimum(concurrentGoldenBits, concurrentGoldenOpts(0x31)) }},
 	{"estimation", func() Sketch { return NewEstimation(concurrentGoldenBits, concurrentGoldenOpts(0xe1)) }},
-	{"fm", func() Sketch { return NewFlajoletMartin(concurrentGoldenBits, concurrentGoldenOpts(0xf1)) }},
-	{"exact", func() Sketch { return NewExactDistinct(concurrentGoldenBits) }},
 }
 
 func concurrentGoldenOpts(seed uint64) Options {

@@ -24,12 +24,11 @@ type engine struct {
 }
 
 // minBatchCheap gates the sketches whose per-copy per-element work is a
-// single linear-hash evaluation (Bucketing, Minimum, Flajolet–Martin).
-// Once a copy has filled, most elements stop at the level test or the
-// max reject on a batched hash word, so a Bucketing or Minimum
-// copy-element costs ~2–5 ns (32-bit universe, BenchmarkF0Ingest on a
-// Xeon vCPU) against ~1–2 µs of dispatch, and only multi-element batches
-// pay for fan-out.
+// single linear-hash evaluation, Bucketing and Minimum. Once a copy has
+// filled, most elements stop at the level test or the max reject on a
+// batched hash word, so a copy-element costs ~2–5 ns (32-bit universe,
+// BenchmarkF0Ingest on a Xeon vCPU) against ~1–2 µs of dispatch, and only
+// multi-element batches pay for fan-out.
 const minBatchCheap = 8
 
 // minBatchEstimation lets Estimation fan out on single elements: each copy

@@ -2,7 +2,6 @@ package streaming
 
 import (
 	"errors"
-	"maps"
 	"slices"
 
 	"mcf0/internal/hash"
@@ -29,7 +28,7 @@ var ErrIncompatibleSketch = errors.New("streaming: sketches are not mergeable (m
 // is exactly the shared-draw precondition Merge requires; ingestion into
 // the clone never disturbs the original.
 //
-// The unexported methods keep the interface to this package's five
+// The unexported methods keep the interface to this package's three
 // sketches: replayCap bounds the elements a Concurrent replica logs to
 // replay into the front's kept target instead of being merged (0: always
 // merge), and appendBinary writes the framed snapshot.
@@ -53,23 +52,17 @@ type Sketch interface {
 
 // replayCap is thresh for Bucketing and Minimum: a replay hashes each
 // element once per copy, a merge touches up to thresh cells per copy, so
-// replaying never costs more than merging. Estimation and FlajoletMartin
-// merge by a pointwise max, cheaper than replaying one element through
-// every draw; ExactDistinct's state is its element set, so a log would
-// only copy what the union reads anyway.
-func (b *Bucketing) replayCap() int      { return b.thresh }
-func (m *Minimum) replayCap() int        { return m.sk.Thresh() }
-func (e *Estimation) replayCap() int     { return 0 }
-func (f *FlajoletMartin) replayCap() int { return 0 }
-func (e *ExactDistinct) replayCap() int  { return 0 }
+// replaying never costs more than merging. Estimation merges by a
+// pointwise max, cheaper than replaying one element through every draw.
+func (b *Bucketing) replayCap() int  { return b.thresh }
+func (m *Minimum) replayCap() int    { return m.sk.Thresh() }
+func (e *Estimation) replayCap() int { return 0 }
 
 // Static interface-compliance checks for every sketch in the package.
 var (
 	_ Sketch = (*Bucketing)(nil)
 	_ Sketch = (*Minimum)(nil)
 	_ Sketch = (*Estimation)(nil)
-	_ Sketch = (*FlajoletMartin)(nil)
-	_ Sketch = (*ExactDistinct)(nil)
 )
 
 // samePoly reports whether two grid draws are identical: pointer equality
@@ -156,7 +149,7 @@ func (e *Estimation) Clone() Sketch {
 		n:      e.n,
 		hs:     e.hs, // immutable grid of draws, shared
 		s:      slices.Clone(e.s),
-		fm:     e.fm.Clone().(*FlajoletMartin),
+		fm:     e.fm.clone(),
 		eng:    e.eng,
 	}
 }
@@ -179,8 +172,8 @@ func (e *Estimation) Merge(other Sketch) error {
 			}
 		}
 	}
-	if err := e.fm.Merge(o.fm); err != nil {
-		return err
+	if !e.fm.merge(o.fm) {
+		return ErrIncompatibleSketch
 	}
 	for i, v := range o.s {
 		if v > e.s[i] {
@@ -190,20 +183,18 @@ func (e *Estimation) Merge(other Sketch) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing hash draws.
-func (f *FlajoletMartin) Clone() Sketch {
-	return &FlajoletMartin{hs: f.hs, u64: f.u64, max: slices.Clone(f.max), eng: f.eng}
+// clone returns a deep copy sharing hash draws.
+func (f *fmTracker) clone() *fmTracker {
+	return &fmTracker{hs: f.hs, u64: f.u64, max: slices.Clone(f.max)}
 }
 
-// Merge takes the pointwise maximum of the per-copy counters.
-func (f *FlajoletMartin) Merge(other Sketch) error {
-	o, ok := other.(*FlajoletMartin)
-	if !ok || len(o.hs) != len(f.hs) {
-		return ErrIncompatibleSketch
-	}
+// merge takes the pointwise maximum of the per-copy counters, reporting
+// false, with f untouched, when o's draws differ from f's. Both trackers
+// have one copy per grid row, and Estimation.Merge has matched the rows.
+func (f *fmTracker) merge(o *fmTracker) bool {
 	for i := range f.hs {
 		if !f.hs[i].Equal(o.hs[i]) {
-			return ErrIncompatibleSketch
+			return false
 		}
 	}
 	for i, v := range o.max {
@@ -211,22 +202,5 @@ func (f *FlajoletMartin) Merge(other Sketch) error {
 			f.max[i] = v
 		}
 	}
-	return nil
-}
-
-// Clone returns a deep copy of the exact set.
-func (e *ExactDistinct) Clone() Sketch {
-	return &ExactDistinct{seen: maps.Clone(e.seen), n: e.n}
-}
-
-// Merge unions the exact sets.
-func (e *ExactDistinct) Merge(other Sketch) error {
-	o, ok := other.(*ExactDistinct)
-	if !ok || o.n != e.n {
-		return ErrIncompatibleSketch
-	}
-	for k := range o.seen {
-		e.seen[k] = struct{}{}
-	}
-	return nil
+	return true
 }

@@ -77,30 +77,6 @@ func TestMergeVsSingleDifferential(t *testing.T) {
 		if eWhole.Estimate() != eLeft.Estimate() {
 			t.Fatalf("par=%d: estimation estimates diverge", par)
 		}
-
-		fWhole := NewFlajoletMartin(n, mergeOpts(44, 1))
-		fLeft := NewFlajoletMartin(n, mergeOpts(44, par))
-		fRight := NewFlajoletMartin(n, mergeOpts(44, par))
-		feedChunks(fWhole, stream)
-		feedChunks(fLeft, stream[:half])
-		feedChunks(fRight, stream[half:])
-		if err := fLeft.Merge(fRight); err != nil {
-			t.Fatalf("par=%d: fm merge: %v", par, err)
-		}
-		requireFMEqual(t, fWhole, fLeft)
-
-		xWhole := NewExactDistinct(n)
-		xLeft := NewExactDistinct(n)
-		xRight := NewExactDistinct(n)
-		feedChunks(xWhole, stream)
-		feedChunks(xLeft, stream[:half])
-		feedChunks(xRight, stream[half:])
-		if err := xLeft.Merge(xRight); err != nil {
-			t.Fatalf("par=%d: exact merge: %v", par, err)
-		}
-		if xWhole.Count() != xLeft.Count() {
-			t.Fatalf("par=%d: exact counts diverge", par)
-		}
 	}
 }
 
@@ -235,41 +211,42 @@ func TestConcurrentDeterminism(t *testing.T) {
 	}
 }
 
-// gatedExact is an ExactDistinct whose ProcessBatch blocks until gate
+// gatedMinimum is a Minimum whose ProcessBatch blocks until gate
 // closes, announcing on entered that it holds its replica's lock.
-type gatedExact struct {
-	*ExactDistinct
+type gatedMinimum struct {
+	*Minimum
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gatedExact) ProcessBatch(xs []uint64) {
+func (g *gatedMinimum) ProcessBatch(xs []uint64) {
 	g.entered <- struct{}{}
 	<-g.gate
-	g.ExactDistinct.ProcessBatch(xs)
+	g.Minimum.ProcessBatch(xs)
 }
 
-func (g *gatedExact) Clone() Sketch {
-	return &gatedExact{g.ExactDistinct.Clone().(*ExactDistinct), g.entered, g.gate}
+func (g *gatedMinimum) Clone() Sketch {
+	return &gatedMinimum{g.Minimum.Clone().(*Minimum), g.entered, g.gate}
 }
 
-func (g *gatedExact) Merge(other Sketch) error {
-	return g.ExactDistinct.Merge(other.(*gatedExact).ExactDistinct)
+func (g *gatedMinimum) Merge(other Sketch) error {
+	return g.Minimum.Merge(other.(*gatedMinimum).Minimum)
 }
 
 // A cache hit must not wait for a writer partway through a batch: with a
 // writer parked inside ProcessBatch (holding one replica lock), Estimate
 // still returns the cached answer, and once the writer completes the
-// next estimate is a miss covering its write.
+// next estimate is a miss covering its write. The sketch is a Minimum
+// below Thresh, which counts its distinct elements exactly.
 func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
 	const n = 16
-	seed := &gatedExact{NewExactDistinct(n), make(chan struct{}, 1), make(chan struct{})}
+	seed := &gatedMinimum{NewMinimum(n, testOpts(13)), make(chan struct{}, 1), make(chan struct{})}
 	front := NewConcurrent(seed, 2)
 	for x := uint64(0); x < 10; x++ {
 		// Warm-up writes take the front's write protocol but skip the
-		// gate, absorbing into the embedded set.
+		// gate, absorbing into the embedded sketch.
 		r := front.acquire()
-		r.sk.(*gatedExact).ExactDistinct.ProcessBatch([]uint64{x})
+		r.sk.(*gatedMinimum).Minimum.ProcessBatch([]uint64{x})
 		front.release(r)
 	}
 	est, v, cached := front.EstimateVersioned()
@@ -370,10 +347,9 @@ func TestConcurrentHammerRace(t *testing.T) {
 	}
 
 	seeds := map[string]func() Sketch{
-		"bucketing": func() Sketch { return NewBucketing(n, mergeOpts(81, 1)) },
-		"minimum":   func() Sketch { return NewMinimum(n, mergeOpts(82, 1)) },
-		"fm":        func() Sketch { return NewFlajoletMartin(n, mergeOpts(83, 1)) },
-		"exact":     func() Sketch { return NewExactDistinct(n) },
+		"bucketing":  func() Sketch { return NewBucketing(n, mergeOpts(81, 1)) },
+		"minimum":    func() Sketch { return NewMinimum(n, mergeOpts(82, 1)) },
+		"estimation": func() Sketch { return NewEstimation(n, mergeOpts(83, 1)) },
 	}
 	for name, mk := range seeds {
 		t.Run(name, func(t *testing.T) {

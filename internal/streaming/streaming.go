@@ -7,9 +7,9 @@
 //   - Minimum (Bar-Yossef et al.): keep the Thresh lexicographically
 //     smallest hash values;
 //   - Estimation (Bar-Yossef et al.): track the maximum trailing-zero
-//     count of Thresh independent s-wise hashes;
+//     count of Thresh independent s-wise hashes, with a Flajolet–Martin
+//     rough estimator run in parallel to choose its range parameter.
 //
-// plus the Flajolet–Martin rough estimator and an exact-distinct baseline.
 // Every sketch absorbs elements in chunks (ProcessBatch), each element an
 // integer below 2^n, and is order-insensitive; a one-element chunk is the
 // element-at-a-time reference.
@@ -18,9 +18,8 @@
 // pass and what the polynomial and Flajolet–Martin hashes evaluate
 // (hash.Uint64Hash). The packed form is bitvec word 0 of x's n-bit
 // vector — bit i is bit n−1−i of x — and is what the Toeplitz kernel
-// (hash.Linear.PrefixWords) multiplies and what Bucketing and
-// ExactDistinct store as keys. Bucketing and Minimum pack each chunk
-// once (wordScratch); ExactDistinct packs element by element.
+// (hash.Linear.PrefixWords) multiplies and what Bucketing stores as
+// keys. Bucketing and Minimum pack each chunk once (wordScratch).
 //
 // The t ≈ 35·log₂(1/δ) copies of each sketch are independent — own hash
 // function, own mutable state — and run on a sharded worker pool
@@ -77,32 +76,6 @@ func checkBits(n int) {
 		panic(fmt.Sprintf("streaming: universe width %d out of [1,64]", n))
 	}
 }
-
-// ExactDistinct is the ground-truth baseline: the set of every element,
-// keyed by its packed form.
-type ExactDistinct struct {
-	seen map[uint64]struct{}
-	n    int
-}
-
-// NewExactDistinct returns an exact distinct counter over n-bit elements.
-func NewExactDistinct(n int) *ExactDistinct {
-	checkBits(n)
-	return &ExactDistinct{seen: map[uint64]struct{}{}, n: n}
-}
-
-// ProcessBatch absorbs a chunk of elements (the set is inherently serial).
-func (e *ExactDistinct) ProcessBatch(xs []uint64) {
-	for _, x := range xs {
-		e.seen[packWord(x, e.n)] = struct{}{}
-	}
-}
-
-// Estimate returns the exact distinct count.
-func (e *ExactDistinct) Estimate() float64 { return float64(len(e.seen)) }
-
-// SketchWords reports the O(F0) exact-set footprint, one word per element.
-func (e *ExactDistinct) SketchWords() int { return len(e.seen) }
 
 // Bucketing is Algorithm 3's Bucketing case: t independent copies of the
 // Gibbons–Tirthapura adaptive-sampling bucket.
@@ -472,9 +445,10 @@ type polyDraw interface {
 
 // Estimation is Algorithm 3's Estimation case: a t × Thresh grid of s-wise
 // independent hashes, tracking each one's maximum trailing-zero count.
-// Estimate needs the range parameter r of Lemma 3 (2F0 ≤ 2^r ≤ 50F0);
-// EstimateAuto derives one from a built-in Flajolet–Martin tracker, "run
-// in parallel" as the paper prescribes.
+// EstimateWithR needs the range parameter r of Lemma 3 (2F0 ≤ 2^r ≤
+// 50F0); Estimate and SuggestR derive one from a Flajolet–Martin tracker
+// of t copies, "run in parallel" as the paper prescribes: copy i is
+// absorbed together with grid row i.
 type Estimation struct {
 	thresh int
 	n      int
@@ -483,7 +457,7 @@ type Estimation struct {
 	// one contiguous slab: cell (i, j) lives at s[i*thresh+j], so a row
 	// absorb streams linearly and Merge is one pointwise-max sweep.
 	s   []int
-	fm  *FlajoletMartin
+	fm  *fmTracker
 	eng engine
 }
 
@@ -503,9 +477,9 @@ func NewEstimation(n int, opts Options) *Estimation {
 	e := &Estimation{
 		thresh: thresh,
 		n:      n,
-		// The rough estimator resolves opts itself: under a nil RNG it
-		// draws from its own default-seeded generator, not from rng.
-		fm:  NewFlajoletMartin(n, opts),
+		// The tracker draws first, and resolves opts itself: under a nil
+		// RNG it draws from its own default-seeded generator, not from rng.
+		fm:  newFMTracker(n, t, opts.Resolve(defaultSeed).RNG.Uint64),
 		eng: newEngine(o.Parallelism, minBatchEstimation),
 	}
 	e.s = make([]int, t*thresh)
@@ -533,17 +507,16 @@ func (e *Estimation) ProcessBatch(xs []uint64) {
 		for i := range e.hs {
 			e.absorbRow(i, xs)
 		}
-	} else {
-		e.eng.run(len(e.hs), func(i, _ int) { e.absorbRow(i, xs) })
+		return
 	}
-	e.fm.ProcessBatch(xs)
+	e.eng.run(len(e.hs), func(i, _ int) { e.absorbRow(i, xs) })
 }
 
 // row returns grid row i of the flat trailing-zero slab.
 func (e *Estimation) row(i int) []int { return e.s[i*e.thresh : (i+1)*e.thresh] }
 
-// absorbRow folds a batch into grid row i: every cell is one field
-// evaluation plus a trailing-zeros instruction per element.
+// absorbRow folds a batch into grid row i and tracker copy i: every cell
+// is one field evaluation plus a trailing-zeros instruction per element.
 func (e *Estimation) absorbRow(i int, xs []uint64) {
 	srow := e.row(i)
 	for _, x := range xs {
@@ -558,6 +531,7 @@ func (e *Estimation) absorbRow(i int, xs []uint64) {
 			}
 		}
 	}
+	e.fm.absorb(i, xs)
 }
 
 // EstimateWithR evaluates the Lemma 3 estimator at range parameter r.
@@ -582,63 +556,47 @@ func (e *Estimation) Estimate() float64 { return e.EstimateWithR(e.SuggestR()) }
 
 // SuggestR returns the FM-derived range parameter params.RangeParam.
 func (e *Estimation) SuggestR() int {
-	return params.RangeParam(float64(e.fm.MaxTrailingZeros()), e.n)
+	return params.RangeParam(float64(e.fm.maxTrailingZeros()), e.n)
 }
 
 // SketchWords reports the trailing-zero grid footprint.
 func (e *Estimation) SketchWords() int { return len(e.s) }
 
-// FlajoletMartin is the classical rough estimator: the maximum trailing
-// zero count r of a single pairwise-independent hash over the stream gives
-// 2^r, a factor-5 approximation of F0 with probability 3/5 (Alon–Matias–
-// Szegedy). The median over Iterations copies is reported.
-type FlajoletMartin struct {
+// fmTracker is Estimation's Flajolet–Martin rough estimator: the maximum
+// trailing-zero count r of a pairwise-independent hash over the stream
+// gives 2^r, a factor-5 approximation of F0 with probability 3/5
+// (Alon–Matias–Szegedy). It keeps one counter per copy, draws from
+// H_xor(n, n), and reports the median.
+type fmTracker struct {
 	hs []*hash.Linear
 	// u64 evaluates hs on integer-form elements (hash.AsUint64Hash).
 	u64 []hash.Uint64Hash
 	max []int
-	eng engine
 }
 
-// NewFlajoletMartin builds the rough estimator with hashes from H_xor(n,n).
-func NewFlajoletMartin(n int, opts Options) *FlajoletMartin {
-	checkBits(n)
-	o := opts.Resolve(defaultSeed)
+// newFMTracker draws t copies from H_xor(n, n), in copy order.
+func newFMTracker(n, t int, rand func() uint64) *fmTracker {
 	fam := hash.NewXor(n, n)
-	f := &FlajoletMartin{eng: newEngine(o.Parallelism, minBatchCheap)}
-	for i := 0; i < o.Iterations; i++ {
-		f.addCopy(fam.Draw(o.RNG.Uint64).(*hash.Linear), -1)
+	f := &fmTracker{}
+	for i := 0; i < t; i++ {
+		f.addCopy(fam.Draw(rand).(*hash.Linear), -1)
 	}
 	return f
 }
 
 // addCopy appends a copy with draw h and counter maxTZ. Every linear draw
 // of at most 64 input and output bits has an integer-form evaluator.
-func (f *FlajoletMartin) addCopy(h *hash.Linear, maxTZ int) {
+func (f *fmTracker) addCopy(h *hash.Linear, maxTZ int) {
 	u, _ := hash.AsUint64Hash(h)
 	f.hs = append(f.hs, h)
 	f.u64 = append(f.u64, u)
 	f.max = append(f.max, maxTZ)
 }
 
-// ProcessBatch absorbs a chunk of elements, fanning the copies across the
-// worker pool: every copy is one EvalUint64 (a carry-less multiply or
-// single-word row sweep) plus a trailing-zeros instruction per element.
-func (f *FlajoletMartin) ProcessBatch(xs []uint64) {
-	if len(xs) == 0 {
-		return
-	}
-	if f.eng.serial(len(xs)) {
-		for i := range f.u64 {
-			f.absorbCopy(i, xs)
-		}
-		return
-	}
-	f.eng.run(len(f.u64), func(i, _ int) { f.absorbCopy(i, xs) })
-}
-
-// absorbCopy folds a batch into copy i's max-trailing-zeros counter.
-func (f *FlajoletMartin) absorbCopy(i int, xs []uint64) {
+// absorb folds a batch into copy i's max-trailing-zeros counter: one
+// EvalUint64 (a carry-less multiply or single-word row sweep) plus a
+// trailing-zeros instruction per element.
+func (f *fmTracker) absorb(i int, xs []uint64) {
 	u := f.u64[i]
 	n := f.hs[i].OutBits()
 	best := f.max[i]
@@ -654,23 +612,7 @@ func (f *FlajoletMartin) absorbCopy(i int, xs []uint64) {
 	f.max[i] = best
 }
 
-// Estimate returns Median_i(2^{r_i}).
-func (f *FlajoletMartin) Estimate() float64 {
-	ests := make([]float64, len(f.max))
-	for i, r := range f.max {
-		if r < 0 {
-			ests[i] = 0
-		} else {
-			ests[i] = pow2(r)
-		}
-	}
-	return stats.Median(ests)
-}
-
-// MaxTrailingZeros returns the median max-trailing-zero count.
-func (f *FlajoletMartin) MaxTrailingZeros() int {
+// maxTrailingZeros returns the median max-trailing-zero count.
+func (f *fmTracker) maxTrailingZeros() int {
 	return int(stats.MedianInt(f.max))
 }
-
-// SketchWords reports the O(t) counter footprint.
-func (f *FlajoletMartin) SketchWords() int { return len(f.max) }

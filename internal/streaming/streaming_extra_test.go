@@ -23,18 +23,18 @@ func TestEstimationAllHitsGivesInf(t *testing.T) {
 
 func TestEmptyStreamEstimates(t *testing.T) {
 	o := testOpts(2)
-	for name, e := range map[string]Sketch{
-		"bucketing": NewBucketing(8, o),
-		"minimum":   NewMinimum(8, o),
-		"exact":     NewExactDistinct(8),
+	e := NewEstimation(8, o)
+	for name, s := range map[string]Sketch{
+		"bucketing":  NewBucketing(8, o),
+		"minimum":    NewMinimum(8, o),
+		"estimation": e,
 	} {
-		if got := e.Estimate(); got != 0 {
+		if got := s.Estimate(); got != 0 {
 			t.Errorf("%s: empty stream estimate %g", name, got)
 		}
 	}
-	fm := NewFlajoletMartin(8, o)
-	if got := fm.Estimate(); got != 0 {
-		t.Errorf("FM: empty stream estimate %g", got)
+	if got := e.fm.maxTrailingZeros(); got != -1 {
+		t.Errorf("FM: empty stream max trailing zeros %d, want -1", got)
 	}
 }
 

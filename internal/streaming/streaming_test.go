@@ -44,16 +44,6 @@ func feed(e Sketch, stream []uint64) {
 	}
 }
 
-func TestExactDistinct(t *testing.T) {
-	rng := stats.NewRNG(1)
-	stream := makeStream(16, 100, 500, rng)
-	e := NewExactDistinct(16)
-	feed(e, stream)
-	if e.Count() != 100 {
-		t.Fatalf("exact count %d, want 100", e.Count())
-	}
-}
-
 // sketchAccuracy checks an estimator family's empirical (ε, δ) behaviour.
 func sketchAccuracy(t *testing.T, name string, mk func(n int, opts Options) Sketch, eps float64) {
 	t.Helper()
@@ -131,6 +121,9 @@ func TestEstimationWithGroundTruthR(t *testing.T) {
 	}
 }
 
+// TestFlajoletMartinFactorFive checks Estimation's rough estimator: the
+// tracker's 2^median, the value SuggestR reads, lands within a factor 8
+// of F0 in most trials.
 func TestFlajoletMartinFactorFive(t *testing.T) {
 	rng := stats.NewRNG(45)
 	f0 := 1000
@@ -138,9 +131,9 @@ func TestFlajoletMartinFactorFive(t *testing.T) {
 	const trials = 10
 	for s := 0; s < trials; s++ {
 		stream := makeStream(24, f0, f0, rng)
-		fm := NewFlajoletMartin(24, testOpts(uint64(400+s)))
-		feed(fm, stream)
-		est := fm.Estimate()
+		e := NewEstimation(24, testOpts(uint64(400+s)))
+		feed(e, stream)
+		est := pow2(e.fm.maxTrailingZeros())
 		if est >= float64(f0)/8 && est <= 8*float64(f0) {
 			ok++
 		}
@@ -212,8 +205,7 @@ func TestDuplicatesIgnored(t *testing.T) {
 }
 
 // TestSketchSpaceSublinear verifies the headline space claim: sketch size
-// stays bounded by O(Thresh·t) words while the exact baseline grows with
-// F0.
+// stays bounded by O(Thresh·t) words while F0 grows far past it.
 func TestSketchSpaceSublinear(t *testing.T) {
 	n := 32
 	rng := stats.NewRNG(48)
@@ -233,12 +225,6 @@ func TestSketchSpaceSublinear(t *testing.T) {
 	feed(mBig, big)
 	if mBig.SketchWords() > opts.Thresh*opts.Iterations*((3*n+63)/64) {
 		t.Errorf("minimum sketch too large: %d words", mBig.SketchWords())
-	}
-
-	exact := NewExactDistinct(n)
-	feed(exact, big)
-	if exact.SketchWords() <= bound {
-		t.Errorf("exact baseline unexpectedly small: %d words", exact.SketchWords())
 	}
 }
 
@@ -291,9 +277,6 @@ func TestPaperDefaultOptions(t *testing.T) {
 		}
 	}
 }
-
-// Count returns the distinct count as an integer.
-func (e *ExactDistinct) Count() int { return len(e.seen) }
 
 // MaxLevel returns the largest sampling level across copies (diagnostics).
 func (b *Bucketing) MaxLevel() int {

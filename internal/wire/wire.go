@@ -39,11 +39,12 @@ import (
 // never renumber.
 const (
 	// internal/streaming sketches.
-	KindBucketing      byte = 0x01
-	KindMinimum        byte = 0x02
-	KindEstimation     byte = 0x03
-	KindFlajoletMartin byte = 0x04
-	KindExactDistinct  byte = 0x05
+	KindBucketing  byte = 0x01
+	KindMinimum    byte = 0x02
+	KindEstimation byte = 0x03
+	// 0x04 was streaming.FlajoletMartin, now a tracker inside Estimation's
+	// own message, and 0x05 streaming.ExactDistinct, an unbounded set
+	// deleted with it; both are retired and never reused.
 
 	// internal/setstream estimators.
 	KindDNFStream         byte = 0x10
@@ -70,10 +71,6 @@ func KindName(kind byte) string {
 		return "streaming.Minimum"
 	case KindEstimation:
 		return "streaming.Estimation"
-	case KindFlajoletMartin:
-		return "streaming.FlajoletMartin"
-	case KindExactDistinct:
-		return "streaming.ExactDistinct"
 	case KindDNFStream:
 		return "setstream.DNFStream"
 	case KindRangeStream:

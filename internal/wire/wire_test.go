@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -330,12 +331,11 @@ func TestCorrupt(t *testing.T) {
 }
 
 // TestKindName: every registered kind has a diagnostic name; unknown
-// bytes render their hex.
+// bytes, the retired kinds among them, render their hex.
 func TestKindName(t *testing.T) {
-	kinds := []byte{KindBucketing, KindMinimum, KindEstimation, KindFlajoletMartin,
-		KindExactDistinct, KindDNFStream, KindRangeStream, KindProgressionStream,
-		KindAffineStream, KindF0, KindDNFSetF0, KindRangeF0,
-		KindProgressionF0, KindAffineF0}
+	kinds := []byte{KindBucketing, KindMinimum, KindEstimation, KindDNFStream,
+		KindRangeStream, KindProgressionStream, KindAffineStream, KindF0,
+		KindDNFSetF0, KindRangeF0, KindProgressionF0, KindAffineF0}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		name := KindName(k)
@@ -350,8 +350,10 @@ func TestKindName(t *testing.T) {
 	if got := KindName(0xEE); got != "unknown(0xee)" {
 		t.Errorf("unknown kind name %q", got)
 	}
-	if got := KindName(0x14); got != "unknown(0x14)" {
-		t.Errorf("retired kind 0x14 named %q", got)
+	for _, retired := range []byte{0x04, 0x05, 0x14} {
+		if got, want := KindName(retired), fmt.Sprintf("unknown(0x%02x)", retired); got != want {
+			t.Errorf("retired kind %#02x named %q", retired, got)
+		}
 	}
 }
 
