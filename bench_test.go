@@ -42,12 +42,14 @@ func BenchmarkE1ApproxMC(b *testing.B) {
 	d := formula.RandomDNF(16, 8, 5, rng)
 	cnf, _ := formula.PlantedKCNF(14, 21, 3, rng)
 	b.Run("DNF/n=16/k=8", func(b *testing.B) {
+		b.ReportAllocs()
 		src := oracle.NewDNFSource(d)
 		for i := 0; i < b.N; i++ {
 			counting.ApproxMC(src, benchOpts(uint64(i)))
 		}
 	})
 	b.Run("CNF/n=14", func(b *testing.B) {
+		b.ReportAllocs()
 		src := oracle.NewCNFSource(cnf)
 		for i := 0; i < b.N; i++ {
 			counting.ApproxMC(src, benchOpts(uint64(i)))
@@ -57,6 +59,7 @@ func BenchmarkE1ApproxMC(b *testing.B) {
 	// models at default options (Thresh 150, 82 trials), reporting the
 	// oracle and solver work per count beside the time.
 	b.Run("CNF/n=20/3cnf-defaults", func(b *testing.B) {
+		b.ReportAllocs()
 		src := oracle.NewCNFSource(formula.RandomKCNF(20, 62, 3, stats.NewRNG(0xb0c2)))
 		var queries int64
 		for i := 0; i < b.N; i++ {
@@ -84,6 +87,7 @@ func BenchmarkE1ApproxMC(b *testing.B) {
 			}
 		}
 		b.Run(band.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var queries int64
 			for i := 0; i < b.N; i++ {
 				opts := counting.Options{RNG: stats.NewRNG(uint64(i)), Parallelism: 1}
@@ -439,12 +443,18 @@ func BenchmarkA1HashFamily(b *testing.B) {
 	rng := stats.NewRNG(11)
 	x := bitvec.Random(n, rng.Uint64)
 	fams := []hash.Family{hash.NewToeplitz(n, n), hash.NewXor(n, n), hash.NewPoly(n, 8)}
-	for _, fam := range fams {
-		b.Run("draw/"+fam.Name(), func(b *testing.B) {
+	draw := func(fam hash.Family) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				fam.Draw(rng.Uint64)
 			}
-		})
+		}
+	}
+	// The Minimum sketch's n → 3n shape.
+	b.Run("draw/toeplitz/n=32/m=96", draw(hash.NewToeplitz(32, 96)))
+	for _, fam := range fams {
+		b.Run("draw/"+fam.Name(), draw(fam))
 		h := fam.Draw(rng.Uint64)
 		// eval measures the destination-passing path the enumeration loops
 		// use (hash.InPlace); every family in the package implements it.
@@ -473,7 +483,7 @@ func BenchmarkToeplitzEvalInto(b *testing.B) {
 		h := hash.NewToeplitz(tc.n, tc.m).Draw(rng.Uint64).(*hash.Linear)
 		// Rewrapping A and b drops the packed-diagonal kernel, leaving the
 		// pre-PR-4 row sweep over the identical function.
-		slow := hash.NewLinear(h.A, h.B)
+		slow := hash.NewLinear(h.A(), h.B)
 		x := bitvec.Random(tc.n, rng.Uint64)
 		dst := bitvec.New(tc.m)
 		b.Run(fmt.Sprintf("clmul/n=%d/m=%d", tc.n, tc.m), func(b *testing.B) {

@@ -40,9 +40,9 @@ func runA4(c runConfig) {
 		const probes = 10
 		probeRng := stats.NewRNG(c.seed + 7)
 		for i := 0; i < probes; i++ {
-			h := cfgFam.fam.Draw(probeRng.Uint64).(*hash.Linear)
-			for r := 0; r < h.A.Rows(); r++ {
-				weight += h.A.Row(r).PopCount()
+			a := cfgFam.fam.Draw(probeRng.Uint64).(*hash.Linear).A()
+			for r := 0; r < a.Rows(); r++ {
+				weight += a.Row(r).PopCount()
 			}
 		}
 		avgW := float64(weight) / float64(probes*n)

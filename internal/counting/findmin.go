@@ -62,8 +62,8 @@ func termImageSearcher(n int, t formula.Term, h *hash.Linear) (*gf2.ImageSearche
 	for i := range free {
 		free[i] = !fixed[i]
 	}
-	aFree := h.A.SelectColumns(free)
-	offset := h.A.MulVec(val).Xor(h.B)
+	aFree := h.A().SelectColumns(free)
+	offset := h.A().MulVec(val).Xor(h.B)
 	return gf2.NewImageSearcher(aFree, offset, nil), true
 }
 
@@ -100,7 +100,7 @@ type oracleImageSearcher struct {
 }
 
 func newOracleImageSearcher(src oracle.Source, h *hash.Linear) *oracleImageSearcher {
-	return &oracleImageSearcher{src: src, h: h, ps: gf2.NewPrefixStack(h.A, h.B, nil)}
+	return &oracleImageSearcher{src: src, h: h, ps: gf2.NewPrefixStack(h.A(), h.B, nil)}
 }
 
 // feasible reports whether some x ⊨ φ has h(x) starting with prefix.

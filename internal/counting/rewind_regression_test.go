@@ -28,8 +28,8 @@ func cloneFindMinDNF(d *formula.DNF, h *hash.Linear, p int) []bitvec.BitVec {
 		for i := range free {
 			free[i] = !fixed[i]
 		}
-		aFree := h.A.SelectColumns(free)
-		offset := h.A.MulVec(val).Xor(h.B)
+		aFree := h.A().SelectColumns(free)
+		offset := h.A().MulVec(val).Xor(h.B)
 		lexMin := func(prefix []bool) (bitvec.BitVec, bool) {
 			m := aFree.Rows()
 			sys := gf2.NewSystem(aFree.Cols())

@@ -90,11 +90,11 @@ func TestSparseFamilyShape(t *testing.T) {
 	const draws = 20
 	for i := 0; i < draws; i++ {
 		h := fam.Draw(rng.Uint64).(*hash.Linear)
-		for r := 0; r < h.A.Rows(); r++ {
-			if h.A.Row(r).IsZero() {
+		for r := 0; r < h.A().Rows(); r++ {
+			if h.A().Row(r).IsZero() {
 				t.Fatal("sparse draw produced an empty row")
 			}
-			totalOnes += h.A.Row(r).PopCount()
+			totalOnes += h.A().Row(r).PopCount()
 		}
 	}
 	mean := float64(totalOnes) / float64(draws*64)

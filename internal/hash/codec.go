@@ -9,10 +9,9 @@
 //
 //   - Toeplitz (kind 2): the n+m−1 diagonal bits plus the m offset bits —
 //     the Θ(n+m) representation the family is prized for. The decoder
-//     re-materialises the matrix rows (windows of the diagonal) and the
-//     carry-less-multiply kernel exactly as Toeplitz.Draw does, so the
-//     decoded function is structurally and behaviourally identical to the
-//     original draw.
+//     rebuilds the draw through the constructor Toeplitz.Draw uses (the
+//     packed kernel, rows built on first use), so the decoded function is
+//     structurally and behaviourally identical to the original draw.
 //   - General linear (kind 1): the full m×n matrix row by row plus the
 //     offset. Used for H_xor, H_sparse draws, and Toeplitz draws too wide
 //     to carry a kernel (their diagonal is no longer retained).
@@ -59,21 +58,17 @@ func AppendFunc(dst []byte, f Func) ([]byte, bool) {
 
 func appendLinear(dst []byte, l *Linear) []byte {
 	if k := l.toep; k != nil {
-		// The kernel retains the reversed diagonal; undo the reversal to
-		// recover the draw's diagonal string.
 		dst = append(dst, funcKindToeplitz)
 		dst = wire.AppendInt(dst, k.m)
 		dst = wire.AppendInt(dst, k.n)
-		rev := bitvec.New(k.m + k.n - 1)
-		copy(rev.Words(), k.dr)
-		dst = wire.AppendBitVec(dst, rev.Reverse())
+		dst = wire.AppendBitVec(dst, k.diag())
 		return wire.AppendBitVec(dst, l.B)
 	}
 	dst = append(dst, funcKindLinear)
-	dst = wire.AppendInt(dst, l.A.Rows())
-	dst = wire.AppendInt(dst, l.A.Cols())
-	for i := 0; i < l.A.Rows(); i++ {
-		dst = wire.AppendBitVec(dst, l.A.Row(i))
+	dst = wire.AppendInt(dst, l.a.Rows())
+	dst = wire.AppendInt(dst, l.a.Cols())
+	for i := 0; i < l.a.Rows(); i++ {
+		dst = wire.AppendBitVec(dst, l.a.Row(i))
 	}
 	return wire.AppendBitVec(dst, l.B)
 }
@@ -82,48 +77,35 @@ func appendLinear(dst []byte, l *Linear) []byte {
 // returns a zero Func and leaves the failure in the reader.
 func DecodeFunc(r *wire.Reader) Func {
 	switch kind := r.Byte(); kind {
-	case funcKindToeplitz:
+	case funcKindToeplitz, funcKindLinear:
 		m := r.Int(maxHashBits)
 		n := r.Int(maxHashBits)
 		if r.Err() != nil {
 			return nil
 		}
 		if m < 1 || n < 1 {
-			r.Corrupt("toeplitz draw with empty dimension %dx%d", m, n)
+			r.Corrupt("linear draw (kind %d) with empty dimension %dx%d", kind, m, n)
 			return nil
 		}
-		diag := bitvec.New(m + n - 1)
-		r.BitVecInto(diag)
+		var a *gf2.Matrix
+		var diag bitvec.BitVec
+		if kind == funcKindToeplitz {
+			diag = bitvec.New(m + n - 1)
+			r.BitVecInto(diag)
+		} else {
+			var rows []bitvec.BitVec
+			a, rows = gf2.NewSlabMatrix(m, n)
+			for i := range rows {
+				r.BitVecInto(rows[i])
+			}
+		}
 		b := bitvec.New(m)
 		r.BitVecInto(b)
 		if r.Err() != nil {
 			return nil
 		}
-		a, rows := gf2.NewSlabMatrix(m, n)
-		for i := 0; i < m; i++ {
-			diag.WindowInto(m-1-i, rows[i])
-		}
-		l := NewLinear(a, b)
-		l.toep = newToepKernel(n, m, diag, b)
-		return l
-	case funcKindLinear:
-		m := r.Int(maxHashBits)
-		n := r.Int(maxHashBits)
-		if r.Err() != nil {
-			return nil
-		}
-		if m < 1 || n < 1 {
-			r.Corrupt("linear draw with empty dimension %dx%d", m, n)
-			return nil
-		}
-		a, rows := gf2.NewSlabMatrix(m, n)
-		for i := 0; i < m; i++ {
-			r.BitVecInto(rows[i])
-		}
-		b := bitvec.New(m)
-		r.BitVecInto(b)
-		if r.Err() != nil {
-			return nil
+		if a == nil {
+			return newToeplitz(n, m, diag, b)
 		}
 		return NewLinear(a, b)
 	case funcKindPoly:
@@ -136,10 +118,7 @@ func DecodeFunc(r *wire.Reader) Func {
 			r.Corrupt("polynomial draw with empty dimension n=%d s=%d", n, len(coeffs))
 			return nil
 		}
-		mask := ^uint64(0)
-		if n < 64 {
-			mask = 1<<uint(n) - 1
-		}
+		mask := ^uint64(0) >> (64 - uint(n))
 		for _, c := range coeffs {
 			if c&^mask != 0 {
 				r.Corrupt("polynomial coefficient exceeds field width %d", n)

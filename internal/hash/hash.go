@@ -10,6 +10,8 @@
 package hash
 
 import (
+	"slices"
+
 	"mcf0/internal/bitvec"
 	"mcf0/internal/gf2"
 	"mcf0/internal/gf2poly"
@@ -67,13 +69,13 @@ type Family interface {
 
 // Linear is a hash function of the form h(x) = Ax + b over GF(2).
 //
-// Toeplitz draws additionally carry a packed-diagonal carry-less-multiply
-// kernel (see toeplitz.go) that EvalInto dispatches to; it realizes
-// exactly the same function as the matrix form, which stays materialised
-// for the XOR-constraint consumers (ZeroPrefixSystem and friends).
-// Linears are immutable after Draw and safe for concurrent evaluation.
+// Toeplitz draws hold only b and a packed-diagonal carry-less-multiply
+// kernel (see toeplitz.go); their matrix A is built on the first row read
+// (A, ZeroPrefixSystem and friends) and published once. Other draws hold
+// A from the start. Linears are immutable and safe for concurrent use.
 type Linear struct {
-	A *gf2.Matrix
+	// a is the matrix form of a draw without a kernel; nil when toep is set.
+	a *gf2.Matrix
 	B bitvec.BitVec
 	// toep, when non-nil, evaluates Ax as a GF(2) polynomial multiply
 	// against the packed Toeplitz diagonal instead of per-row dot products.
@@ -85,12 +87,21 @@ func NewLinear(a *gf2.Matrix, b bitvec.BitVec) *Linear {
 	if b.Len() != a.Rows() {
 		panic("hash: offset width must equal row count")
 	}
-	return &Linear{A: a, B: b}
+	return &Linear{a: a, B: b}
+}
+
+// A returns the matrix form of h. For a Toeplitz draw it is built on the
+// first call and shared by every later one; callers must not mutate it.
+func (l *Linear) A() *gf2.Matrix {
+	if l.toep != nil {
+		return l.toep.matrix()
+	}
+	return l.a
 }
 
 // Eval returns Ax + b.
 func (l *Linear) Eval(x bitvec.BitVec) bitvec.BitVec {
-	y := bitvec.New(l.A.Rows())
+	y := bitvec.New(l.OutBits())
 	l.EvalInto(x, y)
 	return y
 }
@@ -104,14 +115,15 @@ func (l *Linear) EvalInto(x, dst bitvec.BitVec) {
 		l.toep.evalInto(x, dst, l.B)
 		return
 	}
-	l.A.MulVecInto(x, dst)
+	l.a.MulVecInto(x, dst)
 	dst.XorInPlace(l.B)
 }
 
 // Equal reports whether l and o are the same draw: the same pointer (the
-// Clone fast path), or structurally equal A and b. Sketch merges use it as
-// their shared-draw precondition, so it holds across the wire too. A nil
-// Linear equals only nil.
+// Clone fast path), the same packed diagonal and b when both carry a
+// kernel, or otherwise structurally equal A and b. Sketch merges use it
+// as their shared-draw precondition, so it holds across the wire too. A
+// nil Linear equals only nil.
 func (l *Linear) Equal(o *Linear) bool {
 	if l == o {
 		return true
@@ -119,11 +131,15 @@ func (l *Linear) Equal(o *Linear) bool {
 	if l == nil || o == nil {
 		return false
 	}
-	if l.A.Rows() != o.A.Rows() || l.A.Cols() != o.A.Cols() || !l.B.Equal(o.B) {
+	if l.InBits() != o.InBits() || l.OutBits() != o.OutBits() || !l.B.Equal(o.B) {
 		return false
 	}
-	for i := 0; i < l.A.Rows(); i++ {
-		if !l.A.Row(i).Equal(o.A.Row(i)) {
+	if l.toep != nil && o.toep != nil {
+		return slices.Equal(l.toep.dr, o.toep.dr)
+	}
+	la, oa := l.A(), o.A()
+	for i := 0; i < la.Rows(); i++ {
+		if !la.Row(i).Equal(oa.Row(i)) {
 			return false
 		}
 	}
@@ -131,20 +147,30 @@ func (l *Linear) Equal(o *Linear) bool {
 }
 
 // InBits returns n.
-func (l *Linear) InBits() int { return l.A.Cols() }
+func (l *Linear) InBits() int {
+	if l.toep != nil {
+		return l.toep.n
+	}
+	return l.a.Cols()
+}
 
-// OutBits returns m.
-func (l *Linear) OutBits() int { return l.A.Rows() }
+// OutBits returns m, the width of b.
+func (l *Linear) OutBits() int { return l.B.Len() }
 
 // PrefixIsZero reports whether the first m bits of h(x) are all zero,
 // without materialising the full output.
-func (l *Linear) PrefixIsZero(x bitvec.BitVec, m int) bool {
+func (l *Linear) PrefixIsZero(x bitvec.BitVec, m int) bool { return l.rowPrefixLen(x, m) == m }
+
+// rowPrefixLen returns the first i < m with output bit i of h(x) set, or
+// m, testing rows in order.
+func (l *Linear) rowPrefixLen(x bitvec.BitVec, m int) int {
+	a := l.A()
 	for i := 0; i < m; i++ {
-		if l.A.Row(i).Dot(x) != l.B.Get(i) {
-			return false
+		if a.Row(i).Dot(x) != l.B.Get(i) {
+			return i
 		}
 	}
-	return true
+	return m
 }
 
 // ZeroPrefixLen returns the length of the all-zero prefix of h(x): the
@@ -153,31 +179,19 @@ func (l *Linear) PrefixIsZero(x bitvec.BitVec, m int) bool {
 // EvalInto; other draws test rows in order and stop at the first nonzero
 // output bit, about two row products for an x that h maps uniformly.
 func (l *Linear) ZeroPrefixLen(x, scratch bitvec.BitVec) int {
-	m := l.A.Rows()
 	if l.toep != nil {
 		l.toep.evalInto(x, scratch, l.B)
 		if i := scratch.FirstSet(); i >= 0 {
 			return i
 		}
-		return m
+		return l.toep.m
 	}
-	for i := 0; i < m; i++ {
-		if l.A.Row(i).Dot(x) != l.B.Get(i) {
-			return i
-		}
-	}
-	return m
+	return l.rowPrefixLen(x, l.a.Rows())
 }
 
 // ZeroPrefixSystem returns the linear system over x expressing
 // h_m(x) = 0^m, i.e. A_m·x = b_m. Model counters conjoin this with φ.
-func (l *Linear) ZeroPrefixSystem(m int) *gf2.System {
-	sys := gf2.NewSystem(l.A.Cols())
-	for i := 0; i < m; i++ {
-		sys.Add(l.A.Row(i), l.B.Get(i))
-	}
-	return sys
-}
+func (l *Linear) ZeroPrefixSystem(m int) *gf2.System { return l.rowSystem(0, m, nil) }
 
 // PrefixEqualSystem returns the linear system expressing h_m(x) = target,
 // the random-cell generalisation of ZeroPrefixSystem used by the sampler.
@@ -185,11 +199,7 @@ func (l *Linear) PrefixEqualSystem(m int, target bitvec.BitVec) *gf2.System {
 	if target.Len() != m {
 		panic("hash: target width must equal prefix length")
 	}
-	sys := gf2.NewSystem(l.A.Cols())
-	for i := 0; i < m; i++ {
-		sys.Add(l.A.Row(i), target.Get(i) != l.B.Get(i))
-	}
-	return sys
+	return l.rowSystem(0, m, target.Get)
 }
 
 // SuffixZeroSystem returns the linear system over x expressing "the last t
@@ -197,13 +207,20 @@ func (l *Linear) PrefixEqualSystem(m int, target bitvec.BitVec) *gf2.System {
 // hashes the trailing-zero predicate of the Estimation/Flajolet–Martin
 // algorithms is itself a set of XOR constraints.
 func (l *Linear) SuffixZeroSystem(t int) *gf2.System {
-	m := l.A.Rows()
+	m := l.OutBits()
 	if t > m {
 		panic("hash: suffix longer than output")
 	}
-	sys := gf2.NewSystem(l.A.Cols())
-	for i := m - t; i < m; i++ {
-		sys.Add(l.A.Row(i), l.B.Get(i))
+	return l.rowSystem(m-t, m, nil)
+}
+
+// rowSystem returns the system "output bit i of h(x) is want(i−lo)" over
+// the rows lo ≤ i < hi; a nil want asks for zeros.
+func (l *Linear) rowSystem(lo, hi int, want func(int) bool) *gf2.System {
+	a := l.A()
+	sys := gf2.NewSystem(a.Cols())
+	for i := lo; i < hi; i++ {
+		sys.Add(a.Row(i), l.B.Get(i) != (want != nil && want(i-lo)))
 	}
 	return sys
 }
@@ -219,24 +236,11 @@ func NewToeplitz(n, m int) Toeplitz { return Toeplitz{n: n, m: m} }
 // Draw samples a function. Row i is the length-n window of the random
 // diagonal string starting at offset m-1-i, so A[i][j] = diag[m-1-i+j] —
 // constant along diagonals, and a bijection between diagonal strings and
-// Toeplitz matrices, so the family distribution is identical to the
-// per-entry construction (which indexed the diagonal as diag[i-j+n-1]).
-// Note the diagonal string maps to a *different* matrix than before, so a
-// fixed seed realizes different hash functions than pre-rewrite versions;
-// only the distribution, not the per-seed draw, is preserved. Each row is
-// materialized with one word-parallel window copy, and the diagonal is
-// retained in packed-polynomial form so EvalInto runs as a carry-less
-// multiply (see toeplitz.go); the kernel and the matrix realize the same
-// function, so draws stay bit-identical to the window-based construction.
+// Toeplitz matrices. The draw keeps the diagonal in packed form and
+// builds rows on first use.
 func (t Toeplitz) Draw(next func() uint64) Func {
 	diag := bitvec.Random(t.n+t.m-1, next)
-	a, rows := gf2.NewSlabMatrix(t.m, t.n)
-	for i := 0; i < t.m; i++ {
-		diag.WindowInto(t.m-1-i, rows[i])
-	}
-	l := NewLinear(a, bitvec.Random(t.m, next))
-	l.toep = newToepKernel(t.n, t.m, diag, l.B)
-	return l
+	return newToeplitz(t.n, t.m, diag, bitvec.Random(t.m, next))
 }
 
 // InBits returns n.
@@ -342,10 +346,7 @@ func NewPoly(n, s int) Poly {
 
 // Draw samples a function.
 func (p Poly) Draw(next func() uint64) Func {
-	mask := ^uint64(0)
-	if p.n < 64 {
-		mask = (1 << uint(p.n)) - 1
-	}
+	mask := ^uint64(0) >> (64 - uint(p.n))
 	coeffs := make([]uint64, p.s)
 	for i := range coeffs {
 		coeffs[i] = next() & mask
@@ -391,16 +392,13 @@ func (f *polyFunc) EvalUint64(x uint64) uint64 {
 func (f *polyFunc) InBits() int  { return f.n }
 func (f *polyFunc) OutBits() int { return f.n }
 
-// Coefficients exposes the polynomial's coefficients (coeffs[i] multiplies
-// x^i) for oracle encodings; callers must not mutate the slice.
-func (f *polyFunc) Coefficients() []uint64 { return f.coeffs }
-
-// PolyCoefficients extracts the coefficient vector from a function drawn
-// from a Poly family, and reports whether f is such a function.
+// PolyCoefficients extracts the coefficient vector (coeffs[i] multiplies
+// x^i) from a function drawn from a Poly family, and reports whether f is
+// such a function; callers must not mutate the slice.
 func PolyCoefficients(f Func) ([]uint64, bool) {
 	pf, ok := f.(*polyFunc)
 	if !ok {
 		return nil, false
 	}
-	return pf.Coefficients(), true
+	return pf.coeffs, true
 }

@@ -111,7 +111,7 @@ func TestToeplitzStructure(t *testing.T) {
 	// Constant along diagonals: A[i][j] == A[i+1][j+1].
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 7; j++ {
-			if f.A.Row(i).Get(j) != f.A.Row(i+1).Get(j+1) {
+			if f.A().Row(i).Get(j) != f.A().Row(i+1).Get(j+1) {
 				t.Fatal("Toeplitz matrix not constant along diagonal")
 			}
 		}
@@ -236,9 +236,9 @@ func TestLinearEqual(t *testing.T) {
 	// clone rebuilds h's A and b in fresh storage, with row i's bit j and
 	// b's bit k flipped when asked (−1 leaves them alone).
 	clone := func(row, col, bBit int) *Linear {
-		a, rows := gf2.NewSlabMatrix(h.A.Rows(), h.A.Cols())
+		a, rows := gf2.NewSlabMatrix(h.A().Rows(), h.A().Cols())
 		for i := range rows {
-			rows[i].CopyFrom(h.A.Row(i))
+			rows[i].CopyFrom(h.A().Row(i))
 		}
 		if row >= 0 {
 			rows[row].Flip(col)

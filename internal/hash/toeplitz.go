@@ -25,19 +25,20 @@
 // EvalInto call at n = 32 (BenchmarkToeplitzEvalInto). The streaming
 // sketches absorb through it.
 //
-// The kernel is attached to the *Linear a Toeplitz draw returns; the
-// matrix A is still materialised because the model counters consume rows
-// as XOR constraints (ZeroPrefixSystem and friends). Draws consume
-// exactly the same randomness as the window-based construction and the
-// kernel realizes bit-identical functions, so fixed-seed estimates are
-// unchanged everywhere downstream (regression-tested).
+// The kernel and b are all a Toeplitz *Linear holds, Θ(n+m) bits; its m×n
+// matrix is built only when a row reader (the counters' XOR constraints)
+// first asks. Draws consume exactly the same randomness as the window
+// construction and realize bit-identical functions, so fixed-seed
+// estimates are unchanged everywhere downstream (regression-tested).
 
 package hash
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/gf2"
 	"mcf0/internal/gf2poly"
 )
 
@@ -49,8 +50,8 @@ import (
 const toepMaxWords = 8
 
 // toepKernel is the packed-polynomial representation of one Toeplitz
-// draw. It is immutable after construction and carries no scratch, so a
-// Linear with a kernel stays safe for concurrent EvalInto calls.
+// draw. It is immutable after construction apart from rows, which is
+// published once, so a Linear with a kernel stays safe for concurrent use.
 type toepKernel struct {
 	n, m int
 	// dr is the reversed diagonal D^R packed little-endian:
@@ -60,31 +61,55 @@ type toepKernel struct {
 	mask uint64
 	// bu is b in integer form (Uint64Hash convention) when m ≤ 64.
 	bu uint64
+	// rows is the matrix form, nil until matrix first runs.
+	rows atomic.Pointer[gf2.Matrix]
 }
 
-// newToepKernel packs the diagonal of a Toeplitz draw, or returns nil
-// when the evaluation buffers would not fit toepMaxWords.
-func newToepKernel(n, m int, diag, b bitvec.BitVec) *toepKernel {
-	if n < 1 || m < 1 {
-		return nil
+// newToeplitz is the Toeplitz constructor of Draw and DecodeFunc: the
+// draw with diagonal diag (n+m−1 bits) and offset b. Draws too wide for
+// a kernel hold their rows from the start.
+func newToeplitz(n, m int, diag, b bitvec.BitVec) *Linear {
+	if n < 1 || m < 1 || (m+n-1+63)/64+(n+63)/64 > toepMaxWords {
+		return NewLinear(toeplitzMatrix(n, m, diag), b)
 	}
-	if (m+n-1+63)/64+(n+63)/64 > toepMaxWords {
-		return nil
+	return &Linear{B: b, toep: newToepKernel(n, m, diag.Reverse().Words(), b)}
+}
+
+// toeplitzMatrix builds the m×n matrix whose row i is diag's window at m−1−i.
+func toeplitzMatrix(n, m int, diag bitvec.BitVec) *gf2.Matrix {
+	a, rows := gf2.NewSlabMatrix(m, n)
+	for i := range rows {
+		diag.WindowInto(m-1-i, rows[i])
 	}
-	k := &toepKernel{n: n, m: m, dr: diag.Reverse().Words()}
-	k.finish(b)
+	return a
+}
+
+// newToepKernel returns the kernel of an n → m draw with reversed
+// diagonal dr and offset b; the caller checks it fits toepMaxWords.
+func newToepKernel(n, m int, dr []uint64, b bitvec.BitVec) *toepKernel {
+	k := &toepKernel{n: n, m: m, dr: dr, mask: ^uint64(0) >> ((64 - uint(m)%64) % 64)}
+	if m <= 64 {
+		k.bu = b.Uint64()
+	}
 	return k
 }
 
-func (k *toepKernel) finish(b bitvec.BitVec) {
-	if tail := uint(k.m) % 64; tail != 0 {
-		k.mask = 1<<tail - 1
-	} else {
-		k.mask = ^uint64(0)
+// diag recovers the draw's diagonal string by undoing dr's reversal.
+func (k *toepKernel) diag() bitvec.BitVec {
+	rev := bitvec.New(k.m + k.n - 1)
+	copy(rev.Words(), k.dr)
+	return rev.Reverse()
+}
+
+// matrix returns the draw's matrix form, built on the first call. Racing
+// first callers may each build one; the compare-and-swap publishes one
+// and drops the rest, so every caller sees the same pointer.
+func (k *toepKernel) matrix() *gf2.Matrix {
+	if a := k.rows.Load(); a != nil {
+		return a
 	}
-	if k.m <= 64 {
-		k.bu = b.Uint64()
-	}
+	k.rows.CompareAndSwap(nil, toeplitzMatrix(k.n, k.m, k.diag()))
+	return k.rows.Load()
 }
 
 // PrefixWords writes the first mp output bits of h(x) for a batch of
@@ -158,9 +183,9 @@ func (k *toepKernel) evalInto(x, dst, b bitvec.BitVec) {
 	dst.XorInPlace(b)
 }
 
-// evalUint64 is the integer-form evaluation (Uint64Hash convention);
-// callers guarantee n ≤ 64 and m ≤ 64, so the product fits two words.
-func (k *toepKernel) evalUint64(v uint64) uint64 {
+// EvalUint64 is the integer-form evaluation (Uint64Hash convention); it
+// serves only n, m ≤ 64 (see AsUint64Hash), so the product fits two words.
+func (k *toepKernel) EvalUint64(v uint64) uint64 {
 	xw := bits.Reverse64(v) >> (64 - uint(k.n))
 	p1, p0 := gf2poly.Clmul64(k.dr[0], xw)
 	if len(k.dr) == 2 {
@@ -172,40 +197,38 @@ func (k *toepKernel) evalUint64(v uint64) uint64 {
 	return bits.Reverse64(w)>>(64-uint(k.m)) ^ k.bu
 }
 
-// linearU64 adapts a *Linear with InBits, OutBits ≤ 64 to the Uint64Hash
-// interface: the Toeplitz carry-less kernel when one is attached, a
-// single-word row sweep otherwise. Stateless and safe for concurrent use.
-type linearU64 struct {
-	l  *Linear
+// rowsU64 evaluates a kernel-less *Linear with InBits, OutBits ≤ 64 by a
+// single-word row sweep. Stateless and safe for concurrent use.
+type rowsU64 struct {
+	a  *gf2.Matrix
 	bu uint64
 }
 
 // EvalUint64 implements Uint64Hash.
-func (u *linearU64) EvalUint64(v uint64) uint64 {
-	l := u.l
-	if k := l.toep; k != nil {
-		return k.evalUint64(v)
-	}
-	xw := bits.Reverse64(v) >> (64 - uint(l.A.Cols()))
+func (u *rowsU64) EvalUint64(v uint64) uint64 {
+	xw := bits.Reverse64(v) >> (64 - uint(u.a.Cols()))
 	var y uint64
-	for i, m := 0, l.A.Rows(); i < m; i++ {
-		y = y<<1 | uint64(bits.OnesCount64(l.A.Row(i).Words()[0]&xw)&1)
+	for i, m := 0, u.a.Rows(); i < m; i++ {
+		y = y<<1 | uint64(bits.OnesCount64(u.a.Row(i).Words()[0]&xw)&1)
 	}
 	return y ^ u.bu
 }
 
-// AsUint64Hash returns an integer-form evaluator for h when one exists:
-// h itself if it already implements Uint64Hash (the polynomial family),
-// or a zero-allocation adapter for any *Linear over a ≤64-bit universe
-// with ≤64 output bits. The returned evaluator realizes exactly the same
-// function as h (EvalUint64's integer convention mirrors Eval bit for
-// bit), so switching a call site onto it never changes estimates.
+// AsUint64Hash returns an integer-form evaluator for h when one exists: h
+// itself if it implements Uint64Hash (the polynomial family), or for a
+// *Linear with InBits, OutBits ≤ 64 its carry-less kernel or a row sweep.
+// The evaluator realizes exactly h's function (EvalUint64's integer
+// convention mirrors Eval bit for bit), so estimates never change.
 func AsUint64Hash(h Func) (Uint64Hash, bool) {
 	if u, ok := h.(Uint64Hash); ok {
 		return u, true
 	}
-	if l, ok := h.(*Linear); ok && l.InBits() >= 1 && l.InBits() <= 64 && l.OutBits() <= 64 {
-		return &linearU64{l: l, bu: l.B.Uint64()}, true
+	l, ok := h.(*Linear)
+	if !ok || l.InBits() < 1 || l.InBits() > 64 || l.OutBits() > 64 {
+		return nil, false
 	}
-	return nil, false
+	if l.toep != nil {
+		return l.toep, true
+	}
+	return &rowsU64{a: l.a, bu: l.B.Uint64()}, true
 }

@@ -2,11 +2,13 @@ package hash
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/gf2"
 	"mcf0/internal/stats"
+	"mcf0/internal/wire"
 )
 
 // Prefix returns the m-th prefix slice h_m, consisting of the first m
@@ -15,40 +17,36 @@ import (
 // the packed diagonal). It is the slice-by-construction reference that
 // PrefixIsZero and the word paths are checked against.
 func (l *Linear) Prefix(m int) *Linear {
-	if m > l.A.Rows() {
+	if m > l.OutBits() {
 		panic("hash: prefix longer than output")
 	}
-	a, rows := gf2.NewSlabMatrix(m, l.A.Cols())
+	b := l.B.Prefix(m)
+	if l.toep != nil && m > 0 {
+		return &Linear{B: b, toep: l.toep.prefix(m, b)}
+	}
+	a, rows := gf2.NewSlabMatrix(m, l.InBits())
 	for i := range rows {
-		rows[i].CopyFrom(l.A.Row(i))
+		rows[i].CopyFrom(l.A().Row(i))
 	}
-	p := &Linear{A: a, B: l.B.Prefix(m)}
-	if l.toep != nil {
-		p.toep = l.toep.prefix(m, p.B)
-	}
-	return p
+	return NewLinear(a, b)
 }
 
 // prefix returns the kernel of the m′-row slice h_{m′}. Rows 0..m′−1 read
 // diagonal positions [m−m′, m+n−2], which are exactly the low m′+n−1 bits
 // of the reversed diagonal — a truncation, not a recomputation.
 func (k *toepKernel) prefix(mp int, b bitvec.BitVec) *toepKernel {
-	if mp < 1 {
-		return nil
-	}
 	nb := mp + k.n - 1
-	p := &toepKernel{n: k.n, m: mp, dr: append([]uint64(nil), k.dr[:(nb+63)/64]...)}
+	dr := append([]uint64(nil), k.dr[:(nb+63)/64]...)
 	if tail := uint(nb) % 64; tail != 0 {
-		p.dr[len(p.dr)-1] &= 1<<tail - 1
+		dr[len(dr)-1] &= 1<<tail - 1
 	}
-	p.finish(b)
-	return p
+	return newToepKernel(k.n, mp, dr, b)
 }
 
 // slowCopy strips the carry-less kernel off a Toeplitz draw, leaving the
 // per-row dot-product path over the same A and b — the reference the
 // CLMUL path must match bit for bit.
-func slowCopy(l *Linear) *Linear { return NewLinear(l.A, l.B) }
+func slowCopy(l *Linear) *Linear { return NewLinear(l.A(), l.B) }
 
 // probeInputs yields a structured + random set of n-bit inputs: zero,
 // all-ones, single bits at the word boundaries, and random vectors.
@@ -174,7 +172,7 @@ func TestToeplitzWideDrawFallsBack(t *testing.T) {
 	x := bitvec.Random(n, rng.Uint64)
 	y := f.Eval(x)
 	for i := 0; i < m; i++ {
-		if want := f.A.Row(i).Dot(x) != f.B.Get(i); y.Get(i) != want {
+		if want := f.A().Row(i).Dot(x) != f.B.Get(i); y.Get(i) != want {
 			t.Fatalf("bit %d mismatch on fallback path", i)
 		}
 	}
@@ -284,5 +282,208 @@ func TestPrefixWordsDeclines(t *testing.T) {
 		if dst[0] != 7 || dst[1] != 7 || dst[2] != 7 {
 			t.Fatalf("%s: PrefixWords wrote into dst after declining", c.name)
 		}
+	}
+}
+
+// lazyRowShapes are the (n, m) shapes the lazy-row tests draw: word
+// edges, Bucketing's n→n and Minimum's n→3n, and one draw too wide for a
+// kernel, which keeps its eager matrix.
+var lazyRowShapes = []struct{ n, m int }{
+	{1, 1}, {20, 20}, {32, 32}, {32, 96}, {63, 64}, {64, 64}, {64, 192}, {200, 300},
+}
+
+// eagerToeplitz replays Toeplitz.Draw's randomness from seed and builds
+// the matrix the way every draw did before rows were built on first use:
+// row i is the window of the diagonal at offset m−1−i.
+func eagerToeplitz(n, m int, seed uint64) (*gf2.Matrix, bitvec.BitVec) {
+	next := stats.NewRNG(seed).Uint64
+	diag := bitvec.Random(n+m-1, next)
+	a, rows := gf2.NewSlabMatrix(m, n)
+	for i := range rows {
+		diag.WindowInto(m-1-i, rows[i])
+	}
+	return a, bitvec.Random(m, next)
+}
+
+// roundTrip encodes f and decodes it again.
+func roundTrip(t *testing.T, f *Linear) *Linear {
+	t.Helper()
+	r := wire.NewReader(mustAppendFunc(t, f))
+	g := DecodeLinear(r)
+	if r.Err() != nil {
+		t.Fatalf("decode: %v", r.Err())
+	}
+	return g
+}
+
+func mustAppendFunc(t *testing.T, f Func) []byte {
+	t.Helper()
+	buf, ok := AppendFunc(nil, f)
+	if !ok {
+		t.Fatal("AppendFunc refused a Toeplitz draw")
+	}
+	return buf
+}
+
+// requireRows fails unless l's matrix form and offset equal a and b.
+func requireRows(t *testing.T, what string, l *Linear, a *gf2.Matrix, b bitvec.BitVec) {
+	t.Helper()
+	got := l.A()
+	if got.Rows() != a.Rows() || got.Cols() != a.Cols() || l.InBits() != a.Cols() || l.OutBits() != a.Rows() {
+		t.Fatalf("%s: shape %dx%d (InBits %d, OutBits %d), want %dx%d",
+			what, got.Rows(), got.Cols(), l.InBits(), l.OutBits(), a.Rows(), a.Cols())
+	}
+	for i := 0; i < a.Rows(); i++ {
+		if !got.Row(i).Equal(a.Row(i)) {
+			t.Fatalf("%s: row %d = %s, want %s", what, i, got.Row(i), a.Row(i))
+		}
+	}
+	if !l.B.Equal(b) {
+		t.Fatalf("%s: b = %s, want %s", what, l.B, b)
+	}
+}
+
+// TestToeplitzLazyRowsMatchEagerWindows checks that the rows a draw
+// builds on first use — from a fresh Draw and from a DecodeFunc round
+// trip — are the eager window construction of the same randomness, and
+// that only the too-wide shape goes without a kernel.
+func TestToeplitzLazyRowsMatchEagerWindows(t *testing.T) {
+	for i, sh := range lazyRowShapes {
+		seed := uint64(0x1a2 + i)
+		a, b := eagerToeplitz(sh.n, sh.m, seed)
+		f := NewToeplitz(sh.n, sh.m).Draw(stats.NewRNG(seed).Uint64).(*Linear)
+		// Only the (200, 300) draw is past toepMaxWords.
+		if wantKernel := sh.m != 300; (f.toep != nil) != wantKernel {
+			t.Fatalf("n=%d m=%d: kernel attached = %v, want %v", sh.n, sh.m, f.toep != nil, wantKernel)
+		}
+		dec := roundTrip(t, f)
+		requireRows(t, fmt.Sprintf("draw n=%d m=%d", sh.n, sh.m), f, a, b)
+		requireRows(t, fmt.Sprintf("decoded n=%d m=%d", sh.n, sh.m), dec, a, b)
+		if (dec.toep != nil) != (f.toep != nil) {
+			t.Fatalf("n=%d m=%d: decoded kernel attached = %v, draw %v", sh.n, sh.m, dec.toep != nil, f.toep != nil)
+		}
+	}
+}
+
+// TestLinearEqualAcrossForms checks that Equal holds between a draw and
+// itself, its decoded copy and a kernel-less copy with the same rows, in
+// both directions, and fails against a different draw of the same shape
+// and against the draw with one diagonal bit flipped (same b) in every
+// form; kernel-against-kernel comparisons build no rows.
+func TestLinearEqualAcrossForms(t *testing.T) {
+	for i, sh := range lazyRowShapes {
+		seed := uint64(0x1b3 + i)
+		rng := stats.NewRNG(seed)
+		f := NewToeplitz(sh.n, sh.m).Draw(rng.Uint64).(*Linear)
+		g := NewToeplitz(sh.n, sh.m).Draw(rng.Uint64).(*Linear)
+		diag := bitvec.Random(sh.n+sh.m-1, stats.NewRNG(seed).Uint64)
+		diag.Flip((sh.n + sh.m - 1) / 2)
+		oneBit := newToeplitz(sh.n, sh.m, diag, f.B.Clone())
+		dec := roundTrip(t, f)
+		if f.toep != nil && (!f.Equal(dec) || !dec.Equal(f)) {
+			t.Fatalf("n=%d m=%d: draw and decoded copy differ", sh.n, sh.m)
+		}
+		if f.toep != nil && (f.toep.rows.Load() != nil || dec.toep.rows.Load() != nil) {
+			t.Fatalf("n=%d m=%d: comparing two kernels built rows", sh.n, sh.m)
+		}
+		a, rows := gf2.NewSlabMatrix(sh.m, sh.n)
+		for i := range rows {
+			rows[i].CopyFrom(f.A().Row(i))
+		}
+		plain := NewLinear(a, f.B.Clone())
+		for _, c := range []struct {
+			name string
+			a, b *Linear
+			want bool
+		}{
+			{"same pointer", f, f, true},
+			{"decoded copy", f, dec, true},
+			{"kernel-less copy", f, plain, true},
+			{"kernel-less vs decoded", plain, dec, true},
+			{"other draw", f, g, false},
+			{"other draw vs decoded", g, dec, false},
+			{"other draw vs kernel-less", g, plain, false},
+			{"one diagonal bit", f, oneBit, false},
+			{"one diagonal bit vs decoded", oneBit, dec, false},
+			{"one diagonal bit vs kernel-less", oneBit, plain, false},
+		} {
+			if c.a.Equal(c.b) != c.want || c.b.Equal(c.a) != c.want {
+				t.Fatalf("n=%d m=%d %s: Equal = %v, want %v", sh.n, sh.m, c.name, !c.want, c.want)
+			}
+		}
+	}
+}
+
+// TestToeplitzRowsBuiltOnFirstUse checks that a kernel draw, drawn or
+// decoded, holds no matrix through every kernel path — evaluation, the
+// word paths, Equal, encoding — and that the first row reader builds it
+// once: later calls return the same pointer.
+func TestToeplitzRowsBuiltOnFirstUse(t *testing.T) {
+	rng := stats.NewRNG(0x1c4)
+	f := NewToeplitz(20, 20).Draw(rng.Uint64).(*Linear)
+	dec := roundTrip(t, f)
+	x := bitvec.Random(20, rng.Uint64)
+	for _, l := range []*Linear{f, dec} {
+		y := l.Eval(x)
+		l.ZeroPrefixLen(x, y)
+		l.PrefixWords(20, x.Words(), make([]uint64, 1))
+		u, _ := AsUint64Hash(l)
+		u.EvalUint64(x.Uint64())
+		l.Equal(f)
+		mustAppendFunc(t, l)
+		if l.toep.rows.Load() != nil {
+			t.Fatal("kernel paths built the matrix")
+		}
+	}
+	for name, read := range map[string]func(l *Linear){
+		"A":                 func(l *Linear) { l.A() },
+		"PrefixIsZero":      func(l *Linear) { l.PrefixIsZero(x, 3) },
+		"ZeroPrefixSystem":  func(l *Linear) { l.ZeroPrefixSystem(3) },
+		"PrefixEqualSystem": func(l *Linear) { l.PrefixEqualSystem(2, bitvec.New(2)) },
+		"SuffixZeroSystem":  func(l *Linear) { l.SuffixZeroSystem(4) },
+	} {
+		l := roundTrip(t, f)
+		read(l)
+		a := l.toep.rows.Load()
+		if a == nil {
+			t.Fatalf("%s: no matrix after a row read", name)
+		}
+		if l.A() != a || l.A() != a {
+			t.Fatalf("%s: A() returned a second matrix", name)
+		}
+	}
+}
+
+// TestToeplitzRowsFirstUseRace has many goroutines race on a fresh
+// draw's first row read (run it under -race): every one must see the
+// same published matrix, with the eager construction's rows.
+func TestToeplitzRowsFirstUseRace(t *testing.T) {
+	const workers = 8
+	for i, sh := range lazyRowShapes {
+		seed := uint64(0x1d5 + i)
+		a, b := eagerToeplitz(sh.n, sh.m, seed)
+		f := NewToeplitz(sh.n, sh.m).Draw(stats.NewRNG(seed).Uint64).(*Linear)
+		got := make([]*gf2.Matrix, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if w%2 == 0 {
+					f.ZeroPrefixSystem(sh.m)
+				}
+				got[w] = f.A()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w := range got {
+			if got[w] != got[0] {
+				t.Fatalf("n=%d m=%d: worker %d saw a different matrix", sh.n, sh.m, w)
+			}
+		}
+		requireRows(t, fmt.Sprintf("raced n=%d m=%d", sh.n, sh.m), f, a, b)
 	}
 }

@@ -261,7 +261,7 @@ func AffineFindMin(a *gf2.Matrix, b bitvec.BitVec, h *hash.Linear, set *kmv.Set)
 	for i := 0; i < a.Rows(); i++ {
 		cons.Add(a.Row(i), b.Get(i))
 	}
-	counting.FindMinImage(gf2.NewImageSearcher(h.A, h.B, cons), bitvec.New(h.OutBits()), set)
+	counting.FindMinImage(gf2.NewImageSearcher(h.A(), h.B, cons), bitvec.New(h.OutBits()), set)
 }
 
 // ProcessAffine absorbs one affine set {x : Ax = b}; the per-copy prefix

@@ -265,9 +265,9 @@ func TestWordBound(t *testing.T) {
 	}
 	// The same functions in the general linear form, which carries no
 	// kernel.
-	b.copies[1].h = hash.NewLinear(b.copies[1].h.A, b.copies[1].h.B)
+	b.copies[1].h = hash.NewLinear(b.copies[1].h.A(), b.copies[1].h.B)
 	h, _ := m.sk.Copy(1)
-	*h = *hash.NewLinear(h.A, h.B)
+	*h = *hash.NewLinear(h.A(), h.B)
 	refused("kernel-less bucketing draw", AppendSketch(nil, b))
 	refused("kernel-less minimum draw", AppendSketch(nil, m))
 
