@@ -16,10 +16,10 @@ import (
 // the hash draws, the trial loop or the query meter fails here.
 var goldenEstDigests = map[string]string{
 	"cnf/n=8":   "a5b054d7c1ff2cdd359e07efb9d86afad186dfae6cc3286fb1e64bae40da176a",
-	"cnf/n=10":  "f910cc2c00d44ba574e087e4423ca2339ac385b67553c0e658156f0c42c55f7e",
+	"cnf/n=10":  "3796a1267259a13bb789ae43ef0a5882681d991e16827800548e95f1bcf55e63",
 	"cnf/n=12":  "88e3a32b6eaba5cfa596641633c496cfa3ec363a27a3970edbaa9a73b7930a76",
 	"dnf/n=11":  "029c63016a74235a0512c6911dccb23f0456cb0a8e67afbb3cf2e290a1549697",
-	"unsat/n=9": "d055932a1d7f305c463c74dcfa00a56971c35f5fdd0b84fb87a2b43f14f7316a",
+	"unsat/n=9": "fd4c3691c27d4c05f370ab01ea39e9d945793403f064c2dcbda64ccb896cadb3",
 }
 
 var goldenKarpLubyDigests = map[string]string{

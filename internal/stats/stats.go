@@ -96,9 +96,13 @@ func WithinFactor(est, truth, eps float64) bool {
 // CouponEstimate is the Lemma 3 estimator shared by the Estimation-based
 // model counter and F0 sketch: with hits out of total hash functions
 // reaching r trailing zeros, the distinct-count estimate is
-// ln(1 − hits/total) / ln(1 − 2^−r). Returns +Inf when every hash hit.
+// ln(1 − hits/total) / ln(1 − 2^−r). Returns +0 when no hash hit and
+// +Inf when every hash hit.
 func CouponEstimate(hits, total, r int) float64 {
 	frac := float64(hits) / float64(total)
+	if hits == 0 {
+		return 0 // the formula's ln 1 over a negative logarithm is −0
+	}
 	if frac >= 1 {
 		return math.Inf(1)
 	}

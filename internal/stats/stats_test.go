@@ -167,3 +167,17 @@ func SuccessRate(oks []bool) float64 {
 	}
 	return float64(c) / float64(len(oks))
 }
+
+// TestCouponEstimateNoHitsIsPositiveZero checks that zero hits give +0,
+// not the −0 of ln 1 over a negative logarithm, so an empty estimate
+// never prints or serialises as "-0".
+func TestCouponEstimateNoHitsIsPositiveZero(t *testing.T) {
+	for _, r := range []int{0, 1, 4, 20, 64} {
+		if got := CouponEstimate(0, 16, r); got != 0 || math.Signbit(got) {
+			t.Errorf("CouponEstimate(0, 16, %d) = %g (sign bit %v), want +0", r, got, math.Signbit(got))
+		}
+	}
+	if got := CouponEstimate(16, 16, 4); !math.IsInf(got, 1) {
+		t.Errorf("CouponEstimate(16, 16, 4) = %g, want +Inf", got)
+	}
+}

@@ -29,8 +29,8 @@ func TestEmptyStreamEstimates(t *testing.T) {
 		"minimum":    NewMinimum(8, o),
 		"estimation": e,
 	} {
-		if got := s.Estimate(); got != 0 {
-			t.Errorf("%s: empty stream estimate %g", name, got)
+		if got := s.Estimate(); got != 0 || math.Signbit(got) {
+			t.Errorf("%s: empty stream estimate %g (sign bit %v), want +0", name, got, math.Signbit(got))
 		}
 	}
 	if got := e.fm.maxTrailingZeros(); got != -1 {

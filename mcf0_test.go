@@ -1,6 +1,8 @@
 package mcf0
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -359,5 +361,34 @@ func TestDeterminism(t *testing.T) {
 	b, _ := CountDNF(strings.NewReader(smallDNF), AlgorithmMinimum, fastCfg(42))
 	if a.Estimate != b.Estimate {
 		t.Error("equal seeds produced different estimates")
+	}
+}
+
+// TestEstimationZeroIsPositive checks that an Estimation zero is +0 on
+// every public path — an empty F0 sketch and its JSON form, unsatisfiable
+// CNF and DNF counts — so nothing prints or serves "-0".
+func TestEstimationZeroIsPositive(t *testing.T) {
+	f, err := NewF0(16, AlgorithmEstimation, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests := map[string]float64{"empty F0": f.Estimate()}
+	if b, err := json.Marshal(f.Estimate()); err != nil || string(b) != "0" {
+		t.Errorf("empty F0 estimate marshals to %s (%v), want 0", b, err)
+	}
+	cnf, err := CountCNFClauses(6, [][]int{{1}, {-1}}, AlgorithmEstimation, fastCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests["unsat CNF count"] = cnf.Estimate
+	dnf, err := CountDNFTerms(6, [][]int{{1, -1}, {2, -2}}, AlgorithmEstimation, fastCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests["unsat DNF count"] = dnf.Estimate
+	for name, got := range ests {
+		if got != 0 || math.Signbit(got) {
+			t.Errorf("%s: estimate %g (sign bit %v), want +0", name, got, math.Signbit(got))
+		}
 	}
 }
