@@ -442,14 +442,16 @@ func TestToeplitzRowsBuiltOnFirstUse(t *testing.T) {
 		"PrefixEqualSystem": func(l *Linear) { l.PrefixEqualSystem(2, bitvec.New(2)) },
 		"SuffixZeroSystem":  func(l *Linear) { l.SuffixZeroSystem(4) },
 	} {
-		l := roundTrip(t, f)
-		read(l)
-		a := l.toep.rows.Load()
-		if a == nil {
-			t.Fatalf("%s: no matrix after a row read", name)
-		}
-		if l.A() != a || l.A() != a {
-			t.Fatalf("%s: A() returned a second matrix", name)
+		drawn := NewToeplitz(20, 20).Draw(stats.NewRNG(0x1c4).Uint64).(*Linear)
+		for _, l := range []*Linear{drawn, roundTrip(t, f)} {
+			read(l)
+			a := l.toep.rows.Load()
+			if a == nil {
+				t.Fatalf("%s: no matrix after a row read", name)
+			}
+			if l.A() != a || l.A() != a {
+				t.Fatalf("%s: A() returned a second matrix", name)
+			}
 		}
 	}
 }
