@@ -103,10 +103,11 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 		hists := make([]int, shards*(n+1))
 		scratch := bitvec.NewSlab(n, shards)
 		xw := poolWords(pool, n)
-		ys := make([]uint64, shards*len(xw))
+		ys, idx := make([]uint64, shards*len(xw)), make([]int, shards*len(xw))
 		par.RunSharded(t, workers, func(i, shard int) {
+			lo, hi := shard*len(xw), (shard+1)*len(xw)
 			m, c := prefixFromPool(hs[i], pool, xw, thresh, hists[shard*(n+1):(shard+1)*(n+1)],
-				scratch[shard], ys[shard*len(xw):(shard+1)*len(xw)])
+				scratch[shard], ys[lo:hi], idx[lo:hi])
 			estimate(i, m, c)
 		})
 	} else {
@@ -148,15 +149,15 @@ func poolWords(pool []bitvec.BitVec, n int) []uint64 {
 // searchPrefixLinear and searchPrefixBinary return on the oracle.
 //
 // With the pool packed as xw (poolWords) and a draw that has a
-// carry-less kernel, one PrefixWords call hashes every member into ys
-// (scratch, one word per member) and the zero-prefix length is the
-// trailing-zero count of its word; otherwise each member takes
-// ZeroPrefixLen with scratch.
-func prefixFromPool(h *hash.Linear, pool []bitvec.BitVec, xw []uint64, thresh int, hist []int, scratch bitvec.BitVec, ys []uint64) (int, int) {
+// carry-less kernel, one PrefixWords call under an all-ones bound hashes
+// every member into ys (with idx, scratch of one entry per member) and
+// the zero-prefix length is the trailing-zero count of its word;
+// otherwise each member takes ZeroPrefixLen with scratch.
+func prefixFromPool(h *hash.Linear, pool []bitvec.BitVec, xw []uint64, thresh int, hist []int, scratch bitvec.BitVec, ys []uint64, idx []int) (int, int) {
 	clear(hist)
 	n := h.InBits()
-	if xw != nil && h.PrefixWords(n, xw, ys) {
-		for _, y := range ys[:len(xw)] {
+	if kept, ok := h.PrefixWords(n, ^uint64(0), xw, ys, idx); xw != nil && ok {
+		for _, y := range ys[:kept] {
 			hist[min(bits.TrailingZeros64(y), n)]++
 		}
 	} else {

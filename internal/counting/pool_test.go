@@ -67,7 +67,7 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 			if want := float64(c) * math.Pow(2, float64(m)); res.PerIteration[i] != want {
 				t.Fatalf("case %d (%s) trial %d: ApproxMC estimate %g, pool %g", k, kind, i, res.PerIteration[i], want)
 			}
-			if mW, cW := prefixFromPool(h, pool, poolWords(pool, n), thresh, hist, bitvec.New(n), make([]uint64, len(pool))); mW != m || cW != c {
+			if mW, cW := prefixFromPool(h, pool, poolWords(pool, n), thresh, hist, bitvec.New(n), make([]uint64, len(pool)), make([]int, len(pool))); mW != m || cW != c {
 				t.Fatalf("case %d (%s) trial %d: batched pool hash (m=%d, c=%d), ZeroPrefixLen (%d, %d)", k, kind, i, mW, cW, m, c)
 			}
 			if m == n && c == thresh {
@@ -106,18 +106,18 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 			if len(pool) != models {
 				t.Fatalf("n=%d %s: pool of %d, want all %d models", n, fam.Name(), len(pool), models)
 			}
-			xw, hist, ys := poolWords(pool, n), make([]int, n+1), make([]uint64, len(pool))
+			xw, hist, ys, idx := poolWords(pool, n), make([]int, n+1), make([]uint64, len(pool)), make([]int, len(pool))
 			for _, par := range []int{1, 2, 4} {
 				seed := uint64(1000*n + k)
 				res := ApproxMC(oracle.NewDNFSource(d), Options{Thresh: thresh, Iterations: 9, RNG: stats.NewRNG(seed), Parallelism: par, Family: fam})
 				draw := stats.NewRNG(seed)
 				for i := range res.PerIteration {
 					h := fam.Draw(draw.Uint64).(*hash.Linear)
-					if h.PrefixWords(n, nil, nil) != tc.batched {
+					if _, ok := h.PrefixWords(n, 0, nil, nil, nil); ok != tc.batched {
 						t.Fatalf("n=%d %s: batch kernel %v, want %v", n, fam.Name(), !tc.batched, tc.batched)
 					}
 					m, c := prefixFromPoolUnbatched(h, pool, thresh)
-					if mW, cW := prefixFromPool(h, pool, xw, thresh, hist, bitvec.New(n), ys); mW != m || cW != c {
+					if mW, cW := prefixFromPool(h, pool, xw, thresh, hist, bitvec.New(n), ys, idx); mW != m || cW != c {
 						t.Fatalf("n=%d %s trial %d: batched pool hash (m=%d, c=%d), ZeroPrefixLen (%d, %d)", n, fam.Name(), i, mW, cW, m, c)
 					}
 					if want := float64(c) * math.Pow(2, float64(m)); res.PerIteration[i] != want {
@@ -133,5 +133,5 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 // ZeroPrefixLen, the reference for the batched pool hash.
 func prefixFromPoolUnbatched(h *hash.Linear, pool []bitvec.BitVec, thresh int) (int, int) {
 	n := h.InBits()
-	return prefixFromPool(h, pool, nil, thresh, make([]int, n+1), bitvec.New(n), nil)
+	return prefixFromPool(h, pool, nil, thresh, make([]int, n+1), bitvec.New(n), nil, nil)
 }

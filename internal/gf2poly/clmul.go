@@ -3,15 +3,17 @@
 // evaluation in package hash (h(x) = Ax+b for Toeplitz A is a GF(2)[x]
 // polynomial multiply; see hash.Toeplitz).
 //
-// There are two dispatch points. Clmul64 is one product; ClmulWindowBatch
-// is one 64-bit window of a one- or two-word diagonal times a whole slice
-// of element words, the per-copy batch form of a Toeplitz hash prefix. On
-// amd64 with PCLMULQDQ both route to assembly (clmul_amd64.s: one
-// instruction for Clmul64, one fused multiply-shift-mask-XOR loop for
-// ClmulWindowBatch). On arm64 with the PMULL crypto extension Clmul64 is
-// one instruction (clmul_arm64.s) and ClmulWindowBatch a Go loop over it.
-// The backends are gated by run-time CPU-feature detection in the
-// clmul_*.go siblings. Everywhere else — and as the differential anchor
+// There are two dispatch points. Clmul64 is one product; ClmulFilterBatch
+// hashes a whole slice of element words through one 64-bit window of a
+// one- or two-word diagonal, keeps the words at or below a bound and
+// compacts them — the per-copy batch form of a Toeplitz hash prefix with a
+// sketch's threshold test. On amd64 with PCLMULQDQ both route to assembly
+// (clmul_amd64.s: one instruction for Clmul64; for ClmulFilterBatch a
+// scalar multiply-shift-mask-test loop, and with AVX-512 and VPCLMULQDQ a
+// loop over blocks of 8 elements that compresses the kept lanes). On arm64
+// with the PMULL crypto extension Clmul64 is one instruction
+// (clmul_arm64.s) and ClmulFilterBatch a Go loop over it. The backends are
+// gated by run-time CPU-feature detection in the clmul_*.go siblings. Everywhere else — and as the differential anchor
 // the assembly is tested against — they run the pure-Go kernel below,
 // built on bits.Mul64 "holes" multiplies (integer products of operands
 // whose set bits are spaced four apart, so column sums fit in the zero
@@ -103,44 +105,94 @@ func xorMul4(x0, y0, x1, y1, x2, y2, x3, y3 uint64) (hi, lo uint64) {
 	return h0 ^ h1 ^ h2 ^ h3, l0 ^ l1 ^ l2 ^ l3
 }
 
-// ClmulWindowBatch evaluates one 64-bit window of a carry-less product
-// for every word of xs:
+// ClmulFilterBatch hashes, tests and compacts a batch in one pass. For
+// every word x = xs[k] it forms the 64-bit window word
 //
-//	dst[k] = ((d0·xs[k] ⊕ (d1·xs[k])<<64) >> off) & mask ^ b
+//	w = ((d0·x ⊕ (d1·x)<<64) >> off) & mask ^ b
 //
 // where · is the carry-less product, so D = d1<<64 | d0 is a polynomial of
 // up to 128 coefficients and the window takes coefficients off..off+63 of
-// D·xs[k]. The second multiply is skipped when d1 is zero. off must be
-// below 64 and dst at least as long as xs; dst may alias xs. This is the
-// batch form of a Toeplitz hash prefix (package hash): D is the truncated
-// reversed diagonal, off = n−1, mask keeps the prefix bits and b is the
-// prefix of the affine offset. The kernel never allocates.
-func ClmulWindowBatch(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64) {
+// D·x. It keeps w when w is lexicographically at most mx in packed order
+// (bit 0 first): the first bit where w and mx differ, the lowest set bit
+// of d = w^mx, must be mx's, that is d&-d&w == 0. Kept words go to ws and
+// their indices k to idx, in batch order, and the kept count is returned.
+// An all-ones mx keeps every word.
+//
+// This is the per-copy batch form of a Toeplitz hash prefix with a
+// threshold test (package hash): D is the truncated reversed diagonal,
+// off = n−1, mask keeps the prefix bits, b is the prefix of the affine
+// offset, and mx is the largest prefix the caller still admits. off must
+// be below 64, and ws and idx at least as long as xs; entries past the
+// kept count are unspecified (the kernels may write there). The kernel
+// never allocates.
+func ClmulFilterBatch(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int {
 	if off > 63 {
 		panic("gf2poly: window offset beyond the first product word")
 	}
-	dst = dst[:len(xs)]
+	if len(ws) < len(xs) || len(idx) < len(xs) {
+		panic("gf2poly: filter outputs shorter than the batch")
+	}
 	if len(xs) == 0 {
-		return
+		return 0
 	}
-	if hasCLMUL {
-		clmulWindowAsm(d0, d1, xs, off, mask, b, dst)
-		return
-	}
-	clmulWindowGeneric(d0, d1, xs, off, mask, b, dst)
+	return clmulFilter(d0, d1, xs, off, mask, b, mx, ws, idx)
 }
 
-// clmulWindowGeneric is ClmulWindowBatch's pure-Go loop and the
-// differential anchor of its assembly.
-func clmulWindowGeneric(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64) {
+// filterFunc is the signature of ClmulFilterBatch's backends. They may
+// assume len(xs) > 0, off < 64 and outputs at least len(xs) long.
+type filterFunc func(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int
+
+// filterBackend is one ClmulFilterBatch backend: ok reports whether this
+// CPU has the features it needs. Each architecture lists its backends in
+// preference order in filterBackends, the pure-Go loop last; tests call
+// every available one directly.
+type filterBackend struct {
+	name string
+	ok   bool
+	fn   filterFunc
+}
+
+// clmulFilter is the first available backend, chosen once by CPU
+// detection.
+var clmulFilter = func() filterFunc {
+	for _, be := range filterBackends {
+		if be.ok {
+			return be.fn
+		}
+	}
+	return clmulFilterGeneric
+}()
+
+// oneWord reports whether the window fits the product's low word: the
+// bits p1<<(64−off) would place all fall outside mask, so neither the
+// product's high word nor d1 can reach a kept bit. It must be decided by
+// this width, never by d1 == 0: with off+mask width past 64 the window
+// reads d0·x's high word whatever d1 is.
+func oneWord(off uint, mask uint64) bool { return off == 0 || mask>>(64-off) == 0 }
+
+// keep is ClmulFilterBatch's test: w is lexicographically at most mx.
+func keep(w, mx uint64) bool {
+	d := w ^ mx
+	return d&-d&w == 0
+}
+
+// clmulFilterGeneric is ClmulFilterBatch's pure-Go loop and the
+// differential anchor of the other backends.
+func clmulFilterGeneric(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int {
+	kept := 0
 	for k, x := range xs {
 		p1, p0 := clmul64Generic(d0, x)
 		if d1 != 0 {
 			_, l := clmul64Generic(d1, x)
 			p1 ^= l
 		}
-		dst[k] = (p0>>off|p1<<(64-off))&mask ^ b // off = 0 shifts p1 out: zero, by Go spec
+		w := (p0>>off|p1<<(64-off))&mask ^ b // off = 0 shifts p1 out: zero, by Go spec
+		if keep(w, mx) {
+			ws[kept], idx[kept] = w, k
+			kept++
+		}
 	}
+	return kept
 }
 
 // ClmulAccInto accumulates the carry-less product of two packed GF(2)

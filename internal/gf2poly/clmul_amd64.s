@@ -16,67 +16,220 @@ TEXT ·clmulAsm(SB), NOSPLIT, $0-32
 	MOVQ X0, hi+16(FP)
 	RET
 
-// func clmulWindowAsm(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64)
+// func filterScalarAsm(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int, base int, two bool) int
 //
-// Per element x: PCLMULQDQ d0·x gives the product words p0 (AX) and p1
-// (DX); when d1 ≠ 0 a second PCLMULQDQ folds the low word of d1·x into
-// p1. SHRQ CX, DX, AX (SHRD) then shifts the 128-bit p1:p0 right by off
-// into AX — a zero count leaves p0, as the Go loop's shift by 64 does —
-// and AND/XOR apply the mask and the offset. d1 is tested once, outside
-// the loop. The caller guarantees len(xs) > 0 and len(dst) ≥ len(xs).
-TEXT ·clmulWindowAsm(SB), NOSPLIT, $0-88
+// Per element x: PCLMULQDQ d0·x. When the window fits the product's low
+// word (two = false) PSRLQ shifts it down inside X0, and MOVQ takes it
+// straight from p0; otherwise PSRLDQ
+// moves p1 down, a second PCLMULQDQ folds the low word of d1·x into it,
+// and SHRQ CX, DX, AX (SHRD) shifts the 128-bit p1:p0 right by off — a
+// zero count leaves p0, as the Go loop's shift by 64 does. AND/XOR apply
+// the mask and the offset, giving w. The bound test is branch-free: w
+// and the index are always stored at the kept count, which then advances
+// by one when (d & −d) & w == 0, d = w ^ mx. Stores land at or before
+// the element being read, so they stay inside ws and idx.
+//
+// R13 runs over the element indices base … base+len(xs)−1 and SI is xs
+// biased by −base words, so (SI)(R13*8) is the current element.
+TEXT ·filterScalarAsm(SB), NOSPLIT, $0-144
 	MOVQ d0+0(FP), X1
 	MOVQ d1+8(FP), X2
 	MOVQ xs_base+16(FP), SI
 	MOVQ xs_len+24(FP), BX
 	MOVQ off+40(FP), CX
-	MOVQ mask+48(FP), R8
-	MOVQ b+56(FP), R9
-	MOVQ dst_base+64(FP), DI
-	MOVQ d1+8(FP), R10
-	TESTQ R10, R10
+	MOVQ CX, X4
+	MOVQ mask+48(FP), R9
+	MOVQ mx+64(FP), R12
+	MOVQ ws_base+72(FP), DI
+	MOVQ idx_base+96(FP), R10
+	MOVQ base+120(FP), R13
+	MOVQ R13, AX
+	SHLQ $3, AX
+	SUBQ AX, SI
+	ADDQ R13, BX
+	XORQ R11, R11
+	MOVBLZX two+128(FP), AX
+	TESTL AX, AX
 	JNZ two
 
 one:
-	MOVQ (SI), X0
+	MOVQ (SI)(R13*8), X0
 	PCLMULQDQ $0x00, X1, X0
+	PSRLQ X4, X0
 	MOVQ X0, AX
-	PSRLDQ $8, X0
-	MOVQ X0, DX
-	SHRQ CX, DX, AX
-	ANDQ R8, AX
-	XORQ R9, AX
-	MOVQ AX, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ BX
-	JNZ one
+	ANDQ R9, AX
+	XORQ b+56(FP), AX
+	MOVQ AX, DX
+	XORQ R12, DX
+	MOVQ DX, R8
+	NEGQ R8
+	ANDQ DX, R8
+	TESTQ AX, R8
+	JNZ oneskip
+	MOVQ AX, (DI)(R11*8)
+	MOVQ R13, (R10)(R11*8)
+	INCQ R11
+oneskip:
+	INCQ R13
+	CMPQ R13, BX
+	JB one
+	MOVQ R11, ret+136(FP)
 	RET
 
 two:
-	MOVQ (SI), X0
+	MOVQ (SI)(R13*8), X0
 	MOVO X0, X3
 	PCLMULQDQ $0x00, X1, X0
 	PCLMULQDQ $0x00, X2, X3
 	MOVQ X0, AX
 	PSRLDQ $8, X0
 	MOVQ X0, DX
-	MOVQ X3, R11
-	XORQ R11, DX
+	MOVQ X3, R8
+	XORQ R8, DX
 	SHRQ CX, DX, AX
-	ANDQ R8, AX
-	XORQ R9, AX
-	MOVQ AX, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ BX
-	JNZ two
+	ANDQ R9, AX
+	XORQ b+56(FP), AX
+	MOVQ AX, DX
+	XORQ R12, DX
+	MOVQ DX, R8
+	NEGQ R8
+	ANDQ DX, R8
+	TESTQ AX, R8
+	JNZ twoskip
+	MOVQ AX, (DI)(R11*8)
+	MOVQ R13, (R10)(R11*8)
+	INCQ R11
+twoskip:
+	INCQ R13
+	CMPQ R13, BX
+	JB two
+	MOVQ R11, ret+136(FP)
 	RET
 
-// func cpuidECX1() uint32
-TEXT ·cpuidECX1(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
+// filterLanes is the lane index vector 0, 1, …, 7 of one block.
+DATA filterLanes<>+0x00(SB)/8, $0
+DATA filterLanes<>+0x08(SB)/8, $1
+DATA filterLanes<>+0x10(SB)/8, $2
+DATA filterLanes<>+0x18(SB)/8, $3
+DATA filterLanes<>+0x20(SB)/8, $4
+DATA filterLanes<>+0x28(SB)/8, $5
+DATA filterLanes<>+0x30(SB)/8, $6
+DATA filterLanes<>+0x38(SB)/8, $7
+GLOBL filterLanes<>(SB), RODATA|NOPTR, $64
+
+// func filterAVX512Asm(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int, two bool) int
+//
+// Eight elements per iteration, one per qword lane of Z0. Each 128-bit
+// lane holds two elements; VPCLMULQDQ $0x00 multiplies the even ones by
+// d0 and $0x01 the odd ones, each into a full 128-bit lane, and
+// VPUNPCKLQDQ gathers the eight low product words back in element order
+// (VPUNPCKHQDQ the high words, on the two-word path, where two more
+// VPCLMULQDQs fold in d1·x and VPSRLQ/VPSLLQ/VPORQ form the window — a
+// left shift by 64 gives zero, as in Go). VPTERNLOGQ $0x6a computes
+// (p & mask) ^ b. The bound test leaves K1 set on the kept lanes
+// (VPTESTNMQ of d & −d against w); VPCOMPRESSQ packs those lanes' words
+// and indices to the bottom of a register, both are stored whole at the
+// kept count, and POPCNT of K1 (read with KMOVW, which needs only
+// AVX512F) advances it. A whole-vector store at the kept count ends at
+// or before the block just read, inside ws and idx.
+TEXT ·filterAVX512Asm(SB), NOSPLIT, $0-136
+	VPBROADCASTQ d0+0(FP), Z1
+	VPBROADCASTQ d1+8(FP), Z2
+	VPBROADCASTQ mask+48(FP), Z3
+	VPBROADCASTQ b+56(FP), Z4
+	VPBROADCASTQ mx+64(FP), Z5
+	VMOVDQU64 filterLanes<>(SB), Z6
+	MOVQ $8, AX
+	VPBROADCASTQ AX, Z7
+	MOVQ off+40(FP), CX
+	MOVQ CX, X8
+	MOVQ $64, AX
+	SUBQ CX, AX
+	MOVQ AX, X9
+	VPXORQ Z16, Z16, Z16
+	MOVQ xs_base+16(FP), SI
+	MOVQ xs_len+24(FP), BX
+	SHRQ $3, BX
+	MOVQ ws_base+72(FP), DI
+	MOVQ idx_base+96(FP), R10
+	XORQ R11, R11
+	MOVBLZX two+120(FP), AX
+	TESTL AX, AX
+	JNZ vtwo
+
+vone:
+	VMOVDQU64 (SI), Z0
+	VPCLMULQDQ $0x00, Z1, Z0, Z10
+	VPCLMULQDQ $0x01, Z1, Z0, Z11
+	VPUNPCKLQDQ Z11, Z10, Z12
+	VPSRLQ X8, Z12, Z12
+	VPTERNLOGQ $0x6a, Z4, Z3, Z12
+	VPXORQ Z5, Z12, Z13
+	VPSUBQ Z13, Z16, Z14
+	VPANDQ Z13, Z14, Z14
+	VPTESTNMQ Z12, Z14, K1
+	VPCOMPRESSQ Z12, K1, Z15
+	VPCOMPRESSQ Z6, K1, Z17
+	VMOVDQU64 Z15, (DI)(R11*8)
+	VMOVDQU64 Z17, (R10)(R11*8)
+	KMOVW K1, AX
+	POPCNTL AX, AX
+	ADDQ AX, R11
+	VPADDQ Z7, Z6, Z6
+	ADDQ $64, SI
+	DECQ BX
+	JNZ vone
+	VZEROUPPER
+	MOVQ R11, ret+128(FP)
+	RET
+
+vtwo:
+	VMOVDQU64 (SI), Z0
+	VPCLMULQDQ $0x00, Z1, Z0, Z10
+	VPCLMULQDQ $0x01, Z1, Z0, Z11
+	VPCLMULQDQ $0x00, Z2, Z0, Z18
+	VPCLMULQDQ $0x01, Z2, Z0, Z19
+	VPUNPCKLQDQ Z11, Z10, Z12
+	VPUNPCKHQDQ Z11, Z10, Z13
+	VPUNPCKLQDQ Z19, Z18, Z20
+	VPXORQ Z20, Z13, Z13
+	VPSRLQ X8, Z12, Z12
+	VPSLLQ X9, Z13, Z13
+	VPORQ Z13, Z12, Z12
+	VPTERNLOGQ $0x6a, Z4, Z3, Z12
+	VPXORQ Z5, Z12, Z13
+	VPSUBQ Z13, Z16, Z14
+	VPANDQ Z13, Z14, Z14
+	VPTESTNMQ Z12, Z14, K1
+	VPCOMPRESSQ Z12, K1, Z15
+	VPCOMPRESSQ Z6, K1, Z17
+	VMOVDQU64 Z15, (DI)(R11*8)
+	VMOVDQU64 Z17, (R10)(R11*8)
+	KMOVW K1, AX
+	POPCNTL AX, AX
+	ADDQ AX, R11
+	VPADDQ Z7, Z6, Z6
+	ADDQ $64, SI
+	DECQ BX
+	JNZ vtwo
+	VZEROUPPER
+	MOVQ R11, ret+128(FP)
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	MOVL CX, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
 	RET

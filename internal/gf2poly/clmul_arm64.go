@@ -12,17 +12,31 @@ import (
 // PMULL instruction (clmul_arm64.s). Callable only when hasCLMUL.
 func clmulAsm(a, b uint64) (hi, lo uint64)
 
-// clmulWindowAsm is ClmulWindowBatch over one PMULL call per product. A
-// fused PMULL loop in assembly is not shipped: no arm64 host has run one.
-func clmulWindowAsm(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64) {
+// filterBackends lists ClmulFilterBatch's backends in preference order.
+var filterBackends = []filterBackend{
+	{"pmull", hasCLMUL, clmulFilterPMULL},
+	{"generic", true, clmulFilterGeneric},
+}
+
+// clmulFilterPMULL is ClmulFilterBatch over one PMULL call per product,
+// with the generic loop's filter. A fused PMULL loop in assembly is not
+// shipped: no arm64 host has run one.
+func clmulFilterPMULL(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int {
+	one := oneWord(off, mask)
+	kept := 0
 	for k, x := range xs {
 		p1, p0 := clmulAsm(d0, x)
-		if d1 != 0 {
+		if !one {
 			_, l := clmulAsm(d1, x)
 			p1 ^= l
 		}
-		dst[k] = (p0>>off|p1<<(64-off))&mask ^ b
+		w := (p0>>off|p1<<(64-off))&mask ^ b
+		if keep(w, mx) {
+			ws[kept], idx[kept] = w, k
+			kept++
+		}
 	}
+	return kept
 }
 
 // hasCLMUL gates the assembly backend on the PMULL (polynomial multiply

@@ -1,6 +1,7 @@
 package gf2poly
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -101,20 +102,64 @@ func genericAccInto(dst, a, b []uint64) {
 	}
 }
 
-// windowLengths are the ClmulWindowBatch slice lengths the differentials
-// sweep: empty, every short tail, and one long run.
-var windowLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1024}
+// filterLengths are the ClmulFilterBatch slice lengths the differentials
+// sweep: empty, short tails on both sides of one 8-element block, and
+// long runs with and without a tail.
+var filterLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 1023, 1024, 1031}
 
-// TestClmulWindowAsmVsGeneric pins the batched window kernel's assembly
-// against its pure-Go loop: adversarial diagonal words × every window
-// offset × short and long slices, with the second diagonal word both zero
-// (the one-multiply loop) and non-zero.
-func TestClmulWindowAsmVsGeneric(t *testing.T) {
-	if !HasAsm() {
-		t.Skip("no hardware carry-less multiply on this CPU")
+// availableFilters returns the backends this CPU can run, logging the
+// ones it skips.
+func availableFilters(t *testing.T) []filterBackend {
+	t.Helper()
+	var out []filterBackend
+	for _, be := range filterBackends {
+		if !be.ok {
+			t.Logf("skipping the %s backend: this CPU lacks its features", be.name)
+			continue
+		}
+		out = append(out, be)
 	}
+	return out
+}
+
+// runFilter calls one backend the way ClmulFilterBatch does (it skips
+// empty batches) and checks it wrote nothing past the batch.
+func runFilter(t *testing.T, fn filterFunc, d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64) ([]uint64, []int) {
+	t.Helper()
+	ws := make([]uint64, len(xs)+1)
+	idx := make([]int, len(xs)+1)
+	ws[len(xs)], idx[len(xs)] = 0xdead, -7
+	kept := 0
+	if len(xs) > 0 {
+		kept = fn(d0, d1, xs, off, mask, b, mx, ws[:len(xs)], idx[:len(xs)])
+	}
+	if ws[len(xs)] != 0xdead || idx[len(xs)] != -7 {
+		t.Fatalf("d0=%#x d1=%#x off=%d len=%d: backend wrote past the batch", d0, d1, off, len(xs))
+	}
+	return ws[:kept], idx[:kept]
+}
+
+// requireSameFilter fails unless two backends kept the same words at
+// the same indices.
+func requireSameFilter(t *testing.T, what string, gotW []uint64, gotI []int, wantW []uint64, wantI []int) {
+	t.Helper()
+	if len(gotW) != len(wantW) {
+		t.Fatalf("%s: kept %d, want %d", what, len(gotW), len(wantW))
+	}
+	for j := range wantW {
+		if gotW[j] != wantW[j] || gotI[j] != wantI[j] {
+			t.Fatalf("%s: kept entry %d = (%#x, %d), want (%#x, %d)", what, j, gotW[j], gotI[j], wantW[j], wantI[j])
+		}
+	}
+}
+
+// TestClmulFilterBackendsVsGeneric pins every available filter backend
+// against the pure-Go loop: adversarial diagonal words × every window
+// offset × short and long slices, with the second diagonal word both
+// zero and non-zero, at an all-ones, a zero and a random bound.
+func TestClmulFilterBackendsVsGeneric(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x3d0, 0x5e_ed))
-	xs := make([]uint64, 1024)
+	xs := make([]uint64, 1031)
 	for i := range xs {
 		if i < len(adversarialOperands) {
 			xs[i] = adversarialOperands[i]
@@ -122,27 +167,92 @@ func TestClmulWindowAsmVsGeneric(t *testing.T) {
 			xs[i] = rng.Uint64()
 		}
 	}
-	asm := make([]uint64, len(xs))
-	gen := make([]uint64, len(xs))
-	for i, d0 := range adversarialOperands {
-		for _, d1 := range []uint64{0, adversarialOperands[(i+5)%len(adversarialOperands)] | 1} {
-			for off := uint(0); off < 64; off++ {
-				mask := ^uint64(0) >> (off % 61)
-				b := rng.Uint64() & mask
-				for _, n := range windowLengths {
-					if n < len(asm) {
-						asm[n] = 0xdead // must survive: the loop writes exactly n words
-					}
-					ClmulWindowBatch(d0, d1, xs[:n], off, mask, b, asm) // dispatches to asm
-					clmulWindowGeneric(d0, d1, xs[:n], off, mask, b, gen)
-					for k := 0; k < n; k++ {
-						if asm[k] != gen[k] {
-							t.Fatalf("d0=%#x d1=%#x off=%d len=%d: word %d asm %#x != generic %#x",
-								d0, d1, off, n, k, asm[k], gen[k])
+	for _, be := range availableFilters(t) {
+		for i, d0 := range adversarialOperands {
+			for _, d1 := range []uint64{0, adversarialOperands[(i+5)%len(adversarialOperands)] | 1} {
+				for off := uint(0); off < 64; off++ {
+					mask := ^uint64(0) >> (off % 61)
+					b := rng.Uint64() & mask
+					for _, mx := range []uint64{^uint64(0), 0, rng.Uint64()} {
+						for _, n := range filterLengths {
+							if n > 64 && off%16 != 0 {
+								continue // long runs at four offsets are enough
+							}
+							gw, gi := runFilter(t, be.fn, d0, d1, xs[:n], off, mask, b, mx)
+							ww, wi := runFilter(t, clmulFilterGeneric, d0, d1, xs[:n], off, mask, b, mx)
+							requireSameFilter(t, fmt.Sprintf("%s d0=%#x d1=%#x off=%d mx=%#x len=%d",
+								be.name, d0, d1, off, mx, n), gw, gi, ww, wi)
 						}
 					}
-					if n < len(asm) && asm[n] != 0xdead {
-						t.Fatalf("d0=%#x d1=%#x off=%d len=%d: asm wrote past the slice", d0, d1, off, n)
+				}
+			}
+		}
+	}
+}
+
+// minPrefixWidth is the prefix Minimum's word path compares at universe
+// width n (streaming.minPrefixBits): 65−n bits, capped at 3n, for
+// n ≤ 32, and 64 above.
+func minPrefixWidth(n int) int {
+	if n > 32 {
+		return 64
+	}
+	return min(3*n, 65-n)
+}
+
+// TestClmulFilterToeplitzShapes runs every available backend on the
+// batches the F0 sketches hand it — Toeplitz prefixes of mp = n
+// (Bucketing) and Minimum's width, at n ∈ {1, 5, 31, 32, 33, 48, 63,
+// 64} — against the pure-Go loop and against the unfused path: every
+// window word first (refWindow), then the bound test in Go. Bounds are
+// all-ones (a filling Minimum, the counting pool), zero, Bucketing's
+// level masks and random words. Every shape with n+mp ≥ 66 is also run on
+// a draw whose second diagonal word is zero: its window still reads the
+// high word of d0·x, which a path keyed on d1 == 0 would drop.
+func TestClmulFilterToeplitzShapes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x7e0, 0x5e_ed))
+	backends := availableFilters(t)
+	lengths := []int{0, 1, 7, 8, 9, 1023, 1024, 1031}
+	for _, n := range []int{1, 5, 31, 32, 33, 48, 63, 64} {
+		xs := make([]uint64, 1031)
+		for i := range xs {
+			xs[i] = rng.Uint64() >> (64 - uint(n)) // packed n-bit elements
+		}
+		for _, mp := range []int{n, minPrefixWidth(n)} {
+			diagBits := mp + n - 1
+			d0 := rng.Uint64()
+			d1 := rng.Uint64()
+			if diagBits <= 64 {
+				d1 = 0
+			}
+			draws := [][2]uint64{{d0, d1}}
+			if n+mp >= 66 {
+				draws = append(draws, [2]uint64{d0 | 1<<63, 0})
+			}
+			mask := ^uint64(0) >> (64 - uint(mp))
+			b := rng.Uint64() & mask
+			bounds := []uint64{^uint64(0), 0, rng.Uint64() & mask}
+			for level := 1; level <= mp; level += 1 + level/4 {
+				bounds = append(bounds, ^(uint64(1)<<uint(level)-1)&mask)
+			}
+			off := uint(n - 1)
+			for _, dr := range draws {
+				for _, mx := range bounds {
+					for _, l := range lengths {
+						what := fmt.Sprintf("n=%d mp=%d d=(%#x, %#x) mx=%#x len=%d", n, mp, dr[0], dr[1], mx, l)
+						var refW []uint64
+						var refI []int
+						for k, x := range xs[:l] {
+							if w := refWindow(dr[0], dr[1], x, off, mask, b); keep(w, mx) {
+								refW, refI = append(refW, w), append(refI, k)
+							}
+						}
+						gw, gi := runFilter(t, clmulFilterGeneric, dr[0], dr[1], xs[:l], off, mask, b, mx)
+						requireSameFilter(t, "generic "+what, gw, gi, refW, refI)
+						for _, be := range backends {
+							bw, bi := runFilter(t, be.fn, dr[0], dr[1], xs[:l], off, mask, b, mx)
+							requireSameFilter(t, be.name+" "+what, bw, bi, refW, refI)
+						}
 					}
 				}
 			}
@@ -172,34 +282,40 @@ func BenchmarkClmulKernel(b *testing.B) {
 		}
 		sinkClmul = acc
 	})
-	// The batched window kernel over one 1024-word slice per op, reported
-	// per element: d1 = 0 is the one-multiply loop (a Bucketing prefix at
-	// n = 32), d1 ≠ 0 the two-multiply loop (Minimum's 64-bit prefix at
-	// n > 32).
+	// The fused filter kernel over one 1024-word slice per op, reported
+	// per element, for every backend this CPU runs: one-word is a
+	// Bucketing prefix at n = 32 (window inside the product's low word),
+	// two-word Minimum's 64-bit prefix at n = 48. The bound is a level-4
+	// mask, so about one element in 16 is kept, a copy's keep rate a few
+	// levels into a stream.
 	xs := make([]uint64, 1024)
 	for i := range xs {
 		xs[i] = 0x9e3779b97f4a7c15 * uint64(i+1)
 	}
-	dst := make([]uint64, len(xs))
-	kernels := []struct {
-		name string
-		fn   func(d0, d1 uint64, xs []uint64, off uint, mask, b uint64, dst []uint64)
-	}{{"asm", ClmulWindowBatch}, {"generic", clmulWindowGeneric}}
-	for _, k := range kernels {
-		for _, d1 := range []uint64{0, 0x2545f4914f6cdd1d} {
-			name := "window/" + k.name + "/d1=0"
-			if d1 != 0 {
-				name = "window/" + k.name + "/d1≠0"
-			}
-			b.Run(name, func(b *testing.B) {
-				if k.name == "asm" && !HasAsm() {
-					b.Skip("no hardware carry-less multiply on this CPU")
+	ws := make([]uint64, len(xs))
+	idx := make([]int, len(xs))
+	shapes := []struct {
+		name      string
+		d1        uint64
+		off       uint
+		mask, low uint64
+	}{
+		{"one-word", 0, 31, 0xFFFFFFFF, 0xF},
+		{"two-word", 0x2545f4914f6cdd1d, 47, ^uint64(0), 0xF},
+	}
+	for _, be := range filterBackends {
+		for _, sh := range shapes {
+			b.Run("filter/"+be.name+"/"+sh.name, func(b *testing.B) {
+				if !be.ok {
+					b.Skip("this CPU lacks the backend's features")
 				}
+				kept := 0
 				for i := 0; i < b.N; i++ {
-					k.fn(0xd1342543de82ef95, d1, xs, 31, 0xFFFFFFFF, 0x5bd1e995, dst)
+					kept = be.fn(0xd1342543de82ef95, sh.d1, xs, sh.off, sh.mask, 0x5bd1e995&sh.mask, ^sh.low, ws, idx)
 				}
-				sinkClmul = dst[len(dst)-1]
+				sinkClmul = uint64(kept)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/elem")
+				b.ReportMetric(float64(kept)/float64(len(xs)), "kept/elem")
 			})
 		}
 	}

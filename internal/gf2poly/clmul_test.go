@@ -188,8 +188,9 @@ func BenchmarkClmulAccInto(b *testing.B) {
 	})
 }
 
-// refWindow is ClmulWindowBatch's definition spelt out with the
-// shift-and-xor reference product.
+// refWindow is ClmulFilterBatch's window word spelt out with the
+// shift-and-xor reference product: the word the unfused path wrote for
+// every element before any test.
 func refWindow(d0, d1, x uint64, off uint, mask, b uint64) uint64 {
 	h0, l0 := refClmul64(d0, x)
 	_, l1 := refClmul64(d1, x)
@@ -201,11 +202,22 @@ func refWindow(d0, d1, x uint64, off uint, mask, b uint64) uint64 {
 	return w&mask ^ b
 }
 
-// TestClmulWindowBatchMatchesReference checks the dispatched batch kernel
-// and its pure-Go loop against the reference product, including the
-// full-hole-class operands that route the generic loop to its split form,
-// and the in-place (dst aliasing xs) call.
-func TestClmulWindowBatchMatchesReference(t *testing.T) {
+// refKeep is the bound test spelt out bit by bit: scan from bit 0 to the
+// first bit where w and mx differ, and keep w when that bit is mx's.
+func refKeep(w, mx uint64) bool {
+	for i := uint(0); i < 64; i++ {
+		if (w^mx)>>i&1 != 0 {
+			return mx>>i&1 == 1
+		}
+	}
+	return true
+}
+
+// TestClmulFilterBatchMatchesReference checks the dispatched batch kernel
+// and its pure-Go loop against the reference product and the bit-by-bit
+// bound test, including the full-hole-class operands that route the
+// generic loop to its split form, and all-ones and zero bounds.
+func TestClmulFilterBatchMatchesReference(t *testing.T) {
 	s := xorshift(0x77d0)
 	ops := []uint64{0, 1, 1 << 63, ^uint64(0), hole0, hole1 | hole2, hole3, 0x0123456789ABCDEF}
 	xs := make([]uint64, 40)
@@ -216,8 +228,8 @@ func TestClmulWindowBatchMatchesReference(t *testing.T) {
 			xs[i] = s.next()
 		}
 	}
-	got := make([]uint64, len(xs))
-	gen := make([]uint64, len(xs))
+	ws, idx := make([]uint64, len(xs)), make([]int, len(xs))
+	gws, gidx := make([]uint64, len(xs)), make([]int, len(xs))
 	for trial := 0; trial < 400; trial++ {
 		d0, d1 := s.next(), s.next()
 		if trial < len(ops)*len(ops) {
@@ -225,21 +237,46 @@ func TestClmulWindowBatchMatchesReference(t *testing.T) {
 		}
 		off := uint(trial % 64)
 		mask, b := s.next(), s.next()
-		ClmulWindowBatch(d0, d1, xs, off, mask, b, got)
-		clmulWindowGeneric(d0, d1, xs, off, mask, b, gen)
+		mx := []uint64{^uint64(0), 0, s.next(), s.next() & mask}[trial%4]
+		kept := ClmulFilterBatch(d0, d1, xs, off, mask, b, mx, ws, idx)
+		gkept := clmulFilterGeneric(d0, d1, xs, off, mask, b, mx, gws, gidx)
+		j := 0
 		for k, x := range xs {
-			want := refWindow(d0, d1, x, off, mask, b)
-			if got[k] != want || gen[k] != want {
-				t.Fatalf("trial %d (d0=%#x d1=%#x off=%d x=%#x): dispatch %#x generic %#x want %#x",
-					trial, d0, d1, off, x, got[k], gen[k], want)
+			w := refWindow(d0, d1, x, off, mask, b)
+			if !refKeep(w, mx) {
+				continue
 			}
+			if j >= kept || j >= gkept || ws[j] != w || idx[j] != k || gws[j] != w || gidx[j] != k {
+				t.Fatalf("trial %d (d0=%#x d1=%#x off=%d mx=%#x): kept entry %d should be (%#x, %d)",
+					trial, d0, d1, off, mx, j, w, k)
+			}
+			j++
+		}
+		if kept != j || gkept != j {
+			t.Fatalf("trial %d: dispatch kept %d, generic %d, want %d", trial, kept, gkept, j)
+		}
+		if mx == ^uint64(0) && j != len(xs) {
+			t.Fatalf("trial %d: an all-ones bound kept %d of %d", trial, j, len(xs))
 		}
 	}
-	inPlace := append([]uint64(nil), xs...)
-	ClmulWindowBatch(ops[7], ops[5], inPlace, 17, ^uint64(0), 0, inPlace)
-	for k, x := range xs {
-		if want := refWindow(ops[7], ops[5], x, 17, ^uint64(0), 0); inPlace[k] != want {
-			t.Fatalf("in place: word %d = %#x, want %#x", k, inPlace[k], want)
-		}
+}
+
+// TestClmulFilterBatchPanics checks the argument checks: an offset past
+// the first product word and outputs shorter than the batch.
+func TestClmulFilterBatchPanics(t *testing.T) {
+	xs := make([]uint64, 4)
+	for name, call := range map[string]func(){
+		"off=64":    func() { ClmulFilterBatch(1, 0, xs, 64, 1, 0, 0, make([]uint64, 4), make([]int, 4)) },
+		"short ws":  func() { ClmulFilterBatch(1, 0, xs, 0, 1, 0, 0, make([]uint64, 3), make([]int, 4)) },
+		"short idx": func() { ClmulFilterBatch(1, 0, xs, 0, 1, 0, 0, make([]uint64, 4), make([]int, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

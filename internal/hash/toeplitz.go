@@ -18,12 +18,14 @@
 // instead of m per-row dot products. Per element, though, the call,
 // dispatch and width checks around one or two PCLMULQDQs cost more than
 // the multiplies. So for n ≤ 64 and a prefix of mp ≤ 64 output bits,
-// Linear.PrefixWords evaluates a whole batch of elements in one
-// gf2poly.ClmulWindowBatch loop: one multiply per element when
-// mp+n−1 ≤ 64, two otherwise, at ~2 and ~2.5 ns per element on a
-// 2-vCPU Xeon (BenchmarkClmulKernel/window), against ~15–23 ns for one
-// EvalInto call at n = 32 (BenchmarkToeplitzEvalInto). The streaming
-// sketches absorb through it.
+// Linear.PrefixWords hashes a whole batch of elements in one
+// gf2poly.ClmulFilterBatch pass that also applies the caller's bound and
+// writes only the elements that pass it: one multiply per element when
+// mp+n−1 ≤ 64, two otherwise. On a 2-vCPU Xeon with AVX-512 and
+// VPCLMULQDQ (BenchmarkClmulKernel/filter, one element in 16 kept) that
+// is ~1 and ~1.5 ns per element, ~2.5 and ~3.2 ns on the scalar PCLMULQDQ
+// loop, against ~15–23 ns for one EvalInto call at n = 32
+// (BenchmarkToeplitzEvalInto). The streaming sketches absorb through it.
 //
 // The kernel and b are all a Toeplitz *Linear holds, Θ(n+m) bits; its m×n
 // matrix is built only when a row reader (the counters' XOR constraints)
@@ -112,22 +114,27 @@ func (k *toepKernel) matrix() *gf2.Matrix {
 	return k.rows.Load()
 }
 
-// PrefixWords writes the first mp output bits of h(x) for a batch of
-// elements of at most 64 bits, one call per batch: xw[k] is element k's
-// bitvec word 0 (no bits at or above InBits), and dst[k] receives
-// h(x)'s first mp bits packed as bitvec word 0 — bit i is output bit i,
-// the bits at and above mp are zero. dst must be at least as long as xw
-// and may alias it. Rows 0..mp−1 read the low mp+n−1 bits of the
-// reversed diagonal (see toepKernel.prefix), so each element costs one
-// carry-less multiply when mp+n−1 ≤ 64 and two otherwise, all in one
-// gf2poly.ClmulWindowBatch loop. It reports false, writing nothing, when
-// h has no carry-less kernel (non-Toeplitz draws), n > 64, or mp is
-// outside 1..min(m, 64); an empty batch therefore tests whether the
-// kernel serves mp-bit prefixes.
-func (l *Linear) PrefixWords(mp int, xw, dst []uint64) bool {
+// PrefixWords hashes a batch of elements of at most 64 bits and keeps
+// those whose prefix passes a bound, one call per batch. xw[k] is element
+// k's bitvec word 0 (no bits at or above InBits); its prefix y is h(x)'s
+// first mp bits packed as bitvec word 0 — bit i is output bit i, the bits
+// at and above mp are zero. Element k is kept when y is lexicographically
+// at most mx in that packed order (bit 0 first; bits of mx at and above mp
+// do not matter, and an all-ones mx keeps every element): y goes to
+// dst[j] and k to idx[j], j counting the kept elements in batch order,
+// and PrefixWords returns how many there are. dst and idx must be at
+// least as long as xw; their entries past the kept count are unspecified.
+//
+// Rows 0..mp−1 read the low mp+n−1 bits of the reversed diagonal, so each
+// element costs one carry-less multiply when mp+n−1 ≤ 64 and two
+// otherwise, all in one gf2poly.ClmulFilterBatch pass. It reports false,
+// writing nothing, when h has no carry-less kernel (non-Toeplitz draws),
+// n > 64, or mp is outside 1..min(m, 64); an empty batch therefore tests
+// whether the kernel serves mp-bit prefixes.
+func (l *Linear) PrefixWords(mp int, mx uint64, xw, dst []uint64, idx []int) (int, bool) {
 	k := l.toep
 	if k == nil || k.n > 64 || mp < 1 || mp > 64 || mp > k.m {
-		return false
+		return 0, false
 	}
 	// Diagonal bits at or above mp+n−1 only reach product coefficients
 	// past the window, so the words need no truncation: the window mask
@@ -138,8 +145,7 @@ func (l *Linear) PrefixWords(mp int, xw, dst []uint64) bool {
 		d1 = k.dr[1]
 	}
 	mask := ^uint64(0) >> (64 - uint(mp))
-	gf2poly.ClmulWindowBatch(k.dr[0], d1, xw, uint(k.n-1), mask, l.B.Words()[0]&mask, dst)
-	return true
+	return gf2poly.ClmulFilterBatch(k.dr[0], d1, xw, uint(k.n-1), mask, l.B.Words()[0]&mask, mx, dst, idx), true
 }
 
 // evalInto computes Ax+b into dst via the carry-less multiply: the

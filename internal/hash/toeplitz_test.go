@@ -229,8 +229,11 @@ func TestAsUint64Hash(t *testing.T) {
 // TestPrefixWordsMatchesEvalPrefix pins the batched prefix kernel against
 // the per-element path: for every n in 1..64, at m = n (Bucketing's shape)
 // and m = 3n (Minimum's), and every prefix width mp in 1..min(m, 64),
-// PrefixWords must equal EvalInto followed by the first mp bits, over the
-// probe edge cases and random elements.
+// PrefixWords must keep exactly the elements whose EvalInto prefix (the
+// first mp bits) is lexicographically at most the bound, in order, with
+// that prefix — under an all-ones bound (every element), a zero bound,
+// Bucketing's level mask and a random word — over the probe edge cases
+// and random elements.
 func TestPrefixWordsMatchesEvalPrefix(t *testing.T) {
 	rng := stats.NewRNG(0x9f1)
 	for n := 1; n <= 64; n++ {
@@ -243,20 +246,44 @@ func TestPrefixWordsMatchesEvalPrefix(t *testing.T) {
 				xw[k] = x.Words()[0]
 				full[k] = f.Eval(x)
 			}
-			dst := make([]uint64, len(xs))
+			dst, idx := make([]uint64, len(xs)), make([]int, len(xs))
 			for mp := 1; mp <= min(m, 64); mp++ {
-				if !f.PrefixWords(mp, xw, dst) {
-					t.Fatalf("n=%d m=%d mp=%d: PrefixWords declined a Toeplitz draw", n, m, mp)
-				}
-				for k := range xs {
-					if want := full[k].Prefix(mp).Words()[0]; dst[k] != want {
-						t.Fatalf("n=%d m=%d mp=%d x=%v: PrefixWords %#x, want %#x",
-							n, m, mp, xs[k], dst[k], want)
+				level := 1 + int(rng.Uint64()%uint64(mp))
+				for _, mx := range []uint64{^uint64(0), 0, ^(uint64(1)<<uint(level) - 1), rng.Uint64()} {
+					kept, ok := f.PrefixWords(mp, mx, xw, dst, idx)
+					if !ok {
+						t.Fatalf("n=%d m=%d mp=%d: PrefixWords declined a Toeplitz draw", n, m, mp)
+					}
+					j := 0
+					for k := range xs {
+						want := full[k].Prefix(mp).Words()[0]
+						if !lexAtMost(want, mx, mp) {
+							continue
+						}
+						if j >= kept || dst[j] != want || idx[j] != k {
+							t.Fatalf("n=%d m=%d mp=%d mx=%#x x=%v: kept entry %d should be (%#x, %d)",
+								n, m, mp, mx, xs[k], j, want, k)
+						}
+						j++
+					}
+					if kept != j {
+						t.Fatalf("n=%d m=%d mp=%d mx=%#x: kept %d, want %d", n, m, mp, mx, kept, j)
 					}
 				}
 			}
 		}
 	}
+}
+
+// lexAtMost reports whether the mp-bit prefix y is lexicographically at
+// most mx's first mp bits, comparing bit by bit from bit 0.
+func lexAtMost(y, mx uint64, mp int) bool {
+	for i := 0; i < mp; i++ {
+		if yb, mb := y>>uint(i)&1, mx>>uint(i)&1; yb != mb {
+			return mb == 1
+		}
+	}
+	return true
 }
 
 // TestPrefixWordsDeclines lists the shapes PrefixWords leaves to the
@@ -275,12 +302,12 @@ func TestPrefixWordsDeclines(t *testing.T) {
 		{"mp=0", toep, 0}, {"mp=65", toep, 65}, {"mp>m", NewToeplitz(8, 8).Draw(rng.Uint64).(*Linear), 9},
 		{"n>64", wide, 1}, {"no kernel", xor, 8}, {"kernel stripped", slowCopy(toep), 8},
 	} {
-		dst := []uint64{7, 7, 7}
-		if c.l.PrefixWords(c.mp, xw, dst) {
-			t.Fatalf("%s: PrefixWords accepted", c.name)
+		dst, idx := []uint64{7, 7, 7}, []int{7, 7, 7}
+		if kept, ok := c.l.PrefixWords(c.mp, ^uint64(0), xw, dst, idx); ok || kept != 0 {
+			t.Fatalf("%s: PrefixWords accepted (kept %d)", c.name, kept)
 		}
-		if dst[0] != 7 || dst[1] != 7 || dst[2] != 7 {
-			t.Fatalf("%s: PrefixWords wrote into dst after declining", c.name)
+		if dst[0] != 7 || dst[1] != 7 || dst[2] != 7 || idx[0] != 7 || idx[1] != 7 || idx[2] != 7 {
+			t.Fatalf("%s: PrefixWords wrote into dst or idx after declining", c.name)
 		}
 	}
 }
@@ -426,7 +453,7 @@ func TestToeplitzRowsBuiltOnFirstUse(t *testing.T) {
 	for _, l := range []*Linear{f, dec} {
 		y := l.Eval(x)
 		l.ZeroPrefixLen(x, y)
-		l.PrefixWords(20, x.Words(), make([]uint64, 1))
+		l.PrefixWords(20, ^uint64(0), x.Words(), make([]uint64, 1), make([]int, 1))
 		u, _ := AsUint64Hash(l)
 		u.EvalUint64(x.Uint64())
 		l.Equal(f)

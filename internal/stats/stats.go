@@ -106,7 +106,18 @@ func CouponEstimate(hits, total, r int) float64 {
 	if frac >= 1 {
 		return math.Inf(1)
 	}
-	return math.Log(1-frac) / math.Log(1-math.Pow(2, float64(-r)))
+	return math.Log(1-frac) / couponDenom(r)
+}
+
+// couponDenom returns ln(1 − 2^−r). From r = 54 on, 1 − 2^−r rounds to 1
+// in float64 and the logarithm to 0; there ln(1 − 2^−r) = −2^−r − 2^−2r/2
+// − …, which is −2^−r to within float64 precision. Below 54 the direct
+// expression is kept, so no estimate there moves by a bit.
+func couponDenom(r int) float64 {
+	if r >= 54 {
+		return -math.Ldexp(1, -r)
+	}
+	return math.Log(1 - math.Pow(2, float64(-r)))
 }
 
 // MedianInt returns the median of integer samples as a float64.

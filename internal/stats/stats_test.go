@@ -181,3 +181,26 @@ func TestCouponEstimateNoHitsIsPositiveZero(t *testing.T) {
 		t.Errorf("CouponEstimate(16, 16, 4) = %g, want +Inf", got)
 	}
 }
+
+// TestCouponEstimateWideRange checks the estimate past r = 53, where
+// 1 − 2^−r rounds to 1: every r in 54..64 gives a finite positive
+// estimate that doubles from r−1 to r, continuing from r = 53, and the
+// denominator there equals ln(1 − 2^−r) as math.Log1p computes it.
+func TestCouponEstimateWideRange(t *testing.T) {
+	for _, hits := range []int{1, 3, 15} {
+		prev := CouponEstimate(hits, 16, 53)
+		for r := 54; r <= 64; r++ {
+			got := CouponEstimate(hits, 16, r)
+			if math.IsInf(got, 0) || math.IsNaN(got) || got <= 0 {
+				t.Fatalf("CouponEstimate(%d, 16, %d) = %g, want finite and positive", hits, r, got)
+			}
+			if ratio := got / prev; math.Abs(ratio-2) > 1e-12 {
+				t.Fatalf("CouponEstimate(%d, 16, %d) / (…, %d) = %.17g, want 2", hits, r, r-1, ratio)
+			}
+			if d, want := couponDenom(r), math.Log1p(-math.Ldexp(1, -r)); d != want {
+				t.Fatalf("couponDenom(%d) = %g, want %g", r, d, want)
+			}
+			prev = got
+		}
+	}
+}

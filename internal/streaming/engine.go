@@ -25,9 +25,10 @@ type engine struct {
 
 // minBatchCheap gates the sketches whose per-copy per-element work is a
 // single linear-hash evaluation, Bucketing and Minimum. Once a copy has
-// filled, most elements stop at the level test or the max reject on a
-// batched hash word, so a copy-element costs ~2–5 ns (32-bit universe,
-// BenchmarkF0Ingest on a Xeon vCPU) against ~1–2 µs of dispatch, and only
+// filled, most elements stop at the level test or the max reject inside
+// the fused hash-and-filter kernel (gf2poly.ClmulFilterBatch), so a
+// copy-element costs ~1–3 ns (32-bit universe, AVX-512 or scalar
+// PCLMULQDQ on a Xeon vCPU) against ~1–2 µs of dispatch, and only
 // multi-element batches pay for fan-out.
 const minBatchCheap = 8
 
@@ -53,19 +54,21 @@ func (e engine) run(copies int, fn func(i, shard int)) {
 
 // wordScratch is the batch scratch of the word-kernel absorb (Bucketing
 // and Minimum): the batch's packed elements, written once before fan-out
-// and read-only inside it, and one hash-word buffer per pool shard, grown
-// and written only by its own shard. Both grow to the largest batch seen
+// and read-only inside it, and one buffer pair per pool shard for the
+// hash words that pass a copy's bound and their element indices, grown
+// and written only by its own shard. All grow to the largest batch seen
 // and are reused, so steady-state batches allocate nothing.
 type wordScratch struct {
-	xw []uint64
-	ws [][]uint64
+	xw  []uint64
+	ws  [][]uint64
+	idx [][]int
 }
 
 // elems sizes the shard table for workers shards and returns the packed
 // form of every element of xs.
 func (s *wordScratch) elems(xs []uint64, n, workers int) []uint64 {
 	if len(s.ws) < workers {
-		s.ws = make([][]uint64, workers)
+		s.ws, s.idx = make([][]uint64, workers), make([][]int, workers)
 	}
 	if cap(s.xw) < len(xs) {
 		s.xw = make([]uint64, len(xs))
@@ -87,10 +90,11 @@ func packWord(x uint64, n int) uint64 {
 	return bits.Reverse64(x << (64 - uint(n)))
 }
 
-// shard returns the hash-word buffer of one shard, size words long.
-func (s *wordScratch) shard(shard, size int) []uint64 {
+// shard returns the kept-word and index buffers of one shard, size
+// entries long.
+func (s *wordScratch) shard(shard, size int) ([]uint64, []int) {
 	if cap(s.ws[shard]) < size {
-		s.ws[shard] = make([]uint64, size)
+		s.ws[shard], s.idx[shard] = make([]uint64, size), make([]int, size)
 	}
-	return s.ws[shard][:size]
+	return s.ws[shard][:size], s.idx[shard][:size]
 }

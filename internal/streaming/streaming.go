@@ -209,21 +209,27 @@ func (c *bucketCopy) find(key uint64) (slot int32, pos uint64) {
 	}
 }
 
-// prefixWords writes the first mp hash bits of every packed element of
-// xw into ws through h's carry-less kernel. Constructors draw Toeplitz
-// hashes, which carry one at every width up to 64, and the decoder
-// refuses draws without one (hasKernel), so a refusal here is a broken
-// invariant.
-func prefixWords(h *hash.Linear, mp int, xw, ws []uint64) {
-	if !h.PrefixWords(mp, xw, ws) {
+// prefixWords hashes every packed element of xw through h's carry-less
+// kernel and keeps those whose mp-bit prefix is lexicographically at most
+// mx, writing their prefixes to ws and their indices to idx, and returns
+// how many it kept. Constructors draw Toeplitz hashes, which carry a
+// kernel at every width up to 64, and the decoder refuses draws without
+// one (hasKernel), so a refusal here is a broken invariant.
+func prefixWords(h *hash.Linear, mp int, mx uint64, xw, ws []uint64, idx []int) int {
+	kept, ok := h.PrefixWords(mp, mx, xw, ws, idx)
+	if !ok {
 		panic("streaming: hash draw has no carry-less kernel")
 	}
+	return kept
 }
 
 // hasKernel reports whether h's carry-less kernel serves mp-bit
 // prefixes: PrefixWords over an empty batch writes nothing and reports
 // exactly that.
-func hasKernel(h *hash.Linear, mp int) bool { return h.PrefixWords(mp, nil, nil) }
+func hasKernel(h *hash.Linear, mp int) bool {
+	_, ok := h.PrefixWords(mp, 0, nil, nil, nil)
+	return ok
+}
 
 // absorbBatch runs lines 3–11 of Algorithm 3 for one copy over a batch,
 // in the order hash → level test → membership. Filtering first is exact:
@@ -232,20 +238,22 @@ func hasKernel(h *hash.Linear, mp int) bool { return h.PrefixWords(mp, nil, nil)
 // fails it cannot be in the cell and is a no-op either way — and the
 // membership lookup runs only for the 2^-level survivors.
 //
-// One PrefixWords call writes the whole batch's hash values into ws (xw
-// holds the packed elements), and the level test is a mask on each word,
-// taken against the level current at that element because inserts raise
-// it mid-batch. Only survivors are looked up, keyed by their packed
+// One PrefixWords call hashes the batch (xw holds the packed elements)
+// and keeps only the words with an all-zero prefix at the level the batch
+// starts at: the bound ^lowBits(level) admits exactly those. Inserts
+// raise the level mid-batch, never lower it, so that is a superset of the
+// elements that pass at their turn; each survivor is re-tested against
+// the current level and only those are looked up, keyed by their packed
 // element.
-func (c *bucketCopy) absorbBatch(xw, ws []uint64, thresh int) {
-	prefixWords(c.h, c.scratch.Len(), xw, ws)
+func (c *bucketCopy) absorbBatch(xw, ws []uint64, idx []int, thresh int) {
+	kept := prefixWords(c.h, c.scratch.Len(), ^lowBits(c.level), xw, ws, idx)
 	low := lowBits(c.level)
-	for k, w := range ws {
+	for j, w := range ws[:kept] {
 		if w&low != 0 {
 			continue
 		}
 		c.scratch.Words()[0] = w
-		c.add(xw[k], c.scratch, thresh)
+		c.add(xw[idx[j]], c.scratch, thresh)
 		low = lowBits(c.level)
 	}
 }
@@ -305,14 +313,15 @@ func (b *Bucketing) ProcessBatch(xs []uint64) {
 	}
 	xw := b.words.elems(xs, b.n, b.eng.workers)
 	if b.eng.serial(len(xs)) {
-		ws := b.words.shard(0, len(xw))
+		ws, idx := b.words.shard(0, len(xw))
 		for _, c := range b.copies {
-			c.absorbBatch(xw, ws, b.thresh)
+			c.absorbBatch(xw, ws, idx, b.thresh)
 		}
 		return
 	}
 	b.eng.run(len(b.copies), func(i, shard int) {
-		b.copies[i].absorbBatch(xw, b.words.shard(shard, len(xw)), b.thresh)
+		ws, idx := b.words.shard(shard, len(xw))
+		b.copies[i].absorbBatch(xw, ws, idx, b.thresh)
 	})
 }
 
@@ -364,30 +373,33 @@ func NewMinimum(n int, opts Options) *Minimum {
 }
 
 // absorbBatch runs lines 12–18 of Algorithm 3 for copy i over a batch.
-// One PrefixWords call writes each element's first minPrefixBits(n) hash
-// bits into ws (xw holds the packed elements), and a full copy rejects
-// every element whose prefix is lexicographically greater than its
-// maximum's. That is exact: a strictly greater prefix means y > max,
-// which cannot enter. The rest — the copy's fill phase, equal prefixes
-// and the rare smaller ones — evaluate the full 3n-bit value and offer
-// it to the set.
-func (m *Minimum) absorbBatch(i int, xw, ws []uint64, mp int) {
+// One PrefixWords call hashes the batch (xw holds the packed elements) to
+// each element's first minPrefixBits(n) hash bits and keeps only those
+// not lexicographically greater than the max's prefix of a full copy —
+// all of them while the copy fills. That is exact: a strictly greater
+// prefix means y > max, which cannot enter. Inserts only lower the max of
+// a full copy, so the bound from the batch's start admits a superset of
+// the elements that pass at their turn; each survivor is re-tested
+// against the current max, and the rest — the copy's fill phase, equal
+// prefixes and the rare smaller ones — evaluate the full 3n-bit value
+// and offer it to the set.
+func (m *Minimum) absorbBatch(i int, xw, ws []uint64, idx []int, mp int) {
 	h, set := m.sk.Copy(i)
 	elem, hv := m.elems[i], m.hvals[i]
-	prefixWords(h, mp, xw, ws)
 	pmask := ^uint64(0) >> (64 - uint(mp))
 	full := set.Full()
-	var mx uint64
+	mx := ^uint64(0)
 	if full {
 		mx = set.Max().Words()[0] & pmask
 	}
-	for k, w := range ws {
+	kept := prefixWords(h, mp, mx, xw, ws, idx)
+	for j, w := range ws[:kept] {
 		// The first differing prefix bit is the lowest set bit of w^mx;
 		// y's prefix is greater when that bit is y's.
 		if d := w ^ mx; full && d&-d&w != 0 {
 			continue
 		}
-		elem.Words()[0] = xw[k]
+		elem.Words()[0] = xw[idx[j]]
 		h.EvalInto(elem, hv)
 		set.Insert(hv)
 		if full = set.Full(); full {
@@ -417,14 +429,15 @@ func (m *Minimum) ProcessBatch(xs []uint64) {
 	xw := m.words.elems(xs, n, m.eng.workers)
 	mp := minPrefixBits(n)
 	if m.eng.serial(len(xs)) {
-		ws := m.words.shard(0, len(xw))
+		ws, idx := m.words.shard(0, len(xw))
 		for i := 0; i < m.sk.Copies(); i++ {
-			m.absorbBatch(i, xw, ws, mp)
+			m.absorbBatch(i, xw, ws, idx, mp)
 		}
 		return
 	}
 	m.eng.run(m.sk.Copies(), func(i, shard int) {
-		m.absorbBatch(i, xw, m.words.shard(shard, len(xw)), mp)
+		ws, idx := m.words.shard(shard, len(xw))
+		m.absorbBatch(i, xw, ws, idx, mp)
 	})
 }
 
