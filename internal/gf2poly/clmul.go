@@ -122,9 +122,10 @@ func xorMul4(x0, y0, x1, y1, x2, y2, x3, y3 uint64) (hi, lo uint64) {
 // threshold test (package hash): D is the truncated reversed diagonal,
 // off = n−1, mask keeps the prefix bits, b is the prefix of the affine
 // offset, and mx is the largest prefix the caller still admits. off must
-// be below 64, and ws and idx at least as long as xs; entries past the
-// kept count are unspecified (the kernels may write there). The kernel
-// never allocates.
+// be below 64, every word of xs below 2^(off+1) (an element of off+1
+// bits), and ws and idx at least as long as xs; entries past the kept
+// count are unspecified (the kernels may write there). The kernel never
+// allocates.
 func ClmulFilterBatch(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int {
 	if off > 63 {
 		panic("gf2poly: window offset beyond the first product word")

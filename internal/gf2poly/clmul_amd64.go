@@ -8,7 +8,8 @@ func clmulAsm(a, b uint64) (hi, lo uint64)
 
 // filterScalarAsm is ClmulFilterBatch's PCLMULQDQ loop (clmul_amd64.s),
 // one element per iteration: it writes base+k as element k's index, and
-// two selects the loop that reads the product's high word and d1.
+// two selects the loop that reads the product's high word and d1, with
+// d0:d1 prepared by asmDiag.
 // Callable only when hasCLMUL, with off < 64 and outputs at least
 // len(xs) > 0 long.
 //
@@ -16,8 +17,8 @@ func clmulAsm(a, b uint64) (hi, lo uint64)
 func filterScalarAsm(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int, base int, two bool) int
 
 // filterAVX512Asm is ClmulFilterBatch's VPCLMULQDQ loop (clmul_amd64.s)
-// over blocks of 8 elements; len(xs) must be a positive multiple of 8.
-// Callable only when hasAVX512Filter.
+// over blocks of 8 elements; len(xs) must be a positive multiple of 8 and
+// d0:d1 prepared by asmDiag. Callable only when hasAVX512Filter.
 //
 //go:noescape
 func filterAVX512Asm(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int, two bool) int
@@ -60,15 +61,28 @@ var filterBackends = []filterBackend{
 	{"generic", true, clmulFilterGeneric},
 }
 
+// asmDiag returns the diagonal words the assembly loops take and whether
+// they take the two-word path. That path multiplies by z·D, the diagonal
+// moved up one place: with x moved up by 63−off its window is the
+// product's second word, no 128-bit shift needed. D's coefficient 127,
+// dropped by the move, only reaches coefficients past off+63.
+func asmDiag(d0, d1 uint64, off uint, mask uint64) (uint64, uint64, bool) {
+	if oneWord(off, mask) {
+		return d0, d1, false
+	}
+	return d0 << 1, d1<<1 | d0>>63, true
+}
+
 // clmulFilterScalar runs the whole batch through the scalar loop.
 func clmulFilterScalar(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int {
-	return filterScalarAsm(d0, d1, xs, off, mask, b, mx, ws, idx, 0, !oneWord(off, mask))
+	d0, d1, two := asmDiag(d0, d1, off, mask)
+	return filterScalarAsm(d0, d1, xs, off, mask, b, mx, ws, idx, 0, two)
 }
 
 // clmulFilterAVX512 runs the whole blocks of 8 through the vector loop and
 // the tail of up to 7 elements through the scalar one.
 func clmulFilterAVX512(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int {
-	two := !oneWord(off, mask)
+	d0, d1, two := asmDiag(d0, d1, off, mask)
 	nb := len(xs) &^ 7
 	kept := 0
 	if nb > 0 {

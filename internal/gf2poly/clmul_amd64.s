@@ -18,15 +18,16 @@ TEXT ·clmulAsm(SB), NOSPLIT, $0-32
 
 // func filterScalarAsm(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int, base int, two bool) int
 //
-// Per element x: PCLMULQDQ d0·x. When the window fits the product's low
-// word (two = false) PSRLQ shifts it down inside X0, and MOVQ takes it
-// straight from p0; otherwise PSRLDQ
-// moves p1 down, a second PCLMULQDQ folds the low word of d1·x into it,
-// and SHRQ CX, DX, AX (SHRD) shifts the 128-bit p1:p0 right by off — a
-// zero count leaves p0, as the Go loop's shift by 64 does. AND/XOR apply
-// the mask and the offset, giving w. The bound test is branch-free: w
-// and the index are always stored at the kept count, which then advances
-// by one when (d & −d) & w == 0, d = w ^ mx. Stores land at or before
+// Per element x: when the window fits the product's low word (two =
+// false), PCLMULQDQ d0·x, PSRLQ shifts the window down inside X0, and MOVQ
+// takes it straight from p0. Otherwise d0:d1 hold z·D (the diagonal moved
+// up one place, clmulFilterScalar) and x is moved up by 63−off: the
+// product is then z^(64−off)·D·x, whose window starts at coefficient 64,
+// so it is the high word of d0·x' XORed with the low word of d1·x' — two
+// PCLMULQDQs, one PSRLDQ and one PXOR, no 128-bit shift. AND/XOR apply
+// the mask and the offset, giving w. The bound test jumps over the two
+// stores unless (d & −d) & w == 0, d = w ^ mx; at the keep rates the
+// sketches run at the branch is well predicted. Stores land at or before
 // the element being read, so they stay inside ws and idx.
 //
 // R13 runs over the element indices base … base+len(xs)−1 and SI is xs
@@ -38,6 +39,9 @@ TEXT ·filterScalarAsm(SB), NOSPLIT, $0-144
 	MOVQ xs_len+24(FP), BX
 	MOVQ off+40(FP), CX
 	MOVQ CX, X4
+	MOVQ $63, AX
+	SUBQ CX, AX
+	MOVQ AX, X5
 	MOVQ mask+48(FP), R9
 	MOVQ mx+64(FP), R12
 	MOVQ ws_base+72(FP), DI
@@ -78,15 +82,13 @@ oneskip:
 
 two:
 	MOVQ (SI)(R13*8), X0
+	PSLLQ X5, X0
 	MOVO X0, X3
 	PCLMULQDQ $0x00, X1, X0
 	PCLMULQDQ $0x00, X2, X3
-	MOVQ X0, AX
 	PSRLDQ $8, X0
-	MOVQ X0, DX
-	MOVQ X3, R8
-	XORQ R8, DX
-	SHRQ CX, DX, AX
+	PXOR X3, X0
+	MOVQ X0, AX
 	ANDQ R9, AX
 	XORQ b+56(FP), AX
 	MOVQ AX, DX
@@ -122,16 +124,18 @@ GLOBL filterLanes<>(SB), RODATA|NOPTR, $64
 // Eight elements per iteration, one per qword lane of Z0. Each 128-bit
 // lane holds two elements; VPCLMULQDQ $0x00 multiplies the even ones by
 // d0 and $0x01 the odd ones, each into a full 128-bit lane, and
-// VPUNPCKLQDQ gathers the eight low product words back in element order
-// (VPUNPCKHQDQ the high words, on the two-word path, where two more
-// VPCLMULQDQs fold in d1·x and VPSRLQ/VPSLLQ/VPORQ form the window — a
-// left shift by 64 gives zero, as in Go). VPTERNLOGQ $0x6a computes
-// (p & mask) ^ b. The bound test leaves K1 set on the kept lanes
-// (VPTESTNMQ of d & −d against w); VPCOMPRESSQ packs those lanes' words
+// VPUNPCKLQDQ gathers the eight low product words back in element order,
+// where VPSRLQ shifts the window down. On the two-word path d0:d1 hold
+// z·D and VPSLLQ first moves x up by 63−off, as in the scalar loop:
+// VPUNPCKHQDQ gathers the high words of d0·x', two more VPCLMULQDQs and
+// VPUNPCKLQDQ the low words of d1·x', and VPXORQ joins them. VPTERNLOGQ
+// $0x6a computes (w & mask) ^ b. The bound test leaves K1 set on the kept
+// lanes (VPTESTNMQ of d & −d against w). Most blocks keep nothing, and
+// KORTESTW skips them; otherwise VPCOMPRESSQ packs the kept lanes' words
 // and indices to the bottom of a register, both are stored whole at the
 // kept count, and POPCNT of K1 (read with KMOVW, which needs only
-// AVX512F) advances it. A whole-vector store at the kept count ends at
-// or before the block just read, inside ws and idx.
+// AVX512F) advances it. A whole-vector store at the kept count ends at or
+// before the block just read, inside ws and idx.
 TEXT ·filterAVX512Asm(SB), NOSPLIT, $0-136
 	VPBROADCASTQ d0+0(FP), Z1
 	VPBROADCASTQ d1+8(FP), Z2
@@ -143,7 +147,7 @@ TEXT ·filterAVX512Asm(SB), NOSPLIT, $0-136
 	VPBROADCASTQ AX, Z7
 	MOVQ off+40(FP), CX
 	MOVQ CX, X8
-	MOVQ $64, AX
+	MOVQ $63, AX
 	SUBQ CX, AX
 	MOVQ AX, X9
 	VPXORQ Z16, Z16, Z16
@@ -168,6 +172,8 @@ vone:
 	VPSUBQ Z13, Z16, Z14
 	VPANDQ Z13, Z14, Z14
 	VPTESTNMQ Z12, Z14, K1
+	KORTESTW K1, K1
+	JZ vonenext
 	VPCOMPRESSQ Z12, K1, Z15
 	VPCOMPRESSQ Z6, K1, Z17
 	VMOVDQU64 Z15, (DI)(R11*8)
@@ -175,6 +181,8 @@ vone:
 	KMOVW K1, AX
 	POPCNTL AX, AX
 	ADDQ AX, R11
+
+vonenext:
 	VPADDQ Z7, Z6, Z6
 	ADDQ $64, SI
 	DECQ BX
@@ -185,22 +193,21 @@ vone:
 
 vtwo:
 	VMOVDQU64 (SI), Z0
+	VPSLLQ X9, Z0, Z0
 	VPCLMULQDQ $0x00, Z1, Z0, Z10
 	VPCLMULQDQ $0x01, Z1, Z0, Z11
 	VPCLMULQDQ $0x00, Z2, Z0, Z18
 	VPCLMULQDQ $0x01, Z2, Z0, Z19
-	VPUNPCKLQDQ Z11, Z10, Z12
-	VPUNPCKHQDQ Z11, Z10, Z13
-	VPUNPCKLQDQ Z19, Z18, Z20
-	VPXORQ Z20, Z13, Z13
-	VPSRLQ X8, Z12, Z12
-	VPSLLQ X9, Z13, Z13
-	VPORQ Z13, Z12, Z12
+	VPUNPCKHQDQ Z11, Z10, Z12
+	VPUNPCKLQDQ Z19, Z18, Z13
+	VPXORQ Z13, Z12, Z12
 	VPTERNLOGQ $0x6a, Z4, Z3, Z12
 	VPXORQ Z5, Z12, Z13
 	VPSUBQ Z13, Z16, Z14
 	VPANDQ Z13, Z14, Z14
 	VPTESTNMQ Z12, Z14, K1
+	KORTESTW K1, K1
+	JZ vtwonext
 	VPCOMPRESSQ Z12, K1, Z15
 	VPCOMPRESSQ Z6, K1, Z17
 	VMOVDQU64 Z15, (DI)(R11*8)
@@ -208,6 +215,8 @@ vtwo:
 	KMOVW K1, AX
 	POPCNTL AX, AX
 	ADDQ AX, R11
+
+vtwonext:
 	VPADDQ Z7, Z6, Z6
 	ADDQ $64, SI
 	DECQ BX

@@ -216,7 +216,8 @@ func refKeep(w, mx uint64) bool {
 // TestClmulFilterBatchMatchesReference checks the dispatched batch kernel
 // and its pure-Go loop against the reference product and the bit-by-bit
 // bound test, including the full-hole-class operands that route the
-// generic loop to its split form, and all-ones and zero bounds.
+// generic loop to its split form (cut, like every element, to off+1
+// bits), and all-ones and zero bounds.
 func TestClmulFilterBatchMatchesReference(t *testing.T) {
 	s := xorshift(0x77d0)
 	ops := []uint64{0, 1, 1 << 63, ^uint64(0), hole0, hole1 | hole2, hole3, 0x0123456789ABCDEF}
@@ -230,12 +231,17 @@ func TestClmulFilterBatchMatchesReference(t *testing.T) {
 	}
 	ws, idx := make([]uint64, len(xs)), make([]int, len(xs))
 	gws, gidx := make([]uint64, len(xs)), make([]int, len(xs))
+	all := xs
+	xs = make([]uint64, len(all))
 	for trial := 0; trial < 400; trial++ {
 		d0, d1 := s.next(), s.next()
 		if trial < len(ops)*len(ops) {
 			d0, d1 = ops[trial%len(ops)], ops[trial/len(ops)]
 		}
 		off := uint(trial % 64)
+		for k, x := range all {
+			xs[k] = x & (^uint64(0) >> (63 - off)) // elements of off+1 bits
+		}
 		mask, b := s.next(), s.next()
 		mx := []uint64{^uint64(0), 0, s.next(), s.next() & mask}[trial%4]
 		kept := ClmulFilterBatch(d0, d1, xs, off, mask, b, mx, ws, idx)
