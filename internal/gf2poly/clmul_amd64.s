@@ -146,10 +146,10 @@ TEXT ·filterAVX512Asm(SB), NOSPLIT, $0-136
 	MOVQ $8, AX
 	VPBROADCASTQ AX, Z7
 	MOVQ off+40(FP), CX
-	MOVQ CX, X8
+	VMOVQ CX, X8
 	MOVQ $63, AX
 	SUBQ CX, AX
-	MOVQ AX, X9
+	VMOVQ AX, X9
 	VPXORQ Z16, Z16, Z16
 	MOVQ xs_base+16(FP), SI
 	MOVQ xs_len+24(FP), BX

@@ -19,7 +19,13 @@
 // (hash.Uint64Hash). The packed form is bitvec word 0 of x's n-bit
 // vector — bit i is bit n−1−i of x — and is what the Toeplitz kernel
 // (hash.Linear.PrefixWords) multiplies and what Bucketing stores as
-// keys. Bucketing and Minimum pack each chunk once (wordScratch).
+// keys. Bucketing and Minimum pack each chunk once (wordScratch), and
+// each copy hashes it in one fused hash-and-filter pass
+// (gf2poly.ClmulFilterBatch) that returns only the elements passing the
+// copy's level test or max reject as it stood at the chunk's start; the
+// Go loops touch only those survivors and re-test each against the
+// current level or max, so the state is exactly that of one-element
+// calls.
 //
 // The t ≈ 35·log₂(1/δ) copies of each sketch are independent — own hash
 // function, own mutable state — and run on a sharded worker pool
