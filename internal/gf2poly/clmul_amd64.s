@@ -135,7 +135,11 @@ GLOBL filterLanes<>(SB), RODATA|NOPTR, $64
 // and indices to the bottom of a register, both are stored whole at the
 // kept count, and POPCNT of K1 (read with KMOVW, which needs only
 // AVX512F) advances it. A whole-vector store at the kept count ends at or
-// before the block just read, inside ws and idx.
+// before the block just read, inside ws and idx. The compress goes to a
+// register, not to memory: the memory form is microcoded on some CPUs
+// (Zen 4). Every instruction here is VEX or EVEX encoded, VMOVQ included:
+// one legacy-SSE instruction after the ZMM writes pays an SSE/AVX state
+// transition, which cost ~230 ns per call on a 16-element batch.
 TEXT ·filterAVX512Asm(SB), NOSPLIT, $0-136
 	VPBROADCASTQ d0+0(FP), Z1
 	VPBROADCASTQ d1+8(FP), Z2

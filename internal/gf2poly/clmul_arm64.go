@@ -22,11 +22,10 @@ var filterBackends = []filterBackend{
 // with the generic loop's filter. A fused PMULL loop in assembly is not
 // shipped: no arm64 host has run one.
 func clmulFilterPMULL(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int) int {
-	one := oneWord(off, mask)
 	kept := 0
 	for k, x := range xs {
 		p1, p0 := clmulAsm(d0, x)
-		if !one {
+		if d1 != 0 {
 			_, l := clmulAsm(d1, x)
 			p1 ^= l
 		}

@@ -22,9 +22,9 @@
 // gf2poly.ClmulFilterBatch pass that also applies the caller's bound and
 // writes only the elements that pass it: one multiply per element when
 // mp+n−1 ≤ 64, two otherwise. On a 2-vCPU Xeon with AVX-512 and
-// VPCLMULQDQ (BenchmarkClmulKernel/filter, one element in 16 kept) that
-// is ~1 and ~1.5 ns per element, ~2.5 and ~3.2 ns on the scalar PCLMULQDQ
-// loop, against ~15–23 ns for one EvalInto call at n = 32
+// VPCLMULQDQ (BenchmarkClmulKernel/filter, one element in 256 kept) that
+// is ~0.4 and ~0.6 ns per element, ~2.6 and ~2.9 ns on the scalar
+// PCLMULQDQ loop, against ~15–23 ns for one EvalInto call at n = 32
 // (BenchmarkToeplitzEvalInto). The streaming sketches absorb through it.
 //
 // The kernel and b are all a Toeplitz *Linear holds, Θ(n+m) bits; its m×n

@@ -27,7 +27,7 @@ type engine struct {
 // single linear-hash evaluation, Bucketing and Minimum. Once a copy has
 // filled, most elements stop at the level test or the max reject inside
 // the fused hash-and-filter kernel (gf2poly.ClmulFilterBatch), so a
-// copy-element costs ~1–3 ns (32-bit universe, AVX-512 or scalar
+// copy-element costs ~0.5–3 ns (32-bit universe, AVX-512 or scalar
 // PCLMULQDQ on a Xeon vCPU) against ~1–2 µs of dispatch, and only
 // multi-element batches pay for fan-out.
 const minBatchCheap = 8
