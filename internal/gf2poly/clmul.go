@@ -13,11 +13,12 @@
 // loop over blocks of 8 elements that compresses the kept lanes). On arm64
 // with the PMULL crypto extension Clmul64 is one instruction
 // (clmul_arm64.s) and ClmulFilterBatch a Go loop over it. The backends are
-// gated by run-time CPU-feature detection in the clmul_*.go siblings. Everywhere else — and as the differential anchor
-// the assembly is tested against — they run the pure-Go kernel below,
-// built on bits.Mul64 "holes" multiplies (integer products of operands
-// whose set bits are spaced four apart, so column sums fit in the zero
-// gaps and never carry into a kept position). The generic path
+// gated by run-time CPU-feature detection in the clmul_*.go siblings.
+// Everywhere else — and as the differential anchor the assembly is tested
+// against — they run the pure-Go kernel below, built on bits.Mul64
+// "holes" multiplies (integer products of operands whose set bits are
+// spaced four apart, so column sums fit in the zero gaps and never carry
+// into a kept position). The generic path
 // deliberately avoids the classic bit-reversal trick for the high half —
 // the whole 128-bit product comes out of one pass.
 package gf2poly

@@ -9,9 +9,8 @@ func clmulAsm(a, b uint64) (hi, lo uint64)
 // filterScalarAsm is ClmulFilterBatch's PCLMULQDQ loop (clmul_amd64.s),
 // one element per iteration: it writes base+k as element k's index, and
 // two selects the loop that reads the product's high word and d1, with
-// d0:d1 prepared by asmDiag.
-// Callable only when hasCLMUL, with off < 64 and outputs at least
-// len(xs) > 0 long.
+// d0:d1 prepared by asmDiag. Callable only when hasCLMUL, with off < 64
+// and outputs at least len(xs) > 0 long.
 //
 //go:noescape
 func filterScalarAsm(d0, d1 uint64, xs []uint64, off uint, mask, b, mx uint64, ws []uint64, idx []int, base int, two bool) int
