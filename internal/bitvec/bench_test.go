@@ -26,7 +26,6 @@ func benchVecs(n int) (BitVec, BitVec) {
 
 var (
 	sinkInt    int
-	sinkBool   bool
 	sinkFloat  float64
 	sinkString string
 )
@@ -69,18 +68,6 @@ func BenchmarkTrailingZeros(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkInt = x.TrailingZeros()
-			}
-		})
-	}
-}
-
-func BenchmarkHasZeroPrefix(b *testing.B) {
-	for _, n := range []int{64, 192, 1024} {
-		x := New(n)
-		x.Set(n-1, true)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkBool = x.HasZeroPrefix(n - 1)
 			}
 		})
 	}

@@ -83,6 +83,19 @@ func NewSlabWords(n, count int) ([]BitVec, []uint64) {
 	return vs, words
 }
 
+// View returns the n-bit vector whose storage is words, without copying:
+// the vector aliases words, so writes through either are seen by the
+// other, and writers must keep the excess high bits of the last word
+// zero. Sketches keep their values as rows of one word slab and read a
+// row through a View, which allocates nothing. It panics unless
+// len(words) == ⌈n/64⌉.
+func View(n int, words []uint64) BitVec {
+	if n < 0 || len(words) != (n+wordBits-1)/wordBits {
+		panic("bitvec: view width mismatch")
+	}
+	return BitVec{n: n, words: words}
+}
+
 // FromUint64 returns an n-bit vector whose string form is the n-bit binary
 // representation of v (most significant bit first). n must be at most 64.
 func FromUint64(v uint64, n int) BitVec {
@@ -313,23 +326,6 @@ func (b BitVec) FirstSet() int {
 		}
 	}
 	return -1
-}
-
-// HasZeroPrefix reports whether the first m bits are all zero.
-func (b BitVec) HasZeroPrefix(m int) bool {
-	if m > b.n {
-		panic("bitvec: prefix longer than vector")
-	}
-	k := m / wordBits
-	for i := 0; i < k; i++ {
-		if b.words[i] != 0 {
-			return false
-		}
-	}
-	if rem := uint(m) % wordBits; rem != 0 {
-		return b.words[k]&((1<<rem)-1) == 0
-	}
-	return true
 }
 
 // Prefix returns the first m bits as a fresh m-bit vector.

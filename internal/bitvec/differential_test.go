@@ -97,15 +97,6 @@ func refLeadingZeros(b BitVec) int {
 	return c
 }
 
-func refHasZeroPrefix(b BitVec, m int) bool {
-	for i := 0; i < m; i++ {
-		if b.Get(i) {
-			return false
-		}
-	}
-	return true
-}
-
 func refPrefix(b BitVec, m int) BitVec {
 	p := New(m)
 	for i := 0; i < m; i++ {
@@ -201,9 +192,6 @@ func TestDifferentialScanKernels(t *testing.T) {
 				for _, m := range []int{0, 1, n / 2, n - 1, n} {
 					if m < 0 {
 						continue
-					}
-					if got, want := v.HasZeroPrefix(m), refHasZeroPrefix(v, m); got != want {
-						t.Fatalf("vec %d: HasZeroPrefix(%d) = %v, want %v", vi, m, got, want)
 					}
 					if got, want := v.Prefix(m), refPrefix(v, m); !got.Equal(want) {
 						t.Fatalf("vec %d: Prefix(%d) = %v, want %v", vi, m, got, want)

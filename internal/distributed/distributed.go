@@ -230,7 +230,7 @@ func Minimum(parts []*formula.DNF, opts Options) Result {
 	var sent atomic.Int64
 	res := counting.ApproxModelCountMin(n, func(_ int, h *hash.Linear, global *kmv.Set) {
 		site := kmv.New(3*n, o.Thresh)
-		tmp := bitvec.NewSlab(3*n, o.Thresh)
+		tmp := make([]uint64, o.Thresh*((3*n+63)/64))
 		for _, part := range parts {
 			site.Reset()
 			counting.FindMinDNF(part, h, site)

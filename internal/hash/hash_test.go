@@ -129,7 +129,7 @@ func TestPrefixSliceConsistency(t *testing.T) {
 			if got, want := pf.Eval(x), full.Prefix(m); !got.Equal(want) {
 				t.Fatalf("%s: prefix slice h_%d(x) = %v, want %v", fam.Name(), m, got, want)
 			}
-			if f.PrefixIsZero(x, m) != full.HasZeroPrefix(m) {
+			if f.PrefixIsZero(x, m) != full.Prefix(m).IsZero() {
 				t.Fatalf("%s: PrefixIsZero(%d) disagrees with Eval", fam.Name(), m)
 			}
 		}
@@ -179,7 +179,7 @@ func TestZeroPrefixSystemMatchesEval(t *testing.T) {
 		want := map[string]bool{}
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			x := bitvec.FromUint64(v, n)
-			if f.Eval(x).HasZeroPrefix(m) {
+			if f.Eval(x).Prefix(m).IsZero() {
 				want[x.Key()] = true
 			}
 		}

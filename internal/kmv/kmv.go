@@ -39,38 +39,42 @@ const (
 )
 
 // Set holds at most k distinct bit vectors of one width, sorted ascending.
-// Values live in k rows supplied by the owner, usually carved from one
-// slab shared by many sets: vals is a sorted permutation of the first
-// Len() rows (headers move on insert, row data stays put), so insertion
-// copies one row and never allocates.
+// Values live in words, k rows of ⌈bits/64⌉ words each, usually carved
+// from one slab shared by many sets: the first Len() rows hold the values
+// in ascending order, so insertion shifts the rows above the new value up
+// by one and never allocates. Rows are read as bitvec.View vectors.
 type Set struct {
-	vals []bitvec.BitVec // sorted ascending, ≤ len(rows) distinct values
-	rows []bitvec.BitVec
+	bits, n int      // value width, values held
+	words   []uint64 // k rows; rows 0..n−1 ascending and distinct
 }
 
-// Make returns an empty set over rows; k is len(rows), which must be
-// positive.
-func Make(rows []bitvec.BitVec) Set {
-	if len(rows) == 0 {
-		panic("kmv: k must be positive")
-	}
-	return Set{vals: make([]bitvec.BitVec, 0, len(rows)), rows: rows}
+// stride returns the words per row.
+func (s *Set) stride() int { return (s.bits + 63) / 64 }
+
+// k returns the capacity.
+func (s *Set) k() int { return len(s.words) / s.stride() }
+
+// row returns row j as a vector aliasing the set's words.
+func (s *Set) row(j int) bitvec.BitVec {
+	w := s.stride()
+	return bitvec.View(s.bits, s.words[j*w:(j+1)*w:(j+1)*w])
 }
 
-// New returns an empty set of k fresh bits-wide rows.
-func New(bits, k int) *Set {
-	s := Make(bitvec.NewSlab(bits, k))
-	return &s
-}
+// New returns an empty set of k fresh bits-wide rows; k must be positive.
+func New(bits, k int) *Set { return &Carve(bits, k, 1)[0] }
 
 // Carve returns t empty sets of k bits-wide rows each, with all rows in
-// one slab and all value headers in one backing array.
+// one slab; k must be positive.
 func Carve(bits, k, t int) []Set {
-	rows := bitvec.NewSlab(bits, t*k)
-	vals := make([]bitvec.BitVec, t*k)
+	if k <= 0 {
+		panic("kmv: k must be positive")
+	}
+	w := (bits + 63) / 64
+	words := make([]uint64, t*k*w)
 	sets := make([]Set, t)
 	for i := range sets {
-		sets[i] = Set{vals: vals[i*k : i*k : (i+1)*k], rows: rows[i*k : (i+1)*k]}
+		lo, hi := i*k*w, (i+1)*k*w
+		sets[i] = Set{bits: bits, words: words[lo:hi:hi]}
 	}
 	return sets
 }
@@ -87,24 +91,30 @@ func CheckSlab(r *wire.Reader, rows, bits int) bool {
 }
 
 // Bits returns the value width.
-func (s *Set) Bits() int { return s.rows[0].Len() }
+func (s *Set) Bits() int { return s.bits }
 
 // Len returns the number of values held.
-func (s *Set) Len() int { return len(s.vals) }
+func (s *Set) Len() int { return s.n }
 
 // Full reports whether the set holds k values.
-func (s *Set) Full() bool { return len(s.vals) == len(s.rows) }
+func (s *Set) Full() bool { return s.n == s.k() }
 
-// Max returns the largest value held; the set must not be empty.
-func (s *Set) Max() bitvec.BitVec { return s.vals[len(s.vals)-1] }
+// Max returns the largest value held, aliasing the set's storage; the set
+// must not be empty.
+func (s *Set) Max() bitvec.BitVec { return s.row(s.n - 1) }
 
-// Values returns the values in ascending order. The slice and its vectors
-// are the set's own storage: read them, do not keep them across a
-// mutation.
-func (s *Set) Values() []bitvec.BitVec { return s.vals }
+// Values returns the values in ascending order. The vectors alias the
+// set's own storage: read them, do not keep them across a mutation.
+func (s *Set) Values() []bitvec.BitVec {
+	vs := make([]bitvec.BitVec, s.n)
+	for j := range vs {
+		vs[j] = s.row(j)
+	}
+	return vs
+}
 
 // Reset empties the set, keeping its rows.
-func (s *Set) Reset() { s.vals = s.vals[:0] }
+func (s *Set) Reset() { s.n = 0 }
 
 // Candidate reports whether y could enter: the set has room, or y is
 // below its maximum. An ascending walk stops at the first value that is
@@ -115,74 +125,66 @@ func (s *Set) Candidate(y bitvec.BitVec) bool {
 
 // Insert adds y unless it is already present or, on a full set, not below
 // the maximum — a value ≥ max is rejected with one comparison before the
-// search. An admitted y is copied into a row (evicting the maximum when
-// full), so callers may pass a reused scratch vector. It reports whether
-// the set changed.
+// search. An admitted y is copied into its rank's row (the rows above
+// shift up, evicting the maximum when full), so callers may pass a reused
+// scratch vector. It reports whether the set changed.
 func (s *Set) Insert(y bitvec.BitVec) bool {
-	n := len(s.vals)
-	if n == len(s.rows) && !y.Less(s.vals[n-1]) {
+	if y.Len() != s.bits {
+		panic("kmv: value width mismatch")
+	}
+	n := s.n
+	if n == s.k() && !y.Less(s.row(n-1)) {
 		return false
 	}
-	idx := sort.Search(n, func(i int) bool { return !s.vals[i].Less(y) })
-	if idx < n && s.vals[idx].Equal(y) {
+	idx := sort.Search(n, func(i int) bool { return !s.row(i).Less(y) })
+	if idx < n && s.row(idx).Equal(y) {
 		return false
 	}
-	var row bitvec.BitVec
-	if n < len(s.rows) {
-		// Rows enter vals only in order (and evictions recycle in place),
-		// so rows[n] is always the next unused row.
-		row = s.rows[n]
-		s.vals = append(s.vals, bitvec.BitVec{})
+	if n < s.k() {
+		s.n++
 	} else {
-		row = s.vals[n-1]
-		n--
+		n-- // the maximum's row is overwritten by the shift
 	}
-	copy(s.vals[idx+1:], s.vals[idx:n])
-	row.CopyFrom(y)
-	s.vals[idx] = row
+	w := s.stride()
+	copy(s.words[(idx+1)*w:(n+1)*w], s.words[idx*w:n*w])
+	copy(s.words[idx*w:(idx+1)*w], y.Words())
 	return true
 }
 
 // CopyFrom replaces s's values with o's, in rank order; s's capacity must
 // be at least o.Len().
 func (s *Set) CopyFrom(o *Set) {
-	s.vals = s.vals[:0]
-	for j, v := range o.vals {
-		s.rows[j].CopyFrom(v)
-		s.vals = append(s.vals, s.rows[j])
-	}
+	s.n = o.n
+	copy(s.words, o.words[:o.n*o.stride()])
 }
 
 // Merge folds o's values into s: a two-pointer sorted merge with dedup of
-// both value lists into tmp (at least k rows of the same width, owned by
-// the caller), truncated at k, then copied back so s's values are again
-// its first rows in rank order. The result is exactly the set one Insert
-// per value of both sets would build. o is not mutated.
-func (s *Set) Merge(o *Set, tmp []bitvec.BitVec) {
-	a, b := s.vals, o.vals
+// both value lists into tmp (at least k rows' words, owned by the
+// caller), truncated at k, then copied back so s's values are again its
+// first rows in rank order. The result is exactly the set one Insert per
+// value of both sets would build. o is not mutated.
+func (s *Set) Merge(o *Set, tmp []uint64) {
+	w := s.stride()
 	k, i, j := 0, 0, 0
-	for k < len(s.rows) && (i < len(a) || j < len(b)) {
+	for k < s.k() && (i < s.n || j < o.n) {
 		var src bitvec.BitVec
 		switch {
-		case i >= len(a):
-			src, j = b[j], j+1
-		case j >= len(b):
-			src, i = a[i], i+1
-		case a[i].Less(b[j]):
-			src, i = a[i], i+1
-		case b[j].Less(a[i]):
-			src, j = b[j], j+1
+		case i >= s.n:
+			src, j = o.row(j), j+1
+		case j >= o.n:
+			src, i = s.row(i), i+1
+		case s.row(i).Less(o.row(j)):
+			src, i = s.row(i), i+1
+		case o.row(j).Less(s.row(i)):
+			src, j = o.row(j), j+1
 		default: // equal in both: keep one
-			src, i, j = a[i], i+1, j+1
+			src, i, j = s.row(i), i+1, j+1
 		}
-		tmp[k].CopyFrom(src)
+		copy(tmp[k*w:(k+1)*w], src.Words())
 		k++
 	}
-	s.vals = s.vals[:0]
-	for r := 0; r < k; r++ {
-		s.rows[r].CopyFrom(tmp[r])
-		s.vals = append(s.vals, s.rows[r])
-	}
+	s.n = k
+	copy(s.words, tmp[:k*w])
 }
 
 // Estimate is the k-minimum-values estimator: k / frac(max) for a full
@@ -191,24 +193,24 @@ func (s *Set) Merge(o *Set, tmp []bitvec.BitVec) {
 // the same count stands in when frac(max) is 0.
 func (s *Set) Estimate() float64 {
 	if !s.Full() {
-		return float64(len(s.vals))
+		return float64(s.n)
 	}
 	f := s.Max().Fraction()
 	if f == 0 {
-		return float64(len(s.vals))
+		return float64(s.n)
 	}
-	return float64(len(s.rows)) / f
+	return float64(s.k()) / f
 }
 
 // Words returns the footprint of the values held, in 64-bit words.
-func (s *Set) Words() int { return len(s.vals) * len(s.rows[0].Words()) }
+func (s *Set) Words() int { return s.n * s.stride() }
 
 // AppendBinary appends the wire body: the count, then the values in rank
 // order.
 func (s *Set) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendInt(dst, len(s.vals))
-	for _, v := range s.vals {
-		dst = wire.AppendBitVec(dst, v)
+	dst = wire.AppendInt(dst, s.n)
+	for j := 0; j < s.n; j++ {
+		dst = wire.AppendBitVec(dst, s.row(j))
 	}
 	return dst
 }
@@ -217,13 +219,13 @@ func (s *Set) AppendBinary(dst []byte) []byte {
 // rows, rejecting a count above k and values that are not strictly
 // ascending. Failures land in r; it reports success.
 func (s *Set) Decode(r *wire.Reader) bool {
-	cnt := r.Int(len(s.rows))
+	cnt := r.Int(s.k())
 	for j := 0; j < cnt && r.Err() == nil; j++ {
-		r.BitVecInto(s.rows[j])
-		if r.Err() == nil && j > 0 && !s.rows[j-1].Less(s.rows[j]) {
+		r.BitVecInto(s.row(j))
+		if r.Err() == nil && j > 0 && !s.row(j-1).Less(s.row(j)) {
 			r.Corrupt("k-min values are not strictly ascending")
 		}
-		s.vals = append(s.vals, s.rows[j])
+		s.n++
 	}
 	return r.Err() == nil
 }

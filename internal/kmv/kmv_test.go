@@ -70,7 +70,7 @@ func checkInsertMerge(raw, other []uint16, p, bits int) error {
 	if err := fill(b, other, bits); err != nil {
 		return fmt.Errorf("insert other: %w", err)
 	}
-	a.Merge(b, bitvec.NewSlab(bits, p))
+	a.Merge(b, make([]uint64, p*((bits+63)/64)))
 	if err := sameValues(a, sortedDistinct(append(slices.Clone(raw), other...), p), bits); err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}

@@ -1,7 +1,6 @@
 package kmv
 
 import (
-	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/stats"
 	"mcf0/internal/wire"
@@ -18,9 +17,9 @@ type Sketch struct {
 	n, thresh int
 	hs        []*hash.Linear
 	sets      []Set
-	// mergeTmp is Merge's rank-order staging area (thresh rows),
+	// mergeTmp is Merge's rank-order staging area (thresh rows' words),
 	// allocated on first Merge and reused across copies.
-	mergeTmp []bitvec.BitVec
+	mergeTmp []uint64
 }
 
 // NewSketch draws t Toeplitz n → 3n hashes from rand in copy order and
@@ -102,7 +101,7 @@ func (s *Sketch) Merge(o *Sketch) bool {
 		}
 	}
 	if s.mergeTmp == nil {
-		s.mergeTmp = bitvec.NewSlab(3*s.n, s.thresh)
+		s.mergeTmp = make([]uint64, s.thresh*((3*s.n+63)/64))
 	}
 	for i := range s.sets {
 		s.sets[i].Merge(&o.sets[i], s.mergeTmp)

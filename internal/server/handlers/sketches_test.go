@@ -3,17 +3,21 @@ package handlers
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"mcf0"
 	"mcf0/internal/params"
+	"mcf0/internal/server/middleware"
 )
 
 // serve runs one authenticated request through handler h on route.
@@ -240,4 +244,53 @@ func FuzzCreateBody(f *testing.F) {
 			t.Fatalf("body %q: answered 201 but its snapshot does not decode: %v", body, err)
 		}
 	})
+}
+
+// TestTerminalLevelAddsAnswer creates an 8-bit Bucketing sketch of one
+// Thresh 1 copy whose seed-1 draw maps more than one element to zero,
+// then adds the whole universe twice through the Observe-wrapped routes.
+// The copy outgrows level 8 on the first add; every request must still
+// answer 2xx before the deadline.
+func TestTerminalLevelAddsAnswer(t *testing.T) {
+	route := newAddRoute(t)
+	api := &API{Registry: route.reg, Metrics: route.met}
+	elems := make([]string, 256)
+	for v := range elems {
+		elems[v] = strconv.Itoa(v)
+	}
+	add := []byte(`{"elements":[` + strings.Join(elems, ",") + `]}`)
+	steps := []struct {
+		h    http.HandlerFunc
+		path string
+		body []byte
+	}{
+		{api.Create, "/v1/sketches", []byte(`{"name":"z","bits":8,"thresh":1,"iterations":1,"seed":1}`)},
+		{api.Add, "/v1/sketches/z/add", add},
+		{api.Add, "/v1/sketches/z/add", add},
+	}
+	done := make(chan string, 1)
+	go func() {
+		for i, s := range steps {
+			r := httptest.NewRequest("POST", s.path, bytes.NewReader(s.body))
+			r.Header.Set("Authorization", "Bearer tok")
+			if i > 0 {
+				r.SetPathValue("name", "z")
+			}
+			rec := httptest.NewRecorder()
+			middleware.Observe("test", route.met, route.auth.Wrap(s.h)).ServeHTTP(rec, r)
+			if rec.Code/100 != 2 {
+				done <- fmt.Sprintf("request %d (%s) answered %d: %s", i, s.path, rec.Code, rec.Body)
+				return
+			}
+		}
+		done <- ""
+	}()
+	select {
+	case msg := <-done:
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("create and two adds did not all answer within 10s")
+	}
 }

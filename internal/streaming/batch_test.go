@@ -55,7 +55,7 @@ func requireBucketingEqual(t *testing.T, a, b *Bucketing) {
 				continue
 			}
 			sb, _ := cb.find(ca.keys[sa])
-			if sb < 0 || !ca.rows[sa].Equal(cb.rows[sb]) {
+			if sb < 0 || ca.hv[sa] != cb.hv[sb] {
 				t.Fatalf("copy %d: cell contents diverge at key %v", i, ca.keys[sa])
 			}
 		}
@@ -208,13 +208,13 @@ func poolStream(n, length int, rng *stats.RNG) []uint64 {
 }
 
 // absorbRef is the per-element reference of bucketCopy.absorbBatch: the
-// full hash value through EvalInto, the level test on the vector, then
-// add keyed by the element's bitvec word.
+// full hash value through EvalInto, the level test on the vector's first
+// set position (levelAdmits), then add keyed by the element's bitvec word.
 func (c *bucketCopy) absorbRef(x uint64, n, thresh int) {
-	xv := bitvec.FromUint64(x, n)
-	c.h.EvalInto(xv, c.scratch)
-	if c.scratch.HasZeroPrefix(c.level) {
-		c.add(xv.Words()[0], c.scratch, thresh)
+	xv, hv := bitvec.FromUint64(x, n), bitvec.New(n)
+	c.h.EvalInto(xv, hv)
+	if levelAdmits(hv, c.level) {
+		c.add(xv.Words()[0], hv.Words()[0], thresh)
 	}
 }
 

@@ -35,8 +35,16 @@ func cloneCellModels(ms []*cellModel) []*cellModel {
 	return out
 }
 
+// levelAdmits is the level test on a hash value vector: an all-zero
+// level-bit prefix at a level of at most the value's width. A copy that
+// outgrows level n reaches the terminal level n+1, which admits nothing.
+func levelAdmits(y bitvec.BitVec, level int) bool {
+	f := y.FirstSet()
+	return level <= y.Len() && (f < 0 || f >= level)
+}
+
 func (m *cellModel) add(key uint64, y bitvec.BitVec, thresh int) {
-	if _, dup := m.cells[key]; dup || !y.HasZeroPrefix(m.level) {
+	if _, dup := m.cells[key]; dup || !levelAdmits(y, m.level) {
 		return
 	}
 	m.cells[key] = y.Clone()
@@ -48,7 +56,7 @@ func (m *cellModel) add(key uint64, y bitvec.BitVec, thresh int) {
 func (m *cellModel) raise(level int) {
 	m.level = level
 	for k, v := range m.cells {
-		if !v.HasZeroPrefix(level) {
+		if !levelAdmits(v, level) {
 			delete(m.cells, k)
 		}
 	}
@@ -95,7 +103,7 @@ func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel)
 		}
 		if occupied != c.size() {
 			t.Fatalf("%s copy %d: %d occupied and %d free of %d slots",
-				what, i, occupied, len(c.free), len(c.rows))
+				what, i, occupied, len(c.free), len(c.hv))
 		}
 		entries := 0
 		for _, e := range c.table {
@@ -115,7 +123,7 @@ func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel)
 		}
 		for k, v := range m.cells {
 			slot, _ := c.find(k)
-			if slot < 0 || !c.rows[slot].Equal(v) {
+			if slot < 0 || c.hv[slot] != v.Words()[0] {
 				t.Fatalf("%s copy %d: model key %v missing or holds another value", what, i, k)
 			}
 		}

@@ -21,6 +21,7 @@ package streaming
 import (
 	"fmt"
 
+	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/wire"
@@ -171,7 +172,7 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 				continue
 			}
 			dst = appendKey(dst, c.keys[s])
-			dst = wire.AppendBitVec(dst, c.rows[s])
+			dst = wire.AppendBitVec(dst, bitvec.View(b.n, c.hv[s:s+1]))
 		}
 	}
 	return dst
@@ -197,7 +198,7 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 	b := newBucketing(n, thresh, t, newEngine(parallelism, minBatchCheap))
 	for i, c := range b.copies {
 		c.h = hash.DecodeLinear(r)
-		c.level = r.Int(n)
+		c.level = r.Int(n + 1)
 		cnt := r.Int(thresh)
 		if r.Err() != nil {
 			return nil
@@ -216,7 +217,7 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 		// invisible to estimates and merges.
 		for s := 0; s < cnt; s++ {
 			key := readKey(r, n)
-			r.BitVecInto(c.rows[s])
+			r.BitVecInto(bitvec.View(n, c.hv[s:s+1]))
 			if r.Err() != nil {
 				return nil
 			}
@@ -225,7 +226,7 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 				r.Corrupt("bucketing copy %d has duplicate cell keys", i)
 				return nil
 			}
-			if !c.rows[s].HasZeroPrefix(c.level) {
+			if !c.admits(c.hv[s]) {
 				r.Corrupt("bucketing copy %d cell escapes its sampling level", i)
 				return nil
 			}

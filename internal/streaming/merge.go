@@ -81,7 +81,7 @@ func samePoly(a, b polyDraw) bool {
 // over unchanged.
 func (b *Bucketing) Clone() Sketch {
 	out := newBucketing(b.n, b.thresh, len(b.copies), b.eng)
-	copy(out.rowWords, b.rowWords)
+	copy(out.hv, b.hv)
 	copy(out.keys, b.keys)
 	copy(out.occ, b.occ)
 	copy(out.free, b.free)
@@ -119,12 +119,12 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 		c.setLevel(o.level)
 	}
 	// Level test before the membership lookup, as in absorb: c's own
-	// slots all pass c.level, so a failing row cannot be a duplicate.
+	// slots all pass c's level, so a failing value cannot be a duplicate.
+	// Inserts raise c's level, so each value meets the current one.
 	for s, on := range o.occ {
-		if !on || !o.rows[s].HasZeroPrefix(c.level) {
-			continue
+		if on && c.admits(o.hv[s]) {
+			c.add(o.keys[s], o.hv[s], thresh)
 		}
-		c.add(o.keys[s], o.rows[s], thresh)
 	}
 }
 

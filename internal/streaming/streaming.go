@@ -19,8 +19,9 @@
 // (hash.Uint64Hash). The packed form is bitvec word 0 of x's n-bit
 // vector — bit i is bit n−1−i of x — and is what the Toeplitz kernel
 // (hash.Linear.PrefixWords) multiplies and what Bucketing stores as
-// keys. Bucketing and Minimum pack each chunk once (wordScratch), and
-// each copy hashes it in one fused hash-and-filter pass
+// keys, next to each key's n-bit hash value packed the same way.
+// Bucketing and Minimum pack each chunk once (wordScratch), and each copy
+// hashes it in one fused hash-and-filter pass
 // (gf2poly.ClmulFilterBatch) that returns only the elements passing the
 // copy's level test or max reject as it stood at the chunk's start; the
 // Go loops touch only those survivors and re-test each against the
@@ -92,19 +93,20 @@ type Bucketing struct {
 	eng    engine
 	words  wordScratch
 	// Cell storage of every copy, one slab per field: copy i owns entries
-	// [i·(thresh+1), (i+1)·(thresh+1)) of rowWords' rows, keys, occ and
-	// free, and [i·T, (i+1)·T) of table, T = tableSize(thresh+1).
-	rowWords []uint64
-	keys     []uint64
-	occ      []bool
-	free     []int32
-	table    []int32
+	// [i·(thresh+1), (i+1)·(thresh+1)) of hv, keys, occ and free, and
+	// [i·T, (i+1)·T) of table, T = tableSize(thresh+1).
+	hv    []uint64
+	keys  []uint64
+	occ   []bool
+	free  []int32
+	table []int32
 }
 
-// bucketCopy stores its cell as a slot table over rows carved from the
-// sketch's slabs (thresh+1 slots per copy: the overflow loop runs after
-// insertion, so occupancy transiently reaches thresh+1). Raising the
-// level re-filters with one linear walk over the slots.
+// bucketCopy stores its cell as a slot table over entries carved from
+// the sketch's slabs (thresh+1 slots per copy: the overflow loop runs
+// after insertion, so occupancy transiently reaches thresh+1). Each slot
+// holds a packed hash value in one word (n ≤ 64) and its key. Raising
+// the level re-filters with one linear walk over the slots.
 //
 // Membership goes through table, an open-addressed index with linear
 // probing: each entry holds slot+1, or 0 for empty. Its length is a power
@@ -114,19 +116,16 @@ type Bucketing struct {
 type bucketCopy struct {
 	h     *hash.Linear
 	level int
-	rows  []bitvec.BitVec // hash values, addressed by slot
-	keys  []uint64        // packed elements; keys[slot] is valid while occ[slot]
+	hv    []uint64 // packed hash values, addressed by slot
+	keys  []uint64 // packed elements; keys[slot] is valid while occ[slot]
 	occ   []bool
 	free  []int32 // stack of unoccupied slots
 	table []int32
-	// scratch holds one hash evaluation; it is copied into a slab row only
-	// when the element actually enters the cell.
-	scratch bitvec.BitVec
 }
 
 // size returns the number of occupied slots: the free stack always holds
 // exactly the others.
-func (c *bucketCopy) size() int { return len(c.rows) - len(c.free) }
+func (c *bucketCopy) size() int { return len(c.hv) - len(c.free) }
 
 // probeSalt keys the cell tables' probe hash. A key is the packed
 // element, and a caller who picks the elements could otherwise pile them
@@ -150,23 +149,21 @@ func newBucketing(n, thresh, t int, eng engine) *Bucketing {
 		n:      n,
 		eng:    eng,
 		copies: make([]*bucketCopy, t),
+		hv:     make([]uint64, t*slots),
 		keys:   make([]uint64, t*slots),
 		occ:    make([]bool, t*slots),
 		free:   make([]int32, t*slots),
 		table:  make([]int32, t*tsize),
 	}
-	var rows []bitvec.BitVec
-	rows, b.rowWords = bitvec.NewSlabWords(n, t*slots)
 	cs := make([]bucketCopy, t)
 	for i := range cs {
 		lo, hi := i*slots, (i+1)*slots
 		cs[i] = bucketCopy{
-			rows:    rows[lo:hi:hi],
-			keys:    b.keys[lo:hi:hi],
-			occ:     b.occ[lo:hi:hi],
-			free:    b.free[lo:lo:hi],
-			table:   b.table[i*tsize : (i+1)*tsize : (i+1)*tsize],
-			scratch: bitvec.New(n),
+			hv:    b.hv[lo:hi:hi],
+			keys:  b.keys[lo:hi:hi],
+			occ:   b.occ[lo:hi:hi],
+			free:  b.free[lo:lo:hi],
+			table: b.table[i*tsize : (i+1)*tsize : (i+1)*tsize],
 		}
 		b.copies[i] = &cs[i]
 	}
@@ -187,11 +184,11 @@ func NewBucketing(n int, opts Options) *Bucketing {
 	return b
 }
 
-// freeFrom resets the free stack to slots len(rows)−1 down to first, so
+// freeFrom resets the free stack to slots len(hv)−1 down to first, so
 // the lowest of them is taken first.
 func (c *bucketCopy) freeFrom(first int) {
 	c.free = c.free[:0]
-	for s := len(c.rows) - 1; s >= first; s-- {
+	for s := len(c.hv) - 1; s >= first; s-- {
 		c.free = append(c.free, int32(s))
 	}
 }
@@ -252,15 +249,11 @@ func hasKernel(h *hash.Linear, mp int) bool {
 // the current level and only those are looked up, keyed by their packed
 // element.
 func (c *bucketCopy) absorbBatch(xw, ws []uint64, idx []int, thresh int) {
-	kept := prefixWords(c.h, c.scratch.Len(), ^lowBits(c.level), xw, ws, idx)
-	low := lowBits(c.level)
+	kept := prefixWords(c.h, c.h.OutBits(), ^lowBits(c.level), xw, ws, idx)
 	for j, w := range ws[:kept] {
-		if w&low != 0 {
-			continue
+		if c.admits(w) {
+			c.add(xw[idx[j]], w, thresh)
 		}
-		c.scratch.Words()[0] = w
-		c.add(xw[idx[j]], c.scratch, thresh)
-		low = lowBits(c.level)
 	}
 }
 
@@ -268,20 +261,29 @@ func (c *bucketCopy) absorbBatch(xw, ws []uint64, idx []int, thresh int) {
 // has an all-zero level-bit prefix exactly when it shares no bit with it.
 func lowBits(level int) uint64 { return 1<<uint(level) - 1 }
 
-// add places an already-evaluated hash value into the cell unless its
-// key is already there (the storing half of lines 5–11 of Algorithm 3):
-// take a free slot, index it where find's probe for the key ended, and
-// raise the level until the cell fits again. Shared by ingestion
-// (absorbBatch) and Merge; callers have already passed the value through
-// the current level's test.
-func (c *bucketCopy) add(key uint64, hy bitvec.BitVec, thresh int) {
+// admits reports whether the packed hash value w passes the level test:
+// an all-zero level-bit prefix at a level of at most n. The level n+1,
+// reached only when more than thresh elements hash to zero, admits
+// nothing (the word test alone would admit the zero hash), so the copy
+// stays empty and estimates 0.
+func (c *bucketCopy) admits(w uint64) bool {
+	return w&lowBits(c.level) == 0 && c.level <= c.h.OutBits()
+}
+
+// add places an already-evaluated packed hash value w into the cell
+// unless its key is already there (the storing half of lines 5–11 of
+// Algorithm 3): take a free slot, index it where find's probe for the key
+// ended, and raise the level until the cell fits again. Shared by
+// ingestion (absorbBatch) and Merge; callers have already passed the
+// value through admits.
+func (c *bucketCopy) add(key, w uint64, thresh int) {
 	found, pos := c.find(key)
 	if found >= 0 {
 		return
 	}
 	slot := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
-	c.rows[slot].CopyFrom(hy)
+	c.hv[slot] = w
 	c.keys[slot] = key
 	c.occ[slot] = true
 	c.table[pos] = slot + 1
@@ -290,17 +292,17 @@ func (c *bucketCopy) add(key uint64, hy bitvec.BitVec, thresh int) {
 	}
 }
 
-// setLevel raises the sampling level and evicts the hash values that lose
-// their all-zero prefix, scanning the slots in slab order, then rebuilds
-// the table from the survivors.
+// setLevel raises the sampling level and evicts the hash values it no
+// longer admits (all of them at the terminal level n+1), scanning the
+// slots in slab order, then rebuilds the table from the survivors.
 func (c *bucketCopy) setLevel(level int) {
 	c.level = level
 	clear(c.table)
-	for s := range c.rows {
+	for s, w := range c.hv {
 		if !c.occ[s] {
 			continue
 		}
-		if !c.rows[s].HasZeroPrefix(level) {
+		if !c.admits(w) {
 			c.occ[s] = false
 			c.free = append(c.free, int32(s))
 			continue

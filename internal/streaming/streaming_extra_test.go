@@ -1,7 +1,9 @@
 package streaming
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"mcf0/internal/bitvec"
@@ -84,3 +86,103 @@ func TestSuggestRClamped(t *testing.T) {
 		t.Fatalf("SuggestR = %d exceeds universe bits", r)
 	}
 }
+
+// TestBucketingTerminalLevel feeds the whole 8-bit universe to one-copy,
+// Thresh 1 Bucketing sketches over 20 seeds. A copy in which more than
+// Thresh elements hash to zero outgrows level n and must reach the
+// terminal level n+1, empty and estimating 0, the same way in one batch,
+// one element at a time and merged from two halves, keep it across a
+// snapshot round trip, and admit nothing afterwards.
+func TestBucketingTerminalLevel(t *testing.T) {
+	const n = 8
+	universe := make([]uint64, 1<<n)
+	for v := range universe {
+		universe[v] = uint64(v)
+	}
+	var terminal []uint64
+	for seed := uint64(1); seed <= 20; seed++ {
+		mk := func() *Bucketing {
+			return NewBucketing(n, Options{Thresh: 1, Iterations: 1, RNG: stats.NewRNG(seed), Parallelism: 1})
+		}
+		batch, single, lo, hi := mk(), mk(), mk(), mk()
+		batch.ProcessBatch(universe)
+		for _, x := range universe {
+			single.ProcessBatch([]uint64{x})
+		}
+		lo.ProcessBatch(universe[:len(universe)/2])
+		hi.ProcessBatch(universe[len(universe)/2:])
+		if err := lo.Merge(hi); err != nil {
+			t.Fatal(err)
+		}
+		requireBucketingEqual(t, batch, single)
+		requireBucketingEqual(t, batch, lo)
+		raw, _ := batch.MarshalBinary()
+		d, err := DecodeSketch(raw, 1)
+		if err != nil {
+			t.Fatalf("seed %d: decode: %v", seed, err)
+		}
+		requireBucketingEqual(t, batch, d.(*Bucketing))
+		if again, _ := d.(*Bucketing).MarshalBinary(); !bytes.Equal(again, raw) {
+			t.Fatalf("seed %d: snapshot bytes changed across a round trip", seed)
+		}
+
+		c := batch.copies[0]
+		zeros := 0
+		for _, x := range universe {
+			if c.h.Eval(bitvec.FromUint64(x, n)).IsZero() {
+				zeros++
+			}
+		}
+		if (zeros > 1) != (c.level == n+1) {
+			t.Fatalf("seed %d: %d elements hash to zero, level %d", seed, zeros, c.level)
+		}
+		if c.level == n+1 {
+			terminal = append(terminal, seed)
+			batch.ProcessBatch(universe)
+			if c.size() != 0 || c.level != n+1 || batch.Estimate() != 0 {
+				t.Fatalf("seed %d: terminal copy holds %d cells at level %d, estimate %g",
+					seed, c.size(), c.level, batch.Estimate())
+			}
+		}
+	}
+	if len(terminal) == 0 {
+		t.Fatal("no seed reached the terminal level")
+	}
+	t.Logf("seeds reaching level n+1: %v", terminal)
+}
+
+// TestCloneAllocBound bounds the bytes one Clone allocates (the least of
+// three) for default 32-bit sketches: Bucketing per cell slot, t·(thresh+1)
+// of them, and Minimum against the bytes of its t·thresh value rows. Both
+// hold their values once, in word slabs.
+func TestCloneAllocBound(t *testing.T) {
+	cloneBytes := func(s Sketch) float64 {
+		best := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			sinkClone = s.Clone()
+			runtime.ReadMemStats(&ms)
+			best = min(best, ms.TotalAlloc-before)
+		}
+		return float64(best)
+	}
+	const n = 32
+	b := NewBucketing(n, Options{})
+	slots := len(b.copies) * (b.thresh + 1)
+	got := cloneBytes(b) / float64(slots)
+	t.Logf("bucketing clone: %.1f B per slot", got)
+	if got > 40 {
+		t.Errorf("bucketing clone allocates %.1f B per slot, want ≤ 40", got)
+	}
+	m := NewMinimum(n, Options{})
+	rowBytes := m.sk.Copies() * m.sk.Thresh() * 8 * ((3*n + 63) / 64)
+	got = cloneBytes(m) / float64(rowBytes)
+	t.Logf("minimum clone: %.2f× its value rows' bytes", got)
+	if got > 1.25 {
+		t.Errorf("minimum clone allocates %.2f× its value rows' bytes, want ≤ 1.25×", got)
+	}
+}
+
+var sinkClone Sketch

@@ -14,9 +14,11 @@
 # dot-product path; BenchmarkSystemRewind's clone/* variants run the
 # clone-and-replay the rewind engine replaces; BenchmarkConcurrentIngest's
 # locked-f0 variant drives one mutex-guarded F0 with the same producers the
-# replicated front absorbs lock-free; BenchmarkAbsorbLayout's */scattered
-# variants re-scatter the slab rows into per-row heap allocations. The
-# par=1 vs par=max sharding variants and the replicas=1 vs
+# replicated front absorbs lock-free. BenchmarkAbsorbLayout has only its
+# */slab variants: sketch values live once in word slabs, so the old
+# per-row heap layout its */scattered baselines rebuilt no longer exists
+# (their rows in bench/baseline7_streaming.txt come out baseline-only).
+# The par=1 vs par=max sharding variants and the replicas=1 vs
 # replicas=gomaxprocs front variants collapse to the same figure on a
 # single-core machine.
 # Usage: scripts/bench.sh [output.json]
