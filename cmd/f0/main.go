@@ -295,6 +295,9 @@ func main() {
 	switch {
 	case concSketch != nil:
 		est = concSketch.Estimate()
+		if err := concSketch.Err(); err != nil {
+			fatal(err)
+		}
 	case elemSketch != nil:
 		est = elemSketch.Estimate()
 	case rangeSketch != nil:

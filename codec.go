@@ -77,15 +77,25 @@ func decodeF0From(r *wire.Reader, parallelism int) *F0 {
 
 // Snapshot returns a point-in-time F0 holding the merged state of every
 // replica; it shares no mutable state with c, so it can be marshaled,
-// merged, or queried while concurrent ingestion continues.
+// merged, or queried while concurrent ingestion continues. A failed
+// sketch returns nil (see Err).
 func (c *ConcurrentF0) Snapshot() *F0 {
-	return &F0{nBits: c.nBits, sk: c.front.MergedClone()}
+	sk := c.front.MergedClone()
+	if sk == nil {
+		return nil
+	}
+	return &F0{nBits: c.nBits, sk: sk}
 }
 
 // MarshalBinary snapshots the merged replica state as an F0 message —
-// crash recovery for the concurrent front rides the same wire format.
+// crash recovery for the concurrent front rides the same wire format. A
+// failed sketch returns its failure (ErrSketchFailed).
 func (c *ConcurrentF0) MarshalBinary() ([]byte, error) {
-	return c.Snapshot().MarshalBinary()
+	f := c.Snapshot()
+	if f == nil {
+		return nil, c.Err()
+	}
+	return f.MarshalBinary()
 }
 
 // DecodeConcurrentF0 restores an F0 snapshot (from F0.MarshalBinary or

@@ -32,6 +32,11 @@ func (f *F0) Merge(other *F0) error {
 // estimate does not depend on which goroutine's elements landed on which
 // replica: fixed-seed ConcurrentF0 estimates are bit-identical to a
 // serial F0 over the same element set, at every replica count.
+//
+// A sketch that panics inside the front (a bug, never a caller error)
+// fails it: the locks it held are released, and from then on AddBatch
+// ingests nothing, estimates are 0 and Snapshot is nil, all at once, and
+// Err reports the failure. Rebuild such a sketch from a snapshot.
 type ConcurrentF0 struct {
 	nBits int
 	front *streaming.Concurrent
@@ -76,7 +81,8 @@ func (c *ConcurrentF0) Version() uint64 { return c.front.Version() }
 // exact no-op for a set function; callers counting accepted elements,
 // such as the service's items meter, still count the raw chunk).
 // The batch buffers are pooled scratch, so steady-state AddBatch
-// allocates nothing per element.
+// allocates nothing per element. On a failed sketch it ingests nothing
+// (see Err).
 func (c *ConcurrentF0) AddBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
@@ -91,15 +97,25 @@ func (c *ConcurrentF0) AddBatch(xs []uint64) {
 
 // Estimate merges the replicas and returns the combined distinct-count
 // approximation; safe to interleave with concurrent Adds (their elements
-// land in a later estimate).
+// land in a later estimate). A failed sketch estimates 0 (see Err).
 func (c *ConcurrentF0) Estimate() float64 { return c.front.Estimate() }
 
 // EstimateVersioned is Estimate that also reports the write-version the
 // estimate covers and whether it was served from the front's cache (a
 // hit takes no replica lock, so it never waits on an in-flight write).
+// A failed sketch returns zeros (see Err).
 func (c *ConcurrentF0) EstimateVersioned() (est float64, version uint64, cached bool) {
 	return c.front.EstimateVersioned()
 }
+
+// Err returns the sketch's failure, an error wrapping ErrSketchFailed, or
+// nil while it is healthy. A failure is final; check Err after a call
+// whose result matters.
+func (c *ConcurrentF0) Err() error { return c.front.Err() }
+
+// ErrSketchFailed is wrapped by the failure of a ConcurrentF0 whose sketch
+// panicked; its state can no longer be trusted.
+var ErrSketchFailed = streaming.ErrFailed
 
 // SketchWords returns the summed replica footprint in 64-bit words. Once
 // an estimate has missed on a sketch of two or more replicas, it also

@@ -1,9 +1,13 @@
 package mcf0
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"mcf0/internal/streaming"
 )
 
 // Clone returns a deep copy of the sketch sharing the (immutable) hash
@@ -198,5 +202,66 @@ func TestSetStreamMerge(t *testing.T) {
 	}
 	if got, want := rLeft.Estimate(), rWhole.Estimate(); got != want {
 		t.Fatalf("range merged estimate %v != whole %v", got, want)
+	}
+}
+
+// failingSketch is a sketch whose absorb always panics, as a sketch bug
+// would; its clones fail too.
+type failingSketch struct{ streaming.Sketch }
+
+func (failingSketch) ProcessBatch([]uint64) { panic("injected absorb failure") }
+
+func (f failingSketch) Clone() streaming.Sketch { return failingSketch{f.Sketch.Clone()} }
+
+// A ConcurrentF0 whose sketch panics contains the panic and fails: from
+// then on every call returns at once, from any goroutine, with zero
+// results and Err wrapping ErrSketchFailed, while another ConcurrentF0
+// of the same configuration is unaffected.
+func TestConcurrentF0FailedSketch(t *testing.T) {
+	cfg := Config{Thresh: 24, Iterations: 7, Seed: 5, Parallelism: 1}
+	seed, err := NewF0(16, AlgorithmMinimum, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &ConcurrentF0{nBits: 16, front: streaming.NewConcurrent(failingSketch{seed.sk}, 2)}
+	good, err := NewConcurrentF0(16, AlgorithmMinimum, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []uint64{1, 2, 3, 4, 5}
+	bad.AddBatch(xs)
+	if err := bad.Err(); !errors.Is(err, ErrSketchFailed) {
+		t.Fatalf("Err() = %v, want ErrSketchFailed", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				bad.AddBatch(xs)
+				if est, v, cached := bad.EstimateVersioned(); est != 0 || v != 0 || cached {
+					t.Errorf("failed sketch estimated (%v, v%d, cached=%v)", est, v, cached)
+				}
+				if bad.Snapshot() != nil {
+					t.Error("failed sketch returned a snapshot")
+				}
+				if _, err := bad.MarshalBinary(); !errors.Is(err, ErrSketchFailed) {
+					t.Errorf("MarshalBinary error %v, want ErrSketchFailed", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("calls on the failed sketch did not return")
+	}
+	good.AddBatch(xs)
+	if est := good.Estimate(); est != 5 || good.Err() != nil {
+		t.Fatalf("healthy sketch: estimate %v, Err %v; want 5, nil", est, good.Err())
 	}
 }

@@ -276,11 +276,20 @@ func (b BitVec) Less(o BitVec) bool {
 	bw := b.words
 	ow := o.words[:len(bw)]
 	for i := range bw {
-		if d := bw[i] ^ ow[i]; d != 0 {
-			return ow[i]&(d&-d) != 0
+		if bw[i] != ow[i] {
+			return WordLess(bw[i], ow[i])
 		}
 	}
 	return false
+}
+
+// WordLess reports whether storage word a precedes word b in packed
+// order, bit 0 first: the first bit where they differ, the lowest set bit
+// of a^b, is b's. It is Less on one word, and the comparison every
+// word-level caller (k-min rows, hash prefixes) uses.
+func WordLess(a, b uint64) bool {
+	d := a ^ b
+	return b&(d&-d) != 0
 }
 
 // TrailingZeros returns the number of consecutive zero bits at the least

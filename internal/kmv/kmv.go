@@ -6,9 +6,12 @@
 // seen and reports k / frac(max) — the paper's observation that model
 // counting and F0 estimation run one estimator.
 //
-// A Set does six things: the candidate test, insertion, sorted merge with
-// dedup, the per-set estimate, its footprint in words, and its wire body
-// (count, then the values in rank order) with the decode-side checks.
+// A Set does seven things: the candidate test, insertion of one value,
+// the batch absorb of a hash's values (the kernel's prefix filter, then a
+// lookup by prefix for each survivor), sorted merge with dedup, the
+// per-set estimate, its footprint in words, and its wire body (count,
+// then the values in rank order) with the decode-side checks. The
+// absorb compares rows word by word in packed order (bitvec.WordLess).
 //
 // Sketch is the Minimum F0 sketch built on it: t (Toeplitz draw, Set)
 // copies with the median estimate, Clone, the same-draws merge and the
@@ -18,9 +21,11 @@
 package kmv
 
 import (
+	"math/bits"
 	"sort"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/hash"
 	"mcf0/internal/wire"
 )
 
@@ -44,15 +49,12 @@ const (
 // in ascending order, so insertion shifts the rows above the new value up
 // by one and never allocates. Rows are read as bitvec.View vectors.
 type Set struct {
-	bits, n int      // value width, values held
-	words   []uint64 // k rows; rows 0..n−1 ascending and distinct
+	bits, n, k int      // value width, values held, capacity
+	words      []uint64 // k rows; rows 0..n−1 ascending and distinct
 }
 
 // stride returns the words per row.
 func (s *Set) stride() int { return (s.bits + 63) / 64 }
-
-// k returns the capacity.
-func (s *Set) k() int { return len(s.words) / s.stride() }
 
 // row returns row j as a vector aliasing the set's words.
 func (s *Set) row(j int) bitvec.BitVec {
@@ -74,7 +76,7 @@ func Carve(bits, k, t int) []Set {
 	sets := make([]Set, t)
 	for i := range sets {
 		lo, hi := i*k*w, (i+1)*k*w
-		sets[i] = Set{bits: bits, words: words[lo:hi:hi]}
+		sets[i] = Set{bits: bits, k: k, words: words[lo:hi:hi]}
 	}
 	return sets
 }
@@ -97,7 +99,7 @@ func (s *Set) Bits() int { return s.bits }
 func (s *Set) Len() int { return s.n }
 
 // Full reports whether the set holds k values.
-func (s *Set) Full() bool { return s.n == s.k() }
+func (s *Set) Full() bool { return s.n == s.k }
 
 // Max returns the largest value held, aliasing the set's storage; the set
 // must not be empty.
@@ -132,22 +134,29 @@ func (s *Set) Insert(y bitvec.BitVec) bool {
 	if y.Len() != s.bits {
 		panic("kmv: value width mismatch")
 	}
-	n := s.n
-	if n == s.k() && !y.Less(s.row(n-1)) {
+	if s.Full() && !y.Less(s.Max()) {
 		return false
 	}
-	idx := sort.Search(n, func(i int) bool { return !s.row(i).Less(y) })
-	if idx < n && s.row(idx).Equal(y) {
+	r := sort.Search(s.n, func(i int) bool { return !s.row(i).Less(y) })
+	return s.insertAt(r, y.Words())
+}
+
+// insertAt adds y at rank r, the first row not below it, unless that row
+// equals y or, on a full set, y is above every row: the rows from r shift
+// up by one, evicting the maximum when full. It reports whether the set
+// changed.
+func (s *Set) insertAt(r int, y []uint64) bool {
+	w, n := s.stride(), s.n
+	if r == s.k || r < n && cmpRows(s.words[r*w:(r+1)*w], y) == 0 {
 		return false
 	}
-	if n < s.k() {
+	if n < s.k {
 		s.n++
 	} else {
 		n-- // the maximum's row is overwritten by the shift
 	}
-	w := s.stride()
-	copy(s.words[(idx+1)*w:(n+1)*w], s.words[idx*w:n*w])
-	copy(s.words[idx*w:(idx+1)*w], y.Words())
+	copy(s.words[(r+1)*w:(n+1)*w], s.words[r*w:n*w])
+	copy(s.words[r*w:(r+1)*w], y)
 	return true
 }
 
@@ -166,7 +175,7 @@ func (s *Set) CopyFrom(o *Set) {
 func (s *Set) Merge(o *Set, tmp []uint64) {
 	w := s.stride()
 	k, i, j := 0, 0, 0
-	for k < s.k() && (i < s.n || j < o.n) {
+	for k < s.k && (i < s.n || j < o.n) {
 		var src bitvec.BitVec
 		switch {
 		case i >= s.n:
@@ -187,6 +196,128 @@ func (s *Set) Merge(o *Set, tmp []uint64) {
 	copy(s.words, tmp[:k*w])
 }
 
+// prefixBound returns the largest mp-bit prefix (a row's word 0 masked to
+// its first mp bits, 1 ≤ mp ≤ 64) a value can have and still enter s: the
+// maximum's on a full set, all ones otherwise. A prefix p passes when
+// !bitvec.WordLess(bound, p), which is hash.Linear.PrefixWords' test.
+func (s *Set) prefixBound(mp int) uint64 {
+	if !s.Full() {
+		return ^uint64(0)
+	}
+	return s.words[(s.n-1)*s.stride()] & prefixMask(mp)
+}
+
+func prefixMask(mp int) uint64 { return ^uint64(0) >> (64 - uint(mp)) }
+
+// Scratch is Absorb's working space: one per goroutine, reused across
+// sets and batches, sized on first use.
+type Scratch struct {
+	elem bitvec.BitVec // the packed element Absorb evaluates
+	val  []uint64      // its full hash value
+}
+
+// Absorb folds into s the values h takes at a batch of packed elements
+// xw, h mapping at most 64 bits to the set's width through a carry-less
+// kernel: the set ends exactly as one Insert per value would leave it.
+// ws and idx are hash.Linear.PrefixWords' outputs, at least as long as
+// xw, and mp is the prefix width it compares.
+//
+// The batch goes in pieces, each sized so that about k of its elements
+// are expected to pass the set as the previous piece left it (k at a time
+// while the set fills). One PrefixWords call per piece hashes it and
+// keeps the elements whose prefix is not above prefixBound, so the bound
+// follows the maximum down as the set fills: one call over a large batch
+// into a fresh set would keep every element. Each kept element is
+// re-tested against the current bound; only then is its full value
+// evaluated and its rank looked up by prefix (rank). A value the set
+// holds, or one above the maximum of a full set, writes nothing. h must
+// have a carry-less kernel for mp-bit prefixes; Absorb panics otherwise.
+func (s *Set) Absorb(h *hash.Linear, mp int, xw, ws []uint64, idx []int, sc *Scratch) {
+	if sc.elem.Len() != h.InBits() {
+		sc.elem = bitvec.New(h.InBits())
+	}
+	if len(sc.val) != s.stride() {
+		sc.val = make([]uint64, s.stride())
+	}
+	pmask := prefixMask(mp)
+	for lo := 0; lo < len(xw); {
+		piece := xw[lo:min(lo+s.span(len(xw)-lo), len(xw))]
+		lo += len(piece)
+		bound := s.prefixBound(mp)
+		kept, ok := h.PrefixWords(mp, bound, piece, ws, idx)
+		if !ok {
+			panic("kmv: hash draw has no carry-less kernel")
+		}
+		for j, p := range ws[:kept] {
+			if bitvec.WordLess(bound, p) {
+				continue
+			}
+			sc.elem.Words()[0] = piece[idx[j]]
+			h.EvalInto(sc.elem, bitvec.View(s.bits, sc.val))
+			if s.insertAt(s.rank(p, pmask, sc.val), sc.val) {
+				bound = s.prefixBound(mp)
+			}
+		}
+	}
+}
+
+// span returns how many of rest elements the next piece of Absorb takes:
+// k while the set fills, then about k over the fraction of hash values
+// below the maximum, so that about k of them are expected to pass.
+func (s *Set) span(rest int) int {
+	if !s.Full() {
+		return s.k
+	}
+	// The fraction below the maximum is under (m+1)/2^64, m its first 64
+	// bits read as a binary fraction.
+	m := bits.Reverse64(s.words[(s.n-1)*s.stride()]) | 1
+	if hi, _ := bits.Mul64(m, uint64(rest)); hi < uint64(s.k) {
+		return rest
+	}
+	q, _ := bits.Div64(uint64(s.k), 0, m)
+	return int(q)
+}
+
+// rank returns how many rows are below y, whose mp-bit prefix is p. The
+// rows hold the smallest hash values seen, spread near evenly below the
+// maximum, so the search starts where p falls between 0 and the
+// maximum's prefix and steps from there to the first row whose prefix is
+// not below p; full comparisons are needed only along the run of rows
+// sharing p.
+func (s *Set) rank(p, pmask uint64, y []uint64) int {
+	w, n := s.stride(), s.n
+	if n == 0 {
+		return 0
+	}
+	r := n
+	if f, top := bits.Reverse64(p), bits.Reverse64(s.words[(n-1)*w]&pmask); f <= top {
+		r = int(float64(f) / (float64(top) + 1) * float64(n))
+	}
+	for r > 0 && !bitvec.WordLess(s.words[(r-1)*w]&pmask, p) {
+		r--
+	}
+	for r < n && bitvec.WordLess(s.words[r*w]&pmask, p) {
+		r++
+	}
+	for r < n && s.words[r*w]&pmask == p && cmpRows(s.words[r*w:(r+1)*w], y) < 0 {
+		r++
+	}
+	return r
+}
+
+// cmpRows compares two rows of one width in packed order, word by word.
+func cmpRows(a, b []uint64) int {
+	for i := range a {
+		if a[i] != b[i] {
+			if bitvec.WordLess(a[i], b[i]) {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 // Estimate is the k-minimum-values estimator: k / frac(max) for a full
 // set, where frac reads the value as a binary fraction in [0, 1). A set
 // that is not full has seen every distinct value, so its size is exact;
@@ -199,7 +330,7 @@ func (s *Set) Estimate() float64 {
 	if f == 0 {
 		return float64(s.n)
 	}
-	return float64(s.k()) / f
+	return float64(s.k) / f
 }
 
 // Words returns the footprint of the values held, in 64-bit words.
@@ -219,7 +350,7 @@ func (s *Set) AppendBinary(dst []byte) []byte {
 // rows, rejecting a count above k and values that are not strictly
 // ascending. Failures land in r; it reports success.
 func (s *Set) Decode(r *wire.Reader) bool {
-	cnt := r.Int(s.k())
+	cnt := r.Int(s.k)
 	for j := 0; j < cnt && r.Err() == nil; j++ {
 		r.BitVecInto(s.row(j))
 		if r.Err() == nil && j > 0 && !s.row(j-1).Less(s.row(j)) {

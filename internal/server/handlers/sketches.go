@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"mcf0"
 	"mcf0/internal/server/middleware"
 	"mcf0/internal/server/state"
 )
@@ -177,6 +178,10 @@ func (api *API) Add(w http.ResponseWriter, r *http.Request) {
 	// AddBatch absorbs xs before it returns and keeps no reference, so the
 	// pooled slice can go straight in.
 	sk.AddBatch(xs)
+	if err := sk.Err(); err != nil {
+		sketchFailed(w, err)
+		return
+	}
 	t := tenant(r)
 	api.Metrics.AddLabeled("f0d_ingest_requests_total", tenantLabel(t), 1)
 	api.Metrics.AddLabeled("f0d_ingest_elements_total", tenantLabel(t), float64(len(xs)))
@@ -198,6 +203,10 @@ func (api *API) Estimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	est, version, cached := sk.Estimate()
+	if err := sk.Err(); err != nil {
+		sketchFailed(w, err)
+		return
+	}
 	t := tenant(r)
 	api.Metrics.AddLabeled("f0d_estimate_queries_total", tenantLabel(t), 1)
 	if cached {
@@ -238,6 +247,10 @@ func (api *API) Snapshot(w http.ResponseWriter, r *http.Request) {
 			"snapshot circuit breaker open after repeated disk failures; serving degraded, retry later")
 		return
 	}
+	if errors.Is(err, mcf0.ErrSketchFailed) {
+		sketchFailed(w, err)
+		return
+	}
 	if err != nil {
 		// A failing disk is an operational condition, not a handler bug:
 		// 503 + Retry-After, so well-behaved clients back off and retry.
@@ -254,4 +267,12 @@ func (api *API) Snapshot(w http.ResponseWriter, r *http.Request) {
 		"items":   U64(snap.Items),
 		"version": U64(snap.Version),
 	})
+}
+
+// sketchFailed writes the 500 of a sketch whose front has failed
+// (mcf0.ErrSketchFailed): a sketch bug left its state untrusted, so it
+// answers nothing until it is deleted or restored from a snapshot.
+func sketchFailed(w http.ResponseWriter, err error) {
+	middleware.WriteError(w, http.StatusInternalServerError, "sketch_failed",
+		err.Error()+"; delete the sketch or restore it from a snapshot")
 }

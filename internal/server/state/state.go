@@ -116,17 +116,27 @@ type Sketch struct {
 
 // AddBatch ingests a validated chunk through the lock-free front; safe
 // from any goroutine. Elements must already be range-checked against
-// Config.Bits (the handler's job — the front panics on violations).
+// Config.Bits (the handler's job — the front panics on violations). A
+// failed sketch ingests and counts nothing (see Err).
 func (s *Sketch) AddBatch(xs []uint64) {
 	s.front.AddBatch(xs)
-	s.items.Add(uint64(len(xs)))
+	if s.front.Err() == nil {
+		s.items.Add(uint64(len(xs)))
+	}
 }
 
 // Estimate returns the current estimate, the write-version it covers,
-// and whether the front served it from its cache.
+// and whether the front served it from its cache. A failed sketch
+// returns zeros (see Err).
 func (s *Sketch) Estimate() (est float64, version uint64, cached bool) {
 	return s.front.EstimateVersioned()
 }
+
+// Err returns the sketch's failure, an error wrapping
+// mcf0.ErrSketchFailed, or nil while it is healthy. A failure is final:
+// the sketch answers nothing until it is deleted or restored from a
+// snapshot.
+func (s *Sketch) Err() error { return s.front.Err() }
 
 // Items returns the number of elements accepted so far.
 func (s *Sketch) Items() uint64 { return s.items.Load() }

@@ -1,10 +1,12 @@
 package streaming
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/stats"
 )
@@ -222,22 +224,25 @@ func (c *bucketCopy) absorbRef(x uint64, n, thresh int) {
 // i: the full 3n-bit hash value through EvalInto, offered to the set.
 func (m *Minimum) absorbRef(i int, x uint64) {
 	h, set := m.sk.Copy(i)
-	h.EvalInto(bitvec.FromUint64(x, m.sk.N()), m.hvals[i])
-	set.Insert(m.hvals[i])
+	hv := bitvec.New(h.OutBits())
+	h.EvalInto(bitvec.FromUint64(x, m.sk.N()), hv)
+	set.Insert(hv)
 }
 
 // TestWordBatchVsSingleAbsorb pins the word-kernel absorb (one
-// PrefixWords call per copy and batch, level test or max reject on the
-// words) against the per-element EvalInto reference on the same draws,
-// copy by copy, across the widths where the prefix takes one multiply,
-// two multiplies, or covers Minimum's whole hash, at parallelism 1 and 2.
+// PrefixWords call per copy and batch or piece, level test or max reject
+// on the words, Minimum's lookup by prefix) against the per-element
+// EvalInto reference on the same draws, copy by copy, at parallelism 1
+// and 2. The widths cover one multiply, two multiplies and a prefix that
+// is Minimum's whole hash, and Minimum rows of one (n ≤ 21), two
+// (n ≤ 42) and three words.
 func TestWordBatchVsSingleAbsorb(t *testing.T) {
-	for _, n := range []int{1, 5, 16, 17, 21, 31, 32, 33, 48, 63, 64} {
+	opts := func(seed uint64, p int) Options {
+		return Options{Thresh: 20, Iterations: 6, RNG: stats.NewRNG(seed), Parallelism: p}
+	}
+	for _, n := range []int{1, 5, 16, 17, 21, 22, 31, 32, 33, 42, 43, 48, 63, 64} {
 		stream := poolStream(n, 2500, stats.NewRNG(uint64(0x30d+n)))
 		for _, par := range []int{1, 2} {
-			opts := func(seed uint64, p int) Options {
-				return Options{Thresh: 20, Iterations: 6, RNG: stats.NewRNG(seed), Parallelism: p}
-			}
 			word, elem := NewBucketing(n, opts(uint64(n), par)), NewBucketing(n, opts(uint64(n), 1))
 			mWord, mElem := NewMinimum(n, opts(uint64(n+1), par)), NewMinimum(n, opts(uint64(n+1), 1))
 			feedChunks(word, stream)
@@ -257,4 +262,111 @@ func TestWordBatchVsSingleAbsorb(t *testing.T) {
 			}
 		}
 	}
+	// Minimum batches of many pieces: 4096 elements at once into a fresh
+	// sketch, and more than thresh fresh elements at once into copies the
+	// previous batch just filled.
+	for _, n := range []int{14, 20, 32, 40, 64} {
+		xs := distinctStream(n, 4096+20+70, stats.NewRNG(uint64(0x4096+n)))
+		for _, batches := range [][][]uint64{{xs[:4096]}, {xs[4096 : 4096+20], xs[4096+20:]}} {
+			for _, par := range []int{1, 2} {
+				word, ref := NewMinimum(n, opts(uint64(n+2), par)), NewMinimum(n, opts(uint64(n+2), 1))
+				for _, b := range batches {
+					word.ProcessBatch(b)
+					for _, x := range b {
+						for i := 0; i < ref.sk.Copies(); i++ {
+							ref.absorbRef(i, x)
+						}
+					}
+				}
+				requireMinimumEqual(t, ref, word)
+			}
+		}
+	}
+	// Survivors whose prefixes are equal but whose full values differ.
+	for _, n := range []int{29, 31, 32} {
+		t.Run(fmt.Sprintf("equal-prefix/n=%d", n), func(t *testing.T) { checkEqualPrefixAbsorb(t, n) })
+	}
+}
+
+// distinctStream returns length distinct random n-bit elements.
+func distinctStream(n, length int, rng *stats.RNG) []uint64 {
+	seen := map[uint64]bool{}
+	out := make([]uint64, 0, length)
+	for len(out) < length {
+		if x := bitvec.Random(n, rng.Uint64).Uint64(); !seen[x] {
+			seen[x] = true
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// prefixKernel returns a nonzero integer-form d with h(x) and h(x^d)
+// sharing their mp-bit prefix for every x, or 0 when the prefix map is
+// injective: a GF(2) dependency among the images of the unit elements.
+func prefixKernel(h *hash.Linear, n, mp int) uint64 {
+	prefix := func(x uint64) uint64 {
+		ws, idx := make([]uint64, 1), make([]int, 1)
+		if kept, ok := h.PrefixWords(mp, ^uint64(0), []uint64{packWord(x, n)}, ws, idx); !ok || kept != 1 {
+			panic("prefixKernel: no kernel")
+		}
+		return ws[0]
+	}
+	b := prefix(0)
+	var cols, combos []uint64 // reduced columns, and which units each sums
+	for i := 0; i < n; i++ {
+		c, m := prefix(1<<uint(i))^b, uint64(1)<<uint(i)
+		for k, r := range cols {
+			if c&(r&-r) != 0 {
+				c, m = c^r, m^combos[k]
+			}
+		}
+		if c == 0 {
+			return m
+		}
+		cols, combos = append(cols, c), append(combos, m)
+	}
+	return 0
+}
+
+// checkEqualPrefixAbsorb drives, at 65−n < 3n, a Minimum copy whose
+// mp-bit prefix map has a kernel with pairs x, x^d that share a prefix,
+// through the word path and the per-element reference, and requires equal
+// sets that hold such a pair with distinct full values.
+func checkEqualPrefixAbsorb(t *testing.T, n int) {
+	mp := minPrefixBits(n)
+	if mp >= 3*n {
+		t.Fatalf("n=%d: the prefix is the whole hash", n)
+	}
+	for seed := uint64(1); seed < 2000; seed++ {
+		o := Options{Thresh: 20, Iterations: 1, RNG: stats.NewRNG(seed), Parallelism: 1}
+		word, ref := NewMinimum(n, o), NewMinimum(n, Options{Thresh: 20, Iterations: 1, RNG: stats.NewRNG(seed), Parallelism: 1})
+		h, _ := word.sk.Copy(0)
+		d := prefixKernel(h, n, mp)
+		if d == 0 {
+			continue
+		}
+		rng := stats.NewRNG(seed)
+		var xs []uint64
+		for len(xs) < 600 {
+			x := bitvec.Random(n, rng.Uint64).Uint64()
+			xs = append(xs, x, x^d, x)
+		}
+		for lo := 0; lo < len(xs); lo += 150 {
+			word.ProcessBatch(xs[lo:min(lo+150, len(xs))])
+		}
+		for _, x := range xs {
+			ref.absorbRef(0, x)
+		}
+		requireMinimumEqual(t, ref, word)
+		vs := firstSet(word).Values()
+		pmask := ^uint64(0) >> (64 - uint(mp))
+		for j := 1; j < len(vs); j++ {
+			if vs[j-1].Words()[0]&pmask == vs[j].Words()[0]&pmask {
+				return
+			}
+		}
+		t.Fatalf("n=%d seed %d: no two held values share a prefix", n, seed)
+	}
+	t.Fatalf("n=%d: no draw with a prefix kernel", n)
 }

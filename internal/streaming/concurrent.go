@@ -1,6 +1,8 @@
 package streaming
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,6 +10,11 @@ import (
 
 	"mcf0/internal/par"
 )
+
+// ErrFailed is wrapped by every error of a Concurrent front whose sketch
+// panicked: the state of the replica or target the panic left cannot be
+// trusted, so the front answers nothing more.
+var ErrFailed = errors.New("streaming: sketch failed")
 
 // Concurrent is a lock-free-ingestion front over any mergeable Sketch:
 // P replicas cloned from one seed (so all replicas share hash draws),
@@ -38,6 +45,12 @@ import (
 // Estimate and ProcessBatch are safe to interleave freely;
 // SketchWords reports the summed footprint of the replicas, the kept
 // target and the replicas' logs.
+//
+// A sketch call that panics under a lock — an absorb, a merge, a replay —
+// releases every lock it held and fails the front, and Err reports the
+// failure from then on. That call and every later one return at once
+// without touching a sketch: writes absorb nothing, estimates are 0 and
+// MergedClone is nil. Nothing waits on the failed replica.
 type Concurrent struct {
 	replicas []replica
 	// rr distributes writers across replicas: each acquisition starts its
@@ -59,6 +72,10 @@ type Concurrent struct {
 	// estMu: nil until the first estimate miss clones replica 0, then
 	// every miss drains each replica into it (under every replica lock).
 	acc Sketch
+
+	// failed is the front's failure, nil while it is healthy; it is set
+	// once, before the failing call releases its locks.
+	failed atomic.Pointer[error]
 }
 
 // replicaState is the payload of one replica slot: its lock and sketch,
@@ -112,22 +129,46 @@ func (c *Concurrent) Replicas() int { return len(c.replicas) }
 // outcome directly.
 func (c *Concurrent) Version() uint64 { return c.version.Load() }
 
+// Err returns the front's failure, an error wrapping ErrFailed, or nil
+// while it is healthy.
+func (c *Concurrent) Err() error {
+	if p := c.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records the panic p recovered from a sketch call as the front's
+// failure, unless one is recorded already, and returns the failure.
+func (c *Concurrent) fail(p any) error {
+	err := fmt.Errorf("%w: %v", ErrFailed, p)
+	c.failed.CompareAndSwap(nil, &err)
+	return c.Err()
+}
+
 // acquire claims a replica without ever blocking on a contended lock
 // while any replica is free: it rotates TryLock attempts starting from a
 // round-robin position and only yields the scheduler after a full idle
-// cycle (every replica busy).
+// cycle (every replica busy). It returns nil, holding no lock, once the
+// front has failed.
 func (c *Concurrent) acquire() *replica {
 	start := c.rr.Add(1)
 	n := uint64(len(c.replicas))
-	for {
+	for c.Err() == nil {
 		for k := uint64(0); k < n; k++ {
 			r := &c.replicas[(start+k)%n]
-			if r.mu.TryLock() {
-				return r
+			if !r.mu.TryLock() {
+				continue
 			}
+			if c.Err() != nil {
+				r.mu.Unlock()
+				return nil
+			}
+			return r
 		}
 		runtime.Gosched()
 	}
+	return nil
 }
 
 // release publishes a completed write (invalidating the estimate cache)
@@ -138,12 +179,22 @@ func (c *Concurrent) release(r *replica) {
 }
 
 // ProcessBatch absorbs a chunk of elements into whichever replica is
-// free; the whole chunk lands on one replica, amortising acquisition.
+// free; the whole chunk lands on one replica, amortising acquisition. On
+// a failed front it absorbs nothing.
 func (c *Concurrent) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
 	r := c.acquire()
+	if r == nil {
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			c.fail(p)
+		}
+		c.release(r)
+	}()
 	r.sk.ProcessBatch(xs)
 	if !r.stale {
 		if len(r.log)+len(xs) <= cap(r.log) {
@@ -152,7 +203,6 @@ func (c *Concurrent) ProcessBatch(xs []uint64) {
 			r.log, r.stale = r.log[:0], true
 		}
 	}
-	c.release(r)
 }
 
 // Estimate merges the replicas and returns the combined estimate —
@@ -168,24 +218,38 @@ func (c *Concurrent) Estimate() float64 {
 // the version counter under the cache mutex and takes no replica lock, so
 // it never waits for a writer partway through a batch. On a miss the
 // version is read with every replica locked: it counts exactly the writes
-// the merge saw.
+// the merge saw. A failed front returns zeros.
 func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bool) {
 	c.estMu.Lock()
 	defer c.estMu.Unlock()
+	if c.Err() != nil {
+		return 0, 0, false
+	}
 	if v := c.version.Load(); c.hasCache && v == c.cachedV {
 		return c.cached, v, true
 	}
-	if len(c.replicas) == 1 {
-		r := &c.replicas[0]
-		r.mu.Lock()
-		version, est = c.version.Load(), r.sk.Estimate()
-		r.mu.Unlock()
-	} else {
-		version = c.drain()
-		est = c.acc.Estimate()
+	version, est, err := c.estimateMiss()
+	if err != nil {
+		return 0, 0, false
 	}
 	c.cached, c.cachedV, c.hasCache = est, version, true
 	return est, version, false
+}
+
+// estimateMiss computes an estimate under every replica lock: replica
+// 0's own on a one-replica front, else the kept target's once drain has
+// brought it up to date. It returns the version read under the locks,
+// or the front's failure.
+func (c *Concurrent) estimateMiss() (version uint64, est float64, err error) {
+	if err := c.lockAll(); err != nil {
+		return 0, 0, err
+	}
+	defer c.unlockAll(&err)
+	if len(c.replicas) == 1 {
+		return c.version.Load(), c.replicas[0].sk.Estimate(), nil
+	}
+	c.drain()
+	return c.version.Load(), c.acc.Estimate(), nil
 }
 
 // MergedClone locks every replica and returns a deep copy of their merged
@@ -193,25 +257,33 @@ func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bo
 // state with the front (only the immutable hash draws), so it can be
 // marshaled or inspected while ingestion continues. It always merges a
 // fresh clone of replica 0, never the kept target, so a snapshot's slot
-// order (and therefore its bytes) depends only on the replicas.
+// order (and therefore its bytes) depends only on the replicas. A failed
+// front returns nil.
 func (c *Concurrent) MergedClone() Sketch {
-	c.lockAll()
-	defer c.unlockAll()
-	merged := c.replicas[0].sk.Clone()
-	for i := 1; i < len(c.replicas); i++ {
-		merge(merged, c.replicas[i].sk)
+	merged, err := c.mergedClone()
+	if err != nil {
+		return nil
 	}
 	return merged
 }
 
-// drain locks every replica and brings the kept target, cloned from
-// replica 0 on the first call, up to date: it merges each stale replica,
-// replays each non-empty log and then empties it, allocating it at
-// replayCap on the first call. It returns the version read under the
-// locks.
-func (c *Concurrent) drain() uint64 {
-	c.lockAll()
-	defer c.unlockAll()
+func (c *Concurrent) mergedClone() (merged Sketch, err error) {
+	if err := c.lockAll(); err != nil {
+		return nil, err
+	}
+	defer c.unlockAll(&err)
+	merged = c.replicas[0].sk.Clone()
+	for i := 1; i < len(c.replicas); i++ {
+		merge(merged, c.replicas[i].sk)
+	}
+	return merged, nil
+}
+
+// drain brings the kept target, cloned from replica 0 on the first call,
+// up to date; the caller holds every replica lock. It merges each stale
+// replica, replays each non-empty log and then empties it, allocating it
+// at replayCap on the first call.
+func (c *Concurrent) drain() {
 	if c.acc == nil {
 		c.acc, c.replicas[0].stale = c.replicas[0].sk.Clone(), false
 	}
@@ -227,7 +299,6 @@ func (c *Concurrent) drain() uint64 {
 		}
 		r.log, r.stale = r.log[:0], false
 	}
-	return c.version.Load()
 }
 
 // merge folds replica src into dst. Replicas are clones of one seed, so
@@ -238,15 +309,30 @@ func merge(dst, src Sketch) {
 	}
 }
 
-// lockAll takes every replica lock. Callers defer unlockAll, so a merge
-// that panics on diverged replicas leaves no lock held.
-func (c *Concurrent) lockAll() {
+// lockAll takes every replica lock, or returns the front's failure
+// holding none. A caller that got the locks defers unlockAll with its
+// error result.
+func (c *Concurrent) lockAll() error {
 	for i := range c.replicas {
 		c.replicas[i].mu.Lock()
 	}
+	if err := c.Err(); err != nil {
+		c.unlockAll(nil)
+		return err
+	}
+	return nil
 }
 
-func (c *Concurrent) unlockAll() {
+// unlockAll releases every replica lock. Deferred with a caller's error
+// result, it first turns a panic under the locks into the front's
+// failure, so a merge or replay that panics leaves no lock held and the
+// target it may have half-updated is never read again.
+func (c *Concurrent) unlockAll(err *error) {
+	if err != nil {
+		if p := recover(); p != nil {
+			*err = c.fail(p)
+		}
+	}
 	for i := range c.replicas {
 		c.replicas[i].mu.Unlock()
 	}

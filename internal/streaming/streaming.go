@@ -21,12 +21,13 @@
 // (hash.Linear.PrefixWords) multiplies and what Bucketing stores as
 // keys, next to each key's n-bit hash value packed the same way.
 // Bucketing and Minimum pack each chunk once (wordScratch), and each copy
-// hashes it in one fused hash-and-filter pass
-// (gf2poly.ClmulFilterBatch) that returns only the elements passing the
-// copy's level test or max reject as it stood at the chunk's start; the
-// Go loops touch only those survivors and re-test each against the
-// current level or max, so the state is exactly that of one-element
-// calls.
+// hashes it in fused hash-and-filter passes (gf2poly.ClmulFilterBatch)
+// that return only the elements passing the copy's level test or max
+// reject as it stood at the pass's start: one pass per chunk for
+// Bucketing, one per piece of about k expected survivors for Minimum
+// (kmv.Set.Absorb). The Go loops touch only those survivors and re-test
+// each against the current level or max, so the state is exactly that of
+// one-element calls.
 //
 // The t ≈ 35·log₂(1/δ) copies of each sketch are independent — own hash
 // function, own mutable state — and run on a sharded worker pool
@@ -60,7 +61,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 
-	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/params"
@@ -217,7 +217,8 @@ func (c *bucketCopy) find(key uint64) (slot int32, pos uint64) {
 // mx, writing their prefixes to ws and their indices to idx, and returns
 // how many it kept. Constructors draw Toeplitz hashes, which carry a
 // kernel at every width up to 64, and the decoder refuses draws without
-// one (hasKernel), so a refusal here is a broken invariant.
+// one (hasKernel), so a refusal here or in kmv.Set.Absorb is a broken
+// invariant.
 func prefixWords(h *hash.Linear, mp int, mx uint64, xw, ws []uint64, idx []int) int {
 	kept, ok := h.PrefixWords(mp, mx, xw, ws, idx)
 	if !ok {
@@ -359,17 +360,12 @@ type Minimum struct {
 	sk    *kmv.Sketch
 	eng   engine
 	words wordScratch
-	// elems and hvals are each copy's absorb scratch: the packed element
-	// absorb evaluates and its 3n-bit hash value. Insert copies a value
-	// into a row only when it actually enters the set, so elements
-	// hashing above the current maximum (the steady-state common case)
-	// cost no data movement.
-	elems, hvals []bitvec.BitVec
+	// absorb is kmv.Set.Absorb's working space, one per pool shard.
+	absorb []kmv.Scratch
 }
 
 func newMinimum(sk *kmv.Sketch, eng engine) *Minimum {
-	n, t := sk.N(), sk.Copies()
-	return &Minimum{sk: sk, eng: eng, elems: bitvec.NewSlab(n, t), hvals: bitvec.NewSlab(3*n, t)}
+	return &Minimum{sk: sk, eng: eng, absorb: make([]kmv.Scratch, eng.workers)}
 }
 
 // NewMinimum builds a Minimum sketch over n-bit elements.
@@ -380,40 +376,18 @@ func NewMinimum(n int, opts Options) *Minimum {
 	return newMinimum(sk, newEngine(o.Parallelism, minBatchCheap))
 }
 
-// absorbBatch runs lines 12–18 of Algorithm 3 for copy i over a batch.
-// One PrefixWords call hashes the batch (xw holds the packed elements) to
-// each element's first minPrefixBits(n) hash bits and keeps only those
-// not lexicographically greater than the max's prefix of a full copy —
-// all of them while the copy fills. That is exact: a strictly greater
-// prefix means y > max, which cannot enter. Inserts only lower the max of
-// a full copy, so the bound from the batch's start admits a superset of
-// the elements that pass at their turn; each survivor is re-tested
-// against the current max, and the rest — the copy's fill phase, equal
-// prefixes and the rare smaller ones — evaluate the full 3n-bit value
-// and offer it to the set.
-func (m *Minimum) absorbBatch(i int, xw, ws []uint64, idx []int, mp int) {
+// absorbBatch runs lines 12–18 of Algorithm 3 for copy i over a batch
+// (xw holds the packed elements) in kmv.Set.Absorb: PrefixWords hashes
+// the batch, piece by piece, to each element's first minPrefixBits(n)
+// hash bits and keeps only those not lexicographically greater than the
+// max's prefix of a full copy — all of them while the copy fills. That is
+// exact: a strictly greater prefix means y > max, which cannot enter. The
+// set re-tests each survivor against the current max and evaluates the
+// full 3n-bit value only of those that pass, placing it by a lookup on
+// its prefix.
+func (m *Minimum) absorbBatch(i int, xw, ws []uint64, idx []int, mp int, sc *kmv.Scratch) {
 	h, set := m.sk.Copy(i)
-	elem, hv := m.elems[i], m.hvals[i]
-	pmask := ^uint64(0) >> (64 - uint(mp))
-	full := set.Full()
-	mx := ^uint64(0)
-	if full {
-		mx = set.Max().Words()[0] & pmask
-	}
-	kept := prefixWords(h, mp, mx, xw, ws, idx)
-	for j, w := range ws[:kept] {
-		// The first differing prefix bit is the lowest set bit of w^mx;
-		// y's prefix is greater when that bit is y's.
-		if d := w ^ mx; full && d&-d&w != 0 {
-			continue
-		}
-		elem.Words()[0] = xw[idx[j]]
-		h.EvalInto(elem, hv)
-		set.Insert(hv)
-		if full = set.Full(); full {
-			mx = set.Max().Words()[0] & pmask
-		}
-	}
+	set.Absorb(h, mp, xw, ws, idx, sc)
 }
 
 // minPrefixBits is the hash prefix Minimum's word path compares: the
@@ -439,13 +413,13 @@ func (m *Minimum) ProcessBatch(xs []uint64) {
 	if m.eng.serial(len(xs)) {
 		ws, idx := m.words.shard(0, len(xw))
 		for i := 0; i < m.sk.Copies(); i++ {
-			m.absorbBatch(i, xw, ws, idx, mp)
+			m.absorbBatch(i, xw, ws, idx, mp, &m.absorb[0])
 		}
 		return
 	}
 	m.eng.run(m.sk.Copies(), func(i, shard int) {
 		ws, idx := m.words.shard(shard, len(xw))
-		m.absorbBatch(i, xw, ws, idx, mp)
+		m.absorbBatch(i, xw, ws, idx, mp, &m.absorb[shard])
 	})
 }
 

@@ -14,10 +14,14 @@
 # dot-product path; BenchmarkSystemRewind's clone/* variants run the
 # clone-and-replay the rewind engine replaces; BenchmarkConcurrentIngest's
 # locked-f0 variant drives one mutex-guarded F0 with the same producers the
-# replicated front absorbs lock-free. BenchmarkAbsorbLayout has only its
-# */slab variants: sketch values live once in word slabs, so the old
-# per-row heap layout its */scattered baselines rebuilt no longer exists
-# (their rows in bench/baseline7_streaming.txt come out baseline-only).
+# replicated front absorbs lock-free. BenchmarkAbsorbLayout's variants
+# are */slab (small saturated sketches in cache), minimum/48sketches
+# (1024-element batches round-robin over 48 default 32-bit Minimum
+# sketches, state beyond L2) and minimum/fresh65536 (one 65,536-element
+# batch into a fresh sketch); none has a baseline row. Sketch values live
+# once in word slabs, so the old per-row heap layout its */scattered
+# baselines rebuilt no longer exists (their rows in
+# bench/baseline7_streaming.txt come out baseline-only).
 # The par=1 vs par=max sharding variants and the replicas=1 vs
 # replicas=gomaxprocs front variants collapse to the same figure on a
 # single-core machine.
