@@ -1,9 +1,9 @@
 // Wire codec for hash draws. A sketch snapshot must carry its hash
 // functions — not just seeds — so that a sketch decoded on another node is
 // Merge-compatible with one built locally: the structural-hash
-// precondition (Linear.Equal, and sameFunc in streaming) is checked
-// against the decoded Ax+b / coefficient vector, exactly as it is for
-// in-process clones.
+// precondition (Linear.Equal, and the coefficient comparison of
+// streaming's Estimation.Merge) is checked against the decoded Ax+b /
+// coefficient vector, exactly as it is for in-process clones.
 //
 // Three function layouts exist on the wire:
 //
@@ -15,7 +15,8 @@
 //   - General linear (kind 1): the full m×n matrix row by row plus the
 //     offset. Used for H_xor, H_sparse draws, and Toeplitz draws too wide
 //     to carry a kernel (their diagonal is no longer retained).
-//   - Polynomial (kind 3): the s coefficient words over GF(2^n).
+//   - Polynomial (kind 3): the s coefficient words over GF(2^n),
+//     decoded straight into a caller's coefficient slab (DecodePoly).
 //
 // Function blobs are nested structures: they carry a kind byte but no
 // magic/version of their own — the enclosing sketch message's version
@@ -25,7 +26,6 @@ package hash
 import (
 	"mcf0/internal/bitvec"
 	"mcf0/internal/gf2"
-	"mcf0/internal/gf2poly"
 	"mcf0/internal/wire"
 )
 
@@ -49,11 +49,18 @@ func AppendFunc(dst []byte, f Func) ([]byte, bool) {
 	case *Linear:
 		return appendLinear(dst, h), true
 	case *polyFunc:
-		dst = append(dst, funcKindPoly)
-		dst = wire.AppendInt(dst, h.n)
-		return wire.AppendWords(dst, h.coeffs), true
+		return AppendPoly(dst, h.n, h.coeffs), true
 	}
 	return dst, false
+}
+
+// AppendPoly appends the blob of the polynomial over GF(2^n) with the
+// given coefficients (coeffs[i] multiplies x^i): the form AppendFunc
+// writes for a Poly draw.
+func AppendPoly(dst []byte, n int, coeffs []uint64) []byte {
+	dst = append(dst, funcKindPoly)
+	dst = wire.AppendInt(dst, n)
+	return wire.AppendWords(dst, coeffs)
 }
 
 func appendLinear(dst []byte, l *Linear) []byte {
@@ -73,77 +80,66 @@ func appendLinear(dst []byte, l *Linear) []byte {
 	return wire.AppendBitVec(dst, l.B)
 }
 
-// DecodeFunc consumes one function blob. On corrupt or truncated input it
-// returns a zero Func and leaves the failure in the reader.
-func DecodeFunc(r *wire.Reader) Func {
-	switch kind := r.Byte(); kind {
-	case funcKindToeplitz, funcKindLinear:
-		m := r.Int(maxHashBits)
-		n := r.Int(maxHashBits)
-		if r.Err() != nil {
-			return nil
-		}
-		if m < 1 || n < 1 {
-			r.Corrupt("linear draw (kind %d) with empty dimension %dx%d", kind, m, n)
-			return nil
-		}
-		var a *gf2.Matrix
-		var diag bitvec.BitVec
-		if kind == funcKindToeplitz {
-			diag = bitvec.New(m + n - 1)
-			r.BitVecInto(diag)
-		} else {
-			var rows []bitvec.BitVec
-			a, rows = gf2.NewSlabMatrix(m, n)
-			for i := range rows {
-				r.BitVecInto(rows[i])
-			}
-		}
-		b := bitvec.New(m)
-		r.BitVecInto(b)
-		if r.Err() != nil {
-			return nil
-		}
-		if a == nil {
-			return newToeplitz(n, m, diag, b)
-		}
-		return NewLinear(a, b)
-	case funcKindPoly:
-		n := r.Int(64)
-		coeffs := r.Words()
-		if r.Err() != nil {
-			return nil
-		}
-		if n < 1 || len(coeffs) < 1 {
-			r.Corrupt("polynomial draw with empty dimension n=%d s=%d", n, len(coeffs))
-			return nil
-		}
-		mask := ^uint64(0) >> (64 - uint(n))
-		for _, c := range coeffs {
-			if c&^mask != 0 {
-				r.Corrupt("polynomial coefficient exceeds field width %d", n)
-				return nil
-			}
-		}
-		return &polyFunc{n: n, field: gf2poly.NewField(n), coeffs: coeffs}
-	default:
-		if r.Err() == nil {
-			r.Corrupt("unknown hash function kind %#02x", kind)
-		}
-		return nil
-	}
-}
-
-// DecodeLinear consumes a function blob that must be a linear draw.
+// DecodeLinear consumes a function blob that must be a linear draw
+// (kind 1 or 2). On corrupt or truncated input it returns nil and leaves
+// the failure in the reader.
 func DecodeLinear(r *wire.Reader) *Linear {
-	f := DecodeFunc(r)
+	kind := r.Byte()
+	if r.Err() == nil && kind != funcKindToeplitz && kind != funcKindLinear {
+		r.Corrupt("expected a linear hash draw, got kind %#02x", kind)
+	}
+	m := r.Int(maxHashBits)
+	n := r.Int(maxHashBits)
 	if r.Err() != nil {
 		return nil
 	}
-	l, ok := f.(*Linear)
-	if !ok {
-		r.Corrupt("expected a linear hash draw")
+	if m < 1 || n < 1 {
+		r.Corrupt("linear draw (kind %d) with empty dimension %dx%d", kind, m, n)
 		return nil
 	}
-	return l
+	var a *gf2.Matrix
+	var diag bitvec.BitVec
+	if kind == funcKindToeplitz {
+		diag = bitvec.New(m + n - 1)
+		r.BitVecInto(diag)
+	} else {
+		var rows []bitvec.BitVec
+		a, rows = gf2.NewSlabMatrix(m, n)
+		for i := range rows {
+			r.BitVecInto(rows[i])
+		}
+	}
+	b := bitvec.New(m)
+	r.BitVecInto(b)
+	if r.Err() != nil {
+		return nil
+	}
+	if a == nil {
+		return newToeplitz(n, m, diag, b)
+	}
+	return NewLinear(a, b)
+}
+
+// DecodePoly consumes a function blob that must be a polynomial draw over
+// GF(2^n), 1 ≤ n ≤ 64, and appends its coefficients to dst. It refuses
+// an empty polynomial and a coefficient wider than n bits; failures land
+// in the reader.
+func DecodePoly(r *wire.Reader, n int, dst []uint64) []uint64 {
+	if kind := r.Byte(); r.Err() == nil && kind != funcKindPoly {
+		r.Corrupt("expected a polynomial hash draw, got kind %#02x", kind)
+	}
+	if m := r.Int(64); r.Err() == nil && m != n {
+		r.Corrupt("polynomial draw over GF(2^%d), want GF(2^%d)", m, n)
+	}
+	lo := len(dst)
+	if dst = r.Words(dst); r.Err() == nil && len(dst) == lo {
+		r.Corrupt("polynomial draw without coefficients")
+	}
+	mask := ^uint64(0) >> (64 - uint(n))
+	for _, c := range dst[lo:] {
+		if c&^mask != 0 && r.Err() == nil {
+			r.Corrupt("polynomial coefficient exceeds field width %d", n)
+		}
+	}
+	return dst
 }

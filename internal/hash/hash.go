@@ -346,12 +346,19 @@ func NewPoly(n, s int) Poly {
 
 // Draw samples a function.
 func (p Poly) Draw(next func() uint64) Func {
-	mask := ^uint64(0) >> (64 - uint(p.n))
 	coeffs := make([]uint64, p.s)
+	p.Fill(coeffs, next)
+	return &polyFunc{n: p.n, field: p.field, coeffs: coeffs}
+}
+
+// Fill draws coeffs word by word, one next() each masked to n bits: a
+// slab of k·s words receives, in order, the coefficient vectors k Draw
+// calls would take from next.
+func (p Poly) Fill(coeffs []uint64, next func() uint64) {
+	mask := ^uint64(0) >> (64 - uint(p.n))
 	for i := range coeffs {
 		coeffs[i] = next() & mask
 	}
-	return &polyFunc{n: p.n, field: p.field, coeffs: coeffs}
 }
 
 // InBits returns n.

@@ -67,7 +67,7 @@ type toepKernel struct {
 	rows atomic.Pointer[gf2.Matrix]
 }
 
-// newToeplitz is the Toeplitz constructor of Draw and DecodeFunc: the
+// newToeplitz is the Toeplitz constructor of Draw and DecodeLinear: the
 // draw with diagonal diag (n+m−1 bits) and offset b. Draws too wide for
 // a kernel hold their rows from the start.
 func newToeplitz(n, m int, diag, b bitvec.BitVec) *Linear {

@@ -371,7 +371,7 @@ func requireRows(t *testing.T, what string, l *Linear, a *gf2.Matrix, b bitvec.B
 }
 
 // TestToeplitzLazyRowsMatchEagerWindows checks that the rows a draw
-// builds on first use — from a fresh Draw and from a DecodeFunc round
+// builds on first use — from a fresh Draw and from a DecodeLinear round
 // trip — are the eager window construction of the same randomness, and
 // that only the too-wide shape goes without a kernel.
 func TestToeplitzLazyRowsMatchEagerWindows(t *testing.T) {

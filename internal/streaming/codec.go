@@ -20,8 +20,10 @@ package streaming
 
 import (
 	"fmt"
+	"slices"
 
 	"mcf0/internal/bitvec"
+	"mcf0/internal/gf2poly"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/wire"
@@ -280,20 +282,19 @@ func decodeMinimum(r *wire.Reader, parallelism int) *Minimum {
 
 // ---- Estimation ----
 
-// appendBinary emits n, thresh, t, the t×Thresh hash grid, the
-// trailing-zero grid, and the parallel Flajolet–Martin tracker.
+// appendBinary emits n, thresh, t, the t×Thresh hash grid (each cell a
+// polynomial blob, row-major), the trailing-zero grid, and the parallel
+// Flajolet–Martin tracker.
 func (e *Estimation) appendBinary(dst []byte) []byte {
 	dst = wire.AppendHeader(dst, wire.KindEstimation, estimationVersion)
 	dst = wire.AppendInt(dst, e.n)
 	dst = wire.AppendInt(dst, e.thresh)
-	dst = wire.AppendInt(dst, len(e.hs))
-	for _, row := range e.hs {
-		for _, h := range row {
-			dst, _ = hash.AppendFunc(dst, h)
-		}
+	dst = wire.AppendInt(dst, e.copies())
+	for c := 0; c < len(e.coeffs); c += e.wise {
+		dst = hash.AppendPoly(dst, e.n, e.coeffs[c:c+e.wise])
 	}
 	for _, v := range e.s {
-		dst = wire.AppendInt(dst, v+1) // v ∈ [−1, n]
+		dst = wire.AppendInt(dst, int(v)+1) // v ∈ [−1, n]
 	}
 	return e.fm.appendBody(dst)
 }
@@ -315,31 +316,35 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 	if !checkShape(r, wire.KindEstimation, n, thresh, t) {
 		return nil
 	}
-	e := &Estimation{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchEstimation)}
-	e.hs = make([][]polyDraw, t)
-	for i := range e.hs {
-		e.hs[i] = make([]polyDraw, thresh)
-		for j := range e.hs[i] {
-			h := hash.DecodeFunc(r)
-			if r.Err() != nil {
-				return nil
-			}
-			p, ok := h.(polyDraw)
-			if !ok {
-				r.Corrupt("estimation grid hash (%d,%d) is not polynomial", i, j)
-				return nil
-			}
-			if h.InBits() != n || h.OutBits() != n {
-				r.Corrupt("estimation grid hash (%d,%d) is %d->%d bits, want %d->%d",
-					i, j, h.InBits(), h.OutBits(), n, n)
-				return nil
-			}
-			e.hs[i][j] = p
+	e := &Estimation{thresh: thresh, n: n, field: gf2poly.NewField(n),
+		eng: newEngine(parallelism, minBatchEstimation)}
+	// The first cell fixes s. The slab is sized only once the input is
+	// known to hold every other cell at s coefficients, 8·s bytes each.
+	cells := t * thresh
+	e.coeffs = hash.DecodePoly(r, n, nil)
+	e.wise = len(e.coeffs)
+	if r.Err() != nil {
+		return nil
+	}
+	if uint64(cells)*uint64(e.wise) > kmv.MaxSlabWords || (cells-1)*8*e.wise > r.Remaining() {
+		r.Corrupt("estimation grid of %d cells of %d coefficients exceeds the input or the decode bound",
+			cells, e.wise)
+		return nil
+	}
+	e.coeffs = slices.Grow(e.coeffs, (cells-1)*e.wise)
+	for c := 1; c < cells; c++ {
+		e.coeffs = hash.DecodePoly(r, n, e.coeffs)
+		if r.Err() == nil && len(e.coeffs) != (c+1)*e.wise {
+			r.Corrupt("estimation grid cell %d has %d coefficients, cell 0 has %d",
+				c, len(e.coeffs)-c*e.wise, e.wise)
+		}
+		if r.Err() != nil {
+			return nil
 		}
 	}
-	e.s = make([]int, t*thresh)
+	e.s = make([]int8, t*thresh)
 	for i := range e.s {
-		e.s[i] = r.Int(n+1) - 1
+		e.s[i] = int8(r.Int(n+1) - 1)
 	}
 	e.fm = decodeFMBody(r, n, t)
 	if r.Err() != nil {

@@ -3,6 +3,7 @@ package streaming
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"mcf0/internal/bitvec"
@@ -206,6 +207,64 @@ func handEstimation(n int, grid hash.Func, tracker ...hash.Func) []byte {
 	return blob
 }
 
+// handGrid hand-builds an n-bit Estimation snapshot of t rows of thresh
+// cells whose grid starts with the given coefficient vectors. With one
+// vector per cell the frame is complete: empty cells and a tracker of t
+// empty copies follow. With fewer it stops after the last vector.
+func handGrid(n, thresh, t int, cells ...[]uint64) []byte {
+	blob := wire.AppendHeader(nil, wire.KindEstimation, estimationVersion)
+	for _, v := range []int{n, thresh, t} {
+		blob = wire.AppendInt(blob, v)
+	}
+	for _, c := range cells {
+		blob = hash.AppendPoly(blob, n, c)
+	}
+	if len(cells) < thresh*t {
+		return blob
+	}
+	for range thresh * t {
+		blob = wire.AppendInt(blob, 0)
+	}
+	blob = wire.AppendInt(blob, t)
+	rng := stats.NewRNG(0x6c)
+	for range t {
+		blob, _ = hash.AppendFunc(blob, hash.NewXor(n, n).Draw(rng.Uint64))
+		blob = wire.AppendInt(blob, 0)
+	}
+	return blob
+}
+
+// TestEstimationGridShape checks that the decoder refuses a grid whose
+// cells have different coefficient counts, and that a first cell cannot
+// size the coefficient slab past the decode bound or past what the rest
+// of the input can fill.
+func TestEstimationGridShape(t *testing.T) {
+	if _, err := DecodeSketch(handGrid(8, 2, 1, []uint64{1, 2}, []uint64{3, 4}), 1); err != nil {
+		t.Fatalf("hand-built grid: %v", err)
+	}
+	for name, blob := range map[string][]byte{
+		"second cell longer":  handGrid(8, 2, 1, []uint64{1, 2}, []uint64{3, 4, 5}),
+		"second cell shorter": handGrid(8, 1, 2, []uint64{1, 2, 3}, []uint64{4, 5}),
+		// 2^24 cells of 1,000 coefficients, t·thresh within fits.
+		"grid past the slab bound": handGrid(8, 1<<12, 1<<12, make([]uint64, 1000)),
+		// 2^14 cells of 1,000 coefficients fit the slab bound, not the
+		// input.
+		"grid past the input": handGrid(8, 1<<7, 1<<7, make([]uint64, 1000), make([]uint64, 1000)),
+	} {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := DecodeSketch(blob, 1)
+		runtime.ReadMemStats(&ms)
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+		if grew := ms.TotalAlloc - before; grew > 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes", name, grew)
+		}
+	}
+}
+
 // handKeys hand-builds an n-bit Bucketing snapshot of one copy at level 0
 // whose one cell holds a key given as its two wire words, with an
 // all-zero hash value.
@@ -309,6 +368,8 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	f.Add(handEstimation(8, hash.NewPoly(8, 2).Draw(rng.Uint64), hash.NewXor(80, 80).Draw(rng.Uint64)))
 	f.Add(handKeys(16, 1<<15, 0))
 	f.Add(handKeys(16, 1<<16, 0))
+	f.Add(handGrid(8, 2, 1, []uint64{1, 2}, []uint64{3, 4, 5}))
+	f.Add(handGrid(8, 1<<12, 1<<12, make([]uint64, 1000)))
 	// The retired Flajolet–Martin and exact-distinct kinds.
 	f.Add([]byte{'F', '0', 0x04, 1})
 	f.Add([]byte{'F', '0', 0x05, 1})

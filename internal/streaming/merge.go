@@ -3,8 +3,6 @@ package streaming
 import (
 	"errors"
 	"slices"
-
-	"mcf0/internal/hash"
 )
 
 // ErrIncompatibleSketch is returned by Merge when the two sketches cannot
@@ -64,17 +62,6 @@ var (
 	_ Sketch = (*Minimum)(nil)
 	_ Sketch = (*Estimation)(nil)
 )
-
-// samePoly reports whether two grid draws are identical: pointer equality
-// (clones share draws), else equal coefficient vectors.
-func samePoly(a, b polyDraw) bool {
-	if a == b {
-		return true
-	}
-	ca, _ := hash.PolyCoefficients(a)
-	cb, _ := hash.PolyCoefficients(b)
-	return slices.Equal(ca, cb)
-}
 
 // Clone returns a deep copy sharing hash draws, with its own slabs: each
 // slab is copied whole, table included, so slots and probe runs carry
@@ -144,33 +131,23 @@ func (m *Minimum) Merge(other Sketch) error {
 // Clone returns a deep copy sharing the hash grid, with its own
 // trailing-zero slab and FM tracker.
 func (e *Estimation) Clone() Sketch {
-	return &Estimation{
-		thresh: e.thresh,
-		n:      e.n,
-		hs:     e.hs, // immutable grid of draws, shared
-		s:      slices.Clone(e.s),
-		fm:     e.fm.clone(),
-		eng:    e.eng,
-	}
+	out := *e
+	out.s = slices.Clone(e.s)
+	out.fm = e.fm.clone()
+	return &out
 }
 
 // Merge takes the pointwise maximum of the trailing-zero grids (the max
 // over a union of streams is the max of the per-stream maxima) and merges
-// the parallel FM trackers.
+// the parallel FM trackers. The grids must hold the same coefficients:
+// one slab (clones share it), else equal words.
 func (e *Estimation) Merge(other Sketch) error {
 	o, ok := other.(*Estimation)
-	if !ok || o.thresh != e.thresh || o.n != e.n || len(o.hs) != len(e.hs) {
+	if !ok || o.thresh != e.thresh || o.n != e.n || o.wise != e.wise || len(o.s) != len(e.s) {
 		return ErrIncompatibleSketch
 	}
-	for i := range e.hs {
-		if len(o.hs[i]) != len(e.hs[i]) {
-			return ErrIncompatibleSketch
-		}
-		for j := range e.hs[i] {
-			if !samePoly(e.hs[i][j], o.hs[i][j]) {
-				return ErrIncompatibleSketch
-			}
-		}
+	if &o.coeffs[0] != &e.coeffs[0] && !slices.Equal(o.coeffs, e.coeffs) {
+		return ErrIncompatibleSketch
 	}
 	if !e.fm.merge(o.fm) {
 		return ErrIncompatibleSketch

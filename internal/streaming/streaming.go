@@ -61,6 +61,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 
+	"mcf0/internal/gf2poly"
 	"mcf0/internal/hash"
 	"mcf0/internal/kmv"
 	"mcf0/internal/params"
@@ -430,14 +431,6 @@ func (m *Minimum) Estimate() float64 { return m.sk.Estimate() }
 // SketchWords reports the stored minima footprint.
 func (m *Minimum) SketchWords() int { return m.sk.Words() }
 
-// polyDraw is an Estimation grid hash: an s-wise polynomial over GF(2^n)
-// that evaluates integer-form elements (hash.Uint64Hash) and goes on the
-// wire as a hash.Func.
-type polyDraw interface {
-	hash.Func
-	hash.Uint64Hash
-}
-
 // Estimation is Algorithm 3's Estimation case: a t × Thresh grid of s-wise
 // independent hashes, tracking each one's maximum trailing-zero count.
 // EstimateWithR needs the range parameter r of Lemma 3 (2F0 ≤ 2^r ≤
@@ -447,11 +440,18 @@ type polyDraw interface {
 type Estimation struct {
 	thresh int
 	n      int
-	hs     [][]polyDraw
-	// s is the t × Thresh grid of max trailing-zero counts, flattened to
-	// one contiguous slab: cell (i, j) lives at s[i*thresh+j], so a row
-	// absorb streams linearly and Merge is one pointwise-max sweep.
-	s   []int
+	// coeffs is the hash grid, one slab of t·Thresh·s coefficient words
+	// over field: cell (i, j) is the polynomial whose s coefficients
+	// (coeffs[k] multiplies x^k) sit at [(i·thresh+j)·s, +s). It is
+	// immutable after construction, so clones share it.
+	coeffs []uint64
+	wise   int // s, the coefficients per cell
+	field  *gf2poly.Field
+	// s is the t × Thresh grid of max trailing-zero counts (−1 before
+	// any element, at most n ≤ 64, so a byte each), flattened to one
+	// contiguous slab: cell (i, j) lives at s[i*thresh+j], so a row absorb
+	// streams linearly and Merge is one pointwise-max sweep.
+	s   []int8
 	fm  *fmTracker
 	eng engine
 }
@@ -461,35 +461,34 @@ type Estimation struct {
 func NewEstimation(n int, opts Options) *Estimation {
 	checkBits(n)
 	o := opts.Resolve(defaultSeed)
-	rng := o.RNG
 	s := int(10 * math.Log2(1/o.Epsilon))
 	if s < 2 {
 		s = 2
 	}
-	fam := hash.NewPoly(n, s)
-	t := o.Iterations
-	thresh := o.Thresh
+	cells := o.Iterations * o.Thresh
 	e := &Estimation{
-		thresh: thresh,
+		thresh: o.Thresh,
 		n:      n,
+		wise:   s,
+		field:  gf2poly.NewField(n),
 		// The tracker draws first, and resolves opts itself: under a nil
-		// RNG it draws from its own default-seeded generator, not from rng.
-		fm:  newFMTracker(n, t, opts.Resolve(defaultSeed).RNG.Uint64),
+		// RNG it draws from its own default-seeded generator, not from
+		// o.RNG.
+		fm:  newFMTracker(n, o.Iterations, opts.Resolve(defaultSeed).RNG.Uint64),
 		eng: newEngine(o.Parallelism, minBatchEstimation),
 	}
-	e.s = make([]int, t*thresh)
+	// Cells draw in row-major order, s words each.
+	e.coeffs = make([]uint64, cells*s)
+	hash.NewPoly(n, s).Fill(e.coeffs, o.RNG.Uint64)
+	e.s = make([]int8, cells)
 	for i := range e.s {
 		e.s[i] = -1
 	}
-	e.hs = make([][]polyDraw, t)
-	for i := range e.hs {
-		e.hs[i] = make([]polyDraw, thresh)
-		for j := range e.hs[i] {
-			e.hs[i][j] = fam.Draw(rng.Uint64).(polyDraw)
-		}
-	}
 	return e
 }
+
+// copies returns t, the grid's row count.
+func (e *Estimation) copies() int { return len(e.s) / e.thresh }
 
 // ProcessBatch absorbs a chunk of elements (lines 19–21 of Algorithm 3),
 // fanning the t grid rows across the worker pool. Each row does Thresh
@@ -499,30 +498,31 @@ func (e *Estimation) ProcessBatch(xs []uint64) {
 		return
 	}
 	if e.eng.serial(len(xs)) {
-		for i := range e.hs {
+		for i := range e.copies() {
 			e.absorbRow(i, xs)
 		}
 		return
 	}
-	e.eng.run(len(e.hs), func(i, _ int) { e.absorbRow(i, xs) })
+	e.eng.run(e.copies(), func(i, _ int) { e.absorbRow(i, xs) })
 }
 
 // row returns grid row i of the flat trailing-zero slab.
-func (e *Estimation) row(i int) []int { return e.s[i*e.thresh : (i+1)*e.thresh] }
+func (e *Estimation) row(i int) []int8 { return e.s[i*e.thresh : (i+1)*e.thresh] }
 
 // absorbRow folds a batch into grid row i and tracker copy i: every cell
 // is one field evaluation plus a trailing-zeros instruction per element.
 func (e *Estimation) absorbRow(i int, xs []uint64) {
-	srow := e.row(i)
+	srow, s := e.row(i), e.wise
+	polys := e.coeffs[i*e.thresh*s : (i+1)*e.thresh*s]
 	for _, x := range xs {
-		for j, h := range e.hs[i] {
-			y := h.EvalUint64(x)
+		for j := range srow {
+			y := e.field.EvalPoly(polys[j*s:(j+1)*s], x)
 			tz := e.n
 			if y != 0 {
 				tz = bits.TrailingZeros64(y)
 			}
-			if tz > srow[j] {
-				srow[j] = tz
+			if tz > int(srow[j]) {
+				srow[j] = int8(tz)
 			}
 		}
 	}
@@ -531,11 +531,11 @@ func (e *Estimation) absorbRow(i int, xs []uint64) {
 
 // EstimateWithR evaluates the Lemma 3 estimator at range parameter r.
 func (e *Estimation) EstimateWithR(r int) float64 {
-	ests := make([]float64, len(e.hs))
+	ests := make([]float64, e.copies())
 	for i := range ests {
 		hits := 0
 		for _, v := range e.row(i) {
-			if v >= r {
+			if int(v) >= r {
 				hits++
 			}
 		}

@@ -185,4 +185,28 @@ func TestCloneAllocBound(t *testing.T) {
 	}
 }
 
+// TestNewEstimationAllocBound bounds what building a default 32-bit
+// Estimation sketch allocates: at most 8·s + 16 bytes per grid cell (its
+// s coefficient words and its one-byte trailing-zero counter, with the
+// Flajolet–Martin tracker's t draws spread over the cells), in O(t)
+// allocations, not one or more per cell.
+func TestNewEstimationAllocBound(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	bytes, mallocs := ms.TotalAlloc, ms.Mallocs
+	e := NewEstimation(32, Options{})
+	runtime.ReadMemStats(&ms)
+	bytes, mallocs = ms.TotalAlloc-bytes, ms.Mallocs-mallocs
+	copies := e.copies()
+	perCell := float64(bytes) / float64(len(e.s))
+	t.Logf("s = %d, %d copies of thresh %d: %.1f B per cell, %d allocations",
+		e.wise, copies, e.thresh, perCell, mallocs)
+	if perCell > float64(8*e.wise+16) {
+		t.Errorf("%.1f B per cell, want ≤ 8·s + 16 = %d", perCell, 8*e.wise+16)
+	}
+	if mallocs > uint64(16*copies) {
+		t.Errorf("%d allocations for %d copies, want ≤ 16 per copy", mallocs, copies)
+	}
+}
+
 var sinkClone Sketch

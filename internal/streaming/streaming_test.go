@@ -268,7 +268,7 @@ func TestPaperDefaultOptions(t *testing.T) {
 	}{
 		{"bucketing", b.thresh, len(b.copies)},
 		{"minimum", m.sk.Thresh(), m.sk.Copies()},
-		{"estimation", e.thresh, len(e.hs)},
+		{"estimation", e.thresh, e.copies()},
 		{"estimation's rough estimator", want.Thresh, len(e.fm.hs)},
 	} {
 		if got.thresh != want.Thresh || got.copies != want.Iterations {

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mcf0/internal/bitvec"
 )
@@ -313,23 +314,24 @@ func (r *Reader) Uint64() uint64 {
 	return v
 }
 
-// Words consumes a length-prefixed word slice. The count is validated
-// against the remaining input before anything is allocated.
-func (r *Reader) Words() []uint64 {
+// Words consumes a length-prefixed word slice and appends it to dst. The
+// count is validated against the remaining input before anything is
+// allocated; on failure dst comes back unchanged.
+func (r *Reader) Words(dst []uint64) []uint64 {
 	n := r.Uvarint()
 	if r.err != nil {
-		return nil
+		return dst
 	}
 	if n > uint64(r.Remaining())/8 { // division, not n*8: huge counts must not wrap
 		r.fail(ErrTruncated)
-		return nil
+		return dst
 	}
-	ws := make([]uint64, n)
-	for i := range ws {
-		ws[i] = binary.LittleEndian.Uint64(r.buf[r.pos:])
+	dst = slices.Grow(dst, int(n))
+	for range n {
+		dst = append(dst, binary.LittleEndian.Uint64(r.buf[r.pos:]))
 		r.pos += 8
 	}
-	return ws
+	return dst
 }
 
 // BitVecInto consumes a bit vector of exactly dst.Len() bits into dst —

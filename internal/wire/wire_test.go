@@ -124,11 +124,11 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 	if got := r.Uint64(); got != 0xdeadbeefcafef00d {
 		t.Fatalf("uint64: %#x", got)
 	}
-	ws := r.Words()
+	ws := r.Words(nil)
 	if len(ws) != 3 || ws[0] != 7 || ws[2] != 9 {
 		t.Fatalf("words: %v", ws)
 	}
-	if ws := r.Words(); len(ws) != 0 {
+	if ws := r.Words(nil); len(ws) != 0 {
 		t.Fatalf("empty words: %v", ws)
 	}
 	got := r.BitVec(128)
@@ -204,12 +204,12 @@ func TestBoundedReads(t *testing.T) {
 
 	// Words: count claims far more than the input holds; must not allocate.
 	r = NewReader(binary.AppendUvarint(nil, 1<<40))
-	if ws := r.Words(); ws != nil || !errors.Is(r.Err(), ErrTruncated) {
+	if ws := r.Words(nil); ws != nil || !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("Words overclaim: %v %v", ws, r.Err())
 	}
 	// Words: count * 8 overflow guard — n so large n*8 wraps.
 	r = NewReader(binary.AppendUvarint(nil, 1<<61))
-	if ws := r.Words(); ws != nil || r.Err() == nil {
+	if ws := r.Words(nil); ws != nil || r.Err() == nil {
 		t.Fatalf("Words overflow count: %v %v", ws, r.Err())
 	}
 
@@ -281,7 +281,7 @@ func TestStickyError(t *testing.T) {
 	if v := r.Uint64(); v != 0 {
 		t.Fatalf("Uint64 after error: %d", v)
 	}
-	if ws := r.Words(); ws != nil {
+	if ws := r.Words(nil); ws != nil {
 		t.Fatalf("Words after error: %v", ws)
 	}
 	if v := r.BitVec(64); v.Len() != 0 {
