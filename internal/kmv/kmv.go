@@ -10,8 +10,10 @@
 // the batch absorb of a hash's values (the kernel's prefix filter, then a
 // lookup by prefix for each survivor), sorted merge with dedup, the
 // per-set estimate, its footprint in words, and its wire body (count,
-// then the values in rank order) with the decode-side checks. The
-// absorb compares rows word by word in packed order (bitvec.WordLess).
+// then the values in rank order) with the decode-side checks. Insertion,
+// the absorb, the merge and the decode compare rows word by word in
+// packed order (bitvec.WordLess); one value and each survivor alike find
+// their row by the same prefix lookup.
 //
 // Sketch is the Minimum F0 sketch built on it: t (Toeplitz draw, Set)
 // copies with the median estimate, Clone, the same-draws merge and the
@@ -22,7 +24,6 @@ package kmv
 
 import (
 	"math/bits"
-	"sort"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
@@ -127,9 +128,10 @@ func (s *Set) Candidate(y bitvec.BitVec) bool {
 
 // Insert adds y unless it is already present or, on a full set, not below
 // the maximum — a value ≥ max is rejected with one comparison before the
-// search. An admitted y is copied into its rank's row (the rows above
+// lookup. An admitted y is copied into its rank's row (the rows above
 // shift up, evicting the maximum when full), so callers may pass a reused
-// scratch vector. It reports whether the set changed.
+// scratch vector. Its rank is looked up by its first min(bits, 64) bits
+// (rank). It reports whether the set changed.
 func (s *Set) Insert(y bitvec.BitVec) bool {
 	if y.Len() != s.bits {
 		panic("kmv: value width mismatch")
@@ -137,8 +139,8 @@ func (s *Set) Insert(y bitvec.BitVec) bool {
 	if s.Full() && !y.Less(s.Max()) {
 		return false
 	}
-	r := sort.Search(s.n, func(i int) bool { return !s.row(i).Less(y) })
-	return s.insertAt(r, y.Words())
+	yw, pmask := y.Words(), prefixMask(min(s.bits, 64))
+	return s.insertAt(s.rank(yw[0]&pmask, pmask, yw), yw)
 }
 
 // insertAt adds y at rank r, the first row not below it, unless that row
@@ -176,20 +178,23 @@ func (s *Set) Merge(o *Set, tmp []uint64) {
 	w := s.stride()
 	k, i, j := 0, 0, 0
 	for k < s.k && (i < s.n || j < o.n) {
-		var src bitvec.BitVec
+		var src []uint64
+		c := -1 // s's row i against o's row j: the lower goes first
 		switch {
 		case i >= s.n:
-			src, j = o.row(j), j+1
-		case j >= o.n:
-			src, i = s.row(i), i+1
-		case s.row(i).Less(o.row(j)):
-			src, i = s.row(i), i+1
-		case o.row(j).Less(s.row(i)):
-			src, j = o.row(j), j+1
-		default: // equal in both: keep one
-			src, i, j = s.row(i), i+1, j+1
+			c = 1
+		case j < o.n:
+			c = cmpRows(s.words[i*w:(i+1)*w], o.words[j*w:(j+1)*w])
 		}
-		copy(tmp[k*w:(k+1)*w], src.Words())
+		if c <= 0 {
+			src, i = s.words[i*w:(i+1)*w], i+1
+		} else {
+			src = o.words[j*w : (j+1)*w]
+		}
+		if c >= 0 { // o's row j went, or equals s's row i: keep one
+			j++
+		}
+		copy(tmp[k*w:(k+1)*w], src)
 		k++
 	}
 	s.n = k
@@ -353,7 +358,8 @@ func (s *Set) Decode(r *wire.Reader) bool {
 	cnt := r.Int(s.k)
 	for j := 0; j < cnt && r.Err() == nil; j++ {
 		r.BitVecInto(s.row(j))
-		if r.Err() == nil && j > 0 && !s.row(j-1).Less(s.row(j)) {
+		if w := s.stride(); r.Err() == nil && j > 0 &&
+			cmpRows(s.words[(j-1)*w:j*w], s.words[j*w:(j+1)*w]) >= 0 {
 			r.Corrupt("k-min values are not strictly ascending")
 		}
 		s.n++

@@ -3,6 +3,7 @@ package kmv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -249,7 +250,7 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("slab over the bound: err %v, want ErrCorrupt", r.Err())
 	}
 	r = wire.NewReader(nil)
-	if CheckSlab(r, 1<<16*(1<<24), 3) || !errors.Is(r.Err(), wire.ErrCorrupt) {
+	if CheckSlab(r, math.MaxInt, 3) || !errors.Is(r.Err(), wire.ErrCorrupt) {
 		t.Fatalf("t × k overflowing the bound: err %v, want ErrCorrupt", r.Err())
 	}
 }

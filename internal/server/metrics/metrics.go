@@ -98,6 +98,7 @@ var helpText = map[string]struct {
 	"f0d_solver_deleted_total":      {help: "CDCL learned clauses deleted by database reduction."},
 	"f0d_solver_restarts_total":     {help: "CDCL solver restarts across model-counting requests."},
 	"f0d_sketches":                  {help: "Live sketches, by tenant.", gauge: true},
+	"f0d_sketches_failed":           {help: "Live sketches whose front has failed (a sketch call panicked), by tenant.", gauge: true},
 	"f0d_sketch_words":              {help: "Summed sketch footprint in 64-bit words, by tenant.", gauge: true},
 	"f0d_uptime_seconds":            {help: "Seconds since the daemon started.", gauge: true},
 	"f0d_shed_total":                {help: "Requests refused by the in-flight load-shedding gate (503 overloaded)."},

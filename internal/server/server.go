@@ -154,20 +154,18 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: restore-on-boot: %w", err)
 	}
-	met.RegisterGauge("f0d_sketches", func() map[string]float64 {
-		out := make(map[string]float64)
-		for tenant, n := range reg.CountByTenant() {
-			out[metrics.Label("tenant", tenant)] = float64(n)
+	byTenant := func(src func() map[string]int) func() map[string]float64 {
+		return func() map[string]float64 {
+			out := make(map[string]float64)
+			for tenant, v := range src() {
+				out[metrics.Label("tenant", tenant)] = float64(v)
+			}
+			return out
 		}
-		return out
-	})
-	met.RegisterGauge("f0d_sketch_words", func() map[string]float64 {
-		out := make(map[string]float64)
-		for tenant, words := range reg.WordsByTenant() {
-			out[metrics.Label("tenant", tenant)] = float64(words)
-		}
-		return out
-	})
+	}
+	met.RegisterGauge("f0d_sketches", byTenant(reg.CountByTenant))
+	met.RegisterGauge("f0d_sketches_failed", byTenant(reg.FailedByTenant))
+	met.RegisterGauge("f0d_sketch_words", byTenant(reg.WordsByTenant))
 	met.RegisterGauge("f0d_snapshot_breaker_state", func() map[string]float64 {
 		return map[string]float64{"": float64(breaker.State())}
 	})

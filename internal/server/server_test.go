@@ -409,6 +409,7 @@ func TestMetricsTrackIngestAndSketches(t *testing.T) {
 		`f0d_ingest_elements_total{tenant="acme"} 3`,
 		`f0d_estimate_queries_total{tenant="acme"} 1`,
 		`f0d_sketches{tenant="acme"} 1`,
+		`f0d_sketches_failed{tenant="acme"} 0`,
 		fmt.Sprintf("f0d_http_requests_total{code=\"201\",route=%q} 1", "POST /v1/sketches"),
 	} {
 		if !strings.Contains(text, want) {

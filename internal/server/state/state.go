@@ -315,7 +315,23 @@ func (r *Registry) CountByTenant() map[string]int {
 
 // WordsByTenant returns the summed sketch footprint per tenant in 64-bit
 // words (the f0d_sketch_words gauge's source).
-func (r *Registry) WordsByTenant() map[string]int {
+func (r *Registry) WordsByTenant() map[string]int { return r.sumByTenant((*Sketch).SketchWords) }
+
+// FailedByTenant returns, for every tenant with a live sketch, how many
+// of its sketches have failed (Err non-nil; the f0d_sketches_failed
+// gauge's source).
+func (r *Registry) FailedByTenant() map[string]int {
+	return r.sumByTenant(func(sk *Sketch) int {
+		if sk.Err() != nil {
+			return 1
+		}
+		return 0
+	})
+}
+
+// sumByTenant sums f over the live sketches of each tenant, calling it
+// outside the registry lock.
+func (r *Registry) sumByTenant(f func(*Sketch) int) map[string]int {
 	r.mu.Lock()
 	sketches := make([]*Sketch, 0, len(r.sketches))
 	for _, sk := range r.sketches {
@@ -324,7 +340,7 @@ func (r *Registry) WordsByTenant() map[string]int {
 	r.mu.Unlock()
 	out := make(map[string]int)
 	for _, sk := range sketches {
-		out[sk.Tenant] += sk.SketchWords()
+		out[sk.Tenant] += f(sk)
 	}
 	return out
 }
