@@ -400,7 +400,9 @@ func TestDecodeF0RefusesMixedWidthEstimation(t *testing.T) {
 		for _, v := range []int{8, 1, 1} { // n, thresh, t
 			b = wire.AppendInt(b, v)
 		}
-		b, _ = hash.AppendFunc(b, hash.NewPoly(8, 2).Draw(rng.Uint64))
+		coeffs := make([]uint64, 2)
+		hash.NewPoly(8, 2).Fill(coeffs, rng.Uint64)
+		b = hash.AppendPoly(b, 8, coeffs)
 		b = wire.AppendInt(b, 0) // the grid cell's max, −1 + 1
 		b = wire.AppendInt(b, 1) // tracker copies
 		b, _ = hash.AppendFunc(b, hash.NewXor(trackerBits, trackerBits).Draw(rng.Uint64))

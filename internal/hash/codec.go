@@ -15,8 +15,9 @@
 //   - General linear (kind 1): the full m×n matrix row by row plus the
 //     offset. Used for H_xor, H_sparse draws, and Toeplitz draws too wide
 //     to carry a kernel (their diagonal is no longer retained).
-//   - Polynomial (kind 3): the s coefficient words over GF(2^n),
-//     decoded straight into a caller's coefficient slab (DecodePoly).
+//   - Polynomial (kind 3): the s coefficient words over GF(2^n), written
+//     from a caller's coefficient slab (AppendPoly) and decoded straight
+//     into one (DecodePoly).
 //
 // Function blobs are nested structures: they carry a kind byte but no
 // magic/version of their own — the enclosing sketch message's version
@@ -41,35 +42,21 @@ const (
 // counts from sizing allocations.
 const maxHashBits = 1 << 16
 
-// AppendFunc appends the wire form of a hash draw. Every function the
-// families in this package produce is supported; foreign Func
-// implementations make the reader-free form return false.
+// AppendFunc appends the wire form of a linear hash draw (kind 1 or 2),
+// the form DecodeLinear reads back. Any other Func makes it return false
+// with dst unchanged; a polynomial is written from its coefficients by
+// AppendPoly.
 func AppendFunc(dst []byte, f Func) ([]byte, bool) {
-	switch h := f.(type) {
-	case *Linear:
-		return appendLinear(dst, h), true
-	case *polyFunc:
-		return AppendPoly(dst, h.n, h.coeffs), true
+	l, ok := f.(*Linear)
+	if !ok {
+		return dst, false
 	}
-	return dst, false
-}
-
-// AppendPoly appends the blob of the polynomial over GF(2^n) with the
-// given coefficients (coeffs[i] multiplies x^i): the form AppendFunc
-// writes for a Poly draw.
-func AppendPoly(dst []byte, n int, coeffs []uint64) []byte {
-	dst = append(dst, funcKindPoly)
-	dst = wire.AppendInt(dst, n)
-	return wire.AppendWords(dst, coeffs)
-}
-
-func appendLinear(dst []byte, l *Linear) []byte {
 	if k := l.toep; k != nil {
 		dst = append(dst, funcKindToeplitz)
 		dst = wire.AppendInt(dst, k.m)
 		dst = wire.AppendInt(dst, k.n)
 		dst = wire.AppendBitVec(dst, k.diag())
-		return wire.AppendBitVec(dst, l.B)
+		return wire.AppendBitVec(dst, l.B), true
 	}
 	dst = append(dst, funcKindLinear)
 	dst = wire.AppendInt(dst, l.a.Rows())
@@ -77,7 +64,16 @@ func appendLinear(dst []byte, l *Linear) []byte {
 	for i := 0; i < l.a.Rows(); i++ {
 		dst = wire.AppendBitVec(dst, l.a.Row(i))
 	}
-	return wire.AppendBitVec(dst, l.B)
+	return wire.AppendBitVec(dst, l.B), true
+}
+
+// AppendPoly appends the blob (kind 3) of the polynomial over GF(2^n)
+// with the given coefficients (coeffs[i] multiplies x^i), the form
+// DecodePoly reads back.
+func AppendPoly(dst []byte, n int, coeffs []uint64) []byte {
+	dst = append(dst, funcKindPoly)
+	dst = wire.AppendInt(dst, n)
+	return wire.AppendWords(dst, coeffs)
 }
 
 // DecodeLinear consumes a function blob that must be a linear draw

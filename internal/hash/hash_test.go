@@ -2,10 +2,12 @@ package hash
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/gf2"
+	"mcf0/internal/wire"
 )
 
 // enumerateToeplitz visits every function of H_Toeplitz(n, m) exactly once.
@@ -204,6 +206,15 @@ func TestPolyCoefficients(t *testing.T) {
 	lin := NewToeplitz(4, 4).Draw(rng.Uint64)
 	if _, ok := PolyCoefficients(lin); ok {
 		t.Fatal("PolyCoefficients succeeded on a linear function")
+	}
+	// A polynomial travels by its coefficients alone: AppendPoly, not
+	// AppendFunc, writes it, and DecodePoly appends them to a slab.
+	if _, ok := AppendFunc(nil, f); ok {
+		t.Fatal("AppendFunc wrote a polynomial draw")
+	}
+	r := wire.NewReader(AppendPoly(nil, 16, coeffs))
+	if got := DecodePoly(r, 16, []uint64{7}); r.Err() != nil || !slices.Equal(got[1:], coeffs) || got[0] != 7 {
+		t.Fatalf("DecodePoly: %v, %v", got, r.Err())
 	}
 }
 

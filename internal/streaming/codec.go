@@ -319,16 +319,17 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 	e := &Estimation{thresh: thresh, n: n, field: gf2poly.NewField(n),
 		eng: newEngine(parallelism, minBatchEstimation)}
 	// The first cell fixes s. The slab is sized only once the input is
-	// known to hold every other cell at s coefficients, 8·s bytes each.
+	// known to hold every other cell at s coefficients, 8·s bytes each:
+	// the input, not kmv.MaxSlabWords, bounds t·thresh·s, as New bounds
+	// only t·thresh.
 	cells := t * thresh
 	e.coeffs = hash.DecodePoly(r, n, nil)
 	e.wise = len(e.coeffs)
 	if r.Err() != nil {
 		return nil
 	}
-	if uint64(cells)*uint64(e.wise) > kmv.MaxSlabWords || (cells-1)*8*e.wise > r.Remaining() {
-		r.Corrupt("estimation grid of %d cells of %d coefficients exceeds the input or the decode bound",
-			cells, e.wise)
+	if uint64(cells-1)*uint64(e.wise) > uint64(r.Remaining())/8 {
+		r.Corrupt("estimation grid of %d cells of %d coefficients exceeds the input", cells, e.wise)
 		return nil
 	}
 	e.coeffs = slices.Grow(e.coeffs, (cells-1)*e.wise)

@@ -189,15 +189,16 @@ func TestBucketingSlabBound(t *testing.T) {
 }
 
 // handEstimation hand-builds an n-bit Estimation snapshot of one grid
-// cell drawn as grid and one Flajolet–Martin copy per tracker draw, all
-// still empty. No encoder writes one whose draws disagree with n, or
-// whose tracker has other than one copy per grid row.
-func handEstimation(n int, grid hash.Func, tracker ...hash.Func) []byte {
+// cell, given as its function blob, and one Flajolet–Martin copy per
+// tracker draw, all still empty. No encoder writes one whose draws
+// disagree with n, or whose tracker has other than one copy per grid
+// row.
+func handEstimation(n int, grid []byte, tracker ...hash.Func) []byte {
 	blob := wire.AppendHeader(nil, wire.KindEstimation, estimationVersion)
 	for _, v := range []int{n, 1, 1} { // n, thresh, t
 		blob = wire.AppendInt(blob, v)
 	}
-	blob, _ = hash.AppendFunc(blob, grid)
+	blob = append(blob, grid...)
 	blob = wire.AppendInt(blob, 0) // the cell's max, −1 + 1
 	blob = wire.AppendInt(blob, len(tracker))
 	for _, h := range tracker {
@@ -205,6 +206,14 @@ func handEstimation(n int, grid hash.Func, tracker ...hash.Func) []byte {
 		blob = wire.AppendInt(blob, 0)
 	}
 	return blob
+}
+
+// polyBlob draws s coefficients over GF(2^n) from rng, as one Estimation
+// grid cell draws them, and returns their function blob.
+func polyBlob(n, s int, rng *stats.RNG) []byte {
+	coeffs := make([]uint64, s)
+	hash.NewPoly(n, s).Fill(coeffs, rng.Uint64)
+	return hash.AppendPoly(nil, n, coeffs)
 }
 
 // handGrid hand-builds an n-bit Estimation snapshot of t rows of thresh
@@ -236,8 +245,7 @@ func handGrid(n, thresh, t int, cells ...[]uint64) []byte {
 
 // TestEstimationGridShape checks that the decoder refuses a grid whose
 // cells have different coefficient counts, and that a first cell cannot
-// size the coefficient slab past the decode bound or past what the rest
-// of the input can fill.
+// size the coefficient slab past what the rest of the input can fill.
 func TestEstimationGridShape(t *testing.T) {
 	if _, err := DecodeSketch(handGrid(8, 2, 1, []uint64{1, 2}, []uint64{3, 4}), 1); err != nil {
 		t.Fatalf("hand-built grid: %v", err)
@@ -246,23 +254,60 @@ func TestEstimationGridShape(t *testing.T) {
 		"second cell longer":  handGrid(8, 2, 1, []uint64{1, 2}, []uint64{3, 4, 5}),
 		"second cell shorter": handGrid(8, 1, 2, []uint64{1, 2, 3}, []uint64{4, 5}),
 		// 2^24 cells of 1,000 coefficients, t·thresh within fits.
-		"grid past the slab bound": handGrid(8, 1<<12, 1<<12, make([]uint64, 1000)),
-		// 2^14 cells of 1,000 coefficients fit the slab bound, not the
-		// input.
-		"grid past the input": handGrid(8, 1<<7, 1<<7, make([]uint64, 1000), make([]uint64, 1000)),
+		"grid of 2^24 cells past the input": handGrid(8, 1<<12, 1<<12, make([]uint64, 1000)),
+		// 2^14 cells of 1,000 coefficients, one of them present.
+		"grid of 2^14 cells past the input": handGrid(8, 1<<7, 1<<7, make([]uint64, 1000), make([]uint64, 1000)),
 	} {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		_, err := DecodeSketch(blob, 1)
-		runtime.ReadMemStats(&ms)
+		grew, err := decodeAlloc(blob)
 		if !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
-		if grew := ms.TotalAlloc - before; grew > 1<<20 {
+		if grew > 1<<20 {
 			t.Errorf("%s: decode allocated %d bytes", name, grew)
 		}
 	}
+}
+
+// TestEstimationDecodeAdmitsNewShapes checks that the input alone bounds
+// the decoder's coefficient slab, as New bounds only t·thresh: a frame
+// of a shape New accepts (ε = 0.1, so s = 33, thresh 9,600 and 53 rows)
+// whose t·thresh·s is past kmv.MaxSlabWords passes the grid bound and
+// sizes the slab when the input holds every other cell's bytes, and is
+// refused before sizing it one byte short. The cells after the first are
+// zero bytes, so either decode ends at ErrCorrupt without writing the
+// slab past its first cell.
+func TestEstimationDecodeAdmitsNewShapes(t *testing.T) {
+	o := Options{Epsilon: 0.1, Iterations: 53}.Resolve(0)
+	s := NewEstimation(32, Options{Epsilon: o.Epsilon, Thresh: 1, Iterations: 1}).wise
+	cells := o.Thresh * o.Iterations
+	if !fits(wire.KindEstimation, 32, o.Thresh, o.Iterations) || uint64(cells)*uint64(s) <= kmv.MaxSlabWords {
+		t.Fatalf("%d rows of %d cells of %d coefficients: want a shape New accepts past the slab bound",
+			o.Iterations, o.Thresh, s)
+	}
+	head := handGrid(32, o.Thresh, o.Iterations, make([]uint64, s))
+	blob := make([]byte, len(head)+(cells-1)*s*8)
+	copy(blob, head)
+	slab := uint64(cells) * uint64(s) * 8
+	for _, short := range []int{1, 0} {
+		grew, err := decodeAlloc(blob[:len(blob)-short])
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%d bytes short: got %v, want ErrCorrupt", short, err)
+		}
+		if sized := grew >= slab; sized != (short == 0) {
+			t.Errorf("%d bytes short: decode allocated %d bytes, the slab is %d", short, grew, slab)
+		}
+	}
+}
+
+// decodeAlloc decodes blob and returns the bytes the decode allocated
+// and its error.
+func decodeAlloc(blob []byte) (uint64, error) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err := DecodeSketch(blob, 1)
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before, err
 }
 
 // handKeys hand-builds an n-bit Bucketing snapshot of one copy at level 0
@@ -330,11 +375,12 @@ func TestWordBound(t *testing.T) {
 	refused("kernel-less bucketing draw", AppendSketch(nil, b))
 	refused("kernel-less minimum draw", AppendSketch(nil, m))
 
-	poly, xor := hash.NewPoly(8, 2).Draw(rng.Uint64), hash.NewXor(8, 8).Draw(rng.Uint64)
+	poly, xor := polyBlob(8, 2, rng), hash.NewXor(8, 8).Draw(rng.Uint64)
 	if _, err := DecodeSketch(handEstimation(8, poly, xor), 1); err != nil {
 		t.Fatalf("hand-built estimation: %v", err)
 	}
-	refused("linear estimation grid draw", handEstimation(8, xor, xor))
+	lin, _ := hash.AppendFunc(nil, xor)
+	refused("linear estimation grid draw", handEstimation(8, lin, xor))
 	refused("16-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(16, 16).Draw(rng.Uint64)))
 	refused("80-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(80, 80).Draw(rng.Uint64)))
 	refused("8->16-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(8, 16).Draw(rng.Uint64)))
@@ -365,7 +411,7 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'F', '0', wire.KindBucketing, 1})
 	rng := stats.NewRNG(0xf023)
-	f.Add(handEstimation(8, hash.NewPoly(8, 2).Draw(rng.Uint64), hash.NewXor(80, 80).Draw(rng.Uint64)))
+	f.Add(handEstimation(8, polyBlob(8, 2, rng), hash.NewXor(80, 80).Draw(rng.Uint64)))
 	f.Add(handKeys(16, 1<<15, 0))
 	f.Add(handKeys(16, 1<<16, 0))
 	f.Add(handGrid(8, 2, 1, []uint64{1, 2}, []uint64{3, 4, 5}))
