@@ -60,17 +60,8 @@ func New(n int) BitVec {
 // NewSlab returns count independent width-n vectors whose word storage is
 // carved from a single allocation. The vectors behave exactly like New(n)
 // results; the shared backing array only reduces allocator pressure when a
-// caller needs many rows at once (hash matrices, sketch cells).
+// caller needs many vectors at once (elimination rows).
 func NewSlab(n, count int) []BitVec {
-	vs, _ := NewSlabWords(n, count)
-	return vs
-}
-
-// NewSlabWords is NewSlab exposing the backing word array as well: vector i
-// occupies words[i*stride : (i+1)*stride] with stride = ⌈n/64⌉. Kernels
-// that stream over many rows (GF(2) matrix-vector products) use the flat
-// array to avoid a pointer chase per row.
-func NewSlabWords(n, count int) ([]BitVec, []uint64) {
 	if n < 0 || count < 0 {
 		panic("bitvec: negative slab dimensions")
 	}
@@ -80,7 +71,7 @@ func NewSlabWords(n, count int) ([]BitVec, []uint64) {
 	for i := range vs {
 		vs[i] = BitVec{n: n, words: words[i*wpr : (i+1)*wpr : (i+1)*wpr]}
 	}
-	return vs, words
+	return vs
 }
 
 // View returns the n-bit vector whose storage is words, without copying:

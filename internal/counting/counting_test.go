@@ -155,12 +155,19 @@ func TestFindMinOracleMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// hashOf returns h(x) in a fresh vector.
+func hashOf(h hash.Func, x bitvec.BitVec) bitvec.BitVec {
+	y := bitvec.New(h.OutBits())
+	h.EvalInto(x, y)
+	return y
+}
+
 func bruteHashMins(n int, eval func(bitvec.BitVec) bool, h *hash.Linear, p int) []bitvec.BitVec {
 	seen := map[string]bitvec.BitVec{}
 	for v := uint64(0); v < 1<<uint(n); v++ {
 		x := bitvec.FromUint64(v, n)
 		if eval(x) {
-			y := h.Eval(x)
+			y := hashOf(h, x)
 			seen[y.Key()] = y
 		}
 	}
@@ -232,7 +239,7 @@ func TestFindMaxRangeBinarySearch(t *testing.T) {
 		maxTZ := -1
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			if x := bitvec.FromUint64(v, n); d.Eval(x) {
-				tz := h.Eval(x).TrailingZeros()
+				tz := hashOf(h, x).TrailingZeros()
 				tzs = append(tzs, tz)
 				maxTZ = max(maxTZ, tz)
 			}
@@ -264,7 +271,7 @@ func TestFindMaxRangeLinearMatchesExhaustive(t *testing.T) {
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			x := bitvec.FromUint64(v, n)
 			if cnf.Eval(x) {
-				if tz := h.Eval(x).TrailingZeros(); tz > want {
+				if tz := hashOf(h, x).TrailingZeros(); tz > want {
 					want = tz
 				}
 			}

@@ -25,6 +25,56 @@ func TestMulVecLinearity(t *testing.T) {
 	}
 }
 
+// TestMulVecIntoMatchesRowDots checks the slab product against one
+// Row(i).Dot(x) per row, over shapes that run the stride-1 loop (64-bit
+// output chunks, full and partial), the stride-4 loop and the general
+// loop, on matrices from RandomMatrix, SelectColumns and row-by-row fills.
+// A one-word matrix of at most 64 rows checks MulWord as well.
+func TestMulVecIntoMatchesRowDots(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, cols := range []int{0, 1, 63, 64, 65, 200, 256, 257} {
+		for _, rows := range []int{1, 63, 64, 65, 130} {
+			keep := make([]bool, cols+rng.Intn(70))
+			for kept := 0; kept < cols; {
+				if c := rng.Intn(len(keep)); !keep[c] {
+					keep[c] = true
+					kept++
+				}
+			}
+			filled := NewMatrix(rows, cols)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					filled.Row(i).Set(j, rng.Intn(2) == 1)
+				}
+			}
+			for _, c := range []struct {
+				name string
+				m    *Matrix
+			}{
+				{"random", RandomMatrix(rows, cols, rng.Uint64)},
+				{"selected", RandomMatrix(rows, len(keep), rng.Uint64).SelectColumns(keep)},
+				{"filled", filled},
+			} {
+				for trial := 0; trial < 4; trial++ {
+					x := randVec(cols, rng)
+					got := bitvec.Random(rows, rng.Uint64) // MulVecInto overwrites it
+					c.m.MulVecInto(x, got)
+					for i := 0; i < rows; i++ {
+						if got.Get(i) != c.m.Row(i).Dot(x) {
+							t.Fatalf("%s %dx%d: output bit %d differs from the row dot product", c.name, rows, cols, i)
+						}
+					}
+					if cols >= 1 && cols <= 64 && rows <= 64 {
+						if w := c.m.MulWord(x.Words()[0]); w != got.Words()[0] {
+							t.Fatalf("%s %dx%d: MulWord = %#x, MulVecInto = %#x", c.name, rows, cols, w, got.Words()[0])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSystemAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
@@ -368,8 +418,8 @@ func (s *ImageSearcher) Contains(y bitvec.BitVec) bool {
 // Rank computes the GF(2) rank.
 func (m *Matrix) Rank() int {
 	s := NewSystem(m.cols)
-	for _, r := range m.rows {
-		s.Add(r, false)
+	for i := 0; i < m.rows; i++ {
+		s.Add(m.Row(i), false)
 	}
 	return s.Rank()
 }

@@ -99,10 +99,9 @@ func DecodeLinear(r *wire.Reader) *Linear {
 		diag = bitvec.New(m + n - 1)
 		r.BitVecInto(diag)
 	} else {
-		var rows []bitvec.BitVec
-		a, rows = gf2.NewSlabMatrix(m, n)
-		for i := range rows {
-			r.BitVecInto(rows[i])
+		a = gf2.NewMatrix(m, n)
+		for i := 0; i < m; i++ {
+			r.BitVecInto(a.Row(i))
 		}
 	}
 	b := bitvec.New(m)

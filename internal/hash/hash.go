@@ -18,43 +18,28 @@ import (
 )
 
 // Func is a hash function h : {0,1}^n → {0,1}^m.
+//
+// EvalInto writes h(x) into a caller-owned output vector without
+// allocating, under package bitvec's destination-passing rules: dst must
+// have width OutBits(), is fully overwritten, must not alias x, and is
+// never retained by the hash — enumeration loops allocate it once and
+// reuse it per evaluation.
 type Func interface {
-	Eval(x bitvec.BitVec) bitvec.BitVec
+	EvalInto(x, dst bitvec.BitVec)
 	InBits() int
 	OutBits() int
 }
 
-// InPlace is implemented by hash functions that can evaluate into a
-// caller-owned output vector without allocating. The contract follows
-// package bitvec's destination-passing rules: dst must have width
-// OutBits(), is fully overwritten, must not alias x, and is never retained
-// by the hash — enumeration loops allocate it once and reuse it per
-// evaluation. Every family in this package returns functions implementing
-// InPlace.
-type InPlace interface {
-	EvalInto(x, dst bitvec.BitVec)
-}
-
 // Uint64Hash is implemented by hash functions over universes of at most 64
 // bits that evaluate integer-form inputs directly: EvalUint64(x) returns
-// the integer whose OutBits()-bit binary representation (MSB first) equals
-// Eval(bitvec.FromUint64(x, InBits())). In particular the string
-// trailing-zero count of the output vector is the binary trailing-zero
-// count of the returned integer (OutBits() for zero), which lets the
-// Estimation sketches run without touching bit vectors at all.
+// the integer whose OutBits()-bit binary representation (MSB first) is
+// the vector EvalInto writes for bitvec.FromUint64(x, InBits()). In
+// particular the string trailing-zero count of the output vector is the
+// binary trailing-zero count of the returned integer (OutBits() for
+// zero), which lets the Estimation sketches run without touching bit
+// vectors at all.
 type Uint64Hash interface {
 	EvalUint64(x uint64) uint64
-}
-
-// EvalTrailingZeros evaluates h at x and returns the trailing-zero count of
-// the output string, using scratch (caller-owned, width h.OutBits()) to
-// avoid allocation when h implements InPlace.
-func EvalTrailingZeros(h Func, x bitvec.BitVec, scratch bitvec.BitVec) int {
-	if ip, ok := h.(InPlace); ok {
-		ip.EvalInto(x, scratch)
-		return scratch.TrailingZeros()
-	}
-	return h.Eval(x).TrailingZeros()
 }
 
 // Family is a distribution over hash functions; Draw samples one using next
@@ -99,13 +84,6 @@ func (l *Linear) A() *gf2.Matrix {
 	return l.a
 }
 
-// Eval returns Ax + b.
-func (l *Linear) Eval(x bitvec.BitVec) bitvec.BitVec {
-	y := bitvec.New(l.OutBits())
-	l.EvalInto(x, y)
-	return y
-}
-
 // EvalInto computes Ax + b into dst (caller-owned, width OutBits()),
 // allocation-free. Toeplitz draws take the carry-less-multiply kernel —
 // O(n/64) word multiplies instead of m per-row dot products — and other
@@ -137,13 +115,7 @@ func (l *Linear) Equal(o *Linear) bool {
 	if l.toep != nil && o.toep != nil {
 		return slices.Equal(l.toep.dr, o.toep.dr)
 	}
-	la, oa := l.A(), o.A()
-	for i := 0; i < la.Rows(); i++ {
-		if !la.Row(i).Equal(oa.Row(i)) {
-			return false
-		}
-	}
-	return true
+	return l.A().Equal(o.A())
 }
 
 // InBits returns n.
@@ -299,11 +271,11 @@ func NewSparse(n, m int, density float64) Sparse {
 // Draw samples a function. Rows that come out empty are redrawn once with
 // a single random entry so no output bit is constant.
 func (s Sparse) Draw(next func() uint64) Func {
-	a, rows := gf2.NewSlabMatrix(s.m, s.n)
+	a := gf2.NewMatrix(s.m, s.n)
 	// Threshold for "bit set" on a uniform 64-bit draw.
 	limit := uint64(s.density * float64(^uint64(0)))
 	for i := 0; i < s.m; i++ {
-		row := rows[i]
+		row := a.Row(i)
 		for j := 0; j < s.n; j++ {
 			if next() <= limit {
 				row.Set(j, true)
@@ -374,12 +346,6 @@ type polyFunc struct {
 	n      int
 	field  *gf2poly.Field
 	coeffs []uint64
-}
-
-func (f *polyFunc) Eval(x bitvec.BitVec) bitvec.BitVec {
-	y := bitvec.New(f.n)
-	f.EvalInto(x, y)
-	return y
 }
 
 // EvalInto evaluates the polynomial into dst without allocating.

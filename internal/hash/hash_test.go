@@ -2,11 +2,13 @@ package hash
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/gf2"
+	"mcf0/internal/stats"
 	"mcf0/internal/wire"
 )
 
@@ -38,8 +40,8 @@ func TestToeplitzExactlyPairwiseIndependent(t *testing.T) {
 				if x1 == x2 {
 					continue
 				}
-				a1 := f.Eval(bitvec.FromUint64(x1, n)).Uint64()
-				a2 := f.Eval(bitvec.FromUint64(x2, n)).Uint64()
+				a1 := eval(f, bitvec.FromUint64(x1, n)).Uint64()
+				a2 := eval(f, bitvec.FromUint64(x2, n)).Uint64()
 				counts[[4]uint64{x1, x2, a1, a2}]++
 			}
 		}
@@ -80,8 +82,8 @@ func TestPolyPairwiseIndependent(t *testing.T) {
 					if x1 == x2 {
 						continue
 					}
-					a1 := f.Eval(bitvec.FromUint64(x1, n)).Uint64()
-					a2 := f.Eval(bitvec.FromUint64(x2, n)).Uint64()
+					a1 := eval(f, bitvec.FromUint64(x1, n)).Uint64()
+					a2 := eval(f, bitvec.FromUint64(x2, n)).Uint64()
 					counts[[4]uint64{x1, x2, a1, a2}]++
 				}
 			}
@@ -125,10 +127,10 @@ func TestPrefixSliceConsistency(t *testing.T) {
 	for _, fam := range []Family{NewToeplitz(10, 10), NewXor(10, 10)} {
 		f := fam.Draw(rng.Uint64).(*Linear)
 		x := bitvec.Random(10, rng.Uint64)
-		full := f.Eval(x)
+		full := eval(f, x)
 		for m := 0; m <= 10; m++ {
 			pf := f.Prefix(m)
-			if got, want := pf.Eval(x), full.Prefix(m); !got.Equal(want) {
+			if got, want := eval(pf, x), full.Prefix(m); !got.Equal(want) {
 				t.Fatalf("%s: prefix slice h_%d(x) = %v, want %v", fam.Name(), m, got, want)
 			}
 			if f.PrefixIsZero(x, m) != full.Prefix(m).IsZero() {
@@ -181,7 +183,7 @@ func TestZeroPrefixSystemMatchesEval(t *testing.T) {
 		want := map[string]bool{}
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			x := bitvec.FromUint64(v, n)
-			if f.Eval(x).Prefix(m).IsZero() {
+			if eval(f, x).Prefix(m).IsZero() {
 				want[x.Key()] = true
 			}
 		}
@@ -247,12 +249,12 @@ func TestLinearEqual(t *testing.T) {
 	// clone rebuilds h's A and b in fresh storage, with row i's bit j and
 	// b's bit k flipped when asked (−1 leaves them alone).
 	clone := func(row, col, bBit int) *Linear {
-		a, rows := gf2.NewSlabMatrix(h.A().Rows(), h.A().Cols())
-		for i := range rows {
-			rows[i].CopyFrom(h.A().Row(i))
+		a := gf2.NewMatrix(h.A().Rows(), h.A().Cols())
+		for i := 0; i < a.Rows(); i++ {
+			a.Row(i).CopyFrom(h.A().Row(i))
 		}
 		if row >= 0 {
-			rows[row].Flip(col)
+			a.Row(row).Flip(col)
 		}
 		b := h.B.Clone()
 		if bBit >= 0 {
@@ -278,6 +280,44 @@ func TestLinearEqual(t *testing.T) {
 	} {
 		if got := c.a.Equal(c.b); got != c.want {
 			t.Errorf("%s: Equal = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// eval returns f(x) in a fresh vector.
+func eval(f Func, x bitvec.BitVec) bitvec.BitVec {
+	y := bitvec.New(f.OutBits())
+	f.EvalInto(x, y)
+	return y
+}
+
+// TestDrawAllocBound bounds what a linear draw allocates beyond its
+// matrix words: at most 384 B for an H_xor(32, 32) draw and for a
+// Toeplitz(64, 192) draw whose matrix A() then builds, so the matrix
+// carries no per-row headers.
+func TestDrawAllocBound(t *testing.T) {
+	next := stats.NewRNG(17).Uint64
+	for _, c := range []struct {
+		name  string
+		words int
+		draw  func()
+	}{
+		{"xor(32, 32)", 32, func() { NewXor(32, 32).Draw(next) }},
+		{"toeplitz(64, 192) + A()", 192, func() { NewToeplitz(64, 192).Draw(next).(*Linear).A() }},
+	} {
+		const runs = 64
+		c.draw()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < runs; i++ {
+			c.draw()
+		}
+		runtime.ReadMemStats(&ms)
+		perDraw := float64(ms.TotalAlloc-before) / runs
+		t.Logf("%s: %.0f B per draw, %d B of matrix words", c.name, perDraw, 8*c.words)
+		if limit := 8*c.words + 384; perDraw > float64(limit) {
+			t.Errorf("%s: %.0f B per draw, want ≤ %d (matrix words + 384)", c.name, perDraw, limit)
 		}
 	}
 }

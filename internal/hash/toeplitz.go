@@ -79,9 +79,9 @@ func newToeplitz(n, m int, diag, b bitvec.BitVec) *Linear {
 
 // toeplitzMatrix builds the m×n matrix whose row i is diag's window at m−1−i.
 func toeplitzMatrix(n, m int, diag bitvec.BitVec) *gf2.Matrix {
-	a, rows := gf2.NewSlabMatrix(m, n)
-	for i := range rows {
-		diag.WindowInto(m-1-i, rows[i])
+	a := gf2.NewMatrix(m, n)
+	for i := 0; i < m; i++ {
+		diag.WindowInto(m-1-i, a.Row(i))
 	}
 	return a
 }
@@ -213,18 +213,14 @@ type rowsU64 struct {
 // EvalUint64 implements Uint64Hash.
 func (u *rowsU64) EvalUint64(v uint64) uint64 {
 	xw := bits.Reverse64(v) >> (64 - uint(u.a.Cols()))
-	var y uint64
-	for i, m := 0, u.a.Rows(); i < m; i++ {
-		y = y<<1 | uint64(bits.OnesCount64(u.a.Row(i).Words()[0]&xw)&1)
-	}
-	return y ^ u.bu
+	return bits.Reverse64(u.a.MulWord(xw))>>(64-uint(u.a.Rows())) ^ u.bu
 }
 
 // AsUint64Hash returns an integer-form evaluator for h when one exists: h
 // itself if it implements Uint64Hash (the polynomial family), or for a
 // *Linear with InBits, OutBits ≤ 64 its carry-less kernel or a row sweep.
 // The evaluator realizes exactly h's function (EvalUint64's integer
-// convention mirrors Eval bit for bit), so estimates never change.
+// convention mirrors EvalInto bit for bit), so estimates never change.
 func AsUint64Hash(h Func) (Uint64Hash, bool) {
 	if u, ok := h.(Uint64Hash); ok {
 		return u, true

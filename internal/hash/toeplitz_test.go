@@ -24,9 +24,9 @@ func (l *Linear) Prefix(m int) *Linear {
 	if l.toep != nil && m > 0 {
 		return &Linear{B: b, toep: l.toep.prefix(m, b)}
 	}
-	a, rows := gf2.NewSlabMatrix(m, l.InBits())
-	for i := range rows {
-		rows[i].CopyFrom(l.A().Row(i))
+	a := gf2.NewMatrix(m, l.InBits())
+	for i := 0; i < m; i++ {
+		a.Row(i).CopyFrom(l.A().Row(i))
 	}
 	return NewLinear(a, b)
 }
@@ -98,7 +98,7 @@ func TestToeplitzClmulMatchesDotRowEdges(t *testing.T) {
 					if !fast.Equal(want) {
 						t.Fatalf("EvalInto(%s) = %s, want %s", x, fast, want)
 					}
-					if got := f.Eval(x); !got.Equal(want) {
+					if got := eval(f, x); !got.Equal(want) {
 						t.Fatalf("Eval(%s) = %s, want %s", x, got, want)
 					}
 					if haveU64 {
@@ -170,7 +170,7 @@ func TestToeplitzWideDrawFallsBack(t *testing.T) {
 		t.Fatal("expected wide draw to skip the kernel")
 	}
 	x := bitvec.Random(n, rng.Uint64)
-	y := f.Eval(x)
+	y := eval(f, x)
 	for i := 0; i < m; i++ {
 		if want := f.A().Row(i).Dot(x) != f.B.Get(i); y.Get(i) != want {
 			t.Fatalf("bit %d mismatch on fallback path", i)
@@ -210,17 +210,21 @@ func TestAsUint64Hash(t *testing.T) {
 	if _, ok := AsUint64Hash(NewXor(96, 32).Draw(rng.Uint64)); ok {
 		t.Fatal("n > 64 must not claim an integer path")
 	}
-	for _, fam := range []Family{NewToeplitz(24, 24), NewXor(24, 24), NewSparse(24, 24, 0.2)} {
+	for _, fam := range []Family{
+		NewToeplitz(24, 24), NewXor(24, 24), NewSparse(24, 24, 0.2),
+		NewXor(64, 64), NewXor(1, 64), NewXor(64, 1),
+	} {
 		f := fam.Draw(rng.Uint64)
 		u, ok := AsUint64Hash(f)
 		if !ok {
 			t.Fatalf("%s: expected integer path", fam.Name())
 		}
+		n := fam.InBits()
 		for k := 0; k < 200; k++ {
-			v := rng.Uint64n(1 << 24)
-			want := f.Eval(bitvec.FromUint64(v, 24)).Uint64()
+			v := rng.Uint64() >> (64 - uint(n))
+			want := eval(f, bitvec.FromUint64(v, n)).Uint64()
 			if got := u.EvalUint64(v); got != want {
-				t.Fatalf("%s: EvalUint64(%#x) = %#x, want %#x", fam.Name(), v, got, want)
+				t.Fatalf("%s(%d, %d): EvalUint64(%#x) = %#x, want %#x", fam.Name(), n, fam.OutBits(), v, got, want)
 			}
 		}
 	}
@@ -244,7 +248,7 @@ func TestPrefixWordsMatchesEvalPrefix(t *testing.T) {
 			full := make([]bitvec.BitVec, len(xs))
 			for k, x := range xs {
 				xw[k] = x.Words()[0]
-				full[k] = f.Eval(x)
+				full[k] = eval(f, x)
 			}
 			dst, idx := make([]uint64, len(xs)), make([]int, len(xs))
 			for mp := 1; mp <= min(m, 64); mp++ {
@@ -325,9 +329,9 @@ var lazyRowShapes = []struct{ n, m int }{
 func eagerToeplitz(n, m int, seed uint64) (*gf2.Matrix, bitvec.BitVec) {
 	next := stats.NewRNG(seed).Uint64
 	diag := bitvec.Random(n+m-1, next)
-	a, rows := gf2.NewSlabMatrix(m, n)
-	for i := range rows {
-		diag.WindowInto(m-1-i, rows[i])
+	a := gf2.NewMatrix(m, n)
+	for i := 0; i < m; i++ {
+		diag.WindowInto(m-1-i, a.Row(i))
 	}
 	return a, bitvec.Random(m, next)
 }
@@ -413,9 +417,9 @@ func TestLinearEqualAcrossForms(t *testing.T) {
 		if f.toep != nil && (f.toep.rows.Load() != nil || dec.toep.rows.Load() != nil) {
 			t.Fatalf("n=%d m=%d: comparing two kernels built rows", sh.n, sh.m)
 		}
-		a, rows := gf2.NewSlabMatrix(sh.m, sh.n)
-		for i := range rows {
-			rows[i].CopyFrom(f.A().Row(i))
+		a := gf2.NewMatrix(sh.m, sh.n)
+		for i := 0; i < sh.m; i++ {
+			a.Row(i).CopyFrom(f.A().Row(i))
 		}
 		plain := NewLinear(a, f.B.Clone())
 		for _, c := range []struct {
@@ -451,7 +455,7 @@ func TestToeplitzRowsBuiltOnFirstUse(t *testing.T) {
 	dec := roundTrip(t, f)
 	x := bitvec.Random(20, rng.Uint64)
 	for _, l := range []*Linear{f, dec} {
-		y := l.Eval(x)
+		y := eval(l, x)
 		l.ZeroPrefixLen(x, y)
 		l.PrefixWords(20, ^uint64(0), x.Words(), make([]uint64, 1), make([]int, 1))
 		u, _ := AsUint64Hash(l)

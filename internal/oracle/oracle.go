@@ -34,7 +34,7 @@
 // hash-cell sweep (rows installed once behind activation selectors and
 // enabled by assumption), which is why sharing a handle across goroutines
 // is unsafe even for "read-only" queries: every query schedules solver
-// work. Scratch vectors passed to the hash helpers (EvalTrailingZeros)
+// work. Scratch vectors passed to hash evaluation (hash.Func.EvalInto)
 // are caller-owned per the bitvec destination-passing contract.
 package oracle
 
@@ -582,7 +582,8 @@ func (e *Exhaustive) MaxTrailingZeros(h hash.Func, maxT int) int {
 	} else {
 		scratch := bitvec.New(h.OutBits())
 		for _, x := range e.sols {
-			best = max(best, hash.EvalTrailingZeros(h, x, scratch))
+			h.EvalInto(x, scratch)
+			best = max(best, scratch.TrailingZeros())
 		}
 	}
 	return min(best, maxT)

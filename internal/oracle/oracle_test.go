@@ -172,9 +172,11 @@ func TestExistsTrailingZeros(t *testing.T) {
 	for _, c := range cases {
 		for _, hc := range hs {
 			maxTZ := -1
+			y := bitvec.New(hc.h.OutBits())
 			for v := uint64(0); v < 1<<uint(n); v++ {
 				if x := bitvec.FromUint64(v, n); c.eval(x) {
-					maxTZ = max(maxTZ, hc.h.Eval(x).TrailingZeros())
+					hc.h.EvalInto(x, y)
+					maxTZ = max(maxTZ, y.TrailingZeros())
 				}
 			}
 			testers := []TrailingZeroTester{NewExhaustive(n, c.eval)}

@@ -162,7 +162,8 @@ func TestAffineFindMinMatchesBruteForce(t *testing.T) {
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			x := bitvec.FromUint64(v, n)
 			if a.MulVec(x).Equal(b) {
-				y := h.Eval(x)
+				y := bitvec.New(h.OutBits())
+				h.EvalInto(x, y)
 				seen[y.Key()] = y
 			}
 		}

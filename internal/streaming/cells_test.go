@@ -65,9 +65,11 @@ func (m *cellModel) raise(level int) {
 // modelFeed applies xs to the models through each copy's own hash.
 func modelFeed(b *Bucketing, ms []*cellModel, xs []uint64) {
 	for i, c := range b.copies {
+		hv := bitvec.New(c.h.OutBits())
 		for _, x := range xs {
 			xv := bitvec.FromUint64(x, b.n)
-			ms[i].add(xv.Words()[0], c.h.Eval(xv), b.thresh)
+			c.h.EvalInto(xv, hv)
+			ms[i].add(xv.Words()[0], hv, b.thresh)
 		}
 	}
 }

@@ -128,8 +128,9 @@ func TestBucketingTerminalLevel(t *testing.T) {
 
 		c := batch.copies[0]
 		zeros := 0
+		hv := bitvec.New(c.h.OutBits())
 		for _, x := range universe {
-			if c.h.Eval(bitvec.FromUint64(x, n)).IsZero() {
+			if c.h.EvalInto(bitvec.FromUint64(x, n), hv); hv.IsZero() {
 				zeros++
 			}
 		}
@@ -186,10 +187,10 @@ func TestCloneAllocBound(t *testing.T) {
 }
 
 // TestNewEstimationAllocBound bounds what building a default 32-bit
-// Estimation sketch allocates: at most 8·s + 16 bytes per grid cell (its
+// Estimation sketch allocates: at most 8·s + 8 bytes per grid cell (its
 // s coefficient words and its one-byte trailing-zero counter, with the
-// Flajolet–Martin tracker's t draws spread over the cells), in O(t)
-// allocations, not one or more per cell.
+// Flajolet–Martin tracker's t draws, each one matrix slab, spread over the
+// cells), in O(t) allocations, not one or more per cell.
 func TestNewEstimationAllocBound(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -201,8 +202,8 @@ func TestNewEstimationAllocBound(t *testing.T) {
 	perCell := float64(bytes) / float64(len(e.s))
 	t.Logf("s = %d, %d copies of thresh %d: %.1f B per cell, %d allocations",
 		e.wise, copies, e.thresh, perCell, mallocs)
-	if perCell > float64(8*e.wise+16) {
-		t.Errorf("%.1f B per cell, want ≤ 8·s + 16 = %d", perCell, 8*e.wise+16)
+	if perCell > float64(8*e.wise+8) {
+		t.Errorf("%.1f B per cell, want ≤ 8·s + 8 = %d", perCell, 8*e.wise+8)
 	}
 	if mallocs > uint64(16*copies) {
 		t.Errorf("%d allocations for %d copies, want ≤ 16 per copy", mallocs, copies)

@@ -566,15 +566,10 @@ func NewAffineF0(n int, cfg Config) (*AffineF0, error) {
 // rows[j] (bit i ↔ variable i) and b's bit j is (rhs>>j)&1.
 func (a *AffineF0) AddAffine(rows []uint64, rhs uint64) {
 	n := a.inner.N()
-	m := gf2.NewMatrix(n)
-	for _, mask := range rows {
-		row := bitvec.New(n)
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				row.Set(i, true)
-			}
-		}
-		m.AddRow(row)
+	m := gf2.NewMatrix(len(rows), n)
+	for j, mask := range rows {
+		// Bit i of a vector's first word is its bit i: keep the low n bits.
+		m.Row(j).Words()[0] = mask & (^uint64(0) >> (64 - uint(n)))
 	}
 	b := bitvec.New(len(rows))
 	for j := range rows {
