@@ -759,15 +759,17 @@ func BenchmarkF0Ingest(b *testing.B) {
 // BenchmarkConcurrentEstimateMiss times one estimate cache miss in the
 // perfbench query shape: a 32-bit Bucketing sketch at default parameters
 // filled with 2048 random elements and restored through
-// DecodeConcurrentF0 onto 2 replicas. Each op adds 16 Zipf elements, so
-// the Estimate that follows misses the cache and replays those 16
-// elements into the kept merge target; allocs/op counts the add's share
-// too.
+// DecodeConcurrentF0 with a cap of 2 replicas. Each op adds 16 Zipf
+// elements, so the Estimate that follows misses the cache. The one
+// writer keeps the front at one replica, so the miss estimates that
+// replica directly, with no merge target; allocs/op counts the add's
+// share too. The streaming package's BenchmarkConcurrentTargetMiss times
+// the merge target's replay and merge.
 func BenchmarkConcurrentEstimateMiss(b *testing.B) { benchEstimateMiss(b, 16) }
 
 // BenchmarkConcurrentEstimateMissOverflow is BenchmarkConcurrentEstimateMiss
-// with 1024 elements per add, past the replay cap (thresh), so every miss
-// merges the written replica into the kept target in full.
+// with 1024 elements per add: the same direct estimate of the one
+// replica, after an add past the replay cap (thresh).
 func BenchmarkConcurrentEstimateMissOverflow(b *testing.B) { benchEstimateMiss(b, 1024) }
 
 func benchEstimateMiss(b *testing.B, add int) {

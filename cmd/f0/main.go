@@ -15,7 +15,7 @@
 //	-alg string     element-stream sketch: bucketing|minimum|estimation
 //	-par int        sketch-copy worker pool (0 = GOMAXPROCS, 1 = serial)
 //	-replicas int   element streams only: ingest through a lock-free
-//	                ConcurrentF0 with this many replicas fed by as many
+//	                ConcurrentF0 of at most this many replicas, fed by as many
 //	                goroutines (0 = off, -1 = GOMAXPROCS)
 //	-snapshot path  after ingesting, write the sketch's complete state
 //	                (versioned wire codec) to path

@@ -100,9 +100,9 @@ func (c *ConcurrentF0) MarshalBinary() ([]byte, error) {
 
 // DecodeConcurrentF0 restores an F0 snapshot (from F0.MarshalBinary or
 // ConcurrentF0.MarshalBinary) into a concurrent front with the given
-// replica count (≤ 0 selects GOMAXPROCS): the decoded sketch becomes
-// replica 0 and is cloned into the others, exactly as NewConcurrentF0
-// seeds a fresh front.
+// replica cap (≤ 0 selects GOMAXPROCS): the decoded sketch becomes
+// replica 0, and further replicas are built empty as concurrent writes
+// need them, exactly as in a front from NewConcurrentF0.
 func DecodeConcurrentF0(data []byte, replicas int) (*ConcurrentF0, error) {
 	// Replicas ingest serially on the claiming goroutine (see
 	// NewConcurrentF0), so the restored sketch gets parallelism 1.

@@ -20,12 +20,15 @@ func (f *F0) Merge(other *F0) error {
 }
 
 // ConcurrentF0 is a lock-free concurrent-ingestion front over an F0
-// sketch: P per-core replicas cloned from one seed sketch (same hash
-// draws), each padded onto its own cache lines, so AddBatch may be
-// called from any number of goroutines without ever serialising on a
-// shared lock — a writer claims whichever replica it can lock without
-// blocking. Estimate merges the replicas on demand and caches the answer
-// until the next write; a cached answer takes no replica lock.
+// sketch: up to P replicas sharing one seed sketch's hash draws, each
+// padded onto its own cache lines, so AddBatch may be called from any
+// number of goroutines without ever serialising on a shared lock — a
+// writer claims the lowest replica it can lock without blocking. The
+// front starts with one replica and builds another, empty, only when a
+// writer finds every built one busy with another writer, so it holds as
+// many as its writers' concurrency reached. Estimate merges the replicas
+// on demand and caches the answer until the next write; a cached answer
+// takes no replica lock.
 //
 // Because the underlying sketches are idempotent, order-insensitive
 // functions of the element set and all replicas share draws, the merged
@@ -47,8 +50,9 @@ type ConcurrentF0 struct {
 }
 
 // NewConcurrentF0 builds a concurrent F0 sketch over an nBits-bit
-// universe with the given replica count (replicas ≤ 0 selects
-// GOMAXPROCS). Each replica ingests serially on the claiming goroutine —
+// universe with the given replica cap (replicas ≤ 0 selects
+// GOMAXPROCS); it allocates one replica, and the others as concurrent
+// writers need them. Each replica ingests serially on the claiming goroutine —
 // cfg.Parallelism is forced to 1, since concurrency comes from the
 // callers' goroutines rather than a per-batch worker pool.
 func NewConcurrentF0(nBits int, alg Algorithm, cfg Config, replicas int) (*ConcurrentF0, error) {
@@ -60,7 +64,7 @@ func NewConcurrentF0(nBits int, alg Algorithm, cfg Config, replicas int) (*Concu
 	return &ConcurrentF0{nBits: nBits, front: streaming.NewConcurrent(seed.sk, replicas)}, nil
 }
 
-// Replicas returns the replica count.
+// Replicas returns the replica cap.
 func (c *ConcurrentF0) Replicas() int { return c.front.Replicas() }
 
 // Bits returns the universe width in bits.
@@ -117,10 +121,10 @@ func (c *ConcurrentF0) Err() error { return c.front.Err() }
 // panicked; its state can no longer be trusted.
 var ErrSketchFailed = streaming.ErrFailed
 
-// SketchWords returns the summed replica footprint in 64-bit words. Once
-// an estimate has missed on a sketch of two or more replicas, it also
-// counts the merge target the front keeps, so P replicas report P+1
-// copies.
+// SketchWords returns the summed footprint of the replicas built, in
+// 64-bit words. Once an estimate has missed with two or more built, it
+// also counts the merge target the front keeps, so P built replicas
+// report P+1 copies.
 func (c *ConcurrentF0) SketchWords() int { return c.front.SketchWords() }
 
 // Merge folds other's sketch state into d (same n, same seed and

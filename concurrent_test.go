@@ -51,6 +51,44 @@ func TestConcurrentF0Determinism(t *testing.T) {
 	}
 }
 
+// A ConcurrentF0 builds its replicas on demand, so creating one costs
+// about one sketch at any replica cap: the heap allocated by
+// NewConcurrentF0 at the paper defaults stays within 1.5× of the
+// one-replica figure at 2 and at 1024 (state.MaxReplicas) replicas, for
+// every algorithm.
+func TestConcurrentF0CreateMemory(t *testing.T) {
+	for _, alg := range []Algorithm{AlgorithmBucketing, AlgorithmMinimum, AlgorithmEstimation} {
+		var one uint64
+		for _, reps := range []int{1, 2, 1024} {
+			got := createBytes(t, alg, reps)
+			t.Logf("alg=%s replicas=%d: %d B at create", alg, reps, got)
+			if reps == 1 {
+				one = got
+			} else if 2*got > 3*one {
+				t.Errorf("alg=%s replicas=%d: %d B at create, more than 1.5× the %d B of one replica", alg, reps, got, one)
+			}
+		}
+	}
+}
+
+// createBytes returns the heap bytes NewConcurrentF0(32, alg, Config{},
+// reps) allocates, the least of three builds.
+func createBytes(t *testing.T, alg Algorithm, reps int) uint64 {
+	least := uint64(1<<64 - 1)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		c, err := NewConcurrentF0(32, alg, Config{}, reps)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(c)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // Concurrent producers driving one ConcurrentF0 must land on the same
 // estimate as serial ingestion (run under -race in CI).
 func TestConcurrentF0ProducersRace(t *testing.T) {

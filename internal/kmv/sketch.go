@@ -86,6 +86,11 @@ func (s *Sketch) Clone() *Sketch {
 	return out
 }
 
+// Empty returns a sketch with every set empty that shares s's hash
+// draws, so it merges with s. It reads only the draws and the shape,
+// never the sets, so it is safe while another goroutine feeds s.
+func (s *Sketch) Empty() *Sketch { return newSketch(s.n, s.thresh, s.hs) }
+
 // Merge folds o's values into s and reports true, or reports false with s
 // unchanged when the two differ in width, threshold, copy count or any
 // hash draw. Per copy the sorted value lists merge and the thresh

@@ -70,13 +70,15 @@ type SketchConfig struct {
 	Thresh     int     `json:"thresh,omitempty"`
 	Iterations int     `json:"iterations,omitempty"`
 	Seed       uint64  `json:"seed,omitempty"`
-	// Replicas sizes the lock-free concurrent front (0 = GOMAXPROCS, at
-	// most MaxReplicas).
+	// Replicas caps the lock-free concurrent front's replicas (0 =
+	// GOMAXPROCS, at most MaxReplicas); the front builds them as
+	// concurrent adds need them.
 	Replicas int `json:"replicas,omitempty"`
 }
 
 // MaxReplicas bounds SketchConfig.Replicas at create and at restore: a
-// front clones its sketch once per replica.
+// front holds up to one sketch copy per replica once concurrent adds
+// have built them.
 const MaxReplicas = 1024
 
 // checkReplicas refuses a replica count outside [0, MaxReplicas].
@@ -144,13 +146,13 @@ func (s *Sketch) Items() uint64 { return s.items.Load() }
 // Version returns the front's completed-write counter.
 func (s *Sketch) Version() uint64 { return s.front.Version() }
 
-// SketchWords returns the summed replica footprint in 64-bit words. Once
-// an estimate has missed on a sketch of two or more replicas, it also
-// counts the merge target the front keeps, so P replicas report P+1
-// copies.
+// SketchWords returns the summed footprint of the replicas built, in
+// 64-bit words. Once an estimate has missed with two or more built, it
+// also counts the merge target the front keeps, so P built replicas
+// report P+1 copies.
 func (s *Sketch) SketchWords() int { return s.front.SketchWords() }
 
-// Replicas returns the front's replica count.
+// Replicas returns the front's replica cap.
 func (s *Sketch) Replicas() int { return s.front.Replicas() }
 
 // Dirty reports whether the sketch has state no on-disk snapshot covers:

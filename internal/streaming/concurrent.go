@@ -17,14 +17,18 @@ import (
 var ErrFailed = errors.New("streaming: sketch failed")
 
 // Concurrent is a lock-free-ingestion front over any mergeable Sketch:
-// P replicas cloned from one seed (so all replicas share hash draws),
-// each padded onto its own cache lines. ProcessBatch may be called from
-// any number of goroutines concurrently — a caller claims
-// whichever replica it can TryLock first, so ingestion never serialises
-// on a shared lock. Estimate locks all replicas, brings a merge target
-// the front keeps up to date with them, and caches the answer until the
-// next write; a cached answer is served without touching any replica
-// lock.
+// up to P replicas sharing one seed's hash draws, each padded onto its
+// own cache lines. ProcessBatch may be called from any number of
+// goroutines concurrently — a caller claims the lowest replica it can
+// TryLock, so ingestion never serialises on a shared lock. Replicas are
+// built on demand: the front starts with the seed as replica 0, and a
+// writer that finds every built replica held by other writers builds the
+// next one, an empty sibling of the seed, until P exist. One writer at a
+// time therefore keeps one replica, and a front holds as many as the
+// concurrency its writers reached. Estimate locks all built replicas,
+// brings a merge target the front keeps up to date with them, and caches
+// the answer until the next write; a cached answer is served without
+// touching any replica lock.
 //
 // Because every sketch in this package is an idempotent, order-
 // insensitive function of the element set and the replicas share draws,
@@ -43,8 +47,8 @@ var ErrFailed = errors.New("streaming: sketch failed")
 // stale replicas in full, as the first miss does every replica.
 //
 // Estimate and ProcessBatch are safe to interleave freely;
-// SketchWords reports the summed footprint of the replicas, the kept
-// target and the replicas' logs.
+// SketchWords reports the summed footprint of the built replicas, the
+// kept target and the replicas' logs.
 //
 // A sketch call that panics under a lock — an absorb, a merge, a replay —
 // releases every lock it held and fails the front, and Err reports the
@@ -52,10 +56,17 @@ var ErrFailed = errors.New("streaming: sketch failed")
 // without touching a sketch: writes absorb nothing, estimates are 0 and
 // MergedClone is nil. Nothing waits on the failed replica.
 type Concurrent struct {
-	replicas []replica
-	// rr distributes writers across replicas: each acquisition starts its
-	// TryLock rotation at a different replica.
-	rr atomic.Uint64
+	// replicas has one slot per allowed replica; slots [0, built) are in
+	// use. A writer holding grow fills slot built with a replica whose
+	// lock it already holds, then bumps built, and builds the sketch
+	// after releasing grow.
+	replicas []*replica
+	built    atomic.Int32
+	// grow serialises growth and shuts it out of every path that locks
+	// replicas for reading: lockAll and SketchWords hold it while they
+	// lock, so a writer builds a replica only when every built one is
+	// held by another writer, and the built set is fixed under lockAll.
+	grow sync.Mutex
 	// version counts completed writes; it is bumped *before* the replica
 	// lock releases, so once a merge holds every lock the version it
 	// reads covers exactly the writes the merge will see. In-flight
@@ -92,7 +103,8 @@ type replicaState struct {
 // prefetcher pairs adjacent 64-byte lines).
 const replicaSpan = 128
 
-// replica pads each sketch's state onto its own cache lines. The pad is
+// replica pads each sketch's state onto its own cache lines: each is
+// allocated on its own in the replicaSpan size class. The pad is
 // computed from the real field layout — unsafe.Sizeof is a compile-time
 // constant — so it stays correct across pointer widths and future field
 // changes instead of hard-coding the 64-bit layout's 24 bytes.
@@ -101,26 +113,27 @@ type replica struct {
 	_ [(replicaSpan - unsafe.Sizeof(replicaState{})%replicaSpan) % replicaSpan]byte
 }
 
-// NewConcurrent wraps seed in a concurrent front with the given number of
-// replicas (≤ 0 selects GOMAXPROCS). The seed is absorbed as replica 0 —
-// callers must not touch it afterwards — and its current state is cloned
-// into every other replica, which is harmless for the merged answer
-// (idempotent set union) and preserves the shared hash draws Merge
-// requires.
+// NewConcurrent wraps seed in a concurrent front of at most the given
+// number of replicas (≤ 0 selects GOMAXPROCS). The seed, with whatever
+// state it holds, is absorbed as replica 0 — callers must not touch it
+// afterwards. Every later replica starts empty and shares the seed's
+// hash draws, the precondition Merge requires.
 func NewConcurrent(seed Sketch, replicas int) *Concurrent {
 	if replicas < 1 {
 		replicas = par.Workers(0)
 	}
-	c := &Concurrent{replicas: make([]replica, replicas)}
-	c.replicas[0].sk, c.replicas[0].stale = seed, true
-	for i := 1; i < replicas; i++ {
-		c.replicas[i].sk, c.replicas[i].stale = seed.Clone(), true
-	}
+	c := &Concurrent{replicas: make([]*replica, replicas)}
+	c.replicas[0] = &replica{replicaState: replicaState{sk: seed, stale: true}}
+	c.built.Store(1)
 	return c
 }
 
-// Replicas returns the replica count.
+// Replicas returns the replica cap, the count the front was built with.
 func (c *Concurrent) Replicas() int { return len(c.replicas) }
+
+// inUse returns the built replicas; while grow is held, no more are
+// built.
+func (c *Concurrent) inUse() []*replica { return c.replicas[:c.built.Load()] }
 
 // Version returns the number of completed writes (ProcessBatch calls)
 // absorbed so far. Estimate's cache is keyed on this counter, so
@@ -147,28 +160,59 @@ func (c *Concurrent) fail(p any) error {
 }
 
 // acquire claims a replica without ever blocking on a contended lock
-// while any replica is free: it rotates TryLock attempts starting from a
-// round-robin position and only yields the scheduler after a full idle
-// cycle (every replica busy). It returns nil, holding no lock, once the
+// while any replica is free: it tries the built replicas lowest first,
+// and when all are busy and no reader holds grow it adds the next slot,
+// returning it with a nil sketch for the caller to build. It yields the
+// scheduler only after a full idle cycle (every replica busy, at the cap
+// or while a reader locks). It returns nil, holding no lock, once the
 // front has failed.
 func (c *Concurrent) acquire() *replica {
-	start := c.rr.Add(1)
-	n := uint64(len(c.replicas))
 	for c.Err() == nil {
-		for k := uint64(0); k < n; k++ {
-			r := &c.replicas[(start+k)%n]
-			if !r.mu.TryLock() {
-				continue
+		r := c.tryFree()
+		if r == nil && c.grow.TryLock() {
+			// With grow held no reader holds a replica lock, so a
+			// replica still busy now is busy with another writer.
+			if r = c.tryFree(); r == nil {
+				r = c.addSlot()
 			}
-			if c.Err() != nil {
-				r.mu.Unlock()
-				return nil
-			}
-			return r
+			c.grow.Unlock()
 		}
-		runtime.Gosched()
+		if r == nil {
+			runtime.Gosched()
+			continue
+		}
+		if c.Err() != nil {
+			r.mu.Unlock()
+			return nil
+		}
+		return r
 	}
 	return nil
+}
+
+// tryFree locks and returns the lowest built replica whose lock is free,
+// or returns nil.
+func (c *Concurrent) tryFree() *replica {
+	for _, r := range c.inUse() {
+		if r.mu.TryLock() {
+			return r
+		}
+	}
+	return nil
+}
+
+// addSlot, called with grow held, puts a locked replica with no sketch
+// into the next slot and returns it, or returns nil at the cap.
+func (c *Concurrent) addSlot() *replica {
+	n := c.built.Load()
+	if int(n) == len(c.replicas) {
+		return nil
+	}
+	r := new(replica)
+	r.mu.Lock()
+	c.replicas[n] = r
+	c.built.Store(n + 1)
+	return r
 }
 
 // release publishes a completed write (invalidating the estimate cache)
@@ -178,9 +222,10 @@ func (c *Concurrent) release(r *replica) {
 	r.mu.Unlock()
 }
 
-// ProcessBatch absorbs a chunk of elements into whichever replica is
-// free; the whole chunk lands on one replica, amortising acquisition. On
-// a failed front it absorbs nothing.
+// ProcessBatch absorbs a chunk of elements into the lowest free replica,
+// building one when every built replica is busy; the whole chunk lands
+// on one replica, amortising acquisition. On a failed front it absorbs
+// nothing.
 func (c *Concurrent) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
@@ -195,6 +240,11 @@ func (c *Concurrent) ProcessBatch(xs []uint64) {
 		}
 		c.release(r)
 	}()
+	if r.sk == nil {
+		// A new slot: replica 0's draws never change, so reading them
+		// needs no lock. Stale, the next drain merges it in full.
+		r.sk, r.stale = c.replicas[0].sk.sibling(), true
+	}
 	r.sk.ProcessBatch(xs)
 	if !r.stale {
 		if len(r.log)+len(xs) <= cap(r.log) {
@@ -237,22 +287,22 @@ func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bo
 }
 
 // estimateMiss computes an estimate under every replica lock: replica
-// 0's own on a one-replica front, else the kept target's once drain has
-// brought it up to date. It returns the version read under the locks,
+// 0's own while it is the only one built, else the kept target's once
+// drain has brought it up to date. It returns the version read under the locks,
 // or the front's failure.
 func (c *Concurrent) estimateMiss() (version uint64, est float64, err error) {
 	if err := c.lockAll(); err != nil {
 		return 0, 0, err
 	}
 	defer c.unlockAll(&err)
-	if len(c.replicas) == 1 {
+	if len(c.inUse()) == 1 {
 		return c.version.Load(), c.replicas[0].sk.Estimate(), nil
 	}
 	c.drain()
 	return c.version.Load(), c.acc.Estimate(), nil
 }
 
-// MergedClone locks every replica and returns a deep copy of their merged
+// MergedClone locks every built replica and returns a deep copy of their merged
 // state — the snapshot primitive: the returned sketch shares no mutable
 // state with the front (only the immutable hash draws), so it can be
 // marshaled or inspected while ingestion continues. It always merges a
@@ -273,22 +323,22 @@ func (c *Concurrent) mergedClone() (merged Sketch, err error) {
 	}
 	defer c.unlockAll(&err)
 	merged = c.replicas[0].sk.Clone()
-	for i := 1; i < len(c.replicas); i++ {
-		merge(merged, c.replicas[i].sk)
+	for _, r := range c.inUse()[1:] {
+		merge(merged, r.sk)
 	}
 	return merged, nil
 }
 
 // drain brings the kept target, cloned from replica 0 on the first call,
 // up to date; the caller holds every replica lock. It merges each stale
-// replica, replays each non-empty log and then empties it, allocating it
-// at replayCap on the first call.
+// replica (a replica built since the last drain is one), replays each
+// non-empty log and then empties it, allocating it at replayCap on the
+// replica's first drain.
 func (c *Concurrent) drain() {
 	if c.acc == nil {
 		c.acc, c.replicas[0].stale = c.replicas[0].sk.Clone(), false
 	}
-	for i := range c.replicas {
-		r := &c.replicas[i]
+	for _, r := range c.inUse() {
 		if r.stale {
 			merge(c.acc, r.sk)
 		} else if len(r.log) > 0 {
@@ -309,12 +359,13 @@ func merge(dst, src Sketch) {
 	}
 }
 
-// lockAll takes every replica lock, or returns the front's failure
-// holding none. A caller that got the locks defers unlockAll with its
-// error result.
+// lockAll takes grow, so no replica is built meanwhile, and every built
+// replica's lock, or returns the front's failure holding none. A caller
+// that got the locks defers unlockAll with its error result.
 func (c *Concurrent) lockAll() error {
-	for i := range c.replicas {
-		c.replicas[i].mu.Lock()
+	c.grow.Lock()
+	for _, r := range c.inUse() {
+		r.mu.Lock()
 	}
 	if err := c.Err(); err != nil {
 		c.unlockAll(nil)
@@ -323,7 +374,7 @@ func (c *Concurrent) lockAll() error {
 	return nil
 }
 
-// unlockAll releases every replica lock. Deferred with a caller's error
+// unlockAll releases every lock lockAll took. Deferred with a caller's error
 // result, it first turns a panic under the locks into the front's
 // failure, so a merge or replay that panics leaves no lock held and the
 // target it may have half-updated is never read again.
@@ -333,14 +384,17 @@ func (c *Concurrent) unlockAll(err *error) {
 			*err = c.fail(p)
 		}
 	}
-	for i := range c.replicas {
-		c.replicas[i].mu.Unlock()
+	for _, r := range c.inUse() {
+		r.mu.Unlock()
 	}
+	c.grow.Unlock()
 }
 
-// SketchWords reports the summed footprint of all replicas and, once an
-// estimate has missed on a multi-replica front, of the kept merge target
-// and of each replica's log, charged at its full capacity.
+// SketchWords reports the summed footprint of the built replicas and,
+// once an estimate has missed with two or more built, of the kept merge
+// target and of each replica's log, charged at its full capacity. It
+// holds grow while it visits the replicas, so a writer it keeps waiting
+// builds no replica.
 func (c *Concurrent) SketchWords() int {
 	total := 0
 	c.estMu.Lock()
@@ -348,10 +402,14 @@ func (c *Concurrent) SketchWords() int {
 		total = c.acc.SketchWords()
 	}
 	c.estMu.Unlock()
-	for i := range c.replicas {
-		r := &c.replicas[i]
+	c.grow.Lock()
+	defer c.grow.Unlock()
+	for _, r := range c.inUse() {
 		r.mu.Lock()
-		total += r.sk.SketchWords() + cap(r.log)
+		if r.sk != nil { // nil only where a failed build failed the front
+			total += r.sk.SketchWords()
+		}
+		total += cap(r.log)
 		r.mu.Unlock()
 	}
 	return total

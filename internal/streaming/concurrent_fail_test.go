@@ -10,11 +10,13 @@ import (
 	"mcf0/internal/stats"
 )
 
-// armedBucketing is a Bucketing whose absorb panics once armed; clones
-// share the switch, so the front's kept target panics on replay too.
+// armedBucketing is a Bucketing whose absorb panics once armed, and
+// whose sibling panics once build is armed; clones and siblings share
+// both switches, so the front's kept target panics on replay and a new
+// replica on its first absorb.
 type armedBucketing struct {
 	*Bucketing
-	armed *atomic.Bool
+	armed, build *atomic.Bool
 }
 
 func (a *armedBucketing) ProcessBatch(xs []uint64) {
@@ -25,7 +27,14 @@ func (a *armedBucketing) ProcessBatch(xs []uint64) {
 }
 
 func (a *armedBucketing) Clone() Sketch {
-	return &armedBucketing{a.Bucketing.Clone().(*Bucketing), a.armed}
+	return &armedBucketing{a.Bucketing.Clone().(*Bucketing), a.armed, a.build}
+}
+
+func (a *armedBucketing) sibling() Sketch {
+	if a.build.Load() {
+		panic("injected build failure")
+	}
+	return &armedBucketing{a.Bucketing.sibling().(*Bucketing), a.armed, a.build}
 }
 
 func (a *armedBucketing) Merge(other Sketch) error {
@@ -37,28 +46,57 @@ func (a *armedBucketing) Merge(other Sketch) error {
 // MergedClone on it returns at once (from many goroutines, never
 // spinning in acquire or blocking in lockAll), Err wraps ErrFailed, and a
 // healthy front driven alongside still matches its serial reference. The
-// panic is injected in a write's absorb, and in the replay of a replica's
-// log into the kept target during an estimate miss.
+// panic is injected in a write's absorb, in the replay of a replica's
+// log into the kept target during an estimate miss, in building a new
+// replica and in a new replica's first absorb right after it is built.
+// The failing call leaves no lock held, and a failure in a new replica
+// leaves replica 0 as it was.
 func TestConcurrentFailedSketch(t *testing.T) {
 	const n = 20
 	stream := dupStream(n, 3000, stats.NewRNG(0xfa11))
-	for _, where := range []string{"absorb", "replay"} {
+	for _, where := range []string{"absorb", "replay", "build", "first-absorb"} {
 		t.Run(where, func(t *testing.T) {
-			armed := new(atomic.Bool)
-			bad := NewConcurrent(&armedBucketing{NewBucketing(n, mergeOpts(91, 1)), armed}, 2)
+			armed, build := new(atomic.Bool), new(atomic.Bool)
+			bad := NewConcurrent(&armedBucketing{NewBucketing(n, mergeOpts(91, 1)), armed, build}, 2)
 			good := NewConcurrent(NewBucketing(n, mergeOpts(92, 1)), 2)
 			serial := NewBucketing(n, mergeOpts(92, 1))
 			bad.ProcessBatch(stream[:100])
-			bad.Estimate()                    // builds the kept target: later writes are logged
-			bad.ProcessBatch(stream[100:105]) // within replayCap: logged
-			armed.Store(true)
-			if where == "absorb" {
-				bad.ProcessBatch(stream[200:300])
-			} else if est := bad.Estimate(); est != 0 {
-				t.Fatalf("estimate of the failing miss = %v, want 0", est)
+			var replica0 *Bucketing
+			switch where {
+			case "absorb", "replay":
+				writeOn(bad, 1, stream[100:150])  // builds replica 1
+				bad.Estimate()                    // builds the kept target: later writes are logged
+				bad.ProcessBatch(stream[150:155]) // within replayCap: logged
+				armed.Store(true)
+				if where == "absorb" {
+					bad.ProcessBatch(stream[200:300])
+				} else if est := bad.Estimate(); est != 0 {
+					t.Fatalf("estimate of the failing miss = %v, want 0", est)
+				}
+			case "build", "first-absorb":
+				replica0 = bad.replicas[0].sk.(*armedBucketing).Bucketing.Clone().(*Bucketing)
+				armed.Store(where == "first-absorb")
+				build.Store(where == "build")
+				writeOn(bad, 1, stream[200:300])
+				if len(bad.inUse()) != 2 {
+					t.Fatalf("the failing write built no replica")
+				}
 			}
 			if err := bad.Err(); !errors.Is(err, ErrFailed) {
 				t.Fatalf("Err() = %v, want ErrFailed", err)
+			}
+			if !bad.grow.TryLock() {
+				t.Fatal("failed front holds its growth lock")
+			}
+			bad.grow.Unlock()
+			for i, r := range bad.inUse() {
+				if !r.mu.TryLock() {
+					t.Fatalf("failed front holds replica %d's lock", i)
+				}
+				r.mu.Unlock()
+			}
+			if replica0 != nil {
+				requireBucketingEqual(t, replica0, bad.replicas[0].sk.(*armedBucketing).Bucketing)
 			}
 
 			done := make(chan struct{})

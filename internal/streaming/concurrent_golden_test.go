@@ -18,7 +18,10 @@ import (
 // concurrent front, followed by the final MergedClone's wire bytes. The
 // values were captured while every estimate miss still merged a fresh
 // clone of replica 0, so a change to how the front merges that moves an
-// estimate, a cache outcome or a snapshot byte fails here.
+// estimate, a cache outcome or a snapshot byte fails here. They were
+// also captured while the front built every replica up front and one
+// goroutine's writes rotated over them; the feed steers its writes onto
+// the replicas that rotation chose (rotating).
 var concurrentGoldenDigests = map[string]string{
 	"bucketing/replicas=1":  "d9f5ded78ae6e9212a1ec82b76d415391e1f1dcfd37701f34c969ddd7f79d789",
 	"bucketing/replicas=2":  "aa999cd077fd03e3be66094fbc50a3b9a02913c6224c62516fc0af517f5a260a",
@@ -48,13 +51,44 @@ func concurrentGoldenOpts(seed uint64) Options {
 	return Options{Thresh: 24, Iterations: 5, RNG: stats.NewRNG(seed), Parallelism: 1}
 }
 
-// concurrentGoldenFeed drives front through seeded rounds of writes
+// writeOn makes xs one write that lands on replica r of front: it holds
+// the locks of replicas [0, r), which must all be built, so the write's
+// lowest-free search passes them and takes replica r, building it when
+// r is the next slot.
+func writeOn(front *Concurrent, r int, xs []uint64) {
+	held := front.inUse()
+	if r > len(held) {
+		panic(fmt.Sprintf("writeOn: replica %d is past the %d built", r, len(held)))
+	}
+	for _, h := range held[:r] {
+		h.mu.Lock()
+	}
+	front.ProcessBatch(xs)
+	for _, h := range held[:r] {
+		h.mu.Unlock()
+	}
+}
+
+// rotating returns a writer that steers write k (counting from 1) onto
+// replica k mod P, the order in which a front that rotated its writers
+// over all P replicas placed them, so one goroutine's feed reaches every
+// replica.
+func rotating(front *Concurrent) func([]uint64) {
+	k := 0
+	return func(xs []uint64) {
+		k++
+		writeOn(front, k%front.Replicas(), xs)
+	}
+}
+
+// concurrentGoldenFeed drives a front through seeded rounds of writes
 // (one-element and larger ProcessBatch chunks drawn with replacement
 // from a pool whose live prefix grows, so batches repeat elements within
 // themselves and across rounds, and enough distinct elements arrive to
-// raise Bucketing's level), calling read zero to two times after each
-// write and wrote once per write with the elements it carried.
-func concurrentGoldenFeed(front *Concurrent, seed uint64, read func(), wrote func([]uint64)) {
+// raise Bucketing's level) made through write, calling read zero to two
+// times after each write and wrote once per write with the elements it
+// carried.
+func concurrentGoldenFeed(write func([]uint64), seed uint64, read func(), wrote func([]uint64)) {
 	rng := stats.NewRNG(seed)
 	pool := make([]uint64, 600)
 	for i := range pool {
@@ -67,7 +101,7 @@ func concurrentGoldenFeed(front *Concurrent, seed uint64, read func(), wrote fun
 		for k := range batch {
 			batch[k] = pool[rng.Uint64n(uint64(live))]
 		}
-		front.ProcessBatch(batch)
+		write(batch)
 		wrote(batch)
 		for k := rng.Uint64n(3); k > 0; k-- {
 			read()
@@ -75,32 +109,52 @@ func concurrentGoldenFeed(front *Concurrent, seed uint64, read func(), wrote fun
 	}
 }
 
+// concurrentGoldenDigest runs the golden feed through write into front
+// and returns the digest of what it read.
+func concurrentGoldenDigest(t *testing.T, name string, front *Concurrent, write func([]uint64)) string {
+	h := sha256.New()
+	var rec [17]byte
+	concurrentGoldenFeed(write, 0xc0ffee, func() {
+		est, v, cached := front.EstimateVersioned()
+		binary.LittleEndian.PutUint64(rec[:8], math.Float64bits(est))
+		binary.LittleEndian.PutUint64(rec[8:16], v)
+		rec[16] = 0
+		if cached {
+			rec[16] = 1
+		}
+		h.Write(rec[:])
+	}, func([]uint64) {})
+	merged := front.MergedClone()
+	if b, ok := merged.(*Bucketing); ok && b.MaxLevel() < 2 {
+		t.Fatalf("%s: feed left the sampling level at %d", name, b.MaxLevel())
+	}
+	h.Write(AppendSketch(nil, merged))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestConcurrentEstimateGoldenDeterminism checks the pinned digests for
-// every sketch kind at 1, 2 and 4 replicas.
+// every sketch kind at 1, 2 and 4 replicas, with the writes steered onto
+// the replicas the pinned feed used. Unsteered, one goroutine's writes
+// all take replica 0, so at 2 and 4 replicas the front builds no second
+// replica and must read exactly as the one-replica front does.
 func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
 	for _, kind := range concurrentGoldenKinds {
+		single := concurrentGoldenDigests[kind.name+"/replicas=1"]
 		for _, reps := range []int{1, 2, 4} {
 			name := fmt.Sprintf("%s/replicas=%d", kind.name, reps)
 			front := NewConcurrent(kind.mk(), reps)
-			h := sha256.New()
-			var rec [17]byte
-			concurrentGoldenFeed(front, 0xc0ffee, func() {
-				est, v, cached := front.EstimateVersioned()
-				binary.LittleEndian.PutUint64(rec[:8], math.Float64bits(est))
-				binary.LittleEndian.PutUint64(rec[8:16], v)
-				rec[16] = 0
-				if cached {
-					rec[16] = 1
-				}
-				h.Write(rec[:])
-			}, func([]uint64) {})
-			merged := front.MergedClone()
-			if b, ok := merged.(*Bucketing); ok && b.MaxLevel() < 2 {
-				t.Fatalf("%s: feed left the sampling level at %d", name, b.MaxLevel())
-			}
-			h.Write(AppendSketch(nil, merged))
-			if got, want := hex.EncodeToString(h.Sum(nil)), concurrentGoldenDigests[name]; got != want {
+			if got, want := concurrentGoldenDigest(t, name, front, rotating(front)), concurrentGoldenDigests[name]; got != want {
 				t.Errorf("%s: digest %s, want %s", name, got, want)
+			}
+			if built := len(front.inUse()); built != reps {
+				t.Errorf("%s: steered feed built %d replicas", name, built)
+			}
+			front = NewConcurrent(kind.mk(), reps)
+			if got := concurrentGoldenDigest(t, name, front, front.ProcessBatch); got != single {
+				t.Errorf("%s unsteered: digest %s, want the replicas=1 digest %s", name, got, single)
+			}
+			if built := len(front.inUse()); built != 1 {
+				t.Errorf("%s unsteered: one writer built %d replicas", name, built)
 			}
 		}
 	}
@@ -109,14 +163,15 @@ func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
 // TestConcurrentEstimateVsMergedCloneDeterminism is the front's merge
 // differential: after every write, the estimate a miss computes must be
 // bit-identical to a fresh MergedClone's estimate and to a serial sketch
-// that ingested the same elements.
+// that ingested the same elements. The writes are steered over every
+// replica.
 func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 	for _, kind := range concurrentGoldenKinds {
 		for _, reps := range []int{1, 2, 4} {
 			front := NewConcurrent(kind.mk(), reps)
 			serial := kind.mk()
 			writes := 0
-			concurrentGoldenFeed(front, 0xd1ff, func() { front.Estimate() }, func(xs []uint64) {
+			concurrentGoldenFeed(rotating(front), 0xd1ff, func() { front.Estimate() }, func(xs []uint64) {
 				writes++
 				serial.ProcessBatch(xs)
 				est, _, cached := front.EstimateVersioned()
@@ -146,8 +201,8 @@ type replayProbe struct {
 
 func probeTarget(front *Concurrent) replayProbe {
 	p := replayProbe{replayOnly: front.acc != nil, fullEst: math.NaN()}
-	for i := range front.replicas {
-		p.replayOnly = p.replayOnly && !front.replicas[i].stale
+	for _, r := range front.inUse() {
+		p.replayOnly = p.replayOnly && !r.stale
 	}
 	switch acc := front.acc.(type) {
 	case *Bucketing:
@@ -166,7 +221,9 @@ func probeTarget(front *Concurrent) replayProbe {
 }
 
 // TestConcurrentReplayDifferential drives the kept target through every
-// drain path at 2 and 4 replicas: single writes below the replay cap,
+// drain path at 2 and 4 replicas, with every write steered onto the next
+// replica in rotation after a first round that builds them all: single
+// writes below the replay cap,
 // exactly at it and past it (the stale fallback), and rounds that fill
 // every replica's log over two writes to exactly the cap or one element
 // past it. The feed's distinct elements grow well past thresh, so
@@ -189,12 +246,13 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 				pool[i] = rng.Uint64() >> (64 - concurrentGoldenBits)
 			}
 			live, writes := 0, 0
+			steer := rotating(front)
 			write := func(size int) {
 				xs := make([]uint64, size)
 				for k := range xs {
 					xs[k] = pool[rng.Uint64n(uint64(live))]
 				}
-				front.ProcessBatch(xs)
+				steer(xs)
 				serial.ProcessBatch(xs)
 				writes++
 				if got, want := front.MergedClone().Estimate(), serial.Estimate(); got != want {
@@ -235,6 +293,13 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 					}
 				}
 			}
+			// Build every replica, so that from the first miss on each
+			// one holds a log.
+			live = 20
+			for r := 0; r < reps; r++ {
+				write(1)
+			}
+			check()
 			for round := 0; round < 60; round++ {
 				live = min(len(pool), 20+40*round)
 				switch round % 5 {
@@ -249,7 +314,7 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 						t.Fatalf("%s write %d of %d elements: stale=%v, replay cap %d", name, writes, size, stale, logCap)
 					}
 				case 3, 4:
-					// Sequential writes rotate over the replicas, so each
+					// The writes rotate over the replicas, so each
 					// replica takes one write of each size before the miss,
 					// filling its log to the cap or one element past it.
 					head := max(unit/2, 1)

@@ -101,3 +101,47 @@ func BenchmarkAbsorbLayout(b *testing.B) {
 }
 
 var sinkEstimate float64
+
+// BenchmarkConcurrentTargetMiss times one estimate cache miss that goes
+// through the kept merge target, in the perfbench query shape: a 32-bit
+// default-parameter Bucketing sketch filled with 2048 random elements as
+// replica 0 of a 2-replica front, with replica 1 built by a steered
+// write. Each op steers an add onto replica 1 and then misses:
+//
+//   - replay: 16 Zipf elements, which the miss replays into the target.
+//   - overflow: 1024 Zipf elements, past the replay cap (thresh), so the
+//     miss merges replica 1 into the target in full.
+func BenchmarkConcurrentTargetMiss(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		add  int
+	}{{"replay", 16}, {"overflow", 1024}} {
+		b.Run(v.name, func(b *testing.B) {
+			const n, fill, ring = 32, 2048, 64
+			r := rand.New(rand.NewPCG(3, 4))
+			seed := NewBucketing(n, Options{RNG: stats.NewRNG(43), Parallelism: 1})
+			xs := make([]uint64, fill)
+			for i := range xs {
+				xs[i] = uint64(r.Uint32())
+			}
+			seed.ProcessBatch(xs)
+			front := NewConcurrent(seed, 2)
+			zipf := rand.NewZipf(r, 1.1, 1, 1<<20-1)
+			adds := make([][]uint64, ring)
+			for k := range adds {
+				adds[k] = make([]uint64, v.add)
+				for i := range adds[k] {
+					adds[k][i] = stats.Mix64(zipf.Uint64()) >> (64 - n)
+				}
+			}
+			writeOn(front, 1, adds[0])
+			sinkEstimate = front.Estimate()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				writeOn(front, 1, adds[i%ring])
+				sinkEstimate = front.Estimate()
+			}
+		})
+	}
+}

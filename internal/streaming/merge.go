@@ -27,9 +27,11 @@ var ErrIncompatibleSketch = errors.New("streaming: sketches are not mergeable (m
 // the clone never disturbs the original.
 //
 // The unexported methods keep the interface to this package's three
-// sketches: replayCap bounds the elements a Concurrent replica logs to
-// replay into the front's kept target instead of being merged (0: always
-// merge), and appendBinary writes the framed snapshot.
+// sketches: sibling returns an empty sketch sharing the receiver's hash
+// draws (a Concurrent front's new replica), replayCap bounds the
+// elements a Concurrent replica logs to replay into the front's kept
+// target instead of being merged (0: always merge), and appendBinary
+// writes the framed snapshot.
 type Sketch interface {
 	// ProcessBatch absorbs a chunk of stream elements, each an integer
 	// below 2^n in the sketch's n-bit universe. A chunk leaves the sketch
@@ -44,6 +46,7 @@ type Sketch interface {
 	SketchWords() int
 	Clone() Sketch
 	Merge(other Sketch) error
+	sibling() Sketch
 	replayCap() int
 	appendBinary(dst []byte) []byte
 }
@@ -78,6 +81,18 @@ func (b *Bucketing) Clone() Sketch {
 		nc.h = c.h // immutable: sharing it is the mergeability precondition
 		nc.level = c.level
 		nc.free = nc.free[:len(c.free)]
+	}
+	return out
+}
+
+// sibling returns an empty Bucketing sharing b's hash draws. It reads
+// only the draws and the shape, so it is safe while another goroutine
+// feeds b.
+func (b *Bucketing) sibling() Sketch {
+	out := newBucketing(b.n, b.thresh, len(b.copies), b.eng)
+	for i, c := range b.copies {
+		out.copies[i].h = c.h
+		out.copies[i].freeFrom(0)
 	}
 	return out
 }
@@ -118,6 +133,9 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 // Clone returns a deep copy sharing hash draws, with its own slab.
 func (m *Minimum) Clone() Sketch { return newMinimum(m.sk.Clone(), m.eng) }
 
+// sibling returns an empty Minimum sharing m's hash draws.
+func (m *Minimum) sibling() Sketch { return newMinimum(m.sk.Empty(), m.eng) }
+
 // Merge folds other's minima into m: per copy, the sorted streams of
 // distinct hash values merge and the smallest Thresh survive — exactly
 // the state one sketch ingesting both streams would hold.
@@ -134,6 +152,15 @@ func (e *Estimation) Clone() Sketch {
 	out := *e
 	out.s = slices.Clone(e.s)
 	out.fm = e.fm.clone()
+	return &out
+}
+
+// sibling returns an empty Estimation sharing e's hash grid and tracker
+// draws. It reads only those and the shape, never the counters.
+func (e *Estimation) sibling() Sketch {
+	out := *e
+	out.s = slices.Repeat([]int8{-1}, len(e.s))
+	out.fm = &fmTracker{hs: e.fm.hs, u64: e.fm.u64, max: slices.Repeat([]int{-1}, len(e.fm.max))}
 	return &out
 }
 

@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -150,6 +151,34 @@ func TestCloneIndependence(t *testing.T) {
 	requireEstimationEqual(t, e, eTwin)
 }
 
+// A sibling is the empty state of its sketch's draws: its snapshot is
+// byte-identical to a fresh same-seed sketch's, whatever the original
+// holds; it merges with the original; and feeding it leaves the
+// original untouched.
+func TestSiblingIsEmptyWithSharedDraws(t *testing.T) {
+	n := 32
+	stream := dupStream(n, 900, stats.NewRNG(0x5b1))
+	for _, kind := range concurrentGoldenKinds {
+		full := kind.mk()
+		feedChunks(full, stream)
+		before := AppendSketch(nil, full)
+		sib := full.sibling()
+		if got, want := AppendSketch(nil, sib), AppendSketch(nil, kind.mk()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: sibling snapshot differs from a fresh sketch's", kind.name)
+		}
+		feedChunks(sib, stream[:100])
+		if !bytes.Equal(AppendSketch(nil, full), before) {
+			t.Fatalf("%s: feeding the sibling changed the original", kind.name)
+		}
+		if err := sib.Merge(full); err != nil {
+			t.Fatalf("%s: sibling refuses to merge the original: %v", kind.name, err)
+		}
+		if sib.Estimate() != full.Estimate() {
+			t.Fatalf("%s: sibling ∪ original estimates %v, original %v", kind.name, sib.Estimate(), full.Estimate())
+		}
+	}
+}
+
 // Sketches with different draws, shapes, or types must refuse to merge.
 func TestMergeIncompatible(t *testing.T) {
 	n := 32
@@ -289,11 +318,13 @@ func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
 }
 
 // The kept merge target and the replicas' logs are memory the front
-// holds: SketchWords counts them from the first estimate miss on, the
-// target as one more replica's footprint and each log at its full
-// capacity, replayCap, and later misses reuse both instead of adding
-// more. A single-replica front estimates its replica directly and keeps
-// no target and no log.
+// holds. A fresh front holds the seed alone at every replica cap, and a
+// single writer's front stays at one replica that a miss estimates
+// directly, keeping no target and no log. Once writes reach every
+// replica, SketchWords counts, from the first estimate miss on, each
+// replica, the target once (its state is the replicas' merge, so it
+// holds the MergedClone's words) and each log at its full capacity,
+// replayCap; later misses reuse both instead of adding more.
 func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 	n := 32
 	stream := dupStream(n, 600, stats.NewRNG(0xf00))
@@ -306,25 +337,47 @@ func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 			seed := mk()
 			feedChunks(seed, stream)
 			one, logCap := seed.SketchWords(), seed.replayCap()
-			// Every replica starts as a clone of the filled seed, so each
-			// holds one replica's words, and so does their merge.
 			front := NewConcurrent(seed, reps)
-			if got := front.SketchWords(); got != reps*one {
-				t.Fatalf("%s replicas=%d: fresh front holds %d words, want %d", name, reps, got, reps*one)
+			if got := front.SketchWords(); got != one {
+				t.Fatalf("%s replicas=%d: fresh front holds %d words, want %d", name, reps, got, one)
 			}
-			want := (reps+1)*one + reps*logCap
-			if reps == 1 {
-				want = one
-			}
-			for miss := 0; miss < 3; miss++ {
+			for miss := 0; miss < 2; miss++ {
 				// A repeat changes no replica's state but still invalidates
 				// the cache, so the estimate below is a miss.
 				front.ProcessBatch(stream[miss*7 : miss*7+5])
 				if _, _, cached := front.EstimateVersioned(); cached {
 					t.Fatalf("%s replicas=%d: estimate after a write was a cache hit", name, reps)
 				}
+				if got := front.SketchWords(); got != one || front.acc != nil {
+					t.Fatalf("%s replicas=%d single-writer miss %d: front holds %d words (target kept: %v), want %d and none",
+						name, reps, miss, got, front.acc != nil, one)
+				}
+			}
+			var target Sketch
+			for miss := 0; miss < 3; miss++ {
+				for r := 0; r < reps; r++ {
+					writeOn(front, r, stream[100+miss*reps+r:][:5])
+				}
+				if _, _, cached := front.EstimateVersioned(); cached {
+					t.Fatalf("%s replicas=%d: estimate after a write was a cache hit", name, reps)
+				}
+				want := 0
+				for _, r := range front.inUse() {
+					want += r.sk.SketchWords()
+					if reps > 1 && cap(r.log) != logCap {
+						t.Fatalf("%s replicas=%d miss %d: log capacity %d, want %d", name, reps, miss, cap(r.log), logCap)
+					}
+				}
+				if reps > 1 {
+					want += front.MergedClone().SketchWords() + reps*logCap
+					if target == nil {
+						target = front.acc
+					} else if front.acc != target {
+						t.Fatalf("%s replicas=%d miss %d: the miss replaced the kept target", name, reps, miss)
+					}
+				}
 				if got := front.SketchWords(); got != want {
-					t.Fatalf("%s replicas=%d miss %d: front holds %d words, want %d", name, reps, miss, got, want)
+					t.Fatalf("%s replicas=%d steered miss %d: front holds %d words, want %d", name, reps, miss, got, want)
 				}
 			}
 		}
@@ -333,12 +386,14 @@ func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 
 // Race hammer: concurrent producers with interleaved Estimate calls, for
 // every sketch type, checked against serial ingestion of the same
-// element set. Run under -race in CI.
+// element set, at a replica cap below and above the producer count. A
+// front builds at most one replica per producer, and a front fed by one
+// goroutine, with estimates and footprint reads beside it, builds none
+// past replica 0. Run under -race in CI.
 func TestConcurrentHammerRace(t *testing.T) {
 	n := 32
 	producers := 8
 	perProducer := 400
-	reps := runtime.GOMAXPROCS(0)
 	streams := make([][]uint64, producers)
 	var all []uint64
 	for p := range streams {
@@ -357,35 +412,51 @@ func TestConcurrentHammerRace(t *testing.T) {
 			feed(serial, all)
 			want := serial.Estimate()
 
-			front := NewConcurrent(mk(), reps)
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(xs []uint64) {
-					defer wg.Done()
-					for i := 0; i < len(xs); i += 16 {
-						hi := min(i+16, len(xs))
-						front.ProcessBatch(xs[i:hi])
-						if i%128 == 0 {
-							front.ProcessBatch(xs[i : i+1])
-						}
+			for _, reps := range []int{runtime.GOMAXPROCS(0), 2 * producers} {
+				for _, writers := range []int{1, producers} {
+					front := NewConcurrent(mk(), reps)
+					hammer(front, streams, writers)
+					if got := front.Estimate(); got != want {
+						t.Fatalf("replicas=%d writers=%d: hammered estimate %v != serial %v", reps, writers, got, want)
 					}
-				}(streams[p])
-			}
-			// Interleave estimates (and footprint reads) with ingestion.
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for i := 0; i < 50; i++ {
-					front.Estimate()
-					front.SketchWords()
+					if built := len(front.inUse()); built > min(reps, writers) {
+						t.Fatalf("replicas=%d writers=%d: front built %d replicas", reps, writers, built)
+					}
 				}
-			}()
-			wg.Wait()
-			<-done
-			if got := front.Estimate(); got != want {
-				t.Fatalf("hammered estimate %v != serial %v", got, want)
 			}
 		})
 	}
+}
+
+// hammer feeds every stream into front, split over the given number of
+// writer goroutines, while another goroutine reads estimates and the
+// footprint.
+func hammer(front *Concurrent, streams [][]uint64, writers int) {
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for p := w; p < len(streams); p += writers {
+				xs := streams[p]
+				for i := 0; i < len(xs); i += 16 {
+					hi := min(i+16, len(xs))
+					front.ProcessBatch(xs[i:hi])
+					if i%128 == 0 {
+						front.ProcessBatch(xs[i : i+1])
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			front.Estimate()
+			front.SketchWords()
+		}
+	}()
+	wg.Wait()
+	<-done
 }
