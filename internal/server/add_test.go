@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"mcf0/internal/exact"
+	"mcf0/internal/formula"
 	"mcf0/internal/server"
 	"mcf0/internal/server/middleware"
 )
@@ -84,6 +87,101 @@ func TestOverLimitBatchMemoryBounded(t *testing.T) {
 		if allocated > bound {
 			t.Errorf("%s: a %d-byte body of %d elements allocated %d bytes, want ≤ body + 4·MaxBatch·8 + 64 KiB = %d",
 				tc.name, len(tc.body), 64*maxBatch+1, allocated, bound)
+		}
+	}
+}
+
+// TestOverSizeFormulaMemoryBounded sends a count body of many more
+// clauses than the 2^17-list limit, just under the default 8 MiB body
+// limit. What must not grow with the clause count is the decoded
+// formula: the scanner stores at most 2^20 literals and 2^17 lists, and
+// past that only checks the rest of the body, so even a malformed tail
+// is still a 400.
+func TestOverSizeFormulaMemoryBounded(t *testing.T) {
+	s, err := server.New(server.Config{
+		Tenants: []middleware.TenantConfig{{Name: testTenant, Token: testToken}},
+		Logf:    func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const head, clause = `{"kind":"cnf","n":1,"clauses":[`, `[1],`
+	body := head + strings.Repeat(clause, (8<<20-len(head)-8)/len(clause)) + `[1]]}`
+	for _, tc := range []struct {
+		name, body, code string
+		status           int
+	}{
+		{"well-formed", body, "formula_too_large", http.StatusRequestEntityTooLarge},
+		{"malformed past the limit", body[:len(body)-2] + ",]}", "bad_request", http.StatusBadRequest},
+	} {
+		r := httptest.NewRequest("POST", "/v1/count", strings.NewReader(tc.body))
+		r.Header.Set("Authorization", "Bearer "+testToken)
+		w := httptest.NewRecorder()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		h.ServeHTTP(w, r)
+		runtime.ReadMemStats(&m1)
+		if w.Code != tc.status || !strings.Contains(w.Body.String(), `"`+tc.code+`"`) {
+			t.Fatalf("%s: %d %s, want %d %s", tc.name, w.Code, w.Body, tc.status, tc.code)
+		}
+		allocated := m1.TotalAlloc - m0.TotalAlloc
+		bound := uint64(len(tc.body)) + 1<<20*8 + 1<<17*24 + 64<<10
+		if allocated > bound {
+			t.Errorf("%s: a %d-byte body of %d clauses allocated %d bytes, want ≤ body + 2^20·8 + 2^17·24 + 64 KiB = %d",
+				tc.name, len(tc.body), strings.Count(tc.body, "[1]"), allocated, bound)
+		}
+		t.Logf("%s: %d-byte body, %d bytes allocated", tc.name, len(tc.body), allocated)
+	}
+}
+
+// BenchmarkCountHandler measures the serve path of one count request —
+// body read, decode, counting, response — in process, on the perfbench
+// count shape: 25 random 3-CNF formulas of 62 clauses over 20
+// variables, kept when they have 230 to 270 models (so each count costs
+// about the same), counted with bucketing.
+func BenchmarkCountHandler(b *testing.B) {
+	s, err := server.New(server.Config{
+		Tenants: []middleware.TenantConfig{{Name: testTenant, Token: testToken}},
+		Logf:    func(string, ...any) {},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	r := rand.New(rand.NewSource(1))
+	var bodies []string
+	for len(bodies) < 25 {
+		clauses := make([][]int, 62)
+		cnf := formula.NewCNF(20)
+		for c := range clauses {
+			var lits formula.Clause
+			for range 3 {
+				v := 1 + r.Intn(20)
+				lits = append(lits, formula.Lit{Var: v - 1, Neg: r.Intn(2) == 0})
+				if lits[len(lits)-1].Neg {
+					v = -v
+				}
+				clauses[c] = append(clauses[c], v)
+			}
+			cnf.AddClause(lits)
+		}
+		if m := exact.CountCNF(cnf); m < 230 || m > 270 {
+			continue
+		}
+		body, err := json.Marshal(map[string]any{
+			"kind": "cnf", "n": 20, "clauses": clauses, "algorithm": "bucketing", "seed": r.Uint64() | 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, string(body))
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if w := serveHTTP(h, "/v1/count", bodies[i%len(bodies)]); w.Code != http.StatusOK {
+			b.Fatalf("count: %d %s", w.Code, w.Body)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package handlers
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 
@@ -11,7 +12,9 @@ import (
 
 // countReq is the body of POST /v1/count: a one-shot approximate model
 // count of a CNF (clauses) or DNF (terms) formula in the DIMACS literal
-// convention.
+// convention. scanCount decodes it by hand, its field table countFields
+// in this order; the json tags name the keys for the encoding/json
+// reference the tests hold it to.
 type countReq struct {
 	Kind       string  `json:"kind"` // "cnf" or "dnf"
 	N          int     `json:"n"`
@@ -31,8 +34,10 @@ type countReq struct {
 // Count handles POST /v1/count. Solver and oracle work is surfaced in
 // the response and accumulated into the /metrics solver counters.
 func (api *API) Count(w http.ResponseWriter, r *http.Request) {
-	var req countReq
-	if !api.decodeBody(w, r, &req) {
+	b := countBufs.Get().(*countBuf)
+	defer b.release()
+	req, ok := api.decodeCount(w, r, b)
+	if !ok {
 		return
 	}
 	kind := strings.ToLower(req.Kind)
@@ -56,23 +61,21 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 	if !validConfig(w, cfg) {
 		return
 	}
-	lists, field := req.Clauses, "clauses"
+	lists, field, over := req.Clauses, "clauses", b.clauses.over
 	if kind == "dnf" {
-		lists, field = req.Terms, "terms"
+		lists, field, over = req.Terms, "terms", b.terms.over
+	}
+	if over {
+		middleware.WriteError(w, http.StatusRequestEntityTooLarge, "formula_too_large",
+			fmt.Sprintf("formula exceeds the %d-%s / %d-literal limit", maxLists, field, maxLits))
+		return
 	}
 	if len(lists) == 0 {
 		middleware.WriteError(w, http.StatusBadRequest, "invalid_formula", fmt.Sprintf("%s must be non-empty", field))
 		return
 	}
-	lits := 0
-	for _, l := range lists {
-		lits += len(l)
-	}
-	if len(lists) > 1<<17 || lits > 1<<20 {
-		middleware.WriteError(w, http.StatusRequestEntityTooLarge, "formula_too_large",
-			fmt.Sprintf("formula exceeds the %d-%s / %d-literal limit", 1<<17, field, 1<<20))
-		return
-	}
+	// Both count functions copy the literals into their own formula, so
+	// the pooled slab can go straight in.
 	var (
 		res mcf0.CountResult
 		err error
@@ -89,6 +92,13 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 		middleware.WriteError(w, http.StatusBadRequest, "invalid_formula", err.Error())
 		return
 	}
+	if math.IsInf(res.Estimate, 0) || math.IsNaN(res.Estimate) {
+		// JSON has no infinity. Lemma 3's estimator diverges when every
+		// hash reaches the range, which only a very small thresh allows.
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config",
+			"the estimate diverged: every hash reached the range; raise thresh")
+		return
+	}
 	t := tenant(r)
 	api.Metrics.AddLabeled("f0d_count_requests_total", tenantLabel(t), 1)
 	api.Metrics.Add("f0d_oracle_queries_total", float64(res.OracleQueries))
@@ -98,18 +108,42 @@ func (api *API) Count(w http.ResponseWriter, r *http.Request) {
 	api.Metrics.Add("f0d_solver_learned_total", float64(res.Solver.Learned))
 	api.Metrics.Add("f0d_solver_deleted_total", float64(res.Solver.Deleted))
 	api.Metrics.Add("f0d_solver_restarts_total", float64(res.Solver.Restarts))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"estimate":       res.Estimate,
-		"oracle_queries": res.OracleQueries,
-		"solver": map[string]int64{
-			"decisions":      res.Solver.Decisions,
-			"propagations":   res.Solver.Propagations,
-			"conflicts":      res.Solver.Conflicts,
-			"learned":        res.Solver.Learned,
-			"deleted":        res.Solver.Deleted,
-			"restarts":       res.Solver.Restarts,
-			"learned_lits":   res.Solver.LearnedLits,
-			"minimized_lits": res.Solver.MinimizedLits,
+	writeJSON(w, http.StatusOK, countResponse(res))
+}
+
+// countResp is the count response. Its fields, like those of every
+// typed response, are in key order, the order the map it replaced
+// encoded them in.
+type countResp struct {
+	Estimate      float64    `json:"estimate"`
+	OracleQueries int64      `json:"oracle_queries"`
+	Solver        solverResp `json:"solver"`
+}
+
+func countResponse(res mcf0.CountResult) countResp {
+	return countResp{
+		Estimate:      res.Estimate,
+		OracleQueries: res.OracleQueries,
+		Solver: solverResp{
+			Conflicts:     res.Solver.Conflicts,
+			Decisions:     res.Solver.Decisions,
+			Deleted:       res.Solver.Deleted,
+			Learned:       res.Solver.Learned,
+			LearnedLits:   res.Solver.LearnedLits,
+			MinimizedLits: res.Solver.MinimizedLits,
+			Propagations:  res.Solver.Propagations,
+			Restarts:      res.Solver.Restarts,
 		},
-	})
+	}
+}
+
+type solverResp struct {
+	Conflicts     int64 `json:"conflicts"`
+	Decisions     int64 `json:"decisions"`
+	Deleted       int64 `json:"deleted"`
+	Learned       int64 `json:"learned"`
+	LearnedLits   int64 `json:"learned_lits"`
+	MinimizedLits int64 `json:"minimized_lits"`
+	Propagations  int64 `json:"propagations"`
+	Restarts      int64 `json:"restarts"`
 }

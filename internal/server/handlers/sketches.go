@@ -185,11 +185,14 @@ func (api *API) Add(w http.ResponseWriter, r *http.Request) {
 	t := tenant(r)
 	api.Metrics.AddLabeled("f0d_ingest_requests_total", tenantLabel(t), 1)
 	api.Metrics.AddLabeled("f0d_ingest_elements_total", tenantLabel(t), float64(len(xs)))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ingested": len(xs),
-		"items":    U64(sk.Items()),
-		"version":  U64(sk.Version()),
-	})
+	writeJSON(w, http.StatusOK, addResp{Ingested: len(xs), Items: U64(sk.Items()), Version: U64(sk.Version())})
+}
+
+// addResp is the add response, its fields in key order.
+type addResp struct {
+	Ingested int `json:"ingested"`
+	Items    U64 `json:"items"`
+	Version  U64 `json:"version"`
 }
 
 // Estimate handles GET /v1/sketches/{name}/estimate. The sketch's
@@ -212,12 +215,15 @@ func (api *API) Estimate(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		api.Metrics.AddLabeled("f0d_estimate_cache_hits_total", tenantLabel(t), 1)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"estimate": est,
-		"items":    U64(sk.Items()),
-		"version":  U64(version),
-		"cached":   cached,
-	})
+	writeJSON(w, http.StatusOK, estimateResp{Cached: cached, Estimate: est, Items: U64(sk.Items()), Version: U64(version)})
+}
+
+// estimateResp is the estimate response, its fields in key order.
+type estimateResp struct {
+	Cached   bool    `json:"cached"`
+	Estimate float64 `json:"estimate"`
+	Items    U64     `json:"items"`
+	Version  U64     `json:"version"`
 }
 
 // Snapshot handles POST /v1/sketches/{name}/snapshot: the complete
