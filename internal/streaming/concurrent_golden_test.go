@@ -12,26 +12,60 @@ import (
 	"mcf0/internal/stats"
 )
 
-// concurrentGoldenDigests pins, per sketch kind and replica count, the
-// SHA-256 of every (estimate bits, version, cached) triple a seeded feed
-// of interleaved writes and EstimateVersioned calls reads through the
-// concurrent front, followed by the final MergedClone's wire bytes. The
-// values were captured while every estimate miss still merged a fresh
+// frontGolden is one pinned front feed: the SHA-256 of every (estimate
+// bits, version, cached) triple its reads returned, and the SHA-256 of
+// the final MergedClone's wire bytes.
+type frontGolden struct {
+	reads, bytes string
+}
+
+// concurrentGoldenDigests pins, per sketch kind and replica count, what
+// a seeded feed of interleaved writes and EstimateVersioned calls reads
+// through the concurrent front, and the bytes of its final MergedClone.
+// The reads were captured while every estimate miss still merged a fresh
 // clone of replica 0, so a change to how the front merges that moves an
-// estimate, a cache outcome or a snapshot byte fails here. They were
-// also captured while the front built every replica up front and one
-// goroutine's writes rotated over them; the feed steers its writes onto
-// the replicas that rotation chose (rotating).
-var concurrentGoldenDigests = map[string]string{
-	"bucketing/replicas=1":  "d9f5ded78ae6e9212a1ec82b76d415391e1f1dcfd37701f34c969ddd7f79d789",
-	"bucketing/replicas=2":  "aa999cd077fd03e3be66094fbc50a3b9a02913c6224c62516fc0af517f5a260a",
-	"bucketing/replicas=4":  "4f5f06d52117554f308875474e3f17645be0285369be79ad9d17581f3d6137e5",
-	"minimum/replicas=1":    "d6b4190a5010b55fe17ef7276d000227271757cb45372913a1d97ff0c7bc936d",
-	"minimum/replicas=2":    "d6b4190a5010b55fe17ef7276d000227271757cb45372913a1d97ff0c7bc936d",
-	"minimum/replicas=4":    "d6b4190a5010b55fe17ef7276d000227271757cb45372913a1d97ff0c7bc936d",
-	"estimation/replicas=1": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
-	"estimation/replicas=2": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
-	"estimation/replicas=4": "db007338c3229439c520053f5940c660b324e40bd474ee3122eda8726b3ca83c",
+// estimate or a cache outcome fails here; the bytes are pinned apart
+// from them, so that a change to the wire layout alone re-pins bytes.
+// They were also captured while the front built every replica up front
+// and one goroutine's writes rotated over them; the feed steers its
+// writes onto the replicas that rotation chose (rotating).
+var concurrentGoldenDigests = map[string]frontGolden{
+	"bucketing/replicas=1": {
+		reads: "8025b4381e32dae08ebfec6bd431936a3fc496d10270376a5bee47bd314937ec",
+		bytes: "92698b1479aeb812b8e4dcde70d730765a2e0f416155f81ffae6b1055a4b37c7",
+	},
+	"bucketing/replicas=2": {
+		reads: "8025b4381e32dae08ebfec6bd431936a3fc496d10270376a5bee47bd314937ec",
+		bytes: "a598bece911b8d800e8f1750576d403f4471cdc69ea701a1aa96b71723e85145",
+	},
+	"bucketing/replicas=4": {
+		reads: "8025b4381e32dae08ebfec6bd431936a3fc496d10270376a5bee47bd314937ec",
+		bytes: "f2a8c21e345dd87f28b5e5c3bb278a4ad99c25093872f997804cb217e35ec56c",
+	},
+	"minimum/replicas=1": {
+		reads: "6f494317d2c4dbeede4943edc500b5c1ea56a7ad5ad051a206d664e66fa9895d",
+		bytes: "99fb6ddc84b3bb4006887a41c2a657a4b866f96499e81b5b0cab0ef2a395d8d6",
+	},
+	"minimum/replicas=2": {
+		reads: "6f494317d2c4dbeede4943edc500b5c1ea56a7ad5ad051a206d664e66fa9895d",
+		bytes: "99fb6ddc84b3bb4006887a41c2a657a4b866f96499e81b5b0cab0ef2a395d8d6",
+	},
+	"minimum/replicas=4": {
+		reads: "6f494317d2c4dbeede4943edc500b5c1ea56a7ad5ad051a206d664e66fa9895d",
+		bytes: "99fb6ddc84b3bb4006887a41c2a657a4b866f96499e81b5b0cab0ef2a395d8d6",
+	},
+	"estimation/replicas=1": {
+		reads: "3aabda68df4d848296b76e10950577121e60c45d9f4a8a5a9729b079f943d299",
+		bytes: "2b06544934dffa221bb13efa810af9d5f612c92f07bf5fd18ebf41afea70fdca",
+	},
+	"estimation/replicas=2": {
+		reads: "3aabda68df4d848296b76e10950577121e60c45d9f4a8a5a9729b079f943d299",
+		bytes: "2b06544934dffa221bb13efa810af9d5f612c92f07bf5fd18ebf41afea70fdca",
+	},
+	"estimation/replicas=4": {
+		reads: "3aabda68df4d848296b76e10950577121e60c45d9f4a8a5a9729b079f943d299",
+		bytes: "2b06544934dffa221bb13efa810af9d5f612c92f07bf5fd18ebf41afea70fdca",
+	},
 }
 
 const concurrentGoldenBits = 24
@@ -110,8 +144,8 @@ func concurrentGoldenFeed(write func([]uint64), seed uint64, read func(), wrote 
 }
 
 // concurrentGoldenDigest runs the golden feed through write into front
-// and returns the digest of what it read.
-func concurrentGoldenDigest(t *testing.T, name string, front *Concurrent, write func([]uint64)) string {
+// and returns the digests of what it read and of its final MergedClone.
+func concurrentGoldenDigest(t *testing.T, name string, front *Concurrent, write func([]uint64)) frontGolden {
 	h := sha256.New()
 	var rec [17]byte
 	concurrentGoldenFeed(write, 0xc0ffee, func() {
@@ -128,8 +162,20 @@ func concurrentGoldenDigest(t *testing.T, name string, front *Concurrent, write 
 	if b, ok := merged.(*Bucketing); ok && b.MaxLevel() < 2 {
 		t.Fatalf("%s: feed left the sampling level at %d", name, b.MaxLevel())
 	}
-	h.Write(AppendSketch(nil, merged))
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(AppendSketch(nil, merged))
+	return frontGolden{hex.EncodeToString(h.Sum(nil)), hex.EncodeToString(sum[:])}
+}
+
+// requireFrontGolden fails t where got, a feed's digests, differ from
+// want.
+func requireFrontGolden(t *testing.T, what string, got, want frontGolden) {
+	t.Helper()
+	if got.reads != want.reads {
+		t.Errorf("%s: reads digest %s, want %s", what, got.reads, want.reads)
+	}
+	if got.bytes != want.bytes {
+		t.Errorf("%s: snapshot digest %s, want %s", what, got.bytes, want.bytes)
+	}
 }
 
 // TestConcurrentEstimateGoldenDeterminism checks the pinned digests for
@@ -143,16 +189,12 @@ func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
 		for _, reps := range []int{1, 2, 4} {
 			name := fmt.Sprintf("%s/replicas=%d", kind.name, reps)
 			front := NewConcurrent(kind.mk(), reps)
-			if got, want := concurrentGoldenDigest(t, name, front, rotating(front)), concurrentGoldenDigests[name]; got != want {
-				t.Errorf("%s: digest %s, want %s", name, got, want)
-			}
+			requireFrontGolden(t, name, concurrentGoldenDigest(t, name, front, rotating(front)), concurrentGoldenDigests[name])
 			if built := len(front.inUse()); built != reps {
 				t.Errorf("%s: steered feed built %d replicas", name, built)
 			}
 			front = NewConcurrent(kind.mk(), reps)
-			if got := concurrentGoldenDigest(t, name, front, front.ProcessBatch); got != single {
-				t.Errorf("%s unsteered: digest %s, want the replicas=1 digest %s", name, got, single)
-			}
+			requireFrontGolden(t, name+" unsteered", concurrentGoldenDigest(t, name, front, front.ProcessBatch), single)
 			if built := len(front.inUse()); built != 1 {
 				t.Errorf("%s unsteered: one writer built %d replicas", name, built)
 			}
