@@ -52,13 +52,10 @@ func requireBucketingEqual(t *testing.T, a, b *Bucketing) {
 		}
 		// Cells are sets keyed by fingerprint; slot assignment is layout,
 		// not state, so compare contents through the table lookup.
-		for sa, on := range ca.occ {
-			if !on {
-				continue
-			}
-			sb, _ := cb.find(ca.keys[sa])
+		for sa, key := range ca.keys {
+			sb, _ := cb.find(key)
 			if sb < 0 || ca.hv[sa] != cb.hv[sb] {
-				t.Fatalf("copy %d: cell contents diverge at key %v", i, ca.keys[sa])
+				t.Fatalf("copy %d: cell contents diverge at key %v", i, key)
 			}
 		}
 	}

@@ -86,9 +86,9 @@ func modelMerge(dst, src []*cellModel, thresh int) {
 }
 
 // requireCellsMatch checks every copy of b against its model, and the
-// table against the slots: each occupied slot is indexed exactly once,
-// each key the model holds is found at a slot holding its hash value,
-// and no entry points at a free slot.
+// table against the slots: each of the slots [0, size) is indexed
+// exactly once, each key the model holds is found at a slot holding its
+// hash value, and no entry points past the cell.
 func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel) {
 	t.Helper()
 	for i, c := range b.copies {
@@ -97,15 +97,8 @@ func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel)
 			t.Fatalf("%s copy %d: level %d size %d, model level %d size %d",
 				what, i, c.level, c.size(), m.level, len(m.cells))
 		}
-		occupied := 0
-		for _, on := range c.occ {
-			if on {
-				occupied++
-			}
-		}
-		if occupied != c.size() {
-			t.Fatalf("%s copy %d: %d occupied and %d free of %d slots",
-				what, i, occupied, len(c.free), len(c.hv))
+		if len(c.hv) != c.size() {
+			t.Fatalf("%s copy %d: %d hash values for %d keys", what, i, len(c.hv), c.size())
 		}
 		entries := 0
 		for _, e := range c.table {
@@ -113,8 +106,8 @@ func requireCellsMatch(t *testing.T, what string, b *Bucketing, ms []*cellModel)
 				continue
 			}
 			entries++
-			if !c.occ[e-1] {
-				t.Fatalf("%s copy %d: table entry points at free slot %d", what, i, e-1)
+			if int(e) > c.size() {
+				t.Fatalf("%s copy %d: table entry points at slot %d past the %d cells", what, i, e-1, c.size())
 			}
 			if slot, _ := c.find(c.keys[e-1]); slot != e-1 {
 				t.Fatalf("%s copy %d: slot %d's key is found at slot %d", what, i, e-1, slot)

@@ -11,11 +11,14 @@
 // rows decode directly into freshly carved slab rows, so restore costs the
 // same handful of allocations as Clone.
 //
-// Canonical form: encoding is deterministic (slab-order cells, rank-order
-// minima), and decode re-packs state into the same canonical layout Clone
-// produces — so encode(decode(encode(s))) == encode(s), and a decoded
-// sketch's estimates, merges, and subsequent ingestion are bit-identical
-// to the original's (determinism invariant 6).
+// Canonical form: encoding is a function of the sketch's state alone
+// (key-order cells, rank-order minima), and every sketch's state is a
+// function of its seed, its configuration and the set of elements it
+// took in — so snapshot bytes are too, whatever the order, batching,
+// merge partition or replica layout that built them, and
+// encode(decode(encode(s))) == encode(s). A decoded sketch's estimates,
+// merges, and subsequent ingestion are bit-identical to the original's
+// (determinism invariant 6).
 package streaming
 
 import (
@@ -158,22 +161,24 @@ func readKey(r *wire.Reader, n int) uint64 {
 }
 
 // appendBinary emits n, thresh, t, then per copy the hash draw, the
-// sampling level, and the occupied cells in slab-slot order as
-// (key, hash-value-row) pairs.
+// sampling level, and the cells in ascending key order as
+// (key, hash-value-row) pairs. Key order is a function of the cell set,
+// where slot order follows the copy's history.
 func (b *Bucketing) appendBinary(dst []byte) []byte {
 	dst = wire.AppendHeader(dst, wire.KindBucketing, bucketingVersion)
 	dst = wire.AppendInt(dst, b.n)
 	dst = wire.AppendInt(dst, b.thresh)
 	dst = wire.AppendInt(dst, len(b.copies))
+	keys := make([]uint64, 0, b.thresh+1)
 	for _, c := range b.copies {
 		dst, _ = hash.AppendFunc(dst, c.h)
 		dst = wire.AppendInt(dst, c.level)
 		dst = wire.AppendInt(dst, c.size())
-		for s, on := range c.occ {
-			if !on {
-				continue
-			}
-			dst = appendKey(dst, c.keys[s])
+		keys = append(keys[:0], c.keys...)
+		slices.Sort(keys)
+		for _, key := range keys {
+			s, _ := c.find(key)
+			dst = appendKey(dst, key)
 			dst = wire.AppendBitVec(dst, bitvec.View(b.n, c.hv[s:s+1]))
 		}
 	}
@@ -214,9 +219,10 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 			r.Corrupt("bucketing copy %d hash is not a Toeplitz draw with a kernel", i)
 			return nil
 		}
-		// Re-pack the cells into slots 0..cnt−1 — the canonical layout a
-		// fresh copy ingesting the same set would hold; slot placement is
-		// invisible to estimates and merges.
+		// The cells fill slots [0, cnt) in the order they arrive, which
+		// need not be key order; slot placement is invisible to
+		// estimates, merges and the encoder.
+		c.hv, c.keys = c.hv[:cnt], c.keys[:cnt]
 		for s := 0; s < cnt; s++ {
 			key := readKey(r, n)
 			r.BitVecInto(bitvec.View(n, c.hv[s:s+1]))
@@ -233,10 +239,8 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 				return nil
 			}
 			c.keys[s] = key
-			c.occ[s] = true
 			c.table[pos] = int32(s) + 1
 		}
-		c.freeFrom(cnt)
 	}
 	return b
 }

@@ -28,13 +28,14 @@ var ErrFailed = errors.New("streaming: sketch failed")
 // concurrency its writers reached. Estimate locks all built replicas,
 // brings a merge target the front keeps up to date with them, and caches
 // the answer until the next write; a cached answer is served without
-// touching any replica lock.
+// touching any replica lock. MergedClone clones the same target.
 //
 // Because every sketch in this package is an idempotent, order-
 // insensitive function of the element set and the replicas share draws,
-// the merged state — and therefore the estimate — does not depend on
-// which replica absorbed which element: fixed-seed estimates are
-// bit-identical to a single serial sketch at every replica count.
+// the merged state — and therefore the estimate and the snapshot bytes —
+// does not depend on which replica absorbed which element: fixed-seed
+// estimates and snapshots are bit-identical to a single serial sketch's
+// at every replica count.
 //
 // The same argument lets a miss work in proportion to what changed.
 // Once the target has absorbed a replica, the replica logs by value the
@@ -80,8 +81,9 @@ type Concurrent struct {
 	cachedV  uint64
 	hasCache bool
 	// acc is the kept merge target of a multi-replica front, guarded by
-	// estMu: nil until the first estimate miss clones replica 0, then
-	// every miss drains each replica into it (under every replica lock).
+	// estMu: nil until the first estimate miss or MergedClone clones
+	// replica 0, then each of them drains every replica into it (under
+	// every replica lock).
 	acc Sketch
 
 	// failed is the front's failure, nil while it is healthy; it is set
@@ -286,29 +288,34 @@ func (c *Concurrent) EstimateVersioned() (est float64, version uint64, cached bo
 	return est, version, false
 }
 
-// estimateMiss computes an estimate under every replica lock: replica
-// 0's own while it is the only one built, else the kept target's once
-// drain has brought it up to date. It returns the version read under the locks,
-// or the front's failure.
+// estimateMiss computes the merged state's estimate under every replica
+// lock. It returns the version read under the locks, or the front's
+// failure.
 func (c *Concurrent) estimateMiss() (version uint64, est float64, err error) {
 	if err := c.lockAll(); err != nil {
 		return 0, 0, err
 	}
 	defer c.unlockAll(&err)
-	if len(c.inUse()) == 1 {
-		return c.version.Load(), c.replicas[0].sk.Estimate(), nil
-	}
-	c.drain()
-	return c.version.Load(), c.acc.Estimate(), nil
+	return c.version.Load(), c.merged().Estimate(), nil
 }
 
-// MergedClone locks every built replica and returns a deep copy of their merged
-// state — the snapshot primitive: the returned sketch shares no mutable
-// state with the front (only the immutable hash draws), so it can be
-// marshaled or inspected while ingestion continues. It always merges a
-// fresh clone of replica 0, never the kept target, so a snapshot's slot
-// order (and therefore its bytes) depends only on the replicas. A failed
-// front returns nil.
+// merged returns the union of the built replicas: replica 0 itself while
+// it is the only one built, else the kept target once drain has brought
+// it up to date. The caller holds estMu and every replica lock, and must
+// not let the result escape them.
+func (c *Concurrent) merged() Sketch {
+	if len(c.inUse()) == 1 {
+		return c.replicas[0].sk
+	}
+	c.drain()
+	return c.acc
+}
+
+// MergedClone locks every built replica and returns a deep copy of their
+// merged state — the snapshot primitive: the returned sketch shares no
+// mutable state with the front (only the immutable hash draws), so it can
+// be marshaled or inspected while ingestion continues. A failed front
+// returns nil.
 func (c *Concurrent) MergedClone() Sketch {
 	merged, err := c.mergedClone()
 	if err != nil {
@@ -317,16 +324,16 @@ func (c *Concurrent) MergedClone() Sketch {
 	return merged
 }
 
+// mergedClone clones merged under estMu, which guards the kept target,
+// and every replica lock, taken in EstimateVersioned's order.
 func (c *Concurrent) mergedClone() (merged Sketch, err error) {
+	c.estMu.Lock()
+	defer c.estMu.Unlock()
 	if err := c.lockAll(); err != nil {
 		return nil, err
 	}
 	defer c.unlockAll(&err)
-	merged = c.replicas[0].sk.Clone()
-	for _, r := range c.inUse()[1:] {
-		merge(merged, r.sk)
-	}
-	return merged, nil
+	return c.merged().Clone(), nil
 }
 
 // drain brings the kept target, cloned from replica 0 on the first call,

@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -24,23 +25,22 @@ type frontGolden struct {
 // through the concurrent front, and the bytes of its final MergedClone.
 // The reads were captured while every estimate miss still merged a fresh
 // clone of replica 0, so a change to how the front merges that moves an
-// estimate or a cache outcome fails here; the bytes are pinned apart
-// from them, so that a change to the wire layout alone re-pins bytes.
-// They were also captured while the front built every replica up front
-// and one goroutine's writes rotated over them; the feed steers its
-// writes onto the replicas that rotation chose (rotating).
+// estimate or a cache outcome fails here. The bytes are pinned apart
+// from them, and are one value per kind: snapshot bytes are a function
+// of the element set, whatever replica took each write. Bucketing's were
+// re-pinned when its encoder began to write cells in key order.
 var concurrentGoldenDigests = map[string]frontGolden{
 	"bucketing/replicas=1": {
 		reads: "8025b4381e32dae08ebfec6bd431936a3fc496d10270376a5bee47bd314937ec",
-		bytes: "92698b1479aeb812b8e4dcde70d730765a2e0f416155f81ffae6b1055a4b37c7",
+		bytes: "749167c6e47fe836d63a36a2fad0243435ee0d8396dae50bd62609cae45781ab",
 	},
 	"bucketing/replicas=2": {
 		reads: "8025b4381e32dae08ebfec6bd431936a3fc496d10270376a5bee47bd314937ec",
-		bytes: "a598bece911b8d800e8f1750576d403f4471cdc69ea701a1aa96b71723e85145",
+		bytes: "749167c6e47fe836d63a36a2fad0243435ee0d8396dae50bd62609cae45781ab",
 	},
 	"bucketing/replicas=4": {
 		reads: "8025b4381e32dae08ebfec6bd431936a3fc496d10270376a5bee47bd314937ec",
-		bytes: "f2a8c21e345dd87f28b5e5c3bb278a4ad99c25093872f997804cb217e35ec56c",
+		bytes: "749167c6e47fe836d63a36a2fad0243435ee0d8396dae50bd62609cae45781ab",
 	},
 	"minimum/replicas=1": {
 		reads: "6f494317d2c4dbeede4943edc500b5c1ea56a7ad5ad051a206d664e66fa9895d",
@@ -104,9 +104,7 @@ func writeOn(front *Concurrent, r int, xs []uint64) {
 }
 
 // rotating returns a writer that steers write k (counting from 1) onto
-// replica k mod P, the order in which a front that rotated its writers
-// over all P replicas placed them, so one goroutine's feed reaches every
-// replica.
+// replica k mod P, so one goroutine's feed reaches every replica.
 func rotating(front *Concurrent) func([]uint64) {
 	k := 0
 	return func(xs []uint64) {
@@ -202,11 +200,30 @@ func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// referenceMerge returns the union of front's built replicas, merged
+// apart from the front: a fresh clone of replica 0 with every other
+// replica merged into it. It reads neither the kept target nor any log
+// and changes neither, so the front's drain is checked against an
+// independent merge, and checking it leaves the replay path to the
+// front's own misses.
+func referenceMerge(front *Concurrent) Sketch {
+	if err := front.lockAll(); err != nil {
+		panic(err)
+	}
+	defer front.unlockAll(nil)
+	merged := front.replicas[0].sk.Clone()
+	for _, r := range front.inUse()[1:] {
+		merge(merged, r.sk)
+	}
+	return merged
+}
+
 // TestConcurrentEstimateVsMergedCloneDeterminism is the front's merge
 // differential: after every write, the estimate a miss computes must be
-// bit-identical to a fresh MergedClone's estimate and to a serial sketch
-// that ingested the same elements. The writes are steered over every
-// replica.
+// bit-identical to an independent merge of the replicas
+// (referenceMerge) and to a serial sketch that ingested the same
+// elements, and the MergedClone taken after it must hold the serial
+// sketch's snapshot bytes. The writes are steered over every replica.
 func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 	for _, kind := range concurrentGoldenKinds {
 		for _, reps := range []int{1, 2, 4} {
@@ -220,11 +237,14 @@ func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 				if cached {
 					t.Fatalf("%s replicas=%d write %d: estimate after a write was a cache hit", kind.name, reps, writes)
 				}
-				if want := front.MergedClone().Estimate(); est != want {
-					t.Fatalf("%s replicas=%d write %d: estimate %v != merged clone %v", kind.name, reps, writes, est, want)
+				if want := referenceMerge(front).Estimate(); est != want {
+					t.Fatalf("%s replicas=%d write %d: estimate %v != reference merge %v", kind.name, reps, writes, est, want)
 				}
 				if want := serial.Estimate(); est != want {
 					t.Fatalf("%s replicas=%d write %d: estimate %v != serial %v", kind.name, reps, writes, est, want)
+				}
+				if !bytes.Equal(AppendSketch(nil, front.MergedClone()), AppendSketch(nil, serial)) {
+					t.Fatalf("%s replicas=%d write %d: merged clone's snapshot differs from the serial sketch's", kind.name, reps, writes)
 				}
 			})
 		}
@@ -270,10 +290,11 @@ func probeTarget(front *Concurrent) replayProbe {
 // every replica's log over two writes to exactly the cap or one element
 // past it. The feed's distinct elements grow well past thresh, so
 // Bucketing raises levels and Minimum evicts minima in drains that only
-// replay. After every write a fresh MergedClone must match a serial
-// sketch; after every round the miss must too, bit for bit, and
-// Bucketing's target must hold the MergedClone's level and cell count
-// in every copy.
+// replay. After every write an independent merge of the replicas
+// (referenceMerge) must match a serial sketch; after every round the
+// miss must too, bit for bit, the MergedClone must hold the reference's
+// snapshot bytes, and Bucketing's target must hold the reference's level
+// and cell count in every copy.
 func TestConcurrentReplayDifferential(t *testing.T) {
 	for _, kind := range concurrentGoldenKinds {
 		for _, reps := range []int{2, 4} {
@@ -297,8 +318,8 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 				steer(xs)
 				serial.ProcessBatch(xs)
 				writes++
-				if got, want := front.MergedClone().Estimate(), serial.Estimate(); got != want {
-					t.Fatalf("%s write %d: merged clone %v != serial %v", name, writes, got, want)
+				if got, want := referenceMerge(front).Estimate(), serial.Estimate(); got != want {
+					t.Fatalf("%s write %d: reference merge %v != serial %v", name, writes, got, want)
 				}
 			}
 			var raises, evictions, staleDrains int
@@ -311,9 +332,12 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 				if cached {
 					t.Fatalf("%s write %d: estimate after a write was a cache hit", name, writes)
 				}
-				merged := front.MergedClone()
+				merged := referenceMerge(front)
 				if want := merged.Estimate(); est != want {
-					t.Fatalf("%s write %d: estimate %v != merged clone %v", name, writes, est, want)
+					t.Fatalf("%s write %d: estimate %v != reference merge %v", name, writes, est, want)
+				}
+				if !bytes.Equal(AppendSketch(nil, front.MergedClone()), AppendSketch(nil, merged)) {
+					t.Fatalf("%s write %d: merged clone's snapshot differs from the reference merge's", name, writes)
 				}
 				if want := serial.Estimate(); est != want {
 					t.Fatalf("%s write %d: estimate %v != serial %v", name, writes, est, want)

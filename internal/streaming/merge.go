@@ -73,14 +73,12 @@ func (b *Bucketing) Clone() Sketch {
 	out := newBucketing(b.n, b.thresh, len(b.copies), b.eng)
 	copy(out.hv, b.hv)
 	copy(out.keys, b.keys)
-	copy(out.occ, b.occ)
-	copy(out.free, b.free)
 	copy(out.table, b.table)
 	for i, c := range b.copies {
 		nc := out.copies[i]
 		nc.h = c.h // immutable: sharing it is the mergeability precondition
 		nc.level = c.level
-		nc.free = nc.free[:len(c.free)]
+		nc.hv, nc.keys = nc.hv[:c.size()], nc.keys[:c.size()]
 	}
 	return out
 }
@@ -92,7 +90,6 @@ func (b *Bucketing) sibling() Sketch {
 	out := newBucketing(b.n, b.thresh, len(b.copies), b.eng)
 	for i, c := range b.copies {
 		out.copies[i].h = c.h
-		out.copies[i].freeFrom(0)
 	}
 	return out
 }
@@ -121,11 +118,11 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 		c.setLevel(o.level)
 	}
 	// Level test before the membership lookup, as in absorb: c's own
-	// slots all pass c's level, so a failing value cannot be a duplicate.
+	// cells all pass c's level, so a failing value cannot be a duplicate.
 	// Inserts raise c's level, so each value meets the current one.
-	for s, on := range o.occ {
-		if on && c.admits(o.hv[s]) {
-			c.add(o.keys[s], o.hv[s], thresh)
+	for s, w := range o.hv {
+		if c.admits(w) {
+			c.add(o.keys[s], w, thresh)
 		}
 	}
 }

@@ -94,20 +94,19 @@ type Bucketing struct {
 	eng    engine
 	words  wordScratch
 	// Cell storage of every copy, one slab per field: copy i owns entries
-	// [i·(thresh+1), (i+1)·(thresh+1)) of hv, keys, occ and free, and
-	// [i·T, (i+1)·T) of table, T = tableSize(thresh+1).
+	// [i·(thresh+1), (i+1)·(thresh+1)) of hv and keys, and [i·T, (i+1)·T)
+	// of table, T = tableSize(thresh+1).
 	hv    []uint64
 	keys  []uint64
-	occ   []bool
-	free  []int32
 	table []int32
 }
 
-// bucketCopy stores its cell as a slot table over entries carved from
-// the sketch's slabs (thresh+1 slots per copy: the overflow loop runs
-// after insertion, so occupancy transiently reaches thresh+1). Each slot
-// holds a packed hash value in one word (n ≤ 64) and its key. Raising
-// the level re-filters with one linear walk over the slots.
+// bucketCopy stores its cell densely in slots [0, size) of entries
+// carved from the sketch's slabs (thresh+1 slots per copy: the overflow
+// loop runs after insertion, so the cell transiently holds thresh+1).
+// Each slot holds a packed hash value in one word (n ≤ 64) and its key;
+// hv and keys are as long as the cell. Raising the level re-filters with
+// one linear walk over the slots, compacting the survivors in place.
 //
 // Membership goes through table, an open-addressed index with linear
 // probing: each entry holds slot+1, or 0 for empty. Its length is a power
@@ -118,15 +117,12 @@ type bucketCopy struct {
 	h     *hash.Linear
 	level int
 	hv    []uint64 // packed hash values, addressed by slot
-	keys  []uint64 // packed elements; keys[slot] is valid while occ[slot]
-	occ   []bool
-	free  []int32 // stack of unoccupied slots
+	keys  []uint64 // packed elements, addressed by slot
 	table []int32
 }
 
-// size returns the number of occupied slots: the free stack always holds
-// exactly the others.
-func (c *bucketCopy) size() int { return len(c.hv) - len(c.free) }
+// size returns the number of cells.
+func (c *bucketCopy) size() int { return len(c.keys) }
 
 // probeSalt keys the cell tables' probe hash. A key is the packed
 // element, and a caller who picks the elements could otherwise pile them
@@ -140,8 +136,8 @@ var probeSalt = rand.Uint64()
 func tableSize(slots int) int { return 1 << bits.Len(uint(2*slots-1)) }
 
 // newBucketing returns a Bucketing of t copies with their cell storage
-// carved from fresh slabs. Hashes, levels and free stacks are left for
-// the caller to set.
+// carved from fresh slabs, every cell empty. Hashes and levels are left
+// for the caller to set.
 func newBucketing(n, thresh, t int, eng engine) *Bucketing {
 	slots := thresh + 1
 	tsize := tableSize(slots)
@@ -152,18 +148,14 @@ func newBucketing(n, thresh, t int, eng engine) *Bucketing {
 		copies: make([]*bucketCopy, t),
 		hv:     make([]uint64, t*slots),
 		keys:   make([]uint64, t*slots),
-		occ:    make([]bool, t*slots),
-		free:   make([]int32, t*slots),
 		table:  make([]int32, t*tsize),
 	}
 	cs := make([]bucketCopy, t)
 	for i := range cs {
 		lo, hi := i*slots, (i+1)*slots
 		cs[i] = bucketCopy{
-			hv:    b.hv[lo:hi:hi],
-			keys:  b.keys[lo:hi:hi],
-			occ:   b.occ[lo:hi:hi],
-			free:  b.free[lo:lo:hi],
+			hv:    b.hv[lo:lo:hi],
+			keys:  b.keys[lo:lo:hi],
 			table: b.table[i*tsize : (i+1)*tsize : (i+1)*tsize],
 		}
 		b.copies[i] = &cs[i]
@@ -180,18 +172,8 @@ func NewBucketing(n int, opts Options) *Bucketing {
 	b := newBucketing(n, o.Thresh, o.Iterations, newEngine(o.Parallelism, minBatchCheap))
 	for _, c := range b.copies {
 		c.h = fam.Draw(o.RNG.Uint64).(*hash.Linear)
-		c.freeFrom(0)
 	}
 	return b
-}
-
-// freeFrom resets the free stack to slots len(hv)−1 down to first, so
-// the lowest of them is taken first.
-func (c *bucketCopy) freeFrom(first int) {
-	c.free = c.free[:0]
-	for s := len(c.hv) - 1; s >= first; s-- {
-		c.free = append(c.free, int32(s))
-	}
 }
 
 // probeHome returns key's first probe position in a table of mask+1
@@ -238,8 +220,8 @@ func hasKernel(h *hash.Linear, mp int) bool {
 
 // absorbBatch runs lines 3–11 of Algorithm 3 for one copy over a batch,
 // in the order hash → level test → membership. Filtering first is exact:
-// every occupied slot passes the current level's test (add admits
-// only such values and setLevel evicts the rest), so an element that
+// every cell passes the current level's test (add admits only such
+// values and setLevel evicts the rest), so an element that
 // fails it cannot be in the cell and is a no-op either way — and the
 // membership lookup runs only for the 2^-level survivors.
 //
@@ -274,8 +256,8 @@ func (c *bucketCopy) admits(w uint64) bool {
 
 // add places an already-evaluated packed hash value w into the cell
 // unless its key is already there (the storing half of lines 5–11 of
-// Algorithm 3): take a free slot, index it where find's probe for the key
-// ended, and raise the level until the cell fits again. Shared by
+// Algorithm 3): append it as slot size, index it where find's probe for
+// the key ended, and raise the level until the cell fits again. Shared by
 // ingestion (absorbBatch) and Merge; callers have already passed the
 // value through admits.
 func (c *bucketCopy) add(key, w uint64, thresh int) {
@@ -283,35 +265,33 @@ func (c *bucketCopy) add(key, w uint64, thresh int) {
 	if found >= 0 {
 		return
 	}
-	slot := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	c.hv[slot] = w
-	c.keys[slot] = key
-	c.occ[slot] = true
-	c.table[pos] = slot + 1
+	c.table[pos] = int32(len(c.keys)) + 1
+	c.hv = append(c.hv, w)
+	c.keys = append(c.keys, key)
 	for c.size() > thresh {
 		c.setLevel(c.level + 1)
 	}
 }
 
 // setLevel raises the sampling level and evicts the hash values it no
-// longer admits (all of them at the terminal level n+1), scanning the
-// slots in slab order, then rebuilds the table from the survivors.
+// longer admits (all of them at the terminal level n+1): one walk over
+// the slots moves each survivor down to the next free slot, keeping
+// their order, and rebuilds the table from them.
 func (c *bucketCopy) setLevel(level int) {
 	c.level = level
 	clear(c.table)
+	kept := 0
 	for s, w := range c.hv {
-		if !c.occ[s] {
-			continue
-		}
 		if !c.admits(w) {
-			c.occ[s] = false
-			c.free = append(c.free, int32(s))
 			continue
 		}
-		_, pos := c.find(c.keys[s])
-		c.table[pos] = int32(s) + 1
+		key := c.keys[s]
+		_, pos := c.find(key)
+		c.table[pos] = int32(kept) + 1
+		c.hv[kept], c.keys[kept] = w, key
+		kept++
 	}
+	c.hv, c.keys = c.hv[:kept], c.keys[:kept]
 }
 
 // ProcessBatch absorbs a chunk of elements (lines 3–11 of Algorithm 3),
