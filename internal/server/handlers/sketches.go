@@ -3,6 +3,7 @@ package handlers
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -208,6 +209,13 @@ func (api *API) Estimate(w http.ResponseWriter, r *http.Request) {
 	est, version, cached := sk.Estimate()
 	if err := sk.Err(); err != nil {
 		sketchFailed(w, err)
+		return
+	}
+	if math.IsInf(est, 0) || math.IsNaN(est) {
+		// JSON has no infinity; the count route answers the same cause
+		// the same way.
+		middleware.WriteError(w, http.StatusBadRequest, "invalid_config",
+			"the estimate diverged: every hash reached the range; create the sketch with a larger thresh")
 		return
 	}
 	t := tenant(r)

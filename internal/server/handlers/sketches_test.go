@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"mcf0"
 	"mcf0/internal/params"
 	"mcf0/internal/server/middleware"
+	"mcf0/internal/server/state"
 )
 
 // serve runs one authenticated request through handler h on route.
@@ -64,6 +66,46 @@ func TestCreateDocumented(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("documented request returns\n%s\nbut docs/API.md shows\n%s", rec.Body, resp[1])
+	}
+}
+
+// TestEstimateDivergedIsInvalidConfig drives a thresh-1 estimation
+// sketch until Lemma 3's estimator diverges: the estimate route must
+// answer that +Inf, which JSON cannot carry, with the count route's 400
+// invalid_config, and a finite estimate before it with a 200.
+func TestEstimateDivergedIsInvalidConfig(t *testing.T) {
+	route := newAddRoute(t)
+	sk, err := route.reg.Create("t", "tiny", state.SketchConfig{Bits: 16, Algorithm: "estimation", Thresh: 1, Iterations: 1, Replicas: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := &API{Registry: route.reg, Metrics: route.met}
+	estimate := func() *httptest.ResponseRecorder {
+		return route.serve(api.Estimate, "GET", "/v1/sketches/tiny/estimate", "tiny", nil)
+	}
+	sk.AddBatch([]uint64{1})
+	if est, _, _ := sk.Estimate(); math.IsInf(est, 0) {
+		t.Fatal("one element already diverges: case lost its finite half")
+	}
+	if rec := estimate(); rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+		t.Fatalf("finite estimate: %d %q, want 200 and a JSON body", rec.Code, rec.Body)
+	}
+	for x := uint64(0); x < 1<<16; x += 64 {
+		xs := make([]uint64, 64)
+		for i := range xs {
+			xs[i] = x + uint64(i)
+		}
+		sk.AddBatch(xs)
+		if est, _, _ := sk.Estimate(); math.IsInf(est, 1) {
+			break
+		}
+	}
+	if est, _, _ := sk.Estimate(); !math.IsInf(est, 1) {
+		t.Fatalf("the whole universe left the estimate at %v, want +Inf", est)
+	}
+	rec := estimate()
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"invalid_config"`) {
+		t.Fatalf("diverged estimate: %d %q, want 400 invalid_config", rec.Code, rec.Body)
 	}
 }
 

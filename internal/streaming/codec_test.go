@@ -3,6 +3,7 @@ package streaming
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -61,6 +62,116 @@ func TestCodecRoundTripDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSnapshotBytesElementSetDeterminism checks invariant 6's
+// element-set clause: for every sketch kind, snapshot bytes are a
+// function of (seed, config, element set). One ProcessBatch of the
+// whole stream is the reference; one-element adds in reverse, other
+// chunkings, parallelism 2, merges of interleaved partitions in either
+// order, a concurrent front whose writes are steered over 1, 2 and 4
+// replicas, and a decode of a Bucketing snapshot whose cells are
+// shuffled must all write its bytes.
+func TestSnapshotBytesElementSetDeterminism(t *testing.T) {
+	const n = 32
+	stream := dupStream(n, 3000, stats.NewRNG(0x5e7))
+	for _, name := range []string{"bucketing", "minimum", "estimation"} {
+		mk := func(par int) Sketch {
+			sketches, _ := codecSketches(n, par)
+			return sketches[name]
+		}
+		ref := mk(1)
+		ref.ProcessBatch(stream)
+		want := AppendSketch(nil, ref)
+		check := func(what string, s Sketch) {
+			t.Helper()
+			if !bytes.Equal(AppendSketch(nil, s), want) {
+				t.Errorf("%s %s: snapshot bytes differ from the whole-stream batch's", name, what)
+			}
+		}
+
+		rev := mk(1)
+		for i := len(stream) - 1; i >= 0; i-- {
+			rev.ProcessBatch(stream[i : i+1])
+		}
+		check("reverse one-element adds", rev)
+		for _, size := range []int{7, 256, 1000} {
+			s := mk(1)
+			for lo := 0; lo < len(stream); lo += size {
+				s.ProcessBatch(stream[lo:min(lo+size, len(stream))])
+			}
+			check(fmt.Sprintf("chunks of %d", size), s)
+		}
+		par := mk(2)
+		feedChunks(par, stream)
+		check("parallelism 2", par)
+
+		for _, k := range []int{2, 3} {
+			parts := make([]Sketch, k)
+			for p := range parts {
+				parts[p] = mk(1)
+				for i := p; i < len(stream); i += k {
+					parts[p].ProcessBatch(stream[i : i+1])
+				}
+			}
+			fwd, back := parts[0].Clone(), parts[k-1].Clone()
+			for p := 1; p < k; p++ {
+				merge(fwd, parts[p])
+				merge(back, parts[k-1-p])
+			}
+			check(fmt.Sprintf("merge of %d partitions", k), fwd)
+			check(fmt.Sprintf("reverse merge of %d partitions", k), back)
+		}
+
+		for _, reps := range []int{1, 2, 4} {
+			front := NewConcurrent(mk(1), reps)
+			steer := rotating(front)
+			for lo := 0; lo < len(stream); lo += 100 {
+				steer(stream[lo:min(lo+100, len(stream))])
+			}
+			check(fmt.Sprintf("front of %d replicas", reps), front.MergedClone())
+		}
+	}
+
+	b := NewBucketing(n, mergeOpts(71, 1))
+	b.ProcessBatch(stream)
+	want := AppendSketch(nil, b)
+	blob := shuffledBucketing(b, stats.NewRNG(0x5e8))
+	if bytes.Equal(blob, want) {
+		t.Fatal("shuffling left every copy's cells in key order: case lost its point")
+	}
+	dec, err := DecodeSketch(blob, 1)
+	if err != nil {
+		t.Fatalf("shuffled bucketing cells: %v", err)
+	}
+	if !bytes.Equal(AppendSketch(nil, dec), want) {
+		t.Error("bucketing decoded from shuffled cells: snapshot bytes differ from the sketch's")
+	}
+}
+
+// shuffledBucketing hand-builds b's snapshot with each copy's cells in a
+// seeded random order, as a decoder must accept them: no encoder writes
+// cells out of key order, but snapshots written before key order was
+// canonical hold them in slot order.
+func shuffledBucketing(b *Bucketing, rng *stats.RNG) []byte {
+	blob := wire.AppendHeader(nil, wire.KindBucketing, bucketingVersion)
+	for _, v := range []int{b.n, b.thresh, len(b.copies)} {
+		blob = wire.AppendInt(blob, v)
+	}
+	for _, c := range b.copies {
+		blob, _ = hash.AppendFunc(blob, c.h)
+		blob = wire.AppendInt(wire.AppendInt(blob, c.level), c.size())
+		order := make([]int, c.size())
+		for i := range order {
+			j := int(rng.Uint64n(uint64(i + 1)))
+			order[i], order[j] = order[j], i
+		}
+		for _, s := range order {
+			blob = appendKey(blob, c.keys[s])
+			blob = wire.AppendBitVec(blob, bitvec.View(b.n, c.hv[s:s+1]))
+		}
+	}
+	return blob
 }
 
 // Cross-wire merge differential: marshal→unmarshal→Merge must produce the
@@ -396,8 +507,9 @@ func TestWordBound(t *testing.T) {
 
 // FuzzUnmarshalSketch drives DecodeSketch with corrupt, truncated, and
 // bit-flipped snapshots: it must return typed errors, never panic, and any
-// accepted input must re-encode canonically, answer Estimate, ingest
-// elements of its width and merge a clone of itself.
+// accepted input must re-encode canonically (the re-encoding decodes and
+// encodes to itself), answer Estimate, ingest elements of its width and
+// merge a clone of itself.
 func FuzzUnmarshalSketch(f *testing.F) {
 	n := 16
 	stream := dupStream(n, 120, stats.NewRNG(0xf022))
@@ -412,6 +524,7 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	f.Add([]byte{'F', '0', wire.KindBucketing, 1})
 	rng := stats.NewRNG(0xf023)
 	f.Add(handEstimation(8, polyBlob(8, 2, rng), hash.NewXor(80, 80).Draw(rng.Uint64)))
+	f.Add(shuffledBucketing(sketches["bucketing"].(*Bucketing), stats.NewRNG(0xf024)))
 	f.Add(handKeys(16, 1<<15, 0))
 	f.Add(handKeys(16, 1<<16, 0))
 	f.Add(handGrid(8, 2, 1, []uint64{1, 2}, []uint64{3, 4, 5}))
@@ -437,6 +550,9 @@ func FuzzUnmarshalSketch(f *testing.F) {
 		}
 		if dec2.Estimate() != s.Estimate() {
 			t.Fatal("re-decoded estimate diverges")
+		}
+		if !bytes.Equal(AppendSketch(nil, dec2), reblob) {
+			t.Fatal("encoding is not a fixed point: encode(decode(reblob)) != reblob")
 		}
 		mask := ^uint64(0) >> (64 - SketchBits(s))
 		s.ProcessBatch([]uint64{0, 1, 0x9e3779b97f4a7c15 & mask, mask, 1})

@@ -384,12 +384,14 @@ func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 	}
 }
 
-// Race hammer: concurrent producers with interleaved Estimate calls, for
-// every sketch type, checked against serial ingestion of the same
-// element set, at a replica cap below and above the producer count. A
-// front builds at most one replica per producer, and a front fed by one
-// goroutine, with estimates and footprint reads beside it, builds none
-// past replica 0. Run under -race in CI.
+// Race hammer: concurrent producers with interleaved Estimate and
+// MergedClone calls, for every sketch type, checked against serial
+// ingestion of the same element set, at a replica cap below and above
+// the producer count: the final estimate and the final MergedClone's
+// snapshot bytes must be the serial sketch's. A front builds at most one
+// replica per producer, and a front fed by one goroutine, with
+// estimates, snapshots and footprint reads beside it, builds none past
+// replica 0. Run under -race in CI.
 func TestConcurrentHammerRace(t *testing.T) {
 	n := 32
 	producers := 8
@@ -410,7 +412,7 @@ func TestConcurrentHammerRace(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			serial := mk()
 			feed(serial, all)
-			want := serial.Estimate()
+			want, wantBytes := serial.Estimate(), AppendSketch(nil, serial)
 
 			for _, reps := range []int{runtime.GOMAXPROCS(0), 2 * producers} {
 				for _, writers := range []int{1, producers} {
@@ -418,6 +420,9 @@ func TestConcurrentHammerRace(t *testing.T) {
 					hammer(front, streams, writers)
 					if got := front.Estimate(); got != want {
 						t.Fatalf("replicas=%d writers=%d: hammered estimate %v != serial %v", reps, writers, got, want)
+					}
+					if !bytes.Equal(AppendSketch(nil, front.MergedClone()), wantBytes) {
+						t.Fatalf("replicas=%d writers=%d: hammered snapshot differs from the serial sketch's", reps, writers)
 					}
 					if built := len(front.inUse()); built > min(reps, writers) {
 						t.Fatalf("replicas=%d writers=%d: front built %d replicas", reps, writers, built)
@@ -429,8 +434,8 @@ func TestConcurrentHammerRace(t *testing.T) {
 }
 
 // hammer feeds every stream into front, split over the given number of
-// writer goroutines, while another goroutine reads estimates and the
-// footprint.
+// writer goroutines, while another goroutine reads estimates, snapshots
+// and the footprint.
 func hammer(front *Concurrent, streams [][]uint64, writers int) {
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -454,6 +459,7 @@ func hammer(front *Concurrent, streams [][]uint64, writers int) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			front.Estimate()
+			front.MergedClone()
 			front.SketchWords()
 		}
 	}()
