@@ -31,7 +31,9 @@ const (
 // ---- F0 ----
 
 // MarshalBinary snapshots the sketch: universe width plus the complete
-// framed state of the underlying streaming sketch.
+// framed state of the underlying streaming sketch. The bytes depend only
+// on the Config and the set of elements added, not on their order or
+// batching.
 func (f *F0) MarshalBinary() ([]byte, error) {
 	dst := wire.AppendHeader(nil, wire.KindF0, f0Version)
 	return streaming.AppendSketch(wire.AppendInt(dst, f.nBits), f.sk), nil
@@ -88,8 +90,9 @@ func (c *ConcurrentF0) Snapshot() *F0 {
 }
 
 // MarshalBinary snapshots the merged replica state as an F0 message —
-// crash recovery for the concurrent front rides the same wire format. A
-// failed sketch returns its failure (ErrSketchFailed).
+// crash recovery for the concurrent front rides the same wire format —
+// byte-identical to an F0's of the same Config and element set, at any
+// replica count. A failed sketch returns its failure (ErrSketchFailed).
 func (c *ConcurrentF0) MarshalBinary() ([]byte, error) {
 	f := c.Snapshot()
 	if f == nil {

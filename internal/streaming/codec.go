@@ -11,11 +11,9 @@
 // rows decode directly into freshly carved slab rows, so restore costs the
 // same handful of allocations as Clone.
 //
-// Canonical form: encoding is a function of the sketch's state alone
-// (key-order cells, rank-order minima), and every sketch's state is a
-// function of its seed, its configuration and the set of elements it
-// took in — so snapshot bytes are too, whatever the order, batching,
-// merge partition or replica layout that built them, and
+// Canonical form: encoding is a function of the state alone (key-order
+// cells, rank-order minima), and every sketch's state is a function of
+// (seed, config, element set), so snapshot bytes are too, and
 // encode(decode(encode(s))) == encode(s). A decoded sketch's estimates,
 // merges, and subsequent ingestion are bit-identical to the original's
 // (determinism invariant 6).
@@ -161,9 +159,8 @@ func readKey(r *wire.Reader, n int) uint64 {
 }
 
 // appendBinary emits n, thresh, t, then per copy the hash draw, the
-// sampling level, and the cells in ascending key order as
-// (key, hash-value-row) pairs. Key order is a function of the cell set,
-// where slot order follows the copy's history.
+// sampling level, and the cells in ascending key order (slot order
+// follows the copy's history) as (key, hash-value-row) pairs.
 func (b *Bucketing) appendBinary(dst []byte) []byte {
 	dst = wire.AppendHeader(dst, wire.KindBucketing, bucketingVersion)
 	dst = wire.AppendInt(dst, b.n)
@@ -219,9 +216,8 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 			r.Corrupt("bucketing copy %d hash is not a Toeplitz draw with a kernel", i)
 			return nil
 		}
-		// The cells fill slots [0, cnt) in the order they arrive, which
-		// need not be key order; slot placement is invisible to
-		// estimates, merges and the encoder.
+		// Cells fill slots [0, cnt) in arrival order, which need not be
+		// key order: slot placement reaches no estimate, merge or byte.
 		c.hv, c.keys = c.hv[:cnt], c.keys[:cnt]
 		for s := 0; s < cnt; s++ {
 			key := readKey(r, n)

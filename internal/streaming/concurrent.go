@@ -317,10 +317,7 @@ func (c *Concurrent) merged() Sketch {
 // be marshaled or inspected while ingestion continues. A failed front
 // returns nil.
 func (c *Concurrent) MergedClone() Sketch {
-	merged, err := c.mergedClone()
-	if err != nil {
-		return nil
-	}
+	merged, _ := c.mergedClone() // nil whenever it fails
 	return merged
 }
 
