@@ -395,8 +395,9 @@ func (c *Concurrent) unlockAll(err *error) {
 }
 
 // SketchWords reports the summed footprint of the built replicas and,
-// once an estimate has missed with two or more built, of the kept merge
-// target and of each replica's log, charged at its full capacity. It
+// once an estimate has missed or a MergedClone run with two or more
+// built, of the kept merge target and of each replica's log, charged at
+// its full capacity. It
 // holds grow while it visits the replicas, so a writer it keeps waiting
 // builds no replica.
 func (c *Concurrent) SketchWords() int {
