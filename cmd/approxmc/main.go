@@ -33,25 +33,37 @@ import (
 	"mcf0"
 )
 
-func main() {
-	var (
-		format  = flag.String("format", "cnf", "input format: cnf or dnf")
-		alg     = flag.String("alg", "bucketing", "algorithm: bucketing, minimum, estimation, karpluby")
-		eps     = flag.Float64("eps", 0.8, "tolerance ε")
-		delta   = flag.Float64("delta", 0.2, "failure probability δ")
-		thresh  = flag.Int("thresh", 0, "override Thresh (0 = paper constant 96/ε²)")
-		iters   = flag.Int("iters", 0, "override iterations (0 = paper constant 35·log₂(1/δ))")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		binary  = flag.Bool("binary", false, "ApproxMC2 binary prefix search (bucketing)")
-		verbose = flag.Bool("v", false, "report oracle queries")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
-	in := io.Reader(os.Stdin)
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
+// run is the command on explicit arguments and streams; it returns the
+// exit status, 1 on an error (reported on stderr) and 2 on a bad flag.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("approxmc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		format  = fs.String("format", "cnf", "input format: cnf or dnf")
+		alg     = fs.String("alg", "bucketing", "algorithm: bucketing, minimum, estimation, karpluby")
+		eps     = fs.Float64("eps", 0.8, "tolerance ε")
+		delta   = fs.Float64("delta", 0.2, "failure probability δ")
+		thresh  = fs.Int("thresh", 0, "override Thresh (0 = paper constant 96/ε²)")
+		iters   = fs.Int("iters", 0, "override iterations (0 = paper constant 35·log₂(1/δ))")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		binary  = fs.Bool("binary", false, "ApproxMC2 binary prefix search (bucketing)")
+		verbose = fs.Bool("v", false, "report oracle queries")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "approxmc:", err)
+		return 1
+	}
+
+	in := stdin
+	if fs.NArg() > 0 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		in = f
@@ -76,29 +88,25 @@ func main() {
 	case "dnf":
 		res, err = mcf0.CountDNF(in, mcf0.Algorithm(*alg), cfg)
 	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+		err = fmt.Errorf("unknown format %q", *format)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("s mc %.6g\n", res.Estimate)
-	fmt.Printf("c log2(count) = %.3f\n", mcf0.Log2(res.Estimate))
+	fmt.Fprintf(stdout, "s mc %.6g\n", res.Estimate)
+	fmt.Fprintf(stdout, "c log2(count) = %.3f\n", mcf0.Log2(res.Estimate))
 	if *verbose {
-		fmt.Printf("c oracle queries = %d\n", res.OracleQueries)
+		fmt.Fprintf(stdout, "c oracle queries = %d\n", res.OracleQueries)
 		if st := res.Solver; st != (mcf0.SolverStats{}) {
-			fmt.Printf("c solver: decisions=%d propagations=%d conflicts=%d learned=%d deleted=%d restarts=%d\n",
+			fmt.Fprintf(stdout, "c solver: decisions=%d propagations=%d conflicts=%d learned=%d deleted=%d restarts=%d\n",
 				st.Decisions, st.Propagations, st.Conflicts, st.Learned, st.Deleted, st.Restarts)
 			shrink := 0.0
 			if st.LearnedLits > 0 {
 				shrink = 100 * float64(st.MinimizedLits) / float64(st.LearnedLits)
 			}
-			fmt.Printf("c solver: learned-lits=%d minimized-lits=%d shrink=%.1f%%\n",
+			fmt.Fprintf(stdout, "c solver: learned-lits=%d minimized-lits=%d shrink=%.1f%%\n",
 				st.LearnedLits, st.MinimizedLits, shrink)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "approxmc:", err)
-	os.Exit(1)
+	return 0
 }

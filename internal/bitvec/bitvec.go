@@ -468,19 +468,32 @@ func spreadBits(v byte) uint64 {
 // Fraction interprets the vector (position 0 first) as a binary fraction
 // in [0, 1), using the first 53 bits. Lexicographic order on vectors of
 // equal width agrees with numeric order on fractions (up to the 53-bit
-// truncation), which is what the k-minimum-values estimator needs.
+// truncation), which is what the k-minimum-values estimator needs. When
+// those 53 bits are all zero, it reads the 53 bits from the leading one
+// instead, scaled by that one's position, so a nonzero vector never reads
+// 0 however many zeros lead it.
 func (b BitVec) Fraction() float64 {
-	limit := b.n
-	if limit > 53 {
-		limit = 53
-	}
+	limit := min(b.n, 53)
 	if limit == 0 {
 		return 0
 	}
 	// The first `limit` positions read MSB-first form an integer < 2^53,
 	// exact in float64.
-	v := bits.Reverse64(b.words[0]) >> (wordBits - uint(limit))
-	return math.Ldexp(float64(v), -limit)
+	if v := bits.Reverse64(b.words[0]) >> (wordBits - uint(limit)); v != 0 || b.n <= 53 {
+		return math.Ldexp(float64(v), -limit)
+	}
+	p := b.FirstSet()
+	if p < 0 {
+		return 0
+	}
+	limit = min(b.n-p, 53)
+	i, sh := p/wordBits, uint(p)%wordBits
+	w := b.words[i] >> sh
+	if sh != 0 && i+1 < len(b.words) {
+		w |= b.words[i+1] << (wordBits - sh)
+	}
+	v := bits.Reverse64(w) >> (wordBits - uint(limit))
+	return math.Ldexp(float64(v), -(p + limit))
 }
 
 // Key returns a compact string usable as a map key. Vectors of equal width

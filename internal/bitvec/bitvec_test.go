@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -226,5 +227,29 @@ func (b BitVec) XorInto(o, dst BitVec) {
 	ow := o.words[:len(dw)]
 	for i := range dw {
 		dw[i] = bw[i] ^ ow[i]
+	}
+}
+
+// A vector whose first 53 positions are zero reads its fraction from the
+// leading one, so it is never 0 (the k-minimum-values estimator divides
+// by it) and stays below every vector with a one among the first 53.
+func TestFractionPastFirst53Bits(t *testing.T) {
+	v := New(180)
+	v.Set(70, true)
+	if got, want := v.Fraction(), math.Ldexp(1, -71); got != want {
+		t.Fatalf("one at position 70 of 180: Fraction = %v, want 2^-71 = %v", got, want)
+	}
+	v.Set(122, true) // 52 positions after the leading one: still read
+	v.Set(123, true) // 53 after: past the window, truncated
+	if got, want := v.Fraction(), math.Ldexp(1, -71)+math.Ldexp(1, -123); got != want {
+		t.Fatalf("ones at 70, 122, 123: Fraction = %v, want %v", got, want)
+	}
+	w := New(180)
+	w.Set(52, true)
+	if !(v.Fraction() < w.Fraction()) || w.Fraction() != math.Ldexp(1, -53) {
+		t.Fatalf("one at 52 reads %v, want 2^-53 above %v", w.Fraction(), v.Fraction())
+	}
+	if got := New(180).Fraction(); got != 0 {
+		t.Fatalf("zero vector: Fraction = %v, want 0", got)
 	}
 }

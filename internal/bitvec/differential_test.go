@@ -128,14 +128,20 @@ func refFromUint64(v uint64, n int) BitVec {
 	return b
 }
 
+// refFraction reads the first 53 positions as a binary fraction or, when
+// they are all zero, the 53 positions from the leading one.
 func refFraction(b BitVec) float64 {
-	f := 0.0
-	scale := 0.5
-	limit := b.Len()
-	if limit > 53 {
-		limit = 53
+	start := 0
+	if b.Len() > 53 {
+		for start < b.Len() && !b.Get(start) {
+			start++
+		}
+		if start < 53 {
+			start = 0
+		}
 	}
-	for i := 0; i < limit; i++ {
+	f, scale := 0.0, math.Ldexp(1, -(start+1))
+	for i := start; i < min(b.Len(), start+53); i++ {
 		if b.Get(i) {
 			f += scale
 		}

@@ -22,8 +22,12 @@ import (
 // which then enumerates only the rest, up to thresh in all. When they
 // already reach thresh no oracle call is made. The returned count is
 // min(thresh, |cell|) either way.
+//
+// The returned slice is sized once for thresh solutions, capped at
+// presizeSols, so a cell with a few solutions under a large thresh does
+// not reserve thresh headers.
 func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bitvec.BitVec) (int, []bitvec.BitVec) {
-	var sols []bitvec.BitVec
+	sols := make([]bitvec.BitVec, 0, min(thresh, presizeSols))
 	for _, x := range coarser {
 		if len(sols) < thresh && h.PrefixIsZero(x, m) {
 			sols = append(sols, x)
@@ -37,6 +41,10 @@ func BoundedSAT(src oracle.Source, h *hash.Linear, m, thresh int, coarser ...bit
 	}
 	return len(sols), sols
 }
+
+// presizeSols caps BoundedSAT's up-front capacity: 2·Thresh at the
+// default ε = 0.8 fits, and a larger cell grows the slice by appending.
+const presizeSols = 1024
 
 // ApproxMC implements Algorithm 5, the Bucketing-based model counter of
 // Chakraborty–Meel–Vardi obtained by transforming the Gibbons–Tirthapura
@@ -88,8 +96,9 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 	}
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	hs := make([]*hash.Linear, t)
+	next := p.RNG.Uint64
 	for i := range hs {
-		hs[i] = fam.Draw(p.RNG.Uint64).(*hash.Linear)
+		hs[i] = fam.Draw(next).(*hash.Linear)
 	}
 	lvl0 := src.Fork()
 	limit := thresh + min(thresh, math.MaxInt-thresh) // 2·Thresh, saturating

@@ -26,8 +26,9 @@ func ApproxModelCountEst(tz oracle.TrailingZeroTester, n, r int, opts Options) R
 	thresh, t := p.Thresh, p.Iterations
 	fam := hash.NewPoly(n, SWiseIndependence(p.Epsilon))
 	hs := make([]hash.Func, t*thresh)
+	next := p.RNG.Uint64
 	for i := range hs {
-		hs[i] = fam.Draw(p.RNG.Uint64)
+		hs[i] = fam.Draw(next)
 	}
 	tzs := trialForks(t, tz.ForkTester)
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
@@ -62,8 +63,9 @@ func SWiseIndependence(eps float64) int {
 func RoughCount(tz oracle.TrailingZeroTester, n, trials int, rng *stats.RNG) (rParam int, estimate float64) {
 	fam := hash.NewXor(n, n)
 	var rs []float64
+	next := rng.Uint64
 	for i := 0; i < trials; i++ {
-		r := tz.MaxTrailingZeros(fam.Draw(rng.Uint64), n)
+		r := tz.MaxTrailingZeros(fam.Draw(next), n)
 		if r < 0 {
 			return -1, 0 // unsatisfiable
 		}

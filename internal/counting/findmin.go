@@ -176,8 +176,9 @@ func ApproxModelCountMin(n int, findMin FindMinFunc, opts Options) Result {
 	}
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	hs := make([]*hash.Linear, t)
+	next := p.RNG.Uint64
 	for i := range hs {
-		hs[i] = fam.Draw(p.RNG.Uint64).(*hash.Linear)
+		hs[i] = fam.Draw(next).(*hash.Linear)
 	}
 	par.Run(t, p.Parallelism, func(i int) {
 		set := kmv.New(3*n, thresh)

@@ -9,9 +9,10 @@
 //
 //   - Toeplitz (kind 2): the n+m−1 diagonal bits plus the m offset bits —
 //     the Θ(n+m) representation the family is prized for. The decoder
-//     rebuilds the draw through the constructor Toeplitz.Draw uses (the
-//     packed kernel, rows built on first use), so the decoded function is
-//     structurally and behaviourally identical to the original draw.
+//     rebuilds the draw through the kernel constructor Toeplitz.Draw uses
+//     (the packed kernel, rows built on first use), so the decoded
+//     function is structurally and behaviourally identical to the
+//     original draw.
 //   - General linear (kind 1): the full m×n matrix row by row plus the
 //     offset. Used for H_xor, H_sparse draws, and Toeplitz draws too wide
 //     to carry a kernel (their diagonal is no longer retained).
@@ -55,7 +56,8 @@ func AppendFunc(dst []byte, f Func) ([]byte, bool) {
 		dst = append(dst, funcKindToeplitz)
 		dst = wire.AppendInt(dst, k.m)
 		dst = wire.AppendInt(dst, k.n)
-		dst = wire.AppendBitVec(dst, k.diag())
+		var buf [toepMaxWords]uint64
+		dst = wire.AppendBitVec(dst, k.diag(&buf))
 		return wire.AppendBitVec(dst, l.B), true
 	}
 	dst = append(dst, funcKindLinear)

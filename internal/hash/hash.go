@@ -189,8 +189,11 @@ func (l *Linear) SuffixZeroSystem(t int) *gf2.System {
 // rowSystem returns the system "output bit i of h(x) is want(i−lo)" over
 // the rows lo ≤ i < hi; a nil want asks for zeros.
 func (l *Linear) rowSystem(lo, hi int, want func(int) bool) *gf2.System {
+	sys := gf2.NewSystem(l.InBits())
+	if lo == hi {
+		return sys // no row read: a Toeplitz draw keeps its matrix unbuilt
+	}
 	a := l.A()
-	sys := gf2.NewSystem(a.Cols())
 	for i := lo; i < hi; i++ {
 		sys.Add(a.Row(i), l.B.Get(i) != (want != nil && want(i-lo)))
 	}
@@ -208,11 +211,27 @@ func NewToeplitz(n, m int) Toeplitz { return Toeplitz{n: n, m: m} }
 // Draw samples a function. Row i is the length-n window of the random
 // diagonal string starting at offset m-1-i, so A[i][j] = diag[m-1-i+j] —
 // constant along diagonals, and a bijection between diagonal strings and
-// Toeplitz matrices. The draw keeps the diagonal in packed form and
-// builds rows on first use.
+// Toeplitz matrices. The diagonal's words come from next first, then
+// b's. The draw keeps the diagonal in packed form and builds rows on
+// first use. A draw with a carry-less kernel (see toeplitz.go) costs two
+// allocations: one word slab for the diagonal, b and the reversed
+// diagonal, and one object for the Linear and its kernel. Wider draws
+// build their matrix at once.
 func (t Toeplitz) Draw(next func() uint64) Func {
-	diag := bitvec.Random(t.n+t.m-1, next)
-	return newToeplitz(t.n, t.m, diag, bitvec.Random(t.m, next))
+	n, m := t.n, t.m
+	if !kernelFits(n, m) {
+		diag := bitvec.Random(n+m-1, next)
+		return NewLinear(toeplitzMatrix(n, m, diag), bitvec.Random(m, next))
+	}
+	wd, wb := (n+m-1+63)/64, (m+63)/64
+	w := make([]uint64, 2*wd+wb)
+	diag := bitvec.View(n+m-1, w[:wd:wd])
+	b := bitvec.View(m, w[wd:wd+wb:wd+wb])
+	dr := bitvec.View(n+m-1, w[wd+wb:])
+	diag.FillRandom(next)
+	b.FillRandom(next)
+	diag.ReverseInto(dr)
+	return newKernelLinear(n, m, dr.Words(), b)
 }
 
 // InBits returns n.

@@ -67,14 +67,20 @@ type toepKernel struct {
 	rows atomic.Pointer[gf2.Matrix]
 }
 
-// newToeplitz is the Toeplitz constructor of Draw and DecodeLinear: the
-// draw with diagonal diag (n+m−1 bits) and offset b. Draws too wide for
-// a kernel hold their rows from the start.
+// kernelFits reports whether an n → m draw carries a kernel: its full
+// product, ⌈(m+n−1)/64⌉ + ⌈n/64⌉ words, fits toepMaxWords.
+func kernelFits(n, m int) bool {
+	return n >= 1 && m >= 1 && (m+n-1+63)/64+(n+63)/64 <= toepMaxWords
+}
+
+// newToeplitz is DecodeLinear's Toeplitz constructor: the draw with
+// diagonal diag (n+m−1 bits) and offset b, built as Toeplitz.Draw builds
+// it. Draws too wide for a kernel hold their rows from the start.
 func newToeplitz(n, m int, diag, b bitvec.BitVec) *Linear {
-	if n < 1 || m < 1 || (m+n-1+63)/64+(n+63)/64 > toepMaxWords {
+	if !kernelFits(n, m) {
 		return NewLinear(toeplitzMatrix(n, m, diag), b)
 	}
-	return &Linear{B: b, toep: newToepKernel(n, m, diag.Reverse().Words(), b)}
+	return newKernelLinear(n, m, diag.Reverse().Words(), b)
 }
 
 // toeplitzMatrix builds the m×n matrix whose row i is diag's window at m−1−i.
@@ -86,21 +92,33 @@ func toeplitzMatrix(n, m int, diag bitvec.BitVec) *gf2.Matrix {
 	return a
 }
 
-// newToepKernel returns the kernel of an n → m draw with reversed
-// diagonal dr and offset b; the caller checks it fits toepMaxWords.
-func newToepKernel(n, m int, dr []uint64, b bitvec.BitVec) *toepKernel {
-	k := &toepKernel{n: n, m: m, dr: dr, mask: ^uint64(0) >> ((64 - uint(m)%64) % 64)}
+// kernelLinear is a kernel draw's Linear and its kernel, allocated as one
+// object; the Linear's toep points into it.
+type kernelLinear struct {
+	l Linear
+	k toepKernel
+}
+
+// newKernelLinear returns the n → m draw with reversed diagonal dr and
+// offset b; the caller checks kernelFits.
+func newKernelLinear(n, m int, dr []uint64, b bitvec.BitVec) *Linear {
+	d := &kernelLinear{}
+	k := &d.k
+	k.n, k.m, k.dr = n, m, dr
+	k.mask = ^uint64(0) >> ((64 - uint(m)%64) % 64)
 	if m <= 64 {
 		k.bu = b.Uint64()
 	}
-	return k
+	d.l.B, d.l.toep = b, k
+	return &d.l
 }
 
-// diag recovers the draw's diagonal string by undoing dr's reversal.
-func (k *toepKernel) diag() bitvec.BitVec {
-	rev := bitvec.New(k.m + k.n - 1)
-	copy(rev.Words(), k.dr)
-	return rev.Reverse()
+// diag writes the draw's diagonal string into buf by undoing dr's
+// reversal and returns it as a view of buf.
+func (k *toepKernel) diag(buf *[toepMaxWords]uint64) bitvec.BitVec {
+	d := bitvec.View(k.m+k.n-1, buf[:len(k.dr)])
+	bitvec.View(k.m+k.n-1, k.dr).ReverseInto(d)
+	return d
 }
 
 // matrix returns the draw's matrix form, built on the first call. Racing
@@ -110,7 +128,8 @@ func (k *toepKernel) matrix() *gf2.Matrix {
 	if a := k.rows.Load(); a != nil {
 		return a
 	}
-	k.rows.CompareAndSwap(nil, toeplitzMatrix(k.n, k.m, k.diag()))
+	var buf [toepMaxWords]uint64
+	k.rows.CompareAndSwap(nil, toeplitzMatrix(k.n, k.m, k.diag(&buf)))
 	return k.rows.Load()
 }
 

@@ -22,7 +22,7 @@ func (l *Linear) Prefix(m int) *Linear {
 	}
 	b := l.B.Prefix(m)
 	if l.toep != nil && m > 0 {
-		return &Linear{B: b, toep: l.toep.prefix(m, b)}
+		return l.toep.prefix(m, b)
 	}
 	a := gf2.NewMatrix(m, l.InBits())
 	for i := 0; i < m; i++ {
@@ -31,16 +31,17 @@ func (l *Linear) Prefix(m int) *Linear {
 	return NewLinear(a, b)
 }
 
-// prefix returns the kernel of the m′-row slice h_{m′}. Rows 0..m′−1 read
-// diagonal positions [m−m′, m+n−2], which are exactly the low m′+n−1 bits
-// of the reversed diagonal — a truncation, not a recomputation.
-func (k *toepKernel) prefix(mp int, b bitvec.BitVec) *toepKernel {
+// prefix returns the m′-row slice h_{m′} with offset b, a kernel draw.
+// Rows 0..m′−1 read diagonal positions [m−m′, m+n−2], which are exactly
+// the low m′+n−1 bits of the reversed diagonal — a truncation, not a
+// recomputation.
+func (k *toepKernel) prefix(mp int, b bitvec.BitVec) *Linear {
 	nb := mp + k.n - 1
 	dr := append([]uint64(nil), k.dr[:(nb+63)/64]...)
 	if tail := uint(nb) % 64; tail != 0 {
 		dr[len(dr)-1] &= 1<<tail - 1
 	}
-	return newToepKernel(k.n, mp, dr, b)
+	return newKernelLinear(k.n, mp, dr, b)
 }
 
 // slowCopy strips the carry-less kernel off a Toeplitz draw, leaving the

@@ -326,7 +326,8 @@ func cmpRows(a, b []uint64) int {
 // Estimate is the k-minimum-values estimator: k / frac(max) for a full
 // set, where frac reads the value as a binary fraction in [0, 1). A set
 // that is not full has seen every distinct value, so its size is exact;
-// the same count stands in when frac(max) is 0.
+// the same count stands in when frac(max) is 0, which only the zero
+// vector reads.
 func (s *Set) Estimate() float64 {
 	if !s.Full() {
 		return float64(s.n)

@@ -153,16 +153,17 @@ func TestEstimate(t *testing.T) {
 	if got := s.Estimate(); got != 8 {
 		t.Errorf("full set estimate %v, want 4 / 0.5 = 8", got)
 	}
-	// Full with frac(max) = 0: frac reads only the first 53 bits, so a
-	// 70-bit maximum that is non-zero only in its tail gives the count.
+	// Full with a 70-bit maximum that is non-zero only past its first 53
+	// bits: frac reads from its leading one (position 68), so the
+	// estimate is 2 / 2^-69, not the count 2.
 	z := New(70, 2)
 	z.Insert(vec(1, 70))
 	z.Insert(vec(2, 70))
-	if !z.Full() || z.Max().Fraction() != 0 {
-		t.Fatal("setup: want a full set whose maximum reads as fraction 0")
+	if !z.Full() || z.Max().Fraction() != math.Ldexp(1, -69) {
+		t.Fatal("setup: want a full set whose maximum reads as fraction 2^-69")
 	}
-	if got := z.Estimate(); got != 2 {
-		t.Errorf("frac(max) = 0 estimate %v, want the count 2", got)
+	if got := z.Estimate(); got != math.Ldexp(1, 70) {
+		t.Errorf("frac(max) = 2^-69 estimate %v, want 2^70", got)
 	}
 	// k = 1 holding the zero vector.
 	one := New(16, 1)

@@ -165,6 +165,11 @@ type Solver struct {
 	stats Stats
 }
 
+// watchCap is the initial watch-list capacity of each literal present at
+// New: every list starts as its own share of one slab, so loading φ and
+// blocking models grow a list only past watchCap watchers.
+const watchCap = 8
+
 // New returns a solver over nVars variables, all unassigned.
 func New(nVars int) *Solver {
 	s := &Solver{
@@ -190,6 +195,10 @@ func New(nVars int) *Solver {
 	}
 	for i := range s.reason {
 		s.reason[i] = reasonNone
+	}
+	ws := make([]watcher, len(s.watches)*watchCap)
+	for i := range s.watches {
+		s.watches[i] = ws[i*watchCap : i*watchCap : (i+1)*watchCap]
 	}
 	for v := 0; v < nVars; v++ {
 		s.heap[v] = uint32(v)
@@ -813,12 +822,25 @@ func (s *Solver) search(as []uint32, rs *restartSched) bool {
 // model snapshots the current assignment of variables [0, n).
 func (s *Solver) model(n int) bitvec.BitVec {
 	m := bitvec.New(n)
-	for i := 0; i < n; i++ {
-		if s.assign[i<<1] == lTrue {
-			m.Set(i, true)
-		}
-	}
+	s.modelInto(m.Words(), n)
 	return m
+}
+
+// modelInto writes the current assignment of variables [0, n) into w, the
+// ⌈n/64⌉ words of an n-bit vector. A positive literal's value is lTrue (1)
+// or lFalse (2), so its low bit is the variable's bit and the loop has no
+// branch; the excess high bits of the last word stay zero.
+func (s *Solver) modelInto(w []uint64, n int) {
+	a := s.assign
+	for wi := range w {
+		lo := wi * 64
+		hi := min(lo+64, n)
+		var x uint64
+		for i := hi - 1; i >= lo; i-- {
+			x = x<<1 | uint64(a[i<<1]&1)
+		}
+		w[wi] = x
+	}
 }
 
 // Solve searches for a satisfying assignment under the given assumption
@@ -971,6 +993,13 @@ func (s *Solver) blockModel(nBlock int, extra []uint32, nAssump int) bool {
 // blocking clause instead of restarting the search — so the per-model
 // cost is local. visit returning false stops early.
 //
+// Each visited model is a bitvec.View of its own ⌈nBlock/64⌉ words, so
+// visit may keep every vector it is handed: no two visits share words,
+// and the solver never writes them again. The words are carved from
+// slabs allocated in chunks of 8 models, doubling up to 512, and never
+// more than the limit leaves room for; nothing is reserved up front, so
+// storage grows with the models visited, not with limit.
+//
 // It returns the number of models visited and whether the search space was
 // exhausted (as opposed to stopping at limit or at visit's request): an
 // exhausted enumeration is the analogue of the final UNSAT answer of a
@@ -998,13 +1027,27 @@ func (s *Solver) EnumerateBlocking(limit, nBlock int, extra []formula.Lit, visit
 		ex[i] = mkLit(l.Var, l.Neg)
 	}
 	rs := newRestartSched()
+	wpm := (nBlock + 63) / 64
+	var slab []uint64
+	chunk := 8
 	count := 0
 	for limit < 0 || count < limit {
 		if !s.search(as, &rs) {
 			return count, true
 		}
+		if len(slab) < wpm {
+			k := chunk
+			if limit >= 0 {
+				k = min(k, limit-count)
+			}
+			slab = make([]uint64, k*wpm)
+			chunk = min(2*chunk, 512)
+		}
+		x := slab[:wpm:wpm]
+		slab = slab[wpm:]
+		s.modelInto(x, nBlock)
 		count++
-		if !visit(s.model(nBlock)) {
+		if !visit(bitvec.View(nBlock, x)) {
 			return count, false
 		}
 		if limit >= 0 && count >= limit {

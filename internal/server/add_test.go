@@ -137,18 +137,55 @@ func TestOverSizeFormulaMemoryBounded(t *testing.T) {
 
 // BenchmarkCountHandler measures the serve path of one count request —
 // body read, decode, counting, response — in process, on the perfbench
-// count shape: 25 random 3-CNF formulas of 62 clauses over 20
-// variables, kept when they have 230 to 270 models (so each count costs
-// about the same), counted with bucketing.
+// count shape (countBodies), counted with bucketing.
 func BenchmarkCountHandler(b *testing.B) {
+	h, bodies := countHandler(b), countBodies(b)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if w := serveHTTP(h, "/v1/count", bodies[i%len(bodies)]); w.Code != http.StatusOK {
+			b.Fatalf("count: %d %s", w.Code, w.Body)
+		}
+	}
+}
+
+// TestCountHandlerAllocs guards what one count request allocates on the
+// perfbench shape: the solution pool's models are carved from word slabs,
+// each Toeplitz draw is two allocations and the formula's literals one,
+// so a count allocates about 380 objects. It allocated 1,180 when every
+// model, draw part and clause was its own object.
+func TestCountHandlerAllocs(t *testing.T) {
+	h, bodies := countHandler(t), countBodies(t)
+	k := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		if w := serveHTTP(h, "/v1/count", bodies[k%len(bodies)]); w.Code != http.StatusOK {
+			t.Fatalf("count: %d %s", w.Code, w.Body)
+		}
+		k++
+	})
+	if allocs > 600 {
+		t.Errorf("%.0f allocations per count request, want ≤ 600", allocs)
+	}
+	t.Logf("%.0f allocations per count request", allocs)
+}
+
+// countHandler is a server's handler with the test tenant.
+func countHandler(tb testing.TB) http.Handler {
 	s, err := server.New(server.Config{
 		Tenants: []middleware.TenantConfig{{Name: testTenant, Token: testToken}},
 		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	h := s.Handler()
+	return s.Handler()
+}
+
+// countBodies returns the perfbench count shape as request bodies: 25
+// random 3-CNF formulas of 62 clauses over 20 variables, kept when they
+// have 230 to 270 models (so each count costs about the same), counted
+// with bucketing.
+func countBodies(tb testing.TB) []string {
 	r := rand.New(rand.NewSource(1))
 	var bodies []string
 	for len(bodies) < 25 {
@@ -173,17 +210,11 @@ func BenchmarkCountHandler(b *testing.B) {
 			"kind": "cnf", "n": 20, "clauses": clauses, "algorithm": "bucketing", "seed": r.Uint64() | 1,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		bodies = append(bodies, string(body))
 	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if w := serveHTTP(h, "/v1/count", bodies[i%len(bodies)]); w.Code != http.StatusOK {
-			b.Fatalf("count: %d %s", w.Code, w.Body)
-		}
-	}
+	return bodies
 }
 
 // BenchmarkAddHandler measures the serve path of one add request — body

@@ -32,6 +32,7 @@
 package mcf0
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -196,18 +197,17 @@ func CountCNF(r io.Reader, alg Algorithm, cfg Config) (CountResult, error) {
 // CountCNFClauses counts models of the CNF given as DIMACS-style literal
 // lists over n variables.
 func CountCNFClauses(n int, clauses [][]int, alg Algorithm, cfg Config) (CountResult, error) {
-	c := formula.NewCNF(n)
-	for _, cl := range clauses {
-		lits, err := dimacsLits(n, cl)
-		if err != nil {
-			return CountResult{}, err
-		}
-		c.AddClause(formula.Clause(lits))
+	c, err := cnfFromClauses(n, clauses)
+	if err != nil {
+		return CountResult{}, err
 	}
 	return countCNF(c, alg, cfg)
 }
 
 func countCNF(c *formula.CNF, alg Algorithm, cfg Config) (CountResult, error) {
+	if c.N < 1 {
+		return CountResult{}, errNoVariables
+	}
 	src := oracle.NewCNFSource(c)
 	opts := cfg.countingOptions()
 	switch alg {
@@ -248,6 +248,9 @@ func CountDNFTerms(n int, terms [][]int, alg Algorithm, cfg Config) (CountResult
 }
 
 func countDNF(d *formula.DNF, alg Algorithm, cfg Config) (CountResult, error) {
+	if d.N < 1 {
+		return CountResult{}, errNoVariables
+	}
 	opts := cfg.countingOptions()
 	switch alg {
 	case AlgorithmBucketing, "":
@@ -277,14 +280,24 @@ func ExactCountDNFTerms(n int, terms [][]int) (uint64, error) {
 	return exact.CountDNF(d), nil
 }
 
+// errNoVariables refuses a count, distributed count or sample over fewer
+// than one variable: the hash families need n ≥ 1.
+var errNoVariables = errors.New("mcf0: formula needs at least one variable")
+
+// cnfFromClauses builds the CNF of DIMACS-style clauses over n variables.
+func cnfFromClauses(n int, clauses [][]int) (*formula.CNF, error) {
+	c := &formula.CNF{N: n, Clauses: make([]formula.Clause, 0, len(clauses))}
+	if err := dimacsLists(n, clauses, func(lits []formula.Lit) { c.AddClause(lits) }); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// dnfFromTerms builds the DNF of DIMACS-style terms over n variables.
 func dnfFromTerms(n int, terms [][]int) (*formula.DNF, error) {
-	d := formula.NewDNF(n)
-	for _, t := range terms {
-		lits, err := dimacsLits(n, t)
-		if err != nil {
-			return nil, err
-		}
-		d.AddTerm(formula.Term(lits))
+	d := &formula.DNF{N: n, Terms: make([]formula.Term, 0, len(terms))}
+	if err := dimacsLists(n, terms, func(lits []formula.Lit) { d.AddTerm(lits) }); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -320,19 +333,31 @@ func roughTrials(cfg Config) int {
 	return 9
 }
 
-func dimacsLits(n int, raw []int) ([]formula.Lit, error) {
-	lits := make([]formula.Lit, len(raw))
-	for i, v := range raw {
-		neg := v < 0
-		if neg {
-			v = -v
-		}
-		if v < 1 || v > n {
-			return nil, fmt.Errorf("mcf0: literal %d out of range [1,%d]", v, n)
-		}
-		lits[i] = formula.Lit{Var: v - 1, Neg: neg}
+// dimacsLists converts DIMACS-style literal lists (±v, 1 ≤ v ≤ n) and
+// hands each to add in order, as its own sub-slice of one literal slab:
+// a formula's literals cost one allocation, not one per list.
+func dimacsLists(n int, raw [][]int, add func([]formula.Lit)) error {
+	total := 0
+	for _, l := range raw {
+		total += len(l)
 	}
-	return lits, nil
+	slab := make([]formula.Lit, total)
+	for _, l := range raw {
+		lits := slab[:len(l):len(l)]
+		slab = slab[len(l):]
+		for i, v := range l {
+			neg := v < 0
+			if neg {
+				v = -v
+			}
+			if v < 1 || v > n {
+				return fmt.Errorf("mcf0: literal %d out of range [1,%d]", v, n)
+			}
+			lits[i] = formula.Lit{Var: v - 1, Neg: neg}
+		}
+		add(lits)
+	}
+	return nil
 }
 
 // F0 is a streaming distinct-elements sketch over a universe of nBits-bit
@@ -616,6 +641,9 @@ func DistributedCountDNF(n int, terms [][]int, sites int, alg Algorithm, cfg Con
 	if err != nil {
 		return DistResult{}, err
 	}
+	if n < 1 {
+		return DistResult{}, errNoVariables
+	}
 	if sites < 1 {
 		return DistResult{}, fmt.Errorf("mcf0: need at least one site")
 	}
@@ -657,19 +685,21 @@ func SampleDNFTerms(n int, terms [][]int, count int, cfg Config) ([]string, erro
 	if err != nil {
 		return nil, err
 	}
+	if n < 1 {
+		return nil, errNoVariables
+	}
 	return renderSamples(counting.Sample(oracle.NewDNFSource(d), count, cfg.countingOptions())), nil
 }
 
 // SampleCNFClauses draws count near-uniform satisfying assignments of a
 // CNF via the SAT-backed oracle. Returns nil if unsatisfiable.
 func SampleCNFClauses(n int, clauses [][]int, count int, cfg Config) ([]string, error) {
-	c := formula.NewCNF(n)
-	for _, cl := range clauses {
-		lits, err := dimacsLits(n, cl)
-		if err != nil {
-			return nil, err
-		}
-		c.AddClause(formula.Clause(lits))
+	c, err := cnfFromClauses(n, clauses)
+	if err != nil {
+		return nil, err
+	}
+	if n < 1 {
+		return nil, errNoVariables
 	}
 	return renderSamples(counting.Sample(oracle.NewCNFSource(c), count, cfg.countingOptions())), nil
 }

@@ -392,3 +392,44 @@ func TestEstimationZeroIsPositive(t *testing.T) {
 		}
 	}
 }
+
+// A formula over zero variables is refused with an error by every count,
+// distributed-count and sample entry point, for every algorithm, instead
+// of panicking inside the hash families.
+func TestZeroVariablesRefused(t *testing.T) {
+	for _, alg := range []Algorithm{AlgorithmBucketing, AlgorithmMinimum, AlgorithmEstimation, AlgorithmKarpLuby} {
+		for name, count := range map[string]func() (CountResult, error){
+			"CountCNF":        func() (CountResult, error) { return CountCNF(strings.NewReader("p cnf 0 0\n"), alg, fastCfg(1)) },
+			"CountDNF":        func() (CountResult, error) { return CountDNF(strings.NewReader("p dnf 0 0\n"), alg, fastCfg(1)) },
+			"CountCNFClauses": func() (CountResult, error) { return CountCNFClauses(0, nil, alg, fastCfg(1)) },
+			"CountDNFTerms":   func() (CountResult, error) { return CountDNFTerms(0, [][]int{{}}, alg, fastCfg(1)) },
+		} {
+			if _, err := count(); err == nil {
+				t.Errorf("%s %s: n = 0 accepted", name, alg)
+			}
+		}
+	}
+	if _, err := DistributedCountDNF(0, [][]int{{}}, 2, AlgorithmBucketing, fastCfg(1)); err == nil {
+		t.Error("DistributedCountDNF: n = 0 accepted")
+	}
+	if _, err := SampleDNFTerms(0, [][]int{{}}, 1, fastCfg(1)); err == nil {
+		t.Error("SampleDNFTerms: n = 0 accepted")
+	}
+	if _, err := SampleCNFClauses(0, nil, 1, fastCfg(1)); err == nil {
+		t.Error("SampleCNFClauses: n = 0 accepted")
+	}
+}
+
+// The Minimum counter estimates a count far above Thresh·2^53: the
+// k-th smallest hash then has more than 53 leading zeros, and reading
+// only its first 53 bits once gave 0 and the estimate Thresh (150 here,
+// for a truth of 2^98).
+func TestMinimumCountPast2To53(t *testing.T) {
+	res, err := CountDNFTerms(100, [][]int{{1, 2}}, AlgorithmMinimum, Config{Seed: 1, Iterations: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truth := math.Ldexp(1, 98); !WithinFactor(res.Estimate, truth, 0.8) {
+		t.Fatalf("estimate %g, want within the ε = 0.8 band of 2^98 = %g", res.Estimate, truth)
+	}
+}
