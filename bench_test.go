@@ -762,9 +762,9 @@ func BenchmarkF0Ingest(b *testing.B) {
 // DecodeConcurrentF0 with a cap of 2 replicas. Each op adds 16 Zipf
 // elements, so the Estimate that follows misses the cache. The one
 // writer keeps the front at one replica, so the miss estimates that
-// replica directly, with no merge target; allocs/op counts the add's
-// share too. The streaming package's BenchmarkConcurrentTargetMiss times
-// the merge target's replay and merge.
+// replica directly, with nothing to drain into it; allocs/op counts the
+// add's share too. The streaming package's BenchmarkConcurrentTargetMiss
+// times a miss that replays or merges a second replica into replica 0.
 func BenchmarkConcurrentEstimateMiss(b *testing.B) { benchEstimateMiss(b, 16) }
 
 // BenchmarkConcurrentEstimateMissOverflow is BenchmarkConcurrentEstimateMiss

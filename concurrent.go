@@ -122,9 +122,9 @@ func (c *ConcurrentF0) Err() error { return c.front.Err() }
 var ErrSketchFailed = streaming.ErrFailed
 
 // SketchWords returns the summed footprint of the replicas built, in
-// 64-bit words. Once an estimate has missed with two or more built, it
-// also counts the merge target the front keeps, so P built replicas
-// report P+1 copies.
+// 64-bit words. Replica 0 is the merged state, so P built replicas report
+// P copies; once an estimate has missed with two or more built, it also
+// counts the replay logs of replicas 1…P−1, thresh words each.
 func (c *ConcurrentF0) SketchWords() int { return c.front.SketchWords() }
 
 // Merge folds other's sketch state into d (same n, same seed and

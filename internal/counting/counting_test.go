@@ -405,3 +405,25 @@ func TestPaperConstantsIntegration(t *testing.T) {
 		t.Errorf("paper-constant ApproxMC estimate %g vs truth %g", res.Estimate, truth)
 	}
 }
+
+// zeroTester answers every trailing-zero query with 0 and forks no
+// state, so a count over it allocates only what the counter itself does.
+type zeroTester struct{}
+
+func (zeroTester) MaxTrailingZeros(hash.Func, int) int   { return 0 }
+func (zeroTester) Queries() int64                        { return 0 }
+func (zeroTester) ForkTester() oracle.TrailingZeroTester { return zeroTester{} }
+
+// Algorithm 7 draws its t·Thresh polynomial hashes into one coefficient
+// slab and one slab of function values, so a count's allocations do not
+// grow with the draws: at the default ε and δ, 82 trials of Thresh 150,
+// drawing them one at a time made two allocations per draw, 24,600 in
+// all.
+func TestEstimationDrawAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		ApproxModelCountEst(zeroTester{}, 12, 6, Options{RNG: stats.NewRNG(2), Parallelism: 1})
+	})
+	if allocs > 16 {
+		t.Errorf("Algorithm 7 at default ε, δ: %.0f allocations per count, want ≤ 16", allocs)
+	}
+}

@@ -18,18 +18,13 @@ import (
 // r with 2·F0 ≤ 2^r ≤ 50·F0 (obtain one with RoughCount). n must be ≤ 64
 // (the polynomial family's field size).
 // Trials run across Options.Parallelism workers: the t·Thresh hash
-// functions are drawn serially up front (in trial-major order, matching a
-// serial run), and every trial asks its own fork of tz at every
-// parallelism, so OracleQueries sums the forks' meters.
+// functions are drawn serially up front into one slab (in trial-major
+// order, matching a serial run), and every trial asks its own fork of tz
+// at every parallelism, so OracleQueries sums the forks' meters.
 func ApproxModelCountEst(tz oracle.TrailingZeroTester, n, r int, opts Options) Result {
 	p := opts.resolve()
 	thresh, t := p.Thresh, p.Iterations
-	fam := hash.NewPoly(n, SWiseIndependence(p.Epsilon))
-	hs := make([]hash.Func, t*thresh)
-	next := p.RNG.Uint64
-	for i := range hs {
-		hs[i] = fam.Draw(next)
-	}
+	hs := hash.NewPoly(n, SWiseIndependence(p.Epsilon)).DrawN(t*thresh, p.RNG.Uint64)
 	tzs := trialForks(t, tz.ForkTester)
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	par.Run(t, p.Parallelism, func(i int) {

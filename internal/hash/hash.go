@@ -336,10 +336,21 @@ func NewPoly(n, s int) Poly {
 }
 
 // Draw samples a function.
-func (p Poly) Draw(next func() uint64) Func {
-	coeffs := make([]uint64, p.s)
+func (p Poly) Draw(next func() uint64) Func { return p.DrawN(1, next)[0] }
+
+// DrawN returns the k functions k Draw calls would return from next, as
+// views into one coefficient slab filled by Fill and one slab of function
+// values: three allocations, whatever k.
+func (p Poly) DrawN(k int, next func() uint64) []Func {
+	coeffs := make([]uint64, k*p.s)
 	p.Fill(coeffs, next)
-	return &polyFunc{n: p.n, field: p.field, coeffs: coeffs}
+	fs := make([]polyFunc, k)
+	out := make([]Func, k)
+	for i := range fs {
+		fs[i] = polyFunc{n: p.n, field: p.field, coeffs: coeffs[i*p.s : (i+1)*p.s : (i+1)*p.s]}
+		out[i] = &fs[i]
+	}
+	return out
 }
 
 // Fill draws coeffs word by word, one next() each masked to n bits: a

@@ -170,26 +170,33 @@ type Solver struct {
 // blocking models grow a list only past watchCap watchers.
 const watchCap = 8
 
+// varHeadroom is the capacity New reserves past nVars in every
+// per-variable slice, so the first AddVar calls (the selectors of an
+// oracle's first XOR rows and blocking scope) append in place instead of
+// reallocating each slice.
+const varHeadroom = 16
+
 // New returns a solver over nVars variables, all unassigned.
 func New(nVars int) *Solver {
+	vc, lc := nVars+varHeadroom, 2*(nVars+varHeadroom)
 	s := &Solver{
 		nVars:      nVars,
 		baseVars:   nVars,
-		watches:    make([][]watcher, 2*nVars),
-		xorWatches: make([][]uint32, nVars),
+		watches:    make([][]watcher, 2*nVars, lc),
+		xorWatches: make([][]uint32, nVars, vc),
 		xorSys:     gf2.NewSystem(nVars),
-		assign:     make([]lbool, 2*nVars),
-		level:      make([]int32, nVars),
-		reason:     make([]uint32, nVars),
-		phase:      make([]bool, nVars),
-		activity:   make([]float64, nVars),
+		assign:     make([]lbool, 2*nVars, lc),
+		level:      make([]int32, nVars, vc),
+		reason:     make([]uint32, nVars, vc),
+		phase:      make([]bool, nVars, vc),
+		activity:   make([]float64, nVars, vc),
 		varInc:     1,
-		heap:       make([]uint32, nVars),
-		heapIndex:  make([]int32, nVars),
+		heap:       make([]uint32, nVars, vc),
+		heapIndex:  make([]int32, nVars, vc),
 		maxLearnts: 1000,
-		seen:       make([]bool, nVars),
-		levelStamp: make([]uint64, nVars+1),
-		litSeen:    make([]uint8, 2*nVars),
+		seen:       make([]bool, nVars, vc),
+		levelStamp: make([]uint64, nVars+1, vc+1),
+		litSeen:    make([]uint8, 2*nVars, lc),
 		xorVecBuf:  bitvec.New(nVars),
 		xorResBuf:  bitvec.New(nVars),
 	}

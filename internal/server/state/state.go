@@ -147,9 +147,9 @@ func (s *Sketch) Items() uint64 { return s.items.Load() }
 func (s *Sketch) Version() uint64 { return s.front.Version() }
 
 // SketchWords returns the summed footprint of the replicas built, in
-// 64-bit words. Once an estimate has missed with two or more built, it
-// also counts the merge target the front keeps, so P built replicas
-// report P+1 copies.
+// 64-bit words. Replica 0 is the merged state, so P built replicas report
+// P copies; once an estimate has missed with two or more built, it also
+// counts the replay logs of replicas 1…P−1, thresh words each.
 func (s *Sketch) SketchWords() int { return s.front.SketchWords() }
 
 // Replicas returns the front's replica cap.

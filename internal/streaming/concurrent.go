@@ -12,7 +12,7 @@ import (
 )
 
 // ErrFailed is wrapped by every error of a Concurrent front whose sketch
-// panicked: the state of the replica or target the panic left cannot be
+// panicked: the state of the replica the panic left cannot be
 // trusted, so the front answers nothing more.
 var ErrFailed = errors.New("streaming: sketch failed")
 
@@ -26,9 +26,9 @@ var ErrFailed = errors.New("streaming: sketch failed")
 // next one, an empty sibling of the seed, until P exist. One writer at a
 // time therefore keeps one replica, and a front holds as many as the
 // concurrency its writers reached. Estimate locks all built replicas,
-// brings a merge target the front keeps up to date with them, and caches
-// the answer until the next write; a cached answer is served without
-// touching any replica lock. MergedClone clones the same target.
+// brings replica 0 up to date with the others, and caches its answer
+// until the next write; a cached answer is served without touching any
+// replica lock. MergedClone clones replica 0 the same way.
 //
 // Because every sketch in this package is an idempotent, order-
 // insensitive function of the element set and the replicas share draws,
@@ -37,25 +37,29 @@ var ErrFailed = errors.New("streaming: sketch failed")
 // estimates and snapshots are bit-identical to a single serial sketch's
 // at every replica count.
 //
-// The same argument lets a miss work in proportion to what changed.
-// Once the target has absorbed a replica, the replica logs by value the
-// elements it takes in, and the next miss replays the log into the
-// target, skipping replicas with an empty log: the target holds the
-// state of its element set and each replica's set grew by its log, so
-// the target ends as the state of the union — what a fresh clone-and-
-// merge builds. A log is capped at the sketch's replayCap; a write past
-// the cap drops the log and marks the replica stale, and a miss merges
-// stale replicas in full, as the first miss does every replica.
+// The same argument makes replica 0 the merged state and lets a miss
+// work in proportion to what changed. Replica 0 is the merge target and
+// never logs: its writes already land in the target. Once replica 0 has
+// absorbed another replica, that replica logs by value the elements it
+// takes in, and the next miss replays the log into replica 0, skipping
+// replicas with an empty log: replica 0 holds the state of the union at
+// the last miss and of its own writes since, and each other replica's
+// set grew by its log, so replica 0 ends as the state of the union — what
+// a fresh clone-and-merge builds. A log is capped at the sketch's
+// replayCap; a write past the cap drops the log and marks the replica
+// stale, and a miss merges stale replicas in full, as it does a replica
+// built since the last miss.
 //
 // Estimate and ProcessBatch are safe to interleave freely;
-// SketchWords reports the summed footprint of the built replicas, the
-// kept target and the replicas' logs.
+// SketchWords reports the summed footprint of the built replicas and
+// their logs.
 //
 // A sketch call that panics under a lock — an absorb, a merge, a replay —
 // releases every lock it held and fails the front, and Err reports the
-// failure from then on. That call and every later one return at once
-// without touching a sketch: writes absorb nothing, estimates are 0 and
-// MergedClone is nil. Nothing waits on the failed replica.
+// failure from then on, so a half-updated replica 0 is never read. That
+// call and every later one return at once without touching a sketch:
+// writes absorb nothing, estimates are 0 and MergedClone is nil. Nothing
+// waits on the failed replica.
 type Concurrent struct {
 	// replicas has one slot per allowed replica; slots [0, built) are in
 	// use. A writer holding grow fills slot built with a replica whose
@@ -80,11 +84,6 @@ type Concurrent struct {
 	cached   float64
 	cachedV  uint64
 	hasCache bool
-	// acc is the kept merge target of a multi-replica front, guarded by
-	// estMu: nil until the first estimate miss or MergedClone clones
-	// replica 0, then each of them drains every replica into it (under
-	// every replica lock).
-	acc Sketch
 
 	// failed is the front's failure, nil while it is healthy; it is set
 	// once, before the failing call releases its locks.
@@ -92,7 +91,7 @@ type Concurrent struct {
 }
 
 // replicaState is the payload of one replica slot: its lock and sketch,
-// and the log or stale mark of what the kept target has not absorbed.
+// and the log or stale mark of what replica 0 has not absorbed.
 type replicaState struct {
 	mu    sync.Mutex
 	sk    Sketch
@@ -125,6 +124,8 @@ func NewConcurrent(seed Sketch, replicas int) *Concurrent {
 		replicas = par.Workers(0)
 	}
 	c := &Concurrent{replicas: make([]*replica, replicas)}
+	// Replica 0 is the target, so ProcessBatch must never log its
+	// writes: it stays stale for good, and merged never reads its mark.
 	c.replicas[0] = &replica{replicaState: replicaState{sk: seed, stale: true}}
 	c.built.Store(1)
 	return c
@@ -299,18 +300,6 @@ func (c *Concurrent) estimateMiss() (version uint64, est float64, err error) {
 	return c.version.Load(), c.merged().Estimate(), nil
 }
 
-// merged returns the union of the built replicas: replica 0 itself while
-// it is the only one built, else the kept target once drain has brought
-// it up to date. The caller holds estMu and every replica lock, and must
-// not let the result escape them.
-func (c *Concurrent) merged() Sketch {
-	if len(c.inUse()) == 1 {
-		return c.replicas[0].sk
-	}
-	c.drain()
-	return c.acc
-}
-
 // MergedClone locks every built replica and returns a deep copy of their
 // merged state — the snapshot primitive: the returned sketch shares no
 // mutable state with the front (only the immutable hash draws), so it can
@@ -321,11 +310,8 @@ func (c *Concurrent) MergedClone() Sketch {
 	return merged
 }
 
-// mergedClone clones merged under estMu, which guards the kept target,
-// and every replica lock, taken in EstimateVersioned's order.
+// mergedClone clones merged under every replica lock.
 func (c *Concurrent) mergedClone() (merged Sketch, err error) {
-	c.estMu.Lock()
-	defer c.estMu.Unlock()
 	if err := c.lockAll(); err != nil {
 		return nil, err
 	}
@@ -333,26 +319,25 @@ func (c *Concurrent) mergedClone() (merged Sketch, err error) {
 	return c.merged().Clone(), nil
 }
 
-// drain brings the kept target, cloned from replica 0 on the first call,
-// up to date; the caller holds every replica lock. It merges each stale
-// replica (a replica built since the last drain is one), replays each
-// non-empty log and then empties it, allocating it at replayCap on the
-// replica's first drain.
-func (c *Concurrent) drain() {
-	if c.acc == nil {
-		c.acc, c.replicas[0].stale = c.replicas[0].sk.Clone(), false
-	}
-	for _, r := range c.inUse() {
+// merged drains replicas 1…k into replica 0 and returns it, the union of
+// the built replicas. It merges each stale replica (a replica built since
+// the last drain is one), replays each non-empty log and then empties it,
+// allocating it at replayCap on the replica's first drain. The caller
+// holds every replica lock and must not let the result escape them.
+func (c *Concurrent) merged() Sketch {
+	target := c.replicas[0].sk
+	for _, r := range c.inUse()[1:] {
 		if r.stale {
-			merge(c.acc, r.sk)
+			merge(target, r.sk)
 		} else if len(r.log) > 0 {
-			c.acc.ProcessBatch(r.log)
+			target.ProcessBatch(r.log)
 		}
 		if r.log == nil {
-			r.log = make([]uint64, 0, c.acc.replayCap())
+			r.log = make([]uint64, 0, target.replayCap())
 		}
 		r.log, r.stale = r.log[:0], false
 	}
+	return target
 }
 
 // merge folds replica src into dst. Replicas are clones of one seed, so
@@ -381,7 +366,7 @@ func (c *Concurrent) lockAll() error {
 // unlockAll releases every lock lockAll took. Deferred with a caller's error
 // result, it first turns a panic under the locks into the front's
 // failure, so a merge or replay that panics leaves no lock held and the
-// target it may have half-updated is never read again.
+// replica 0 it may have half-updated is never read again.
 func (c *Concurrent) unlockAll(err *error) {
 	if err != nil {
 		if p := recover(); p != nil {
@@ -394,19 +379,12 @@ func (c *Concurrent) unlockAll(err *error) {
 	c.grow.Unlock()
 }
 
-// SketchWords reports the summed footprint of the built replicas and,
-// once an estimate has missed or a MergedClone run with two or more
-// built, of the kept merge target and of each replica's log, charged at
-// its full capacity. It
-// holds grow while it visits the replicas, so a writer it keeps waiting
-// builds no replica.
+// SketchWords reports the summed footprint of the built replicas and of
+// their logs, each charged at its full capacity from the first drain
+// that reaches it on (replica 0 keeps none). It holds grow while it
+// visits the replicas, so a writer it keeps waiting builds no replica.
 func (c *Concurrent) SketchWords() int {
 	total := 0
-	c.estMu.Lock()
-	if c.acc != nil {
-		total = c.acc.SketchWords()
-	}
-	c.estMu.Unlock()
 	c.grow.Lock()
 	defer c.grow.Unlock()
 	for _, r := range c.inUse() {

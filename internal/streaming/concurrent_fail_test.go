@@ -12,7 +12,7 @@ import (
 
 // armedBucketing is a Bucketing whose absorb panics once armed, and
 // whose sibling panics once build is armed; clones and siblings share
-// both switches, so the front's kept target panics on replay and a new
+// both switches, so the front's replica 0 panics on replay and a new
 // replica on its first absorb.
 type armedBucketing struct {
 	*Bucketing
@@ -47,7 +47,7 @@ func (a *armedBucketing) Merge(other Sketch) error {
 // spinning in acquire or blocking in lockAll), Err wraps ErrFailed, and a
 // healthy front driven alongside still matches its serial reference. The
 // panic is injected in a write's absorb, in the replay of a replica's
-// log into the kept target during an estimate miss, in building a new
+// log into replica 0 during an estimate miss, in building a new
 // replica and in a new replica's first absorb right after it is built.
 // The failing call leaves no lock held, and a failure in a new replica
 // leaves replica 0 as it was.
@@ -64,9 +64,9 @@ func TestConcurrentFailedSketch(t *testing.T) {
 			var replica0 *Bucketing
 			switch where {
 			case "absorb", "replay":
-				writeOn(bad, 1, stream[100:150])  // builds replica 1
-				bad.Estimate()                    // builds the kept target: later writes are logged
-				bad.ProcessBatch(stream[150:155]) // within replayCap: logged
+				writeOn(bad, 1, stream[100:150]) // builds replica 1
+				bad.Estimate()                   // merges replica 1: its later writes are logged
+				writeOn(bad, 1, stream[150:155]) // within replayCap: logged
 				armed.Store(true)
 				if where == "absorb" {
 					bad.ProcessBatch(stream[200:300])

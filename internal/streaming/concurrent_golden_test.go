@@ -202,10 +202,9 @@ func TestConcurrentEstimateGoldenDeterminism(t *testing.T) {
 
 // referenceMerge returns the union of front's built replicas, merged
 // apart from the front: a fresh clone of replica 0 with every other
-// replica merged into it. It reads neither the kept target nor any log
-// and changes neither, so the front's drain is checked against an
-// independent merge, and checking it leaves the replay path to the
-// front's own misses.
+// replica merged into it. It reads no log and changes no replica, so,
+// taken before a miss, it checks the miss's drain against an independent
+// merge and leaves the replay path to the front's own misses.
 func referenceMerge(front *Concurrent) Sketch {
 	if err := front.lockAll(); err != nil {
 		panic(err)
@@ -218,12 +217,27 @@ func referenceMerge(front *Concurrent) Sketch {
 	return merged
 }
 
+// requireTarget fails t unless replica 0 of front, after a miss, holds
+// ref's snapshot bytes and no log: it is the front's merged state.
+func requireTarget(t *testing.T, what string, front *Concurrent, ref Sketch) {
+	t.Helper()
+	r0 := front.replicas[0]
+	if !bytes.Equal(AppendSketch(nil, r0.sk), AppendSketch(nil, ref)) {
+		t.Fatalf("%s: replica 0's snapshot differs from the reference merge's", what)
+	}
+	if r0.log != nil {
+		t.Fatalf("%s: replica 0 holds a log of capacity %d", what, cap(r0.log))
+	}
+}
+
 // TestConcurrentEstimateVsMergedCloneDeterminism is the front's merge
 // differential: after every write, the estimate a miss computes must be
 // bit-identical to an independent merge of the replicas
-// (referenceMerge) and to a serial sketch that ingested the same
-// elements, and the MergedClone taken after it must hold the serial
-// sketch's snapshot bytes. The writes are steered over every replica.
+// (referenceMerge, taken before the miss) and to a serial sketch that
+// ingested the same elements, replica 0 must then hold the reference's
+// snapshot bytes and no log, and the MergedClone taken after it must hold
+// the serial sketch's snapshot bytes. The writes are steered over every
+// replica.
 func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 	for _, kind := range concurrentGoldenKinds {
 		for _, reps := range []int{1, 2, 4} {
@@ -233,13 +247,15 @@ func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 			concurrentGoldenFeed(rotating(front), 0xd1ff, func() { front.Estimate() }, func(xs []uint64) {
 				writes++
 				serial.ProcessBatch(xs)
+				ref := referenceMerge(front)
 				est, _, cached := front.EstimateVersioned()
 				if cached {
 					t.Fatalf("%s replicas=%d write %d: estimate after a write was a cache hit", kind.name, reps, writes)
 				}
-				if want := referenceMerge(front).Estimate(); est != want {
+				if want := ref.Estimate(); est != want {
 					t.Fatalf("%s replicas=%d write %d: estimate %v != reference merge %v", kind.name, reps, writes, est, want)
 				}
+				requireTarget(t, fmt.Sprintf("%s replicas=%d write %d", kind.name, reps, writes), front, ref)
 				if want := serial.Estimate(); est != want {
 					t.Fatalf("%s replicas=%d write %d: estimate %v != serial %v", kind.name, reps, writes, est, want)
 				}
@@ -253,8 +269,8 @@ func TestConcurrentEstimateVsMergedCloneDeterminism(t *testing.T) {
 
 // replayProbe records, around one drain, what the test needs to see that
 // the replay path did real work: whether the drain only replayed logs
-// (no replica stale, target already kept) and the target's Bucketing
-// level or Minimum minima before it.
+// (no replica past replica 0 stale) and replica 0's Bucketing level or
+// Minimum minima before it.
 type replayProbe struct {
 	replayOnly bool
 	level      int
@@ -262,39 +278,41 @@ type replayProbe struct {
 }
 
 func probeTarget(front *Concurrent) replayProbe {
-	p := replayProbe{replayOnly: front.acc != nil, fullEst: math.NaN()}
-	for _, r := range front.inUse() {
+	p := replayProbe{replayOnly: true, fullEst: math.NaN()}
+	for _, r := range front.inUse()[1:] {
 		p.replayOnly = p.replayOnly && !r.stale
 	}
-	switch acc := front.acc.(type) {
+	switch target := front.replicas[0].sk.(type) {
 	case *Bucketing:
-		p.level = acc.MaxLevel()
+		p.level = target.MaxLevel()
 	case *Minimum:
 		full := true
-		for i := 0; i < acc.sk.Copies(); i++ {
-			_, set := acc.sk.Copy(i)
+		for i := 0; i < target.sk.Copies(); i++ {
+			_, set := target.sk.Copy(i)
 			full = full && set.Full()
 		}
 		if full {
-			p.fullEst = acc.Estimate()
+			p.fullEst = target.Estimate()
 		}
 	}
 	return p
 }
 
-// TestConcurrentReplayDifferential drives the kept target through every
-// drain path at 2 and 4 replicas, with every write steered onto the next
-// replica in rotation after a first round that builds them all: single
-// writes below the replay cap,
-// exactly at it and past it (the stale fallback), and rounds that fill
-// every replica's log over two writes to exactly the cap or one element
-// past it. The feed's distinct elements grow well past thresh, so
+// TestConcurrentReplayDifferential drives replica 0, the front's merge
+// target, through every drain path at 2 and 4 replicas, with every write
+// steered onto the next replica in rotation after a first round that
+// builds them all: single writes below the replay cap, exactly at it and
+// past it (the stale fallback), and rounds that fill every replica's
+// log (replica 0 keeps none) over two writes to exactly the cap or one
+// element past it. The feed's distinct elements grow well past thresh, so
 // Bucketing raises levels and Minimum evicts minima in drains that only
 // replay. After every write an independent merge of the replicas
 // (referenceMerge) must match a serial sketch; after every round the
-// miss must too, bit for bit, the MergedClone must hold the reference's
-// snapshot bytes, and Bucketing's target must hold the reference's level
-// and cell count in every copy.
+// miss must too, bit for bit, replica 0 and the MergedClone must hold the
+// bytes of the reference taken before the miss, replica 0 must hold no
+// log, and Bucketing's replica 0 must hold the reference's level and
+// cell count in every copy. A write steered onto replica 0 never leaves
+// it stale: it lands in the target.
 func TestConcurrentReplayDifferential(t *testing.T) {
 	for _, kind := range concurrentGoldenKinds {
 		for _, reps := range []int{2, 4} {
@@ -322,17 +340,19 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 					t.Fatalf("%s write %d: reference merge %v != serial %v", name, writes, got, want)
 				}
 			}
-			var raises, evictions, staleDrains int
+			var misses, raises, evictions, staleDrains int
 			check := func() {
 				before := probeTarget(front)
-				if front.acc != nil && !before.replayOnly {
+				if misses > 0 && !before.replayOnly {
 					staleDrains++
 				}
+				misses++
+				merged := referenceMerge(front)
 				est, _, cached := front.EstimateVersioned()
 				if cached {
 					t.Fatalf("%s write %d: estimate after a write was a cache hit", name, writes)
 				}
-				merged := referenceMerge(front)
+				requireTarget(t, fmt.Sprintf("%s write %d", name, writes), front, merged)
 				if want := merged.Estimate(); est != want {
 					t.Fatalf("%s write %d: estimate %v != reference merge %v", name, writes, est, want)
 				}
@@ -350,9 +370,9 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 					evictions++
 				}
 				if b, ok := merged.(*Bucketing); ok {
-					acc := front.acc.(*Bucketing)
+					target := front.replicas[0].sk.(*Bucketing)
 					for i, c := range b.copies {
-						if a := acc.copies[i]; a.level != c.level || a.size() != c.size() {
+						if a := target.copies[i]; a.level != c.level || a.size() != c.size() {
 							t.Fatalf("%s write %d copy %d: target at level %d with %d cells, merged clone at %d with %d",
 								name, writes, i, a.level, a.size(), c.level, c.size())
 						}
@@ -373,10 +393,12 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 					write(max(unit/3, 1))
 				case 1, 2:
 					// A log holds exactly replayCap elements; one more
-					// leaves the replica to a full merge.
+					// leaves the replica to a full merge, unless the
+					// write took replica 0, which never logs.
 					size := unit + round%5 - 1
 					write(size)
-					if stale := !probeTarget(front).replayOnly; logCap > 0 && stale != (size > logCap) {
+					onTarget := writes%reps == 0
+					if stale := !probeTarget(front).replayOnly; logCap > 0 && stale != (size > logCap && !onTarget) {
 						t.Fatalf("%s write %d of %d elements: stale=%v, replay cap %d", name, writes, size, stale, logCap)
 					}
 				case 3, 4:

@@ -114,20 +114,24 @@ func BenchmarkAbsorbLayout(b *testing.B) {
 
 var sinkEstimate float64
 
-// BenchmarkConcurrentTargetMiss times one estimate cache miss that goes
-// through the kept merge target, in the perfbench query shape: a 32-bit
+// BenchmarkConcurrentTargetMiss times one estimate cache miss of a
+// front with two replicas built, in the perfbench query shape: a 32-bit
 // default-parameter Bucketing sketch filled with 2048 random elements as
-// replica 0 of a 2-replica front, with replica 1 built by a steered
-// write. Each op steers an add onto replica 1 and then misses:
+// replica 0, the merge target, of a 2-replica front, with replica 1
+// built by a steered write. Each op steers an add onto one replica and
+// then misses:
 //
-//   - replay: 16 Zipf elements, which the miss replays into the target.
-//   - overflow: 1024 Zipf elements, past the replay cap (thresh), so the
-//     miss merges replica 1 into the target in full.
+//   - replay: 16 Zipf elements on replica 1, which the miss replays into
+//     replica 0.
+//   - overflow: 1024 Zipf elements on replica 1, past the replay cap
+//     (thresh), so the miss merges replica 1 into replica 0 in full.
+//   - target: 16 Zipf elements on replica 0, which land in the target
+//     itself, so the miss has nothing to bring in.
 func BenchmarkConcurrentTargetMiss(b *testing.B) {
 	for _, v := range []struct {
-		name string
-		add  int
-	}{{"replay", 16}, {"overflow", 1024}} {
+		name    string
+		add, on int
+	}{{"replay", 16, 1}, {"overflow", 1024, 1}, {"target", 16, 0}} {
 		b.Run(v.name, func(b *testing.B) {
 			const n, fill, ring = 32, 2048, 64
 			r := rand.New(rand.NewPCG(3, 4))
@@ -151,7 +155,7 @@ func BenchmarkConcurrentTargetMiss(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				writeOn(front, 1, adds[i%ring])
+				writeOn(front, v.on, adds[i%ring])
 				sinkEstimate = front.Estimate()
 			}
 		})
@@ -164,7 +168,7 @@ func BenchmarkConcurrentTargetMiss(b *testing.B) {
 // random elements as replica 0 of a front of 1, 2 or 4 replicas, every
 // replica built by a steered write. Each op steers a 16-element Zipf
 // write onto the last replica and then snapshots, so a multi-replica
-// front has that write to bring into its merged state.
+// front has that write to bring into replica 0, its merged state.
 func BenchmarkConcurrentSnapshot(b *testing.B) {
 	for _, reps := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("replicas=%d", reps), func(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mcf0/internal/stats"
 )
@@ -317,14 +318,14 @@ func TestConcurrentCacheHitSkipsWriters(t *testing.T) {
 	}
 }
 
-// The kept merge target and the replicas' logs are memory the front
-// holds. A fresh front holds the seed alone at every replica cap, and a
-// single writer's front stays at one replica that a miss estimates
-// directly, keeping no target and no log. Once writes reach every
-// replica, SketchWords counts, from the first estimate miss on, each
-// replica, the target once (its state is the replicas' merge, so it
-// holds the MergedClone's words) and each log at its full capacity,
-// replayCap; later misses reuse both instead of adding more.
+// The replicas and their logs are the memory the front holds. A fresh
+// front holds the seed alone at every replica cap, and a single writer's
+// front stays at one replica that a miss estimates directly, keeping no
+// log. Once writes reach P replicas, SketchWords counts, from the first
+// estimate miss on, each replica — replica 0 is the merge target, so it
+// holds the MergedClone's words — and each log of replicas 1…P−1 at its
+// full capacity, replayCap: P copies and P−1 logs. Replica 0 keeps no
+// log, and later misses reuse the logs instead of adding more.
 func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 	n := 32
 	stream := dupStream(n, 600, stats.NewRNG(0xf00))
@@ -348,12 +349,11 @@ func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 				if _, _, cached := front.EstimateVersioned(); cached {
 					t.Fatalf("%s replicas=%d: estimate after a write was a cache hit", name, reps)
 				}
-				if got := front.SketchWords(); got != one || front.acc != nil {
-					t.Fatalf("%s replicas=%d single-writer miss %d: front holds %d words (target kept: %v), want %d and none",
-						name, reps, miss, got, front.acc != nil, one)
+				if got := front.SketchWords(); got != one {
+					t.Fatalf("%s replicas=%d single-writer miss %d: front holds %d words, want %d", name, reps, miss, got, one)
 				}
 			}
-			var target Sketch
+			logs := make([]*uint64, reps)
 			for miss := 0; miss < 3; miss++ {
 				for r := 0; r < reps; r++ {
 					writeOn(front, r, stream[100+miss*reps+r:][:5])
@@ -361,19 +361,22 @@ func TestConcurrentFootprintCountsKeptTarget(t *testing.T) {
 				if _, _, cached := front.EstimateVersioned(); cached {
 					t.Fatalf("%s replicas=%d: estimate after a write was a cache hit", name, reps)
 				}
-				want := 0
-				for _, r := range front.inUse() {
-					want += r.sk.SketchWords()
-					if reps > 1 && cap(r.log) != logCap {
-						t.Fatalf("%s replicas=%d miss %d: log capacity %d, want %d", name, reps, miss, cap(r.log), logCap)
-					}
+				if got, want := front.replicas[0].sk.SketchWords(), front.MergedClone().SketchWords(); got != want {
+					t.Fatalf("%s replicas=%d miss %d: replica 0 holds %d words, the merged clone %d", name, reps, miss, got, want)
 				}
-				if reps > 1 {
-					want += front.MergedClone().SketchWords() + reps*logCap
-					if target == nil {
-						target = front.acc
-					} else if front.acc != target {
-						t.Fatalf("%s replicas=%d miss %d: the miss replaced the kept target", name, reps, miss)
+				want := (reps - 1) * logCap
+				for i, r := range front.inUse() {
+					want += r.sk.SketchWords()
+					if wantCap := min(i, 1) * logCap; cap(r.log) != wantCap {
+						t.Fatalf("%s replicas=%d miss %d: replica %d's log capacity %d, want %d", name, reps, miss, i, cap(r.log), wantCap)
+					}
+					if i == 0 {
+						continue
+					}
+					if data := unsafe.SliceData(r.log); logs[i] == nil {
+						logs[i] = data
+					} else if data != logs[i] {
+						t.Fatalf("%s replicas=%d miss %d: the miss replaced replica %d's log", name, reps, miss, i)
 					}
 				}
 				if got := front.SketchWords(); got != want {
