@@ -718,9 +718,10 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 // universe, default ε/δ (82 copies, Thresh 150), serial absorb, and
 // 1024-element batches into a pre-filled sketch, reporting ns per
 // element. zipf batches (s = 1.1 over 2^20 keys) repeat their hot keys,
-// which the batch conversion drops before absorb; distinct batches have
-// no in-batch repeats, so they bypass de-duplication and keep its
-// overhead visible.
+// which the sketch's element cache drops before absorb; distinct batches
+// repeat nothing the cache still holds (the ring's 32,768 elements
+// overflow its 4,096 slots), so nearly every element misses it and its
+// overhead stays visible.
 func BenchmarkF0Ingest(b *testing.B) {
 	const bits, batch, ring = 32, 1024, 32
 	zipf := rand.NewZipf(rand.New(rand.NewPCG(1, 2)), 1.1, 1, 1<<20-1)
@@ -751,6 +752,60 @@ func BenchmarkF0Ingest(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/elem")
 				sinkFloat = f.Estimate()
+			})
+		}
+	}
+}
+
+// BenchmarkConcurrentZipf times ConcurrentF0.AddBatch in the f0d ingest
+// shape, with and without repeated batches: 64 fronts of 32-bit sketches
+// at default ε/δ (replica cap 2), prefilled with 4 batches each, take one
+// 1024-element Zipf batch (s = 1.1 over 2^20 keys) per op, front i%64 at
+// op i. fresh never repeats a batch: it draws the next 256 with the
+// timer stopped every 256 ops, so only the Zipf law repeats elements
+// across batches; ring cycles a fixed
+// set of 256 batches, so each (front, batch) pair comes again every 256
+// ops, as in perfbench's op ring, and a front's element cache drops
+// nearly all of a batch it absorbed before.
+func BenchmarkConcurrentZipf(b *testing.B) {
+	const bits, batch, fronts, fill, ring = 32, 1024, 64, 4, 256
+	for _, alg := range []Algorithm{AlgorithmBucketing, AlgorithmMinimum} {
+		for _, input := range []string{"fresh", "ring"} {
+			b.Run(string(alg)+"/"+input, func(b *testing.B) {
+				zipf := rand.NewZipf(rand.New(rand.NewPCG(5, 6)), 1.1, 1, 1<<20-1)
+				draw := func(xs []uint64) []uint64 {
+					for i := range xs {
+						xs[i] = stats.Mix64(zipf.Uint64()) >> (64 - bits)
+					}
+					return xs
+				}
+				cs := make([]*ConcurrentF0, fronts)
+				for k := range cs {
+					c, err := NewConcurrentF0(bits, alg, Config{Seed: 47}, 2)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for range fill {
+						c.AddBatch(draw(make([]uint64, batch)))
+					}
+					cs[k] = c
+				}
+				batches := make([][]uint64, ring)
+				for k := range batches {
+					batches[k] = draw(make([]uint64, batch))
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if input == "fresh" && i > 0 && i%ring == 0 {
+						b.StopTimer()
+						for _, xs := range batches {
+							draw(xs)
+						}
+						b.StartTimer()
+					}
+					cs[i%fronts].AddBatch(batches[i%ring])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/elem")
 			})
 		}
 	}

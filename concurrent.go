@@ -45,7 +45,8 @@ type ConcurrentF0 struct {
 	front *streaming.Concurrent
 	// batches recycles AddBatch's batch scratch (*elemBatch) across
 	// calls and goroutines; sketches copy what they keep, so a batch can
-	// be reused the moment ProcessBatch returns.
+	// be reused the moment ProcessBatch returns. Each batch's cache holds
+	// only elements this front absorbed, so the pool is never shared.
 	batches sync.Pool
 }
 
@@ -81,9 +82,11 @@ func (c *ConcurrentF0) Version() uint64 { return c.front.Version() }
 // acquisition over the chunk; safe to call from any goroutine. The whole
 // slice is validated first — an out-of-range element panics with the
 // batch rejected atomically (no elements ingested) — and
-// repeats within the chunk are dropped before the replica sees them (an
-// exact no-op for a set function; callers counting accepted elements,
-// such as the service's items meter, still count the raw chunk).
+// elements the front already holds, from this chunk or an earlier one,
+// are mostly dropped before any replica sees them (an exact no-op for a
+// set function; callers counting accepted elements, such as the
+// service's items meter, still count the raw chunk). A chunk whose
+// elements are all dropped still counts in Version.
 // The batch buffers are pooled scratch, so steady-state AddBatch
 // allocates nothing per element. On a failed sketch it ingests nothing
 // (see Err).
@@ -95,7 +98,11 @@ func (c *ConcurrentF0) AddBatch(xs []uint64) {
 	if b == nil {
 		b = new(elemBatch)
 	}
-	c.front.ProcessBatch(b.dedup(xs, c.nBits))
+	if ys := b.dedup(xs, c.nBits); len(ys) > 0 {
+		c.front.ProcessBatch(ys)
+	} else {
+		c.front.Unchanged()
+	}
 	c.batches.Put(b)
 }
 

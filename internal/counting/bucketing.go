@@ -2,7 +2,6 @@ package counting
 
 import (
 	"math"
-	"math/bits"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/hash"
@@ -62,13 +61,13 @@ const presizeSols = 1024
 // own fork of src, up to the pool bound 2·Thresh. Every cell of every
 // trial is a subset of it (Section 3.2), so:
 //   - when Sol(φ) runs out below the bound, the pool is all of Sol(φ) and
-//     each trial is answered from it with no oracle call: hᵢ is evaluated
-//     once per pool member (for n ≤ 64 and Toeplitz draws, in one batch
-//     over the pool packed once per count), and the smallest m whose cell
-//     holds fewer than Thresh members (capped at n) is read off a
-//     histogram of zero-prefix lengths (prefixFromPool) — the m the linear
-//     scan and the binary search both locate, since cells shrink as m
-//     grows;
+//     each trial is answered from it with no oracle call: the smallest m
+//     whose cell holds fewer than Thresh members (capped at n) is found
+//     by counting each cell over the pool (prefixFromPool; for n ≤ 64 and
+//     Toeplitz draws, one batch hash per level over the pool packed once
+//     per count, else one evaluation of hᵢ per pool member and a
+//     histogram of zero-prefix lengths) — the m the linear scan and the
+//     binary search both locate, since cells shrink as m grows;
 //   - otherwise each trial searches with the oracle, its cells seeded
 //     with the pool members they contain (BoundedSAT's coarser argument),
 //     and deeper cells with the coarser cell the search holds.
@@ -151,30 +150,33 @@ func poolWords(pool []bitvec.BitVec, n int) []uint64 {
 }
 
 // prefixFromPool locates h's prefix length from a pool holding all of
-// Sol(φ), with no oracle call: hist (n+1 counters, overwritten) counts the
-// members by the length of the all-zero prefix of h(x), so |cell_m| is
-// the sum of hist[m…n]. It returns the smallest m with |cell_m| < thresh,
-// or n when there is none, and min(thresh, |cell_m|) — what
+// Sol(φ), with no oracle call. It returns the smallest m with |cell_m| <
+// thresh, or n when there is none, and min(thresh, |cell_m|) — what
 // searchPrefixLinear and searchPrefixBinary return on the oracle.
 //
 // With the pool packed as xw (poolWords) and a draw that has a
-// carry-less kernel, one PrefixWords call under an all-ones bound hashes
-// every member into ys (with idx, scratch of one entry per member) and
-// the zero-prefix length is the trailing-zero count of its word;
-// otherwise each member takes ZeroPrefixLen with scratch.
+// carry-less kernel, |cell_m| is the kept count of one PrefixWords call
+// under the bound with bits 0..m−1 clear and the rest set, which admits
+// exactly the words with an all-zero m-bit prefix (ys and idx are its
+// scratch, one entry per member), for m = 1, 2, … while the cell holds
+// at least thresh.
+// Otherwise each member takes ZeroPrefixLen with scratch, and hist (n+1
+// counters, overwritten) counts the members by the length of the
+// all-zero prefix of h(x), so |cell_m| is the sum of hist[m…n].
 func prefixFromPool(h *hash.Linear, pool []bitvec.BitVec, xw []uint64, thresh int, hist []int, scratch bitvec.BitVec, ys []uint64, idx []int) (int, int) {
-	clear(hist)
 	n := h.InBits()
-	if kept, ok := h.PrefixWords(n, ^uint64(0), xw, ys, idx); xw != nil && ok {
-		for _, y := range ys[:kept] {
-			hist[min(bits.TrailingZeros64(y), n)]++
-		}
-	} else {
-		for _, x := range pool {
-			hist[h.ZeroPrefixLen(x, scratch)]++
-		}
-	}
 	m, c := 0, len(pool)
+	if _, ok := h.PrefixWords(n, 0, nil, nil, nil); xw != nil && ok {
+		for c >= thresh && m < n {
+			m++
+			c, _ = h.PrefixWords(n, ^uint64(0)<<uint(m), xw, ys, idx)
+		}
+		return m, min(c, thresh)
+	}
+	clear(hist)
+	for _, x := range pool {
+		hist[h.ZeroPrefixLen(x, scratch)]++
+	}
 	for c >= thresh && m < n {
 		c -= hist[m]
 		m++

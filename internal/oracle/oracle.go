@@ -481,9 +481,28 @@ type Exhaustive struct {
 	n       int
 	eval    func(bitvec.BitVec) bool
 	queries int64
-	sols    []bitvec.BitVec // lazily materialised solution list
-	solsVal []uint64        // integer forms of sols, for Uint64Hash fast paths
-	solsSet bool
+	sols    *solutionList // swept on first use, shared by forks
+}
+
+// solutionList is Sol(φ), swept once: its members as integers, and as
+// vectors built only for a hash that is not a Uint64Hash, on the first
+// such query of any fork.
+type solutionList struct {
+	vals []uint64
+	once sync.Once
+	vecs []bitvec.BitVec
+}
+
+// vectors returns the members as n-bit vectors, carved from one slab on
+// the first call.
+func (s *solutionList) vectors(n int) []bitvec.BitVec {
+	s.once.Do(func() {
+		s.vecs = bitvec.NewSlab(n, len(s.vals))
+		for i, v := range s.vals {
+			s.vecs[i].SetUint64(v)
+		}
+	})
+	return s.vecs
 }
 
 // ExhaustiveMaxVars caps n where the public count paths answer
@@ -501,16 +520,15 @@ func NewExhaustive(n int, eval func(bitvec.BitVec) bool) *Exhaustive {
 }
 
 // Fork returns an independent handle with its own query meter. The
-// (immutable once built) solution list is materialised first so that all
-// forks share it instead of re-enumerating the universe.
+// solution list is swept first so that all forks share it instead of
+// re-enumerating the universe.
 func (e *Exhaustive) Fork() Source { return e.fork() }
 
 // ForkTester is Fork as a TrailingZeroTester.
 func (e *Exhaustive) ForkTester() TrailingZeroTester { return e.fork() }
 
 func (e *Exhaustive) fork() *Exhaustive {
-	e.solutions()
-	return &Exhaustive{n: e.n, eval: e.eval, sols: e.sols, solsVal: e.solsVal, solsSet: true}
+	return &Exhaustive{n: e.n, eval: e.eval, sols: e.solutions()}
 }
 
 // NVars returns the variable count.
@@ -552,18 +570,20 @@ func (e *Exhaustive) Enumerate(cons *gf2.System, known []bitvec.BitVec, limit in
 	return count
 }
 
-// solutions materialises Sol(φ) once so that repeated hash queries scan
-// only the solution list instead of the whole universe.
-func (e *Exhaustive) solutions() []bitvec.BitVec {
-	if !e.solsSet {
+// solutions sweeps Sol(φ) once, with one scratch vector, so that
+// repeated hash queries scan only the solution list instead of the whole
+// universe.
+func (e *Exhaustive) solutions() *solutionList {
+	if e.sols == nil {
+		s := new(solutionList)
+		x := bitvec.New(e.n)
 		for v := uint64(0); v < 1<<uint(e.n); v++ {
-			x := bitvec.FromUint64(v, e.n)
+			x.SetUint64(v)
 			if e.eval(x) {
-				e.sols = append(e.sols, x)
-				e.solsVal = append(e.solsVal, v)
+				s.vals = append(s.vals, v)
 			}
 		}
-		e.solsSet = true
+		e.sols = s
 	}
 	return e.sols
 }
@@ -573,15 +593,15 @@ func (e *Exhaustive) solutions() []bitvec.BitVec {
 // pay the binary search's repeated scans. One sweep is one query.
 func (e *Exhaustive) MaxTrailingZeros(h hash.Func, maxT int) int {
 	e.queries++
-	e.solutions()
+	sols := e.solutions()
 	best := -1
 	if u, ok := hash.AsUint64Hash(h); ok {
-		for _, v := range e.solsVal {
+		for _, v := range sols.vals {
 			best = max(best, trailingZerosValue(u.EvalUint64(v), h.OutBits()))
 		}
 	} else {
 		scratch := bitvec.New(h.OutBits())
-		for _, x := range e.sols {
+		for _, x := range sols.vectors(e.n) {
 			h.EvalInto(x, scratch)
 			best = max(best, scratch.TrailingZeros())
 		}

@@ -138,9 +138,11 @@ func TestInconsistentConstraints(t *testing.T) {
 
 // TestExistsTrailingZeros checks every tester's FindMaxRange against brute
 // force at every maxT ∈ [0, n], which covers Exhaustive's clamp:
-// Exhaustive under a polynomial, an H_xor and a Toeplitz draw, and
-// LinearTester over CNFSource, DNFSource and Exhaustive under the two
-// linear draws, on satisfiable and unsatisfiable formulas.
+// Exhaustive under a polynomial, an H_xor and a Toeplitz draw, and under
+// a draw hidden behind a plain hash.Func (not a Uint64Hash, so it reads
+// the solutions as vectors), and LinearTester over CNFSource, DNFSource
+// and Exhaustive under the two linear draws, on satisfiable and
+// unsatisfiable formulas.
 func TestExistsTrailingZeros(t *testing.T) {
 	rng := stats.NewRNG(59)
 	n := 6
@@ -167,6 +169,7 @@ func TestExistsTrailingZeros(t *testing.T) {
 		{"poly", hash.NewPoly(n, 3).Draw(rng.Uint64)},
 		{"xor", hash.NewXor(n, n).Draw(rng.Uint64)},
 		{"toeplitz", hash.NewToeplitz(n, n).Draw(rng.Uint64)},
+		{"opaque", opaqueFunc{hash.NewToeplitz(n, n).Draw(rng.Uint64)}},
 	}
 	clamped := 0
 	for _, c := range cases {
@@ -180,7 +183,7 @@ func TestExistsTrailingZeros(t *testing.T) {
 				}
 			}
 			testers := []TrailingZeroTester{NewExhaustive(n, c.eval)}
-			if hc.name != "poly" {
+			if hc.name == "xor" || hc.name == "toeplitz" {
 				testers = append(testers, LinearTester{c.src}, LinearTester{NewExhaustive(n, c.eval)})
 			}
 			for maxT := 0; maxT <= n; maxT++ {
@@ -200,6 +203,10 @@ func TestExistsTrailingZeros(t *testing.T) {
 		t.Fatal("no case exercised the maxT clamp")
 	}
 }
+
+// opaqueFunc hides a draw's concrete type, so hash.AsUint64Hash does not
+// recognise it.
+type opaqueFunc struct{ hash.Func }
 
 func TestQueriesMetered(t *testing.T) {
 	rng := stats.NewRNG(61)

@@ -273,3 +273,53 @@ func serveHTTP(h http.Handler, path, body string) *httptest.ResponseRecorder {
 	h.ServeHTTP(w, r)
 	return w
 }
+
+// An add whose elements the sketch already holds changes no sketch state
+// (the batch conversion drops them as cached), yet it is a completed
+// write: the route's version rises on it as on any add. Two sketches of
+// one configuration never share that cache, so the same add reaches
+// both and they estimate alike.
+func TestAddVersionCountsCachedAdds(t *testing.T) {
+	_, ts := newServer(t, server.Config{})
+	elements := make([]uint64, 200)
+	for i := range elements {
+		elements[i] = uint64(i * 7919 % 65536)
+	}
+	add := func(name string) float64 {
+		t.Helper()
+		status, body := do(t, "POST", ts.URL+"/v1/sketches/"+name+"/add", testToken, map[string]any{"elements": elements})
+		if status != http.StatusOK {
+			t.Fatalf("add to %s: %d %v", name, status, body)
+		}
+		return body["version"].(float64)
+	}
+	estimate := func(name string) float64 {
+		t.Helper()
+		status, body := do(t, "GET", ts.URL+"/v1/sketches/"+name+"/estimate", testToken, nil)
+		if status != http.StatusOK {
+			t.Fatalf("estimate %s: %d %v", name, status, body)
+		}
+		return body["estimate"].(float64)
+	}
+	for _, name := range []string{"a", "b"} {
+		if status, body := do(t, "POST", ts.URL+"/v1/sketches", testToken,
+			map[string]any{"name": name, "bits": 16, "seed": 5, "replicas": 2}); status != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", name, status, body)
+		}
+	}
+	v1 := add("a")
+	est := estimate("a")
+	if est <= 0 {
+		t.Fatalf("estimate %v after adding %d elements", est, len(elements))
+	}
+	if v2 := add("a"); v2 != v1+1 {
+		t.Errorf("version %v after an add of cached elements at version %v, want %v", v2, v1, v1+1)
+	}
+	if got := estimate("a"); got != est {
+		t.Errorf("an add of cached elements moved the estimate from %v to %v", est, got)
+	}
+	add("b")
+	if got := estimate("b"); got != est {
+		t.Errorf("a second sketch given the same elements estimates %v, the first %v", got, est)
+	}
+}

@@ -225,6 +225,15 @@ func (c *Concurrent) release(r *replica) {
 	r.mu.Unlock()
 }
 
+// Unchanged records a completed write whose elements the front already
+// holds, so it counts in Version like any ProcessBatch, without claiming
+// a replica. On a failed front it records nothing.
+func (c *Concurrent) Unchanged() {
+	if c.Err() == nil {
+		c.version.Add(1)
+	}
+}
+
 // ProcessBatch absorbs a chunk of elements into the lowest free replica,
 // building one when every built replica is busy; the whole chunk lands
 // on one replica, amortising acquisition. On a failed front it absorbs

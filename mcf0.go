@@ -365,7 +365,7 @@ func dimacsLists(n int, raw [][]int, add func([]formula.Lit)) error {
 type F0 struct {
 	nBits int
 	sk    streaming.Sketch
-	batch elemBatch // AddBatch's batch scratch (single writer)
+	batch elemBatch // AddBatch's batch scratch and cache (single writer)
 }
 
 // f0Kinds maps each F0 algorithm to its sketch's wire kind.
@@ -402,15 +402,15 @@ func (f *F0) Add(x uint64) { f.AddBatch([]uint64{x}) }
 // for the whole chunk. Equivalent to calling Add on each element in order;
 // chunks of a few hundred elements amortise the dispatch best. The whole
 // chunk is validated first (an out-of-range element panics with nothing
-// ingested), and repeats within the chunk are dropped before any sketch
-// copy sees them — an exact no-op, since every sketch is a function of
-// the element set. The batch buffers are the sketch's own scratch, so
+// ingested), and elements the sketch already holds, from this chunk or an
+// earlier one, are mostly dropped before any sketch copy sees them — an
+// exact no-op, since every sketch is a function of the element set. The
+// batch buffers and that cache are the sketch's own scratch, so
 // steady-state AddBatch allocates nothing per element.
 func (f *F0) AddBatch(xs []uint64) {
-	if len(xs) == 0 {
-		return
+	if ys := f.batch.dedup(xs, f.nBits); len(ys) > 0 {
+		f.sk.ProcessBatch(ys)
 	}
-	f.sk.ProcessBatch(f.batch.dedup(xs, f.nBits))
 }
 
 // Estimate returns the current distinct-count approximation.
