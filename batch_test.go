@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -27,7 +26,7 @@ func zipfBatch(rng *stats.RNG, n, keys, bits int) []uint64 {
 	return out
 }
 
-// dupBatches are the repeat shapes the mcf0 batch conversion drops: Zipf
+// dupBatches are the repeat shapes the element cache drops: Zipf
 // batches with heavy repeats, a batch whose repeats straddle level
 // raises (its 200 distinct elements overflow a Thresh-24 cell several
 // times, so many repeats arrive after their first occurrence was
@@ -126,13 +125,10 @@ func TestF0BatchVsSingleDuplicates(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// Steady-state AddBatch allocates nothing per element: the conversion
-// reuses the sketch's (F0) or the pool's (ConcurrentF0) scratch, and the
+// Steady-state AddBatch allocates nothing: the element cache is the
+// sketch's (F0) or the replica's (ConcurrentF0) own scratch, and the
 // sketches absorb into preallocated slabs.
 func TestF0AddBatchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
 	const bits = 32
 	rng := stats.NewRNG(3)
 	batches := [][]uint64{zipfBatch(rng, 1024, 5000, bits), zipfBatch(rng, 1024, 1<<30, bits)}
@@ -155,9 +151,7 @@ func TestF0AddBatchAllocs(t *testing.T) {
 				add(batches[k%len(batches)])
 				k++
 			})
-			// Under one allocation per batch on average: a GC may empty
-			// the front's pool once, nothing may scale with the batch.
-			if allocs >= 1 {
+			if allocs != 0 {
 				t.Errorf("alg=%s %s.AddBatch: %.2f allocations per 1024-element batch, want 0",
 					alg, name, allocs)
 			}
@@ -248,8 +242,8 @@ func addPanics(s cachedSketch, xs []uint64) (panicked bool) {
 
 var cacheAlgs = []Algorithm{AlgorithmBucketing, AlgorithmMinimum, AlgorithmEstimation}
 
-// The batch conversion is each sketch's cache of absorbed elements:
-// re-adding an absorbed batch hands the sketch nothing, leaves its
+// Each sketch has a cache of absorbed elements: re-adding an absorbed
+// batch, at once or after GCs, hands the sketch nothing, leaves its
 // snapshot bytes unchanged and, on a front, still counts in Version. The
 // cache is direct-mapped, so of a larger batch it hands again the few
 // elements that lost their slot to another element of the batch (about
@@ -274,11 +268,6 @@ func TestAddBatchCacheReAdd(t *testing.T) {
 }
 
 func testCacheReAdd(t *testing.T, bits int, batchName string, batch []uint64, maxLost int) {
-	// A front's cache lives in its sync.Pool, which a GC may empty and
-	// which keeps an item put on one P from a Get on another, so this
-	// runs on one P with the GC off.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rejected := append(slices.Clone(batch[:len(batch)/2]), 1<<bits)
 	for _, alg := range cacheAlgs {
 		cfg := Config{Thresh: 24, Iterations: 7, Seed: 11, Parallelism: 1}
@@ -298,27 +287,37 @@ func testCacheReAdd(t *testing.T, bits int, batchName string, batch []uint64, ma
 			if !bytes.Equal(mustSnapshot(t, other), want) {
 				t.Fatalf("%s: a second sketch did not absorb a batch the first one holds", name)
 			}
-			first := handed.Load()
-			if first == 0 || first > int64(len(batch)) {
+			if first := handed.Load(); first == 0 || first > int64(len(batch)) {
 				t.Fatalf("%s: %d elements handed for a %d-element batch", name, first, len(batch))
 			}
-			var v0 uint64
-			if k.front {
-				v0 = s.(*ConcurrentF0).Version()
-			}
-			s.AddBatch(batch)
-			// The race detector makes sync.Pool drop items at random.
-			if got := handed.Load() - first; got > int64(maxLost) && !(k.front && raceEnabled) {
-				t.Errorf("%s: re-adding an absorbed batch handed the sketch %d elements, want ≤ %d", name, got, maxLost)
-			}
-			if !bytes.Equal(mustSnapshot(t, s), want) {
-				t.Errorf("%s: re-adding an absorbed batch changed the snapshot", name)
-			}
-			if k.front {
-				if v := s.(*ConcurrentF0).Version(); v != v0+1 {
-					t.Errorf("%s: version %d after re-adding an absorbed batch at version %d, want %d", name, v, v0, v0+1)
+			reAdd := func(when string) {
+				before := handed.Load()
+				var v0 uint64
+				if k.front {
+					v0 = s.(*ConcurrentF0).Version()
+				}
+				s.AddBatch(batch)
+				if got := handed.Load() - before; got > int64(maxLost) {
+					t.Errorf("%s: re-adding an absorbed batch %s handed the sketch %d elements, want ≤ %d", name, when, got, maxLost)
+				}
+				if !bytes.Equal(mustSnapshot(t, s), want) {
+					t.Errorf("%s: re-adding an absorbed batch %s changed the snapshot", name, when)
+				}
+				if k.front {
+					if v := s.(*ConcurrentF0).Version(); v != v0+1 {
+						t.Errorf("%s: version %d after re-adding an absorbed batch %s at version %d, want %d", name, v, when, v0, v0+1)
+					}
 				}
 			}
+			reAdd("at once")
+			// The cache lives as long as its sketch: a GC does not empty
+			// it, and a writer on any P finds it.
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+				runtime.GC()
+				runtime.GC()
+				reAdd("after two GCs at GOMAXPROCS 2")
+			}()
 		}
 	}
 }

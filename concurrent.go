@@ -2,7 +2,6 @@ package mcf0
 
 import (
 	"fmt"
-	"sync"
 
 	"mcf0/internal/streaming"
 )
@@ -43,11 +42,6 @@ func (f *F0) Merge(other *F0) error {
 type ConcurrentF0 struct {
 	nBits int
 	front *streaming.Concurrent
-	// batches recycles AddBatch's batch scratch (*elemBatch) across
-	// calls and goroutines; sketches copy what they keep, so a batch can
-	// be reused the moment ProcessBatch returns. Each batch's cache holds
-	// only elements this front absorbed, so the pool is never shared.
-	batches sync.Pool
 }
 
 // NewConcurrentF0 builds a concurrent F0 sketch over an nBits-bit
@@ -82,28 +76,17 @@ func (c *ConcurrentF0) Version() uint64 { return c.front.Version() }
 // acquisition over the chunk; safe to call from any goroutine. The whole
 // slice is validated first — an out-of-range element panics with the
 // batch rejected atomically (no elements ingested) — and
-// elements the front already holds, from this chunk or an earlier one,
-// are mostly dropped before any replica sees them (an exact no-op for a
-// set function; callers counting accepted elements, such as the
-// service's items meter, still count the raw chunk). A chunk whose
-// elements are all dropped still counts in Version.
-// The batch buffers are pooled scratch, so steady-state AddBatch
-// allocates nothing per element. On a failed sketch it ingests nothing
-// (see Err).
+// elements the claimed replica already holds, from this chunk or an
+// earlier one, are mostly dropped before its sketch hashes them (an
+// exact no-op for a set function; callers counting accepted elements,
+// such as the service's items meter, still count the raw chunk). A
+// chunk whose elements are all dropped still counts in Version. Each
+// replica's cache is its own scratch, kept while the replica lives, so
+// steady-state AddBatch allocates nothing per element. On a failed
+// sketch it ingests nothing (see Err).
 func (c *ConcurrentF0) AddBatch(xs []uint64) {
-	if len(xs) == 0 {
-		return
-	}
-	b, _ := c.batches.Get().(*elemBatch)
-	if b == nil {
-		b = new(elemBatch)
-	}
-	if ys := b.dedup(xs, c.nBits); len(ys) > 0 {
-		c.front.ProcessBatch(ys)
-	} else {
-		c.front.Unchanged()
-	}
-	c.batches.Put(b)
+	checkElements(xs, c.nBits)
+	c.front.ProcessBatch(xs)
 }
 
 // Estimate merges the replicas and returns the combined distinct-count
@@ -130,8 +113,11 @@ var ErrSketchFailed = streaming.ErrFailed
 
 // SketchWords returns the summed footprint of the replicas built, in
 // 64-bit words. Replica 0 is the merged state, so P built replicas report
-// P copies; once an estimate has missed with two or more built, it also
-// counts the replay logs of replicas 1…P−1, thresh words each.
+// P copies. From the first drain with two or more built (an estimate
+// miss or a snapshot), it also counts the replay logs of replicas
+// 1…P−1, replayCap words each: thresh for Bucketing and Minimum, 0 for
+// Estimation, whose replicas never log. The replicas' element caches are
+// not counted.
 func (c *ConcurrentF0) SketchWords() int { return c.front.SketchWords() }
 
 // Merge folds other's sketch state into d (same n, same seed and

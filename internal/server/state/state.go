@@ -148,8 +148,11 @@ func (s *Sketch) Version() uint64 { return s.front.Version() }
 
 // SketchWords returns the summed footprint of the replicas built, in
 // 64-bit words. Replica 0 is the merged state, so P built replicas report
-// P copies; once an estimate has missed with two or more built, it also
-// counts the replay logs of replicas 1…P−1, thresh words each.
+// P copies. From the first drain with two or more built (an estimate
+// miss or a snapshot), it also counts the replay logs of replicas
+// 1…P−1, replayCap words each: thresh for Bucketing and Minimum, 0 for
+// Estimation, whose replicas never log. The replicas' element caches are
+// not counted.
 func (s *Sketch) SketchWords() int { return s.front.SketchWords() }
 
 // Replicas returns the front's replica cap.

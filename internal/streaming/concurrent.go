@@ -35,13 +35,16 @@ var ErrFailed = errors.New("streaming: sketch failed")
 // the merged state — and therefore the estimate and the snapshot bytes —
 // does not depend on which replica absorbed which element: fixed-seed
 // estimates and snapshots are bit-identical to a single serial sketch's
-// at every replica count.
+// at every replica count. It also lets each replica keep an
+// ElementCache of the elements it holds and drop them from a write before
+// they are hashed: a replica's set only grows, so a cached element is an
+// exact no-op.
 //
 // The same argument makes replica 0 the merged state and lets a miss
 // work in proportion to what changed. Replica 0 is the merge target and
 // never logs: its writes already land in the target. Once replica 0 has
-// absorbed another replica, that replica logs by value the elements it
-// takes in, and the next miss replays the log into replica 0, skipping
+// absorbed another replica, that replica logs by value the elements new
+// to it, and the next miss replays the log into replica 0, skipping
 // replicas with an empty log: replica 0 holds the state of the union at
 // the last miss and of its own writes since, and each other replica's
 // set grew by its log, so replica 0 ends as the state of the union — what
@@ -90,11 +93,13 @@ type Concurrent struct {
 	failed atomic.Pointer[error]
 }
 
-// replicaState is the payload of one replica slot: its lock and sketch,
-// and the log or stale mark of what replica 0 has not absorbed.
+// replicaState is the payload of one replica slot: its lock, sketch and
+// cache of the elements the sketch holds, and the log or stale mark of
+// what replica 0 has not absorbed.
 type replicaState struct {
 	mu    sync.Mutex
 	sk    Sketch
+	cache ElementCache
 	log   []uint64
 	stale bool
 }
@@ -225,19 +230,12 @@ func (c *Concurrent) release(r *replica) {
 	r.mu.Unlock()
 }
 
-// Unchanged records a completed write whose elements the front already
-// holds, so it counts in Version like any ProcessBatch, without claiming
-// a replica. On a failed front it records nothing.
-func (c *Concurrent) Unchanged() {
-	if c.Err() == nil {
-		c.version.Add(1)
-	}
-}
-
 // ProcessBatch absorbs a chunk of elements into the lowest free replica,
 // building one when every built replica is busy; the whole chunk lands
-// on one replica, amortising acquisition. On a failed front it absorbs
-// nothing.
+// on one replica, amortising acquisition. The replica's cache drops the
+// elements it already holds, so only the rest are absorbed and logged; a
+// chunk with nothing new still counts in Version. On a failed front it
+// absorbs nothing.
 func (c *Concurrent) ProcessBatch(xs []uint64) {
 	if len(xs) == 0 {
 		return
@@ -256,6 +254,9 @@ func (c *Concurrent) ProcessBatch(xs []uint64) {
 		// A new slot: replica 0's draws never change, so reading them
 		// needs no lock. Stale, the next drain merges it in full.
 		r.sk, r.stale = c.replicas[0].sk.sibling(), true
+	}
+	if xs = r.cache.Drop(xs); len(xs) == 0 {
+		return
 	}
 	r.sk.ProcessBatch(xs)
 	if !r.stale {
@@ -390,8 +391,9 @@ func (c *Concurrent) unlockAll(err *error) {
 
 // SketchWords reports the summed footprint of the built replicas and of
 // their logs, each charged at its full capacity from the first drain
-// that reaches it on (replica 0 keeps none). It holds grow while it
-// visits the replicas, so a writer it keeps waiting builds no replica.
+// that reaches it on (replica 0 keeps none), not their element caches.
+// It holds grow while it visits the replicas, so a writer it keeps
+// waiting builds no replica.
 func (c *Concurrent) SketchWords() int {
 	total := 0
 	c.grow.Lock()

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mcf0/internal/bitvec"
@@ -304,7 +305,8 @@ func probeTarget(front *Concurrent) replayProbe {
 // builds them all: single writes below the replay cap, exactly at it and
 // past it (the stale fallback), and rounds that fill every replica's
 // log (replica 0 keeps none) over two writes to exactly the cap or one
-// element past it. The feed's distinct elements grow well past thresh, so
+// element past it. Those cap-probing writes carry elements no replica
+// has seen, since a replica's cache drops the ones it holds. The feed's distinct elements grow well past thresh, so
 // Bucketing raises levels and Minimum evicts minima in drains that only
 // replay. After every write an independent merge of the replicas
 // (referenceMerge) must match a serial sketch; after every round the
@@ -327,11 +329,27 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 				pool[i] = rng.Uint64() >> (64 - concurrentGoldenBits)
 			}
 			live, writes := 0, 0
+			drawn := func() uint64 { return pool[rng.Uint64n(uint64(live))] }
+			// The cap-probing writes carry fresh elements, drawn once and
+			// never from the pool, so no replica's cache drops any of
+			// them: each such write hands its replica exactly its size.
+			seen := make(map[uint64]bool, len(pool))
+			for _, x := range pool {
+				seen[x] = true
+			}
+			fresh := func() uint64 {
+				for {
+					if x := rng.Uint64() >> (64 - concurrentGoldenBits); !seen[x] {
+						seen[x] = true
+						return x
+					}
+				}
+			}
 			steer := rotating(front)
-			write := func(size int) {
+			write := func(size int, draw func() uint64) {
 				xs := make([]uint64, size)
 				for k := range xs {
-					xs[k] = pool[rng.Uint64n(uint64(live))]
+					xs[k] = draw()
 				}
 				steer(xs)
 				serial.ProcessBatch(xs)
@@ -383,20 +401,20 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 			// one holds a log.
 			live = 20
 			for r := 0; r < reps; r++ {
-				write(1)
+				write(1, drawn)
 			}
 			check()
 			for round := 0; round < 60; round++ {
 				live = min(len(pool), 20+40*round)
 				switch round % 5 {
 				case 0:
-					write(max(unit/3, 1))
+					write(max(unit/3, 1), drawn)
 				case 1, 2:
 					// A log holds exactly replayCap elements; one more
 					// leaves the replica to a full merge, unless the
 					// write took replica 0, which never logs.
 					size := unit + round%5 - 1
-					write(size)
+					write(size, fresh)
 					onTarget := writes%reps == 0
 					if stale := !probeTarget(front).replayOnly; logCap > 0 && stale != (size > logCap && !onTarget) {
 						t.Fatalf("%s write %d of %d elements: stale=%v, replay cap %d", name, writes, size, stale, logCap)
@@ -408,7 +426,7 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 					head := max(unit/2, 1)
 					for _, size := range []int{head, unit - head + round%5 - 3} {
 						for r := 0; r < reps && size > 0; r++ {
-							write(size)
+							write(size, fresh)
 						}
 					}
 				}
@@ -426,6 +444,36 @@ func TestConcurrentReplayDifferential(t *testing.T) {
 			if kind.name == "minimum" && evictions == 0 {
 				t.Errorf("%s: no replay-only miss evicted a minimum from a full target", name)
 			}
+		}
+	}
+}
+
+// Each replica caches the elements it holds and drops them from a write
+// before absorbing it, so its log carries only elements new to it: a
+// repeated write logs nothing and still counts in Version, and a write
+// with one new element logs that element alone. A replica absorbs an
+// element that only another replica holds.
+func TestConcurrentReplicaCacheLogsNewElements(t *testing.T) {
+	for _, kind := range concurrentGoldenKinds[:2] { // estimation never logs
+		front := NewConcurrent(kind.mk(), 2)
+		xs := []uint64{3, 5, 8, 13}
+		writeOn(front, 0, xs)
+		writeOn(front, 1, xs)
+		r1 := front.inUse()[1]
+		ref := kind.mk()
+		ref.ProcessBatch(xs)
+		if !bytes.Equal(AppendSketch(nil, r1.sk), AppendSketch(nil, ref)) {
+			t.Fatalf("%s: replica 1 did not absorb elements only replica 0 held", kind.name)
+		}
+		front.Estimate() // the first drain gives replica 1 its log
+		v := front.Version()
+		writeOn(front, 1, xs)
+		if len(r1.log) != 0 || front.Version() != v+1 {
+			t.Fatalf("%s: a repeated write logged %v and moved the version from %d to %d", kind.name, r1.log, v, front.Version())
+		}
+		writeOn(front, 1, []uint64{8, 21, 3, 21})
+		if !slices.Equal(r1.log, []uint64{21}) {
+			t.Fatalf("%s: a write with one new element logged %v", kind.name, r1.log)
 		}
 	}
 }

@@ -365,7 +365,7 @@ func dimacsLists(n int, raw [][]int, add func([]formula.Lit)) error {
 type F0 struct {
 	nBits int
 	sk    streaming.Sketch
-	batch elemBatch // AddBatch's batch scratch and cache (single writer)
+	cache streaming.ElementCache // the elements sk holds (single writer)
 }
 
 // f0Kinds maps each F0 algorithm to its sketch's wire kind.
@@ -404,12 +404,24 @@ func (f *F0) Add(x uint64) { f.AddBatch([]uint64{x}) }
 // chunk is validated first (an out-of-range element panics with nothing
 // ingested), and elements the sketch already holds, from this chunk or an
 // earlier one, are mostly dropped before any sketch copy sees them — an
-// exact no-op, since every sketch is a function of the element set. The
-// batch buffers and that cache are the sketch's own scratch, so
-// steady-state AddBatch allocates nothing per element.
+// exact no-op, since every sketch is a function of the element set. That
+// cache is the sketch's own scratch, so steady-state AddBatch allocates
+// nothing per element.
 func (f *F0) AddBatch(xs []uint64) {
-	if ys := f.batch.dedup(xs, f.nBits); len(ys) > 0 {
+	checkElements(xs, f.nBits)
+	if ys := f.cache.Drop(xs); len(ys) > 0 {
 		f.sk.ProcessBatch(ys)
+	}
+}
+
+// checkElements panics when an element of xs does not fit the nBits-bit
+// universe (the documented Add/AddBatch contract). Batch entry points
+// call it on the whole batch before caching or ingesting any of it.
+func checkElements(xs []uint64, nBits int) {
+	for _, x := range xs {
+		if x>>uint(nBits) != 0 { // 0 at nBits = 64
+			panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, nBits))
+		}
 	}
 }
 
@@ -553,9 +565,7 @@ func (d *DNFSetF0) AddDNFBatch(termss [][][]int) error {
 // not fit the n-bit universe panics with nothing ingested.
 func (d *DNFSetF0) AddElementBatch(xs []uint64) {
 	n := d.inner.N()
-	for _, x := range xs {
-		checkElement(x, n)
-	}
+	checkElements(xs, n)
 	fs := make([]*formula.DNF, len(xs))
 	for k, x := range xs {
 		v := bitvec.New(n)
