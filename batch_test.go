@@ -106,7 +106,6 @@ func TestF0BatchVsSingleDuplicates(t *testing.T) {
 		}{
 			{"F0/par=1", newF0(1), snapshot(single)},
 			{"F0/par=2", newF0(2), snapshot(single)},
-			{"ConcurrentF0/replicas=1", newFront(1), snapshot(single)},
 			{"ConcurrentF0/replicas=2", newFront(2), snapshot(single)},
 		} {
 			for _, b := range batches {
@@ -125,9 +124,9 @@ func TestF0BatchVsSingleDuplicates(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// Steady-state AddBatch allocates nothing: the element cache is the
-// sketch's (F0) or the replica's (ConcurrentF0) own scratch, and the
-// sketches absorb into preallocated slabs.
+// Steady-state AddBatch and Add allocate nothing: the element cache is
+// the replica's own scratch, and the sketches absorb into preallocated
+// slabs.
 func TestF0AddBatchAllocs(t *testing.T) {
 	const bits = 32
 	rng := stats.NewRNG(3)
@@ -138,13 +137,11 @@ func TestF0AddBatchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewConcurrentF0(bits, alg, cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, add := range map[string]func([]uint64){"F0": f.AddBatch, "ConcurrentF0": c.AddBatch} {
+		// Add's one-element batch must not escape to the heap.
+		addOne := func(xs []uint64) { f.Add(xs[len(xs)/2]) }
+		for name, add := range map[string]func([]uint64){"AddBatch": f.AddBatch, "Add": addOne} {
 			for _, b := range batches {
-				add(b) // warm the scratch and fill the sketch
+				f.AddBatch(b) // warm the scratch and fill the sketch
 			}
 			k := 0
 			allocs := testing.AllocsPerRun(50, func() {
@@ -152,8 +149,7 @@ func TestF0AddBatchAllocs(t *testing.T) {
 				k++
 			})
 			if allocs != 0 {
-				t.Errorf("alg=%s %s.AddBatch: %.2f allocations per 1024-element batch, want 0",
-					alg, name, allocs)
+				t.Errorf("alg=%s F0.%s: %.2f allocations per call, want 0", alg, name, allocs)
 			}
 		}
 	}
@@ -170,52 +166,29 @@ func (h handedSketch) ProcessBatch(xs []uint64) {
 	h.Sketch.ProcessBatch(xs)
 }
 
-// cachedSketch is what F0 and ConcurrentF0 share: an AddBatch that goes
-// through the sketch's cache of absorbed elements, and snapshot bytes.
-type cachedSketch interface {
-	AddBatch([]uint64)
-	MarshalBinary() ([]byte, error)
+// cacheReplicas are the replica caps the cache tests build: NewF0's,
+// and one whose second replica a single writer never builds.
+var cacheReplicas = []int{1, 2}
+
+// handedF0 builds an F0 of the given replica cap whose replica 0 counts
+// the elements handed to its sketch.
+func handedF0(t *testing.T, bits int, alg Algorithm, cfg Config, reps int) (*F0, *atomic.Int64) {
+	n := new(atomic.Int64)
+	sk := handedSketch{mustSeed(t, bits, alg, cfg), n}
+	return &F0{nBits: bits, front: streaming.NewConcurrent(sk, reps)}, n
 }
 
-// cacheKind builds, with build, a sketch whose AddBatch goes through the
-// cache and whose sketch (a front's replica 0) counts the elements handed
-// to it.
-type cacheKind struct {
-	name  string
-	front bool
-	build func(t *testing.T, bits int, alg Algorithm, cfg Config) (cachedSketch, *atomic.Int64)
-}
-
-// cacheKinds are F0 and ConcurrentF0 at replica caps 1 and 2.
-func cacheKinds() []cacheKind {
-	kinds := []cacheKind{{"F0", false, func(t *testing.T, bits int, alg Algorithm, cfg Config) (cachedSketch, *atomic.Int64) {
-		f := mustF0(t, bits, alg, cfg)
-		n := new(atomic.Int64)
-		f.sk = handedSketch{f.sk, n}
-		return f, n
-	}}}
-	for _, reps := range []int{1, 2} {
-		kinds = append(kinds, cacheKind{fmt.Sprintf("ConcurrentF0/replicas=%d", reps), true,
-			func(t *testing.T, bits int, alg Algorithm, cfg Config) (cachedSketch, *atomic.Int64) {
-				cfg.Parallelism = 1
-				n := new(atomic.Int64)
-				sk := handedSketch{mustF0(t, bits, alg, cfg).sk, n}
-				return &ConcurrentF0{nBits: bits, front: streaming.NewConcurrent(sk, reps)}, n
-			}})
-	}
-	return kinds
-}
-
-func mustF0(t *testing.T, bits int, alg Algorithm, cfg Config) *F0 {
+// mustSeed builds the sketch NewF0 would put in replica 0.
+func mustSeed(t *testing.T, bits int, alg Algorithm, cfg Config) streaming.Sketch {
 	t.Helper()
-	f, err := NewF0(bits, alg, cfg)
+	sk, err := streaming.New(f0Kinds[alg], bits, cfg.options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return sk
 }
 
-func mustSnapshot(t *testing.T, s cachedSketch) []byte {
+func mustSnapshot(t *testing.T, s *F0) []byte {
 	t.Helper()
 	b, err := s.MarshalBinary()
 	if err != nil {
@@ -228,13 +201,13 @@ func mustSnapshot(t *testing.T, s cachedSketch) []byte {
 // absorbed xs directly, past any cache.
 func absorbedSnapshot(t *testing.T, bits int, alg Algorithm, cfg Config, xs []uint64) []byte {
 	t.Helper()
-	f := mustF0(t, bits, alg, cfg)
-	f.sk.ProcessBatch(xs)
-	return mustSnapshot(t, f)
+	sk := mustSeed(t, bits, alg, cfg)
+	sk.ProcessBatch(xs)
+	return mustSnapshot(t, &F0{nBits: bits, front: streaming.NewConcurrent(sk, 1)})
 }
 
 // addPanics reports whether s.AddBatch(xs) panics.
-func addPanics(s cachedSketch, xs []uint64) (panicked bool) {
+func addPanics(s *F0, xs []uint64) (panicked bool) {
 	defer func() { panicked = recover() != nil }()
 	s.AddBatch(xs)
 	return false
@@ -244,7 +217,7 @@ var cacheAlgs = []Algorithm{AlgorithmBucketing, AlgorithmMinimum, AlgorithmEstim
 
 // Each sketch has a cache of absorbed elements: re-adding an absorbed
 // batch, at once or after GCs, hands the sketch nothing, leaves its
-// snapshot bytes unchanged and, on a front, still counts in Version. The
+// snapshot bytes unchanged and still counts in Version. The
 // cache is direct-mapped, so of a larger batch it hands again the few
 // elements that lost their slot to another element of the batch (about
 // k/4096 of k distinct elements at 1024 rows). A batch the validation
@@ -272,10 +245,10 @@ func testCacheReAdd(t *testing.T, bits int, batchName string, batch []uint64, ma
 	for _, alg := range cacheAlgs {
 		cfg := Config{Thresh: 24, Iterations: 7, Seed: 11, Parallelism: 1}
 		want := absorbedSnapshot(t, bits, alg, cfg, batch)
-		for _, k := range cacheKinds() {
-			name := string(alg) + "/" + k.name + "/" + batchName
-			s, handed := k.build(t, bits, alg, cfg)
-			other, _ := k.build(t, bits, alg, cfg)
+		for _, reps := range cacheReplicas {
+			name := fmt.Sprintf("%s/replicas=%d/%s", alg, reps, batchName)
+			s, handed := handedF0(t, bits, alg, cfg, reps)
+			other, _ := handedF0(t, bits, alg, cfg, reps)
 			if !addPanics(s, rejected) {
 				t.Fatalf("%s: a batch with an out-of-range element was accepted", name)
 			}
@@ -291,11 +264,7 @@ func testCacheReAdd(t *testing.T, bits int, batchName string, batch []uint64, ma
 				t.Fatalf("%s: %d elements handed for a %d-element batch", name, first, len(batch))
 			}
 			reAdd := func(when string) {
-				before := handed.Load()
-				var v0 uint64
-				if k.front {
-					v0 = s.(*ConcurrentF0).Version()
-				}
+				before, v0 := handed.Load(), s.Version()
 				s.AddBatch(batch)
 				if got := handed.Load() - before; got > int64(maxLost) {
 					t.Errorf("%s: re-adding an absorbed batch %s handed the sketch %d elements, want ≤ %d", name, when, got, maxLost)
@@ -303,10 +272,8 @@ func testCacheReAdd(t *testing.T, bits int, batchName string, batch []uint64, ma
 				if !bytes.Equal(mustSnapshot(t, s), want) {
 					t.Errorf("%s: re-adding an absorbed batch %s changed the snapshot", name, when)
 				}
-				if k.front {
-					if v := s.(*ConcurrentF0).Version(); v != v0+1 {
-						t.Errorf("%s: version %d after re-adding an absorbed batch %s at version %d, want %d", name, v, when, v0, v0+1)
-					}
+				if v := s.Version(); v != v0+1 {
+					t.Errorf("%s: version %d after re-adding an absorbed batch %s at version %d, want %d", name, v, when, v0, v0+1)
 				}
 			}
 			reAdd("at once")
@@ -331,14 +298,14 @@ func TestAddBatchCacheMaxElement(t *testing.T) {
 	const top = ^uint64(0)
 	for _, alg := range cacheAlgs {
 		cfg := Config{Thresh: 24, Iterations: 7, Seed: 13, Parallelism: 1}
-		for _, k := range cacheKinds() {
-			name := string(alg) + "/" + k.name
-			s, _ := k.build(t, bits, alg, cfg)
+		for _, reps := range cacheReplicas {
+			name := fmt.Sprintf("%s/replicas=%d", alg, reps)
+			s, _ := handedF0(t, bits, alg, cfg, reps)
 			s.AddBatch([]uint64{top})
 			if !bytes.Equal(mustSnapshot(t, s), absorbedSnapshot(t, bits, alg, cfg, []uint64{top})) {
 				t.Fatalf("%s: 2^64−1 was not absorbed", name)
 			}
-			other, _ := k.build(t, bits, alg, cfg)
+			other, _ := handedF0(t, bits, alg, cfg, reps)
 			other.AddBatch([]uint64{1, 2})
 			s.AddBatch([]uint64{1, top, 2, top})
 			want := absorbedSnapshot(t, bits, alg, cfg, []uint64{1, 2, top})
@@ -380,14 +347,10 @@ func TestConcurrentF0CachedWriters(t *testing.T) {
 						xs[i] = stats.Mix64(uint64(r*width/2+w*width/2+i)) >> (64 - bits)
 					}
 					c.AddBatch(xs)
-					snap := c.Snapshot()
-					before, err := snap.MarshalBinary()
-					if err != nil {
-						errs <- err
-						return
-					}
-					snap.sk.ProcessBatch(xs)
-					if after, _ := snap.MarshalBinary(); !bytes.Equal(before, after) {
+					snap := c.front.MergedClone()
+					before := streaming.AppendSketch(nil, snap)
+					snap.ProcessBatch(xs)
+					if after := streaming.AppendSketch(nil, snap); !bytes.Equal(before, after) {
 						errs <- fmt.Errorf("alg=%s writer %d round %d: the snapshot after AddBatch lacks elements of the batch", alg, w, r)
 						return
 					}

@@ -68,7 +68,7 @@ func BenchmarkE1ApproxMC(b *testing.B) {
 		b.ReportMetric(float64(queries)/float64(b.N), "oracle-calls/op")
 		b.ReportMetric(float64(src.SolverStats().Conflicts)/float64(b.N), "conflicts/op")
 	})
-	// Two 20-variable 3-CNF bands whose models overflow the 2·Thresh
+	// Three 20-variable 3-CNF bands whose models overflow the 2·Thresh
 	// solution pool, so every trial asks the oracle and the pool's extra
 	// level-0 queries are pure overhead. Op i counts formula i mod 10.
 	for _, band := range []struct {
@@ -78,6 +78,7 @@ func BenchmarkE1ApproxMC(b *testing.B) {
 	}{
 		{"CNF/n=20/3cnf-1000-1400-models", 51, 1000, 1400},
 		{"CNF/n=20/3cnf-2^14-2^16-models", 28, 1 << 14, 1 << 16},
+		{"CNF/n=20/3cnf-2^17-2^19-models", 14, 1 << 17, 1 << 19},
 	} {
 		var srcs []*oracle.CNFSource
 		for seed := uint64(0); len(srcs) < 10; seed++ {
@@ -657,11 +658,11 @@ func BenchmarkGF2PolyMul(b *testing.B) {
 
 var sinkFloat float64
 
-// BenchmarkConcurrentIngest times the PR-6 tentpole: lock-free concurrent
-// ingestion through ConcurrentF0 (one 256-element AddBatch per op, issued
-// from GOMAXPROCS producer goroutines) at replica counts 1 and
-// GOMAXPROCS, against the pre-PR baseline of a single F0 guarded by one
-// mutex under the same producers. On a single-core machine the variants
+// BenchmarkConcurrentIngest times lock-free concurrent ingestion through
+// NewConcurrentF0 (one 256-element AddBatch per op, issued from
+// GOMAXPROCS producer goroutines) at replica caps 1 and GOMAXPROCS,
+// against a NewF0 sketch (one replica) guarded by one more mutex under
+// the same producers, the shape of a single-writer sketch behind a lock. On a single-core machine the variants
 // collapse towards the same figure (no parallel producers actually run);
 // the replicas=1 row then also bounds the front's acquisition overhead.
 func BenchmarkConcurrentIngest(b *testing.B) {

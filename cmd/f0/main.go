@@ -14,9 +14,9 @@
 //	-nvars int      variables for DNF streams (default = -bits)
 //	-alg string     element-stream sketch: bucketing|minimum|estimation
 //	-par int        sketch-copy worker pool (0 = GOMAXPROCS, 1 = serial)
-//	-replicas int   element streams only: ingest through a lock-free
-//	                ConcurrentF0 of at most this many replicas, fed by as many
-//	                goroutines (0 = off, -1 = GOMAXPROCS)
+//	-replicas int   element streams only: ingest through a sketch of at
+//	                most this many replicas, fed by as many goroutines
+//	                (0 = off, -1 = GOMAXPROCS)
 //	-snapshot path  after ingesting, write the sketch's complete state
 //	                (versioned wire codec) to path
 //	-restore path   before ingesting, seed the sketch from a snapshot —
@@ -55,7 +55,7 @@ func main() {
 		it    = flag.Int("iters", 0, "override iterations")
 		seed  = flag.Uint64("seed", 1, "random seed")
 		par   = flag.Int("par", 0, "sketch-copy worker pool (0 = GOMAXPROCS, 1 = serial)")
-		reps  = flag.Int("replicas", 0, "element streams: lock-free ConcurrentF0 replicas (0 = off, -1 = GOMAXPROCS)")
+		reps  = flag.Int("replicas", 0, "element streams: sketch replicas, fed by as many goroutines (0 = off, -1 = GOMAXPROCS)")
 		snap  = flag.String("snapshot", "", "write the sketch snapshot to this file after ingesting")
 		rest  = flag.String("restore", "", "seed the sketch from this snapshot file before ingesting")
 	)
@@ -78,7 +78,6 @@ func main() {
 
 	var (
 		elemSketch  *mcf0.F0
-		concSketch  *mcf0.ConcurrentF0
 		rangeSketch *mcf0.RangeF0
 		progSketch  *mcf0.ProgressionF0
 		dnfSketch   *mcf0.DNFSetF0
@@ -86,32 +85,27 @@ func main() {
 	)
 
 	// Under -replicas, element chunks are handed to a pool of feeder
-	// goroutines that ingest concurrently through the lock-free front;
-	// estimates are unchanged (the replicas merge to the same state no
-	// matter which feeder absorbed which chunk).
+	// goroutines, one per replica, that ingest concurrently; estimates
+	// are unchanged (the replicas merge to the same state no matter which
+	// feeder absorbed which chunk).
 	var (
-		concChunks chan []uint64
-		concWG     sync.WaitGroup
+		feed   chan []uint64
+		feedWG sync.WaitGroup
 	)
 	startFeeders := func() {
-		concChunks = make(chan []uint64, 4*concSketch.Replicas())
-		for w := 0; w < concSketch.Replicas(); w++ {
-			concWG.Add(1)
+		if *reps == 0 {
+			return
+		}
+		feed = make(chan []uint64, 4*elemSketch.Replicas())
+		for w := 0; w < elemSketch.Replicas(); w++ {
+			feedWG.Add(1)
 			go func() {
-				defer concWG.Done()
-				for chunk := range concChunks {
-					concSketch.AddBatch(chunk)
+				defer feedWG.Done()
+				for chunk := range feed {
+					elemSketch.AddBatch(chunk)
 				}
 			}()
 		}
-	}
-	startConc := func() {
-		var err error
-		concSketch, err = mcf0.NewConcurrentF0(*bits, mcf0.Algorithm(*alg), cfg, *reps)
-		if err != nil {
-			fatal(err)
-		}
-		startFeeders()
 	}
 
 	// Crash recovery: a snapshot written by -snapshot (or any
@@ -124,13 +118,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		elemSketch, concSketch, rangeSketch, progSketch, dnfSketch, err =
+		elemSketch, rangeSketch, progSketch, dnfSketch, err =
 			decodeSnapshot(blob, *par, *reps)
 		if err != nil {
 			fatal(err)
 		}
 		restoredKind, _ = mcf0.SnapshotKind(blob)
-		if concSketch != nil {
+		if elemSketch != nil {
 			startFeeders()
 		}
 	}
@@ -156,8 +150,8 @@ func main() {
 	)
 	flush := func() {
 		if len(elemBuf) > 0 {
-			if concSketch != nil {
-				concChunks <- append([]uint64(nil), elemBuf...)
+			if feed != nil {
+				feed <- append([]uint64(nil), elemBuf...)
 			} else {
 				elemSketch.AddBatch(elemBuf)
 			}
@@ -200,17 +194,18 @@ func main() {
 				}
 				continue
 			}
-			if elemSketch == nil && concSketch == nil {
+			if elemSketch == nil {
 				guardRestore("element")
+				var err error
 				if *reps != 0 {
-					startConc()
+					elemSketch, err = mcf0.NewConcurrentF0(*bits, mcf0.Algorithm(*alg), cfg, *reps)
 				} else {
-					var err error
 					elemSketch, err = mcf0.NewF0(*bits, mcf0.Algorithm(*alg), cfg)
-					if err != nil {
-						fatal(err)
-					}
 				}
+				if err != nil {
+					fatal(err)
+				}
+				startFeeders()
 			}
 			elemBuf = append(elemBuf, parseU(args[0]))
 			if len(elemBuf) >= batchSize {
@@ -286,20 +281,18 @@ func main() {
 		fatal(err)
 	}
 	flush()
-	if concSketch != nil {
-		close(concChunks)
-		concWG.Wait()
+	if feed != nil {
+		close(feed)
+		feedWG.Wait()
 	}
 
 	var est float64
 	switch {
-	case concSketch != nil:
-		est = concSketch.Estimate()
-		if err := concSketch.Err(); err != nil {
-			fatal(err)
-		}
 	case elemSketch != nil:
 		est = elemSketch.Estimate()
+		if err := elemSketch.Err(); err != nil {
+			fatal(err)
+		}
 	case rangeSketch != nil:
 		est = rangeSketch.Estimate()
 	case progSketch != nil:
@@ -310,7 +303,7 @@ func main() {
 		fatal(fmt.Errorf("empty stream"))
 	}
 	if *snap != "" {
-		blob, err := encodeSnapshot(elemSketch, concSketch, rangeSketch, progSketch, dnfSketch)
+		blob, err := encodeSnapshot(elemSketch, rangeSketch, progSketch, dnfSketch)
 		if err != nil {
 			fatal(err)
 		}
@@ -324,42 +317,40 @@ func main() {
 
 // decodeSnapshot restores a snapshot blob into the sketch slot matching
 // its wire kind (exactly one of the returned sketches is non-nil). An F0
-// snapshot lands on the concurrent front when reps requests one, so a
-// serial run can be resumed concurrently and vice versa; kinds with no
-// input mode here (e.g. affine streams) are refused by name.
-func decodeSnapshot(blob []byte, par, reps int) (*mcf0.F0, *mcf0.ConcurrentF0, *mcf0.RangeF0, *mcf0.ProgressionF0, *mcf0.DNFSetF0, error) {
+// snapshot restores at the replica cap reps requests (one when reps is
+// 0), so a serial run can be resumed concurrently and vice versa; kinds
+// with no input mode here (e.g. affine streams) are refused by name.
+func decodeSnapshot(blob []byte, par, reps int) (*mcf0.F0, *mcf0.RangeF0, *mcf0.ProgressionF0, *mcf0.DNFSetF0, error) {
 	kind, err := mcf0.SnapshotKind(blob)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	switch kind {
 	case "mcf0.F0":
+		var f *mcf0.F0
 		if reps != 0 {
-			c, err := mcf0.DecodeConcurrentF0(blob, reps)
-			return nil, c, nil, nil, nil, err
+			f, err = mcf0.DecodeConcurrentF0(blob, reps)
+		} else {
+			f, err = mcf0.DecodeF0(blob, par)
 		}
-		f, err := mcf0.DecodeF0(blob, par)
-		return f, nil, nil, nil, nil, err
+		return f, nil, nil, nil, err
 	case "mcf0.RangeF0":
 		r, err := mcf0.DecodeRangeF0(blob, par)
-		return nil, nil, r, nil, nil, err
+		return nil, r, nil, nil, err
 	case "mcf0.ProgressionF0":
 		p, err := mcf0.DecodeProgressionF0(blob, par)
-		return nil, nil, nil, p, nil, err
+		return nil, nil, p, nil, err
 	case "mcf0.DNFSetF0":
 		d, err := mcf0.DecodeDNFSetF0(blob, par)
-		return nil, nil, nil, nil, d, err
+		return nil, nil, nil, d, err
 	default:
-		return nil, nil, nil, nil, nil, fmt.Errorf("snapshot kind %s has no f0 input mode", kind)
+		return nil, nil, nil, nil, fmt.Errorf("snapshot kind %s has no f0 input mode", kind)
 	}
 }
 
-// encodeSnapshot marshals whichever sketch the run built (the concurrent
-// front snapshots as a plain F0 message).
-func encodeSnapshot(elem *mcf0.F0, conc *mcf0.ConcurrentF0, rng *mcf0.RangeF0, prog *mcf0.ProgressionF0, dnf *mcf0.DNFSetF0) ([]byte, error) {
+// encodeSnapshot marshals whichever sketch the run built.
+func encodeSnapshot(elem *mcf0.F0, rng *mcf0.RangeF0, prog *mcf0.ProgressionF0, dnf *mcf0.DNFSetF0) ([]byte, error) {
 	switch {
-	case conc != nil:
-		return conc.MarshalBinary()
 	case elem != nil:
 		return elem.MarshalBinary()
 	case rng != nil:

@@ -40,16 +40,19 @@ func TestSnapshotHelpers(t *testing.T) {
 	for i := uint64(0); i < 800; i++ {
 		f.Add(i * i % 500)
 	}
-	blob, err := encodeSnapshot(f, nil, nil, nil, nil)
+	blob, err := encodeSnapshot(f, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	elem, conc, rng, prog, dnf, err := decodeSnapshot(blob, 1, 0)
+	elem, rng, prog, dnf, err := decodeSnapshot(blob, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elem == nil || conc != nil || rng != nil || prog != nil || dnf != nil {
+	if elem == nil || rng != nil || prog != nil || dnf != nil {
 		t.Fatal("F0 snapshot restored into the wrong slot")
+	}
+	if elem.Replicas() != 1 {
+		t.Fatalf("serial restore has replica cap %d, want 1", elem.Replicas())
 	}
 	if elem.Estimate() != f.Estimate() {
 		t.Fatalf("restored estimate %v != %v", elem.Estimate(), f.Estimate())
@@ -66,13 +69,13 @@ func TestSnapshotHelpers(t *testing.T) {
 		t.Fatalf("resumed estimate %v != uninterrupted %v", elem.Estimate(), whole.Estimate())
 	}
 
-	// With -replicas, the same F0 blob restores onto a concurrent front.
-	_, conc, _, _, _, err = decodeSnapshot(blob, 1, 2)
+	// With -replicas, the same F0 blob restores at that replica cap.
+	conc, _, _, _, err := decodeSnapshot(blob, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if conc == nil || conc.Replicas() != 2 {
-		t.Fatal("F0 snapshot did not restore onto the concurrent front")
+		t.Fatal("F0 snapshot did not restore at replica cap 2")
 	}
 	if conc.Estimate() != f.Estimate() {
 		t.Fatalf("concurrent restore estimate %v != %v", conc.Estimate(), f.Estimate())
@@ -85,11 +88,11 @@ func TestSnapshotHelpers(t *testing.T) {
 	if err := d.AddDNF([][]int{{1, 2}, {-3, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	blob, err = encodeSnapshot(nil, nil, nil, nil, d)
+	blob, err = encodeSnapshot(nil, nil, nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, dnf, err = decodeSnapshot(blob, 1, 0)
+	_, _, _, dnf, err = decodeSnapshot(blob, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +109,13 @@ func TestSnapshotHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, _, err := decodeSnapshot(ablob, 1, 0); err == nil {
+	if _, _, _, _, err := decodeSnapshot(ablob, 1, 0); err == nil {
 		t.Fatal("affine snapshot accepted by a command with no affine input")
 	}
-	if _, _, _, _, _, err := decodeSnapshot([]byte("garbage"), 1, 0); err == nil {
+	if _, _, _, _, err := decodeSnapshot([]byte("garbage"), 1, 0); err == nil {
 		t.Fatal("garbage blob accepted")
 	}
-	if _, err := encodeSnapshot(nil, nil, nil, nil, nil); err == nil {
+	if _, err := encodeSnapshot(nil, nil, nil, nil); err == nil {
 		t.Fatal("empty run snapshotted")
 	}
 }

@@ -1,6 +1,8 @@
 // Wire codec for the public estimator types: every sketch wrapper
 // implements encoding.BinaryMarshaler, and the package-level Decode
-// functions are the one way back, with an explicit parallelism. Snapshots
+// functions are the one way back, with an explicit parallelism (or, for
+// DecodeConcurrentF0, replica cap). An F0 snapshots the merged state of
+// its replicas, so one message serves every replica cap. Snapshots
 // round-trip *complete* state — hash draws, per-copy slab state,
 // thresholds, and query meters — so a sketch decoded on another node (or
 // after a restart, via cmd/f0 -snapshot/-restore) is Merge-compatible with
@@ -30,90 +32,60 @@ const (
 
 // ---- F0 ----
 
-// MarshalBinary snapshots the sketch: universe width plus the complete
-// framed state of the underlying streaming sketch. The bytes depend only
-// on the Config and the set of elements added, not on their order or
-// batching.
+// MarshalBinary snapshots the merged replica state: universe width plus
+// the complete framed state of the underlying streaming sketch. The bytes
+// depend only on the Config and the set of elements added, not on their
+// order, batching or replica count. A failed sketch returns its failure
+// (ErrSketchFailed).
 func (f *F0) MarshalBinary() ([]byte, error) {
+	sk := f.front.MergedClone()
+	if sk == nil {
+		return nil, f.Err()
+	}
 	dst := wire.AppendHeader(nil, wire.KindF0, f0Version)
-	return streaming.AppendSketch(wire.AppendInt(dst, f.nBits), f.sk), nil
+	return streaming.AppendSketch(wire.AppendInt(dst, f.nBits), sk), nil
 }
 
-// DecodeF0 restores an F0 snapshot. parallelism bounds the restored
-// sketch's worker pool as Config.Parallelism would (0 selects GOMAXPROCS;
-// estimates are bit-identical at every level).
+// DecodeF0 restores an F0 snapshot into a sketch capped at one replica.
+// parallelism bounds the restored sketch's worker pool as
+// Config.Parallelism would (0 selects GOMAXPROCS; estimates are
+// bit-identical at every level).
 func DecodeF0(data []byte, parallelism int) (*F0, error) {
+	return decodeF0(data, parallelism, 1)
+}
+
+// DecodeConcurrentF0 restores an F0 snapshot with the given replica cap
+// (≤ 0 selects GOMAXPROCS): the decoded sketch becomes replica 0, and
+// further replicas are built empty as concurrent writes need them,
+// exactly as in a sketch from NewConcurrentF0. Replicas ingest serially
+// on the claiming goroutine, so the restored sketch gets parallelism 1.
+func DecodeConcurrentF0(data []byte, replicas int) (*F0, error) {
+	return decodeF0(data, 1, replicas)
+}
+
+// decodeF0 restores an F0 snapshot, which must span data exactly, into a
+// front of the given replica cap.
+func decodeF0(data []byte, parallelism, replicas int) (*F0, error) {
 	r := wire.NewReader(data)
-	f := decodeF0From(r, parallelism)
+	v := r.Header(wire.KindF0)
+	r.CheckVersion(wire.KindF0, v, f0Version)
+	nBits := r.Int(64)
+	if r.Err() == nil && nBits < 1 {
+		r.Corrupt("F0 snapshot over empty universe")
+	}
+	var s streaming.Sketch
+	if r.Err() == nil {
+		s = streaming.DecodeSketchFrom(r, parallelism)
+	}
+	if r.Err() == nil {
+		if got := streaming.SketchBits(s); got != nBits {
+			r.Corrupt("F0 snapshot is %d bits wide but carries a %d-bit sketch", nBits, got)
+		}
+	}
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	return f, nil
-}
-
-func decodeF0From(r *wire.Reader, parallelism int) *F0 {
-	v := r.Header(wire.KindF0)
-	if !r.CheckVersion(wire.KindF0, v, f0Version) {
-		return nil
-	}
-	nBits := r.Int(64)
-	if r.Err() != nil {
-		return nil
-	}
-	if nBits < 1 {
-		r.Corrupt("F0 snapshot over empty universe")
-		return nil
-	}
-	s := streaming.DecodeSketchFrom(r, parallelism)
-	if r.Err() != nil {
-		return nil
-	}
-	if got := streaming.SketchBits(s); got != nBits {
-		r.Corrupt("F0 snapshot is %d bits wide but carries a %d-bit sketch", nBits, got)
-		return nil
-	}
-	return &F0{nBits: nBits, sk: s}
-}
-
-// ---- ConcurrentF0 ----
-
-// Snapshot returns a point-in-time F0 holding the merged state of every
-// replica; it shares no mutable state with c, so it can be marshaled,
-// merged, or queried while concurrent ingestion continues. A failed
-// sketch returns nil (see Err).
-func (c *ConcurrentF0) Snapshot() *F0 {
-	sk := c.front.MergedClone()
-	if sk == nil {
-		return nil
-	}
-	return &F0{nBits: c.nBits, sk: sk}
-}
-
-// MarshalBinary snapshots the merged replica state as an F0 message —
-// crash recovery for the concurrent front rides the same wire format —
-// byte-identical to an F0's of the same Config and element set, at any
-// replica count. A failed sketch returns its failure (ErrSketchFailed).
-func (c *ConcurrentF0) MarshalBinary() ([]byte, error) {
-	f := c.Snapshot()
-	if f == nil {
-		return nil, c.Err()
-	}
-	return f.MarshalBinary()
-}
-
-// DecodeConcurrentF0 restores an F0 snapshot (from F0.MarshalBinary or
-// ConcurrentF0.MarshalBinary) into a concurrent front with the given
-// replica cap (≤ 0 selects GOMAXPROCS): the decoded sketch becomes
-// replica 0, and further replicas are built empty as concurrent writes
-// need them, exactly as in a front from NewConcurrentF0.
-func DecodeConcurrentF0(data []byte, replicas int) (*ConcurrentF0, error) {
-	// Replicas ingest serially on the claiming goroutine (see
-	// NewConcurrentF0), so the restored sketch gets parallelism 1.
-	f, err := DecodeF0(data, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &ConcurrentF0{nBits: f.nBits, front: streaming.NewConcurrent(f.sk, replicas)}, nil
+	return &F0{nBits: nBits, front: streaming.NewConcurrent(s, replicas)}, nil
 }
 
 // ---- set streams ----

@@ -70,7 +70,7 @@ func TestF0CodecRoundTrip(t *testing.T) {
 	}
 }
 
-// ConcurrentF0 snapshots ride the F0 wire format: Snapshot is a
+// ConcurrentF0 snapshots ride the F0 wire format: Clone is a
 // point-in-time merged view, MarshalBinary/DecodeConcurrentF0 is crash
 // recovery, and a restored front resumes bit-identically.
 func TestConcurrentF0SnapshotRestore(t *testing.T) {
@@ -89,7 +89,7 @@ func TestConcurrentF0SnapshotRestore(t *testing.T) {
 	for lo := 0; lo < 1500; lo += 250 {
 		c.AddBatch(xs[lo : lo+250])
 	}
-	snap := c.Snapshot()
+	snap := c.Clone()
 	if snap.Estimate() != c.Estimate() {
 		t.Fatalf("snapshot estimate %v != front %v", snap.Estimate(), c.Estimate())
 	}

@@ -1,20 +1,23 @@
 package mcf0
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"mcf0/internal/stats"
 	"mcf0/internal/streaming"
 )
 
-// Clone returns a deep copy of the sketch sharing the (immutable) hash
-// draws — exactly the precondition Merge requires. Feeding the clone
-// never disturbs the original.
+// Clone returns a deep copy of the sketch's merged state at the same
+// replica cap, sharing the (immutable) hash draws — exactly the
+// precondition Merge requires. Feeding the clone never disturbs the
+// original.
 func (f *F0) Clone() *F0 {
-	return &F0{nBits: f.nBits, sk: f.sk.Clone()}
+	return &F0{nBits: f.nBits, front: streaming.NewConcurrent(f.front.MergedClone(), f.Replicas())}
 }
 
 // Fixed-seed ConcurrentF0 estimates must be bit-identical to a serial F0
@@ -182,6 +185,105 @@ func TestF0MergeAndClone(t *testing.T) {
 	}
 }
 
+// An F0 from NewF0 is safe for concurrent use: four writers feeding one
+// sketch of parallelism 2 leave the serial sketch's snapshot bytes, and
+// Version counts every non-empty batch (an empty one is not a write).
+// Run under -race in CI.
+func TestF0ConcurrentWriters(t *testing.T) {
+	const bits, writers, batches = 20, 4, 24
+	xs := make([][]uint64, batches)
+	for b := range xs {
+		if b%8 == 7 {
+			continue // empty
+		}
+		xs[b] = make([]uint64, 128)
+		for i := range xs[b] {
+			xs[b][i] = stats.Mix64(uint64(b*64+i)) >> (64 - bits) // overlaps batch b+1
+		}
+	}
+	for _, alg := range cacheAlgs {
+		cfg := Config{Thresh: 24, Iterations: 7, Seed: 19, Parallelism: 1}
+		serial, _ := NewF0(bits, alg, cfg)
+		nonEmpty := uint64(0)
+		for _, b := range xs {
+			serial.AddBatch(b)
+			if len(b) > 0 {
+				nonEmpty++
+			}
+		}
+		cfg.Parallelism = 2
+		f, err := NewF0(bits, alg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := w; b < batches; b += writers {
+					f.AddBatch(xs[b])
+				}
+			}()
+		}
+		wg.Wait()
+		if !bytes.Equal(mustSnapshot(t, f), mustSnapshot(t, serial)) {
+			t.Errorf("alg=%s: %d writers left other snapshot bytes than the serial sketch", alg, writers)
+		}
+		if v := f.Version(); v != nonEmpty {
+			t.Errorf("alg=%s: version %d after %d non-empty batches", alg, v, nonEmpty)
+		}
+	}
+}
+
+// A Merge is a write: after a cached estimate, it returns the union's
+// estimate uncached, one version later. A Merge the sketch refuses
+// (another seed's draws) returns ErrIncompatibleSketch and changes
+// neither the version nor the snapshot bytes.
+func TestF0MergeInvalidatesEstimate(t *testing.T) {
+	xs := make([]uint64, 3000)
+	for i := range xs {
+		xs[i] = uint64(i*31) % 1400
+	}
+	for _, alg := range cacheAlgs {
+		cfg := Config{Thresh: 24, Iterations: 7, Seed: 21, Parallelism: 1}
+		whole, _ := NewF0(24, alg, cfg)
+		left, _ := NewF0(24, alg, cfg)
+		right, _ := NewF0(24, alg, cfg)
+		whole.AddBatch(xs)
+		left.AddBatch(xs[:1700])
+		right.AddBatch(xs[1300:])
+		left.Estimate()
+		if _, _, cached := left.EstimateVersioned(); !cached {
+			t.Fatalf("alg=%s: a repeated estimate was not cached", alg)
+		}
+		v0 := left.Version()
+		if err := left.Merge(right); err != nil {
+			t.Fatalf("alg=%s: merge: %v", alg, err)
+		}
+		est, v, cached := left.EstimateVersioned()
+		if want := whole.Estimate(); est != want || cached || v != v0+1 {
+			t.Fatalf("alg=%s: after a merge at version %d, estimate (%v, v%d, cached=%v), want (%v, v%d, cached=false)",
+				alg, v0, est, v, cached, want, v0+1)
+		}
+
+		before := mustSnapshot(t, left)
+		otherSeed := cfg
+		otherSeed.Seed++
+		other, _ := NewF0(24, alg, otherSeed)
+		other.AddBatch(xs[:10])
+		if err := left.Merge(other); !errors.Is(err, streaming.ErrIncompatibleSketch) {
+			t.Fatalf("alg=%s: merging another seed's sketch: %v, want ErrIncompatibleSketch", alg, err)
+		}
+		if v := left.Version(); v != v0+1 {
+			t.Errorf("alg=%s: a refused merge moved the version %d → %d", alg, v0+1, v)
+		}
+		if !bytes.Equal(mustSnapshot(t, left), before) {
+			t.Errorf("alg=%s: a refused merge changed the snapshot", alg)
+		}
+	}
+}
+
 // Set-stream wrappers: split/merge must match single-stream ingestion.
 func TestSetStreamMerge(t *testing.T) {
 	cfg := Config{Thresh: 24, Iterations: 5, Seed: 13, Parallelism: 1}
@@ -257,11 +359,7 @@ func (f failingSketch) Clone() streaming.Sketch { return failingSketch{f.Sketch.
 // of the same configuration is unaffected.
 func TestConcurrentF0FailedSketch(t *testing.T) {
 	cfg := Config{Thresh: 24, Iterations: 7, Seed: 5, Parallelism: 1}
-	seed, err := NewF0(16, AlgorithmMinimum, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &ConcurrentF0{nBits: 16, front: streaming.NewConcurrent(failingSketch{seed.sk}, 2)}
+	bad := &ConcurrentF0{nBits: 16, front: streaming.NewConcurrent(failingSketch{mustSeed(t, 16, AlgorithmMinimum, cfg)}, 2)}
 	good, err := NewConcurrentF0(16, AlgorithmMinimum, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +381,8 @@ func TestConcurrentF0FailedSketch(t *testing.T) {
 				if est, v, cached := bad.EstimateVersioned(); est != 0 || v != 0 || cached {
 					t.Errorf("failed sketch estimated (%v, v%d, cached=%v)", est, v, cached)
 				}
-				if bad.Snapshot() != nil {
-					t.Error("failed sketch returned a snapshot")
+				if bad.front.MergedClone() != nil {
+					t.Error("failed sketch returned a merged clone")
 				}
 				if _, err := bad.MarshalBinary(); !errors.Is(err, ErrSketchFailed) {
 					t.Errorf("MarshalBinary error %v, want ErrSketchFailed", err)

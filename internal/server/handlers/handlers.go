@@ -1,6 +1,6 @@
 // Package handlers implements f0d's HTTP/JSON endpoints: the sketch
 // lifecycle (create / list / inspect / delete), batched ingestion riding
-// ConcurrentF0.AddBatch, estimate queries answered from the front's
+// the concurrent front's F0.AddBatch, estimate queries answered from its
 // version-keyed cache, snapshot persistence, and one-shot model counting.
 //
 // Conventions shared by every endpoint: requests and responses are JSON;

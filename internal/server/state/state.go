@@ -1,12 +1,13 @@
 // Package state is the f0d daemon's sketch registry: named, tenant-owned
-// ConcurrentF0 sketches with per-tenant quota accounting and snapshot
+// mcf0.F0 sketches, each a concurrent front of the configured replica
+// cap (NewConcurrentF0), with per-tenant quota accounting and snapshot
 // persistence through the mcf0 wire codec (atomic
 // write-to-temp-then-rename of a .snap blob plus a .json metadata
 // sidecar) with restore-on-boot crash recovery.
 //
 // Concurrency contract: the Registry mutex guards only the name → sketch
 // map and the per-tenant counts. Ingestion and estimation never hold it —
-// they ride ConcurrentF0's own lock-free front, which also owns the
+// they ride the sketch's own lock-free front, which also owns the
 // estimate cache — so a slow merge on one sketch never stalls ingest on
 // another, and handlers may call AddBatch, Estimate, and Snapshot on the
 // same sketch from any number of goroutines.
@@ -100,7 +101,7 @@ func (c SketchConfig) MCF0Config() mcf0.Config {
 	}
 }
 
-// Sketch is one live named sketch: a ConcurrentF0 front plus the
+// Sketch is one live named sketch: a concurrent F0 front plus the
 // bookkeeping the service layers on top (items accepted, snapshot
 // dirtiness).
 type Sketch struct {
@@ -108,7 +109,7 @@ type Sketch struct {
 	Name   string
 	Config SketchConfig
 
-	front *mcf0.ConcurrentF0
+	front *mcf0.F0
 	items atomic.Uint64
 
 	snapMu      sync.Mutex

@@ -16,9 +16,9 @@ const minCacheRows = 256
 //
 // The cache is exact while it holds only elements of its sketch's set:
 // its owner hands each batch Drop returns to the sketch before the next
-// Drop, and a sketch's element set only grows. An F0 keeps one for its
-// sketch, and each replica of a Concurrent front keeps one, read and
-// written under the replica's lock. Two sketches never share a cache.
+// Drop, and a sketch's element set only grows. Its one owner is a
+// replica of a Concurrent front, which reads and writes it under the
+// replica's lock. Two sketches never share a cache.
 type ElementCache struct {
 	xs []uint64 // the elements not in seen, in batch order
 	// seen is a direct-mapped table of x+1 for elements the sketch

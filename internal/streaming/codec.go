@@ -182,9 +182,6 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 	return dst
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (b *Bucketing) MarshalBinary() ([]byte, error) { return b.appendBinary(nil), nil }
-
 func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 	v := r.Header(wire.KindBucketing)
 	if !r.CheckVersion(wire.KindBucketing, v, bucketingVersion) {
@@ -251,9 +248,6 @@ func (m *Minimum) appendBinary(dst []byte) []byte {
 	return m.sk.AppendBinary(dst)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Minimum) MarshalBinary() ([]byte, error) { return m.appendBinary(nil), nil }
-
 func decodeMinimum(r *wire.Reader, parallelism int) *Minimum {
 	v := r.Header(wire.KindMinimum)
 	if !r.CheckVersion(wire.KindMinimum, v, minimumVersion) {
@@ -298,9 +292,6 @@ func (e *Estimation) appendBinary(dst []byte) []byte {
 	}
 	return e.fm.appendBody(dst)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (e *Estimation) MarshalBinary() ([]byte, error) { return e.appendBinary(nil), nil }
 
 func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 	v := r.Header(wire.KindEstimation)

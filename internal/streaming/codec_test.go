@@ -575,3 +575,12 @@ func DecodeSketch(data []byte, parallelism int) (Sketch, error) {
 	}
 	return s, nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (b *Bucketing) MarshalBinary() ([]byte, error) { return b.appendBinary(nil), nil }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (m *Minimum) MarshalBinary() ([]byte, error) { return m.appendBinary(nil), nil }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (e *Estimation) MarshalBinary() ([]byte, error) { return e.appendBinary(nil), nil }

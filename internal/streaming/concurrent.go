@@ -53,7 +53,7 @@ var ErrFailed = errors.New("streaming: sketch failed")
 // stale, and a miss merges stale replicas in full, as it does a replica
 // built since the last miss.
 //
-// Estimate and ProcessBatch are safe to interleave freely;
+// Estimate, ProcessBatch and Merge are safe to interleave freely;
 // SketchWords reports the summed footprint of the built replicas and
 // their logs.
 //
@@ -143,8 +143,8 @@ func (c *Concurrent) Replicas() int { return len(c.replicas) }
 // built.
 func (c *Concurrent) inUse() []*replica { return c.replicas[:c.built.Load()] }
 
-// Version returns the number of completed writes (ProcessBatch calls)
-// absorbed so far. Estimate's cache is keyed on this counter, so
+// Version returns the number of completed writes (non-empty
+// ProcessBatch calls and successful Merges) absorbed so far. Estimate's cache is keyed on this counter, so
 // two Version calls returning the same value bracket a window in which
 // estimates are served from cache; EstimateVersioned reports the cache
 // outcome directly.
@@ -255,13 +255,17 @@ func (c *Concurrent) ProcessBatch(xs []uint64) {
 		// needs no lock. Stale, the next drain merges it in full.
 		r.sk, r.stale = c.replicas[0].sk.sibling(), true
 	}
-	if xs = r.cache.Drop(xs); len(xs) == 0 {
+	// The elements left get their own variable so that xs, which only
+	// Drop reads, does not escape: a caller's one-element batch (F0.Add)
+	// stays on its stack.
+	ys := r.cache.Drop(xs)
+	if len(ys) == 0 {
 		return
 	}
-	r.sk.ProcessBatch(xs)
+	r.sk.ProcessBatch(ys)
 	if !r.stale {
-		if len(r.log)+len(xs) <= cap(r.log) {
-			r.log = append(r.log, xs...)
+		if len(r.log)+len(ys) <= cap(r.log) {
+			r.log = append(r.log, ys...)
 		} else {
 			r.log, r.stale = r.log[:0], true
 		}
@@ -327,6 +331,23 @@ func (c *Concurrent) mergedClone() (merged Sketch, err error) {
 	}
 	defer c.unlockAll(&err)
 	return c.merged().Clone(), nil
+}
+
+// Merge folds src, a sketch sharing the front's hash draws, into replica
+// 0 under every replica lock, and counts as one write, invalidating the
+// cached estimate. A src that cannot be merged returns
+// ErrIncompatibleSketch with the front unchanged: every sketch's Merge
+// checks before it mutates. A failed front returns its failure.
+func (c *Concurrent) Merge(src Sketch) (err error) {
+	if err := c.lockAll(); err != nil {
+		return err
+	}
+	defer c.unlockAll(&err)
+	if err := c.replicas[0].sk.Merge(src); err != nil {
+		return err
+	}
+	c.version.Add(1)
+	return nil
 }
 
 // merged drains replicas 1…k into replica 0 and returns it, the union of

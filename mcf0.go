@@ -84,10 +84,11 @@ type Config struct {
 	// median trials of the counting and distributed algorithms, and the
 	// t independent sketch copies of the F0 and set-stream estimators
 	// (fanned out per batch — see F0.AddBatch and the set-stream batch
-	// methods). 0 selects GOMAXPROCS, 1 forces serial execution. All
-	// randomness is drawn serially and keyed by trial/copy index, never by
-	// worker, so results for a fixed Seed are bit-identical at every
-	// parallelism level.
+	// methods). NewConcurrentF0 forces it to 1: its replicas take their
+	// concurrency from the writers' goroutines instead. 0 selects
+	// GOMAXPROCS, 1 forces serial execution. All randomness is drawn
+	// serially and keyed by trial/copy index, never by worker, so results
+	// for a fixed Seed are bit-identical at every parallelism level.
 	Parallelism int
 }
 
@@ -361,11 +362,33 @@ func dimacsLists(n int, raw [][]int, add func([]formula.Lit)) error {
 }
 
 // F0 is a streaming distinct-elements sketch over a universe of nBits-bit
-// integers (nBits ≤ 64).
+// integers (nBits ≤ 64), safe for concurrent use. It is a concurrent
+// front (streaming.Concurrent) over one of the paper's F0 sketches: up to
+// a cap of P replicas that share one seed sketch's hash draws, each
+// padded onto its own cache lines. A writer claims the lowest replica it
+// can lock without blocking; the front starts with one replica and builds
+// another, empty, only when a writer finds every built one busy with
+// another writer. NewF0 and DecodeF0 cap it at one replica, so
+// concurrent writers take turns and each batch fans its sketch copies out
+// across Config.Parallelism workers; NewConcurrentF0 and
+// DecodeConcurrentF0 cap it at P replicas that each ingest serially on
+// the claiming goroutine. Estimate merges the replicas on demand and
+// caches the answer until the next write; a cached answer takes no
+// replica lock.
+//
+// Because the underlying sketches are idempotent, order-insensitive
+// functions of the element set and all replicas share draws, the merged
+// estimate and snapshot do not depend on which goroutine's elements
+// landed on which replica: fixed-seed estimates and snapshot bytes are
+// bit-identical at every replica count and parallelism level.
+//
+// A sketch that panics inside the front (a bug, never a caller error)
+// fails it: the locks it held are released, and from then on AddBatch
+// ingests nothing, estimates are 0 and MarshalBinary returns the failure,
+// all at once, and Err reports it. Rebuild such a sketch from a snapshot.
 type F0 struct {
 	nBits int
-	sk    streaming.Sketch
-	cache streaming.ElementCache // the elements sk holds (single writer)
+	front *streaming.Concurrent
 }
 
 // f0Kinds maps each F0 algorithm to its sketch's wire kind.
@@ -377,9 +400,15 @@ var f0Kinds = map[Algorithm]byte{
 }
 
 // NewF0 builds an F0 sketch using the selected algorithm
-// (AlgorithmBucketing, AlgorithmMinimum, or AlgorithmEstimation). It
-// refuses, before allocating, every shape DecodeF0 would refuse.
+// (AlgorithmBucketing, AlgorithmMinimum, or AlgorithmEstimation), capped
+// at one replica. It refuses, before allocating, every shape DecodeF0
+// would refuse.
 func NewF0(nBits int, alg Algorithm, cfg Config) (*F0, error) {
+	return newF0(nBits, alg, cfg, 1)
+}
+
+// newF0 builds an F0 front of the given replica cap.
+func newF0(nBits int, alg Algorithm, cfg Config, replicas int) (*F0, error) {
 	if nBits < 1 || nBits > 64 {
 		return nil, fmt.Errorf("mcf0: universe width %d out of [1,64]", nBits)
 	}
@@ -391,27 +420,30 @@ func NewF0(nBits int, alg Algorithm, cfg Config) (*F0, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &F0{nBits: nBits, sk: sk}, nil
+	return &F0{nBits: nBits, front: streaming.NewConcurrent(sk, replicas)}, nil
 }
 
 // Add absorbs one stream element: a one-element AddBatch.
 func (f *F0) Add(x uint64) { f.AddBatch([]uint64{x}) }
 
-// AddBatch absorbs a chunk of stream elements, fanning the sketch's
-// independent copies across Config.Parallelism workers with one dispatch
-// for the whole chunk. Equivalent to calling Add on each element in order;
-// chunks of a few hundred elements amortise the dispatch best. The whole
-// chunk is validated first (an out-of-range element panics with nothing
-// ingested), and elements the sketch already holds, from this chunk or an
-// earlier one, are mostly dropped before any sketch copy sees them — an
-// exact no-op, since every sketch is a function of the element set. That
-// cache is the sketch's own scratch, so steady-state AddBatch allocates
-// nothing per element.
+// AddBatch absorbs a chunk of stream elements on one replica, amortising
+// acquisition over the chunk; safe to call from any goroutine.
+// Equivalent to calling Add on each element in order. The whole chunk is
+// validated first (an out-of-range element panics with nothing
+// ingested), and elements the claimed replica already holds, from this
+// chunk or an earlier one, are mostly dropped before its sketch hashes
+// them — an exact no-op for a set function (callers counting accepted
+// elements, such as the service's items meter, still count the raw
+// chunk). A chunk whose elements are all dropped still counts in
+// Version. What is left fans the sketch's copies out across the
+// replica's worker pool with one dispatch for the whole chunk; chunks of
+// a few hundred elements amortise the dispatch best. Each replica's
+// cache is its own scratch, kept while the replica lives, so
+// steady-state AddBatch allocates nothing per element. On a failed
+// sketch it ingests nothing (see Err).
 func (f *F0) AddBatch(xs []uint64) {
 	checkElements(xs, f.nBits)
-	if ys := f.cache.Drop(xs); len(ys) > 0 {
-		f.sk.ProcessBatch(ys)
-	}
+	f.front.ProcessBatch(xs)
 }
 
 // checkElements panics when an element of xs does not fit the nBits-bit
@@ -425,11 +457,19 @@ func checkElements(xs []uint64, nBits int) {
 	}
 }
 
-// Estimate returns the current distinct-count approximation.
-func (f *F0) Estimate() float64 { return f.sk.Estimate() }
+// Estimate merges the replicas and returns the combined distinct-count
+// approximation; safe to interleave with concurrent Adds (their elements
+// land in a later estimate). A failed sketch estimates 0 (see Err).
+func (f *F0) Estimate() float64 { return f.front.Estimate() }
 
-// SketchWords returns the sketch footprint in 64-bit words.
-func (f *F0) SketchWords() int { return f.sk.SketchWords() }
+// SketchWords returns the summed footprint of the replicas built, in
+// 64-bit words. Replica 0 is the merged state, so P built replicas report
+// P copies. From the first drain with two or more built (an estimate
+// miss or a snapshot), it also counts the replay logs of replicas
+// 1…P−1, replayCap words each: thresh for Bucketing and Minimum, 0 for
+// Estimation, whose replicas never log. The replicas' element caches are
+// not counted.
+func (f *F0) SketchWords() int { return f.front.SketchWords() }
 
 // RangeF0 estimates the number of distinct tuples covered by a stream of
 // d-dimensional ranges (Theorem 6), in poly(n·d) time per range.
