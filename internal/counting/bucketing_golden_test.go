@@ -1,10 +1,6 @@
 package counting
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
 	"testing"
 
 	"mcf0/internal/exact"
@@ -28,18 +24,6 @@ var goldenBucketingDigests = map[string]string{
 	"dnf/m=1":                "db9562a452ae0d1fb54aa9f956dc3f1fc7316f786134b732829cfe16ad9e6da9",
 	"dnf/multi":              "8430fe6c830a8ebcb9559ad36de799f10a07cc2cc2ef5aabf6a34a08fff1ee76",
 	"cnf/n=20/3cnf-defaults": "9e28cf501c234e7fc692a8a90166324c60b80c22b3437c1399b3ba197d71ca63",
-}
-
-func estimateDigest(r Result) string {
-	h := sha256.New()
-	var w [8]byte
-	for _, v := range r.PerIteration {
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-		h.Write(w[:])
-	}
-	binary.LittleEndian.PutUint64(w[:], math.Float64bits(r.Estimate))
-	h.Write(w[:])
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // bucketingCase is one golden configuration. shape names where the walk

@@ -9,26 +9,35 @@ import (
 	"mcf0/internal/stats"
 )
 
-// goldenEstDigests pins resultDigest (PerIteration, Estimate and
-// OracleQueries) of Algorithm 7 over the exhaustive tester, and
-// goldenKarpLubyDigests the same for the Karp–Luby baseline. The values
-// were captured before the trial testers always forked, so a change to
-// the hash draws, the trial loop or the query meter fails here.
+// goldenEstDigests pins estimateDigest (PerIteration and Estimate bits)
+// of Algorithm 7 over the exhaustive tester and goldenEstQueries its
+// OracleQueries apart from them; goldenKarpLubyDigests pins the
+// Karp–Luby baseline's estimates, which ask no oracle. The values were
+// captured before the trial testers always forked, so a change to the
+// hash draws, the trial loop or the query meter fails here.
 var goldenEstDigests = map[string]string{
-	"cnf/n=8":   "a5b054d7c1ff2cdd359e07efb9d86afad186dfae6cc3286fb1e64bae40da176a",
-	"cnf/n=10":  "3796a1267259a13bb789ae43ef0a5882681d991e16827800548e95f1bcf55e63",
-	"cnf/n=12":  "88e3a32b6eaba5cfa596641633c496cfa3ec363a27a3970edbaa9a73b7930a76",
-	"dnf/n=11":  "029c63016a74235a0512c6911dccb23f0456cb0a8e67afbb3cf2e290a1549697",
-	"unsat/n=9": "fd4c3691c27d4c05f370ab01ea39e9d945793403f064c2dcbda64ccb896cadb3",
+	"cnf/n=8":   "23dc7531ffc62d535278dc44f4ae62992ef520a9ad4f2ff07a07aaa78982290e",
+	"cnf/n=10":  "715ae944fe39046f829134ec8a40b0d95feb67d6db97c51cfcb4d38b1a121aca",
+	"cnf/n=12":  "e01d654cfdd187510b724bf4c933d2cf52150c5631cbd5d0c3270a064d78230a",
+	"dnf/n=11":  "29c1d4e253dc44f3c19b65a89e50875c7de03568b8a7245819d0c67e8205dcd0",
+	"unsat/n=9": "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+}
+
+var goldenEstQueries = map[string]int64{
+	"cnf/n=8":   80,
+	"cnf/n=10":  80,
+	"cnf/n=12":  80,
+	"dnf/n=11":  80,
+	"unsat/n=9": 80,
 }
 
 var goldenKarpLubyDigests = map[string]string{
-	"n=12":               "2ea071b880aba9209f9298953a6fb1855528547481753ebf1ff3b77b520c956c",
-	"n=60":               "fa1f4085c0524ffa03cc6bfa04cd24f63693fafc7eea458e46e185c50eb085e4",
-	"contradictory/n=14": "2aeacf2932bce0695535657bfd11fe4bc15a9f7e61686e4c27580fdacbe6bf96",
+	"n=12":               "d29788cf946eb29ff6b3dadcc4786f5ae4a10bf31c0eba718b4e3cffe8842eed",
+	"n=60":               "8b00a6ac162176ee0a580c95f60c91a5836c5bf86bd1eb179cedcd7ebb2f3e25",
+	"contradictory/n=14": "86dfd623baae4b406f758be7dd480fa74f9eaed8a4f9018a483c0dec1f6bfe2d",
 }
 
-// TestEstimationCountGoldenDeterminism checks the pinned digests at
+// TestEstimationCountGoldenDeterminism checks both pins at
 // parallelism 1 and 2. The cases cover CNF and DNF formulas, a range
 // parameter clamped to n (dense cnf/n=8) and an unsatisfiable formula,
 // whose trials all miss.
@@ -51,10 +60,8 @@ func TestEstimationCountGoldenDeterminism(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		for name, tz := range cases {
 			o := Options{Thresh: 16, Iterations: 5, RNG: stats.NewRNG(0xe570), Parallelism: par}
-			got := resultDigest(ApproxModelCountEst(tz, tz.NVars(), rs[name], o))
-			if want := goldenEstDigests[name]; got != want {
-				t.Errorf("%s par=%d: digest %s, want %s", name, par, got, want)
-			}
+			checkGolden(t, fmt.Sprintf("%s par=%d", name, par), ApproxModelCountEst(tz, tz.NVars(), rs[name], o),
+				goldenEstDigests[name], goldenEstQueries[name])
 		}
 	}
 }
@@ -74,10 +81,7 @@ func TestKarpLubyGoldenDeterminism(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		for name, d := range cases {
 			o := Options{Iterations: 5, RNG: stats.NewRNG(0x4b10), Parallelism: par}
-			got := resultDigest(KarpLuby(d, o))
-			if want := goldenKarpLubyDigests[name]; got != want {
-				t.Errorf("%s par=%d: digest %s, want %s", name, par, got, want)
-			}
+			checkGolden(t, fmt.Sprintf("%s par=%d", name, par), KarpLuby(d, o), goldenKarpLubyDigests[name], 0)
 		}
 	}
 }
