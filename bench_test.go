@@ -1,11 +1,12 @@
-// Benchmarks regenerating the performance dimension of every experiment in
-// EXPERIMENTS.md (E1–E11, A1–A3). Run with
+// Benchmarks timing the kernels behind the cmd/experiments registry
+// (E01–E14, A01–A05; BenchmarkE1ApproxMC is E01, BenchmarkA2Search A02,
+// and so on). Run with
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark exercises the kernel whose cost the corresponding paper
-// claim governs; cmd/experiments produces the accuracy/communication tables
-// that complement these timings.
+// claim governs; `go run ./cmd/experiments -run <id>` prints the
+// accuracy/communication table that complements its timings.
 package mcf0
 
 import (
@@ -524,9 +525,7 @@ func BenchmarkA2Search(b *testing.B) {
 			src := oracle.NewCNFSource(cnf)
 			var queries int64
 			for i := 0; i < b.N; i++ {
-				o := benchOpts(uint64(i))
-				o.BinarySearch = binary
-				queries = counting.ApproxMC(src, o).OracleQueries
+				queries = counting.ApproxMC(src, benchOpts(uint64(i)), counting.Variant{BinarySearch: binary}).OracleQueries
 			}
 			b.ReportMetric(float64(queries), "oracle-calls")
 		})

@@ -10,6 +10,7 @@ import (
 	"mcf0/internal/formula"
 	"mcf0/internal/hash"
 	"mcf0/internal/oracle"
+	"mcf0/internal/params"
 	"mcf0/internal/stats"
 )
 
@@ -36,7 +37,7 @@ func runE1(c runConfig) {
 		src := oracle.NewDNFSource(d)
 		var last counting.Result
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-			last = counting.ApproxMC(src, withSeed(fastOpts(seed, c.quick), seed))
+			last = counting.ApproxMC(src, withSeed(harnessOpts(seed, c), seed))
 			return last.Estimate
 		})
 		lo, hi := minMax(last.PerIteration)
@@ -49,7 +50,7 @@ func runE1(c runConfig) {
 		var queries int64
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
 			src := oracle.NewCNFSource(cnf)
-			res := counting.ApproxMC(src, withSeed(fastOpts(seed, c.quick), seed))
+			res := counting.ApproxMC(src, withSeed(harnessOpts(seed, c), seed))
 			queries = res.OracleQueries
 			return res.Estimate
 		})
@@ -73,7 +74,7 @@ func runE2(c runConfig) {
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
 			var res counting.Result
 			dur = timeIt(func() {
-				res = counting.ApproxModelCountMinDNF(d, withSeed(fastOpts(seed, c.quick), seed))
+				res = counting.ApproxModelCountMinDNF(d, withSeed(harnessOpts(seed, c), seed))
 			})
 			return res.Estimate
 		})
@@ -87,7 +88,7 @@ func runE2(c runConfig) {
 		}
 		d := formula.RandomDNF(48, k, 12, rng)
 		dur := timeIt(func() {
-			counting.ApproxModelCountMinDNF(d, withSeed(fastOpts(1, c.quick), 1))
+			counting.ApproxModelCountMinDNF(d, withSeed(harnessOpts(1, c), 1))
 		})
 		scale.add(k, dur.String())
 	}
@@ -112,7 +113,7 @@ func runE3(c runConfig) {
 		}
 		ex := oracle.NewExhaustive(n, d.Eval)
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-			o := withSeed(fastOpts(seed, c.quick), seed)
+			o := withSeed(harnessOpts(seed, c), seed)
 			o.Thresh = 48
 			return counting.ApproxModelCountEst(ex, n, r, o).Estimate
 		})
@@ -154,10 +155,9 @@ func runA1(c runConfig) {
 		}
 		var dur time.Duration
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-			o := withSeed(fastOpts(seed, c.quick), seed)
-			o.Family = fam
+			o := withSeed(harnessOpts(seed, c), seed)
 			var res counting.Result
-			dur = timeIt(func() { res = counting.ApproxMC(src, o) })
+			dur = timeIt(func() { res = counting.ApproxMC(src, o, counting.Variant{Family: fam}) })
 			return res.Estimate
 		})
 		tab.add(fam.Name(), bits, re, rate, dur.String())
@@ -176,11 +176,8 @@ func runA2(c runConfig) {
 		cnf := formula.RandomKCNF(n, n/2, 3, rng) // loose: many solutions, deep m*
 		linSrc := oracle.NewCNFSource(cnf)
 		binSrc := oracle.NewCNFSource(cnf)
-		optsL := withSeed(fastOpts(1, c.quick), c.seed)
-		optsB := withSeed(fastOpts(1, c.quick), c.seed)
-		optsB.BinarySearch = true
-		lin := counting.ApproxMC(linSrc, optsL)
-		bin := counting.ApproxMC(binSrc, optsB)
+		lin := counting.ApproxMC(linSrc, withSeed(harnessOpts(1, c), c.seed))
+		bin := counting.ApproxMC(binSrc, withSeed(harnessOpts(1, c), c.seed), counting.Variant{BinarySearch: true})
 		ratio := float64(lin.OracleQueries) / float64(bin.OracleQueries)
 		tab.add(n, lin.OracleQueries, bin.OracleQueries, ratio)
 	}
@@ -206,13 +203,13 @@ func runA3(c runConfig) {
 		src := oracle.NewDNFSource(d)
 		algos := []algo{
 			{"bucketing (ApproxMC)", func(seed uint64) float64 {
-				return counting.ApproxMC(src, withSeed(fastOpts(seed, c.quick), seed)).Estimate
+				return counting.ApproxMC(src, withSeed(harnessOpts(seed, c), seed)).Estimate
 			}},
 			{"minimum", func(seed uint64) float64 {
-				return counting.ApproxModelCountMinDNF(d, withSeed(fastOpts(seed, c.quick), seed)).Estimate
+				return counting.ApproxModelCountMinDNF(d, withSeed(harnessOpts(seed, c), seed)).Estimate
 			}},
 			{"karp-luby", func(seed uint64) float64 {
-				o := withSeed(fastOpts(seed, c.quick), seed)
+				o := withSeed(harnessOpts(seed, c), seed)
 				o.Epsilon = 0.4
 				return counting.KarpLuby(d, o).Estimate
 			}},
@@ -231,7 +228,7 @@ func runA3(c runConfig) {
 	fmt.Println("  §3.5 empirical-study direction: hashing-based FPRAS vs Monte-Carlo")
 }
 
-func withSeed(o counting.Options, seed uint64) counting.Options {
+func withSeed(o params.Options, seed uint64) params.Options {
 	o.RNG = stats.NewRNG(seed*2654435761 + 1)
 	return o
 }

@@ -58,7 +58,7 @@ func runE14(c runConfig) {
 			for i := range widths {
 				widths[i] = tc.bits
 			}
-			rs := setstream.NewRangeStream(widths, setOpts(seed, c))
+			rs := setstream.NewRangeStream(widths, harnessOpts(seed, c))
 			dur := timeIt(func() {
 				for _, b := range boxes {
 					if err := rs.ProcessRange(b); err != nil {

@@ -41,7 +41,7 @@ func runE12(c runConfig) {
 		} {
 			var queries int64
 			re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-				o := withSeed(fastOpts(seed, c.quick), seed)
+				o := withSeed(harnessOpts(seed, c), seed)
 				o.Thresh = pick(c.quick, 16, 32)
 				o.Iterations = pick(c.quick, 3, 5)
 				res := counting.ApproxModelCountEst(backend.tz, n, r, o)

@@ -1,11 +1,14 @@
-// Command experiments regenerates every experiment table in EXPERIMENTS.md
-// (E1–E11, A1–A3). The paper is a theory paper with no empirical tables of
-// its own; each experiment here operationalises one of its theorems or
-// claims — see DESIGN.md §4 for the mapping.
+// Command experiments prints the experiment tables of its registry:
+// E01–E14 and the ablations A01–A05, one per id, each titled with the
+// theorem, lemma or section of the paper it checks. The paper is a theory
+// paper with no empirical tables of its own; each experiment here
+// operationalises one of its theorems or claims. `go run
+// ./cmd/experiments -run <id>` prints one table (the id is a regexp,
+// e.g. E04 or 'A0[12]').
 //
 // Usage:
 //
-//	experiments [-run regexp] [-quick] [-seed n] [-trials n]
+//	experiments [-run regexp] [-quick] [-seed n] [-trials n] [-par n]
 //
 // -quick shrinks workloads for a fast smoke pass; default sizes complete
 // in a few minutes.

@@ -23,16 +23,6 @@ func init() {
 	register("E11-progressions", "Corollary 1: F0 over arithmetic progressions", runE11)
 }
 
-func setOpts(seed uint64, c runConfig) setstream.Options {
-	o := setstream.Options{Epsilon: 0.8, Delta: 0.2, Thresh: 32, Iterations: 11,
-		RNG: stats.NewRNG(seed), Parallelism: c.par}
-	if c.quick {
-		o.Thresh = 16
-		o.Iterations = 5
-	}
-	return o
-}
-
 func runE6(c runConfig) {
 	rng := stats.NewRNG(c.seed)
 	// Items: single-term DNFs over n vars with w literals → set size
@@ -50,14 +40,14 @@ func runE6(c runConfig) {
 		for i := 0; i < items; i++ {
 			ds = append(ds, formula.RandomDNF(n, 1, w, rng))
 		}
-		sk := setstream.NewDNFStream(n, setOpts(c.seed, c))
+		sk := setstream.NewDNFStream(n, harnessOpts(c.seed, c))
 		// Batch ingestion: the per-copy FindMin work for all items fans out
 		// with a single pool dispatch.
 		skTime := timeIt(func() {
 			sk.ProcessDNFBatch(ds)
 		}) / time.Duration(items)
 
-		naive := streaming.NewMinimum(n, streamOpts(c.seed, c))
+		naive := streaming.NewMinimum(n, harnessOpts(c.seed, c))
 		naiveTime := timeIt(func() {
 			for _, d := range ds {
 				src := oracle.NewDNFSource(d)
@@ -122,7 +112,7 @@ func runE7(c runConfig) {
 			for i := range widths {
 				widths[i] = tc.bits
 			}
-			rs := setstream.NewRangeStream(widths, setOpts(seed, c))
+			rs := setstream.NewRangeStream(widths, harnessOpts(seed, c))
 			dur := timeIt(func() {
 				for _, b := range boxes {
 					if err := rs.ProcessRange(b); err != nil {
@@ -172,7 +162,7 @@ func runE8(c runConfig) {
 		}
 	}
 	re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-		as := setstream.NewAffineStream(n, setOpts(seed, c))
+		as := setstream.NewAffineStream(n, harnessOpts(seed, c))
 		for _, it := range items {
 			as.ProcessAffine(it.a, it.b)
 		}
@@ -190,7 +180,7 @@ func runE8(c runConfig) {
 	for _, nn := range ns {
 		a := gf2.RandomMatrix(nn/2, nn, rng.Uint64)
 		b := bitvec.Random(nn/2, rng.Uint64)
-		as := setstream.NewAffineStream(nn, setOpts(c.seed, c))
+		as := setstream.NewAffineStream(nn, harnessOpts(c.seed, c))
 		dur := timeIt(func() { as.ProcessAffine(a, b) })
 		scale.add(nn, dur.String())
 	}
@@ -239,7 +229,7 @@ func runE10(c runConfig) {
 		}
 		truth := exact.WeightedCountDNF(d, w)
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-			return setstream.WeightedCount(setstream.WeightedDNF{D: d, W: w}, setOpts(seed, c))
+			return setstream.WeightedCount(setstream.WeightedDNF{D: d, W: w}, harnessOpts(seed, c))
 		})
 		tab.add(fmt.Sprintf("n=%d k=3 (#%d)", n, trial), truth, re, rate)
 	}
@@ -280,7 +270,7 @@ func runE11(c runConfig) {
 		}
 	}
 	re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-		ps := setstream.NewProgressionStream([]int{bits}, setOpts(seed, c))
+		ps := setstream.NewProgressionStream([]int{bits}, harnessOpts(seed, c))
 		for _, it := range items {
 			if err := ps.ProcessProgression(it); err != nil {
 				panic(err)

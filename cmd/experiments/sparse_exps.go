@@ -49,9 +49,7 @@ func runA4(c runConfig) {
 		var queries int64
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
 			src := oracle.NewCNFSource(cnf)
-			o := withSeed(fastOpts(seed, c.quick), seed)
-			o.Family = cfgFam.fam
-			res := counting.ApproxMC(src, o)
+			res := counting.ApproxMC(src, withSeed(harnessOpts(seed, c), seed), counting.Variant{Family: cfgFam.fam})
 			queries = res.OracleQueries
 			return res.Estimate
 		})
@@ -74,7 +72,7 @@ func runA5(c runConfig) {
 	}
 	src := oracle.NewCNFSource(cnf)
 	samples := pick(c.quick, 320, 960)
-	opts := fastOpts(c.seed, c.quick)
+	opts := harnessOpts(c.seed, c)
 	opts.RNG = rng
 	counts := map[string]int{}
 	for _, x := range counting.Sample(src, samples, opts) {

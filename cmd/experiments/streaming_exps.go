@@ -16,16 +16,6 @@ func init() {
 	register("E05-distributed", "§4: distributed DNF counting — accuracy and communication bits", runE5)
 }
 
-func streamOpts(seed uint64, c runConfig) streaming.Options {
-	o := streaming.Options{Epsilon: 0.8, Delta: 0.2, Thresh: 32, Iterations: 11,
-		RNG: stats.NewRNG(seed), Parallelism: c.par}
-	if c.quick {
-		o.Thresh = 16
-		o.Iterations = 5
-	}
-	return o
-}
-
 func uniformStream(n, distinct, length int, rng *stats.RNG) []uint64 {
 	vals := make([]uint64, distinct)
 	seen := map[uint64]bool{}
@@ -79,8 +69,8 @@ func runE4(c runConfig) {
 		build func(seed uint64) streaming.Sketch
 	}
 	mks := []mk{
-		{"bucketing", func(s uint64) streaming.Sketch { return streaming.NewBucketing(n, streamOpts(s, c)) }},
-		{"minimum", func(s uint64) streaming.Sketch { return streaming.NewMinimum(n, streamOpts(s, c)) }},
+		{"bucketing", func(s uint64) streaming.Sketch { return streaming.NewBucketing(n, harnessOpts(s, c)) }},
+		{"minimum", func(s uint64) streaming.Sketch { return streaming.NewMinimum(n, harnessOpts(s, c)) }},
 	}
 	for _, workload := range []string{"uniform", "zipf"} {
 		for _, f0 := range f0s {
@@ -116,7 +106,7 @@ func runE4(c runConfig) {
 	re, rate := accuracy(float64(estF0), 0.8, trials, func(seed uint64) float64 {
 		rng := stats.NewRNG(seed)
 		stream := uniformStream(24, estF0, estF0, rng)
-		o := streamOpts(seed, c)
+		o := harnessOpts(seed, c)
 		o.Iterations = 7
 		e := streaming.NewEstimation(24, o)
 		e.ProcessBatch(stream)
@@ -147,7 +137,7 @@ func runE5(c runConfig) {
 		for _, proto := range []string{"bucketing", "minimum"} {
 			var comm distributed.Comm
 			re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-				o := distOpts(seed, c)
+				o := harnessOpts(seed, c)
 				var res distributed.Result
 				if proto == "bucketing" {
 					res = distributed.Bucketing(parts, o)
@@ -162,7 +152,7 @@ func runE5(c runConfig) {
 		// Estimation protocol (exhaustive tester; n = 16 is fine).
 		var comm distributed.Comm
 		re, rate := accuracy(truth, 0.8, trials, func(seed uint64) float64 {
-			o := distOpts(seed, c)
+			o := harnessOpts(seed, c)
 			o.Iterations = 5
 			r, extra := distributed.RoughR(parts, 5, o)
 			res := distributed.Estimation(parts, r, o)
@@ -176,14 +166,4 @@ func runE5(c runConfig) {
 	tab.print()
 	fmt.Println("  paper claims: Bucketing/Estimation Õ(k(n+1/ε²)log 1/δ) bits; Minimum O(kn/ε²·log 1/δ) bits;")
 	fmt.Println("  lower bound Ω(k/ε²) — all protocols must grow linearly in k (visible above)")
-}
-
-func distOpts(seed uint64, c runConfig) distributed.Options {
-	o := distributed.Options{Epsilon: 0.8, Delta: 0.2, Thresh: 32, Iterations: 11,
-		RNG: stats.NewRNG(seed), Parallelism: c.par}
-	if c.quick {
-		o.Thresh = 16
-		o.Iterations = 5
-	}
-	return o
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"mcf0/internal/counting"
+	"mcf0/internal/params"
 	"mcf0/internal/stats"
 )
 
@@ -62,10 +62,13 @@ func (t *table) print() {
 	}
 }
 
-// fastOpts builds counting options sized for the experiment harness.
-func fastOpts(seed uint64, quick bool) counting.Options {
-	o := counting.Options{Epsilon: 0.8, Delta: 0.2, Thresh: 32, Iterations: 11, RNG: stats.NewRNG(seed)}
-	if quick {
+// harnessOpts is the (ε, δ) parameter set every experiment starts from:
+// Thresh and Iterations sized for the harness (smaller under -quick),
+// seed's generator and the -par worker bound.
+func harnessOpts(seed uint64, c runConfig) params.Options {
+	o := params.Options{Epsilon: 0.8, Delta: 0.2, Thresh: 32, Iterations: 11,
+		RNG: stats.NewRNG(seed), Parallelism: c.par}
+	if c.quick {
 		o.Thresh = 16
 		o.Iterations = 5
 	}

@@ -23,7 +23,8 @@
 //	-write-timeout         http.Server.WriteTimeout (default 60s)
 //	-idle-timeout          http.Server.IdleTimeout (default 120s)
 //	-max-header-bytes      request header cap (default 1 MiB)
-//	-request-timeout       per-request context deadline (default off)
+//	-request-timeout       per-request context deadline (default off);
+//	                       attached, but no handler reads it yet
 //	-max-inflight          in-flight request cap; excess sheds 503
 //	                       (default 0 = unlimited)
 //	-drain-timeout         graceful-shutdown drain bound (default 10s)
@@ -68,7 +69,7 @@ func main() {
 		writeTimeout      = flag.Duration("write-timeout", 0, "response write timeout (0 = 60s, negative disables)")
 		idleTimeout       = flag.Duration("idle-timeout", 0, "keep-alive idle timeout (0 = 120s, negative disables)")
 		maxHeaderBytes    = flag.Int("max-header-bytes", 0, "max request header bytes (0 = 1 MiB)")
-		requestTimeout    = flag.Duration("request-timeout", 0, "per-request context deadline (0 = off)")
+		requestTimeout    = flag.Duration("request-timeout", 0, "per-request context deadline, attached but not yet read by any handler, so it bounds no work (0 = off)")
 		maxInFlight       = flag.Int("max-inflight", 0, "in-flight request cap, excess sheds 503 (0 = unlimited)")
 		drainTimeout      = flag.Duration("drain-timeout", 0, "graceful-shutdown drain bound (0 = 10s)")
 		breakerFailures   = flag.Int("breaker-failures", 0, "consecutive snapshot disk failures opening the breaker (0 = 3)")

@@ -7,7 +7,6 @@ import (
 
 	"mcf0/internal/hash"
 	"mcf0/internal/stats"
-	"mcf0/internal/streaming"
 	"mcf0/internal/wire"
 )
 
@@ -251,9 +250,9 @@ func mustMarshal(t *testing.T, m interface{ MarshalBinary() ([]byte, error) }) [
 	return b
 }
 
-// Every public Merge must refuse incompatible sketches with a descriptive
-// error — mismatched universes and dimensions as well as foreign hash
-// draws — and leave the receiver untouched.
+// Every public Merge must refuse incompatible sketches — mismatched
+// universes and dimensions as well as foreign hash draws — with an error
+// wrapping the one exported sentinel, ErrIncompatibleSketch.
 func TestMergeErrorPaths(t *testing.T) {
 	cfg := Config{Thresh: 24, Iterations: 5, Seed: 27, Parallelism: 1}
 	foreign := cfg
@@ -262,15 +261,15 @@ func TestMergeErrorPaths(t *testing.T) {
 	t.Run("f0", func(t *testing.T) {
 		a, _ := NewF0(20, AlgorithmBucketing, cfg)
 		b, _ := NewF0(24, AlgorithmBucketing, cfg)
-		if err := a.Merge(b); err == nil {
-			t.Fatal("width mismatch merged")
+		if err := a.Merge(b); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("width mismatch: %v", err)
 		}
 		c, _ := NewF0(20, AlgorithmBucketing, foreign)
-		if err := a.Merge(c); !errors.Is(err, streaming.ErrIncompatibleSketch) {
+		if err := a.Merge(c); !errors.Is(err, ErrIncompatibleSketch) {
 			t.Fatalf("foreign draws: %v", err)
 		}
 		d, _ := NewF0(20, AlgorithmMinimum, cfg)
-		if err := a.Merge(d); !errors.Is(err, streaming.ErrIncompatibleSketch) {
+		if err := a.Merge(d); !errors.Is(err, ErrIncompatibleSketch) {
 			t.Fatalf("cross-algorithm merge: %v", err)
 		}
 	})
@@ -278,56 +277,56 @@ func TestMergeErrorPaths(t *testing.T) {
 	t.Run("dnf", func(t *testing.T) {
 		a, _ := NewDNFSetF0(12, cfg)
 		b, _ := NewDNFSetF0(10, cfg)
-		if err := a.Merge(b); err == nil {
-			t.Fatal("variable-count mismatch merged")
+		if err := a.Merge(b); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("variable-count mismatch: %v", err)
 		}
 		c, _ := NewDNFSetF0(12, foreign)
-		if err := a.Merge(c); err == nil {
-			t.Fatal("foreign draws merged")
+		if err := a.Merge(c); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("foreign draws: %v", err)
 		}
 	})
 
 	t.Run("range", func(t *testing.T) {
 		a, _ := NewRangeF0([]int{8, 8}, cfg)
 		b, _ := NewRangeF0([]int{8}, cfg)
-		if err := a.Merge(b); err == nil {
-			t.Fatal("dimension-count mismatch merged")
+		if err := a.Merge(b); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("dimension-count mismatch: %v", err)
 		}
 		c, _ := NewRangeF0([]int{8, 9}, cfg)
-		if err := a.Merge(c); err == nil {
-			t.Fatal("dimension-width mismatch merged")
+		if err := a.Merge(c); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("dimension-width mismatch: %v", err)
 		}
 		d, _ := NewRangeF0([]int{8, 8}, foreign)
-		if err := a.Merge(d); err == nil {
-			t.Fatal("foreign draws merged")
+		if err := a.Merge(d); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("foreign draws: %v", err)
 		}
 	})
 
 	t.Run("progression", func(t *testing.T) {
 		a, _ := NewProgressionF0([]int{8, 8}, cfg)
 		b, _ := NewProgressionF0([]int{8}, cfg)
-		if err := a.Merge(b); err == nil {
-			t.Fatal("dimension-count mismatch merged")
+		if err := a.Merge(b); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("dimension-count mismatch: %v", err)
 		}
 		c, _ := NewProgressionF0([]int{8, 9}, cfg)
-		if err := a.Merge(c); err == nil {
-			t.Fatal("dimension-width mismatch merged")
+		if err := a.Merge(c); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("dimension-width mismatch: %v", err)
 		}
 		d, _ := NewProgressionF0([]int{8, 8}, foreign)
-		if err := a.Merge(d); err == nil {
-			t.Fatal("foreign draws merged")
+		if err := a.Merge(d); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("foreign draws: %v", err)
 		}
 	})
 
 	t.Run("affine", func(t *testing.T) {
 		a, _ := NewAffineF0(10, cfg)
 		b, _ := NewAffineF0(12, cfg)
-		if err := a.Merge(b); err == nil {
-			t.Fatal("width mismatch merged")
+		if err := a.Merge(b); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("width mismatch: %v", err)
 		}
 		c, _ := NewAffineF0(10, foreign)
-		if err := a.Merge(c); err == nil {
-			t.Fatal("foreign draws merged")
+		if err := a.Merge(c); !errors.Is(err, ErrIncompatibleSketch) {
+			t.Fatalf("foreign draws: %v", err)
 		}
 	})
 }

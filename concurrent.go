@@ -11,12 +11,12 @@ import (
 // having ingested both streams interleaved in any order. The two sketches
 // must share hash draws: built with the same algorithm, width, and seed
 // (or decoded from such a sketch's snapshot); otherwise Merge returns an
-// error wrapping streaming.ErrIncompatibleSketch and leaves f unchanged.
+// error wrapping ErrIncompatibleSketch and leaves f unchanged.
 // A merge counts as one write in Version. other is not mutated, and may
 // be written concurrently.
 func (f *F0) Merge(other *F0) error {
 	if other.nBits != f.nBits {
-		return fmt.Errorf("mcf0: cannot merge %d-bit and %d-bit sketches", f.nBits, other.nBits)
+		return fmt.Errorf("mcf0: cannot merge %d-bit and %d-bit sketches: %w", f.nBits, other.nBits, ErrIncompatibleSketch)
 	}
 	src := other.front.MergedClone()
 	if src == nil {
@@ -71,19 +71,25 @@ func (f *F0) Err() error { return f.front.Err() }
 // panicked; its state can no longer be trusted.
 var ErrSketchFailed = streaming.ErrFailed
 
+// ErrIncompatibleSketch is wrapped by the error of every refused Merge —
+// of F0, DNFSetF0, RangeF0, ProgressionF0 and AffineF0 alike: the two
+// sketches differ in algorithm, width, shape or hash draws.
+var ErrIncompatibleSketch = streaming.ErrIncompatibleSketch
+
 // Merge folds other's sketch state into d (same n, same seed and
 // parameters required); d afterwards estimates the union of both DNF-set
-// streams.
+// streams. A refused merge returns ErrIncompatibleSketch and leaves d
+// unchanged.
 func (d *DNFSetF0) Merge(other *DNFSetF0) error { return d.inner.Merge(other.inner) }
 
 // Merge folds other's sketch state into r (same dimensions, same seed and
-// parameters required).
+// parameters required, else ErrIncompatibleSketch).
 func (r *RangeF0) Merge(other *RangeF0) error { return r.inner.Merge(other.inner) }
 
 // Merge folds other's sketch state into p (same dimensions, same seed and
-// parameters required).
+// parameters required, else ErrIncompatibleSketch).
 func (p *ProgressionF0) Merge(other *ProgressionF0) error { return p.inner.Merge(other.inner) }
 
 // Merge folds other's sketch state into a (same width, same seed and
-// parameters required).
+// parameters required, else ErrIncompatibleSketch).
 func (a *AffineF0) Merge(other *AffineF0) error { return a.inner.Merge(other.inner) }

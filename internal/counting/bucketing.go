@@ -52,9 +52,11 @@ const presizeSols = 1024
 // (< Thresh); the trial's estimate is |cell| · 2^m, and the final answer is
 // the median across trials.
 //
-// With Options.BinarySearch, the prefix length is located by the galloping
-// binary search of ApproxMC2, reducing oracle calls from O(n) to O(log n)
-// per trial (ablation A2).
+// At most one Variant may follow opts; none runs Algorithm 5 as written.
+// With Variant.BinarySearch, the prefix length is located by the
+// galloping binary search of ApproxMC2, reducing oracle calls from O(n)
+// to O(log n) per trial (ablation A2); Variant.Family replaces
+// H_Toeplitz(n, n) (ablation A1).
 //
 // One solution pool serves every trial. The level-0 cell has no hash
 // rows, so it is Sol(φ) for every trial: it is enumerated once, on its
@@ -82,16 +84,23 @@ const presizeSols = 1024
 // trial), and level 0 and every searching trial run on their own fork of
 // src at every parallelism, so results and oracle-query totals are
 // identical to a serial run for a fixed seed.
-func ApproxMC(src oracle.Source, opts Options) Result {
+func ApproxMC(src oracle.Source, opts Options, v ...Variant) Result {
+	if len(v) > 1 {
+		panic("counting: ApproxMC takes at most one Variant")
+	}
+	var va Variant
+	if len(v) == 1 {
+		va = v[0]
+	}
 	n := src.NVars()
-	p := opts.resolve()
+	p := opts.Resolve(defaultSeed)
 	thresh, t := p.Thresh, p.Iterations
 	var fam hash.Family = hash.NewToeplitz(n, n)
-	if opts.Family != nil {
-		if opts.Family.InBits() != n || opts.Family.OutBits() != n {
+	if va.Family != nil {
+		if va.Family.InBits() != n || va.Family.OutBits() != n {
 			panic("counting: ApproxMC hash family must map n → n bits")
 		}
-		fam = opts.Family
+		fam = va.Family
 	}
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	hs := make([]*hash.Linear, t)
@@ -122,7 +131,7 @@ func ApproxMC(src oracle.Source, opts Options) Result {
 		srcs := trialForks(t, src.Fork)
 		par.Run(t, p.Parallelism, func(i int) {
 			var m, c int
-			if opts.BinarySearch {
+			if va.BinarySearch {
 				m, c = searchPrefixBinary(srcs[i], hs[i], thresh, thresh, pool)
 			} else {
 				m, c = searchPrefixLinear(srcs[i], hs[i], thresh, thresh, pool)

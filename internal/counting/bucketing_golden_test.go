@@ -68,7 +68,7 @@ func bucketingCases() []bucketingCase {
 func TestBucketingCountGoldenDeterminism(t *testing.T) {
 	for _, c := range bucketingCases() {
 		opts := c.opts
-		thresh := uint64(opts.thresh())
+		thresh := uint64(thresh(opts))
 		ok := map[string]bool{
 			"exact": c.models < thresh,
 			"m=1":   thresh <= c.models && c.models < 2*thresh,
@@ -80,8 +80,8 @@ func TestBucketingCountGoldenDeterminism(t *testing.T) {
 		for _, binary := range []bool{false, true} {
 			for _, par := range []int{1, 2} {
 				o := opts
-				o.BinarySearch, o.Parallelism, o.RNG = binary, par, stats.NewRNG(0xb0c0)
-				got := estimateDigest(ApproxMC(c.src(), o))
+				o.Parallelism, o.RNG = par, stats.NewRNG(0xb0c0)
+				got := estimateDigest(ApproxMC(c.src(), o, Variant{BinarySearch: binary}))
 				if want := goldenBucketingDigests[c.name]; got != want {
 					t.Errorf("%s binary=%v par=%d: digest %s, want %s", c.name, binary, par, got, want)
 				}

@@ -101,11 +101,8 @@ func TestApproxMCBinarySearchAgreesWithLinear(t *testing.T) {
 	d := formula.RandomDNF(12, 5, 3, rng)
 	src := oracle.NewDNFSource(d)
 	for seed := uint64(0); seed < 10; seed++ {
-		optsLin := testOpts(seed)
-		optsBin := testOpts(seed)
-		optsBin.BinarySearch = true
-		lin := ApproxMC(src, optsLin)
-		bin := ApproxMC(src, optsBin)
+		lin := ApproxMC(src, testOpts(seed))
+		bin := ApproxMC(src, testOpts(seed), Variant{BinarySearch: true})
 		if lin.Estimate != bin.Estimate {
 			t.Fatalf("seed %d: linear=%g binary=%g", seed, lin.Estimate, bin.Estimate)
 		}
@@ -119,11 +116,8 @@ func TestApproxMCBinarySearchFewerQueries(t *testing.T) {
 	cnf := formula.RandomKCNF(16, 8, 3, rng) // loose formula, many solutions
 	linSrc := oracle.NewCNFSource(cnf)
 	binSrc := oracle.NewCNFSource(cnf)
-	optsLin := testOpts(1)
-	optsBin := testOpts(1)
-	optsBin.BinarySearch = true
-	lin := ApproxMC(linSrc, optsLin)
-	bin := ApproxMC(binSrc, optsBin)
+	lin := ApproxMC(linSrc, testOpts(1))
+	bin := ApproxMC(binSrc, testOpts(1), Variant{BinarySearch: true})
 	if bin.OracleQueries >= lin.OracleQueries {
 		t.Errorf("binary search used %d queries, linear %d", bin.OracleQueries, lin.OracleQueries)
 	}
@@ -355,19 +349,19 @@ func TestKarpLubyDegenerate(t *testing.T) {
 }
 
 // thresh is the Thresh a run with o uses.
-func (o Options) thresh() int { return o.resolve().Thresh }
+func thresh(o Options) int { return o.Resolve(defaultSeed).Thresh }
 
 func TestPaperConstants(t *testing.T) {
 	var o Options
-	if got := o.thresh(); got != 150 { // 96/0.64 = 150
+	if got := thresh(o); got != 150 { // 96/0.64 = 150
 		t.Errorf("default thresh = %d, want 150", got)
 	}
 	o2 := Options{Epsilon: 1}
-	if got := o2.thresh(); got != 96 {
+	if got := thresh(o2); got != 96 {
 		t.Errorf("ε=1 thresh = %d, want 96", got)
 	}
 	o3 := Options{Delta: 0.5}
-	if got := o3.resolve().Iterations; got != 35 {
+	if got := o3.Resolve(defaultSeed).Iterations; got != 35 {
 		t.Errorf("δ=0.5 iterations = %d, want 35", got)
 	}
 }
@@ -375,7 +369,7 @@ func TestPaperConstants(t *testing.T) {
 // TestZeroOptionsShape checks that every counter run at zero options
 // runs exactly the trial count params resolves.
 func TestZeroOptionsShape(t *testing.T) {
-	want := Options{}.resolve().Iterations
+	want := Options{}.Resolve(defaultSeed).Iterations
 	d := formula.RandomDNF(6, 4, 3, stats.NewRNG(3))
 	for name, res := range map[string]Result{
 		"bucketing":  ApproxMC(oracle.NewDNFSource(d), Options{}),

@@ -22,7 +22,7 @@ import (
 // order, matching a serial run), and every trial asks its own fork of tz
 // at every parallelism, so OracleQueries sums the forks' meters.
 func ApproxModelCountEst(tz oracle.TrailingZeroTester, n, r int, opts Options) Result {
-	p := opts.resolve()
+	p := opts.Resolve(defaultSeed)
 	thresh, t := p.Thresh, p.Iterations
 	hs := hash.NewPoly(n, SWiseIndependence(p.Epsilon)).DrawN(t*thresh, p.RNG.Uint64)
 	tzs := trialForks(t, tz.ForkTester)

@@ -165,15 +165,9 @@ type FindMinFunc func(i int, h *hash.Linear, set *kmv.Set)
 // Trials run across Options.Parallelism workers, so findMin must be safe
 // for concurrent calls with different trial indices.
 func ApproxModelCountMin(n int, findMin FindMinFunc, opts Options) Result {
-	p := opts.resolve()
+	p := opts.Resolve(defaultSeed)
 	thresh, t := p.Thresh, p.Iterations
-	var fam hash.Family = hash.NewToeplitz(n, 3*n)
-	if opts.Family != nil {
-		if opts.Family.InBits() != n || opts.Family.OutBits() != 3*n {
-			panic("counting: ApproxModelCountMin hash family must map n → 3n bits")
-		}
-		fam = opts.Family
-	}
+	fam := hash.NewToeplitz(n, 3*n)
 	res := Result{Iterations: t, PerIteration: make([]float64, t)}
 	hs := make([]*hash.Linear, t)
 	next := p.RNG.Uint64
@@ -201,7 +195,7 @@ func ApproxModelCountMinDNF(d *formula.DNF, opts Options) Result {
 // (Theorem 3's CNF case: O(p·n·log(1/δ)/ε²) oracle calls), metering
 // queries. Every trial runs on its own fork of src.
 func ApproxModelCountMinOracle(src oracle.Source, opts Options) Result {
-	srcs := trialForks(opts.resolve().Iterations, src.Fork)
+	srcs := trialForks(opts.Resolve(defaultSeed).Iterations, src.Fork)
 	res := ApproxModelCountMin(src.NVars(), func(i int, h *hash.Linear, set *kmv.Set) {
 		FindMinOracle(srcs[i], h, set)
 		release(srcs[i])

@@ -19,7 +19,7 @@ import (
 // satisfied by x; the union size is M·E[score]. A median of means gives
 // the (ε, δ) guarantee with O(k/ε² · log(1/δ)) samples.
 func KarpLuby(d *formula.DNF, opts Options) Result {
-	p := opts.resolve()
+	p := opts.Resolve(defaultSeed)
 	t := p.Iterations
 	res := Result{Iterations: t}
 	k := len(d.Terms)

@@ -25,51 +25,30 @@ package counting
 import (
 	"mcf0/internal/hash"
 	"mcf0/internal/params"
-	"mcf0/internal/stats"
 )
 
-// Options parameterises the (ε, δ) algorithms: the shared parameter set
-// of params.Options plus the two fields only the counters have. The zero
-// value selects the paper's constants (see params.Resolve). Tests dial
-// Thresh and Iterations down explicitly.
-type Options struct {
-	// Epsilon, Delta, Thresh and Iterations are params.Options' (ε, δ)
-	// parameters.
-	Epsilon    float64
-	Delta      float64
-	Thresh     int
-	Iterations int
-	// BinarySearch selects the ApproxMC2-style galloping/binary search
-	// over prefix lengths instead of Algorithm 5's linear scan.
-	BinarySearch bool
-	// Family overrides the linear hash family (ablation A1: H_Toeplitz vs
-	// H_xor). It must have the same shape as the default — n → n for
-	// ApproxMC, n → 3n for ApproxModelCountMin. Nil selects H_Toeplitz.
-	Family hash.Family
-	// RNG supplies randomness; a fixed-seed generator is used when nil so
-	// that every run is reproducible by default.
-	RNG *stats.RNG
-	// Parallelism bounds the worker pool that runs the independent median
-	// trials. 0 selects GOMAXPROCS; 1 forces serial execution; values above
-	// the trial count are clamped. Hash functions (and per-trial RNG
-	// streams where an algorithm needs in-trial randomness) are always
-	// drawn serially up front, so for a fixed seed the estimate,
-	// PerIteration values, and oracle-query totals are identical at every
-	// parallelism level.
-	Parallelism int
-}
+// Options is the (ε, δ) parameter set every counter takes; the zero value
+// selects the paper's constants (see params.Options.Resolve). Tests dial
+// Thresh and Iterations down explicitly. Hash functions, and per-trial
+// RNG streams where an algorithm needs in-trial randomness, are always
+// drawn serially up front, so for a fixed seed the estimate, PerIteration
+// values and oracle-query totals are identical at every Parallelism.
+type Options = params.Options
 
-// resolve returns o's shared parameters with every unset one filled; a
-// nil RNG draws from the package's fixed seed.
-func (o Options) resolve() params.Options {
-	return params.Options{
-		Epsilon:     o.Epsilon,
-		Delta:       o.Delta,
-		Thresh:      o.Thresh,
-		Iterations:  o.Iterations,
-		RNG:         o.RNG,
-		Parallelism: o.Parallelism,
-	}.Resolve(0x6d63663073656564) // "mcf0seed"
+// defaultSeed seeds the generator of an Options with a nil RNG.
+const defaultSeed = 0x6d63663073656564 // "mcf0seed"
+
+// Variant selects ApproxMC's ablation switches; the zero value is
+// Algorithm 5 as written.
+type Variant struct {
+	// BinarySearch selects the ApproxMC2-style galloping/binary search
+	// over prefix lengths instead of Algorithm 5's linear scan
+	// (ablation A2).
+	BinarySearch bool
+	// Family overrides the linear hash family (ablation A1: H_Toeplitz
+	// vs H_xor, and the sparse families); it must map n → n bits, or
+	// ApproxMC panics. Nil selects H_Toeplitz(n, n).
+	Family hash.Family
 }
 
 // Result reports an estimate together with the work that produced it.

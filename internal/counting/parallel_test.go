@@ -53,9 +53,7 @@ func TestApproxMCParallelDeterminism(t *testing.T) {
 		return ApproxMC(oracle.NewCNFSource(cnf), parOpts(par))
 	})
 	checkDeterministic(t, "ApproxMC/CNF/binary", func(par int) Result {
-		o := parOpts(par)
-		o.BinarySearch = true
-		return ApproxMC(oracle.NewCNFSource(cnf), o)
+		return ApproxMC(oracle.NewCNFSource(cnf), parOpts(par), Variant{BinarySearch: true})
 	})
 }
 

@@ -109,7 +109,7 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 			xw, hist, ys, idx := poolWords(pool, n), make([]int, n+1), make([]uint64, len(pool)), make([]int, len(pool))
 			for _, par := range []int{1, 2, 4} {
 				seed := uint64(1000*n + k)
-				res := ApproxMC(oracle.NewDNFSource(d), Options{Thresh: thresh, Iterations: 9, RNG: stats.NewRNG(seed), Parallelism: par, Family: fam})
+				res := ApproxMC(oracle.NewDNFSource(d), Options{Thresh: thresh, Iterations: 9, RNG: stats.NewRNG(seed), Parallelism: par}, Variant{Family: fam})
 				draw := stats.NewRNG(seed)
 				for i := range res.PerIteration {
 					h := fam.Draw(draw.Uint64).(*hash.Linear)

@@ -17,9 +17,9 @@ import (
 // every E1 configuration (linear and binary prefix search, serial and
 // parallel trials).
 
-func e1Options(seed uint64, binary bool, par int) Options {
+func e1Options(seed uint64, par int) Options {
 	return Options{Epsilon: 0.8, Delta: 0.2, Thresh: 24, Iterations: 7,
-		RNG: stats.NewRNG(seed), BinarySearch: binary, Parallelism: par}
+		RNG: stats.NewRNG(seed), Parallelism: par}
 }
 
 // TestApproxMCReusedSolverMatchesFresh runs ApproxMC on a CNF whose
@@ -31,7 +31,7 @@ func e1Options(seed uint64, binary bool, par int) Options {
 func TestApproxMCReusedSolverMatchesFresh(t *testing.T) {
 	complete, _ := formula.PlantedKCNF(12, 40, 3, stats.NewRNG(3))
 	incomplete, _ := formula.PlantedKCNF(14, 21, 3, stats.NewRNG(811))
-	pool := 2 * e1Options(0, false, 1).thresh()
+	pool := 2 * thresh(e1Options(0, 1))
 	for _, c := range []struct {
 		name     string
 		cnf      *formula.CNF
@@ -44,9 +44,10 @@ func TestApproxMCReusedSolverMatchesFresh(t *testing.T) {
 			for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 				reused := oracle.NewCNFSource(c.cnf)
 				for seed := uint64(0); seed < 3; seed++ {
-					want := ApproxMC(oracle.NewCNFSource(c.cnf), e1Options(seed, binary, 1))
-					fresh := ApproxMC(oracle.NewCNFSource(c.cnf), e1Options(seed, binary, par))
-					got := ApproxMC(reused, e1Options(seed, binary, par))
+					v := Variant{BinarySearch: binary}
+					want := ApproxMC(oracle.NewCNFSource(c.cnf), e1Options(seed, 1), v)
+					fresh := ApproxMC(oracle.NewCNFSource(c.cnf), e1Options(seed, par), v)
+					got := ApproxMC(reused, e1Options(seed, par), v)
 					for side, r := range map[string]Result{"fresh": fresh, "reused": got} {
 						if !reflect.DeepEqual(r, want) {
 							t.Fatalf("%s bin=%v par=%d seed=%d: %s source %+v, serial fresh %+v",
@@ -66,9 +67,10 @@ func TestApproxMCParallelismInvariantCNF(t *testing.T) {
 	rng := stats.NewRNG(821)
 	cnf, _ := formula.PlantedKCNF(12, 18, 3, rng)
 	for _, binary := range []bool{false, true} {
-		base := ApproxMC(oracle.NewCNFSource(cnf), e1Options(5, binary, 1))
+		v := Variant{BinarySearch: binary}
+		base := ApproxMC(oracle.NewCNFSource(cnf), e1Options(5, 1), v)
 		for _, par := range []int{2, 4, 8} {
-			got := ApproxMC(oracle.NewCNFSource(cnf), e1Options(5, binary, par))
+			got := ApproxMC(oracle.NewCNFSource(cnf), e1Options(5, par), v)
 			if got.Estimate != base.Estimate || !reflect.DeepEqual(got.PerIteration, base.PerIteration) {
 				t.Fatalf("bin=%v par=%d: estimate %g/%v, serial %g/%v",
 					binary, par, got.Estimate, got.PerIteration, base.Estimate, base.PerIteration)
@@ -86,7 +88,7 @@ func TestSolverStatsAggregate(t *testing.T) {
 	rng := stats.NewRNG(823)
 	cnf, _ := formula.PlantedKCNF(12, 18, 3, rng)
 	src := oracle.NewCNFSource(cnf)
-	ApproxMC(src, e1Options(1, false, 4))
+	ApproxMC(src, e1Options(1, 4))
 	st := src.SolverStats()
 	if st.Decisions == 0 && st.Propagations == 0 {
 		t.Fatalf("aggregated solver stats empty: %+v", st)

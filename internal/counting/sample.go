@@ -20,7 +20,7 @@ import (
 // if φ is unsatisfiable.
 func Sample(src oracle.Source, count int, opts Options) []bitvec.BitVec {
 	n := src.NVars()
-	p := opts.resolve()
+	p := opts.Resolve(defaultSeed)
 	thresh, rng := p.Thresh, p.RNG
 	fam := hash.NewToeplitz(n, n)
 

@@ -125,9 +125,7 @@ func TestSparseApproxMCStillAccurate(t *testing.T) {
 	ok := 0
 	const trials = 10
 	for s := 0; s < trials; s++ {
-		o := testOpts(uint64(400 + s))
-		o.Family = hash.NewSparse(14, 14, 0.25)
-		res := ApproxMC(src, o)
+		res := ApproxMC(src, testOpts(uint64(400+s)), Variant{Family: hash.NewSparse(14, 14, 0.25)})
 		if stats.WithinFactor(res.Estimate, truth, 0.8) {
 			ok++
 		}

@@ -237,7 +237,7 @@ func Minimum(parts []*formula.DNF, opts Options) Result {
 			sent.Add(int64(site.Len()) * int64(3*n))
 			global.Merge(site, tmp)
 		}
-	}, countingOptions(o))
+	}, o)
 	return Result{
 		Estimate:     res.Estimate,
 		PerIteration: res.PerIteration,
@@ -246,13 +246,6 @@ func Minimum(parts []*formula.DNF, opts Options) Result {
 			SitesToCoord: sent.Load(),
 		},
 	}
-}
-
-// countingOptions hands a protocol's resolved parameters to the Section 3
-// counters.
-func countingOptions(o Options) counting.Options {
-	return counting.Options{Epsilon: o.Epsilon, Delta: o.Delta, Thresh: o.Thresh,
-		Iterations: o.Iterations, RNG: o.RNG, Parallelism: o.Parallelism}
 }
 
 // Estimation runs the distributed Estimation protocol on Algorithm 7
@@ -271,7 +264,7 @@ func Estimation(parts []*formula.DNF, r int, opts Options) Result {
 	for j, part := range parts {
 		sites[j] = oracle.NewExhaustive(n, part.Eval)
 	}
-	res := counting.ApproxModelCountEst(sites, n, r, countingOptions(o))
+	res := counting.ApproxModelCountEst(sites, n, r, o)
 	// Per-(hash, site) message costs are data-independent: s coefficients
 	// of n bits down, one level value back.
 	msgs := int64(o.Iterations) * int64(o.Thresh) * int64(k)

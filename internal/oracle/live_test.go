@@ -41,10 +41,11 @@ func (p peakSource) Enumerate(cons *gf2.System, known []bitvec.BitVec, limit int
 func TestLiveSolversBoundedByWorkers(t *testing.T) {
 	cnf, _ := formula.PlantedKCNF(12, 18, 3, stats.NewRNG(0x11fe))
 	runs := map[string]func(oracle.Source, counting.Options) counting.Result{
-		"ApproxMC": counting.ApproxMC,
-		"ApproxMC/binary": func(s oracle.Source, o counting.Options) counting.Result {
-			o.BinarySearch = true
+		"ApproxMC": func(s oracle.Source, o counting.Options) counting.Result {
 			return counting.ApproxMC(s, o)
+		},
+		"ApproxMC/binary": func(s oracle.Source, o counting.Options) counting.Result {
+			return counting.ApproxMC(s, o, counting.Variant{BinarySearch: true})
 		},
 		"Min/Oracle": counting.ApproxModelCountMinOracle,
 	}

@@ -211,9 +211,12 @@ func (s *Shed) InFlight() int64 {
 	return s.inflight.Load()
 }
 
-// Deadline attaches a per-request timeout to the request context, so
-// every handler downstream — including snapshot disk writes — inherits
-// a cancellation deadline. d ≤ 0 disables the wrapper.
+// Deadline attaches a per-request timeout to the request context. It
+// bounds no work yet: the only read of a request's context downstream is
+// TenantFrom's tenant lookup, and no counting, sketch or snapshot call
+// takes a context, so a request runs to completion past its deadline
+// until the context is carried into the library (ROADMAP item 17).
+// d ≤ 0 disables the wrapper.
 func Deadline(d time.Duration, next http.Handler) http.Handler {
 	if d <= 0 {
 		return next

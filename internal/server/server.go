@@ -54,8 +54,10 @@ type Config struct {
 	IdleTimeout       time.Duration
 	// MaxHeaderBytes bounds request headers (0 = 1 MiB).
 	MaxHeaderBytes int
-	// RequestTimeout is the per-request context deadline propagated to
-	// every authenticated handler (0 = disabled).
+	// RequestTimeout is the context deadline attached to every
+	// authenticated request (0 = disabled). No handler reads it yet, so
+	// it bounds no work until the context reaches the library (see
+	// middleware.Deadline).
 	RequestTimeout time.Duration
 	// MaxInFlight bounds concurrently executing authenticated requests;
 	// excess load is shed with 503 + Retry-After (0 = unlimited).

@@ -196,7 +196,6 @@ type Registry struct {
 
 	mu       sync.Mutex
 	sketches map[string]*Sketch
-	byTenant map[string]int
 }
 
 // NewRegistry returns an empty registry persisting snapshots under
@@ -209,7 +208,6 @@ func NewRegistry(dataDir string) *Registry {
 		dataDir:  dataDir,
 		breaker:  NewBreaker(0, 0, nil),
 		sketches: make(map[string]*Sketch),
-		byTenant: make(map[string]int),
 	}
 }
 
@@ -253,11 +251,18 @@ func (r *Registry) Create(tenant, name string, cfg SketchConfig, maxSketches int
 	if _, ok := r.sketches[key(tenant, name)]; ok {
 		return nil, ErrExists
 	}
-	if maxSketches > 0 && r.byTenant[tenant] >= maxSketches {
-		return nil, ErrQuota
+	if maxSketches > 0 {
+		live := 0
+		for _, s := range r.sketches {
+			if s.Tenant == tenant {
+				live++
+			}
+		}
+		if live >= maxSketches {
+			return nil, ErrQuota
+		}
 	}
 	r.sketches[key(tenant, name)] = sk
-	r.byTenant[tenant]++
 	return sk, nil
 }
 
@@ -292,7 +297,6 @@ func (r *Registry) Delete(tenant, name string) error {
 	sk, ok := r.sketches[key(tenant, name)]
 	if ok {
 		delete(r.sketches, key(tenant, name))
-		r.byTenant[tenant]--
 	}
 	r.mu.Unlock()
 	if !ok {
@@ -308,15 +312,7 @@ func (r *Registry) Delete(tenant, name string) error {
 // CountByTenant returns live-sketch counts per tenant (the f0d_sketches
 // gauge's source).
 func (r *Registry) CountByTenant() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.byTenant))
-	for t, n := range r.byTenant {
-		if n > 0 {
-			out[t] = n
-		}
-	}
-	return out
+	return r.sumByTenant(func(*Sketch) int { return 1 })
 }
 
 // WordsByTenant returns the summed sketch footprint per tenant in 64-bit
@@ -522,7 +518,6 @@ func (r *Registry) Load() (int, error) {
 			return loaded, fmt.Errorf("state: duplicate snapshot for %s/%s", meta.Tenant, meta.Name)
 		}
 		r.sketches[key(meta.Tenant, meta.Name)] = sk
-		r.byTenant[meta.Tenant]++
 		r.mu.Unlock()
 		loaded++
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mcf0/internal/formula"
 	"mcf0/internal/stats"
+	"mcf0/internal/streaming"
 	"mcf0/internal/wire"
 )
 
@@ -135,7 +136,7 @@ func TestStreamCodecMergeVsSingle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode foreign: %v", err)
 	}
-	if err := whole.Merge(dec2); !errors.Is(err, ErrIncompatibleSketch) {
+	if err := whole.Merge(dec2); !errors.Is(err, streaming.ErrIncompatibleSketch) {
 		t.Fatalf("foreign decoded stream merged: %v", err)
 	}
 }

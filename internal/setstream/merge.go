@@ -1,24 +1,23 @@
 package setstream
 
 import (
-	"errors"
 	"slices"
-)
 
-// ErrIncompatibleSketch is returned by Merge when two streams cannot be
-// combined: different universe widths, dimension widths, copy counts,
-// thresholds — or different hash draws, under which the merged minima
-// would be drawn from two unrelated random projections.
-var ErrIncompatibleSketch = errors.New("setstream: sketches are not mergeable (mismatched shape or hash draws)")
+	"mcf0/internal/streaming"
+)
 
 // merge folds o's minima into s. For streams sharing hash draws
 // (same-seed construction) the result is bit-identical to one stream
 // having processed both item streams: each copy's set is the sorted
 // Thresh-smallest prefix of the union of distinct hash values, which is
-// exactly what the k-min merge computes. o is not mutated.
+// exactly what the k-min merge computes. o is not mutated. Streams that
+// differ in universe or dimension widths, copy counts, thresholds or hash
+// draws (under which the merged minima would come from two unrelated
+// random projections) are refused with streaming.ErrIncompatibleSketch,
+// the one sentinel every sketch merge returns.
 func (s *stream) merge(o *stream) error {
 	if !slices.Equal(s.dims, o.dims) || !s.sk.Merge(o.sk) {
-		return ErrIncompatibleSketch
+		return streaming.ErrIncompatibleSketch
 	}
 	return nil
 }

@@ -92,18 +92,6 @@ type Config struct {
 	Parallelism int
 }
 
-func (c Config) countingOptions() counting.Options {
-	return counting.Options{
-		Epsilon:      c.Epsilon,
-		Delta:        c.Delta,
-		Thresh:       c.Thresh,
-		Iterations:   c.Iterations,
-		BinarySearch: c.BinarySearch,
-		RNG:          c.rng(),
-		Parallelism:  c.Parallelism,
-	}
-}
-
 // Resolved returns c with Epsilon, Delta, Thresh and Iterations set to
 // the values every algorithm actually runs with (see params.Resolve):
 // ε defaults to 0.8, δ to 0.2, Thresh to ⌈96/ε²⌉ and Iterations to
@@ -114,8 +102,9 @@ func (c Config) Resolved() Config {
 	return c
 }
 
-// options converts c to the parameter set the sketch, set-stream and
-// protocol packages take.
+// options converts c to the parameter set the counting, sketch,
+// set-stream and protocol packages take; BinarySearch travels apart, as
+// the counting.Variant of the two ApproxMC calls.
 func (c Config) options() params.Options {
 	return params.Options{
 		Epsilon:     c.Epsilon,
@@ -210,10 +199,10 @@ func countCNF(c *formula.CNF, alg Algorithm, cfg Config) (CountResult, error) {
 		return CountResult{}, errNoVariables
 	}
 	src := oracle.NewCNFSource(c)
-	opts := cfg.countingOptions()
+	opts := cfg.options()
 	switch alg {
 	case AlgorithmBucketing, "":
-		res := counting.ApproxMC(src, opts)
+		res := counting.ApproxMC(src, opts, counting.Variant{BinarySearch: cfg.BinarySearch})
 		return CountResult{Estimate: res.Estimate, OracleQueries: res.OracleQueries, Solver: solverStats(src)}, nil
 	case AlgorithmMinimum:
 		res := counting.ApproxModelCountMinOracle(src, opts)
@@ -252,11 +241,11 @@ func countDNF(d *formula.DNF, alg Algorithm, cfg Config) (CountResult, error) {
 	if d.N < 1 {
 		return CountResult{}, errNoVariables
 	}
-	opts := cfg.countingOptions()
+	opts := cfg.options()
 	switch alg {
 	case AlgorithmBucketing, "":
 		src := oracle.NewDNFSource(d)
-		res := counting.ApproxMC(src, opts)
+		res := counting.ApproxMC(src, opts, counting.Variant{BinarySearch: cfg.BinarySearch})
 		return CountResult{Estimate: res.Estimate}, nil
 	case AlgorithmMinimum:
 		res := counting.ApproxModelCountMinDNF(d, opts)
@@ -316,7 +305,7 @@ func countEstimation(src oracle.Source, eval func(bitvec.BitVec) bool, cfg Confi
 	if rParam < 0 {
 		return CountResult{}, nil
 	}
-	res := counting.ApproxModelCountEst(oracle.NewExhaustive(n, eval), n, rParam, cfg.countingOptions())
+	res := counting.ApproxModelCountEst(oracle.NewExhaustive(n, eval), n, rParam, cfg.options())
 	return CountResult{Estimate: res.Estimate, OracleQueries: res.OracleQueries}, nil
 }
 
@@ -738,7 +727,7 @@ func SampleDNFTerms(n int, terms [][]int, count int, cfg Config) ([]string, erro
 	if n < 1 {
 		return nil, errNoVariables
 	}
-	return renderSamples(counting.Sample(oracle.NewDNFSource(d), count, cfg.countingOptions())), nil
+	return renderSamples(counting.Sample(oracle.NewDNFSource(d), count, cfg.options())), nil
 }
 
 // SampleCNFClauses draws count near-uniform satisfying assignments of a
@@ -751,7 +740,7 @@ func SampleCNFClauses(n int, clauses [][]int, count int, cfg Config) ([]string, 
 	if n < 1 {
 		return nil, errNoVariables
 	}
-	return renderSamples(counting.Sample(oracle.NewCNFSource(c), count, cfg.countingOptions())), nil
+	return renderSamples(counting.Sample(oracle.NewCNFSource(c), count, cfg.options())), nil
 }
 
 func renderSamples(xs []bitvec.BitVec) []string {
@@ -766,7 +755,8 @@ func renderSamples(xs []bitvec.BitVec) []string {
 }
 
 // WithinFactor reports whether est is within the (1+eps) band around truth
-// — the acceptance predicate of every experiment in EXPERIMENTS.md.
+// — the acceptance predicate of the cmd/experiments accuracy tables
+// (E01–E14, A01–A05; `go run ./cmd/experiments -run <id>`).
 func WithinFactor(est, truth, eps float64) bool {
 	return stats.WithinFactor(est, truth, eps)
 }
