@@ -119,7 +119,7 @@ func BenchmarkE2FindMin(b *testing.B) {
 	rng := stats.NewRNG(3)
 	for _, n := range []int{16, 32, 64} {
 		d := formula.RandomDNF(n, 16, n/4, rng)
-		h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				counting.FindMinDNF(d, h, kmv.New(3*n, 24))
@@ -331,7 +331,7 @@ func BenchmarkE8Affine(b *testing.B) {
 	for _, n := range []int{16, 32, 64} {
 		a := gf2.RandomMatrix(n/2, n, rng.Uint64)
 		bb := bitvec.Random(n/2, rng.Uint64)
-		h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64)
 		b.Run(fmt.Sprintf("findmin/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				setstream.AffineFindMin(a, bb, h, kmv.New(3*n, 24))
@@ -444,7 +444,6 @@ func BenchmarkA1HashFamily(b *testing.B) {
 	n := 64
 	rng := stats.NewRNG(11)
 	x := bitvec.Random(n, rng.Uint64)
-	fams := []hash.Family{hash.NewToeplitz(n, n), hash.NewXor(n, n), hash.NewPoly(n, 8)}
 	draw := func(fam hash.Family) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -455,11 +454,11 @@ func BenchmarkA1HashFamily(b *testing.B) {
 	}
 	// The Minimum sketch's n → 3n shape.
 	b.Run("draw/toeplitz/n=32/m=96", draw(hash.NewToeplitz(32, 96)))
-	for _, fam := range fams {
+	for _, fam := range []hash.Family{hash.NewToeplitz(n, n), hash.NewXor(n, n)} {
 		b.Run("draw/"+fam.Name(), draw(fam))
 		h := fam.Draw(rng.Uint64)
 		// eval measures the destination-passing path the enumeration loops
-		// use (hash.Func.EvalInto).
+		// use (hash.Linear.EvalInto).
 		scratch := bitvec.New(h.OutBits())
 		b.Run("eval/"+fam.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -467,21 +466,35 @@ func BenchmarkA1HashFamily(b *testing.B) {
 			}
 		})
 	}
+	// The polynomial family draws through DrawN, one function per call,
+	// and evaluates integers (hash.Func.EvalUint64).
+	poly := hash.NewPoly(n, 8)
+	b.Run("draw/poly", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			poly.DrawN(1, rng.Uint64)
+		}
+	})
+	h, xv := poly.DrawN(1, rng.Uint64)[0], x.Uint64()
+	b.Run("eval/poly", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkUint64 = h.EvalUint64(xv)
+		}
+	})
 }
 
 var sinkUint64 uint64
 
-// BenchmarkToeplitzEvalInto isolates the PR-4 tentpole kernel: Toeplitz
-// evaluation as a carry-less multiply of the packed diagonal (clmul)
-// against the per-row dot-product sweep (dotrow) over the same drawn
-// function. Shapes cover the sketch workloads (n→n bucketing, n→3n
-// minimum) and widths straddling the word boundary; the uint64 variant is
-// the integer fast path the trailing-zero estimators consume via
-// hash.AsUint64Hash.
+// BenchmarkToeplitzEvalInto isolates the Toeplitz kernel: evaluation as a
+// carry-less multiply of the packed diagonal (clmul) against the per-row
+// dot-product sweep (dotrow) over the same drawn function. Shapes cover
+// the sketch workloads (n→n bucketing, n→3n minimum) and widths
+// straddling the word boundary; the uint64 variant is the integer path
+// the trailing-zero testers read (hash.Linear.EvalUint64).
 func BenchmarkToeplitzEvalInto(b *testing.B) {
 	rng := stats.NewRNG(31)
 	for _, tc := range []struct{ n, m int }{{32, 32}, {32, 96}, {64, 64}, {64, 192}, {127, 127}} {
-		h := hash.NewToeplitz(tc.n, tc.m).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(tc.n, tc.m).Draw(rng.Uint64)
 		// Rewrapping A and b drops the packed-diagonal kernel, leaving the
 		// pre-PR-4 row sweep over the identical function.
 		slow := hash.NewLinear(h.A(), h.B)
@@ -498,10 +511,7 @@ func BenchmarkToeplitzEvalInto(b *testing.B) {
 			}
 		})
 	}
-	u, ok := hash.AsUint64Hash(hash.NewToeplitz(48, 48).Draw(rng.Uint64))
-	if !ok {
-		b.Fatal("expected integer fast path for 48→48")
-	}
+	u := hash.NewToeplitz(48, 48).Draw(rng.Uint64)
 	b.Run("clmul-uint64/n=48/m=48", func(b *testing.B) {
 		var acc uint64
 		for i := 0; i < b.N; i++ {
@@ -645,13 +655,11 @@ func BenchmarkGF2(b *testing.B) {
 // BenchmarkGF2PolyMul times GF(2^64) multiplication (the s-wise family's
 // inner loop).
 func BenchmarkGF2PolyMul(b *testing.B) {
-	fam := hash.NewPoly(64, 4)
 	rng := stats.NewRNG(17)
-	h := fam.Draw(rng.Uint64)
-	x := bitvec.Random(64, rng.Uint64)
-	y := bitvec.New(64)
+	h := hash.NewPoly(64, 4).DrawN(1, rng.Uint64)[0]
+	x := rng.Uint64()
 	for i := 0; i < b.N; i++ {
-		h.EvalInto(x, y)
+		sinkUint64 = h.EvalUint64(x)
 	}
 }
 

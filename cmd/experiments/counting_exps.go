@@ -126,7 +126,7 @@ func runE3(c runConfig) {
 	for _, n := range []int{8, 16, 32, 64} {
 		cnf, _ := formula.PlantedKCNF(n, n, 3, rng)
 		src := oracle.NewCNFSource(cnf)
-		h := hash.NewXor(n, n).Draw(stats.NewRNG(c.seed).Uint64).(*hash.Linear)
+		h := hash.NewXor(n, n).Draw(stats.NewRNG(c.seed).Uint64)
 		before := src.Queries()
 		oracle.LinearTester{Source: src}.MaxTrailingZeros(h, n)
 		scale.add(n, src.Queries()-before, math.Log2(float64(n)))

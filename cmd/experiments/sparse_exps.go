@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"mcf0/internal/bitvec"
 	"mcf0/internal/counting"
 	"mcf0/internal/exact"
 	"mcf0/internal/formula"
@@ -40,7 +41,7 @@ func runA4(c runConfig) {
 		const probes = 10
 		probeRng := stats.NewRNG(c.seed + 7)
 		for i := 0; i < probes; i++ {
-			a := cfgFam.fam.Draw(probeRng.Uint64).(*hash.Linear).A()
+			a := cfgFam.fam.Draw(probeRng.Uint64).A()
 			for r := 0; r < a.Rows(); r++ {
 				weight += a.Row(r).PopCount()
 			}
@@ -74,9 +75,9 @@ func runA5(c runConfig) {
 	samples := pick(c.quick, 320, 960)
 	opts := harnessOpts(c.seed, c)
 	opts.RNG = rng
-	counts := map[string]int{}
+	counts := map[bitvec.Fingerprint]int{}
 	for _, x := range counting.Sample(src, samples, opts) {
-		counts[x.Key()]++
+		counts[x.Fingerprint()]++
 	}
 	expected := float64(samples) / 32
 	minC, maxC := samples, 0

@@ -404,7 +404,7 @@ func TestDecodeF0RefusesMixedWidthEstimation(t *testing.T) {
 		b = hash.AppendPoly(b, 8, coeffs)
 		b = wire.AppendInt(b, 0) // the grid cell's max, −1 + 1
 		b = wire.AppendInt(b, 1) // tracker copies
-		b, _ = hash.AppendFunc(b, hash.NewXor(trackerBits, trackerBits).Draw(rng.Uint64))
+		b = hash.AppendLinear(b, hash.NewXor(trackerBits, trackerBits).Draw(rng.Uint64))
 		return wire.AppendInt(b, 0)
 	}
 	f, err := DecodeF0(blob(8), 1)
@@ -430,7 +430,7 @@ func TestDecodeF0RefusesRetiredKinds(t *testing.T) {
 		return wire.AppendHeader(wire.AppendInt(b, 16), kind, 1)
 	}
 	fm := wire.AppendInt(frame(0x04), 1)
-	fm, _ = hash.AppendFunc(fm, hash.NewXor(16, 16).Draw(stats.NewRNG(0x04).Uint64))
+	fm = hash.AppendLinear(fm, hash.NewXor(16, 16).Draw(stats.NewRNG(0x04).Uint64))
 	exact := wire.AppendInt(wire.AppendInt(frame(0x05), 16), 1)
 	exact = wire.AppendUint64(wire.AppendUint64(exact, 3), 0)
 	for kind, blob := range map[byte][]byte{0x04: wire.AppendInt(fm, 0), 0x05: exact} {

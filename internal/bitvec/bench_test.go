@@ -30,13 +30,6 @@ var (
 	sinkString string
 )
 
-func BenchmarkKeyString(b *testing.B) {
-	x, _ := benchVecs(192)
-	for i := 0; i < b.N; i++ {
-		sinkString = x.Key()
-	}
-}
-
 var sinkFP Fingerprint
 
 func BenchmarkFingerprint(b *testing.B) {

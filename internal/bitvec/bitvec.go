@@ -496,22 +496,6 @@ func (b BitVec) Fraction() float64 {
 	return math.Ldexp(float64(v), -(p + limit))
 }
 
-// Key returns a compact string usable as a map key. Vectors of equal width
-// have equal keys iff they are equal.
-//
-// Deprecated-for-hot-paths: every call allocates the returned string.
-// Enumeration and sketch loops should use Fingerprint, which is a
-// fixed-size comparable value.
-func (b BitVec) Key() string {
-	buf := make([]byte, 0, len(b.words)*8)
-	for _, w := range b.words {
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(w>>s))
-		}
-	}
-	return string(buf)
-}
-
 // Fingerprint is a fixed-size comparable digest of a BitVec, usable
 // directly as a map key with zero allocation per lookup. For widths up to
 // 128 bits it is exact: two vectors of equal width have equal fingerprints

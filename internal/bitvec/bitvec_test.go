@@ -118,7 +118,7 @@ func TestDotBilinear(t *testing.T) {
 	}
 }
 
-func TestPopCountAndKey(t *testing.T) {
+func TestPopCount(t *testing.T) {
 	f := func(av uint64) bool {
 		a := FromUint64(av, 64)
 		pc := 0
@@ -130,26 +130,17 @@ func TestPopCountAndKey(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	seen := map[string]BitVec{}
-	for i := 0; i < 2000; i++ {
-		b := Random(100, rng.Uint64)
-		if prev, ok := seen[b.Key()]; ok && !prev.Equal(b) {
-			t.Fatalf("key collision between distinct vectors %s and %s", prev, b)
-		}
-		seen[b.Key()] = b
-	}
 }
 
 func TestRandomMasksExcessBits(t *testing.T) {
 	// Random must not leave stray bits beyond width n; otherwise Equal and
-	// Key would distinguish logically equal vectors.
+	// Fingerprint would distinguish logically equal vectors.
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(130)
 		a := Random(n, rng.Uint64)
 		b := FromString(a.String())
-		if !a.Equal(b) || a.Key() != b.Key() {
+		if !a.Equal(b) || a.Fingerprint() != b.Fingerprint() {
 			t.Fatalf("Random(%d) left excess bits: %s", n, a)
 		}
 	}

@@ -106,7 +106,7 @@ func ApproxMC(src oracle.Source, opts Options, v ...Variant) Result {
 	hs := make([]*hash.Linear, t)
 	next := p.RNG.Uint64
 	for i := range hs {
-		hs[i] = fam.Draw(next).(*hash.Linear)
+		hs[i] = fam.Draw(next)
 	}
 	lvl0 := src.Fork()
 	limit := thresh + min(thresh, math.MaxInt-thresh) // 2·Thresh, saturating

@@ -20,7 +20,7 @@ func TestBoundedSATCarryForward(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		n := 4 + rng.Intn(6)
 		cnf, _ := formula.PlantedKCNF(n, rng.Intn(2*n), 2+rng.Intn(2), rng)
-		h := hash.NewToeplitz(n, n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, n).Draw(rng.Uint64)
 		m := rng.Intn(n + 1)
 		coarse := rng.Intn(m + 1)
 		thresh := 1 + rng.Intn(16)

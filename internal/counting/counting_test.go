@@ -25,7 +25,7 @@ func TestBoundedSATMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 4 + rng.Intn(5)
 		cnf := formula.RandomKCNF(n, rng.Intn(2*n), 2, rng)
-		h := hash.NewToeplitz(n, n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, n).Draw(rng.Uint64)
 		m := rng.Intn(n + 1)
 		thresh := 1 + rng.Intn(20)
 		want := 0
@@ -128,7 +128,7 @@ func TestFindMinDNFMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 4 + rng.Intn(4)
 		d := formula.RandomDNF(n, 1+rng.Intn(4), 1+rng.Intn(3), rng)
-		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64)
 		p := 1 + rng.Intn(12)
 		want := bruteHashMins(n, d.Eval, h, p)
 		got := findMinDNFValues(d, h, p)
@@ -141,7 +141,7 @@ func TestFindMinOracleMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(4)
 		cnf := formula.RandomKCNF(n, rng.Intn(2*n), 2, rng)
-		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64)
 		p := 1 + rng.Intn(8)
 		want := bruteHashMins(n, cnf.Eval, h, p)
 		got := findMinOracleValues(oracle.NewCNFSource(cnf), h, p)
@@ -150,19 +150,19 @@ func TestFindMinOracleMatchesBruteForce(t *testing.T) {
 }
 
 // hashOf returns h(x) in a fresh vector.
-func hashOf(h hash.Func, x bitvec.BitVec) bitvec.BitVec {
+func hashOf(h *hash.Linear, x bitvec.BitVec) bitvec.BitVec {
 	y := bitvec.New(h.OutBits())
 	h.EvalInto(x, y)
 	return y
 }
 
 func bruteHashMins(n int, eval func(bitvec.BitVec) bool, h *hash.Linear, p int) []bitvec.BitVec {
-	seen := map[string]bitvec.BitVec{}
+	seen := map[bitvec.Fingerprint]bitvec.BitVec{}
 	for v := uint64(0); v < 1<<uint(n); v++ {
 		x := bitvec.FromUint64(v, n)
 		if eval(x) {
 			y := hashOf(h, x)
-			seen[y.Key()] = y
+			seen[y.Fingerprint()] = y
 		}
 	}
 	var ys []bitvec.BitVec
@@ -228,12 +228,12 @@ func TestFindMaxRangeBinarySearch(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(5)
 		d := formula.RandomDNF(n, rng.Intn(3), 2, rng)
-		h := hash.NewPoly(n, 3).Draw(rng.Uint64)
+		h := hash.NewPoly(n, 3).DrawN(1, rng.Uint64)[0]
 		var tzs []int
 		maxTZ := -1
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			if x := bitvec.FromUint64(v, n); d.Eval(x) {
-				tz := hashOf(h, x).TrailingZeros()
+				tz := bitvec.FromUint64(h.EvalUint64(v), n).TrailingZeros()
 				tzs = append(tzs, tz)
 				maxTZ = max(maxTZ, tz)
 			}
@@ -260,7 +260,7 @@ func TestFindMaxRangeLinearMatchesExhaustive(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(4)
 		cnf := formula.RandomKCNF(n, rng.Intn(2*n), 2, rng)
-		h := hash.NewXor(n, n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewXor(n, n).Draw(rng.Uint64)
 		want := -1
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			x := bitvec.FromUint64(v, n)

@@ -172,7 +172,7 @@ func ApproxModelCountMin(n int, findMin FindMinFunc, opts Options) Result {
 	hs := make([]*hash.Linear, t)
 	next := p.RNG.Uint64
 	for i := range hs {
-		hs[i] = fam.Draw(next).(*hash.Linear)
+		hs[i] = fam.Draw(next)
 	}
 	par.Run(t, p.Parallelism, func(i int) {
 		set := kmv.New(3*n, thresh)

@@ -33,7 +33,7 @@ func TestFindMinDNFManyOverlappingTerms(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 6 + rng.Intn(3)
 		d := formula.RandomDNF(n, 10, 1+rng.Intn(2), rng) // wide terms, big overlap
-		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, 2*n).Draw(rng.Uint64)
 		for _, p := range []int{1, 3, 17} {
 			want := bruteHashMins(n, d.Eval, h, p)
 			got := findMinDNFValues(d, h, p)
@@ -52,7 +52,7 @@ func TestFindMinDNFManyOverlappingTerms(t *testing.T) {
 // TestFindMinDNFDegenerate covers contradictory and full terms.
 func TestFindMinDNFDegenerate(t *testing.T) {
 	n := 6
-	h := hash.NewToeplitz(n, 2*n).Draw(stats.NewRNG(3).Uint64).(*hash.Linear)
+	h := hash.NewToeplitz(n, 2*n).Draw(stats.NewRNG(3).Uint64)
 	empty := formula.NewDNF(n)
 	if got := findMinDNFValues(empty, h, 5); len(got) != 0 {
 		t.Fatalf("empty DNF produced %d mins", len(got))

@@ -42,7 +42,7 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 
 		// The pool and its meter: the count's only oracle calls.
 		level0 := src()
-		h0 := hash.NewToeplitz(n, n).Draw(stats.NewRNG(uint64(k)).Uint64).(*hash.Linear)
+		h0 := hash.NewToeplitz(n, n).Draw(stats.NewRNG(uint64(k)).Uint64)
 		if got, pool := BoundedSAT(level0, h0, 0, 2*thresh); got != models || len(pool) != models {
 			t.Fatalf("case %d (%s): pool of %d, want all %d models", k, kind, got, models)
 		}
@@ -56,7 +56,7 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 		draw := stats.NewRNG(uint64(k))
 		hist := make([]int, n+1)
 		for i := range res.PerIteration {
-			h := hash.NewToeplitz(n, n).Draw(draw.Uint64).(*hash.Linear)
+			h := hash.NewToeplitz(n, n).Draw(draw.Uint64)
 			m, c := prefixFromPoolUnbatched(h, pool, thresh)
 			mL, cL := searchPrefixLinear(src(), h, thresh, c0, sols0)
 			mB, cB := searchPrefixBinary(src(), h, thresh, c0, sols0)
@@ -112,7 +112,7 @@ func TestApproxMCPoolDeterminism(t *testing.T) {
 				res := ApproxMC(oracle.NewDNFSource(d), Options{Thresh: thresh, Iterations: 9, RNG: stats.NewRNG(seed), Parallelism: par}, Variant{Family: fam})
 				draw := stats.NewRNG(seed)
 				for i := range res.PerIteration {
-					h := fam.Draw(draw.Uint64).(*hash.Linear)
+					h := fam.Draw(draw.Uint64)
 					if _, ok := h.PrefixWords(n, 0, nil, nil, nil); ok != tc.batched {
 						t.Fatalf("n=%d %s: batch kernel %v, want %v", n, fam.Name(), !tc.batched, tc.batched)
 					}

@@ -90,7 +90,7 @@ func TestFindMinDNFMatchesCloneReference(t *testing.T) {
 			for seed := uint64(1); seed <= 8; seed++ {
 				rng := stats.NewRNG(0xf1d<<10 ^ seed<<3 ^ uint64(n))
 				d := formula.RandomDNF(n, 2+rng.Intn(8), 1+rng.Intn(n/2), rng)
-				h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64).(*hash.Linear)
+				h := hash.NewToeplitz(n, 3*n).Draw(rng.Uint64)
 				p := 1 + rng.Intn(24)
 				got := findMinDNFValues(d, h, p)
 				want := cloneFindMinDNF(d, h, p)

@@ -34,7 +34,7 @@ func Sample(src oracle.Source, count int, opts Options) []bitvec.BitVec {
 	for len(out) < count {
 		var cell []bitvec.BitVec
 		for attempt := 0; attempt < maxAttempts && len(cell) == 0; attempt++ {
-			h := fam.Draw(rng.Uint64).(*hash.Linear)
+			h := fam.Draw(rng.Uint64)
 			target := bitvec.Random(n, rng.Uint64)
 			cell = sampleCell(src, h, target, thresh)
 		}

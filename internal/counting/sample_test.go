@@ -50,12 +50,12 @@ func TestSampleApproximatelyUniform(t *testing.T) {
 	const perSolution = 40
 	const total = 16 * perSolution
 	opts := testOpts(7)
-	counts := map[string]int{}
+	counts := map[bitvec.Fingerprint]int{}
 	for _, x := range Sample(src, total, opts) {
 		if !c.Eval(x) {
 			t.Fatal("non-solution sampled")
 		}
-		counts[x.Key()]++
+		counts[x.Fingerprint()]++
 	}
 	if len(counts) != 16 {
 		t.Fatalf("sampler hit %d of 16 solutions", len(counts))
@@ -89,7 +89,7 @@ func TestSparseFamilyShape(t *testing.T) {
 	totalOnes := 0
 	const draws = 20
 	for i := 0; i < draws; i++ {
-		h := fam.Draw(rng.Uint64).(*hash.Linear)
+		h := fam.Draw(rng.Uint64)
 		for r := 0; r < h.A().Rows(); r++ {
 			if h.A().Row(r).IsZero() {
 				t.Fatal("sparse draw produced an empty row")

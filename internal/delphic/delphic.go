@@ -22,6 +22,7 @@ package delphic
 
 import (
 	"math"
+	"sort"
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/formula"
@@ -153,10 +154,22 @@ func (e *Estimator) Process(s Set) {
 			e.failed = true // pathological; avoid infinite loops
 			return
 		}
-		for k := range e.sample {
-			if e.rng.Bool() {
-				delete(e.sample, k)
-			}
+		e.subsample()
+	}
+}
+
+// subsample keeps each buffered element with probability 1/2, drawing
+// one coin per element in the elements' packed order, so which elements
+// survive depends on the seed alone, not on map iteration order.
+func (e *Estimator) subsample() {
+	xs := make([]bitvec.BitVec, 0, len(e.sample))
+	for _, x := range e.sample {
+		xs = append(xs, x)
+	}
+	sort.Slice(xs, func(i, j int) bool { return xs[i].Less(xs[j]) })
+	for _, x := range xs {
+		if e.rng.Bool() {
+			delete(e.sample, x.Fingerprint())
 		}
 	}
 }

@@ -43,16 +43,16 @@ func TestCubeDelphicQueries(t *testing.T) {
 			t.Fatalf("Size = %g, want %d", c.Size(), want)
 		}
 		// The element bijection must cover the set without repeats.
-		elems := map[string]bool{}
+		elems := map[bitvec.Fingerprint]bool{}
 		for i := uint64(0); i < uint64(c.Size()); i++ {
 			x := c.Element(i)
 			if !c.Contains(x) {
 				t.Fatal("Element produced non-member")
 			}
-			if elems[x.Key()] {
+			if elems[x.Fingerprint()] {
 				t.Fatal("Element bijection repeated a member")
 			}
-			elems[x.Key()] = true
+			elems[x.Fingerprint()] = true
 		}
 	}
 }
@@ -86,16 +86,16 @@ func TestAffineDelphicQueries(t *testing.T) {
 		if int(s.Size()) != want {
 			t.Fatalf("Size = %g, want %d", s.Size(), want)
 		}
-		elems := map[string]bool{}
+		elems := map[bitvec.Fingerprint]bool{}
 		for i := uint64(0); i < uint64(s.Size()); i++ {
 			x := s.Element(i)
 			if !s.Contains(x) {
 				t.Fatal("Element produced non-member")
 			}
-			if elems[x.Key()] {
+			if elems[x.Fingerprint()] {
 				t.Fatal("bijection repeated")
 			}
-			elems[x.Key()] = true
+			elems[x.Fingerprint()] = true
 		}
 	}
 }
@@ -112,13 +112,13 @@ func TestMultiRangeDelphicQueries(t *testing.T) {
 	if s.Size() != 12 {
 		t.Fatalf("Size = %g, want 12", s.Size())
 	}
-	elems := map[string]bool{}
+	elems := map[bitvec.Fingerprint]bool{}
 	for i := uint64(0); i < 12; i++ {
 		x := s.Element(i)
 		if !s.Contains(x) {
 			t.Fatal("Element produced non-member")
 		}
-		elems[x.Key()] = true
+		elems[x.Fingerprint()] = true
 	}
 	if len(elems) != 12 {
 		t.Fatalf("bijection hit %d of 12", len(elems))
@@ -187,6 +187,49 @@ func TestEstimatorAccuracy(t *testing.T) {
 	}
 	if ok < trials*7/10 {
 		t.Errorf("APS estimator in-band only %d/%d (truth %g)", ok, trials, truth)
+	}
+}
+
+// TestEstimatorSeedDeterminism checks that the estimate and the sample
+// are functions of the seed: ten fresh estimators with one seed process a
+// stream of two-dimensional ranges, each smaller than the buffer, that
+// overflows it at least twice, and every one must end with the first
+// one's estimate and sample.
+func TestEstimatorSeedDeterminism(t *testing.T) {
+	var items []Set
+	for i := uint64(0); i < 10; i++ {
+		s, ok := NewMultiRangeSet(formula.MultiRange{Dims: []formula.Range{
+			{Lo: 20 * i, Hi: 20*i + 19, Bits: 8},
+			{Lo: 13 * i, Hi: 13*i + 19, Bits: 8},
+		}})
+		if !ok {
+			t.Fatal("valid multirange rejected")
+		}
+		items = append(items, s)
+	}
+	run := func() *Estimator {
+		est := NewEstimator(16, 0.5, 0.2, len(items), stats.NewRNG(0xde1))
+		for _, it := range items {
+			est.Process(it)
+		}
+		return est
+	}
+	ref := run()
+	if ref.p > 0.25 || ref.Capacity() < 400 {
+		t.Fatalf("p = %g, capacity %d: the stream overflowed fewer than two times, or with an item alone",
+			ref.p, ref.Capacity())
+	}
+	for r := 1; r < 10; r++ {
+		est := run()
+		if est.Estimate() != ref.Estimate() || len(est.sample) != len(ref.sample) {
+			t.Fatalf("run %d: estimate %g from %d samples, want %g from %d",
+				r, est.Estimate(), len(est.sample), ref.Estimate(), len(ref.sample))
+		}
+		for k := range ref.sample {
+			if _, ok := est.sample[k]; !ok {
+				t.Fatalf("run %d: samples differ at equal size", r)
+			}
+		}
 	}
 }
 

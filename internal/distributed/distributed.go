@@ -123,12 +123,12 @@ func Bucketing(parts []*formula.DNF, opts Options) Result {
 	var res Result
 	hFam := hash.NewToeplitz(n, n)
 	gFam := hash.NewXor(n, gBits)
-	g := gFam.Draw(rng.Uint64).(*hash.Linear)
+	g := gFam.Draw(rng.Uint64)
 	res.Comm.CoordToSites += int64(k) * xorBits(n, gBits)
 
 	hs := make([]*hash.Linear, t)
 	for i := range hs {
-		hs[i] = hFam.Draw(rng.Uint64).(*hash.Linear)
+		hs[i] = hFam.Draw(rng.Uint64)
 	}
 	res.Comm.CoordToSites += int64(t) * int64(k) * toeplitzBits(n, n)
 

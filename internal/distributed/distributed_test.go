@@ -132,7 +132,7 @@ func TestEstimationMaxComposes(t *testing.T) {
 	// whole formula, at every maxT; k = 8 leaves two sites without terms.
 	n := d.N
 	hs := []hash.Func{
-		hash.NewPoly(n, 3).Draw(rng.Uint64),
+		hash.NewPoly(n, 3).DrawN(1, rng.Uint64)[0],
 		hash.NewXor(n, n).Draw(rng.Uint64),
 		hash.NewToeplitz(n, n).Draw(rng.Uint64),
 	}

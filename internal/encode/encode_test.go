@@ -21,8 +21,7 @@ func TestPolyTesterAgreesWithExhaustive(t *testing.T) {
 		n := 4 + rng.Intn(4)
 		cnf := formula.RandomKCNF(n, rng.Intn(2*n), 2, rng)
 		s := 2 + rng.Intn(3)
-		fam := hash.NewPoly(n, s)
-		h := fam.Draw(rng.Uint64)
+		h := hash.NewPoly(n, s).DrawN(1, rng.Uint64)[0]
 		ground := oracle.NewExhaustive(n, cnf.Eval)
 		tester := NewPolyTester(cnf)
 		for tt := 0; tt <= n; tt++ {
@@ -40,7 +39,7 @@ func TestPolyTesterFindMaxRange(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 5 + rng.Intn(4)
 		cnf, _ := formula.PlantedKCNF(n, n, 2, rng)
-		h := hash.NewPoly(n, 3).Draw(rng.Uint64)
+		h := hash.NewPoly(n, 3).DrawN(1, rng.Uint64)[0]
 		ground := oracle.NewExhaustive(n, cnf.Eval)
 		for maxT := 0; maxT <= n; maxT++ {
 			want := ground.MaxTrailingZeros(h, maxT)
@@ -56,7 +55,7 @@ func TestPolyTesterUnsat(t *testing.T) {
 	cnf := formula.NewCNF(4)
 	cnf.AddClause(formula.Clause{formula.Pos(0)})
 	cnf.AddClause(formula.Clause{formula.Negl(0)})
-	h := hash.NewPoly(4, 2).Draw(stats.NewRNG(1).Uint64)
+	h := hash.NewPoly(4, 2).DrawN(1, stats.NewRNG(1).Uint64)[0]
 	tester := NewPolyTester(cnf)
 	if r := tester.MaxTrailingZeros(h, 4); r != -1 {
 		t.Fatalf("unsat formula: MaxTrailingZeros = %d, want -1", r)

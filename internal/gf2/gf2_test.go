@@ -118,15 +118,15 @@ func TestSystemAgainstBruteForce(t *testing.T) {
 			}
 		}
 		// Enumeration must yield exactly the solution set, no duplicates.
-		seen := map[string]bool{}
+		seen := map[bitvec.Fingerprint]bool{}
 		sys.EnumerateSolutions(-1, func(x bitvec.BitVec) bool {
 			if !m.MulVec(x).Equal(rhs) {
 				t.Fatal("enumerated non-solution")
 			}
-			if seen[x.Key()] {
+			if seen[x.Fingerprint()] {
 				t.Fatal("duplicate solution enumerated")
 			}
-			seen[x.Key()] = true
+			seen[x.Fingerprint()] = true
 			return true
 		})
 		if len(seen) != want {
@@ -154,9 +154,9 @@ func TestRankMatchesBruteImageSize(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		rows, cols := 1+rng.Intn(8), 1+rng.Intn(8)
 		m := RandomMatrix(rows, cols, rng.Uint64)
-		img := map[string]bool{}
+		img := map[bitvec.Fingerprint]bool{}
 		for v := uint64(0); v < 1<<uint(cols); v++ {
-			img[m.MulVec(bitvec.FromUint64(v, cols)).Key()] = true
+			img[m.MulVec(bitvec.FromUint64(v, cols)).Fingerprint()] = true
 		}
 		if got, want := 1<<uint(m.Rank()), len(img); got != want {
 			t.Fatalf("2^rank=%d but image size %d", got, want)
@@ -166,7 +166,7 @@ func TestRankMatchesBruteImageSize(t *testing.T) {
 
 // bruteImage computes sorted image {Ax+b : x sat cons} exhaustively.
 func bruteImage(a *Matrix, b bitvec.BitVec, cons *System) []bitvec.BitVec {
-	seen := map[string]bitvec.BitVec{}
+	seen := map[bitvec.Fingerprint]bitvec.BitVec{}
 	n := a.Cols()
 	for v := uint64(0); v < 1<<uint(n); v++ {
 		x := bitvec.FromUint64(v, n)
@@ -183,7 +183,7 @@ func bruteImage(a *Matrix, b bitvec.BitVec, cons *System) []bitvec.BitVec {
 			}
 		}
 		y := a.MulVec(x).Xor(b)
-		seen[y.Key()] = y
+		seen[y.Fingerprint()] = y
 	}
 	out := make([]bitvec.BitVec, 0, len(seen))
 	for _, y := range seen {

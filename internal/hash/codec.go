@@ -43,22 +43,17 @@ const (
 // counts from sizing allocations.
 const maxHashBits = 1 << 16
 
-// AppendFunc appends the wire form of a linear hash draw (kind 1 or 2),
-// the form DecodeLinear reads back. Any other Func makes it return false
-// with dst unchanged; a polynomial is written from its coefficients by
-// AppendPoly.
-func AppendFunc(dst []byte, f Func) ([]byte, bool) {
-	l, ok := f.(*Linear)
-	if !ok {
-		return dst, false
-	}
+// AppendLinear appends the wire form of a linear hash draw (kind 1 or 2),
+// the form DecodeLinear reads back; a polynomial is written from its
+// coefficients by AppendPoly.
+func AppendLinear(dst []byte, l *Linear) []byte {
 	if k := l.toep; k != nil {
 		dst = append(dst, funcKindToeplitz)
 		dst = wire.AppendInt(dst, k.m)
 		dst = wire.AppendInt(dst, k.n)
 		var buf [toepMaxWords]uint64
 		dst = wire.AppendBitVec(dst, k.diag(&buf))
-		return wire.AppendBitVec(dst, l.B), true
+		return wire.AppendBitVec(dst, l.B)
 	}
 	dst = append(dst, funcKindLinear)
 	dst = wire.AppendInt(dst, l.a.Rows())
@@ -66,7 +61,7 @@ func AppendFunc(dst []byte, f Func) ([]byte, bool) {
 	for i := 0; i < l.a.Rows(); i++ {
 		dst = wire.AppendBitVec(dst, l.a.Row(i))
 	}
-	return wire.AppendBitVec(dst, l.B), true
+	return wire.AppendBitVec(dst, l.B)
 }
 
 // AppendPoly appends the blob (kind 3) of the polynomial over GF(2^n)

@@ -3,13 +3,17 @@
 // independent random-matrix family H_xor(n, m), and the s-wise independent
 // polynomial family H_{s-wise}(n, n) over GF(2^n).
 //
-// Linear families expose their matrix form h(x) = Ax + b so that
-// model-counting algorithms can turn "h_m(x) = 0^m" into XOR constraints,
-// and the m-th prefix slice h_m (the first m output bits) is available as
-// required by the prefix-slicing construction of Section 2 of the paper.
+// Linear families draw a *Linear, which exposes its matrix form
+// h(x) = Ax + b so that model-counting algorithms can turn "h_m(x) = 0^m"
+// into XOR constraints, and the m-th prefix slice h_m (the first m output
+// bits) is available as required by the prefix-slicing construction of
+// Section 2 of the paper. Every draw of at most 64 input and output bits,
+// linear or polynomial, is a Func: an evaluator of integer-form inputs,
+// which is all the trailing-zero testers read.
 package hash
 
 import (
+	"math/bits"
 	"slices"
 
 	"mcf0/internal/bitvec"
@@ -17,35 +21,23 @@ import (
 	"mcf0/internal/gf2poly"
 )
 
-// Func is a hash function h : {0,1}^n → {0,1}^m.
-//
-// EvalInto writes h(x) into a caller-owned output vector without
-// allocating, under package bitvec's destination-passing rules: dst must
-// have width OutBits(), is fully overwritten, must not alias x, and is
-// never retained by the hash — enumeration loops allocate it once and
-// reuse it per evaluation.
+// Func is a hash function h : {0,1}^n → {0,1}^m with n, m ≤ 64 in
+// integer form, the view the trailing-zero testers read. EvalUint64(x)
+// returns the integer whose OutBits()-bit binary representation (MSB
+// first) is h of the InBits()-bit binary representation of x, so the
+// string trailing-zero count of h(x) is the binary trailing-zero count of
+// the returned integer (OutBits() for zero). *Linear draws and the
+// polynomial family's draws implement it.
 type Func interface {
-	EvalInto(x, dst bitvec.BitVec)
+	EvalUint64(x uint64) uint64
 	InBits() int
 	OutBits() int
 }
 
-// Uint64Hash is implemented by hash functions over universes of at most 64
-// bits that evaluate integer-form inputs directly: EvalUint64(x) returns
-// the integer whose OutBits()-bit binary representation (MSB first) is
-// the vector EvalInto writes for bitvec.FromUint64(x, InBits()). In
-// particular the string trailing-zero count of the output vector is the
-// binary trailing-zero count of the returned integer (OutBits() for
-// zero), which lets the Estimation sketches run without touching bit
-// vectors at all.
-type Uint64Hash interface {
-	EvalUint64(x uint64) uint64
-}
-
-// Family is a distribution over hash functions; Draw samples one using next
-// as the entropy source.
+// Family is a distribution over linear hash functions; Draw samples one
+// using next as the entropy source.
 type Family interface {
-	Draw(next func() uint64) Func
+	Draw(next func() uint64) *Linear
 	InBits() int
 	OutBits() int
 	// Name identifies the family in benchmarks and logs.
@@ -62,6 +54,8 @@ type Linear struct {
 	// a is the matrix form of a draw without a kernel; nil when toep is set.
 	a *gf2.Matrix
 	B bitvec.BitVec
+	// bu is B in integer form (the Func convention) when m ≤ 64.
+	bu uint64
 	// toep, when non-nil, evaluates Ax as a GF(2) polynomial multiply
 	// against the packed Toeplitz diagonal instead of per-row dot products.
 	toep *toepKernel
@@ -72,7 +66,11 @@ func NewLinear(a *gf2.Matrix, b bitvec.BitVec) *Linear {
 	if b.Len() != a.Rows() {
 		panic("hash: offset width must equal row count")
 	}
-	return &Linear{a: a, B: b}
+	l := &Linear{a: a, B: b}
+	if b.Len() <= 64 {
+		l.bu = b.Uint64()
+	}
+	return l
 }
 
 // A returns the matrix form of h. For a Toeplitz draw it is built on the
@@ -95,6 +93,18 @@ func (l *Linear) EvalInto(x, dst bitvec.BitVec) {
 	}
 	l.a.MulVecInto(x, dst)
 	dst.XorInPlace(l.B)
+}
+
+// EvalUint64 computes h on an integer-form input (see Func), for draws of
+// at most 64 input and output bits: one carry-less multiply pair for a
+// Toeplitz draw, otherwise a single-word row sweep. It realizes exactly
+// EvalInto's function; wider draws panic.
+func (l *Linear) EvalUint64(v uint64) uint64 {
+	if l.toep != nil {
+		return l.toep.evalUint64(v, l.bu)
+	}
+	xw := bits.Reverse64(v) >> (64 - uint(l.a.Cols()))
+	return bits.Reverse64(l.a.MulWord(xw))>>(64-uint(l.a.Rows())) ^ l.bu
 }
 
 // Equal reports whether l and o are the same draw: the same pointer (the
@@ -217,7 +227,7 @@ func NewToeplitz(n, m int) Toeplitz { return Toeplitz{n: n, m: m} }
 // allocations: one word slab for the diagonal, b and the reversed
 // diagonal, and one object for the Linear and its kernel. Wider draws
 // build their matrix at once.
-func (t Toeplitz) Draw(next func() uint64) Func {
+func (t Toeplitz) Draw(next func() uint64) *Linear {
 	n, m := t.n, t.m
 	if !kernelFits(n, m) {
 		diag := bitvec.Random(n+m-1, next)
@@ -252,7 +262,7 @@ type Xor struct{ n, m int }
 func NewXor(n, m int) Xor { return Xor{n: n, m: m} }
 
 // Draw samples a function.
-func (x Xor) Draw(next func() uint64) Func {
+func (x Xor) Draw(next func() uint64) *Linear {
 	a := gf2.RandomMatrix(x.m, x.n, next)
 	return NewLinear(a, bitvec.Random(x.m, next))
 }
@@ -289,7 +299,7 @@ func NewSparse(n, m int, density float64) Sparse {
 
 // Draw samples a function. Rows that come out empty are redrawn once with
 // a single random entry so no output bit is constant.
-func (s Sparse) Draw(next func() uint64) Func {
+func (s Sparse) Draw(next func() uint64) *Linear {
 	a := gf2.NewMatrix(s.m, s.n)
 	// Threshold for "bit set" on a uniform 64-bit draw.
 	limit := uint64(s.density * float64(^uint64(0)))
@@ -335,12 +345,9 @@ func NewPoly(n, s int) Poly {
 	return Poly{n: n, s: s, field: gf2poly.NewField(n)}
 }
 
-// Draw samples a function.
-func (p Poly) Draw(next func() uint64) Func { return p.DrawN(1, next)[0] }
-
-// DrawN returns the k functions k Draw calls would return from next, as
-// views into one coefficient slab filled by Fill and one slab of function
-// values: three allocations, whatever k.
+// DrawN samples k functions from next, as views into one coefficient slab
+// filled by Fill and one slab of function values: three allocations,
+// whatever k.
 func (p Poly) DrawN(k int, next func() uint64) []Func {
 	coeffs := make([]uint64, k*p.s)
 	p.Fill(coeffs, next)
@@ -354,8 +361,8 @@ func (p Poly) DrawN(k int, next func() uint64) []Func {
 }
 
 // Fill draws coeffs word by word, one next() each masked to n bits: a
-// slab of k·s words receives, in order, the coefficient vectors k Draw
-// calls would take from next.
+// slab of k·s words receives, in order, the coefficient vectors of the k
+// functions DrawN(k, next) would return.
 func (p Poly) Fill(coeffs []uint64, next func() uint64) {
 	mask := ^uint64(0) >> (64 - uint(p.n))
 	for i := range coeffs {
@@ -363,31 +370,14 @@ func (p Poly) Fill(coeffs []uint64, next func() uint64) {
 	}
 }
 
-// InBits returns n.
-func (p Poly) InBits() int { return p.n }
-
-// OutBits returns n.
-func (p Poly) OutBits() int { return p.n }
-
-// Name returns "poly".
-func (p Poly) Name() string { return "poly" }
-
 type polyFunc struct {
 	n      int
 	field  *gf2poly.Field
 	coeffs []uint64
 }
 
-// EvalInto evaluates the polynomial into dst without allocating.
-func (f *polyFunc) EvalInto(x, dst bitvec.BitVec) {
-	if x.Len() != f.n {
-		panic("hash: input width mismatch")
-	}
-	dst.SetUint64(f.EvalUint64(x.Uint64()))
-}
-
-// EvalUint64 evaluates the polynomial on an integer-form input; see
-// Uint64Hash for the output convention.
+// EvalUint64 evaluates the polynomial on an integer-form input; see Func
+// for the output convention.
 func (f *polyFunc) EvalUint64(x uint64) uint64 {
 	return f.field.EvalPoly(f.coeffs, x)
 }

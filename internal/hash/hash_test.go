@@ -13,7 +13,7 @@ import (
 )
 
 // enumerateToeplitz visits every function of H_Toeplitz(n, m) exactly once.
-func enumerateToeplitz(n, m int, visit func(Func)) {
+func enumerateToeplitz(n, m int, visit func(*Linear)) {
 	diagBits := n + m - 1
 	for d := uint64(0); d < 1<<uint(diagBits); d++ {
 		for b := uint64(0); b < 1<<uint(m); b++ {
@@ -33,7 +33,7 @@ func TestToeplitzExactlyPairwiseIndependent(t *testing.T) {
 	total := 0
 	// counts[x1][x2][a1][a2]
 	counts := map[[4]uint64]int{}
-	enumerateToeplitz(n, m, func(f Func) {
+	enumerateToeplitz(n, m, func(f *Linear) {
 		total++
 		for x1 := uint64(0); x1 < 1<<uint(n); x1++ {
 			for x2 := uint64(0); x2 < 1<<uint(n); x2++ {
@@ -75,15 +75,15 @@ func TestPolyPairwiseIndependent(t *testing.T) {
 		for c1 := uint64(0); c1 < 4; c1++ {
 			vals := []uint64{c0, c1}
 			i := 0
-			f := fam.Draw(func() uint64 { v := vals[i]; i++; return v })
+			f := fam.DrawN(1, func() uint64 { v := vals[i]; i++; return v })[0]
 			total++
 			for x1 := uint64(0); x1 < 4; x1++ {
 				for x2 := uint64(0); x2 < 4; x2++ {
 					if x1 == x2 {
 						continue
 					}
-					a1 := eval(f, bitvec.FromUint64(x1, n)).Uint64()
-					a2 := eval(f, bitvec.FromUint64(x2, n)).Uint64()
+					a1 := f.EvalUint64(x1)
+					a2 := f.EvalUint64(x2)
 					counts[[4]uint64{x1, x2, a1, a2}]++
 				}
 			}
@@ -111,7 +111,7 @@ func TestPolyPairwiseIndependent(t *testing.T) {
 
 func TestToeplitzStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	f := NewToeplitz(8, 6).Draw(rng.Uint64).(*Linear)
+	f := NewToeplitz(8, 6).Draw(rng.Uint64)
 	// Constant along diagonals: A[i][j] == A[i+1][j+1].
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 7; j++ {
@@ -125,7 +125,7 @@ func TestToeplitzStructure(t *testing.T) {
 func TestPrefixSliceConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, fam := range []Family{NewToeplitz(10, 10), NewXor(10, 10)} {
-		f := fam.Draw(rng.Uint64).(*Linear)
+		f := fam.Draw(rng.Uint64)
 		x := bitvec.Random(10, rng.Uint64)
 		full := eval(f, x)
 		for m := 0; m <= 10; m++ {
@@ -151,7 +151,7 @@ func TestZeroPrefixLen(t *testing.T) {
 		n := fam.InBits()
 		scratch := bitvec.New(fam.OutBits())
 		for k := 0; k < 50; k++ {
-			f := fam.Draw(rng.Uint64).(*Linear)
+			f := fam.Draw(rng.Uint64)
 			x := bitvec.Random(n, rng.Uint64)
 			got := f.ZeroPrefixLen(x, scratch)
 			if !f.PrefixIsZero(x, got) || got < f.OutBits() && f.PrefixIsZero(x, got+1) {
@@ -170,21 +170,21 @@ func TestZeroPrefixLen(t *testing.T) {
 func TestZeroPrefixSystemMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 6
-	f := NewToeplitz(n, n).Draw(rng.Uint64).(*Linear)
+	f := NewToeplitz(n, n).Draw(rng.Uint64)
 	for m := 0; m <= n; m++ {
 		// The solution set of ZeroPrefixSystem(m) must be exactly
 		// {x : h_m(x) = 0^m}.
 		sys := f.ZeroPrefixSystem(m)
-		got := map[string]bool{}
+		got := map[bitvec.Fingerprint]bool{}
 		sys.EnumerateSolutions(-1, func(x bitvec.BitVec) bool {
-			got[x.Key()] = true
+			got[x.Fingerprint()] = true
 			return true
 		})
-		want := map[string]bool{}
+		want := map[bitvec.Fingerprint]bool{}
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			x := bitvec.FromUint64(v, n)
 			if eval(f, x).Prefix(m).IsZero() {
-				want[x.Key()] = true
+				want[x.Fingerprint()] = true
 			}
 		}
 		if len(got) != len(want) {
@@ -200,7 +200,7 @@ func TestZeroPrefixSystemMatchesEval(t *testing.T) {
 
 func TestPolyCoefficients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	f := NewPoly(16, 4).Draw(rng.Uint64)
+	f := NewPoly(16, 4).DrawN(1, rng.Uint64)[0]
 	coeffs, ok := PolyCoefficients(f)
 	if !ok || len(coeffs) != 4 {
 		t.Fatalf("PolyCoefficients: ok=%v len=%d", ok, len(coeffs))
@@ -209,11 +209,8 @@ func TestPolyCoefficients(t *testing.T) {
 	if _, ok := PolyCoefficients(lin); ok {
 		t.Fatal("PolyCoefficients succeeded on a linear function")
 	}
-	// A polynomial travels by its coefficients alone: AppendPoly, not
-	// AppendFunc, writes it, and DecodePoly appends them to a slab.
-	if _, ok := AppendFunc(nil, f); ok {
-		t.Fatal("AppendFunc wrote a polynomial draw")
-	}
+	// A polynomial travels by its coefficients alone: AppendPoly writes
+	// it, and DecodePoly appends them to a slab.
 	r := wire.NewReader(AppendPoly(nil, 16, coeffs))
 	if got := DecodePoly(r, 16, []uint64{7}); r.Err() != nil || !slices.Equal(got[1:], coeffs) || got[0] != 7 {
 		t.Fatalf("DecodePoly: %v, %v", got, r.Err())
@@ -228,7 +225,6 @@ func TestFamilyMetadata(t *testing.T) {
 	}{
 		{NewToeplitz(7, 5), 7, 5, "toeplitz"},
 		{NewXor(7, 5), 7, 5, "xor"},
-		{NewPoly(8, 6), 8, 8, "poly"},
 	}
 	for _, c := range cases {
 		if c.fam.InBits() != c.n || c.fam.OutBits() != c.m {
@@ -245,7 +241,7 @@ func TestFamilyMetadata(t *testing.T) {
 // one different A row, a different shape, or nil do not.
 func TestLinearEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	h := NewToeplitz(6, 18).Draw(rng.Uint64).(*Linear)
+	h := NewToeplitz(6, 18).Draw(rng.Uint64)
 	// clone rebuilds h's A and b in fresh storage, with row i's bit j and
 	// b's bit k flipped when asked (−1 leaves them alone).
 	clone := func(row, col, bBit int) *Linear {
@@ -262,7 +258,7 @@ func TestLinearEqual(t *testing.T) {
 		}
 		return NewLinear(a, b)
 	}
-	other := NewXor(6, 12).Draw(rng.Uint64).(*Linear)
+	other := NewXor(6, 12).Draw(rng.Uint64)
 	var none *Linear
 	for _, c := range []struct {
 		name string
@@ -285,7 +281,7 @@ func TestLinearEqual(t *testing.T) {
 }
 
 // eval returns f(x) in a fresh vector.
-func eval(f Func, x bitvec.BitVec) bitvec.BitVec {
+func eval(f *Linear, x bitvec.BitVec) bitvec.BitVec {
 	y := bitvec.New(f.OutBits())
 	f.EvalInto(x, y)
 	return y
@@ -303,7 +299,7 @@ func TestDrawAllocBound(t *testing.T) {
 		draw  func()
 	}{
 		{"xor(32, 32)", 32, func() { NewXor(32, 32).Draw(next) }},
-		{"toeplitz(64, 192) + A()", 192, func() { NewToeplitz(64, 192).Draw(next).(*Linear).A() }},
+		{"toeplitz(64, 192) + A()", 192, func() { NewToeplitz(64, 192).Draw(next).A() }},
 	} {
 		const runs = 64
 		c.draw()

@@ -61,8 +61,6 @@ type toepKernel struct {
 	dr []uint64
 	// mask clears the excess high bits of the last output word.
 	mask uint64
-	// bu is b in integer form (Uint64Hash convention) when m ≤ 64.
-	bu uint64
 	// rows is the matrix form, nil until matrix first runs.
 	rows atomic.Pointer[gf2.Matrix]
 }
@@ -107,7 +105,7 @@ func newKernelLinear(n, m int, dr []uint64, b bitvec.BitVec) *Linear {
 	k.n, k.m, k.dr = n, m, dr
 	k.mask = ^uint64(0) >> ((64 - uint(m)%64) % 64)
 	if m <= 64 {
-		k.bu = b.Uint64()
+		d.l.bu = b.Uint64()
 	}
 	d.l.B, d.l.toep = b, k
 	return &d.l
@@ -208,9 +206,12 @@ func (k *toepKernel) evalInto(x, dst, b bitvec.BitVec) {
 	dst.XorInPlace(b)
 }
 
-// EvalUint64 is the integer-form evaluation (Uint64Hash convention); it
-// serves only n, m ≤ 64 (see AsUint64Hash), so the product fits two words.
-func (k *toepKernel) EvalUint64(v uint64) uint64 {
+// evalUint64 is Linear.EvalUint64's kernel path, with bu the offset in
+// integer form. It serves only n, m ≤ 64, so the product fits two words.
+func (k *toepKernel) evalUint64(v, bu uint64) uint64 {
+	if k.n > 64 || k.m > 64 {
+		panic("hash: EvalUint64 needs at most 64 input and output bits")
+	}
 	xw := bits.Reverse64(v) >> (64 - uint(k.n))
 	p1, p0 := gf2poly.Clmul64(k.dr[0], xw)
 	if len(k.dr) == 2 {
@@ -219,37 +220,5 @@ func (k *toepKernel) EvalUint64(v uint64) uint64 {
 	}
 	off := uint(k.n - 1)
 	w := (p0>>off | p1<<(64-off)) & k.mask
-	return bits.Reverse64(w)>>(64-uint(k.m)) ^ k.bu
-}
-
-// rowsU64 evaluates a kernel-less *Linear with InBits, OutBits ≤ 64 by a
-// single-word row sweep. Stateless and safe for concurrent use.
-type rowsU64 struct {
-	a  *gf2.Matrix
-	bu uint64
-}
-
-// EvalUint64 implements Uint64Hash.
-func (u *rowsU64) EvalUint64(v uint64) uint64 {
-	xw := bits.Reverse64(v) >> (64 - uint(u.a.Cols()))
-	return bits.Reverse64(u.a.MulWord(xw))>>(64-uint(u.a.Rows())) ^ u.bu
-}
-
-// AsUint64Hash returns an integer-form evaluator for h when one exists: h
-// itself if it implements Uint64Hash (the polynomial family), or for a
-// *Linear with InBits, OutBits ≤ 64 its carry-less kernel or a row sweep.
-// The evaluator realizes exactly h's function (EvalUint64's integer
-// convention mirrors EvalInto bit for bit), so estimates never change.
-func AsUint64Hash(h Func) (Uint64Hash, bool) {
-	if u, ok := h.(Uint64Hash); ok {
-		return u, true
-	}
-	l, ok := h.(*Linear)
-	if !ok || l.InBits() < 1 || l.InBits() > 64 || l.OutBits() > 64 {
-		return nil, false
-	}
-	if l.toep != nil {
-		return l.toep, true
-	}
-	return &rowsU64{a: l.a, bu: l.B.Uint64()}, true
+	return bits.Reverse64(w)>>(64-uint(k.m)) ^ bu
 }

@@ -7,6 +7,7 @@ import (
 
 	"mcf0/internal/bitvec"
 	"mcf0/internal/gf2"
+	"mcf0/internal/gf2poly"
 	"mcf0/internal/stats"
 	"mcf0/internal/wire"
 )
@@ -74,25 +75,22 @@ func probeInputs(n int, rng *stats.RNG) []bitvec.BitVec {
 
 // TestToeplitzClmulMatchesDotRowEdges runs the CLMUL path against the
 // per-row path across the width grid straddling the word boundaries —
-// n, m ∈ {1, 63, 64, 65, 127} — for EvalInto, Eval, the Uint64Hash
-// adapter, and prefix slices.
+// n, m ∈ {1, 63, 64, 65, 127} — for EvalInto, Eval, EvalUint64 where
+// n, m ≤ 64, and prefix slices.
 func TestToeplitzClmulMatchesDotRowEdges(t *testing.T) {
 	widths := []int{1, 63, 64, 65, 127}
 	rng := stats.NewRNG(99)
 	for _, n := range widths {
 		for _, m := range widths {
 			t.Run(fmt.Sprintf("n=%d/m=%d", n, m), func(t *testing.T) {
-				f := NewToeplitz(n, m).Draw(rng.Uint64).(*Linear)
+				f := NewToeplitz(n, m).Draw(rng.Uint64)
 				if f.toep == nil {
 					t.Fatalf("kernel not attached for n=%d m=%d", n, m)
 				}
 				slow := slowCopy(f)
 				fast := bitvec.New(m)
 				want := bitvec.New(m)
-				u64, haveU64 := AsUint64Hash(f)
-				if (n <= 64 && m <= 64) != haveU64 {
-					t.Fatalf("AsUint64Hash availability = %v, want %v", haveU64, n <= 64 && m <= 64)
-				}
+				haveU64 := n <= 64 && m <= 64
 				for _, x := range probeInputs(n, rng) {
 					f.EvalInto(x, fast)
 					slow.EvalInto(x, want)
@@ -103,7 +101,7 @@ func TestToeplitzClmulMatchesDotRowEdges(t *testing.T) {
 						t.Fatalf("Eval(%s) = %s, want %s", x, got, want)
 					}
 					if haveU64 {
-						if got, wantU := u64.EvalUint64(x.Uint64()), want.Uint64(); got != wantU {
+						if got, wantU := f.EvalUint64(x.Uint64()), want.Uint64(); got != wantU {
 							t.Fatalf("EvalUint64(%s) = %#x, want %#x", x, got, wantU)
 						}
 					}
@@ -142,7 +140,7 @@ func TestToeplitzClmulMatchesWindowDraw1kSeeds(t *testing.T) {
 		shapeRng := stats.NewRNG(seed * 0x9e3779b9)
 		n := 1 + int(shapeRng.Uint64n(96))
 		m := 1 + int(shapeRng.Uint64n(96))
-		f := NewToeplitz(n, m).Draw(stats.NewRNG(seed).Uint64).(*Linear)
+		f := NewToeplitz(n, m).Draw(stats.NewRNG(seed).Uint64)
 		if f.toep == nil {
 			t.Fatalf("seed %d: kernel not attached for n=%d m=%d", seed, n, m)
 		}
@@ -166,7 +164,7 @@ func TestToeplitzClmulMatchesWindowDraw1kSeeds(t *testing.T) {
 func TestToeplitzWideDrawFallsBack(t *testing.T) {
 	rng := stats.NewRNG(7)
 	n, m := 200, 400 // ⌈599/64⌉ + ⌈200/64⌉ = 14 words > toepMaxWords
-	f := NewToeplitz(n, m).Draw(rng.Uint64).(*Linear)
+	f := NewToeplitz(n, m).Draw(rng.Uint64)
 	if f.toep != nil {
 		t.Fatal("expected wide draw to skip the kernel")
 	}
@@ -180,7 +178,7 @@ func TestToeplitzWideDrawFallsBack(t *testing.T) {
 	// Large-but-attachable shapes exercise the generic stack-buffer path
 	// (multi-word input and diagonal).
 	n, m = 130, 180 // ⌈309/64⌉ + ⌈130/64⌉ = 8 words = toepMaxWords
-	f = NewToeplitz(n, m).Draw(rng.Uint64).(*Linear)
+	f = NewToeplitz(n, m).Draw(rng.Uint64)
 	if f.toep == nil {
 		t.Fatal("expected kernel on 8-word shape")
 	}
@@ -196,36 +194,74 @@ func TestToeplitzWideDrawFallsBack(t *testing.T) {
 	}
 }
 
-// TestAsUint64Hash pins the adapter contract: pass-through for native
-// implementors, adapters only for ≤64-bit linear shapes, agreement with
-// Eval on every family.
-func TestAsUint64Hash(t *testing.T) {
+// TestLinearEvalUint64 checks the integer path against the vector path.
+// For Toeplitz draws with a kernel and without one (the same function
+// rebuilt from A and b), H_xor and sparse draws at n, m ∈ {1, 31, 32, 33,
+// 63, 64}, EvalUint64(v) must be EvalInto(FromUint64(v, n)) read as an
+// integer, on random inputs, 0, all ones and every single bit; draws past
+// 64 input or output bits must panic. A polynomial draw's EvalUint64
+// must be Field.EvalPoly over the draw's coefficients.
+func TestLinearEvalUint64(t *testing.T) {
 	rng := stats.NewRNG(13)
-	poly := NewPoly(24, 4).Draw(rng.Uint64)
-	if u, ok := AsUint64Hash(poly); !ok || u != poly.(Uint64Hash) {
-		t.Fatal("polynomial family must pass through unchanged")
-	}
-	if _, ok := AsUint64Hash(NewToeplitz(32, 96).Draw(rng.Uint64)); ok {
-		t.Fatal("m > 64 must not claim an integer path")
-	}
-	if _, ok := AsUint64Hash(NewXor(96, 32).Draw(rng.Uint64)); ok {
-		t.Fatal("n > 64 must not claim an integer path")
-	}
-	for _, fam := range []Family{
-		NewToeplitz(24, 24), NewXor(24, 24), NewSparse(24, 24, 0.2),
-		NewXor(64, 64), NewXor(1, 64), NewXor(64, 1),
-	} {
-		f := fam.Draw(rng.Uint64)
-		u, ok := AsUint64Hash(f)
-		if !ok {
-			t.Fatalf("%s: expected integer path", fam.Name())
+	widths := []int{1, 31, 32, 33, 63, 64}
+	inputs := func(n int) []uint64 {
+		mask := ^uint64(0) >> (64 - uint(n))
+		vs := []uint64{0, mask}
+		for i := 0; i < n; i++ {
+			vs = append(vs, 1<<uint(i))
 		}
-		n := fam.InBits()
-		for k := 0; k < 200; k++ {
-			v := rng.Uint64() >> (64 - uint(n))
-			want := eval(f, bitvec.FromUint64(v, n)).Uint64()
-			if got := u.EvalUint64(v); got != want {
-				t.Fatalf("%s(%d, %d): EvalUint64(%#x) = %#x, want %#x", fam.Name(), n, fam.OutBits(), v, got, want)
+		for k := 0; k < 32; k++ {
+			vs = append(vs, rng.Uint64()&mask)
+		}
+		return vs
+	}
+	for _, n := range widths {
+		vs := inputs(n)
+		for _, m := range widths {
+			toep := NewToeplitz(n, m).Draw(rng.Uint64)
+			rows := NewLinear(toep.A(), toep.B)
+			if toep.toep == nil || rows.toep != nil {
+				t.Fatalf("(%d, %d): Toeplitz draw without a kernel, or a rebuilt one with one", n, m)
+			}
+			y := bitvec.New(m)
+			for _, d := range []struct {
+				name string
+				f    *Linear
+			}{
+				{"toeplitz", toep}, {"toeplitz-rows", rows},
+				{"xor", NewXor(n, m).Draw(rng.Uint64)},
+				{"sparse", NewSparse(n, m, 0.2).Draw(rng.Uint64)},
+			} {
+				for _, v := range vs {
+					d.f.EvalInto(bitvec.FromUint64(v, n), y)
+					if got, want := d.f.EvalUint64(v), y.Uint64(); got != want {
+						t.Fatalf("%s(%d, %d): EvalUint64(%#x) = %#x, want %#x", d.name, n, m, v, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, f := range []*Linear{
+		NewToeplitz(65, 32).Draw(rng.Uint64), NewToeplitz(32, 65).Draw(rng.Uint64),
+		NewXor(65, 32).Draw(rng.Uint64), NewXor(32, 65).Draw(rng.Uint64),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("(%d, %d): EvalUint64 did not panic", f.InBits(), f.OutBits())
+				}
+			}()
+			f.EvalUint64(1)
+		}()
+	}
+	for _, n := range widths {
+		field, vs := gf2poly.NewField(n), inputs(n)
+		for _, f := range NewPoly(n, 4).DrawN(3, rng.Uint64) {
+			coeffs, _ := PolyCoefficients(f)
+			for _, v := range vs {
+				if got, want := f.EvalUint64(v), field.EvalPoly(coeffs, v); got != want {
+					t.Fatalf("poly(%d): EvalUint64(%#x) = %#x, want %#x", n, v, got, want)
+				}
 			}
 		}
 	}
@@ -243,7 +279,7 @@ func TestPrefixWordsMatchesEvalPrefix(t *testing.T) {
 	rng := stats.NewRNG(0x9f1)
 	for n := 1; n <= 64; n++ {
 		for _, m := range []int{n, 3 * n} {
-			f := NewToeplitz(n, m).Draw(rng.Uint64).(*Linear)
+			f := NewToeplitz(n, m).Draw(rng.Uint64)
 			xs := probeInputs(n, rng)
 			xw := make([]uint64, len(xs))
 			full := make([]bitvec.BitVec, len(xs))
@@ -295,16 +331,16 @@ func lexAtMost(y, mx uint64, mp int) bool {
 // per-element path, and checks it writes nothing when it declines.
 func TestPrefixWordsDeclines(t *testing.T) {
 	rng := stats.NewRNG(0x9f2)
-	toep := NewToeplitz(32, 96).Draw(rng.Uint64).(*Linear)
-	wide := NewToeplitz(65, 65).Draw(rng.Uint64).(*Linear)
-	xor := NewXor(32, 32).Draw(rng.Uint64).(*Linear)
+	toep := NewToeplitz(32, 96).Draw(rng.Uint64)
+	wide := NewToeplitz(65, 65).Draw(rng.Uint64)
+	xor := NewXor(32, 32).Draw(rng.Uint64)
 	xw := []uint64{1, 2, 3}
 	for _, c := range []struct {
 		name string
 		l    *Linear
 		mp   int
 	}{
-		{"mp=0", toep, 0}, {"mp=65", toep, 65}, {"mp>m", NewToeplitz(8, 8).Draw(rng.Uint64).(*Linear), 9},
+		{"mp=0", toep, 0}, {"mp=65", toep, 65}, {"mp>m", NewToeplitz(8, 8).Draw(rng.Uint64), 9},
 		{"n>64", wide, 1}, {"no kernel", xor, 8}, {"kernel stripped", slowCopy(toep), 8},
 	} {
 		dst, idx := []uint64{7, 7, 7}, []int{7, 7, 7}
@@ -340,21 +376,12 @@ func eagerToeplitz(n, m int, seed uint64) (*gf2.Matrix, bitvec.BitVec) {
 // roundTrip encodes f and decodes it again.
 func roundTrip(t *testing.T, f *Linear) *Linear {
 	t.Helper()
-	r := wire.NewReader(mustAppendFunc(t, f))
+	r := wire.NewReader(AppendLinear(nil, f))
 	g := DecodeLinear(r)
 	if r.Err() != nil {
 		t.Fatalf("decode: %v", r.Err())
 	}
 	return g
-}
-
-func mustAppendFunc(t *testing.T, f Func) []byte {
-	t.Helper()
-	buf, ok := AppendFunc(nil, f)
-	if !ok {
-		t.Fatal("AppendFunc refused a Toeplitz draw")
-	}
-	return buf
 }
 
 // requireRows fails unless l's matrix form and offset equal a and b.
@@ -383,7 +410,7 @@ func TestToeplitzLazyRowsMatchEagerWindows(t *testing.T) {
 	for i, sh := range lazyRowShapes {
 		seed := uint64(0x1a2 + i)
 		a, b := eagerToeplitz(sh.n, sh.m, seed)
-		f := NewToeplitz(sh.n, sh.m).Draw(stats.NewRNG(seed).Uint64).(*Linear)
+		f := NewToeplitz(sh.n, sh.m).Draw(stats.NewRNG(seed).Uint64)
 		// Only the (200, 300) draw is past toepMaxWords.
 		if wantKernel := sh.m != 300; (f.toep != nil) != wantKernel {
 			t.Fatalf("n=%d m=%d: kernel attached = %v, want %v", sh.n, sh.m, f.toep != nil, wantKernel)
@@ -406,8 +433,8 @@ func TestLinearEqualAcrossForms(t *testing.T) {
 	for i, sh := range lazyRowShapes {
 		seed := uint64(0x1b3 + i)
 		rng := stats.NewRNG(seed)
-		f := NewToeplitz(sh.n, sh.m).Draw(rng.Uint64).(*Linear)
-		g := NewToeplitz(sh.n, sh.m).Draw(rng.Uint64).(*Linear)
+		f := NewToeplitz(sh.n, sh.m).Draw(rng.Uint64)
+		g := NewToeplitz(sh.n, sh.m).Draw(rng.Uint64)
 		diag := bitvec.Random(sh.n+sh.m-1, stats.NewRNG(seed).Uint64)
 		diag.Flip((sh.n + sh.m - 1) / 2)
 		oneBit := newToeplitz(sh.n, sh.m, diag, f.B.Clone())
@@ -452,17 +479,16 @@ func TestLinearEqualAcrossForms(t *testing.T) {
 // once: later calls return the same pointer.
 func TestToeplitzRowsBuiltOnFirstUse(t *testing.T) {
 	rng := stats.NewRNG(0x1c4)
-	f := NewToeplitz(20, 20).Draw(rng.Uint64).(*Linear)
+	f := NewToeplitz(20, 20).Draw(rng.Uint64)
 	dec := roundTrip(t, f)
 	x := bitvec.Random(20, rng.Uint64)
 	for _, l := range []*Linear{f, dec} {
 		y := eval(l, x)
 		l.ZeroPrefixLen(x, y)
 		l.PrefixWords(20, ^uint64(0), x.Words(), make([]uint64, 1), make([]int, 1))
-		u, _ := AsUint64Hash(l)
-		u.EvalUint64(x.Uint64())
+		l.EvalUint64(x.Uint64())
 		l.Equal(f)
-		mustAppendFunc(t, l)
+		AppendLinear(nil, l)
 		if l.toep.rows.Load() != nil {
 			t.Fatal("kernel paths built the matrix")
 		}
@@ -474,7 +500,7 @@ func TestToeplitzRowsBuiltOnFirstUse(t *testing.T) {
 		"PrefixEqualSystem": func(l *Linear) { l.PrefixEqualSystem(2, bitvec.New(2)) },
 		"SuffixZeroSystem":  func(l *Linear) { l.SuffixZeroSystem(4) },
 	} {
-		drawn := NewToeplitz(20, 20).Draw(stats.NewRNG(0x1c4).Uint64).(*Linear)
+		drawn := NewToeplitz(20, 20).Draw(stats.NewRNG(0x1c4).Uint64)
 		for _, l := range []*Linear{drawn, roundTrip(t, f)} {
 			read(l)
 			a := l.toep.rows.Load()
@@ -496,7 +522,7 @@ func TestToeplitzRowsFirstUseRace(t *testing.T) {
 	for i, sh := range lazyRowShapes {
 		seed := uint64(0x1d5 + i)
 		a, b := eagerToeplitz(sh.n, sh.m, seed)
-		f := NewToeplitz(sh.n, sh.m).Draw(stats.NewRNG(seed).Uint64).(*Linear)
+		f := NewToeplitz(sh.n, sh.m).Draw(stats.NewRNG(seed).Uint64)
 		got := make([]*gf2.Matrix, workers)
 		start := make(chan struct{})
 		var wg sync.WaitGroup

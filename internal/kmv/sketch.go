@@ -28,7 +28,7 @@ func NewSketch(n, thresh, t int, rand func() uint64) *Sketch {
 	fam := hash.NewToeplitz(n, 3*n)
 	hs := make([]*hash.Linear, t)
 	for i := range hs {
-		hs[i] = fam.Draw(rand).(*hash.Linear)
+		hs[i] = fam.Draw(rand)
 	}
 	return newSketch(n, thresh, hs)
 }
@@ -120,7 +120,7 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendInt(dst, s.thresh)
 	dst = wire.AppendInt(dst, len(s.hs))
 	for i, h := range s.hs {
-		dst, _ = hash.AppendFunc(dst, h)
+		dst = hash.AppendLinear(dst, h)
 		dst = s.sets[i].AppendBinary(dst)
 	}
 	return dst

@@ -40,7 +40,7 @@ func TestEnumerateKnownDifferential(t *testing.T) {
 		// unsatisfiable answers later queries without a SAT call.
 		cnf, _ := formula.PlantedKCNF(n, rng.Intn(3*n), 2+rng.Intn(2), rng)
 		dnf := formula.RandomDNF(n, 1+rng.Intn(5), 1+rng.Intn(3), rng)
-		h := hash.NewToeplitz(n, n).Draw(rng.Uint64).(*hash.Linear)
+		h := hash.NewToeplitz(n, n).Draw(rng.Uint64)
 		for _, b := range []struct {
 			name  string
 			src   Source
@@ -125,7 +125,7 @@ func TestEnumerateKnownDifferential(t *testing.T) {
 				t.Fatalf("trial %d %s: later full query found %d of %d", trial, b.name, len(got), len(want))
 			}
 			for _, x := range want {
-				if !got[x.Key()] {
+				if !got[x.Fingerprint()] {
 					t.Fatalf("trial %d %s: later full query misses %v", trial, b.name, x)
 				}
 			}

@@ -34,7 +34,7 @@
 // hash-cell sweep (rows installed once behind activation selectors and
 // enabled by assumption), which is why sharing a handle across goroutines
 // is unsafe even for "read-only" queries: every query schedules solver
-// work. Scratch vectors passed to hash evaluation (hash.Func.EvalInto)
+// work. Scratch vectors passed to hash evaluation (hash.Linear.EvalInto)
 // are caller-owned per the bitvec destination-passing contract.
 package oracle
 
@@ -484,25 +484,9 @@ type Exhaustive struct {
 	sols    *solutionList // swept on first use, shared by forks
 }
 
-// solutionList is Sol(φ), swept once: its members as integers, and as
-// vectors built only for a hash that is not a Uint64Hash, on the first
-// such query of any fork.
+// solutionList is Sol(φ), swept once: its members as integers.
 type solutionList struct {
 	vals []uint64
-	once sync.Once
-	vecs []bitvec.BitVec
-}
-
-// vectors returns the members as n-bit vectors, carved from one slab on
-// the first call.
-func (s *solutionList) vectors(n int) []bitvec.BitVec {
-	s.once.Do(func() {
-		s.vecs = bitvec.NewSlab(n, len(s.vals))
-		for i, v := range s.vals {
-			s.vecs[i].SetUint64(v)
-		}
-	})
-	return s.vecs
 }
 
 // ExhaustiveMaxVars caps n where the public count paths answer
@@ -595,22 +579,14 @@ func (e *Exhaustive) MaxTrailingZeros(h hash.Func, maxT int) int {
 	e.queries++
 	sols := e.solutions()
 	best := -1
-	if u, ok := hash.AsUint64Hash(h); ok {
-		for _, v := range sols.vals {
-			best = max(best, trailingZerosValue(u.EvalUint64(v), h.OutBits()))
-		}
-	} else {
-		scratch := bitvec.New(h.OutBits())
-		for _, x := range sols.vectors(e.n) {
-			h.EvalInto(x, scratch)
-			best = max(best, scratch.TrailingZeros())
-		}
+	for _, v := range sols.vals {
+		best = max(best, trailingZerosValue(h.EvalUint64(v), h.OutBits()))
 	}
 	return min(best, maxT)
 }
 
 // trailingZerosValue is the string trailing-zero count of the n-bit output
-// integer y (see hash.Uint64Hash): n for zero, else the binary count.
+// integer y (see hash.Func): n for zero, else the binary count.
 func trailingZerosValue(y uint64, n int) int {
 	if y == 0 {
 		return n

@@ -87,15 +87,15 @@ func checkInstance(t testing.TB, in *instance) {
 	s2, ok := in.build()
 	got := 0
 	if ok {
-		seen := map[string]bool{}
+		seen := map[bitvec.Fingerprint]bool{}
 		got = s2.EnumerateModels(-1, func(m bitvec.BitVec) bool {
 			if !in.eval(m) {
 				t.Fatalf("enumerated non-model %v (n=%d)", m, in.n)
 			}
-			if seen[m.Key()] {
+			if seen[m.Fingerprint()] {
 				t.Fatalf("duplicate model %v (n=%d)", m, in.n)
 			}
-			seen[m.Key()] = true
+			seen[m.Fingerprint()] = true
 			return true
 		})
 	}

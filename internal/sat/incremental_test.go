@@ -139,9 +139,9 @@ func TestActivationSelectors(t *testing.T) {
 		}
 		// Without the assumption the row is inert: every model of φ
 		// extends (the selector absorbs the parity).
-		seen := map[string]bool{}
+		seen := map[bitvec.Fingerprint]bool{}
 		got := s.EnumerateModels(-1, func(m bitvec.BitVec) bool {
-			seen[m.Prefix(n).Key()] = true
+			seen[m.Prefix(n).Fingerprint()] = true
 			return true
 		})
 		if got != wantOff || len(seen) != wantOff {

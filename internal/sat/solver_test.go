@@ -196,12 +196,12 @@ func TestEnumerateModelsExact(t *testing.T) {
 		}
 		want, _ := bruteCount(n, cnf, xorVars, xorRHS)
 		s := buildSolver(n, cnf, xorVars, xorRHS)
-		seen := map[string]bool{}
+		seen := map[bitvec.Fingerprint]bool{}
 		got := s.EnumerateModels(-1, func(model bitvec.BitVec) bool {
-			if seen[model.Key()] {
+			if seen[model.Fingerprint()] {
 				t.Fatal("duplicate model enumerated")
 			}
-			seen[model.Key()] = true
+			seen[model.Fingerprint()] = true
 			return true
 		})
 		if got != want {

@@ -173,7 +173,7 @@ func TestLoadRefusesCorruptSnapshots(t *testing.T) {
 		return wire.AppendHeader(wire.AppendInt(b, 16), kind, 1)
 	}
 	fm := wire.AppendInt(frame(0x04), 1)
-	fm, _ = hash.AppendFunc(fm, hash.NewXor(16, 16).Draw(stats.NewRNG(0x04).Uint64))
+	fm = hash.AppendLinear(fm, hash.NewXor(16, 16).Draw(stats.NewRNG(0x04).Uint64))
 	exact := wire.AppendInt(wire.AppendInt(frame(0x05), 16), 1)
 	exact = wire.AppendUint64(wire.AppendUint64(exact, 3), 0)
 	for kind, retired := range map[byte][]byte{0x04: wire.AppendInt(fm, 0), 0x05: exact} {

@@ -158,13 +158,13 @@ func TestAffineFindMinMatchesBruteForce(t *testing.T) {
 		h := hash.NewLinear(hm, hb)
 		tWant := 1 + rng.Intn(8)
 		// Brute force.
-		seen := map[string]bitvec.BitVec{}
+		seen := map[bitvec.Fingerprint]bitvec.BitVec{}
 		for v := uint64(0); v < 1<<uint(n); v++ {
 			x := bitvec.FromUint64(v, n)
 			if a.MulVec(x).Equal(b) {
 				y := bitvec.New(h.OutBits())
 				h.EvalInto(x, y)
-				seen[y.Key()] = y
+				seen[y.Fingerprint()] = y
 			}
 		}
 		var want []bitvec.BitVec

@@ -168,7 +168,7 @@ func (b *Bucketing) appendBinary(dst []byte) []byte {
 	dst = wire.AppendInt(dst, len(b.copies))
 	keys := make([]uint64, 0, b.thresh+1)
 	for _, c := range b.copies {
-		dst, _ = hash.AppendFunc(dst, c.h)
+		dst = hash.AppendLinear(dst, c.h)
 		dst = wire.AppendInt(dst, c.level)
 		dst = wire.AppendInt(dst, c.size())
 		keys = append(keys[:0], c.keys...)
@@ -352,7 +352,7 @@ func decodeEstimation(r *wire.Reader, parallelism int) *Estimation {
 func (f *fmTracker) appendBody(dst []byte) []byte {
 	dst = wire.AppendInt(dst, len(f.hs))
 	for i, h := range f.hs {
-		dst, _ = hash.AppendFunc(dst, h)
+		dst = hash.AppendLinear(dst, h)
 		dst = wire.AppendInt(dst, f.max[i]+1) // max ∈ [−1, OutBits]
 	}
 	return dst

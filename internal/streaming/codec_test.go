@@ -159,7 +159,7 @@ func shuffledBucketing(b *Bucketing, rng *stats.RNG) []byte {
 		blob = wire.AppendInt(blob, v)
 	}
 	for _, c := range b.copies {
-		blob, _ = hash.AppendFunc(blob, c.h)
+		blob = hash.AppendLinear(blob, c.h)
 		blob = wire.AppendInt(wire.AppendInt(blob, c.level), c.size())
 		order := make([]int, c.size())
 		for i := range order {
@@ -304,7 +304,7 @@ func TestBucketingSlabBound(t *testing.T) {
 // tracker draw, all still empty. No encoder writes one whose draws
 // disagree with n, or whose tracker has other than one copy per grid
 // row.
-func handEstimation(n int, grid []byte, tracker ...hash.Func) []byte {
+func handEstimation(n int, grid []byte, tracker ...*hash.Linear) []byte {
 	blob := wire.AppendHeader(nil, wire.KindEstimation, estimationVersion)
 	for _, v := range []int{n, 1, 1} { // n, thresh, t
 		blob = wire.AppendInt(blob, v)
@@ -313,7 +313,7 @@ func handEstimation(n int, grid []byte, tracker ...hash.Func) []byte {
 	blob = wire.AppendInt(blob, 0) // the cell's max, −1 + 1
 	blob = wire.AppendInt(blob, len(tracker))
 	for _, h := range tracker {
-		blob, _ = hash.AppendFunc(blob, h)
+		blob = hash.AppendLinear(blob, h)
 		blob = wire.AppendInt(blob, 0)
 	}
 	return blob
@@ -348,7 +348,7 @@ func handGrid(n, thresh, t int, cells ...[]uint64) []byte {
 	blob = wire.AppendInt(blob, t)
 	rng := stats.NewRNG(0x6c)
 	for range t {
-		blob, _ = hash.AppendFunc(blob, hash.NewXor(n, n).Draw(rng.Uint64))
+		blob = hash.AppendLinear(blob, hash.NewXor(n, n).Draw(rng.Uint64))
 		blob = wire.AppendInt(blob, 0)
 	}
 	return blob
@@ -429,7 +429,7 @@ func handKeys(n int, lo, hi uint64) []byte {
 	for _, v := range []int{n, 1, 1} { // n, thresh, t
 		blob = wire.AppendInt(blob, v)
 	}
-	blob, _ = hash.AppendFunc(blob, hash.NewToeplitz(n, n).Draw(stats.NewRNG(0x6b).Uint64))
+	blob = hash.AppendLinear(blob, hash.NewToeplitz(n, n).Draw(stats.NewRNG(0x6b).Uint64))
 	blob = wire.AppendInt(wire.AppendInt(blob, 0), 1) // level, cells
 	blob = wire.AppendUint64(wire.AppendUint64(blob, lo), hi)
 	return wire.AppendBitVec(blob, bitvec.New(n))
@@ -490,7 +490,7 @@ func TestWordBound(t *testing.T) {
 	if _, err := DecodeSketch(handEstimation(8, poly, xor), 1); err != nil {
 		t.Fatalf("hand-built estimation: %v", err)
 	}
-	lin, _ := hash.AppendFunc(nil, xor)
+	lin := hash.AppendLinear(nil, xor)
 	refused("linear estimation grid draw", handEstimation(8, lin, xor))
 	refused("16-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(16, 16).Draw(rng.Uint64)))
 	refused("80-bit tracker in an 8-bit estimation", handEstimation(8, poly, hash.NewXor(80, 80).Draw(rng.Uint64)))

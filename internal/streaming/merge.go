@@ -157,7 +157,7 @@ func (e *Estimation) Clone() Sketch {
 func (e *Estimation) sibling() Sketch {
 	out := *e
 	out.s = slices.Repeat([]int8{-1}, len(e.s))
-	out.fm = &fmTracker{hs: e.fm.hs, u64: e.fm.u64, max: slices.Repeat([]int{-1}, len(e.fm.max))}
+	out.fm = &fmTracker{hs: e.fm.hs, max: slices.Repeat([]int{-1}, len(e.fm.max))}
 	return &out
 }
 
@@ -186,7 +186,7 @@ func (e *Estimation) Merge(other Sketch) error {
 
 // clone returns a deep copy sharing hash draws.
 func (f *fmTracker) clone() *fmTracker {
-	return &fmTracker{hs: f.hs, u64: f.u64, max: slices.Clone(f.max)}
+	return &fmTracker{hs: f.hs, max: slices.Clone(f.max)}
 }
 
 // merge takes the pointwise maximum of the per-copy counters, reporting

@@ -16,7 +16,7 @@
 //
 // Two word forms carry an element. The integer form x is what callers
 // pass and what the polynomial and Flajolet–Martin hashes evaluate
-// (hash.Uint64Hash). The packed form is bitvec word 0 of x's n-bit
+// (hash.Func.EvalUint64). The packed form is bitvec word 0 of x's n-bit
 // vector — bit i is bit n−1−i of x — and is what the Toeplitz kernel
 // (hash.Linear.PrefixWords) multiplies and what Bucketing stores as
 // keys, next to each key's n-bit hash value packed the same way.
@@ -171,7 +171,7 @@ func NewBucketing(n int, opts Options) *Bucketing {
 	fam := hash.NewToeplitz(n, n)
 	b := newBucketing(n, o.Thresh, o.Iterations, newEngine(o.Parallelism, minBatchCheap))
 	for _, c := range b.copies {
-		c.h = fam.Draw(o.RNG.Uint64).(*hash.Linear)
+		c.h = fam.Draw(o.RNG.Uint64)
 	}
 	return b
 }
@@ -543,9 +543,7 @@ func (e *Estimation) SketchWords() int { return len(e.s) }
 // (Alon–Matias–Szegedy). It keeps one counter per copy, draws from
 // H_xor(n, n), and reports the median.
 type fmTracker struct {
-	hs []*hash.Linear
-	// u64 evaluates hs on integer-form elements (hash.AsUint64Hash).
-	u64 []hash.Uint64Hash
+	hs  []*hash.Linear
 	max []int
 }
 
@@ -554,17 +552,14 @@ func newFMTracker(n, t int, rand func() uint64) *fmTracker {
 	fam := hash.NewXor(n, n)
 	f := &fmTracker{}
 	for i := 0; i < t; i++ {
-		f.addCopy(fam.Draw(rand).(*hash.Linear), -1)
+		f.addCopy(fam.Draw(rand), -1)
 	}
 	return f
 }
 
-// addCopy appends a copy with draw h and counter maxTZ. Every linear draw
-// of at most 64 input and output bits has an integer-form evaluator.
+// addCopy appends a copy with draw h and counter maxTZ.
 func (f *fmTracker) addCopy(h *hash.Linear, maxTZ int) {
-	u, _ := hash.AsUint64Hash(h)
 	f.hs = append(f.hs, h)
-	f.u64 = append(f.u64, u)
 	f.max = append(f.max, maxTZ)
 }
 
@@ -572,12 +567,12 @@ func (f *fmTracker) addCopy(h *hash.Linear, maxTZ int) {
 // EvalUint64 (a carry-less multiply or single-word row sweep) plus a
 // trailing-zeros instruction per element.
 func (f *fmTracker) absorb(i int, xs []uint64) {
-	u := f.u64[i]
-	n := f.hs[i].OutBits()
+	h := f.hs[i]
+	n := h.OutBits()
 	best := f.max[i]
 	for _, v := range xs {
 		tz := n
-		if y := u.EvalUint64(v); y != 0 {
+		if y := h.EvalUint64(v); y != 0 {
 			tz = bits.TrailingZeros64(y)
 		}
 		if tz > best {
